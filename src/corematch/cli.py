@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import extform, flawed, linsys, matching, model, negcycle, oracle, separation
-from .model import FormatError, rational_str
+from .model import FormatError
 
 EXIT_OK = 0
 EXIT_VIOLATED = 10
@@ -60,7 +60,7 @@ def _parse_coalition(text: str, inst: model.Instance):
 
 def _cmd_value(args) -> int:
     inst = _load_instance(args.instance)
-    print(rational_str(matching.b_matching_value(inst)))
+    print(matching.b_matching_value(inst))
     return EXIT_OK
 
 
@@ -147,7 +147,7 @@ def _cmd_flaw(args) -> int:
         print("NO_NEGATIVE_PATH")
         return EXIT_OK
     walk = ",".join(str(v) for v in result.vertices)
-    print(f"NEGATIVE_PATH ({walk}) weight {rational_str(result.weight)} k={result.k}")
+    print(f"NEGATIVE_PATH ({walk}) weight {result.weight} k={result.k}")
     return EXIT_VIOLATED
 
 
@@ -180,7 +180,7 @@ def _cmd_oracle(args) -> int:
     if op == "nu":
         inst = _load_instance(args.instance)
         S = _parse_coalition(args.coalition, inst)
-        print(rational_str(oracle.nu_bruteforce(inst, S)))
+        print(oracle.nu_bruteforce(inst, S))
         return EXIT_OK
     if op == "core-check":
         inst = _load_instance(args.instance)
@@ -211,7 +211,7 @@ def _cmd_oracle(args) -> int:
             print("NO_NEGATIVE_CYCLE")
             return EXIT_OK
         verts = "-".join(str(v) for v in cycle.vertices)
-        print(f"NEGATIVE_CYCLE ({verts}) cost {rational_str(cycle.cost)}")
+        print(f"NEGATIVE_CYCLE ({verts}) cost {cycle.cost}")
         return EXIT_VIOLATED
     if op == "cut-check":
         graph = negcycle.parse_cost_graph(_read(args.costs))

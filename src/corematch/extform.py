@@ -1,7 +1,11 @@
 """Compact extended formulation of the core and exact LP membership checks.
 
-For each graph in the family (the capacity-2 subgraph plus every st-variant),
-the no-negative-cycle condition is expressed through the dual of a compact
+The graph family is separation's: the capacity-2 subgraph plus every
+st-variant, built by `separation.build_g2`, `separation.variant_structures`
+and `separation.realize_variant`. Every member edge u-v costs
+(p_u + p_v)/2 plus its cost at p = 0, so the family costed at p = 0 gives the
+constant parts of the formulation. For each graph in the family, the
+no-negative-cycle condition is expressed through the dual of a compact
 flow LP over the cycle cone: cut/cycle inequalities for a fixed edge are
 max-flow feasibility, flows become per-edge conservation blocks, and the dual
 of the whole thing is a feasibility system whose right-hand sides are affine
@@ -12,31 +16,12 @@ allocation variables is exactly the core.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from . import matching, separation
 from .linsys import ConstraintSystem, simplex_feasible, simplex_solve
 from .model import Allocation, Instance
 from .negcycle import CostEdge, CostedGraph
-
-
-@dataclass(frozen=True)
-class AffineCost:
-    """Edge cost affine in the allocation: const + sum coeffs[v] * p_v."""
-
-    const: Fraction
-    coeffs: tuple[tuple[int, Fraction], ...]
-
-    def evaluate(self, p: Allocation) -> Fraction:
-        return self.const + sum((c * p[v] for v, c in self.coeffs), Fraction(0))
-
-
-Cost = Union[Fraction, AffineCost]
-
-
-def _transfer_affine(u: int, v: int, w: Fraction) -> AffineCost:
-    half = Fraction(1, 2)
-    return AffineCost(const=-w, coeffs=((u, half), (v, half)))
 
 
 @dataclass(frozen=True)
@@ -48,72 +33,29 @@ class GraphFamily:
     labels: tuple[str, ...]
 
 
-def _symbolic_g2(inst: Instance) -> CostedGraph:
-    members = set(inst.n2)
-    edges = tuple(
-        CostEdge(e.u, e.v, _transfer_affine(e.u, e.v, e.w), i)
-        for i, e in enumerate(inst.edges)
-        if e.u in members and e.v in members
-    )
-    return CostedGraph(vertices=inst.n2, edges=edges)
-
-
 def enumerate_family(inst: Instance, p: Optional[Allocation] = None) -> GraphFamily:
-    """The graph family behind the formulation; costs are affine expressions
-    in the allocation when p is None, otherwise concrete rationals.
+    """The graph family behind the formulation: separation's capacity-2
+    subgraph and st-variants, costed for p (p = 0 when p is None).
 
-    Variants whose st edge cannot lie on any cycle (an endpoint of degree < 2)
-    are dropped: their cycles are already the capacity-2 subgraph's, and
-    keeping them would break the family-size bound.
+    Every member edge costs (p_u + p_v)/2 plus its cost at p = 0 (-w for an
+    instance edge, 0 for the st marker), so the p = 0 family carries the
+    formulation's right-hand sides. Variants in which an endpoint keeps no
+    edge besides st are dropped: their st edge lies on no cycle, their cycles
+    are already the capacity-2 subgraph's, and keeping them would break the
+    family-size bound.
     """
-    members: list[CostedGraph] = []
-    labels: list[str] = []
-
     if p is None:
-        members.append(_symbolic_g2(inst))
-    else:
-        members.append(separation.build_g2(inst, p))
-    labels.append("g2")
-
+        p = Allocation((Fraction(0),) * inst.n)
+    members = [separation.build_g2(inst, p)]
+    labels = ["g2"]
     for s in range(inst.n):
         for t in range(s + 1, inst.n):
             for struct in separation.variant_structures(inst, s, t):
-                deg_s = sum(
-                    1 for i in struct.edge_ids if s in (inst.edges[i].u, inst.edges[i].v)
-                ) + 1
-                deg_t = sum(
-                    1 for i in struct.edge_ids if t in (inst.edges[i].u, inst.edges[i].v)
-                ) + 1
-                if deg_s < 2 or deg_t < 2:
+                kept = [inst.edges[i] for i in struct.edge_ids]
+                touched = {x for e in kept for x in (e.u, e.v)}
+                if s not in touched or t not in touched:
                     continue
-                if p is None:
-                    edges = [
-                        CostEdge(
-                            inst.edges[i].u,
-                            inst.edges[i].v,
-                            _transfer_affine(
-                                inst.edges[i].u, inst.edges[i].v, inst.edges[i].w
-                            ),
-                            i,
-                        )
-                        for i in struct.edge_ids
-                    ]
-                    half = Fraction(1, 2)
-                    edges.append(
-                        CostEdge(
-                            s, t,
-                            AffineCost(const=Fraction(0), coeffs=((s, half), (t, half))),
-                            None,
-                        )
-                    )
-                    graph = CostedGraph(
-                        vertices=struct.vertices,
-                        edges=tuple(edges),
-                        marker=len(edges) - 1,
-                    )
-                else:
-                    graph = separation.realize_variant(inst, p, struct).base
-                members.append(graph)
+                members.append(separation.realize_variant(inst, p, struct))
                 labels.append(
                     f"variant s={s} t={t} kept_s={struct.kept_s} kept_t={struct.kept_t}"
                 )
@@ -123,30 +65,25 @@ def enumerate_family(inst: Instance, p: Optional[Allocation] = None) -> GraphFam
 def family_size_bound(inst: Instance) -> int:
     """1 + sum over ordered endpoint pairs of (d_s - 1)(d_t - 1), degrees taken
     in the st-augmented auxiliary graph."""
-    total = 1
-    for s in range(inst.n):
-        for t in range(inst.n):
-            if s == t:
-                continue
-            members = set(inst.n2) | {s, t}
-            d_s = sum(
-                1
-                for e in inst.edges
-                if s in (e.u, e.v)
-                and e.u in members
-                and e.v in members
-                and {e.u, e.v} != {s, t}
-            ) + 1
-            d_t = sum(
-                1
-                for e in inst.edges
-                if t in (e.u, e.v)
-                and e.u in members
-                and e.v in members
-                and {e.u, e.v} != {s, t}
-            ) + 1
-            total += (d_s - 1) * (d_t - 1)
-    return total
+    n2 = set(inst.n2)
+
+    def degree(x: int, s: int, t: int) -> int:
+        members = n2 | {s, t}
+        return 1 + sum(
+            1
+            for e in inst.edges
+            if x in (e.u, e.v)
+            and e.u in members
+            and e.v in members
+            and {e.u, e.v} != {s, t}
+        )
+
+    return 1 + sum(
+        (degree(s, s, t) - 1) * (degree(t, s, t) - 1)
+        for s in range(inst.n)
+        for t in range(inst.n)
+        if s != t
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +227,14 @@ def build_extended_formulation(inst: Instance) -> ConstraintSystem:
             f"edge_e{i}", {f"p_{e.u}": Fraction(1), f"p_{e.v}": Fraction(1)}, ">=", e.w
         )
 
-    family = enumerate_family(inst)
-    for k, g in enumerate(family.members):
+    half = Fraction(1, 2)
 
-        def cost_of(e: CostEdge):
-            aff: AffineCost = e.cost
-            # move the affine p-part to the left-hand side
-            return aff.const, {f"p_{v}": -c for v, c in aff.coeffs}
+    def cost_of(e: CostEdge):
+        # the family is costed at p = 0; move the (p_u + p_v)/2 part of the
+        # cost to the left-hand side
+        return e.cost, {f"p_{e.u}": -half, f"p_{e.v}": -half}
 
+    for k, g in enumerate(enumerate_family(inst).members):
         _dual_block(sys, g, f"g{k}_", cost_of)
     return sys
 

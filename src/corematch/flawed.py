@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import matching, oracle, separation
-from .model import Allocation, Instance, parse_instance, rational_str
+from .model import Allocation, Instance, parse_instance
 
 
 @dataclass(frozen=True)
@@ -168,17 +168,17 @@ def demo_counterexample() -> str:
         + " ".join(f"{names[v]}(b={inst.b[v]})" for v in range(inst.n))
         + "; edges "
         + " ".join(
-            f"{names[e.u]}-{names[e.v]}:{rational_str(e.w)}" for e in inst.edges
+            f"{names[e.u]}-{names[e.v]}:{e.w}" for e in inst.edges
         )
     )
     lines.append(
         "allocation p = ("
-        + ", ".join(rational_str(x) for x in p.values)
+        + ", ".join(str(x) for x in p.values)
         + ")"
     )
-    lines.append(f"nu(N) = {rational_str(nu_n)}")
+    lines.append(f"nu(N) = {nu_n}")
     lines.append(
-        f"p(N)  = {rational_str(p.total())}"
+        f"p(N)  = {p.total()}"
         + (" (matches nu(N))" if p.total() == nu_n else " (MISMATCH)")
     )
     lines.append(
@@ -200,7 +200,7 @@ def demo_counterexample() -> str:
         wshare = pshare - flaw.weight
         lines.append(
             f"flawed layered scan:   negative path {walk} weight "
-            f"{rational_str(flaw.weight)} ({rational_str(pshare)} - {rational_str(wshare)})"
+            f"{flaw.weight} ({pshare} - {wshare})"
         )
         revisits = len(flaw.vertices) - len(set(flaw.vertices))
         if verdict.in_core and revisits:

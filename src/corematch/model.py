@@ -36,11 +36,6 @@ def parse_rational(token: str, line: Optional[int] = None) -> Fraction:
     return Fraction(token)
 
 
-def rational_str(x: Fraction) -> str:
-    """Render a rational as "7/2" or "12" (denominator 1 omitted)."""
-    return str(x)
-
-
 class Edge(NamedTuple):
     u: int
     v: int
@@ -183,7 +178,7 @@ class Violation:
         ids = ",".join(str(v) for v in self.coalition)
         return (
             f"kind={self.kind.value} S={{{ids}}} "
-            f"p(S)={rational_str(self.allocated)} bound={rational_str(self.bound)}"
+            f"p(S)={self.allocated} bound={self.bound}"
         )
 
 
@@ -270,7 +265,7 @@ def emit_instance(inst: Instance) -> str:
     """Instance back to text; parse(emit(inst)) == inst."""
     out = [f"game {inst.n} {inst.m}"]
     out += [f"vertex {v} {inst.b[v]}" for v in range(inst.n)]
-    out += [f"edge {e.u} {e.v} {rational_str(e.w)}" for e in inst.edges]
+    out += [f"edge {e.u} {e.v} {e.w}" for e in inst.edges]
     return "\n".join(out) + "\n"
 
 
@@ -298,7 +293,7 @@ def parse_allocation(text: str, inst: Instance) -> Allocation:
 
 def emit_allocation(alloc: Allocation) -> str:
     return "".join(
-        f"{v} {rational_str(x)}\n" for v, x in enumerate(alloc.values)
+        f"{v} {x}\n" for v, x in enumerate(alloc.values)
     )
 
 

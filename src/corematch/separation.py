@@ -10,28 +10,12 @@ re-verifiable certificate.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import chain
+from typing import Iterator, Optional
 
 from . import matching, negcycle
 from .model import Allocation, Instance, Violation, ViolationKind, coalition
 from .negcycle import CostEdge, CostedGraph, Cycle
-
-
-@dataclass(frozen=True)
-class VariantGraph:
-    """One endpoint-variant of the st auxiliary graph.
-
-    The base graph lives on the capacity-2 vertices plus {s, t}; its marker
-    edge is the added st edge (weight 0, so cost (p_s+p_t)/2). A capacity-1
-    endpoint keeps exactly one non-st edge (kept_s / kept_t, instance edge
-    indices); capacity-2 endpoints keep everything.
-    """
-
-    base: CostedGraph
-    s: int
-    t: int
-    kept_s: Optional[int] = None
-    kept_t: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -53,17 +37,22 @@ def check_total_value(inst: Instance, p: Allocation) -> Optional[Violation]:
     )
 
 
-def separate_vertices_edges(inst: Instance, p: Allocation) -> Optional[Violation]:
-    """First violated vertex (p_i < 0) or edge (p_i + p_j < w_ij) in scan order."""
+def _vertex_edge_violations(inst: Instance, p: Allocation) -> Iterator[Violation]:
+    """Violated vertex (p_i < 0), then edge (p_i + p_j < w_ij) constraints, in
+    scan order."""
     for v in range(inst.n):
         if p[v] < 0:
-            return Violation(ViolationKind.VERTEX, (v,), p[v], Fraction(0))
+            yield Violation(ViolationKind.VERTEX, (v,), p[v], Fraction(0))
     for i, e in enumerate(inst.edges):
         if p[e.u] + p[e.v] < e.w:
-            return Violation(
+            yield Violation(
                 ViolationKind.EDGE, coalition((e.u, e.v)), p[e.u] + p[e.v], e.w, (i,)
             )
-    return None
+
+
+def separate_vertices_edges(inst: Instance, p: Allocation) -> Optional[Violation]:
+    """First violated vertex (p_i < 0) or edge (p_i + p_j < w_ij) in scan order."""
+    return next(_vertex_edge_violations(inst, p), None)
 
 
 def _transfer_cost(p: Allocation, e) -> Fraction:
@@ -81,16 +70,18 @@ def build_g2(inst: Instance, p: Allocation) -> CostedGraph:
     return CostedGraph(vertices=inst.n2, edges=edges)
 
 
-def _cycle_violation(inst: Instance, p: Allocation, g: CostedGraph, cyc: Cycle,
-                     kind: ViolationKind, drop: Optional[int] = None) -> Violation:
-    """Build a Cycle/Path violation from a negative cycle of g, optionally
-    dropping the marker edge (Path case)."""
-    if drop is None:
+def _cycle_violation(inst: Instance, p: Allocation, g: CostedGraph,
+                     cyc: Cycle) -> Violation:
+    """Build a violation from a negative cycle of g: a Path violation when the
+    cycle runs through g's marker edge (which is dropped), else a Cycle."""
+    if g.marker not in cyc.edges:
+        kind = ViolationKind.CYCLE
         eids = list(cyc.edges)
     else:
-        # rotate so the dropped edge is last, leaving path order; orient the
+        kind = ViolationKind.PATH
+        # rotate so the marker edge is last, leaving path order; orient the
         # walk from its smaller endpoint
-        q = cyc.edges.index(drop)
+        q = cyc.edges.index(g.marker)
         k = len(cyc.edges)
         eids = [cyc.edges[(q + 1 + r) % k] for r in range(k - 1)]
         first = cyc.vertices[(q + 1) % k]
@@ -112,7 +103,7 @@ def separate_cycles(inst: Instance, p: Allocation) -> Optional[Violation]:
     cyc = negcycle.find_negative_cycle(g2)
     if cyc is None:
         return None
-    return _cycle_violation(inst, p, g2, cyc, ViolationKind.CYCLE)
+    return _cycle_violation(inst, p, g2, cyc)
 
 
 @dataclass(frozen=True)
@@ -176,47 +167,47 @@ def variant_structures(inst: Instance, s: int, t: int) -> list[VariantStructure]
     return out
 
 
-def realize_variant(inst: Instance, p: Allocation, struct: VariantStructure) -> VariantGraph:
-    """Attach transfer costs to a variant skeleton for a concrete allocation."""
+def realize_variant(inst: Instance, p: Allocation, struct: VariantStructure) -> CostedGraph:
+    """Attach transfer costs to a variant skeleton for a concrete allocation.
+
+    The st edge comes last and is the graph's marker; it has weight 0, so its
+    cost is (p_s + p_t)/2.
+    """
     edges = [
         CostEdge(inst.edges[i].u, inst.edges[i].v, _transfer_cost(p, inst.edges[i]), i)
         for i in struct.edge_ids
     ]
     edges.append(CostEdge(struct.s, struct.t, (p[struct.s] + p[struct.t]) / 2, None))
-    g = CostedGraph(
+    return CostedGraph(
         vertices=struct.vertices, edges=tuple(edges), marker=len(edges) - 1
     )
-    return VariantGraph(
-        base=g, s=struct.s, t=struct.t, kept_s=struct.kept_s, kept_t=struct.kept_t
-    )
 
 
-def variants(inst: Instance, p: Allocation, s: int, t: int) -> list[VariantGraph]:
+def variants(inst: Instance, p: Allocation, s: int, t: int) -> list[CostedGraph]:
     """The costed variant family for the unordered endpoint pair {s, t}."""
     return [realize_variant(inst, p, st) for st in variant_structures(inst, s, t)]
 
 
-def separate_paths(inst: Instance, p: Allocation) -> Optional[Violation]:
-    """Search all endpoint pairs and variants for a violated path of length
-    >= 2; assumes vertex/edge and cycle constraints already hold.
+def _path_violations(inst: Instance, p: Allocation) -> Iterator[Violation]:
+    """One violation per endpoint pair and variant with a negative cycle.
 
-    A negative cycle through the marker st edge yields the violated path by
-    deleting st; a negative cycle avoiding the marker cannot occur once the
-    cycle constraints hold, but is reported as a Cycle violation defensively.
+    A negative cycle through the marker st edge yields a violated path by
+    deleting st; one avoiding the marker is a violated cycle, which cannot
+    occur once the cycle constraints hold.
     """
     for s in range(inst.n):
         for t in range(s + 1, inst.n):
-            for var in variants(inst, p, s, t):
-                cyc = negcycle.find_negative_cycle(var.base)
-                if cyc is None:
-                    continue
-                if var.base.marker in cyc.edges:
-                    return _cycle_violation(
-                        inst, p, var.base, cyc, ViolationKind.PATH,
-                        drop=var.base.marker,
-                    )
-                return _cycle_violation(inst, p, var.base, cyc, ViolationKind.CYCLE)
-    return None
+            for g in variants(inst, p, s, t):
+                cyc = negcycle.find_negative_cycle(g)
+                if cyc is not None:
+                    yield _cycle_violation(inst, p, g, cyc)
+
+
+def separate_paths(inst: Instance, p: Allocation) -> Optional[Violation]:
+    """Search all endpoint pairs and variants for a violated path of length
+    >= 2; assumes vertex/edge and cycle constraints already hold, and reports
+    a marker-free negative cycle as a Cycle violation defensively."""
+    return next(_path_violations(inst, p), None)
 
 
 def separate(inst: Instance, p: Allocation) -> SeparationVerdict:
@@ -239,42 +230,13 @@ def separate_all(inst: Instance, p: Allocation) -> list[Violation]:
     """Diagnostic mode: every violated constraint-family member, not just the
     first. Order: total value, vertices, edges, the cycle family, then each
     endpoint pair/variant."""
-    out: list[Violation] = []
-    v = check_total_value(inst, p)
-    if v is not None:
-        out.append(v)
-    for w in range(inst.n):
-        if p[w] < 0:
-            out.append(Violation(ViolationKind.VERTEX, (w,), p[w], Fraction(0)))
-    for i, e in enumerate(inst.edges):
-        if p[e.u] + p[e.v] < e.w:
-            out.append(
-                Violation(
-                    ViolationKind.EDGE, coalition((e.u, e.v)),
-                    p[e.u] + p[e.v], e.w, (i,),
-                )
-            )
-    cyc = separate_cycles(inst, p)
-    if cyc is not None:
-        out.append(cyc)
-    for s in range(inst.n):
-        for t in range(s + 1, inst.n):
-            for var in variants(inst, p, s, t):
-                c = negcycle.find_negative_cycle(var.base)
-                if c is None:
-                    continue
-                if var.base.marker in c.edges:
-                    out.append(
-                        _cycle_violation(
-                            inst, p, var.base, c, ViolationKind.PATH,
-                            drop=var.base.marker,
-                        )
-                    )
-                else:
-                    out.append(
-                        _cycle_violation(inst, p, var.base, c, ViolationKind.CYCLE)
-                    )
-    return out
+    found = chain(
+        [check_total_value(inst, p)],
+        _vertex_edge_violations(inst, p),
+        [separate_cycles(inst, p)],
+        _path_violations(inst, p),
+    )
+    return [v for v in found if v is not None]
 
 
 def verify_violation(inst: Instance, p: Allocation, v: Violation) -> bool:

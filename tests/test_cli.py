@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 
 import pytest
@@ -7,6 +8,7 @@ from corematch.flawed import COUNTEREXAMPLE_TEXT
 
 CORE_ALLOC = "0 0\n1 0\n2 2\n3 10\n4 0\n"
 PATH_ALLOC = "0 0\n1 0\n2 1\n3 11\n4 0\n"
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 @pytest.fixture
@@ -138,6 +140,58 @@ def test_output_byte_deterministic(files, capsys):
     assert runs[0] == runs[1]
     sizes = [run(capsys, "extform", "-i", str(game), "--size") for _ in range(2)]
     assert sizes[0] == sizes[1]
+
+
+# SHA-256 of the exact stdout for the shipped data files; any byte change in
+# verdicts, certificates, scan order or size tallies shows up here.
+GOLDEN_STDOUT = [
+    (
+        ("separate", "-i", "counterexample.game", "-a", "counterexample.alloc"),
+        0,
+        "c09c1ef51bad88d17e91d48ed3f2c1082fe894085aa08f8460c1bd342dcb3307",
+    ),
+    (
+        ("separate", "-i", "square.game", "-a", "square-low.alloc"),
+        10,
+        "c338c6367750b3a1e1594203fea1abc00cf7e0772bc49460737af8132084660f",
+    ),
+    (
+        ("separate", "-i", "square.game", "-a", "square-low.alloc", "--all"),
+        10,
+        "2c5aadd96764c7cada250004563f7f1d6308ce7e6b3c1bfd4d4c18d7a14fb35b",
+    ),
+    (
+        ("extform", "-i", "counterexample.game", "--size"),
+        0,
+        "ef69be1bc3925cb2a99b8322160c5b6ba7d78b6a6978d44754aa126bb3cb79ed",
+    ),
+    (
+        ("extform", "-i", "square.game", "--size"),
+        0,
+        "a667b1916b84deda859f65df357385371ea471aaec98d0b209f28c3dc419dd97",
+    ),
+]
+
+GOLDEN_EMIT = {
+    "counterexample.game": "0f9a035e64d0095fcd60589370b92502ad803e737f20f7f352e6198d88e857d6",
+    "square.game": "685697f0136b382c6a3fb3e56cccfa37b30b02b9ffe7d9d98c19f73004daa844",
+}
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", GOLDEN_STDOUT)
+def test_golden_stdout(capsys, argv, exit_code, digest):
+    argv = [str(DATA / a) if a.endswith((".game", ".alloc")) else a for a in argv]
+    code, out, _ = run(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("game, digest", sorted(GOLDEN_EMIT.items()))
+def test_golden_emit(capsys, tmp_path, game, digest):
+    target = tmp_path / "system.lp"
+    code, _, _ = run(capsys, "extform", "-i", str(DATA / game), "--emit", str(target))
+    assert code == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
 def test_file_error_exit_code(capsys):

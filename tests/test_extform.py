@@ -80,13 +80,36 @@ def test_family_counterexample(counterexample, counterexample_core_p):
     assert fam.labels[0] == "g2"
     assert len(fam.members[0].edges) == 1  # the single capacity-2 edge
     assert len(fam.members) <= family_size_bound(counterexample)
-    sym = enumerate_family(counterexample)
-    assert len(sym.members) == len(fam.members)
-    # symbolic costs evaluate to the concrete ones
-    for gs, gc in zip(sym.members, fam.members):
-        assert len(gs.edges) == len(gc.edges)
-        for es, ec in zip(gs.edges, gc.edges):
-            assert es.cost.evaluate(counterexample_core_p) == ec.cost
+    assert fam == shifted_family(counterexample, counterexample_core_p)
+
+
+def shifted_family(inst, p):
+    """The p = 0 family with (p_u + p_v)/2 added to every edge cost."""
+    fam = enumerate_family(inst)
+    members = tuple(
+        CostedGraph(
+            vertices=g.vertices,
+            edges=tuple(
+                e._replace(cost=e.cost + (p[e.u] + p[e.v]) / 2) for e in g.edges
+            ),
+            marker=g.marker,
+        )
+        for g in fam.members
+    )
+    return extform.GraphFamily(members=members, labels=fam.labels)
+
+
+def test_family_cost_identity_random():
+    # every member edge costs (p_u + p_v)/2 plus its cost at p = 0
+    rng = random.Random(17)
+    for _ in range(30):
+        inst = random_instance(rng.randint(0, 10**6), rng.randint(1, 7), Fraction(1, 2), 6)
+        nu_n = matching.b_matching_value(inst)
+        for p in (
+            random_allocation(rng, inst),
+            normalized(random_allocation(rng, inst, lo=0), nu_n),
+        ):
+            assert enumerate_family(inst, p) == shifted_family(inst, p)
 
 
 def test_family_edgeless_instance():

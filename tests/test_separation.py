@@ -13,6 +13,7 @@ from corematch.separation import (
     separate_cycles,
     separate_paths,
     separate_vertices_edges,
+    variant_structures,
     variants,
     verify_violation,
 )
@@ -91,17 +92,16 @@ def test_separate_cycles_counterexample_has_no_cycle(counterexample, counterexam
 def test_variants_counterexample(counterexample, counterexample_core_p):
     inst, p = counterexample, counterexample_core_p
     # {s,t}: both capacity 1, one non-st edge each -> exactly one variant
-    fam = variants(inst, p, 0, 1)
-    assert len(fam) == 1
-    var = fam[0]
-    assert var.kept_s == 0 and var.kept_t == 1
-    marker = var.base.edges[var.base.marker]
+    (struct,) = variant_structures(inst, 0, 1)
+    assert struct.kept_s == 0 and struct.kept_t == 1
+    (g,) = variants(inst, p, 0, 1)
+    marker = g.edges[g.marker]
     assert {marker.u, marker.v} == {0, 1} and marker.orig is None
     assert marker.cost == 0  # (p_s + p_t)/2 with p_s = p_t = 0
     # {u,v}: both capacity 2 -> the single direct graph, no removals
-    fam_uv = variants(inst, p, 2, 3)
-    assert len(fam_uv) == 1
-    assert fam_uv[0].kept_s is None and fam_uv[0].kept_t is None
+    (struct_uv,) = variant_structures(inst, 2, 3)
+    assert struct_uv.kept_s is None and struct_uv.kept_t is None
+    assert len(variants(inst, p, 2, 3)) == 1
 
 
 def test_variants_isolated_endpoint():
@@ -117,9 +117,10 @@ def test_variants_counts_both_capacity_one():
         "game 4 5\nvertex 0 1\nvertex 1 1\nvertex 2 2\nvertex 3 2\n"
         "edge 0 2 1\nedge 0 3 1\nedge 1 2 1\nedge 1 3 1\nedge 2 3 1\n"
     )
-    fam = variants(inst, alloc(0, 0, 0, 0), 0, 1)
-    assert len(fam) == 4  # d_s = d_t = 3 in the st-augmented graph
-    assert {(v.kept_s, v.kept_t) for v in fam} == {(0, 2), (0, 3), (1, 2), (1, 3)}
+    structs = variant_structures(inst, 0, 1)
+    assert len(structs) == 4  # d_s = d_t = 3 in the st-augmented graph
+    assert {(v.kept_s, v.kept_t) for v in structs} == {(0, 2), (0, 3), (1, 2), (1, 3)}
+    assert len(variants(inst, alloc(0, 0, 0, 0), 0, 1)) == 4
 
 
 def test_separate_paths_counterexample(counterexample, counterexample_core_p):
@@ -160,6 +161,21 @@ def test_separate_all_collects_families(counterexample):
     kinds = [v.kind for v in out]
     assert ViolationKind.PATH in kinds
     assert all(verify_violation(counterexample, alloc(0, 0, 1, 11, 0), v) for v in out)
+
+
+def test_separate_is_first_of_separate_all():
+    # separate and separate_all scan the same stages in the same order
+    rng = random.Random(77)
+    violated = 0
+    for _ in range(40):
+        inst = random_instance(rng.randint(0, 10**6), rng.randint(1, 8), Fraction(1, 2), 8)
+        nu_n = matching.b_matching_value(inst)
+        egalitarian = Allocation((nu_n / inst.n,) * inst.n)
+        for p in (egalitarian, normalized(random_allocation(rng, inst), nu_n)):
+            first = (separate_all(inst, p) or [None])[0]
+            assert separate(inst, p).violation == first
+            violated += first is not None
+    assert violated > 20
 
 
 def test_cycle_transfer_identity():
