@@ -12,6 +12,7 @@ from .model import (
     Edge,
     FormatError,
     Instance,
+    InvariantError,
     Rational,
     Violation,
     ViolationKind,
@@ -40,6 +41,7 @@ __all__ = [
     "Edge",
     "FormatError",
     "Instance",
+    "InvariantError",
     "MatchingResult",
     "Rational",
     "SeparationVerdict",

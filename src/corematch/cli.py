@@ -3,20 +3,21 @@
 Output is deterministic and script-friendly: membership verdicts start with
 exactly "IN_CORE" or "VIOLATED kind=<K> S={ids} p(S)=<r> bound=<r>". Exit
 codes: 0 success / in core, 10 violated, 2 usage, 3 file or format error,
-4 size-guard refusal.
+4 size-guard refusal, 5 internal invariant failure (a bug).
 """
 
 import argparse
 import sys
 
 from . import extform, flawed, linsys, matching, model, negcycle, oracle, separation
-from .model import FormatError
+from .model import FormatError, InvariantError
 
 EXIT_OK = 0
 EXIT_VIOLATED = 10
 EXIT_USAGE = 2
 EXIT_FILE = 3
 EXIT_GUARD = 4
+EXIT_INVARIANT = 5
 
 
 def _read(path: str) -> str:
@@ -312,6 +313,9 @@ def main(argv=None) -> int:
     except oracle.SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (negcycle.TJoinError, matching.NoPerfectMatchingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

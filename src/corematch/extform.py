@@ -2,7 +2,8 @@
 
 The graph family is separation's: the capacity-2 subgraph plus every
 st-variant, built by `separation.build_g2`, `separation.variant_structures`
-and `separation.realize_variant`. Every member edge u-v costs
+and `separation.realize_variant` from the exact (unscaled) costs of
+`separation.transfer_costs`. Every member edge u-v costs
 (p_u + p_v)/2 plus its cost at p = 0, so the family costed at p = 0 gives the
 constant parts of the formulation. For each graph in the family, the
 no-negative-cycle condition is expressed through the dual of a compact
@@ -46,7 +47,8 @@ def enumerate_family(inst: Instance, p: Optional[Allocation] = None) -> GraphFam
     """
     if p is None:
         p = Allocation((Fraction(0),) * inst.n)
-    members = [separation.build_g2(inst, p)]
+    costs = separation.transfer_costs(inst, p)
+    members = [separation.build_g2(inst, costs)]
     labels = ["g2"]
     for s in range(inst.n):
         for t in range(s + 1, inst.n):
@@ -55,7 +57,7 @@ def enumerate_family(inst: Instance, p: Optional[Allocation] = None) -> GraphFam
                 touched = {x for e in kept for x in (e.u, e.v)}
                 if s not in touched or t not in touched:
                     continue
-                members.append(separation.realize_variant(inst, p, struct))
+                members.append(separation.realize_variant(inst, costs, struct))
                 labels.append(
                     f"variant s={s} t={t} kept_s={struct.kept_s} kept_t={struct.kept_t}"
                 )

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
+from .model import InvariantError
+
 try:
     from gmpy2 import mpq as _Q
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
@@ -194,7 +196,8 @@ class _Tableau:
         for k, i in enumerate(art_specs):
             self.basis[i] = ncols + nslack + k
         # rows whose slack is a surplus (-1) got an artificial as basis
-        assert all(b >= 0 for b in self.basis)
+        if any(b < 0 for b in self.basis):
+            raise InvariantError("a row has no initial basic column")
 
     # -- pivoting ---------------------------------------------------------
 
@@ -258,7 +261,8 @@ class _Tableau:
                 cost[:] = [a - x for a, x in zip(cost, self.rows[i])]
         allowed = [True] * self.total
         status = self._bland(cost, allowed)
-        assert status == "optimal"  # phase-1 objective is bounded below by 0
+        if status != "optimal":  # phase-1 objective is bounded below by 0
+            raise InvariantError("phase-1 objective came out unbounded")
         if -cost[-1] != 0:
             return False
         # pivot leftover artificials out; drop rows that became redundant
@@ -303,6 +307,11 @@ class _Tableau:
         return values
 
 
+def _check_witness(system: ConstraintSystem, point: dict[str, Fraction]) -> None:
+    if not system.check_point(point):
+        raise InvariantError("simplex witness failed re-verification")
+
+
 def simplex_feasible(system: ConstraintSystem) -> SimplexResult:
     """Exact phase-I feasibility; a returned witness is re-verified by
     substitution into every constraint before being handed back."""
@@ -310,7 +319,7 @@ def simplex_feasible(system: ConstraintSystem) -> SimplexResult:
     if not tab.phase1():
         return SimplexResult(status="infeasible")
     point = tab.witness()
-    assert system.check_point(point), "simplex witness failed re-verification"
+    _check_witness(system, point)
     return SimplexResult(status="feasible", witness=point)
 
 
@@ -322,13 +331,13 @@ def simplex_solve(system: ConstraintSystem) -> SimplexResult:
         return SimplexResult(status="infeasible")
     if not system.objective:
         point = tab.witness()
-        assert system.check_point(point)
+        _check_witness(system, point)
         return SimplexResult(status="feasible", witness=point)
     status, value = tab.phase2()
     if status == "unbounded":
         return SimplexResult(status="unbounded")
     point = tab.witness()
-    assert system.check_point(point), "simplex witness failed re-verification"
+    _check_witness(system, point)
     return SimplexResult(status="optimal", witness=point, objective=value)
 
 

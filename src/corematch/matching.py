@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import networkx as nx
 
-from .model import Instance
+from .model import Instance, InvariantError
 
 
 class NoPerfectMatchingError(ValueError):
@@ -48,8 +48,12 @@ def _check_graph(vertices: Sequence, edges: Sequence[tuple], weights: Sequence):
 
 
 def _scale_to_int(weights: Iterable[Fraction]) -> list[int]:
-    ws = [Fraction(w) for w in weights]
-    denom = math.lcm(*(w.denominator for w in ws)) if ws else 1
+    """Weights times the lcm of their denominators; int weights pass as is."""
+    ws = list(weights)
+    if all(type(w) is int for w in ws):
+        return ws
+    ws = [Fraction(w) for w in ws]
+    denom = math.lcm(*(w.denominator for w in ws))
     return [int(w * denom) for w in ws]
 
 
@@ -110,7 +114,8 @@ def max_weight_matching(vertices, edges, weights) -> MatchingResult:
             forced += weights[i]
         else:
             banned.add(i)
-    assert forced == opt
+    if forced != opt:
+        raise InvariantError("tie-broken matching misses the optimum")
     return MatchingResult(edges=tuple(chosen), weight=opt)
 
 
@@ -175,7 +180,8 @@ def min_weight_perfect_matching(vertices, edges, weights) -> MatchingResult:
             forced += weights[i]
         else:
             banned.add(i)
-    assert forced == opt and len(matched) == len(vertices)
+    if forced != opt or len(matched) != len(vertices):
+        raise InvariantError("tie-broken perfect matching misses the optimum")
     return MatchingResult(edges=tuple(chosen), weight=opt)
 
 
@@ -224,7 +230,7 @@ def build_gadget(inst: Instance, allowed: Optional[set[int]] = None,
 def _b_value(inst: Instance, allowed: set[int], caps: Sequence[int]) -> Fraction:
     """Max b-matching weight over `allowed` edges with capacities `caps`.
 
-    Asserts the gadget identity maxWeight(G*) = w(allowed) + w(M) before
+    Checks the gadget identity maxWeight(G*) = w(allowed) + w(M) before
     returning w(M).
     """
     if not allowed:
@@ -247,7 +253,8 @@ def _b_value(inst: Instance, allowed: set[int], caps: Sequence[int]) -> Fraction
         if mate.get(eu, ev) != ev and mate.get(ev, eu) != eu:
             value += inst.edges[idx].w
     wall = sum((inst.edges[i].w for i in allowed), Fraction(0))
-    assert total == wall + value, "gadget identity violated"
+    if total != wall + value:
+        raise InvariantError("gadget identity violated")
     return value
 
 
@@ -289,7 +296,8 @@ def max_weight_b_matching(inst: Instance) -> MatchingResult:
             caps[e.u] += 1
             caps[e.v] += 1
             banned.add(i)
-    assert forced == opt
+    if forced != opt:
+        raise InvariantError("tie-broken b-matching misses the optimum")
     return MatchingResult(edges=tuple(chosen), weight=opt)
 
 

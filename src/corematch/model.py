@@ -27,6 +27,11 @@ class FormatError(ValueError):
         super().__init__(message)
 
 
+class InvariantError(RuntimeError):
+    """An internal exactness check failed (a bug, never a bad input). Raised
+    explicitly rather than asserted, so `python -O` keeps the check."""
+
+
 def parse_rational(token: str, line: Optional[int] = None) -> Fraction:
     """Parse "<int>" or "<int>/<posint>" exactly; reject anything else."""
     if not _RATIONAL_RE.match(token):

@@ -1,19 +1,28 @@
-"""Negative-cycle detection in undirected graphs with signed rational costs.
+"""Negative-cycle detection in undirected graphs with signed exact costs.
 
 The route is combinatorial: a minimum-cost even-degree edge set (an empty-set
 join) is negative exactly when a negative cycle exists, and is computed by
 flipping the negative edges and correcting their parity with a minimum T-join,
 which in turn reduces to shortest paths plus minimum-weight perfect matching.
+
+Costs may be of any exact number type: everything here only adds, negates
+and compares them, and no `Fraction` is seeded in, so integer costs stay
+integers. Separation passes transfer costs scaled to integers, cost·D =
+P_u + P_v − W_e with P_v = p_v·D/2, W_e = w_e·D and D = 2·lcm of all
+denominators of p and w; a positive scale keeps every comparison, so the
+joins and cycles are those of the unscaled costs.
 """
 
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import matching
-from .model import FormatError, parse_rational
+from .model import FormatError, InvariantError, parse_rational
+
+Cost = Union[int, Fraction]
 
 
 class TJoinError(ValueError):
@@ -23,7 +32,7 @@ class TJoinError(ValueError):
 class CostEdge(NamedTuple):
     u: int
     v: int
-    cost: Fraction
+    cost: Cost
     orig: Optional[int] = None  # instance edge index; None for synthetic edges
 
     def key(self):
@@ -35,7 +44,7 @@ class CostEdge(NamedTuple):
 
 @dataclass(frozen=True)
 class CostedGraph:
-    """Simple undirected graph with signed rational edge costs.
+    """Simple undirected graph with signed exact edge costs.
 
     `marker` optionally names one distinguished edge (separation tags the
     artificial st edge this way).
@@ -77,7 +86,7 @@ class Cycle:
 
     edges: tuple[int, ...]
     vertices: tuple[int, ...]
-    cost: Fraction
+    cost: Cost
 
 
 def _canonical_cycle(g: CostedGraph, edge_seq: Sequence[int],
@@ -94,16 +103,16 @@ def _canonical_cycle(g: CostedGraph, edge_seq: Sequence[int],
     edges = []
     for a, b in zip(verts, verts[1:] + verts[:1]):
         edges.append(index[(a, b) if a < b else (b, a)])
-    cost = sum((g.edges[i].cost for i in edges), Fraction(0))
+    cost = sum(g.edges[i].cost for i in edges)
     return Cycle(edges=tuple(edges), vertices=tuple(verts), cost=cost)
 
 
-def _dijkstra(g: CostedGraph, costs: Sequence[Fraction], source: int):
+def _dijkstra(g: CostedGraph, costs: Sequence[Cost], source: int):
     """Nonnegative-cost shortest paths; returns (dist, pred edge index)."""
-    dist: dict[int, Fraction] = {source: Fraction(0)}
+    dist: dict[int, Cost] = {source: 0}
     pred: dict[int, int] = {}
     done: set[int] = set()
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), source)]
+    heap: list[tuple[Cost, int]] = [(0, source)]
     while heap:
         d, v = heapq.heappop(heap)
         if v in done:
@@ -129,11 +138,13 @@ def _path_edges(g: CostedGraph, pred: dict[int, int], source: int, target: int):
     return out
 
 
-def min_t_join(g: CostedGraph, costs: Sequence[Fraction], T) -> frozenset[int]:
+def min_t_join(g: CostedGraph, costs: Sequence[Cost], T) -> frozenset[int]:
     """Minimum-cost edge set with odd degree exactly at T (costs >= 0).
 
     Shortest paths between T-vertices feed a minimum-weight perfect matching;
-    the join is the symmetric difference of the matched pairs' paths.
+    the join is the symmetric difference of the matched pairs' paths. A pair
+    a < b reads the paths from a, so the largest T-vertex needs no Dijkstra
+    run, and a two-vertex T is its own only perfect matching.
     """
     T = sorted(set(T))
     if len(T) % 2 != 0:
@@ -146,35 +157,39 @@ def min_t_join(g: CostedGraph, costs: Sequence[Fraction], T) -> frozenset[int]:
 
     dists = {}
     preds = {}
-    for s in T:
+    for s in T[:-1]:
         dists[s], preds[s] = _dijkstra(g, costs, s)
 
     medges = []
     mweights = []
-    for a_pos, a in enumerate(T):
+    for a_pos, a in enumerate(T[:-1]):
         for b in T[a_pos + 1 :]:
             if b in dists[a]:
                 medges.append((a, b))
                 mweights.append(dists[a][b])
-    # raw solve: any minimum perfect matching will do, and networkx is
-    # deterministic for a fixed construction order
-    pairs = matching._min_perfect_pairs(T, medges, mweights)
-    if pairs is None:
+    if len(T) == 2:
+        pairs = medges
+    else:
+        # raw solve: any minimum perfect matching will do, and networkx is
+        # deterministic for a fixed construction order
+        matched = matching._min_perfect_pairs(T, medges, mweights)
+        pairs = [] if matched is None else [e for e in medges if frozenset(e) in matched]
+    if 2 * len(pairs) != len(T):
         raise TJoinError("no T-join exists: some component holds an odd number of T-vertices")
 
     join: set[int] = set()
-    for a, b in medges:
-        if frozenset((a, b)) in pairs:
-            join ^= _path_edges(g, preds[a], a, b)
+    for a, b in pairs:
+        join ^= _path_edges(g, preds[a], a, b)
     parity = {v: 0 for v in g.vertices}
     for i in join:
         parity[g.edges[i].u] ^= 1
         parity[g.edges[i].v] ^= 1
-    assert {v for v, p in parity.items() if p} == set(T), "T-join parity broken"
+    if {v for v, p in parity.items() if p} != set(T):
+        raise InvariantError("T-join parity broken")
     return frozenset(join)
 
 
-def min_zero_join(g: CostedGraph) -> tuple[frozenset[int], Fraction]:
+def min_zero_join(g: CostedGraph) -> tuple[frozenset[int], Cost]:
     """Minimum-cost even-degree edge set and its cost (always <= 0).
 
     Flip the negative edges E-, then repair parity with a minimum T-join on
@@ -188,12 +203,14 @@ def min_zero_join(g: CostedGraph) -> tuple[frozenset[int], Fraction]:
     T = [v for v, p in parity.items() if p]
     join = min_t_join(g, [abs(e.cost) for e in g.edges], T)
     J = frozenset(negative ^ join)
-    cost = sum((g.edges[i].cost for i in J), Fraction(0))
-    check = sum((g.edges[i].cost for i in negative), Fraction(0)) + sum(
-        (abs(g.edges[i].cost) for i in join), Fraction(0)
+    cost = sum(g.edges[i].cost for i in J)
+    check = sum(g.edges[i].cost for i in negative) + sum(
+        abs(g.edges[i].cost) for i in join
     )
-    assert cost == check
-    assert cost <= 0
+    if cost != check:
+        raise InvariantError("zero-join cost differs from E- plus the T-join")
+    if cost > 0:
+        raise InvariantError("zero-join cost is positive")
     return J, cost
 
 
@@ -247,7 +264,8 @@ def find_negative_cycle(g: CostedGraph) -> Optional[Cycle]:
         return None
     cycles = decompose_even_subgraph(g, J)
     best = min(cycles, key=lambda c: (c.cost, tuple(sorted(c.edges))))
-    assert best.cost < 0
+    if best.cost >= 0:
+        raise InvariantError("negative even set holds no negative cycle")
     return best
 
 

@@ -6,16 +6,26 @@ subgraph after transferring the allocation to edge costs), and path
 constraints (negative-cycle detection on endpoint-variant graphs through an
 artificial st edge). The first violated constraint is returned as an exact,
 re-verifiable certificate.
+
+The cycle and path stages cost edges in integers. With D = 2·lcm of all
+denominators of p and w, P_v = p_v·D/2 and W_e = w_e·D, an instance edge
+uv costs cost·D = P_u + P_v − W_e and the st edge costs P_s + P_t, where
+cost = (p_u + p_v)/2 − w_uv is the exact transfer cost. Each stage computes
+both vectors once for its allocation, not once per variant, and since D > 0
+every comparison, and so every join, cycle and certificate, is that of the
+exact costs. ν(N) is computed once per `Instance` and dropped with it.
 """
 
+import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import matching, negcycle
-from .model import Allocation, Instance, Violation, ViolationKind, coalition
-from .negcycle import CostEdge, CostedGraph, Cycle
+from .model import Allocation, Instance, InvariantError, Violation, ViolationKind, coalition
+from .negcycle import Cost, CostEdge, CostedGraph, Cycle
 
 
 @dataclass(frozen=True)
@@ -27,9 +37,20 @@ class SeparationVerdict:
         return self.violation is None
 
 
+# ν(N) per instance; an entry lives only as long as its instance
+_GRAND_VALUE: "weakref.WeakKeyDictionary[Instance, Fraction]" = weakref.WeakKeyDictionary()
+
+
+def _grand_value(inst: Instance) -> Fraction:
+    value = _GRAND_VALUE.get(inst)
+    if value is None:
+        value = _GRAND_VALUE[inst] = matching.b_matching_value(inst)
+    return value
+
+
 def check_total_value(inst: Instance, p: Allocation) -> Optional[Violation]:
     """None iff p(N) equals the grand-coalition value."""
-    total = matching.b_matching_value(inst)
+    total = _grand_value(inst)
     if p.total() == total:
         return None
     return Violation(
@@ -55,15 +76,45 @@ def separate_vertices_edges(inst: Instance, p: Allocation) -> Optional[Violation
     return next(_vertex_edge_violations(inst, p), None)
 
 
-def _transfer_cost(p: Allocation, e) -> Fraction:
-    return (p[e.u] + p[e.v]) / 2 - e.w
+class TransferCosts(NamedTuple):
+    """The transfer costs of one allocation, times a positive scale D.
+
+    `half[v]` is P_v = p_v·D/2 and `edge[i]` is P_u + P_v − W_i for instance
+    edge i = uv, with W_i = w_i·D; an artificial st edge (weight 0) costs
+    half[s] + half[t].
+    """
+
+    edge: tuple[Cost, ...]
+    half: tuple[Cost, ...]
 
 
-def build_g2(inst: Instance, p: Allocation) -> CostedGraph:
-    """Induced subgraph on capacity-2 vertices with costs (p_i + p_j)/2 - w_ij."""
+def _costs(inst: Instance, half: tuple[Cost, ...], weights) -> TransferCosts:
+    edge = tuple(half[e.u] + half[e.v] - w for e, w in zip(inst.edges, weights))
+    return TransferCosts(edge, half)
+
+
+def transfer_costs(inst: Instance, p: Allocation) -> TransferCosts:
+    """The exact transfer costs (p_u + p_v)/2 − w_uv, as Fractions (D = 1)."""
+    return _costs(inst, tuple(x / 2 for x in p.values), (e.w for e in inst.edges))
+
+
+def integer_costs(inst: Instance, p: Allocation) -> TransferCosts:
+    """The transfer costs times D = 2·lcm of all denominators of p and w,
+    as ints."""
+    lcm = math.lcm(
+        *(x.denominator for x in p.values), *(e.w.denominator for e in inst.edges)
+    )
+    # P_v = p_v·D/2 = p_v·lcm and W_e = w_e·D = 2·w_e·lcm
+    half = tuple(x.numerator * (lcm // x.denominator) for x in p.values)
+    weights = (2 * e.w.numerator * (lcm // e.w.denominator) for e in inst.edges)
+    return _costs(inst, half, weights)
+
+
+def build_g2(inst: Instance, costs: TransferCosts) -> CostedGraph:
+    """Induced subgraph on capacity-2 vertices, costed by `costs`."""
     members = set(inst.n2)
     edges = tuple(
-        CostEdge(e.u, e.v, _transfer_cost(p, e), i)
+        CostEdge(e.u, e.v, costs.edge[i], i)
         for i, e in enumerate(inst.edges)
         if e.u in members and e.v in members
     )
@@ -89,17 +140,19 @@ def _cycle_violation(inst: Instance, p: Allocation, g: CostedGraph,
         if first > last:
             eids.reverse()
     orig = tuple(g.edges[i].orig for i in eids)
-    assert all(o is not None for o in orig)
+    if any(o is None for o in orig):
+        raise InvariantError("certificate holds a synthetic edge")
     verts = coalition(cyc.vertices)
     allocated = p.of(verts)
     bound = sum((inst.edges[i].w for i in orig), Fraction(0))
-    assert allocated < bound
+    if allocated >= bound:
+        raise InvariantError("negative cycle gives no violated certificate")
     return Violation(kind, verts, allocated, bound, orig)
 
 
 def separate_cycles(inst: Instance, p: Allocation) -> Optional[Violation]:
     """None iff p(C) >= w(C) for every cycle through capacity-2 vertices."""
-    g2 = build_g2(inst, p)
+    g2 = build_g2(inst, integer_costs(inst, p))
     cyc = negcycle.find_negative_cycle(g2)
     if cyc is None:
         return None
@@ -167,25 +220,28 @@ def variant_structures(inst: Instance, s: int, t: int) -> list[VariantStructure]
     return out
 
 
-def realize_variant(inst: Instance, p: Allocation, struct: VariantStructure) -> CostedGraph:
-    """Attach transfer costs to a variant skeleton for a concrete allocation.
+def realize_variant(inst: Instance, costs: TransferCosts,
+                    struct: VariantStructure) -> CostedGraph:
+    """Attach precomputed costs to a variant skeleton.
 
     The st edge comes last and is the graph's marker; it has weight 0, so its
-    cost is (p_s + p_t)/2.
+    cost is half[s] + half[t].
     """
     edges = [
-        CostEdge(inst.edges[i].u, inst.edges[i].v, _transfer_cost(p, inst.edges[i]), i)
+        CostEdge(inst.edges[i].u, inst.edges[i].v, costs.edge[i], i)
         for i in struct.edge_ids
     ]
-    edges.append(CostEdge(struct.s, struct.t, (p[struct.s] + p[struct.t]) / 2, None))
+    edges.append(
+        CostEdge(struct.s, struct.t, costs.half[struct.s] + costs.half[struct.t], None)
+    )
     return CostedGraph(
         vertices=struct.vertices, edges=tuple(edges), marker=len(edges) - 1
     )
 
 
-def variants(inst: Instance, p: Allocation, s: int, t: int) -> list[CostedGraph]:
+def variants(inst: Instance, costs: TransferCosts, s: int, t: int) -> list[CostedGraph]:
     """The costed variant family for the unordered endpoint pair {s, t}."""
-    return [realize_variant(inst, p, st) for st in variant_structures(inst, s, t)]
+    return [realize_variant(inst, costs, st) for st in variant_structures(inst, s, t)]
 
 
 def _path_violations(inst: Instance, p: Allocation) -> Iterator[Violation]:
@@ -195,9 +251,10 @@ def _path_violations(inst: Instance, p: Allocation) -> Iterator[Violation]:
     deleting st; one avoiding the marker is a violated cycle, which cannot
     occur once the cycle constraints hold.
     """
+    costs = integer_costs(inst, p)
     for s in range(inst.n):
         for t in range(s + 1, inst.n):
-            for g in variants(inst, p, s, t):
+            for g in variants(inst, costs, s, t):
                 cyc = negcycle.find_negative_cycle(g)
                 if cyc is not None:
                     yield _cycle_violation(inst, p, g, cyc)
@@ -229,14 +286,15 @@ def separate(inst: Instance, p: Allocation) -> SeparationVerdict:
 def separate_all(inst: Instance, p: Allocation) -> list[Violation]:
     """Diagnostic mode: every violated constraint-family member, not just the
     first. Order: total value, vertices, edges, the cycle family, then each
-    endpoint pair/variant."""
+    endpoint pair/variant; a violation found again (a marker-free cycle lies
+    in many variants) is kept only where it first appeared."""
     found = chain(
         [check_total_value(inst, p)],
         _vertex_edge_violations(inst, p),
         [separate_cycles(inst, p)],
         _path_violations(inst, p),
     )
-    return [v for v in found if v is not None]
+    return list(dict.fromkeys(v for v in found if v is not None))
 
 
 def verify_violation(inst: Instance, p: Allocation, v: Violation) -> bool:
@@ -246,7 +304,7 @@ def verify_violation(inst: Instance, p: Allocation, v: Violation) -> bool:
         return (
             S == tuple(range(inst.n))
             and v.allocated == p.total()
-            and v.bound == matching.b_matching_value(inst)
+            and v.bound == _grand_value(inst)
             and v.allocated != v.bound
         )
     if v.allocated != p.of(S) or v.allocated >= v.bound:

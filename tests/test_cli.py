@@ -156,9 +156,11 @@ GOLDEN_STDOUT = [
         "c338c6367750b3a1e1594203fea1abc00cf7e0772bc49460737af8132084660f",
     ),
     (
+        # each violation once: the cycle stage's Cycle is not repeated by the
+        # endpoint variants that contain it
         ("separate", "-i", "square.game", "-a", "square-low.alloc", "--all"),
         10,
-        "2c5aadd96764c7cada250004563f7f1d6308ce7e6b3c1bfd4d4c18d7a14fb35b",
+        "452e86dfb3fe1ecbffa1b397654959cefd3c499a739ff98eb2c9e2a8c242becb",
     ),
     (
         ("extform", "-i", "counterexample.game", "--size"),

@@ -176,7 +176,7 @@ def test_returned_rationals_in_lowest_terms():
         )
         audit(matching.b_matching_value(inst))
         audit(matching.nu(inst, range(inst.n)))
-        g2 = separation.build_g2(inst, p)
+        g2 = separation.build_g2(inst, separation.transfer_costs(inst, p))
         for e in g2.edges:
             audit(e.cost)
         cyc = find_negative_cycle(g2)

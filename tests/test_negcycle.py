@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corematch import negcycle, oracle
+from corematch import matching, negcycle, oracle
 from corematch.negcycle import (
     CostEdge,
     CostedGraph,
@@ -206,3 +207,72 @@ def test_parse_cost_graph_roundtrip_values():
     assert g.edges[1].cost == 4
     with pytest.raises(Exception):
         parse_cost_graph("costs 2 1\nedge 0 5 1\n")
+
+
+def scaled_to_int(g):
+    """g with every cost times the lcm of the cost denominators, as ints."""
+    scale = math.lcm(*(e.cost.denominator for e in g.edges))
+    edges = tuple(e._replace(cost=int(e.cost * scale)) for e in g.edges)
+    return CostedGraph(vertices=g.vertices, edges=edges), scale
+
+
+def random_rational_graph(rng, n):
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < 0.5:
+                c = Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 6)))
+                edges.append(CostEdge(u, v, c, len(edges)))
+    return CostedGraph(vertices=tuple(range(n)), edges=tuple(edges))
+
+
+def test_integer_costs_give_the_same_join_and_cycle():
+    # ints D·c and rationals c share every comparison: same join, same cycle
+    rng = random.Random(31)
+    found = 0
+    for _ in range(80):
+        g = random_rational_graph(rng, rng.randint(3, 8))
+        gi, scale = scaled_to_int(g)
+        T = sorted(rng.sample(list(g.vertices), 2 * rng.randint(0, len(g.vertices) // 2)))
+        try:
+            want = min_t_join(g, [abs(e.cost) for e in g.edges], T)
+        except TJoinError:
+            with pytest.raises(TJoinError):
+                min_t_join(gi, [abs(e.cost) for e in gi.edges], T)
+        else:
+            assert min_t_join(gi, [abs(e.cost) for e in gi.edges], T) == want
+        cyc, cyc_int = find_negative_cycle(g), find_negative_cycle(gi)
+        assert (cyc is None) == (cyc_int is None)
+        if cyc is not None:
+            found += 1
+            assert (cyc_int.edges, cyc_int.vertices) == (cyc.edges, cyc.vertices)
+            assert type(cyc_int.cost) is int and cyc_int.cost == cyc.cost * scale
+    assert found > 20
+
+
+def test_two_vertex_t_skips_the_blossom(monkeypatch):
+    # with |T| = 2 the pair itself is the only perfect matching: the join is
+    # the shortest path that the blossom would have picked
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(40):
+        g = random_cost_graph(rng, rng.randint(2, 7), density=0.6)
+        costs = [abs(e.cost) for e in g.edges]
+        a, b = sorted(rng.sample(list(g.vertices), 2))
+        dist, pred = negcycle._dijkstra(g, costs, a)
+        if b not in dist:
+            continue
+        pairs = matching._min_perfect_pairs([a, b], [(a, b)], [dist[b]])
+        assert pairs == {frozenset((a, b))}
+        with monkeypatch.context() as m:
+            m.setattr(matching, "_min_perfect_pairs", None)  # any call fails
+            assert min_t_join(g, costs, [b, a]) == negcycle._path_edges(g, pred, a, b)
+        checked += 1
+    assert checked > 20
+
+
+def test_two_vertex_t_across_components(monkeypatch):
+    g = graph(4, [(0, 1, 2), (2, 3, 5)])
+    monkeypatch.setattr(matching, "_min_perfect_pairs", None)
+    with pytest.raises(TJoinError, match="T-join"):
+        min_t_join(g, [e.cost for e in g.edges], [1, 2])

@@ -1,9 +1,11 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from corematch import matching, model, oracle, separation
+from corematch import matching, model, negcycle, oracle, separation
 from corematch.model import Allocation, ViolationKind, parse_instance, random_instance
 from corematch.separation import (
     build_g2,
@@ -13,6 +15,7 @@ from corematch.separation import (
     separate_cycles,
     separate_paths,
     separate_vertices_edges,
+    transfer_costs,
     variant_structures,
     variants,
     verify_violation,
@@ -54,7 +57,7 @@ def test_vertex_and_edge_checks(counterexample, counterexample_core_p):
 
 
 def test_build_g2_counterexample(counterexample, counterexample_core_p):
-    g2 = build_g2(counterexample, counterexample_core_p)
+    g2 = build_g2(counterexample, transfer_costs(counterexample, counterexample_core_p))
     assert g2.vertices == (2, 3)
     assert len(g2.edges) == 1
     # transfer cost (2+10)/2 - 10 = -4 on the only capacity-2 edge
@@ -64,7 +67,7 @@ def test_build_g2_counterexample(counterexample, counterexample_core_p):
 
 def test_build_g2_all_capacity_one():
     inst = parse_instance("game 2 1\nvertex 0 1\nvertex 1 1\nedge 0 1 5\n")
-    g2 = build_g2(inst, alloc(0, 0))
+    g2 = build_g2(inst, transfer_costs(inst, alloc(0, 0)))
     assert g2.vertices == () and g2.edges == ()
 
 
@@ -73,7 +76,7 @@ def test_build_g2_triangle_zero_allocation():
         "game 3 3\nvertex 0 2\nvertex 1 2\nvertex 2 2\n"
         "edge 0 1 1\nedge 1 2 1\nedge 0 2 1\n"
     )
-    g2 = build_g2(inst, alloc(0, 0, 0))
+    g2 = build_g2(inst, transfer_costs(inst, alloc(0, 0, 0)))
     assert all(e.cost == -1 for e in g2.edges)
 
 
@@ -94,21 +97,21 @@ def test_variants_counterexample(counterexample, counterexample_core_p):
     # {s,t}: both capacity 1, one non-st edge each -> exactly one variant
     (struct,) = variant_structures(inst, 0, 1)
     assert struct.kept_s == 0 and struct.kept_t == 1
-    (g,) = variants(inst, p, 0, 1)
+    (g,) = variants(inst, transfer_costs(inst, p), 0, 1)
     marker = g.edges[g.marker]
     assert {marker.u, marker.v} == {0, 1} and marker.orig is None
     assert marker.cost == 0  # (p_s + p_t)/2 with p_s = p_t = 0
     # {u,v}: both capacity 2 -> the single direct graph, no removals
     (struct_uv,) = variant_structures(inst, 2, 3)
     assert struct_uv.kept_s is None and struct_uv.kept_t is None
-    assert len(variants(inst, p, 2, 3)) == 1
+    assert len(variants(inst, transfer_costs(inst, p), 2, 3)) == 1
 
 
 def test_variants_isolated_endpoint():
     inst = parse_instance(
         "game 3 1\nvertex 0 1\nvertex 1 1\nvertex 2 2\nedge 1 2 1\n"
     )
-    assert variants(inst, alloc(0, 0, 0), 0, 1) == []
+    assert variants(inst, transfer_costs(inst, alloc(0, 0, 0)), 0, 1) == []
 
 
 def test_variants_counts_both_capacity_one():
@@ -120,7 +123,7 @@ def test_variants_counts_both_capacity_one():
     structs = variant_structures(inst, 0, 1)
     assert len(structs) == 4  # d_s = d_t = 3 in the st-augmented graph
     assert {(v.kept_s, v.kept_t) for v in structs} == {(0, 2), (0, 3), (1, 2), (1, 3)}
-    assert len(variants(inst, alloc(0, 0, 0, 0), 0, 1)) == 4
+    assert len(variants(inst, transfer_costs(inst, alloc(0, 0, 0, 0)), 0, 1)) == 4
 
 
 def test_separate_paths_counterexample(counterexample, counterexample_core_p):
@@ -163,6 +166,13 @@ def test_separate_all_collects_families(counterexample):
     assert all(verify_violation(counterexample, alloc(0, 0, 1, 11, 0), v) for v in out)
 
 
+def test_separate_all_lists_each_violation_once():
+    # the square's cycle lies in every endpoint variant too
+    out = separate_all(SQUARE, alloc("1/2", "1/2", "1/2", "1/2"))
+    assert len(out) == len(set(out))
+    assert [v.kind for v in out].count(ViolationKind.CYCLE) == 1
+
+
 def test_separate_is_first_of_separate_all():
     # separate and separate_all scan the same stages in the same order
     rng = random.Random(77)
@@ -184,7 +194,7 @@ def test_cycle_transfer_identity():
     for _ in range(25):
         inst = random_instance(rng.randint(0, 10**6), rng.randint(3, 7), Fraction(3, 5), 6)
         p = random_allocation(rng, inst)
-        g2 = build_g2(inst, p)
+        g2 = build_g2(inst, transfer_costs(inst, p))
         fam = oracle.enumerate_constraints(inst)
         for verts, eids in fam.cycles:
             transferred = sum(
@@ -244,7 +254,7 @@ def test_separation_agrees_with_bruteforce_small():
 
 def test_variants_rejects_equal_endpoints(counterexample, counterexample_core_p):
     with pytest.raises(ValueError):
-        variants(counterexample, counterexample_core_p, 1, 1)
+        variants(counterexample, transfer_costs(counterexample, counterexample_core_p), 1, 1)
 
 
 def test_separate_rejects_wrong_length(counterexample):
@@ -266,3 +276,46 @@ def test_separate_paths_defensive_cycle_branch():
     assert v is not None and v.kind is ViolationKind.CYCLE
     assert v.coalition == (2, 3, 4)
     assert verify_violation(inst, p, v)
+
+
+def test_grand_value_computed_once_per_instance(monkeypatch):
+    calls = []
+    real = matching.b_matching_value
+
+    def counted(inst, S=None):
+        calls.append(S)
+        return real(inst, S)
+
+    monkeypatch.setattr(matching, "b_matching_value", counted)
+    inst = random_instance(8, 8, Fraction(1, 2), 8)
+    rng = random.Random(8)
+    for _ in range(8):
+        p = random_allocation(rng, inst)
+        v = separate(inst, p).violation
+        assert v is not None and verify_violation(inst, p, v)
+    assert calls == [None]
+
+    # the cached value does not keep its instance alive
+    ref = weakref.ref(inst)
+    del inst
+    gc.collect()
+    assert ref() is None
+
+
+def test_cycle_and_path_stages_run_on_ints(monkeypatch):
+    # rational p and w reach the T-joins as integer costs only
+    seen = []
+    real = negcycle.min_t_join
+
+    def checked(g, costs, T):
+        seen.append(all(type(c) is int for c in costs))
+        return real(g, costs, T)
+
+    monkeypatch.setattr(negcycle, "min_t_join", checked)
+    rng = random.Random(12)
+    for _ in range(20):
+        inst = random_instance(rng.randint(0, 10**6), rng.randint(3, 7), Fraction(1, 2), 8)
+        p = normalized(random_allocation(rng, inst, lo=0), matching.b_matching_value(inst))
+        separate_cycles(inst, p)
+        separate_paths(inst, p)
+    assert len(seen) > 100 and all(seen)
