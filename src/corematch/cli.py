@@ -47,10 +47,7 @@ def _witness_line(inst: model.Instance, violation) -> str:
 
 
 def _parse_coalition(text: str, inst: model.Instance):
-    try:
-        ids = sorted({int(x) for x in text.split(",") if x.strip() != ""})
-    except ValueError:
-        raise FormatError(f"bad coalition {text!r}") from None
+    ids = sorted({model.parse_uint(x.strip()) for x in text.split(",") if x.strip()})
     if not ids or not all(0 <= v < inst.n for v in ids):
         raise FormatError(f"coalition out of range: {text!r}")
     return tuple(ids)
@@ -216,11 +213,12 @@ def _cmd_oracle(args) -> int:
         return EXIT_VIOLATED
     if op == "cut-check":
         graph = negcycle.parse_cost_graph(_read(args.costs))
-        lines = [
-            ln.split("#", 1)[0].strip()
-            for ln in _read(args.xvector).splitlines()
-        ]
-        values = [model.parse_rational(tok) for tok in lines if tok]
+        values = []
+        for no, tok in model._content_lines(_read(args.xvector)):
+            x = model.parse_rational(tok, no)
+            if x < 0:
+                raise FormatError(f"negative x entry {tok}", no)
+            values.append(x)
         if len(values) != len(graph.edges):
             raise FormatError(
                 f"x-vector has {len(values)} entries, graph has {len(graph.edges)} edges"

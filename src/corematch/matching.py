@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import networkx as nx
 
-from .model import Instance, InvariantError
+from .model import Instance, InvariantError, check_simple_graph
 
 
 class NoPerfectMatchingError(ValueError):
@@ -29,24 +29,6 @@ class MatchingResult:
     weight: Fraction
 
 
-def _check_graph(vertices: Sequence, edges: Sequence[tuple], weights: Sequence):
-    vs = set(vertices)
-    if len(vs) != len(vertices):
-        raise ValueError("duplicate vertices")
-    if len(edges) != len(weights):
-        raise ValueError("edges and weights differ in length")
-    seen = set()
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"loop at {u}")
-        if u not in vs or v not in vs:
-            raise ValueError(f"unknown endpoint in edge {u}-{v}")
-        key = frozenset((u, v))
-        if key in seen:
-            raise ValueError(f"duplicate edge {u}-{v}")
-        seen.add(key)
-
-
 def _scale_to_int(weights: Iterable[Fraction]) -> list[int]:
     """Weights times the lcm of their denominators; int weights pass as is."""
     ws = list(weights)
@@ -57,7 +39,7 @@ def _scale_to_int(weights: Iterable[Fraction]) -> list[int]:
     return [int(w * denom) for w in ws]
 
 
-def _solve_pairs(vertices, edges, int_weights, maxcardinality):
+def _solve_pairs(edges, int_weights, maxcardinality):
     """Run the blossom engine; returns the matched pairs as a set of frozensets."""
     g = nx.Graph()
     for i, (u, v) in enumerate(edges):
@@ -66,17 +48,60 @@ def _solve_pairs(vertices, edges, int_weights, maxcardinality):
     return {frozenset(p) for p in mate}
 
 
-def _max_value(vertices, edges, weights) -> Fraction:
+def _pairs_weight(edges, weights, pairs) -> Fraction:
+    """Total weight of the edges whose endpoint pairs are matched in `pairs`."""
+    return sum((w for e, w in zip(edges, weights) if frozenset(e) in pairs), Fraction(0))
+
+
+def _lex_min(weights, opt, completion, complete) -> MatchingResult:
+    """The optimum whose sorted edge-index tuple is lexicographically smallest.
+
+    Scans the edges in index order and keeps edge i when the kept weight plus
+    w_i plus completion(kept, i) reaches `opt`; completion(kept, i) is the best
+    value the edges after i can add to kept + [i], or None when that set
+    cannot be completed. complete(kept, forced) is the stop rule: a longer
+    kept set is lexicographically larger, so a maximum stops once the kept
+    weight reaches `opt` (a zero-weight edge would extend it), while a
+    perfect matching stops only once it covers every vertex.
+    """
+    kept: list[int] = []
+    forced = Fraction(0)
+    for i, w in enumerate(weights):
+        if complete(kept, forced):
+            break
+        value = completion(kept, i)
+        if value is not None and forced + w + value == opt:
+            kept.append(i)
+            forced += w
+    if forced != opt or not complete(kept, forced):
+        raise InvariantError("lexicographic tie-break misses the optimum")
+    return MatchingResult(edges=tuple(kept), weight=opt)
+
+
+def _checked_weights(vertices, edges, weights) -> list[Fraction]:
+    """`weights` as Fractions, one per edge of a simple graph on `vertices`."""
+    check_simple_graph(vertices, edges)
+    if len(edges) != len(weights):
+        raise ValueError("edges and weights differ in length")
+    return [Fraction(w) for w in weights]
+
+
+def _after(edges, weights, kept, i):
+    """The vertices kept + [i] cover, and the edges after i that avoid them
+    with their weights; None when edge i meets a kept edge."""
+    used = {x for j in (*kept, i) for x in edges[j]}
+    if len(used) != 2 * len(kept) + 2:
+        return None
+    rest = [j for j in range(i + 1, len(edges)) if used.isdisjoint(edges[j])]
+    return used, [edges[j] for j in rest], [weights[j] for j in rest]
+
+
+def _max_value(edges, weights) -> Fraction:
     """Maximum matching weight only (no tie-break canonicalization)."""
     if not edges:
         return Fraction(0)
-    ints = _scale_to_int(weights)
-    pairs = _solve_pairs(vertices, edges, ints, maxcardinality=False)
-    total = Fraction(0)
-    for i, (u, v) in enumerate(edges):
-        if frozenset((u, v)) in pairs:
-            total += Fraction(weights[i])
-    return total
+    pairs = _solve_pairs(edges, _scale_to_int(weights), maxcardinality=False)
+    return _pairs_weight(edges, weights, pairs)
 
 
 def max_weight_matching(vertices, edges, weights) -> MatchingResult:
@@ -86,37 +111,14 @@ def max_weight_matching(vertices, edges, weights) -> MatchingResult:
     edge indices is lexicographically smallest. Negative-weight edges are
     never selected.
     """
-    _check_graph(vertices, edges, weights)
-    weights = [Fraction(w) for w in weights]
-    opt = _max_value(vertices, edges, weights)
+    weights = _checked_weights(vertices, edges, weights)
+    opt = _max_value(edges, weights)
 
-    chosen: list[int] = []
-    matched: set = set()
-    banned: set[int] = set()
-    forced = Fraction(0)
-    for i, (u, v) in enumerate(edges):
-        if forced == opt:
-            break  # any extension is lexicographically larger
-        if u in matched or v in matched:
-            continue
-        rest = [
-            (j, e)
-            for j, e in enumerate(edges)
-            if j > i
-            and j not in banned
-            and e[0] not in matched | {u, v}
-            and e[1] not in matched | {u, v}
-        ]
-        value = _max_value(vertices, [e for _, e in rest], [weights[j] for j, _ in rest])
-        if forced + weights[i] + value == opt:
-            chosen.append(i)
-            matched |= {u, v}
-            forced += weights[i]
-        else:
-            banned.add(i)
-    if forced != opt:
-        raise InvariantError("tie-broken matching misses the optimum")
-    return MatchingResult(edges=tuple(chosen), weight=opt)
+    def completion(kept, i):
+        rest = _after(edges, weights, kept, i)
+        return None if rest is None else _max_value(*rest[1:])
+
+    return _lex_min(weights, opt, completion, lambda kept, forced: forced == opt)
 
 
 def _min_perfect_pairs(vertices, edges, weights):
@@ -127,62 +129,31 @@ def _min_perfect_pairs(vertices, edges, weights):
     if n == 0:
         return set()
     ints = _scale_to_int(weights)
-    pairs = _solve_pairs(vertices, edges, [-w for w in ints], maxcardinality=True)
-    if 2 * len(pairs) != n:
-        return None
-    return pairs
+    pairs = _solve_pairs(edges, [-w for w in ints], maxcardinality=True)
+    return pairs if 2 * len(pairs) == n else None
 
 
 def _min_perfect_value(vertices, edges, weights) -> Optional[Fraction]:
     pairs = _min_perfect_pairs(vertices, edges, weights)
-    if pairs is None:
-        return None
-    total = Fraction(0)
-    for i, (u, v) in enumerate(edges):
-        if frozenset((u, v)) in pairs:
-            total += Fraction(weights[i])
-    return total
+    return None if pairs is None else _pairs_weight(edges, weights, pairs)
 
 
 def min_weight_perfect_matching(vertices, edges, weights) -> MatchingResult:
     """Minimum-weight perfect matching, same lexicographic tie-break."""
-    _check_graph(vertices, edges, weights)
-    weights = [Fraction(w) for w in weights]
-    vertices = list(vertices)
+    weights = _checked_weights(vertices, edges, weights)
     opt = _min_perfect_value(vertices, edges, weights)
     if opt is None:
         raise NoPerfectMatchingError("no perfect matching exists")
 
-    chosen: list[int] = []
-    matched: set = set()
-    banned: set[int] = set()
-    forced = Fraction(0)
-    for i, (u, v) in enumerate(edges):
-        if len(matched) == len(vertices):
-            break
-        if u in matched or v in matched:
-            continue
-        rest_vertices = [x for x in vertices if x not in matched | {u, v}]
-        rest = [
-            (j, e)
-            for j, e in enumerate(edges)
-            if j > i
-            and j not in banned
-            and e[0] in set(rest_vertices)
-            and e[1] in set(rest_vertices)
-        ]
-        value = _min_perfect_value(
-            rest_vertices, [e for _, e in rest], [weights[j] for j, _ in rest]
-        )
-        if value is not None and forced + weights[i] + value == opt:
-            chosen.append(i)
-            matched |= {u, v}
-            forced += weights[i]
-        else:
-            banned.add(i)
-    if forced != opt or len(matched) != len(vertices):
-        raise InvariantError("tie-broken perfect matching misses the optimum")
-    return MatchingResult(edges=tuple(chosen), weight=opt)
+    def completion(kept, i):
+        rest = _after(edges, weights, kept, i)
+        if rest is None:
+            return None
+        return _min_perfect_value([x for x in vertices if x not in rest[0]], *rest[1:])
+
+    return _lex_min(
+        weights, opt, completion, lambda kept, forced: 2 * len(kept) == len(vertices)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +206,9 @@ def _b_value(inst: Instance, allowed: set[int], caps: Sequence[int]) -> Fraction
     """
     if not allowed:
         return Fraction(0)
-    vertices, edges, weights = build_gadget(inst, allowed, caps)
-    ints = _scale_to_int(weights)
-    pairs = _solve_pairs(vertices, edges, ints, maxcardinality=False)
-    total = Fraction(0)
-    for i, (a, b) in enumerate(edges):
-        if frozenset((a, b)) in pairs:
-            total += weights[i]
+    _, edges, weights = build_gadget(inst, allowed, caps)
+    pairs = _solve_pairs(edges, _scale_to_int(weights), maxcardinality=False)
+    total = _pairs_weight(edges, weights, pairs)
     mate: dict = {}
     for p in pairs:
         a, b = tuple(p)
@@ -272,33 +239,20 @@ def b_matching_value(inst: Instance, S: Optional[Iterable[int]] = None) -> Fract
 
 def max_weight_b_matching(inst: Instance) -> MatchingResult:
     """Maximum-weight b-matching with the lexicographic edge-index tie-break."""
-    all_edges = set(range(inst.m))
-    opt = _b_value(inst, all_edges, inst.b)
+    opt = _b_value(inst, set(range(inst.m)), inst.b)
 
-    caps = list(inst.b)
-    chosen: list[int] = []
-    banned: set[int] = set()
-    forced = Fraction(0)
-    for i, e in enumerate(inst.edges):
-        if forced == opt:
-            break
-        if caps[e.u] == 0 or caps[e.v] == 0:
-            continue
-        rest = {
-            j for j in all_edges if j > i and j not in banned
-        } - {i}
-        caps[e.u] -= 1
-        caps[e.v] -= 1
-        if forced + e.w + _b_value(inst, rest, caps) == opt:
-            chosen.append(i)
-            forced += e.w
-        else:
-            caps[e.u] += 1
-            caps[e.v] += 1
-            banned.add(i)
-    if forced != opt:
-        raise InvariantError("tie-broken b-matching misses the optimum")
-    return MatchingResult(edges=tuple(chosen), weight=opt)
+    def completion(kept, i):
+        caps = list(inst.b)
+        for j in (*kept, i):
+            caps[inst.edges[j].u] -= 1
+            caps[inst.edges[j].v] -= 1
+        if min(caps) < 0:
+            return None
+        return _b_value(inst, set(range(i + 1, inst.m)), caps)
+
+    return _lex_min(
+        [e.w for e in inst.edges], opt, completion, lambda kept, forced: forced == opt
+    )
 
 
 def nu(inst: Instance, S: Iterable[int]) -> Fraction:

@@ -10,11 +10,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 class FormatError(ValueError):
@@ -32,9 +32,18 @@ class InvariantError(RuntimeError):
     explicitly rather than asserted, so `python -O` keeps the check."""
 
 
+def parse_uint(token: str, line: Optional[int] = None) -> int:
+    """Parse an unsigned ASCII integer, [0-9]+; reject signs, "_" and other
+    digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise FormatError(f"malformed integer {token!r}", line)
+    return int(token)
+
+
 def parse_rational(token: str, line: Optional[int] = None) -> Fraction:
-    """Parse "<int>" or "<int>/<posint>" exactly; reject anything else."""
-    if not _RATIONAL_RE.match(token):
+    """Parse "<int>" or "<int>/<posint>" exactly (optional sign, ASCII
+    digits); reject anything else."""
+    if not _RATIONAL_RE.fullmatch(token):
         raise FormatError(f"malformed rational {token!r}", line)
     if "/" in token and int(token.split("/")[1]) == 0:
         raise FormatError(f"zero denominator in {token!r}", line)
@@ -51,6 +60,28 @@ class Edge(NamedTuple):
 
     def other(self, x: int) -> int:
         return self.v if x == self.u else self.u
+
+
+def check_simple_graph(vertices: Sequence, edges: Iterable[Sequence]) -> None:
+    """Raise ValueError unless `vertices` are distinct and each edge, a
+    sequence opening with its endpoints (u, v, ...), joins two distinct
+    vertices of `vertices` that no earlier edge joins.
+
+    One pass over the edges; vertices need only be hashable.
+    """
+    known = set(vertices)
+    if len(known) != len(vertices):
+        raise ValueError("duplicate vertices")
+    seen = set()
+    for e in edges:
+        u, v = e[0], e[1]
+        if u not in known or v not in known:
+            raise ValueError(f"unknown vertex in edge {u}-{v}")
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        if (u, v) in seen or (v, u) in seen:
+            raise ValueError(f"duplicate edge {u}-{v}")
+        seen.add((u, v))
 
 
 @dataclass(frozen=True)
@@ -74,15 +105,8 @@ class Instance:
         for v, bv in enumerate(self.b):
             if bv not in (1, 2):
                 raise ValueError(f"capacity out of range at vertex {v}: {bv}")
-        seen: set[tuple[int, int]] = set()
+        check_simple_graph(range(self.n), self.edges)
         for e in self.edges:
-            if not (0 <= e.u < self.n and 0 <= e.v < self.n):
-                raise ValueError(f"edge {e.u}-{e.v}: unknown vertex")
-            if e.u == e.v:
-                raise ValueError(f"loop at vertex {e.u}")
-            if e.key() in seen:
-                raise ValueError(f"duplicate edge {e.u}-{e.v}")
-            seen.add(e.key())
             if e.w < 0:
                 raise ValueError(f"negative weight on edge {e.u}-{e.v}")
 
@@ -203,21 +227,48 @@ def _content_lines(text: str):
             yield no, line
 
 
+def parse_edge_lines(lines, n: int, value: str):
+    """Read "edge <u> <v> <value>" lines of a graph on vertices 0..n-1.
+
+    Yields (line number, u, v, rational) per line; raises FormatError, with
+    the line number, on a malformed line, an unknown vertex, a loop or a
+    repeated edge in either orientation.
+    """
+    seen: set[tuple[int, int]] = set()
+    for no, line in lines:
+        parts = line.split()
+        if len(parts) != 4 or parts[0] != "edge":
+            raise FormatError(f"expected 'edge <u> <v> <{value}>'", no)
+        u, v = parse_uint(parts[1], no), parse_uint(parts[2], no)
+        if not (u < n and v < n):
+            raise FormatError(f"unknown vertex in edge {u}-{v}", no)
+        if u == v:
+            raise FormatError(f"loop at vertex {u}", no)
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise FormatError(f"duplicate edge {u}-{v}", no)
+        seen.add(key)
+        yield no, u, v, parse_rational(parts[3], no)
+
+
+def parse_header(lines, word: str, what: str) -> tuple[int, int]:
+    """The counts n and m of the "<word> <n> <m>" header, the first of the
+    (line number, content) `lines`."""
+    if not lines:
+        raise FormatError(f"empty {what} file")
+    no, header = lines[0]
+    parts = header.split()
+    if len(parts) != 3 or parts[0] != word:
+        raise FormatError(f"expected header '{word} <n> <m>'", no)
+    return parse_uint(parts[1], no), parse_uint(parts[2], no)
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the line-oriented instance format into a validated Instance."""
     lines = list(_content_lines(text))
-    if not lines:
-        raise FormatError("empty instance file")
-    no, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "game":
-        raise FormatError("expected header 'game <n> <m>'", no)
-    try:
-        n, m = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise FormatError("non-integer counts in header", no) from None
+    n, m = parse_header(lines, "game", "instance")
     if n < 1:
-        raise FormatError("instance needs at least one vertex", no)
+        raise FormatError("instance needs at least one vertex", lines[0][0])
     if len(lines) != 1 + n + m:
         raise FormatError(
             f"expected {n} vertex and {m} edge lines, found {len(lines) - 1}"
@@ -228,11 +279,8 @@ def parse_instance(text: str) -> Instance:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "vertex":
             raise FormatError("expected 'vertex <id> <b>'", no)
-        try:
-            vid, bv = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise FormatError("non-integer vertex line", no) from None
-        if not 0 <= vid < n:
+        vid, bv = parse_uint(parts[1], no), parse_uint(parts[2], no)
+        if vid >= n:
             raise FormatError(f"vertex id {vid} out of range", no)
         if vid in b:
             raise FormatError(f"duplicate vertex {vid}", no)
@@ -241,28 +289,10 @@ def parse_instance(text: str) -> Instance:
         b[vid] = bv
 
     edges: list[Edge] = []
-    seen: set[tuple[int, int]] = set()
-    for no, line in lines[1 + n :]:
-        parts = line.split()
-        if len(parts) != 4 or parts[0] != "edge":
-            raise FormatError("expected 'edge <u> <v> <w>'", no)
-        try:
-            u, v = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise FormatError("non-integer edge endpoints", no) from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise FormatError(f"unknown vertex in edge {u}-{v}", no)
-        if u == v:
-            raise FormatError(f"loop at vertex {u}", no)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise FormatError(f"duplicate edge {u}-{v}", no)
-        seen.add(key)
-        w = parse_rational(parts[3], no)
+    for no, u, v, w in parse_edge_lines(lines[1 + n :], n, "w"):
         if w < 0:
             raise FormatError(f"negative weight on edge {u}-{v}", no)
         edges.append(Edge(u, v, w))
-
     return Instance(n=n, b=tuple(b[i] for i in range(n)), edges=tuple(edges))
 
 
@@ -281,11 +311,8 @@ def parse_allocation(text: str, inst: Instance) -> Allocation:
         parts = line.split()
         if len(parts) != 2:
             raise FormatError("expected '<id> <rational>'", no)
-        try:
-            vid = int(parts[0])
-        except ValueError:
-            raise FormatError(f"non-integer vertex id {parts[0]!r}", no) from None
-        if not 0 <= vid < inst.n:
+        vid = parse_uint(parts[0], no)
+        if vid >= inst.n:
             raise FormatError(f"unknown vertex id {vid}", no)
         if vid in values:
             raise FormatError(f"duplicate vertex {vid}", no)

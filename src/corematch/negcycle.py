@@ -20,7 +20,14 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import matching
-from .model import FormatError, InvariantError, parse_rational
+from .model import (
+    FormatError,
+    InvariantError,
+    _content_lines,
+    check_simple_graph,
+    parse_edge_lines,
+    parse_header,
+)
 
 Cost = Union[int, Fraction]
 
@@ -55,18 +62,7 @@ class CostedGraph:
     marker: Optional[int] = None
 
     def __post_init__(self):
-        vs = set(self.vertices)
-        if len(vs) != len(self.vertices):
-            raise ValueError("duplicate vertices")
-        seen = set()
-        for e in self.edges:
-            if e.u == e.v:
-                raise ValueError(f"loop at {e.u}")
-            if e.u not in vs or e.v not in vs:
-                raise ValueError(f"unknown endpoint in edge {e.u}-{e.v}")
-            if e.key() in seen:
-                raise ValueError(f"duplicate edge {e.u}-{e.v}")
-            seen.add(e.key())
+        check_simple_graph(self.vertices, self.edges)
         if self.marker is not None and not 0 <= self.marker < len(self.edges):
             raise ValueError("marker out of range")
 
@@ -272,27 +268,12 @@ def find_negative_cycle(g: CostedGraph) -> Optional[Cycle]:
 def parse_cost_graph(text: str) -> CostedGraph:
     """Read the costed-graph debug format: "costs <n> <m>" then m lines
     "edge <u> <v> <c>" with signed rationals."""
-    lines = [
-        (no, ln.split("#", 1)[0].strip())
-        for no, ln in enumerate(text.splitlines(), start=1)
-    ]
-    lines = [(no, ln) for no, ln in lines if ln]
-    if not lines:
-        raise FormatError("empty cost-graph file")
-    no, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "costs":
-        raise FormatError("expected header 'costs <n> <m>'", no)
-    n, m = int(parts[1]), int(parts[2])
+    lines = list(_content_lines(text))
+    n, m = parse_header(lines, "costs", "cost-graph")
     if len(lines) != 1 + m:
         raise FormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for no, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 4 or parts[0] != "edge":
-            raise FormatError("expected 'edge <u> <v> <c>'", no)
-        u, v = int(parts[1]), int(parts[2])
-        if not (0 <= u < n and 0 <= v < n):
-            raise FormatError(f"unknown vertex in edge {u}-{v}", no)
-        edges.append(CostEdge(u, v, parse_rational(parts[3], no), len(edges)))
-    return CostedGraph(vertices=tuple(range(n)), edges=tuple(edges))
+    edges = parse_edge_lines(lines[1:], n, "c")
+    return CostedGraph(
+        vertices=tuple(range(n)),
+        edges=tuple(CostEdge(u, v, c, k) for k, (_, u, v, c) in enumerate(edges)),
+    )

@@ -208,6 +208,40 @@ def test_format_error_exit_code(capsys, tmp_path):
     assert code == 3 and "capacity out of range" in err
 
 
+COSTS = "costs 3 3\nedge 0 1 -3\nedge 1 2 1\nedge 0 2 1\n"
+
+
+@pytest.mark.parametrize(
+    "costs, xvector, message",
+    [
+        (COSTS.replace("edge 1 2 1", "edge 0 0 1"), None, "line 3: loop at vertex 0"),
+        (COSTS.replace("edge 1 2 1", "edge 1 0 1"), None, "line 3: duplicate edge 1-0"),
+        (COSTS.replace("costs 3", "costs x"), None, "line 1: malformed integer 'x'"),
+        (COSTS, "1\n# comment\n-1\n1\n", "line 3: negative x entry -1"),
+        (COSTS, "1\n1\n٣\n", "line 3: malformed rational"),
+    ],
+    ids=["loop", "duplicate-edge", "header-count", "negative-x", "non-ascii-x"],
+)
+def test_malformed_cost_files_exit_3(capsys, tmp_path, costs, xvector, message):
+    cfile = tmp_path / "g.costs"
+    cfile.write_text(costs, encoding="utf-8")
+    argv = ["oracle", "negcycle", "-c", str(cfile)]
+    if xvector is not None:
+        xfile = tmp_path / "x.vec"
+        xfile.write_text(xvector, encoding="utf-8")
+        argv = ["oracle", "cut-check", "-c", str(cfile), "-x", str(xfile)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("coalition", ["0_0", "+0", "٣", "1,+2", "2,0_3"])
+def test_coalition_ids_are_ascii_integers(files, capsys, coalition):
+    _, game, _, _ = files
+    code, out, err = run(capsys, "oracle", "nu", "-i", str(game), "-S", coalition)
+    assert (code, out) == (3, "") and "malformed integer" in err
+
+
 def test_size_guard_exit_code(capsys, tmp_path):
     from corematch import model
     from fractions import Fraction

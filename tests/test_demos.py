@@ -1,3 +1,4 @@
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -7,6 +8,14 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+# SHA-256 of each demo's stdout; demos 01 and 04 print tie-broken optima
+STDOUT_SHA256 = {
+    "01_separation.py": "99c07eee28c6666ee55a45ce72801a9d5d2111aa13c0d82ccf9e47fceac13f22",
+    "02_flawed_scan.py": "45200d86afa7cffb7f8a11d56ef51935bc26a09fcc46f1511fb63bbdaf4f4cba",
+    "03_extended_formulation.py": "a39cff66260e2b06989b6c542d5c430a7aa9a22779f9f74da26e827f57280a14",
+    "04_matching_and_cycles.py": "099f59b6d71cadb7fa531139818a33e35513a6b0f9034178dfd01e14b6dd84dc",
+}
 
 
 def test_demos_found():
@@ -26,3 +35,5 @@ def test_demo_runs(demo):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+    digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
+    assert digest == STDOUT_SHA256[demo.name]

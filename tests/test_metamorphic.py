@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from corematch.model import Allocation, Edge, Instance, ViolationKind
-from corematch.separation import separate
+from corematch.model import Allocation, Edge, Instance, Violation, ViolationKind
+from corematch.separation import separate, verify_violation
 
 W = 10
 
@@ -102,3 +102,33 @@ def test_isolated_vertex_changes_nothing(verdicts):
         bigger = Instance(inst.n + 1, inst.b + (2,), inst.edges)
         padded = Allocation(p.values + (Fraction(0),))
         assert separate(bigger, padded).violation == v
+
+
+def relabel(inst: Instance, p: Allocation, pi: list[int]):
+    """The game and allocation with vertex v renamed pi[v], edge order kept."""
+    b, values = [0] * inst.n, [Fraction(0)] * inst.n
+    for v in range(inst.n):
+        b[pi[v]], values[pi[v]] = inst.b[v], p[v]
+    edges = tuple(Edge(pi[e.u], pi[e.v], e.w) for e in inst.edges)
+    return Instance(inst.n, tuple(b), edges), Allocation(tuple(values))
+
+
+def test_relabelling_permutes_the_certificate(verdicts):
+    rng = random.Random(7)
+    for (inst, p), v in zip(CASES, verdicts):
+        pi = list(range(inst.n))
+        rng.shuffle(pi)
+        inst_r, p_r = relabel(inst, p, pi)
+        vr = separate(inst_r, p_r).violation
+        assert (vr is None) == (v is None)
+        if v is None:
+            continue
+        # each stage decides by exact arithmetic, so whether it finds a
+        # violation, and hence the kind, does not depend on the labels
+        assert vr.kind is v.kind
+        assert verify_violation(inst_r, p_r, vr)
+        moved = Violation(
+            v.kind, tuple(sorted(pi[x] for x in v.coalition)), v.allocated, v.bound,
+            v.witness_edges,
+        )
+        assert verify_violation(inst_r, p_r, moved)

@@ -5,6 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from corematch import model
+from corematch.matching import (
+    NoPerfectMatchingError,
+    max_weight_matching,
+    min_weight_perfect_matching,
+)
 from corematch.model import (
     Allocation,
     Edge,
@@ -17,6 +22,7 @@ from corematch.model import (
     parse_rational,
     random_instance,
 )
+from corematch.negcycle import CostEdge, CostedGraph, parse_cost_graph
 
 COUNTEREXAMPLE = """\
 game 5 4
@@ -198,3 +204,163 @@ def test_instance_validation_direct():
             n=2, b=(1, 1),
             edges=(Edge(0, 1, Fraction(1)), Edge(1, 0, Fraction(2))),
         )
+
+
+# -- one simple-graph validator ---------------------------------------------
+
+MATCHINGS = ("max_weight_matching", "min_weight_perfect_matching")
+GRAPHS = MATCHINGS + ("CostedGraph",)
+EVERY = GRAPHS + ("Instance",)  # Instance needs vertices 0..n-1 and no marker
+
+# case -> (vertices, (u, v) edges, weights, marker, the targets it is bad for)
+BAD_GRAPHS = {
+    "duplicate vertex": ([0, 1, 2, 3, 3], [(0, 1), (2, 3)], [1, 1], None, GRAPHS),
+    "loop": ([0, 1, 2, 3], [(0, 1), (2, 3), (2, 2)], [1, 1, 1], None, EVERY),
+    "unknown endpoint": ([0, 1, 2, 3], [(0, 1), (2, 3), (1, 4)], [1, 1, 1], None, EVERY),
+    "duplicate edge": ([0, 1, 2, 3], [(0, 1), (2, 3), (0, 1)], [1, 1, 1], None, EVERY),
+    "reversed duplicate edge": ([0, 1, 2, 3], [(0, 1), (2, 3), (1, 0)], [1, 1, 1], None, EVERY),
+    "weights too short": ([0, 1, 2, 3], [(0, 1), (2, 3)], [1], None, MATCHINGS),
+    "weights too long": ([0, 1, 2, 3], [(0, 1), (2, 3)], [1, 1, 1], None, MATCHINGS),
+    "marker out of range": ([0, 1, 2, 3], [(0, 1), (2, 3)], [1, 1], 2, ("CostedGraph",)),
+}
+
+
+def _costed_graph(vertices, edges, weights, marker):
+    costs = [CostEdge(u, v, Fraction(w), k) for k, ((u, v), w) in enumerate(zip(edges, weights))]
+    return CostedGraph(tuple(vertices), tuple(costs), marker)
+
+
+def _instance(vertices, edges, weights, marker):
+    return Instance(len(vertices), (2,) * len(vertices),
+                    tuple(Edge(u, v, Fraction(w)) for (u, v), w in zip(edges, weights)))
+
+
+def _raw(solve):
+    return lambda vertices, edges, weights, marker: solve(vertices, edges, weights)
+
+
+VALIDATED = {
+    "max_weight_matching": _raw(max_weight_matching),
+    "min_weight_perfect_matching": _raw(min_weight_perfect_matching),
+    "CostedGraph": _costed_graph,
+    "Instance": _instance,
+}
+
+
+@pytest.mark.parametrize(
+    "case, target", [(c, t) for c, g in BAD_GRAPHS.items() for t in g[-1]]
+)
+def test_validator_rejects_malformed_graphs(case, target):
+    # NoPerfectMatchingError is a ValueError too; only the validator counts
+    with pytest.raises(ValueError) as exc:
+        VALIDATED[target](*BAD_GRAPHS[case][:-1])
+    assert not isinstance(exc.value, NoPerfectMatchingError)
+
+
+def test_validator_accepts_the_repaired_graph():
+    vertices, edges, weights = [0, 1, 2, 3], [(0, 1), (2, 3)], [1, 1]
+    for target, build in VALIDATED.items():
+        build(vertices, edges, weights, None)
+
+
+# -- strict ASCII numeric grammar ---------------------------------------------
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+SMALL = parse_instance("game 2 0\nvertex 0 1\nvertex 1 1\n")
+
+# (reader, valid text, integer slots, rational slots); a slot is
+# (line index, token index)
+READERS = {
+    "instance": (
+        parse_instance,
+        "game 2 1\nvertex 0 2\nvertex 1 1\nedge 0 1 3\n",
+        [(0, 1), (0, 2), (1, 1), (1, 2), (3, 1), (3, 2)],
+        [(3, 3)],
+    ),
+    "allocation": (
+        lambda text: parse_allocation(text, SMALL),
+        "0 3\n1 -1/2\n",
+        [(0, 0), (1, 0)],
+        [(0, 1), (1, 1)],
+    ),
+    "cost graph": (
+        parse_cost_graph,
+        "costs 3 1\nedge 0 2 -3/2\n",
+        [(0, 1), (0, 2), (1, 1), (1, 2)],
+        [(1, 3)],
+    ),
+}
+
+
+def _variants(token, signed):
+    """Forms of `token` that int() or \\d accept: a "0_" prefix, a "+" sign
+    (bad only where no sign is allowed) and Arabic-Indic digits."""
+    out = ["0_" + token.lstrip("-"), token.translate(ARABIC_INDIC)]
+    return out if signed else out + ["+" + token]
+
+
+def _replace(text, slot, token):
+    lines = [line.split() for line in text.splitlines()]
+    lines[slot[0]][slot[1]] = token
+    return "".join(" ".join(parts) + "\n" for parts in lines)
+
+
+def _strict_cases():
+    for name, (_, text, ints, rationals) in READERS.items():
+        for slots, signed in ((ints, False), (rationals, True)):
+            for slot in slots:
+                token = text.splitlines()[slot[0]].split()[slot[1]]
+                for bad in _variants(token, signed):
+                    yield pytest.param(
+                        name, _replace(text, slot, bad),
+                        id=f"{name}-line{slot[0] + 1}-token{slot[1] + 1}-{bad!a}",
+                    )
+
+
+def test_strict_cases_cover_the_three_forms():
+    texts = [case.values[1] for case in _strict_cases()]
+    for form in ("0_0", "+0", "٣"):
+        assert any(form in text.split() for text in texts)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_readers_accept_the_valid_text(reader):
+    parse, text, _, _ = READERS[reader]
+    parse(text)
+
+
+@pytest.mark.parametrize("reader, text", list(_strict_cases()))
+def test_readers_reject_non_ascii_or_signed_integers(reader, text):
+    with pytest.raises(FormatError, match="line"):
+        READERS[reader][0](text)
+
+
+def test_rationals_keep_their_sign():
+    assert parse_rational("+3/2") == Fraction(3, 2)
+    assert parse_rational("-0") == 0
+
+
+@st.composite
+def canonical_instance_text(draw):
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    lines = [f"game {n} {len(chosen)}"]
+    lines += [f"vertex {v} {draw(st.sampled_from((1, 2)))}" for v in range(n)]
+    for u, v in chosen:
+        if draw(st.booleans()):
+            u, v = v, u
+        lines.append(f"edge {u} {v} {draw(st.fractions(min_value=0, max_denominator=12))}")
+    return "\n".join(lines) + "\n"
+
+
+@given(canonical_instance_text())
+def test_instance_text_roundtrip(text):
+    assert emit_instance(parse_instance(text)) == text
+
+
+@given(st.lists(st.fractions(max_denominator=12), min_size=1, max_size=10))
+def test_allocation_text_roundtrip(values):
+    inst = Instance(len(values), (1,) * len(values), ())
+    text = "".join(f"{v} {x}\n" for v, x in enumerate(values))
+    assert emit_allocation(parse_allocation(text, inst)) == text
