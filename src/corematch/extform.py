@@ -24,6 +24,10 @@ from .linsys import ConstraintSystem, simplex_feasible, simplex_solve
 from .model import Allocation, Instance
 from .negcycle import CostEdge, CostedGraph
 
+# one shared object per +-1 coefficient instead of a new Fraction per term
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
+
 
 @dataclass(frozen=True)
 class GraphFamily:
@@ -66,22 +70,21 @@ def enumerate_family(inst: Instance, p: Optional[Allocation] = None) -> GraphFam
 
 def family_size_bound(inst: Instance) -> int:
     """1 + sum over ordered endpoint pairs of (d_s - 1)(d_t - 1), degrees taken
-    in the st-augmented auxiliary graph."""
-    n2 = set(inst.n2)
+    in the st-augmented auxiliary graph.
 
-    def degree(x: int, s: int, t: int) -> int:
-        members = n2 | {s, t}
-        return 1 + sum(
-            1
-            for e in inst.edges
-            if x in (e.u, e.v)
-            and e.u in members
-            and e.v in members
-            and {e.u, e.v} != {s, t}
-        )
+    d_s - 1 counts the edges from s to capacity-2 vertices other than t, so
+    every pair's degrees follow from one count of capacity-2 neighbours.
+    """
+    deg2 = [0] * inst.n  # capacity-2 neighbours of each vertex
+    for e in inst.edges:
+        deg2[e.u] += inst.b[e.v] == 2
+        deg2[e.v] += inst.b[e.u] == 2
+
+    def excess(x: int, y: int) -> int:  # d_x - 1 for the pair (x, y)
+        return deg2[x] - (inst.b[y] == 2 and inst.find_edge(x, y) is not None)
 
     return 1 + sum(
-        (degree(s, s, t) - 1) * (degree(t, s, t) - 1)
+        excess(s, t) * excess(t, s)
         for s in range(inst.n)
         for t in range(inst.n)
         if s != t
@@ -121,9 +124,9 @@ def build_flow_primal(g: CostedGraph) -> ConstraintSystem:
             coeffs: dict[str, Fraction] = {}
             for j, a, b in _arcs(g, i):
                 if a == v:
-                    coeffs[f"y_e{i}_{a}_{b}"] = Fraction(1)
+                    coeffs[f"y_e{i}_{a}_{b}"] = _ONE
                 elif b == v:
-                    coeffs[f"y_e{i}_{a}_{b}"] = Fraction(-1)
+                    coeffs[f"y_e{i}_{a}_{b}"] = _MINUS_ONE
             if v == ebar.u:
                 coeffs[f"x_e{i}"] = coeffs.get(f"x_e{i}", Fraction(0)) - 1
             elif v == ebar.v:
@@ -132,16 +135,16 @@ def build_flow_primal(g: CostedGraph) -> ConstraintSystem:
         for j, a, b in _arcs(g, i):
             sys.add_constraint(
                 f"cap_e{i}_{a}_{b}",
-                {f"y_e{i}_{a}_{b}": Fraction(1), f"x_e{j}": Fraction(-1)},
+                {f"y_e{i}_{a}_{b}": _ONE, f"x_e{j}": _MINUS_ONE},
                 "<=",
                 0,
             )
     for i in range(len(g.edges)):
-        sys.add_constraint(f"nn_x_e{i}", {f"x_e{i}": Fraction(1)}, ">=", 0)
+        sys.add_constraint(f"nn_x_e{i}", {f"x_e{i}": _ONE}, ">=", 0)
     for i in range(len(g.edges)):
         for _, a, b in _arcs(g, i):
             sys.add_constraint(
-                f"nn_y_e{i}_{a}_{b}", {f"y_e{i}_{a}_{b}": Fraction(1)}, ">=", 0
+                f"nn_y_e{i}_{a}_{b}", {f"y_e{i}_{a}_{b}": _ONE}, ">=", 0
             )
     return sys
 
@@ -167,24 +170,24 @@ def _dual_block(sys: ConstraintSystem, g: CostedGraph, prefix: str,
             sys.add_constraint(
                 f"{prefix}arc_e{i}_{a}_{b}",
                 {
-                    f"{prefix}gamma_e{i}_v{a}": Fraction(1),
-                    f"{prefix}gamma_e{i}_v{b}": Fraction(-1),
-                    f"{prefix}lam_e{i}_{a}_{b}": Fraction(-1),
+                    f"{prefix}gamma_e{i}_v{a}": _ONE,
+                    f"{prefix}gamma_e{i}_v{b}": _MINUS_ONE,
+                    f"{prefix}lam_e{i}_{a}_{b}": _MINUS_ONE,
                 },
                 "<=",
                 0,
             )
     for i, ebar in enumerate(g.edges):
         coeffs: dict[str, Fraction] = {
-            f"{prefix}gamma_e{i}_v{ebar.u}": Fraction(-1),
-            f"{prefix}gamma_e{i}_v{ebar.v}": Fraction(1),
+            f"{prefix}gamma_e{i}_v{ebar.u}": _MINUS_ONE,
+            f"{prefix}gamma_e{i}_v{ebar.v}": _ONE,
         }
         # capacity multipliers of edge ē inside every other block
         for k in range(m):
             if k == i:
                 continue
-            coeffs[f"{prefix}lam_e{k}_{ebar.u}_{ebar.v}"] = Fraction(1)
-            coeffs[f"{prefix}lam_e{k}_{ebar.v}_{ebar.u}"] = Fraction(1)
+            coeffs[f"{prefix}lam_e{k}_{ebar.u}_{ebar.v}"] = _ONE
+            coeffs[f"{prefix}lam_e{k}_{ebar.v}_{ebar.u}"] = _ONE
         rhs, extra = cost_of(ebar)
         for var, c in extra.items():
             coeffs[var] = coeffs.get(var, Fraction(0)) + c
@@ -193,7 +196,7 @@ def _dual_block(sys: ConstraintSystem, g: CostedGraph, prefix: str,
         for _, a, b in _arcs(g, i):
             sys.add_constraint(
                 f"{prefix}nn_lam_e{i}_{a}_{b}",
-                {f"{prefix}lam_e{i}_{a}_{b}": Fraction(1)},
+                {f"{prefix}lam_e{i}_{a}_{b}": _ONE},
                 ">=",
                 0,
             )
@@ -220,13 +223,13 @@ def build_extended_formulation(inst: Instance) -> ConstraintSystem:
         sys.add_variable(f"p_{v}")
     nu_n = matching.b_matching_value(inst)
     sys.add_constraint(
-        "total", {f"p_{v}": Fraction(1) for v in range(inst.n)}, "=", nu_n
+        "total", {f"p_{v}": _ONE for v in range(inst.n)}, "=", nu_n
     )
     for v in range(inst.n):
-        sys.add_constraint(f"nn_p_{v}", {f"p_{v}": Fraction(1)}, ">=", 0)
+        sys.add_constraint(f"nn_p_{v}", {f"p_{v}": _ONE}, ">=", 0)
     for i, e in enumerate(inst.edges):
         sys.add_constraint(
-            f"edge_e{i}", {f"p_{e.u}": Fraction(1), f"p_{e.v}": Fraction(1)}, ">=", e.w
+            f"edge_e{i}", {f"p_{e.u}": _ONE, f"p_{e.v}": _ONE}, ">=", e.w
         )
 
     half = Fraction(1, 2)

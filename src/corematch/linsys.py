@@ -6,11 +6,17 @@ the simplex presolves single-variable ">= 0" rows into variable bounds and
 splits the remaining free variables. Tableau arithmetic uses gmpy2.mpq when
 available (several times faster) and falls back to fractions.Fraction; both
 are exact, so results are identical.
+
+Every step does arithmetic on nonzeros only: tableau set-up, the phase-1 and
+phase-2 cost rows, pivot-row scaling and elimination, witness
+re-verification and `emit_lp` (each row's terms in declaration order). Every
+witness is still re-verified against every constraint before it is returned.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, TextIO
+from typing import Mapping, Optional, TextIO
 
 from .model import InvariantError
 
@@ -23,6 +29,16 @@ _ZERO = _Q(0)
 _ONE = _Q(1)
 
 
+def _q(x):
+    """x (an int or a Fraction) as a tableau number, reusing x if it is one."""
+    return x if type(x) is _Q else _Q(x.numerator, x.denominator)
+
+
+def _exact(x) -> Fraction:
+    """x as an exact Fraction (a float converts exactly), reusing a Fraction."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 @dataclass
 class Constraint:
     name: str
@@ -33,11 +49,18 @@ class Constraint:
     def __post_init__(self):
         if self.rel not in ("<=", "=", ">="):
             raise ValueError(f"bad relation {self.rel!r}")
-        self.coeffs = {v: Fraction(c) for v, c in self.coeffs.items() if c != 0}
-        self.rhs = Fraction(self.rhs)
+        exact = ((v, _exact(c)) for v, c in self.coeffs.items())
+        self.coeffs = {v: c for v, c in exact if c}
+        self.rhs = _exact(self.rhs)
 
-    def holds(self, point: dict[str, Fraction]) -> bool:
-        lhs = sum((c * point[v] for v, c in self.coeffs.items()), Fraction(0))
+    def holds(self, point: Mapping[str, Fraction]) -> bool:
+        """Exact test of the row at `point`; a variable missing from the point
+        reads as 0 and a value that is not a Fraction is converted exactly."""
+        lhs = 0
+        for v, c in self.coeffs.items():
+            x = point.get(v)
+            if x:
+                lhs += c * _exact(x)
         if self.rel == "<=":
             return lhs <= self.rhs
         if self.rel == ">=":
@@ -68,16 +91,17 @@ class ConstraintSystem:
         return name
 
     def add_constraint(self, name, coeffs, rel, rhs) -> Constraint:
-        con = Constraint(name, dict(coeffs), rel, Fraction(rhs))
+        con = Constraint(name, dict(coeffs), rel, rhs)
         unknown = set(con.coeffs) - self._vs
         if unknown:
             raise ValueError(f"constraint {name} uses undeclared {sorted(unknown)}")
         self.constraints.append(con)
         return con
 
-    def check_point(self, point: dict[str, Fraction]) -> bool:
-        full = {v: Fraction(point.get(v, 0)) for v in self.variables}
-        return all(c.holds(full) for c in self.constraints)
+    def check_point(self, point: Mapping[str, Fraction]) -> bool:
+        """Exact test of every constraint at `point` (see `Constraint.holds`);
+        keys that are not variables of a row are ignored."""
+        return all(c.holds(point) for c in self.constraints)
 
     def __eq__(self, other):
         if not isinstance(other, ConstraintSystem):
@@ -111,7 +135,6 @@ class _Tableau:
     def __init__(self, system: ConstraintSystem):
         self.sys = system
         var_order = list(system.variables)
-        vidx = {v: i for i, v in enumerate(var_order)}
 
         # presolve: a single-variable constraint equivalent to v >= 0 becomes
         # a sign marker instead of a row
@@ -145,24 +168,23 @@ class _Tableau:
         art_specs = []  # rows needing artificials
         rhs = []
         for con in rows_src:
-            coeffs = [_ZERO] * ncols
-            for v, c in con.coeffs.items():
-                q = _Q(c.numerator, c.denominator)
-                for j in col_of[v]:
-                    coeffs[j] = q if self.cols[j][1] > 0 else -q
-            b = _Q(con.rhs.numerator, con.rhs.denominator)
+            # flip ">=" to "<=", then flip again if the rhs is negative
+            b = _q(con.rhs)
             rel = con.rel
-            if rel == ">=":
-                coeffs = [-x for x in coeffs]
+            flip = rel == ">="
+            if flip:
                 b = -b
                 rel = "<="
-            if rel == "<=" and b < 0:
-                coeffs = [-x for x in coeffs]
+            if b < 0:
+                flip = not flip
                 b = -b
-                rel = ">="
-            elif rel == "=" and b < 0:
-                coeffs = [-x for x in coeffs]
-                b = -b
+                if rel == "<=":
+                    rel = ">="
+            coeffs = [_ZERO] * ncols
+            for v, c in con.coeffs.items():
+                q = -_q(c) if flip else _q(c)
+                for j in col_of[v]:
+                    coeffs[j] = q if self.cols[j][1] > 0 else -q
             self.rows.append(coeffs)
             rhs.append(b)
             if rel == "<=":
@@ -204,12 +226,13 @@ class _Tableau:
     def _pivot(self, cost: list, r: int, c: int):
         prow = self.rows[r]
         piv = prow[c]
+        # touch only the pivot row's nonzero columns; the tableau is sparse
+        cols = [j for j, b in enumerate(prow) if b]
         if piv != _ONE:
             inv = _ONE / piv
-            prow = [x * inv for x in prow]
-            self.rows[r] = prow
-        # touch only the pivot row's nonzero columns; the tableau is sparse
-        nz = [(j, b) for j, b in enumerate(prow) if b]
+            for j in cols:
+                prow[j] *= inv
+        nz = [(j, prow[j]) for j in cols]
         for row in self.rows:
             if row is prow:
                 continue
@@ -256,9 +279,12 @@ class _Tableau:
         cost = [_ZERO] * self.total + [_ZERO]
         for j in self.art_cols:
             cost[j] = _ONE
+        art = set(self.art_cols)
         for i, b in enumerate(self.basis):
-            if b in set(self.art_cols):
-                cost[:] = [a - x for a, x in zip(cost, self.rows[i])]
+            if b in art:
+                for j, x in enumerate(self.rows[i]):
+                    if x:
+                        cost[j] -= x
         allowed = [True] * self.total
         status = self._bland(cost, allowed)
         if status != "optimal":  # phase-1 objective is bounded below by 0
@@ -266,7 +292,6 @@ class _Tableau:
         if -cost[-1] != 0:
             return False
         # pivot leftover artificials out; drop rows that became redundant
-        art = set(self.art_cols)
         for i in range(len(self.rows) - 1, -1, -1):
             if self.basis[i] in art:
                 row = self.rows[i]
@@ -285,12 +310,13 @@ class _Tableau:
         for j, (v, sign) in enumerate(self.cols):
             c = obj.get(v)
             if c:
-                q = _Q(c.numerator, c.denominator)
-                cost[j] = q if sign > 0 else -q
+                cost[j] = _q(c) if sign > 0 else -_q(c)
         for i, b in enumerate(self.basis):
-            if cost[b] != 0:
-                f = cost[b]
-                cost[:] = [a - f * x for a, x in zip(cost, self.rows[i])]
+            f = cost[b]
+            if f:
+                for j, x in enumerate(self.rows[i]):
+                    if x:
+                        cost[j] -= f * x
         art = set(self.art_cols)
         allowed = [j not in art for j in range(self.total)]
         status = self._bland(cost, allowed)
@@ -305,6 +331,14 @@ class _Tableau:
                 v, sign = self.cols[b]
                 values[v] += sign * Fraction(self.rows[i][-1])
         return values
+
+
+def _check_objective(system: ConstraintSystem) -> None:
+    """Raise ValueError if a nonzero objective term uses an undeclared
+    variable, as `add_constraint` does for a row."""
+    unknown = {v for v, c in (system.objective or {}).items() if c} - system._vs
+    if unknown:
+        raise ValueError(f"objective uses undeclared {sorted(unknown)}")
 
 
 def _check_witness(system: ConstraintSystem, point: dict[str, Fraction]) -> None:
@@ -325,7 +359,9 @@ def simplex_feasible(system: ConstraintSystem) -> SimplexResult:
 
 def simplex_solve(system: ConstraintSystem) -> SimplexResult:
     """Minimize the objective: optimal (with witness), infeasible, or
-    unbounded. Systems without an objective reduce to a feasibility check."""
+    unbounded. Systems without an objective reduce to a feasibility check.
+    Raises ValueError if the objective uses an undeclared variable."""
+    _check_objective(system)
     tab = _Tableau(system)
     if not tab.phase1():
         return SimplexResult(status="infeasible")
@@ -374,65 +410,81 @@ def _decimal_str(x: Fraction) -> Optional[str]:
     return f"{sign}{digits[:-k]}.{digits[-k:]}"
 
 
-def _terms_str(coeffs: dict[str, Fraction], order: Sequence[str], exact: bool) -> str:
-    parts: list[str] = []
-    for v in order:
-        c = coeffs.get(v)
-        if not c:
+def _term_head(c: Fraction, exact: bool) -> str:
+    """What precedes the variable in a term with coefficient c != 0: the sign,
+    then the magnitude (exact or decimal) unless it is 1."""
+    num, den = c.numerator, c.denominator
+    sign = "- " if num < 0 else "+ "
+    if den == 1:  # an integer reads the same either way
+        return sign if num in (1, -1) else f"{sign}{abs(num)} "
+    mag = abs(c)
+    return f"{sign}{mag if exact else _decimal_str(mag)} "
+
+
+def _terms_str(coeffs: dict[str, Fraction], pos: dict[str, int], exact: bool) -> str:
+    """The nonzero terms over declared variables, in declaration order (`pos`
+    maps each variable to its position); terms over other names are skipped."""
+    terms = sorted((pos[v], v, c) for v, c in coeffs.items() if c and v in pos)
+    if not terms:
+        return "0"
+    text = " ".join(_term_head(c, exact) + v for _, v, c in terms)
+    return text[2:] if text[0] == "+" else text  # no "+" before the first term
+
+
+def _row_kind(values) -> str:
+    """"int" if every value is an integer, else "decimal" if every value has a
+    finite decimal expansion, else "exact"."""
+    kind = "int"
+    for x in values:
+        den = x.denominator
+        if den == 1:
             continue
-        mag = abs(c)
-        if exact:
-            body = v if mag == 1 else f"{mag} {v}"
-        else:
-            body = v if mag == 1 else f"{_decimal_str(mag)} {v}"
-        if not parts:
-            parts.append(body if c > 0 else f"- {body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts) if parts else "0"
-
-
-def _all_decimal(coeffs: dict[str, Fraction], rhs: Optional[Fraction] = None) -> bool:
-    vals = list(coeffs.values()) + ([rhs] if rhs is not None else [])
-    return all(_decimal_str(v) is not None for v in vals)
-
-
-def _has_fractional(coeffs: dict[str, Fraction], rhs: Optional[Fraction] = None) -> bool:
-    vals = list(coeffs.values()) + ([rhs] if rhs is not None else [])
-    return any(v.denominator != 1 for v in vals)
+        while den % 2 == 0:
+            den //= 2
+        while den % 5 == 0:
+            den //= 5
+        if den != 1:
+            return "exact"
+        kind = "decimal"
+    return kind
 
 
 def emit_lp(system: ConstraintSystem, sink: TextIO) -> None:
-    """Write the system deterministically in LP format (see module notes)."""
+    """Write the system deterministically in LP format (see module notes).
+    Raises ValueError if the objective uses an undeclared variable."""
+    _check_objective(system)
     order = system.variables
+    pos = {v: i for i, v in enumerate(order)}
     w = sink.write
     w(f"\\ constraint-system: {system.name}\n")
     w(f"\\ variables: {len(order)}  constraints: {len(system.constraints)}\n")
     w("Minimize\n")
     obj = system.objective or {}
-    if obj and not _all_decimal(obj):
-        w(f"\\X obj: {_terms_str(obj, order, exact=True)}\n")
+    kind = _row_kind(obj.values())
+    if kind == "exact":
+        w(f"\\X obj: {_terms_str(obj, pos, exact=True)}\n")
         w(" obj: 0\n")
     else:
-        if _has_fractional(obj):
-            w(f"\\ exact obj: {_terms_str(obj, order, exact=True)}\n")
-        w(f" obj: {_terms_str(obj, order, exact=False)}\n")
+        if kind == "decimal":
+            w(f"\\ exact obj: {_terms_str(obj, pos, exact=True)}\n")
+        w(f" obj: {_terms_str(obj, pos, exact=False)}\n")
     w("Subject To\n")
     for con in system.constraints:
         rhs_exact = str(con.rhs)
-        if _all_decimal(con.coeffs, con.rhs):
-            if _has_fractional(con.coeffs, con.rhs):
+        kind = _row_kind(itertools.chain(con.coeffs.values(), (con.rhs,)))
+        if kind != "exact":
+            if kind == "decimal":
                 w(
                     f"\\ exact {con.name}: "
-                    f"{_terms_str(con.coeffs, order, exact=True)} {con.rel} {rhs_exact}\n"
+                    f"{_terms_str(con.coeffs, pos, exact=True)} {con.rel} {rhs_exact}\n"
                 )
             w(
-                f" {con.name}: {_terms_str(con.coeffs, order, exact=False)} "
+                f" {con.name}: {_terms_str(con.coeffs, pos, exact=False)} "
                 f"{con.rel} {_decimal_str(con.rhs)}\n"
             )
         else:
             w(
-                f"\\X {con.name}: {_terms_str(con.coeffs, order, exact=True)} "
+                f"\\X {con.name}: {_terms_str(con.coeffs, pos, exact=True)} "
                 f"{con.rel} {rhs_exact}\n"
             )
     w("Bounds\n")

@@ -62,6 +62,11 @@ class Edge(NamedTuple):
         return self.v if x == self.u else self.u
 
 
+def _is_exact(x) -> bool:
+    """Whether x is an int or a Fraction (bools and floats are not)."""
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
 def check_simple_graph(vertices: Sequence, edges: Iterable[Sequence]) -> None:
     """Raise ValueError unless `vertices` are distinct and each edge, a
     sequence opening with its endpoints (u, v, ...), joins two distinct
@@ -107,6 +112,10 @@ class Instance:
                 raise ValueError(f"capacity out of range at vertex {v}: {bv}")
         check_simple_graph(range(self.n), self.edges)
         for e in self.edges:
+            if not _is_exact(e.w):
+                raise ValueError(
+                    f"weight on edge {e.u}-{e.v} is not an int or a Fraction: {e.w!r}"
+                )
             if e.w < 0:
                 raise ValueError(f"negative weight on edge {e.u}-{e.v}")
 
@@ -151,9 +160,15 @@ class Instance:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Payoff vector indexed by vertex id. Entries may be negative."""
+    """Payoff vector indexed by vertex id. Entries are ints or Fractions and
+    may be negative."""
 
     values: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        for v, x in enumerate(self.values):
+            if not _is_exact(x):
+                raise ValueError(f"allocation entry {v} is not an int or a Fraction: {x!r}")
 
     def __getitem__(self, v: int) -> Fraction:
         return self.values[v]

@@ -127,6 +127,43 @@ def test_family_bound_random():
         assert len(fam.members) <= family_size_bound(inst)
 
 
+def quadratic_family_size_bound(inst):
+    """The O(n^2 m) formula family_size_bound used to evaluate: every degree
+    recounted for every ordered endpoint pair."""
+    n2 = set(inst.n2)
+
+    def degree(x, s, t):
+        members = n2 | {s, t}
+        return 1 + sum(
+            1
+            for e in inst.edges
+            if x in (e.u, e.v)
+            and e.u in members
+            and e.v in members
+            and {e.u, e.v} != {s, t}
+        )
+
+    return 1 + sum(
+        (degree(s, s, t) - 1) * (degree(t, s, t) - 1)
+        for s in range(inst.n)
+        for t in range(inst.n)
+        if s != t
+    )
+
+
+def test_family_size_bound_matches_the_quadratic_formula(counterexample):
+    assert family_size_bound(counterexample) == quadratic_family_size_bound(counterexample)
+    rng = random.Random(97)
+    values = set()
+    for i in range(48):
+        n = 1 + i % 9
+        density = Fraction(rng.randint(1, 4), 4)
+        inst = random_instance(rng.randint(0, 10**6), n, density, 5)
+        values.add(family_size_bound(inst))
+        assert family_size_bound(inst) == quadratic_family_size_bound(inst)
+    assert len(values) > 10
+
+
 def test_extended_formulation_counterexample(counterexample, counterexample_core_p):
     assert check_membership(counterexample, counterexample_core_p)
     assert not check_membership(counterexample, alloc(0, 0, 1, 11, 0))

@@ -50,3 +50,24 @@ def test_cli_exits_5_without_traceback(tmp_path):
     assert out.stdout == ""
     assert "T-join parity broken" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_bad_simplex_witness_raises_under_dash_o():
+    out = run_optimized(
+        "from fractions import Fraction\n"
+        "from corematch import linsys\n"
+        "from corematch.model import InvariantError\n"
+        "assert False, 'asserts must be stripped here'\n"
+        "s = linsys.ConstraintSystem(variables=['x', 'y'])\n"
+        "s.add_constraint('c0', {'x': 1, 'y': 1}, '=', 1)\n"
+        "s.add_constraint('c1', {'x': 1}, '>=', 0)\n"
+        "print(linsys.simplex_feasible(s).status)\n"
+        "# x + y = 2 breaks the row c0\n"
+        "linsys._Tableau.witness = lambda self: {'x': Fraction(1), 'y': Fraction(1)}\n"
+        "try:\n"
+        "    linsys.simplex_feasible(s)\n"
+        "except InvariantError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "feasible\nraised: simplex witness failed re-verification\n"

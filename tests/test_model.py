@@ -206,6 +206,32 @@ def test_instance_validation_direct():
         )
 
 
+# -- numbers in the model are exact --------------------------------------------
+
+
+@pytest.mark.parametrize("w", [0.5, 1.0, True, "1", None])
+def test_instance_rejects_inexact_weights(w):
+    # a float weight used to build, and separate then reported a float bound
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        Instance(2, (1, 1), (Edge(0, 1, w),))
+
+
+@pytest.mark.parametrize("values", [(0.5, 0.5, 0.0), (Fraction(1), False, 0), (1, "1", 0)])
+def test_allocation_rejects_inexact_entries(values):
+    # a float entry used to reach separation.integer_costs as AttributeError
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        Allocation(values)
+
+
+def test_ints_and_fractions_are_exact():
+    from corematch import separation
+
+    inst = Instance(2, (1, 1), (Edge(0, 1, 1),))
+    verdict = separation.separate(inst, Allocation((0, Fraction(1, 2))))
+    assert verdict.violation.bound == 1 and type(verdict.violation.bound) is Fraction
+    assert separation.separate(inst, Allocation((Fraction(1, 2), Fraction(1, 2)))).in_core
+
+
 # -- one simple-graph validator ---------------------------------------------
 
 MATCHINGS = ("max_weight_matching", "min_weight_perfect_matching")
