@@ -3,14 +3,12 @@ feasibility/optimization, and a deterministic LP-format writer/reader.
 
 Variables are free unless the system contains an explicit sign constraint;
 the simplex presolves single-variable ">= 0" rows into variable bounds and
-splits the remaining free variables. Tableau arithmetic uses gmpy2.mpq when
-available (several times faster) and falls back to fractions.Fraction; both
-are exact, so results are identical.
+splits the remaining free variables. All arithmetic is fractions.Fraction.
 
-Every step does arithmetic on nonzeros only: tableau set-up, the phase-1 and
-phase-2 cost rows, pivot-row scaling and elimination, witness
-re-verification and `emit_lp` (each row's terms in declaration order). Every
-witness is still re-verified against every constraint before it is returned.
+The tableau is sparse: a row keeps only its nonzero entries, so set-up,
+pricing and pivoting cost time per nonzero, as do witness re-verification and
+`emit_lp` (each row's terms in declaration order). Every witness is still
+re-verified against every constraint before it is returned.
 """
 
 import itertools
@@ -20,18 +18,8 @@ from typing import Mapping, Optional, TextIO
 
 from .model import InvariantError
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _Q = Fraction
-
-_ZERO = _Q(0)
-_ONE = _Q(1)
-
-
-def _q(x):
-    """x (an int or a Fraction) as a tableau number, reusing x if it is one."""
-    return x if type(x) is _Q else _Q(x.numerator, x.denominator)
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _exact(x) -> Fraction:
@@ -82,6 +70,13 @@ class ConstraintSystem:
         self._vs = set(self.variables)
         if len(self._vs) != len(self.variables):
             raise ValueError("duplicate variables")
+        for con in self.constraints:
+            self._check_declared(con)
+
+    def _check_declared(self, con: Constraint) -> None:
+        unknown = set(con.coeffs) - self._vs
+        if unknown:
+            raise ValueError(f"constraint {con.name} uses undeclared {sorted(unknown)}")
 
     def add_variable(self, name: str) -> str:
         if name in self._vs:
@@ -92,9 +87,7 @@ class ConstraintSystem:
 
     def add_constraint(self, name, coeffs, rel, rhs) -> Constraint:
         con = Constraint(name, dict(coeffs), rel, rhs)
-        unknown = set(con.coeffs) - self._vs
-        if unknown:
-            raise ValueError(f"constraint {name} uses undeclared {sorted(unknown)}")
+        self._check_declared(con)
         self.constraints.append(con)
         return con
 
@@ -129,15 +122,39 @@ class SimplexResult:
         return self.status in ("optimal", "feasible")
 
 
+def _eliminate(row: dict, prow: dict, c: int) -> None:
+    """row -= row[c] * prow, where prow[c] == 1; entries that cancel are
+    deleted, so row[c] goes."""
+    f = row.get(c)
+    if f:
+        for j, b in prow.items():
+            x = row.get(j)
+            if x is None:
+                row[j] = -f * b
+            else:
+                x -= f * b
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+
+
 class _Tableau:
-    """Dense simplex tableau with Bland's rule (anti-cycling, deterministic)."""
+    """Sparse simplex tableau with Bland's rule (anti-cycling, deterministic).
+
+    A row maps each column to its nonzero entry; the right-hand side is
+    column `total`. Columns run structural (one per nonnegative variable, two
+    per free one), then one slack or surplus per inequality row, then the
+    artificials from `first_art` on, one per row that is ">=" or "=" once
+    its rhs is made nonnegative.
+    """
 
     def __init__(self, system: ConstraintSystem):
         self.sys = system
-        var_order = list(system.variables)
 
         # presolve: a single-variable constraint equivalent to v >= 0 becomes
-        # a sign marker instead of a row
+        # a sign marker instead of a row; every other row is normalized to a
+        # nonnegative rhs b, as (coeffs, flip, rel, b)
         nonneg = set()
         rows_src = []
         for con in system.constraints:
@@ -147,29 +164,8 @@ class _Tableau:
                 if (c > 0 and con.rel == ">=") or (c < 0 and con.rel == "<="):
                     nonneg.add(v)
                     continue
-            rows_src.append(con)
-
-        # columns: one per nonnegative variable, two per free variable
-        self.cols: list[tuple[str, int]] = []  # (variable, sign)
-        for v in var_order:
-            self.cols.append((v, +1))
-            if v not in nonneg:
-                self.cols.append((v, -1))
-        ncols = len(self.cols)
-        col_of: dict[str, list[int]] = {}
-        for j, (v, sign) in enumerate(self.cols):
-            col_of.setdefault(v, []).append(j)
-
-        # rows: normalize to nonnegative rhs; "<=" gains a slack (basic),
-        # everything else gains an artificial (basic)
-        self.rows: list[list] = []
-        self.basis: list[int] = []
-        slack_specs = []  # (row, +-1) slack/surplus to append later
-        art_specs = []  # rows needing artificials
-        rhs = []
-        for con in rows_src:
             # flip ">=" to "<=", then flip again if the rhs is negative
-            b = _q(con.rhs)
+            b = con.rhs
             rel = con.rel
             flip = rel == ">="
             if flip:
@@ -180,89 +176,82 @@ class _Tableau:
                 b = -b
                 if rel == "<=":
                     rel = ">="
-            coeffs = [_ZERO] * ncols
-            for v, c in con.coeffs.items():
-                q = -_q(c) if flip else _q(c)
-                for j in col_of[v]:
-                    coeffs[j] = q if self.cols[j][1] > 0 else -q
-            self.rows.append(coeffs)
-            rhs.append(b)
+            rows_src.append((con.coeffs, flip, rel, b))
+
+        self.cols: list[tuple[str, int]] = []  # (variable, sign)
+        for v in system.variables:
+            self.cols.append((v, +1))
+            if v not in nonneg:
+                self.cols.append((v, -1))
+        col_of: dict[str, list[int]] = {}
+        for j, (v, sign) in enumerate(self.cols):
+            col_of.setdefault(v, []).append(j)
+        self.nstruct = slack = len(self.cols)
+        self.first_art = art = slack + sum(rel != "=" for _, _, rel, _ in rows_src)
+        self.total = art + sum(rel != "<=" for _, _, rel, _ in rows_src)
+
+        # "<=" gains a slack (basic), ">=" a surplus and an artificial
+        # (basic), "=" an artificial (basic)
+        self.rows: list[dict[int, Fraction]] = []
+        self.basis: list[int] = []
+        for coeffs, flip, rel, b in rows_src:
+            row = {}
+            for v, c in coeffs.items():
+                if c:
+                    q = -c if flip else c
+                    for j in col_of[v]:
+                        row[j] = q if self.cols[j][1] > 0 else -q
             if rel == "<=":
-                slack_specs.append((len(self.rows) - 1, +1))
-            elif rel == ">=":
-                slack_specs.append((len(self.rows) - 1, -1))
-                art_specs.append(len(self.rows) - 1)
+                row[slack] = _ONE
+                self.basis.append(slack)
+                slack += 1
             else:
-                art_specs.append(len(self.rows) - 1)
-
-        nslack = len(slack_specs)
-        nart = len(art_specs)
-        self.nstruct = ncols
-        self.nslack = nslack
-        total = ncols + nslack + nart
-        for i, row in enumerate(self.rows):
-            row.extend([_ZERO] * (nslack + nart))
-            row.append(rhs[i])
-        for k, (i, sign) in enumerate(slack_specs):
-            self.rows[i][ncols + k] = _ONE if sign > 0 else -_ONE
-        self.art_cols = []
-        for k, i in enumerate(art_specs):
-            self.rows[i][ncols + nslack + k] = _ONE
-            self.art_cols.append(ncols + nslack + k)
-        self.total = total
-
-        self.basis = [-1] * len(self.rows)
-        for k, (i, sign) in enumerate(slack_specs):
-            if sign > 0:
-                self.basis[i] = ncols + k
-        for k, i in enumerate(art_specs):
-            self.basis[i] = ncols + nslack + k
-        # rows whose slack is a surplus (-1) got an artificial as basis
-        if any(b < 0 for b in self.basis):
+                if rel == ">=":
+                    row[slack] = -_ONE
+                    slack += 1
+                row[art] = _ONE
+                self.basis.append(art)
+                art += 1
+            if b:
+                row[self.total] = b
+            self.rows.append(row)
+        if any(row.get(b) != 1 for row, b in zip(self.rows, self.basis)):
             raise InvariantError("a row has no initial basic column")
 
     # -- pivoting ---------------------------------------------------------
 
-    def _pivot(self, cost: list, r: int, c: int):
+    def _pivot(self, cost: dict, r: int, c: int):
         prow = self.rows[r]
         piv = prow[c]
-        # touch only the pivot row's nonzero columns; the tableau is sparse
-        cols = [j for j, b in enumerate(prow) if b]
-        if piv != _ONE:
+        if piv != 1:
             inv = _ONE / piv
-            for j in cols:
+            for j in prow:
                 prow[j] *= inv
-        nz = [(j, prow[j]) for j in cols]
         for row in self.rows:
-            if row is prow:
-                continue
-            f = row[c]
-            if f:
-                for j, b in nz:
-                    row[j] -= f * b
-        f = cost[c]
-        if f:
-            for j, b in nz:
-                cost[j] -= f * b
+            if row is not prow:
+                _eliminate(row, prow, c)
+        _eliminate(cost, prow, c)
         self.basis[r] = c
 
-    def _bland(self, cost: list, allowed) -> str:
-        """Run Bland's rule to optimality; returns 'optimal' or 'unbounded'."""
-        ncols = self.total
+    def _price(self, cost: dict) -> None:
+        """Make every basic column's cost zero by subtracting its row."""
+        for row, b in zip(self.rows, self.basis):
+            _eliminate(cost, row, b)
+
+    def _bland(self, cost: dict, bound: int) -> str:
+        """Run Bland's rule over the columns below `bound` to optimality;
+        returns 'optimal' or 'unbounded'."""
+        total = self.total
         while True:
-            enter = -1
-            for j in range(ncols):
-                if allowed[j] and cost[j] < 0:
-                    enter = j
-                    break
+            enter = min((j for j, x in cost.items() if j < bound and x < 0), default=-1)
             if enter < 0:
                 return "optimal"
             leave = -1
             best = None
             for i, row in enumerate(self.rows):
-                a = row[enter]
-                if a > 0:
-                    ratio = row[-1] / a
+                a = row.get(enter)
+                if a is not None and a > 0:
+                    ratio = row.get(total, _ZERO) / a
                     if best is None or ratio < best or (
                         ratio == best and self.basis[i] < self.basis[leave]
                     ):
@@ -276,29 +265,19 @@ class _Tableau:
 
     def phase1(self) -> bool:
         """Minimize the artificial sum; True iff the system is feasible."""
-        cost = [_ZERO] * self.total + [_ZERO]
-        for j in self.art_cols:
-            cost[j] = _ONE
-        art = set(self.art_cols)
-        for i, b in enumerate(self.basis):
-            if b in art:
-                for j, x in enumerate(self.rows[i]):
-                    if x:
-                        cost[j] -= x
-        allowed = [True] * self.total
-        status = self._bland(cost, allowed)
-        if status != "optimal":  # phase-1 objective is bounded below by 0
+        cost = dict.fromkeys(range(self.first_art, self.total), _ONE)
+        self._price(cost)
+        if self._bland(cost, self.total) != "optimal":  # bounded below by 0
             raise InvariantError("phase-1 objective came out unbounded")
-        if -cost[-1] != 0:
+        if cost.get(self.total):
             return False
-        # pivot leftover artificials out; drop rows that became redundant
+        # pivot leftover artificials out on their row's first other nonzero
+        # column; drop rows that became redundant
         for i in range(len(self.rows) - 1, -1, -1):
-            if self.basis[i] in art:
-                row = self.rows[i]
-                for j in range(self.total):
-                    if j not in art and row[j] != 0:
-                        self._pivot(cost, i, j)
-                        break
+            if self.basis[i] >= self.first_art:
+                j = min(self.rows[i])
+                if j < self.first_art:
+                    self._pivot(cost, i, j)
                 else:
                     del self.rows[i]
                     del self.basis[i]
@@ -306,30 +285,23 @@ class _Tableau:
 
     def phase2(self) -> tuple[str, Optional[Fraction]]:
         obj = self.sys.objective or {}
-        cost = [_ZERO] * self.total + [_ZERO]
+        cost = {}
         for j, (v, sign) in enumerate(self.cols):
             c = obj.get(v)
             if c:
-                cost[j] = _q(c) if sign > 0 else -_q(c)
-        for i, b in enumerate(self.basis):
-            f = cost[b]
-            if f:
-                for j, x in enumerate(self.rows[i]):
-                    if x:
-                        cost[j] -= f * x
-        art = set(self.art_cols)
-        allowed = [j not in art for j in range(self.total)]
-        status = self._bland(cost, allowed)
-        if status == "unbounded":
+                c = _exact(c)
+                cost[j] = c if sign > 0 else -c
+        self._price(cost)
+        if self._bland(cost, self.first_art) == "unbounded":
             return "unbounded", None
-        return "optimal", Fraction(-cost[-1])
+        return "optimal", -cost.get(self.total, _ZERO)
 
     def witness(self) -> dict[str, Fraction]:
-        values = {v: Fraction(0) for v in self.sys.variables}
-        for i, b in enumerate(self.basis):
+        values = dict.fromkeys(self.sys.variables, _ZERO)
+        for row, b in zip(self.rows, self.basis):
             if b < self.nstruct:
                 v, sign = self.cols[b]
-                values[v] += sign * Fraction(self.rows[i][-1])
+                values[v] += sign * row.get(self.total, _ZERO)
         return values
 
 
@@ -390,8 +362,9 @@ def simplex_solve(system: ConstraintSystem) -> SimplexResult:
 # ---------------------------------------------------------------------------
 
 
-def _decimal_str(x: Fraction) -> Optional[str]:
-    den = x.denominator
+def _decimal_places(den: int) -> Optional[int]:
+    """The digits after the point that a fraction with denominator den needs
+    (the larger power of 2 or 5 in den), or None if den has another prime."""
     twos = fives = 0
     while den % 2 == 0:
         den //= 2
@@ -399,9 +372,13 @@ def _decimal_str(x: Fraction) -> Optional[str]:
     while den % 5 == 0:
         den //= 5
         fives += 1
-    if den != 1:
+    return max(twos, fives) if den == 1 else None
+
+
+def _decimal_str(x: Fraction) -> Optional[str]:
+    k = _decimal_places(x.denominator)
+    if k is None:
         return None
-    k = max(twos, fives)
     if k == 0:
         return str(x.numerator)
     scaled = x.numerator * 10**k // x.denominator
@@ -436,16 +413,11 @@ def _row_kind(values) -> str:
     finite decimal expansion, else "exact"."""
     kind = "int"
     for x in values:
-        den = x.denominator
-        if den == 1:
-            continue
-        while den % 2 == 0:
-            den //= 2
-        while den % 5 == 0:
-            den //= 5
-        if den != 1:
+        k = _decimal_places(x.denominator)
+        if k is None:
             return "exact"
-        kind = "decimal"
+        if k:
+            kind = "decimal"
     return kind
 
 

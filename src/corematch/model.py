@@ -108,6 +108,8 @@ class Instance:
         if len(self.b) != self.n:
             raise ValueError("capacity vector length != n")
         for v, bv in enumerate(self.b):
+            if isinstance(bv, bool) or not isinstance(bv, int):
+                raise ValueError(f"capacity at vertex {v} is not an int: {bv!r}")
             if bv not in (1, 2):
                 raise ValueError(f"capacity out of range at vertex {v}: {bv}")
         check_simple_graph(range(self.n), self.edges)

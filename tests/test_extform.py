@@ -238,6 +238,44 @@ def test_membership_agrees_with_separation():
     assert checked == 50 and 0 < in_core < 50
 
 
+def test_separation_agrees_with_formulation_witnesses():
+    # in-core allocations come from the extended formulation's own witness,
+    # out-of-core candidates move a little value between two vertices; where
+    # the formulation is infeasible the core is empty and nothing may pass
+    seen = {"empty": 0, "in": 0, "out": 0}
+    for i in range(18):
+        n = 3 + i % 3
+        density = Fraction(1, 2) if n == 5 else Fraction(1)
+        inst = random_instance(seed=9700 + i, n=n, density=density, wmax=6)
+        rng = random.Random(9800 + i)
+        result = simplex_feasible(build_extended_formulation(inst))
+        if not result.is_feasible:
+            seen["empty"] += 1
+            nu_n = matching.b_matching_value(inst)
+            for p in (
+                Allocation(tuple(Fraction(nu_n, n) for _ in range(n))),
+                normalized(random_allocation(rng, inst, lo=0), nu_n),
+                random_allocation(rng, inst),
+            ):
+                assert not separation.separate(inst, p).in_core
+                assert not check_membership(inst, p)
+            continue
+        core = [result.witness[f"p_{v}"] for v in range(n)]
+        assert separation.separate(inst, Allocation(tuple(core))).in_core
+        assert check_membership(inst, Allocation(tuple(core)))
+        for _ in range(3):
+            u, v = rng.sample(range(n), 2)
+            moved = list(core)
+            delta = Fraction(1, rng.choice((1, 2, 4)))
+            moved[u] -= delta
+            moved[v] += delta
+            p = Allocation(tuple(moved))
+            got = separation.separate(inst, p).in_core
+            assert got == check_membership(inst, p)
+            seen["in" if got else "out"] += 1
+    assert seen["empty"] > 0 and seen["in"] > 0 and seen["out"] > 0
+
+
 def test_witness_validity_on_feasible_blocks():
     rng = random.Random(8)
     for _ in range(15):

@@ -303,6 +303,17 @@ def test_parse_rejects_maximize():
         parse_lp("Maximize\n obj: x\nSubject To\n c: x <= 1\nBounds\n x free\nEnd\n")
 
 
+def test_constructor_rows_over_undeclared_variables_rejected():
+    # such a row used to build: simplex_feasible then raised KeyError and
+    # emit_lp dropped the term, so the system did not round-trip
+    row = Constraint("r0", {"zz": 1, "p": -1}, "<=", 1)
+    with pytest.raises(ValueError, match=r"constraint r0 uses undeclared \['zz'\]"):
+        ConstraintSystem(variables=["q", "p"], constraints=[row])
+    s = ConstraintSystem(variables=["q", "p"], constraints=[Constraint("r0", {"p": -1}, "<=", 1)])
+    assert simplex_feasible(s).is_feasible
+    assert roundtrip(s) == s
+
+
 def test_constraint_validation():
     s = ConstraintSystem(name="v", variables=["x"])
     with pytest.raises(ValueError):
@@ -387,9 +398,62 @@ def test_pivot_count_pinned():
     assert pivots == CORPUS_PIVOTS
 
 
+SETUP_DIGEST = "fec06da9de236e31b679531d996b90308195c971e6d1d9f30423da533746644e"
+
+
+def _setup_corpus():
+    """240 seeded systems over 1..5 variables that mix "<=", "=" and ">="
+    rows, negative and fractional right-hand sides, free variables, sign rows
+    in both presolved forms (x >= 0 and -2 x <= 0), one-variable boxes,
+    redundant scaled copies of equality rows (phase 1 drops them) and, for
+    most systems, an objective."""
+    systems = []
+    for i in range(240):
+        rng = random.Random(9100 + i)
+        names = [f"x{k}" for k in range(rng.randint(1, 5))]
+        s = ConstraintSystem(name=f"setup{i}", variables=list(names))
+        for v in names:
+            r = rng.random()
+            if r < 0.25:
+                s.add_constraint(f"{v}_sign", {v: 1}, ">=", 0)
+            elif r < 0.4:
+                s.add_constraint(f"{v}_sign", {v: -2}, "<=", 0)
+            elif r < 0.55:
+                s.add_constraint(f"{v}_box", {v: 1}, "<=", rng.randint(-2, 6))
+        for k in range(rng.randint(1, 5)):
+            coeffs = {
+                v: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+                for v in names
+                if rng.random() < 0.7
+            }
+            rel = rng.choice(("<=", "=", ">="))
+            rhs = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 3)))
+            s.add_constraint(f"c{k}", coeffs, rel, rhs)
+            if rel == "=" and rng.random() < 0.5:
+                f = rng.choice((-2, 3, Fraction(1, 2)))
+                s.add_constraint(
+                    f"c{k}_copy", {v: f * c for v, c in coeffs.items()}, "=", f * rhs
+                )
+        if rng.random() < 0.6:
+            s.objective = {
+                v: Fraction(rng.randint(-3, 3)) for v in names if rng.random() < 0.6
+            } or None
+        systems.append(s)
+    return systems
+
+
+def test_setup_corpus_results_pinned():
+    results = []
+    for s in _setup_corpus():
+        results.append(_result_key(simplex_solve(s)))
+        results.append(_result_key(simplex_feasible(s)))
+    assert {r[0] for r in results} == {"optimal", "feasible", "infeasible", "unbounded"}
+    assert _digest(results) == SETUP_DIGEST
+
+
 def _hand_built_systems():
     """Systems whose rows list variables out of declaration order, carry zero
-    coefficients or undeclared variables, have no finite decimal expansion,
+    coefficients or an undeclared variable, have no finite decimal expansion,
     or have a fractional objective."""
     shuffled = ConstraintSystem(name="shuffled", variables=["c", "a", "b"])
     shuffled.add_constraint("r0", {"b": 2, "c": -1, "a": Fraction(1, 4)}, "<=", 3)
@@ -409,11 +473,9 @@ def _hand_built_systems():
     thirds.add_constraint("r2", {"u": Fraction(3, 2)}, "=", Fraction(5, 4))
     thirds.objective = {"v": Fraction(1, 3), "u": Fraction(1, 2)}
 
-    undeclared = ConstraintSystem(
-        name="undeclared",
-        variables=["q", "p"],
-        constraints=[Constraint("r0", {"zz": 1, "p": -1, "q": 2}, "<=", 1)],
-    )
+    # the constructor rejects the row, so it is appended past the check
+    undeclared = ConstraintSystem(name="undeclared", variables=["q", "p"])
+    undeclared.constraints.append(Constraint("r0", {"zz": 1, "p": -1, "q": 2}, "<=", 1))
     return [shuffled, zeros, thirds, undeclared, ConstraintSystem(name="empty")]
 
 

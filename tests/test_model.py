@@ -216,6 +216,14 @@ def test_instance_rejects_inexact_weights(w):
         Instance(2, (1, 1), (Edge(0, 1, w),))
 
 
+@pytest.mark.parametrize("b", [(1.0, 2.0), (True, 2), (1, Fraction(2))])
+def test_instance_rejects_inexact_capacities(b):
+    # a float or bool capacity used to build, and emit_instance then wrote a
+    # vertex line that parse_instance rejects
+    with pytest.raises(ValueError, match="is not an int"):
+        Instance(2, b, (Edge(0, 1, 1),))
+
+
 @pytest.mark.parametrize("values", [(0.5, 0.5, 0.0), (Fraction(1), False, 0), (1, "1", 0)])
 def test_allocation_rejects_inexact_entries(values):
     # a float entry used to reach separation.integer_costs as AttributeError
