@@ -12,6 +12,7 @@ re-verified against every constraint before it is returned.
 """
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, TextIO
@@ -238,12 +239,12 @@ class _Tableau:
         for row, b in zip(self.rows, self.basis):
             _eliminate(cost, row, b)
 
-    def _bland(self, cost: dict, bound: int) -> str:
-        """Run Bland's rule over the columns below `bound` to optimality;
-        returns 'optimal' or 'unbounded'."""
+    def _bland(self, cost: dict) -> str:
+        """Run Bland's rule over every column to optimality; returns
+        'optimal' or 'unbounded'."""
         total = self.total
         while True:
-            enter = min((j for j, x in cost.items() if j < bound and x < 0), default=-1)
+            enter = min((j for j, x in cost.items() if j < total and x < 0), default=-1)
             if enter < 0:
                 return "optimal"
             leave = -1
@@ -267,7 +268,7 @@ class _Tableau:
         """Minimize the artificial sum; True iff the system is feasible."""
         cost = dict.fromkeys(range(self.first_art, self.total), _ONE)
         self._price(cost)
-        if self._bland(cost, self.total) != "optimal":  # bounded below by 0
+        if self._bland(cost) != "optimal":  # bounded below by 0
             raise InvariantError("phase-1 objective came out unbounded")
         if cost.get(self.total):
             return False
@@ -284,6 +285,10 @@ class _Tableau:
         return True
 
     def phase2(self) -> tuple[str, Optional[Fraction]]:
+        # after phase 1 every artificial is nonbasic at zero and may not
+        # re-enter, so its column leaves the tableau
+        art = range(self.first_art, self.total)
+        self.rows = [{j: x for j, x in row.items() if j not in art} for row in self.rows]
         obj = self.sys.objective or {}
         cost = {}
         for j, (v, sign) in enumerate(self.cols):
@@ -292,7 +297,7 @@ class _Tableau:
                 c = _exact(c)
                 cost[j] = c if sign > 0 else -c
         self._price(cost)
-        if self._bland(cost, self.first_art) == "unbounded":
+        if self._bland(cost) == "unbounded":
             return "unbounded", None
         return "optimal", -cost.get(self.total, _ZERO)
 
@@ -359,7 +364,25 @@ def simplex_solve(system: ConstraintSystem) -> SimplexResult:
 # coefficient without a finite decimal expansion moves to an extension line
 # "\X name: 1/3 x + ... <= 2/3" that external parsers skip as a comment.
 # Informational "\ exact" comments carry the fraction form of decimal rows.
+# Variable and constraint names match [A-Za-z_][A-Za-z0-9_]*, so no name can
+# read as a number, an operator, a separator or two tokens.
 # ---------------------------------------------------------------------------
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _check_names(system: ConstraintSystem) -> None:
+    """Raise ValueError naming the first variable, then constraint, name
+    that `parse_lp` could not read back."""
+    for kind, names in (
+        ("variable", system.variables),
+        ("constraint", (con.name for con in system.constraints)),
+    ):
+        for name in names:
+            if not _NAME_RE.fullmatch(name):
+                raise ValueError(
+                    f"{kind} name {name!r} does not match [A-Za-z_][A-Za-z0-9_]*"
+                )
 
 
 def _decimal_places(den: int) -> Optional[int]:
@@ -423,8 +446,10 @@ def _row_kind(values) -> str:
 
 def emit_lp(system: ConstraintSystem, sink: TextIO) -> None:
     """Write the system deterministically in LP format (see module notes).
-    Raises ValueError if the objective uses an undeclared variable."""
+    Raises ValueError if the objective uses an undeclared variable or a
+    name breaks the name grammar."""
     _check_objective(system)
+    _check_names(system)
     order = system.variables
     pos = {v: i for i, v in enumerate(order)}
     w = sink.write
@@ -524,7 +549,7 @@ def parse_lp(source) -> ConstraintSystem:
         stripped = line.strip()
         if stripped.startswith("\\X"):
             body = stripped[2:].strip()
-            if section == "minimize" or body.startswith("obj:"):
+            if section == "minimize":
                 obj_override = _parse_term_list(body.partition(":")[2], "objective")
             else:
                 cname, coeffs, rel, rhs = _parse_constraint_line(body, body)

@@ -6,6 +6,7 @@ point is used anywhere a decision depends on arithmetic.
 
 import random
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -67,8 +68,17 @@ def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+class GraphError(ValueError):
+    """A graph that is not simple. `edge` is the position of the offending
+    edge in the edge sequence, or None when the vertices repeat."""
+
+    def __init__(self, message: str, edge: Optional[int] = None):
+        self.edge = edge
+        super().__init__(message)
+
+
 def check_simple_graph(vertices: Sequence, edges: Iterable[Sequence]) -> None:
-    """Raise ValueError unless `vertices` are distinct and each edge, a
+    """Raise GraphError unless `vertices` are distinct and each edge, a
     sequence opening with its endpoints (u, v, ...), joins two distinct
     vertices of `vertices` that no earlier edge joins.
 
@@ -76,17 +86,28 @@ def check_simple_graph(vertices: Sequence, edges: Iterable[Sequence]) -> None:
     """
     known = set(vertices)
     if len(known) != len(vertices):
-        raise ValueError("duplicate vertices")
+        raise GraphError("duplicate vertices")
     seen = set()
-    for e in edges:
+    for k, e in enumerate(edges):
         u, v = e[0], e[1]
         if u not in known or v not in known:
-            raise ValueError(f"unknown vertex in edge {u}-{v}")
+            raise GraphError(f"unknown vertex in edge {u}-{v}", k)
         if u == v:
-            raise ValueError(f"loop at vertex {u}")
+            raise GraphError(f"loop at vertex {u}", k)
         if (u, v) in seen or (v, u) in seen:
-            raise ValueError(f"duplicate edge {u}-{v}")
+            raise GraphError(f"duplicate edge {u}-{v}", k)
         seen.add((u, v))
+
+
+@contextmanager
+def edge_lines_blamed(edge_lines):
+    """Turn a GraphError on an edge into a FormatError, with the same text,
+    on the line that edge was read from (`edge_lines` are the edges'
+    (line number, text) pairs, in edge order)."""
+    try:
+        yield
+    except GraphError as err:
+        raise FormatError(str(err), edge_lines[err.edge][0]) from None
 
 
 @dataclass(frozen=True)
@@ -155,6 +176,12 @@ class Instance:
     def n2(self) -> tuple[int, ...]:
         """Vertices with capacity 2, ascending."""
         return tuple(v for v in range(self.n) if self.b[v] == 2)
+
+    @cached_property
+    def e2(self) -> tuple[int, ...]:
+        """Indices of the edges joining two capacity-2 vertices, ascending."""
+        b = self.b
+        return tuple(i for i, e in enumerate(self.edges) if b[e.u] == 2 == b[e.v])
 
     def total_weight(self) -> Fraction:
         return sum((e.w for e in self.edges), Fraction(0))
@@ -244,27 +271,16 @@ def _content_lines(text: str):
             yield no, line
 
 
-def parse_edge_lines(lines, n: int, value: str):
-    """Read "edge <u> <v> <value>" lines of a graph on vertices 0..n-1.
-
-    Yields (line number, u, v, rational) per line; raises FormatError, with
-    the line number, on a malformed line, an unknown vertex, a loop or a
-    repeated edge in either orientation.
-    """
-    seen: set[tuple[int, int]] = set()
+def parse_edge_lines(lines, value: str):
+    """Read "edge <u> <v> <value>" lines: yields (line number, u, v,
+    rational) per line; raises FormatError, with the line number, on a
+    malformed line. Whether the edges form a simple graph is
+    `check_simple_graph`'s to decide (see `edge_lines_blamed`)."""
     for no, line in lines:
         parts = line.split()
         if len(parts) != 4 or parts[0] != "edge":
             raise FormatError(f"expected 'edge <u> <v> <{value}>'", no)
         u, v = parse_uint(parts[1], no), parse_uint(parts[2], no)
-        if not (u < n and v < n):
-            raise FormatError(f"unknown vertex in edge {u}-{v}", no)
-        if u == v:
-            raise FormatError(f"loop at vertex {u}", no)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise FormatError(f"duplicate edge {u}-{v}", no)
-        seen.add(key)
         yield no, u, v, parse_rational(parts[3], no)
 
 
@@ -306,11 +322,12 @@ def parse_instance(text: str) -> Instance:
         b[vid] = bv
 
     edges: list[Edge] = []
-    for no, u, v, w in parse_edge_lines(lines[1 + n :], n, "w"):
+    for no, u, v, w in parse_edge_lines(lines[1 + n :], "w"):
         if w < 0:
             raise FormatError(f"negative weight on edge {u}-{v}", no)
         edges.append(Edge(u, v, w))
-    return Instance(n=n, b=tuple(b[i] for i in range(n)), edges=tuple(edges))
+    with edge_lines_blamed(lines[1 + n :]):
+        return Instance(n=n, b=tuple(b[i] for i in range(n)), edges=tuple(edges))
 
 
 def emit_instance(inst: Instance) -> str:

@@ -25,6 +25,7 @@ from .model import (
     InvariantError,
     _content_lines,
     check_simple_graph,
+    edge_lines_blamed,
     parse_edge_lines,
     parse_header,
 )
@@ -272,8 +273,7 @@ def parse_cost_graph(text: str) -> CostedGraph:
     n, m = parse_header(lines, "costs", "cost-graph")
     if len(lines) != 1 + m:
         raise FormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = parse_edge_lines(lines[1:], n, "c")
-    return CostedGraph(
-        vertices=tuple(range(n)),
-        edges=tuple(CostEdge(u, v, c, k) for k, (_, u, v, c) in enumerate(edges)),
-    )
+    edges = parse_edge_lines(lines[1:], "c")
+    edges = tuple(CostEdge(u, v, c, k) for k, (_, u, v, c) in enumerate(edges))
+    with edge_lines_blamed(lines[1:]):
+        return CostedGraph(vertices=tuple(range(n)), edges=edges)

@@ -10,10 +10,11 @@ re-verifiable certificate.
 The cycle and path stages cost edges in integers. With D = 2·lcm of all
 denominators of p and w, P_v = p_v·D/2 and W_e = w_e·D, an instance edge
 uv costs cost·D = P_u + P_v − W_e and the st edge costs P_s + P_t, where
-cost = (p_u + p_v)/2 − w_uv is the exact transfer cost. Each stage computes
-both vectors once for its allocation, not once per variant, and since D > 0
-every comparison, and so every join, cycle and certificate, is that of the
-exact costs. ν(N) is computed once per `Instance` and dropped with it.
+cost = (p_u + p_v)/2 − w_uv is the exact transfer cost. Each stage costs
+every edge once for its allocation, and G2 and every variant select from
+those edges; since D > 0 every comparison, and so every join, cycle and
+certificate, is that of the exact costs. ν(N) is computed once per
+`Instance` and dropped with it.
 """
 
 import math
@@ -79,18 +80,21 @@ def separate_vertices_edges(inst: Instance, p: Allocation) -> Optional[Violation
 class TransferCosts(NamedTuple):
     """The transfer costs of one allocation, times a positive scale D.
 
-    `half[v]` is P_v = p_v·D/2 and `edge[i]` is P_u + P_v − W_i for instance
-    edge i = uv, with W_i = w_i·D; an artificial st edge (weight 0) costs
-    half[s] + half[t].
+    `half[v]` is P_v = p_v·D/2 and `edges[i]` is instance edge i = uv with
+    cost P_u + P_v − W_i, W_i = w_i·D, and `orig` i; an artificial st edge
+    (weight 0) costs half[s] + half[t].
     """
 
-    edge: tuple[Cost, ...]
+    edges: tuple[CostEdge, ...]
     half: tuple[Cost, ...]
 
 
 def _costs(inst: Instance, half: tuple[Cost, ...], weights) -> TransferCosts:
-    edge = tuple(half[e.u] + half[e.v] - w for e, w in zip(inst.edges, weights))
-    return TransferCosts(edge, half)
+    edges = tuple(
+        CostEdge(e.u, e.v, half[e.u] + half[e.v] - w, i)
+        for i, (e, w) in enumerate(zip(inst.edges, weights))
+    )
+    return TransferCosts(edges, half)
 
 
 def transfer_costs(inst: Instance, p: Allocation) -> TransferCosts:
@@ -112,13 +116,7 @@ def integer_costs(inst: Instance, p: Allocation) -> TransferCosts:
 
 def build_g2(inst: Instance, costs: TransferCosts) -> CostedGraph:
     """Induced subgraph on capacity-2 vertices, costed by `costs`."""
-    members = set(inst.n2)
-    edges = tuple(
-        CostEdge(e.u, e.v, costs.edge[i], i)
-        for i, e in enumerate(inst.edges)
-        if e.u in members and e.v in members
-    )
-    return CostedGraph(vertices=inst.n2, edges=edges)
+    return CostedGraph(vertices=inst.n2, edges=tuple(costs.edges[i] for i in inst.e2))
 
 
 def _cycle_violation(inst: Instance, p: Allocation, g: CostedGraph,
@@ -177,47 +175,38 @@ class VariantStructure:
 def variant_structures(inst: Instance, s: int, t: int) -> list[VariantStructure]:
     """Variant skeletons for the unordered endpoint pair {s, t}.
 
-    One variant when both endpoints have capacity 2; one per kept edge at a
-    capacity-1 endpoint; the (kept_s, kept_t) product when both have
-    capacity 1. Empty when a capacity-1 endpoint has no non-st edge.
+    Every variant keeps the capacity-2 subgraph's edges except st. A
+    capacity-1 endpoint adds one kept edge to a capacity-2 vertex (not st),
+    one variant per choice in edge-index order; both capacity-1 gives the
+    (kept_s, kept_t) product, and no choice at such an endpoint gives none.
     """
     if s == t:
         raise ValueError("endpoints must differ")
     s, t = min(s, t), max(s, t)
-    members = set(inst.n2) | {s, t}
+    st = inst.find_edge(s, t)
+    base = [i for i in inst.e2 if i != st]
+    vertices = tuple(sorted({*inst.n2, s, t}))
 
-    base_ids = [
-        i
-        for i, e in enumerate(inst.edges)
-        if e.u in members and e.v in members and {e.u, e.v} != {s, t}
+    def choices(x: int) -> list[Optional[int]]:
+        if inst.b[x] == 2:
+            return [None]
+        return [
+            i for i in inst.incident(x)
+            if i != st and inst.b[inst.edges[i].other(x)] == 2
+        ]
+
+    return [
+        VariantStructure(
+            vertices=vertices,
+            edge_ids=tuple(sorted(base + [k for k in (ks, kt) if k is not None])),
+            s=s,
+            t=t,
+            kept_s=ks,
+            kept_t=kt,
+        )
+        for ks in choices(s)
+        for kt in choices(t)
     ]
-    at_s = [i for i in base_ids if s in (inst.edges[i].u, inst.edges[i].v)]
-    at_t = [i for i in base_ids if t in (inst.edges[i].u, inst.edges[i].v)]
-    keep_s_choices = [None] if inst.b[s] == 2 else at_s
-    keep_t_choices = [None] if inst.b[t] == 2 else at_t
-
-    out: list[VariantStructure] = []
-    for ks in keep_s_choices:
-        for kt in keep_t_choices:
-            ids = []
-            for i in base_ids:
-                e = inst.edges[i]
-                if ks is not None and s in (e.u, e.v) and i != ks:
-                    continue
-                if kt is not None and t in (e.u, e.v) and i != kt:
-                    continue
-                ids.append(i)
-            out.append(
-                VariantStructure(
-                    vertices=tuple(sorted(members)),
-                    edge_ids=tuple(ids),
-                    s=s,
-                    t=t,
-                    kept_s=ks,
-                    kept_t=kt,
-                )
-            )
-    return out
 
 
 def realize_variant(inst: Instance, costs: TransferCosts,
@@ -227,13 +216,8 @@ def realize_variant(inst: Instance, costs: TransferCosts,
     The st edge comes last and is the graph's marker; it has weight 0, so its
     cost is half[s] + half[t].
     """
-    edges = [
-        CostEdge(inst.edges[i].u, inst.edges[i].v, costs.edge[i], i)
-        for i in struct.edge_ids
-    ]
-    edges.append(
-        CostEdge(struct.s, struct.t, costs.half[struct.s] + costs.half[struct.t], None)
-    )
+    edges = [costs.edges[i] for i in struct.edge_ids]
+    edges.append(CostEdge(struct.s, struct.t, costs.half[struct.s] + costs.half[struct.t]))
     return CostedGraph(
         vertices=struct.vertices, edges=tuple(edges), marker=len(edges) - 1
     )
@@ -267,10 +251,14 @@ def separate_paths(inst: Instance, p: Allocation) -> Optional[Violation]:
     return next(_path_violations(inst, p), None)
 
 
-def separate(inst: Instance, p: Allocation) -> SeparationVerdict:
-    """Full core separation: total value, vertices/edges, cycles, paths."""
+def _check_length(inst: Instance, p: Allocation) -> None:
     if len(p) != inst.n:
         raise ValueError("allocation length differs from the vertex count")
+
+
+def separate(inst: Instance, p: Allocation) -> SeparationVerdict:
+    """Full core separation: total value, vertices/edges, cycles, paths."""
+    _check_length(inst, p)
     for stage in (
         check_total_value,
         separate_vertices_edges,
@@ -288,6 +276,7 @@ def separate_all(inst: Instance, p: Allocation) -> list[Violation]:
     first. Order: total value, vertices, edges, the cycle family, then each
     endpoint pair/variant; a violation found again (a marker-free cycle lies
     in many variants) is kept only where it first appeared."""
+    _check_length(inst, p)
     found = chain(
         [check_total_value(inst, p)],
         _vertex_edge_violations(inst, p),

@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -298,6 +299,40 @@ def test_roundtrip_preserves_order_and_names():
     assert back == s
 
 
+def test_roundtrip_extension_row_named_obj():
+    # a "\X obj: ..." row under Subject To is a constraint, not the objective
+    s = system([({"x": Fraction(1, 3)}, "<=", 1)], objective={"x": Fraction(1)})
+    s.constraints[0] = Constraint("obj", {"x": Fraction(1, 3)}, "<=", 1)
+    assert roundtrip(s) == s
+
+
+@pytest.mark.parametrize(
+    "variables, row, bad",
+    [
+        (["x-1"], "c", "variable name 'x-1'"),
+        (["x y"], "c", "variable name 'x y'"),
+        (["3x"], "c", "variable name '3x'"),
+        (["x", "é"], "c", "variable name 'é'"),
+        (["x"], "a:b", "constraint name 'a:b'"),
+        (["x"], "", "constraint name ''"),
+        (["x-1"], "a:b", "variable name 'x-1'"),
+    ],
+    ids=["minus", "space", "digit-first", "non-ascii", "colon", "empty", "variables-first"],
+)
+def test_emit_rejects_unreadable_names(variables, row, bad):
+    # each of these used to be written and then fail to parse back
+    s = ConstraintSystem(variables=variables)
+    s.add_constraint(row, {variables[0]: 1}, "<=", 1)
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        emit_lp(s, io.StringIO())
+
+
+def test_emit_accepts_grammar_names():
+    s = ConstraintSystem(variables=["_", "x_e0_1_2", "Z9"])
+    s.add_constraint("r_0", {"_": 1, "Z9": -1}, "=", 0)
+    assert roundtrip(s) == s
+
+
 def test_parse_rejects_maximize():
     with pytest.raises(ValueError):
         parse_lp("Maximize\n obj: x\nSubject To\n c: x <= 1\nBounds\n x free\nEnd\n")
@@ -396,6 +431,34 @@ def test_dual_results_pinned():
 def test_pivot_count_pinned():
     _, _, pivots = _pinned_corpus_run()
     assert pivots == CORPUS_PIVOTS
+
+
+def test_phase2_eliminates_no_artificial_column(monkeypatch):
+    # after phase 1 no artificial is basic or may re-enter, so phase 2 works
+    # without their columns (the pivots are pinned above)
+    current = None
+    steps = []
+    phase2, eliminate = linsys._Tableau.phase2, linsys._eliminate
+
+    def tracked(self):
+        nonlocal current
+        current = self
+        try:
+            return phase2(self)
+        finally:
+            current = None
+
+    def counted(row, prow, c):
+        if current is not None:
+            steps.append(any(current.first_art <= j < current.total for j in prow))
+        eliminate(row, prow, c)
+
+    monkeypatch.setattr(linsys._Tableau, "phase2", tracked)
+    monkeypatch.setattr(linsys, "_eliminate", counted)
+    for i in range(12):
+        g = random_cost_graph(random.Random(8100 + i), 3 + i % 4, density=0.5, cmax=6)
+        simplex_solve(extform.build_flow_primal(g))
+    assert len(steps) > 100 and not any(steps)
 
 
 SETUP_DIGEST = "fec06da9de236e31b679531d996b90308195c971e6d1d9f30423da533746644e"

@@ -291,6 +291,39 @@ def test_validator_rejects_malformed_graphs(case, target):
     assert not isinstance(exc.value, NoPerfectMatchingError)
 
 
+def test_graph_error_names_the_edge_position():
+    for vertices, edges, _, _, targets in BAD_GRAPHS.values():
+        if "Instance" in targets:
+            with pytest.raises(model.GraphError) as exc:
+                model.check_simple_graph(vertices, edges)
+            assert exc.value.edge == 2
+    with pytest.raises(model.GraphError) as exc:
+        model.check_simple_graph([0, 0], [])
+    assert exc.value.edge is None
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("edge 1 3 1", "unknown vertex in edge 1-3"),
+        ("edge 2 2 1", "loop at vertex 2"),
+        ("edge 2 1 1", "duplicate edge 2-1"),
+    ],
+    ids=["unknown-vertex", "loop", "duplicate-edge"],
+)
+def test_graph_defects_report_their_file_line(bad, message):
+    # the parsers leave graph rules to check_simple_graph and map the
+    # offending edge's position back to its line, past comments and blanks
+    body = f"# edges\nedge 0 1 1\n\n# gap\nedge 1 2 1\n{bad}  # here\n"
+    game = "game 3 3\nvertex 0 2\nvertex 1 2\nvertex 2 1\n" + body
+    with pytest.raises(FormatError) as exc:
+        parse_instance(game)
+    assert str(exc.value) == f"line 10: {message}"
+    with pytest.raises(FormatError) as exc:
+        parse_cost_graph("costs 3 3\n" + body)
+    assert str(exc.value) == f"line 7: {message}"
+
+
 def test_validator_accepts_the_repaired_graph():
     vertices, edges, weights = [0, 1, 2, 3], [(0, 1), (2, 3)], [1, 1]
     for target, build in VALIDATED.items():

@@ -1,4 +1,6 @@
+import collections
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -262,6 +264,14 @@ def test_separate_rejects_wrong_length(counterexample):
         separate(counterexample, alloc(0, 0))
 
 
+@pytest.mark.parametrize("length", [3, 7])
+def test_separate_all_rejects_wrong_length(counterexample, length):
+    # a short allocation used to raise IndexError, a long one to be read as
+    # if its extra entries belonged to the game (p(N) = 7 with 7 ones)
+    with pytest.raises(ValueError, match="length"):
+        separate_all(counterexample, alloc(*[1] * length))
+
+
 def test_separate_paths_defensive_cycle_branch():
     # calling path separation with cycle constraints still violated (a caller
     # error) must surface a marker-free negative cycle as a Cycle violation:
@@ -319,3 +329,124 @@ def test_cycle_and_path_stages_run_on_ints(monkeypatch):
         separate_cycles(inst, p)
         separate_paths(inst, p)
     assert len(seen) > 100 and all(seen)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the m-edge scan that built the variant family before every edge was
+# costed once per allocation; kept here to pin that family.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_costs(inst, p, scaled):
+    """(edge cost tuple, half tuple) the way transfer_costs/integer_costs did."""
+    if scaled:
+        lcm = math.lcm(
+            *(x.denominator for x in p.values), *(e.w.denominator for e in inst.edges)
+        )
+        half = tuple(x.numerator * (lcm // x.denominator) for x in p.values)
+        weights = [2 * e.w.numerator * (lcm // e.w.denominator) for e in inst.edges]
+    else:
+        half = tuple(x / 2 for x in p.values)
+        weights = [e.w for e in inst.edges]
+    edge = tuple(half[e.u] + half[e.v] - w for e, w in zip(inst.edges, weights))
+    return edge, half
+
+
+def _oracle_g2(inst, edge_cost):
+    members = set(inst.n2)
+    edges = tuple(
+        negcycle.CostEdge(e.u, e.v, edge_cost[i], i)
+        for i, e in enumerate(inst.edges)
+        if e.u in members and e.v in members
+    )
+    return negcycle.CostedGraph(vertices=inst.n2, edges=edges)
+
+
+def _oracle_structures(inst, s, t):
+    s, t = min(s, t), max(s, t)
+    members = set(inst.n2) | {s, t}
+    base_ids = [
+        i
+        for i, e in enumerate(inst.edges)
+        if e.u in members and e.v in members and {e.u, e.v} != {s, t}
+    ]
+    at_s = [i for i in base_ids if s in (inst.edges[i].u, inst.edges[i].v)]
+    at_t = [i for i in base_ids if t in (inst.edges[i].u, inst.edges[i].v)]
+    keep_s_choices = [None] if inst.b[s] == 2 else at_s
+    keep_t_choices = [None] if inst.b[t] == 2 else at_t
+    out = []
+    for ks in keep_s_choices:
+        for kt in keep_t_choices:
+            ids = []
+            for i in base_ids:
+                e = inst.edges[i]
+                if ks is not None and s in (e.u, e.v) and i != ks:
+                    continue
+                if kt is not None and t in (e.u, e.v) and i != kt:
+                    continue
+                ids.append(i)
+            out.append(
+                separation.VariantStructure(
+                    vertices=tuple(sorted(members)),
+                    edge_ids=tuple(ids),
+                    s=s,
+                    t=t,
+                    kept_s=ks,
+                    kept_t=kt,
+                )
+            )
+    return out
+
+
+def _oracle_realize(inst, edge_cost, half, struct):
+    edges = [
+        negcycle.CostEdge(inst.edges[i].u, inst.edges[i].v, edge_cost[i], i)
+        for i in struct.edge_ids
+    ]
+    edges.append(
+        negcycle.CostEdge(struct.s, struct.t, half[struct.s] + half[struct.t], None)
+    )
+    return negcycle.CostedGraph(
+        vertices=struct.vertices, edges=tuple(edges), marker=len(edges) - 1
+    )
+
+
+def _shuffled_instance(rng):
+    """Random game, n = 2…12, with edges in random order and orientation,
+    mixed capacity mixes and integer or half/third weights."""
+    n = rng.randint(2, 12)
+    p2 = rng.choice((0.0, 0.25, 0.5, 0.75, 1.0))
+    b = tuple(2 if rng.random() < p2 else 1 for _ in range(n))
+    density = rng.choice((0.2, 0.5, 0.8, 1.0))
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                a, c = (u, v) if rng.random() < 0.5 else (v, u)
+                edges.append(model.Edge(a, c, Fraction(rng.randint(0, 9), rng.choice((1, 2, 3)))))
+    rng.shuffle(edges)
+    return model.Instance(n=n, b=b, edges=tuple(edges))
+
+
+def test_variant_family_matches_edge_scan_oracle():
+    rng = random.Random(7)
+    pairs = 0
+    kept = collections.Counter()  # variants by how many endpoints keep an edge
+    for case in range(1000):
+        inst = _shuffled_instance(rng)
+        p = random_allocation(rng, inst)
+        scaled = case % 2 == 0
+        costs = (separation.integer_costs if scaled else transfer_costs)(inst, p)
+        edge_cost, half = _oracle_costs(inst, p, scaled)
+        assert build_g2(inst, costs) == _oracle_g2(inst, edge_cost)
+        for s in range(inst.n):
+            for t in range(s + 1, inst.n):
+                structs = variant_structures(inst, s, t)
+                assert structs == _oracle_structures(inst, s, t)
+                assert variant_structures(inst, t, s) == structs
+                graphs = variants(inst, costs, s, t)
+                assert graphs == [_oracle_realize(inst, edge_cost, half, st) for st in structs]
+                pairs += 1
+                kept.update((st.kept_s is not None) + (st.kept_t is not None) for st in structs)
+    assert pairs > 25_000 and min(kept[0], kept[1], kept[2]) > 5_000
+
