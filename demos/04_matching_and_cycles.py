@@ -38,13 +38,16 @@ print("nu(triangle) =", nu(inst, [0, 1, 2]))
 print()
 
 # Under the hood the instance expands into a gadget graph: capacity-many
-# copies of each vertex, a 3-edge path per original edge, and one plain
-# maximum-weight matching. The identity below is asserted on every solve.
+# copies of each vertex, a 3-edge path per edge joining two capacity-2
+# vertices (the set E22, here the triangle), a direct edge between copies for
+# every other edge, and one plain maximum-weight matching. The identity below
+# is checked on every solve.
 vertices, edges, weights = build_gadget(inst)
 gstar = max_weight_matching(vertices, edges, weights)
+gadgeted = sum(inst.edges[i].w for i in inst.e2)
 print(f"gadget: {len(vertices)} vertices, {len(edges)} edges")
-print(f"maxWeight(G*) = {gstar.weight} = w(E) + w(M) = "
-      f"{inst.total_weight()} + {best.weight}")
+print(f"maxWeight(G*) = {gstar.weight} = w(E22) + w(M) = "
+      f"{gadgeted} + {best.weight}")
 print()
 
 # Negative cycles: flip the negative edges, repair parity with a minimum

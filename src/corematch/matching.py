@@ -4,9 +4,11 @@ The blossom engine is networkx's primal-dual implementation, run on weights
 scaled to integers so every comparison is exact. On top of it this module
 implements deterministic tie-breaking (the optimum whose sorted edge-index
 tuple is lexicographically smallest), minimum-weight perfect matching, and
-maximum-weight b-matching through a vertex/edge gadget expansion.
+maximum-weight b-matching through a vertex/edge gadget expansion on dense int
+nodes, in which only edges joining two capacity-2 vertices get a gadget.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,13 +41,17 @@ def _scale_to_int(weights: Iterable[Fraction]) -> list[int]:
     return [int(w * denom) for w in ws]
 
 
-def _solve_pairs(edges, int_weights, maxcardinality):
-    """Run the blossom engine; returns the matched pairs as a set of frozensets."""
+def _blossom(edges, int_weights, maxcardinality):
+    """Run the blossom engine; returns the matched node pairs as tuples."""
     g = nx.Graph()
     for i, (u, v) in enumerate(edges):
         g.add_edge(u, v, weight=int_weights[i])
-    mate = nx.max_weight_matching(g, maxcardinality=maxcardinality)
-    return {frozenset(p) for p in mate}
+    return nx.max_weight_matching(g, maxcardinality=maxcardinality)
+
+
+def _solve_pairs(edges, int_weights, maxcardinality):
+    """Run the blossom engine; returns the matched pairs as a set of frozensets."""
+    return {frozenset(p) for p in _blossom(edges, int_weights, maxcardinality)}
 
 
 def _pairs_weight(edges, weights, pairs) -> Fraction:
@@ -159,67 +165,73 @@ def min_weight_perfect_matching(vertices, edges, weights) -> MatchingResult:
 # ---------------------------------------------------------------------------
 # b-matching via the gadget expansion.
 #
-# Each vertex v becomes cap_v copies; each edge e=uv becomes a 3-edge path
-# u_i .. e_u - e_v .. v_j with all gadget edges weighing w_e. A maximum
+# Vertex v becomes caps_v copies. An edge e = uv whose endpoints both have
+# capacity 2 becomes Tutte's 3-edge path u_i .. e_u - e_v .. v_j with every
+# gadget edge weighing w_e (Schrijver, Combinatorial Optimization, ch. 31-32).
+# Any other edge has an endpoint with one copy (or none), so it can be used
+# at most once anyway: it joins the copies of u and v directly. A maximum
 # matching covers each gadget with value >= w_e, so half-used gadgets are
-# value-neutral and the identity maxWeight(G*) = w(E) + w(M) holds, where M
-# is the set of gadgets matched to vertex copies on both sides.
+# value-neutral and the identity maxWeight(G*) = w(E22) + w(M) holds, where
+# E22 is the set of gadgeted edges and M holds the gadgets matched to vertex
+# copies on both sides and the matched direct edges.
 # ---------------------------------------------------------------------------
 
 
-def build_gadget(inst: Instance, allowed: Optional[set[int]] = None,
+def build_gadget(inst: Instance, allowed: Optional[Iterable[int]] = None,
                  caps: Optional[Sequence[int]] = None):
     """Gadget graph for max-weight b-matching restricted to `allowed` edges
-    and per-vertex capacities `caps` (defaults: all edges, caps = b).
+    and per-vertex capacities `caps` in {0, 1, 2} (defaults: all edges,
+    caps = b).
 
-    Returns (vertices, edges, weights); vertex-copy nodes are ('v', v, i) and
-    edge-gadget nodes are ('e', idx, side).
+    Returns (vertices, edges, weights) on dense int nodes: vertex v's copies
+    are offset_v .. offset_v + caps_v - 1 with offset_v = caps_0 + ... +
+    caps_(v-1), and the k-th gadgeted edge in index order has the nodes
+    e_u = sum(caps) + 2k and e_v = e_u + 1.
     """
-    caps = list(inst.b) if caps is None else list(caps)
-    if allowed is None:
-        allowed = set(range(inst.m))
-    vertices = []
-    for v in range(inst.n):
-        vertices.extend(("v", v, i) for i in range(caps[v]))
+    caps = inst.b if caps is None else caps
+    offset = list(itertools.accumulate(caps, initial=0))
+    node = offset[-1]
     edges = []
     weights = []
-    for idx in sorted(allowed):
-        e = inst.edges[idx]
-        eu, ev = ("e", idx, 0), ("e", idx, 1)
-        vertices.extend((eu, ev))
-        for i in range(caps[e.u]):
-            edges.append((("v", e.u, i), eu))
-            weights.append(e.w)
-        edges.append((eu, ev))
-        weights.append(e.w)
-        for j in range(caps[e.v]):
-            edges.append((ev, ("v", e.v, j)))
-            weights.append(e.w)
-    return vertices, edges, weights
+    for idx in range(inst.m) if allowed is None else sorted(allowed):
+        u, v, w = inst.edges[idx]
+        us, vs = range(offset[u], offset[u + 1]), range(offset[v], offset[v + 1])
+        if len(us) == len(vs) == 2:
+            eu, ev = node, node + 1
+            node += 2
+            pairs = [(us[0], eu), (us[1], eu), (eu, ev), (ev, vs[0]), (ev, vs[1])]
+        else:
+            pairs = [(x, y) for x in us for y in vs]
+        edges += pairs
+        weights += [w] * len(pairs)
+    return list(range(node)), edges, weights
 
 
 def _b_value(inst: Instance, allowed: set[int], caps: Sequence[int]) -> Fraction:
     """Max b-matching weight over `allowed` edges with capacities `caps`.
 
-    Checks the gadget identity maxWeight(G*) = w(allowed) + w(M) before
+    Checks the gadget identity maxWeight(G*) = w(E22) + w(M) before
     returning w(M).
     """
     if not allowed:
         return Fraction(0)
     _, edges, weights = build_gadget(inst, allowed, caps)
-    pairs = _solve_pairs(edges, _scale_to_int(weights), maxcardinality=False)
-    total = _pairs_weight(edges, weights, pairs)
-    mate: dict = {}
-    for p in pairs:
-        a, b = tuple(p)
-        mate[a] = b
-        mate[b] = a
-    value = Fraction(0)
-    for idx in allowed:
-        eu, ev = ("e", idx, 0), ("e", idx, 1)
-        if mate.get(eu, ev) != ev and mate.get(ev, eu) != eu:
-            value += inst.edges[idx].w
-    wall = sum((inst.edges[i].w for i in allowed), Fraction(0))
+    mate = {}
+    for a, c in _blossom(edges, _scale_to_int(weights), maxcardinality=False):
+        mate[a] = c
+        mate[c] = a
+    base = sum(caps)  # the first gadget node
+    total = wall = value = Fraction(0)
+    for (a, c), w in zip(edges, weights):
+        matched = mate.get(a) == c
+        if matched:
+            total += w
+        if a >= base and c >= base:  # the middle edge e_u - e_v of a gadget
+            wall += w
+            if not matched and a in mate and c in mate:  # the gadget is fully used
+                value += w
+        elif matched and a < base and c < base:  # a direct edge
+            value += w
     if total != wall + value:
         raise InvariantError("gadget identity violated")
     return value

@@ -142,6 +142,15 @@ class Instance:
             if e.w < 0:
                 raise ValueError(f"negative weight on edge {e.u}-{e.v}")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the fields __eq__ compares, hashed once: hashing an edge hashes its
+        # Fraction weight, and the per-instance nu(N) cache hashes on every lookup
+        return hash((self.n, self.b, self.edges))
+
     @property
     def m(self) -> int:
         return len(self.edges)

@@ -14,7 +14,7 @@ STDOUT_SHA256 = {
     "01_separation.py": "99c07eee28c6666ee55a45ce72801a9d5d2111aa13c0d82ccf9e47fceac13f22",
     "02_flawed_scan.py": "45200d86afa7cffb7f8a11d56ef51935bc26a09fcc46f1511fb63bbdaf4f4cba",
     "03_extended_formulation.py": "a39cff66260e2b06989b6c542d5c430a7aa9a22779f9f74da26e827f57280a14",
-    "04_matching_and_cycles.py": "099f59b6d71cadb7fa531139818a33e35513a6b0f9034178dfd01e14b6dd84dc",
+    "04_matching_and_cycles.py": "6c599e15649ef4e3bf9c3542a010774874c45f6fad5c76ff06c616438831d55f",
 }
 
 

@@ -71,3 +71,33 @@ def test_bad_simplex_witness_raises_under_dash_o():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "feasible\nraised: simplex witness failed re-verification\n"
+
+
+def test_gadget_identity_raises_under_dash_o():
+    # K4 with every capacity 2: a best b-matching is a 4-cycle, so the two
+    # unused edges each leave their gadget's middle edge e_u - e_v matched.
+    # Dropping one of those (weight 1) from the blossom's matching breaks
+    # maxWeight(G*) = w(E22) + nu.
+    out = run_optimized(
+        "from corematch import matching, parse_instance\n"
+        "from corematch.model import InvariantError\n"
+        "assert False, 'asserts must be stripped here'\n"
+        "inst = parse_instance('game 4 6\\n' + ''.join(f'vertex {v} 2\\n' for v in range(4))\n"
+        "    + 'edge 0 1 1\\nedge 0 2 1\\nedge 0 3 1\\nedge 1 2 1\\nedge 1 3 1\\nedge 2 3 1\\n')\n"
+        "print(matching.b_matching_value(inst))\n"
+        "real = matching._blossom\n"
+        "def corrupted(edges, int_weights, maxcardinality):\n"
+        "    pairs = set(real(edges, int_weights, maxcardinality))\n"
+        "    weight = dict(zip(edges, int_weights))\n"
+        "    # nodes 0..7 are the vertex copies, 8 and up the gadget nodes\n"
+        "    middle = sorted(p for p in pairs if min(p) >= 8 and weight[tuple(sorted(p))] > 0)\n"
+        "    pairs.discard(middle[0])\n"
+        "    return pairs\n"
+        "matching._blossom = corrupted\n"
+        "try:\n"
+        "    matching.b_matching_value(inst)\n"
+        "except InvariantError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "4\nraised: gadget identity violated\n"

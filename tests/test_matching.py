@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -16,6 +18,8 @@ from corematch.matching import (
     nu,
 )
 from corematch.model import random_instance
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def enumerate_matchings(n, edges):
@@ -187,13 +191,144 @@ def test_nu_rejects_unknown_vertices():
         nu(inst, [0, 5])
 
 
+def gadgeted_weight(inst):
+    """w(E22): the weight of the edges joining two capacity-2 vertices, the
+    only edges the gadget expands."""
+    return sum((inst.edges[i].w for i in inst.e2), Fraction(0))
+
+
 def test_gadget_identity_property():
     rng = random.Random(11)
     for _ in range(30):
         inst = random_instance(rng.randint(0, 10**6), rng.randint(1, 6), Fraction(1, 2), 10)
         vertices, edges, weights = build_gadget(inst)
         gstar = max_weight_matching(vertices, edges, weights)
-        assert gstar.weight == inst.total_weight() + b_matching_value(inst)
+        assert gstar.weight == gadgeted_weight(inst) + b_matching_value(inst)
+
+
+def test_gadget_expands_only_capacity_two_edges():
+    # counterexample: 2-3 is the only edge between capacity-2 vertices
+    inst = model.parse_instance(
+        "game 5 4\nvertex 0 1\nvertex 1 1\nvertex 2 2\nvertex 3 2\nvertex 4 1\n"
+        "edge 0 2 1\nedge 1 2 1\nedge 2 3 10\nedge 3 4 1\n"
+    )
+    vertices, edges, weights = build_gadget(inst)
+    # copies 0 | 1 | 2 3 | 4 5 | 6, then the gadget nodes 7 and 8 of edge 2
+    assert vertices == list(range(9))
+    assert edges == [(0, 2), (0, 3), (1, 2), (1, 3),
+                     (2, 7), (3, 7), (7, 8), (8, 4), (8, 5), (4, 6), (5, 6)]
+    assert weights == [1] * 4 + [10] * 5 + [1] * 2
+    # capacity 0 drops a vertex's edges; capacity 1 leaves one copy
+    _, edges, _ = build_gadget(inst, {0, 1, 2}, [1, 0, 1, 2, 1])
+    assert edges == [(0, 1), (1, 2), (1, 3)]
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the full gadget, which expands every edge, with its identity
+# maxWeight(G*) = w(E) + w(M).
+# ---------------------------------------------------------------------------
+
+
+def full_gadget(inst, allowed, caps):
+    vertices = []
+    for v in range(inst.n):
+        vertices.extend(("v", v, i) for i in range(caps[v]))
+    edges = []
+    weights = []
+    for idx in sorted(allowed):
+        e = inst.edges[idx]
+        eu, ev = ("e", idx, 0), ("e", idx, 1)
+        vertices.extend((eu, ev))
+        for i in range(caps[e.u]):
+            edges.append((("v", e.u, i), eu))
+            weights.append(e.w)
+        edges.append((eu, ev))
+        weights.append(e.w)
+        for j in range(caps[e.v]):
+            edges.append((ev, ("v", e.v, j)))
+            weights.append(e.w)
+    return vertices, edges, weights
+
+
+def full_b_value(inst, allowed, caps):
+    """nu over `allowed` at `caps` through the full gadget, checking its
+    identity maxWeight(G*) = w(allowed) + nu on the way."""
+    if not allowed:
+        return Fraction(0)
+    _, edges, weights = full_gadget(inst, allowed, caps)
+    pairs = matching._solve_pairs(edges, matching._scale_to_int(weights), maxcardinality=False)
+    total = matching._pairs_weight(edges, weights, pairs)
+    mate = {}
+    for p in pairs:
+        a, b = tuple(p)
+        mate[a] = b
+        mate[b] = a
+    value = Fraction(0)
+    for idx in allowed:
+        eu, ev = ("e", idx, 0), ("e", idx, 1)
+        if mate.get(eu, ev) != ev and mate.get(ev, eu) != eu:
+            value += inst.edges[idx].w
+    wall = sum((inst.edges[i].w for i in allowed), Fraction(0))
+    assert total == wall + value, "full gadget identity violated"
+    return value
+
+
+def full_b_matching(inst):
+    opt = full_b_value(inst, set(range(inst.m)), inst.b)
+
+    def completion(kept, i):
+        caps = list(inst.b)
+        for j in (*kept, i):
+            caps[inst.edges[j].u] -= 1
+            caps[inst.edges[j].v] -= 1
+        if min(caps) < 0:
+            return None
+        return full_b_value(inst, set(range(i + 1, inst.m)), caps)
+
+    return matching._lex_min(
+        [e.w for e in inst.edges], opt, completion, lambda kept, forced: forced == opt
+    )
+
+
+def oracle_instance(rng, n, share2):
+    """Density-1/2 instance where each vertex has capacity 2 with probability
+    `share2`; weights k/d with k in 0..6 and d in 1..3, so zeros and ties occur."""
+    b = tuple(2 if rng.random() < share2 else 1 for _ in range(n))
+    edges = tuple(
+        model.Edge(u, v, Fraction(rng.randint(0, 6), rng.randint(1, 3)))
+        for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
+    )
+    return model.Instance(n, b, edges)
+
+
+def test_reduced_gadget_matches_full_gadget():
+    rng = random.Random(2024)
+    lex_checked = 0
+    for k in range(210):
+        inst = oracle_instance(rng, 1 + k % 13, (0, Fraction(1, 2), 1)[k % 3])
+        everything = set(range(inst.n))
+        assert nu(inst, everything) == full_b_value(inst, set(range(inst.m)), inst.b)
+        S = {v for v in everything if rng.random() < 0.6}
+        inside = {i for i, e in enumerate(inst.edges) if {e.u, e.v} <= S}
+        assert nu(inst, S) == full_b_value(inst, inside, inst.b)
+        caps = [rng.randint(0, 2) for _ in range(inst.n)]
+        allowed = {i for i in range(inst.m) if rng.random() < 0.7}
+        assert matching._b_value(inst, allowed, caps) == full_b_value(inst, allowed, caps)
+        if inst.m <= 14:
+            assert max_weight_b_matching(inst) == full_b_matching(inst)
+            lex_checked += 1
+    assert lex_checked >= 100
+
+
+def test_nu_at_benchmark_sizes_matches_recorded():
+    # sep-fresh pool entry i is model.random_instance(1_000_000 + i, n, 1/2, 10)
+    # with n = 24, 32, 40 in turn; its nu(N) is recorded in expected.json
+    with open(ROOT / "perfbench" / "expected.json", encoding="utf-8") as fh:
+        recorded = json.load(fh)["sep-fresh"]["nu"]
+    sizes = (24, 32, 40)
+    for i in range(4 * len(sizes)):
+        inst = random_instance(1_000_000 + i, sizes[i % len(sizes)], Fraction(1, 2), 10)
+        assert b_matching_value(inst) == Fraction(recorded[i])
 
 
 def test_nu_equals_bruteforce_all_coalitions():

@@ -312,6 +312,29 @@ def test_grand_value_computed_once_per_instance(monkeypatch):
     assert ref() is None
 
 
+class CountedWeight(Fraction):
+    """A Fraction weight that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        CountedWeight.hashes += 1
+        return super().__hash__()
+
+
+def test_grand_value_lookup_hashes_no_edge():
+    base = random_instance(16, 16, Fraction(1, 2), 10)
+    inst = model.Instance(
+        base.n, base.b, tuple(model.Edge(e.u, e.v, CountedWeight(e.w)) for e in base.edges)
+    )
+    value = separation._grand_value(inst)
+    assert CountedWeight.hashes > 0  # the first lookup hashes the edges
+    CountedWeight.hashes = 0
+    assert separation._grand_value(inst) == value
+    assert hash(inst) == hash(base) and inst == base
+    assert CountedWeight.hashes == 0
+
+
 def test_cycle_and_path_stages_run_on_ints(monkeypatch):
     # rational p and w reach the T-joins as integer costs only
     seen = []
