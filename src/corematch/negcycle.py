@@ -135,6 +135,28 @@ def _path_edges(g: CostedGraph, pred: dict[int, int], source: int, target: int):
     return out
 
 
+def _pairing(T: list[int], dists) -> Optional[list[tuple[int, int]]]:
+    """Pairs (a, b), a < b, of a minimum perfect matching of the sorted,
+    nonempty T under the distances `dists[a][b]` (read from the smaller
+    vertex), or None when no perfect matching exists. A two-vertex T is its
+    own only perfect matching."""
+    medges = []
+    mweights = []
+    for a_pos, a in enumerate(T[:-1]):
+        for b in T[a_pos + 1 :]:
+            if b in dists[a]:
+                medges.append((a, b))
+                mweights.append(dists[a][b])
+    if len(T) == 2:
+        pairs = medges
+    else:
+        # raw solve: any minimum perfect matching will do, and networkx is
+        # deterministic for a fixed construction order
+        matched = matching._min_perfect_pairs(T, medges, mweights)
+        pairs = [] if matched is None else [e for e in medges if frozenset(e) in matched]
+    return pairs if 2 * len(pairs) == len(T) else None
+
+
 def min_t_join(g: CostedGraph, costs: Sequence[Cost], T) -> frozenset[int]:
     """Minimum-cost edge set with odd degree exactly at T (costs >= 0).
 
@@ -157,21 +179,8 @@ def min_t_join(g: CostedGraph, costs: Sequence[Cost], T) -> frozenset[int]:
     for s in T[:-1]:
         dists[s], preds[s] = _dijkstra(g, costs, s)
 
-    medges = []
-    mweights = []
-    for a_pos, a in enumerate(T[:-1]):
-        for b in T[a_pos + 1 :]:
-            if b in dists[a]:
-                medges.append((a, b))
-                mweights.append(dists[a][b])
-    if len(T) == 2:
-        pairs = medges
-    else:
-        # raw solve: any minimum perfect matching will do, and networkx is
-        # deterministic for a fixed construction order
-        matched = matching._min_perfect_pairs(T, medges, mweights)
-        pairs = [] if matched is None else [e for e in medges if frozenset(e) in matched]
-    if 2 * len(pairs) != len(T):
+    pairs = _pairing(T, dists)
+    if pairs is None:
         raise TJoinError("no T-join exists: some component holds an odd number of T-vertices")
 
     join: set[int] = set()
@@ -209,6 +218,46 @@ def min_zero_join(g: CostedGraph) -> tuple[frozenset[int], Cost]:
     if cost > 0:
         raise InvariantError("zero-join cost is positive")
     return J, cost
+
+
+def join_distances(g: CostedGraph) -> Optional[dict[int, dict[int, Cost]]]:
+    """Shortest-path distances d[a][b] between the vertices of g, or None
+    when g has a negative cycle.
+
+    Every edge set with odd degree exactly at {a, b} is E- Δ J for a T'-join
+    J, T' = odd(E-) Δ {a, b}, and costs c(E-) + |c|(J); so d(a, b) =
+    c(E-) + a minimum T'-join on |c|. Without a negative cycle that minimum
+    {a, b}-join costs the shortest a-b path length (Schrijver, Combinatorial
+    Optimization, ch. 29; Sebő 1990), and d[a][a] = 0. One Dijkstra on |c|
+    runs from each vertex; a pair needs a perfect matching only when
+    |T'| > 2. d[a] lacks b when a and b lie in different components.
+    """
+    costs = [abs(e.cost) for e in g.edges]
+    odd: set[int] = set()
+    base = 0
+    for e in g.edges:
+        if e.cost < 0:
+            odd ^= {e.u, e.v}
+            base += e.cost
+    dists = {v: _dijkstra(g, costs, v)[0] for v in g.vertices}
+
+    def distance(T) -> Optional[Cost]:
+        if not T:
+            return base
+        pairs = _pairing(sorted(T), dists)
+        return None if pairs is None else base + sum(dists[a][b] for a, b in pairs)
+
+    zero = distance(odd)
+    if zero is None:
+        raise InvariantError("odd(E-) has no join")
+    if zero < 0:
+        return None
+    d: dict[int, dict[int, Cost]] = {v: {v: 0} for v in g.vertices}
+    for a_pos, a in enumerate(g.vertices):
+        for b in g.vertices[a_pos + 1 :]:
+            if b in dists[a]:
+                d[a][b] = d[b][a] = distance(odd ^ {a, b})
+    return d
 
 
 def decompose_even_subgraph(g: CostedGraph, J) -> list[Cycle]:

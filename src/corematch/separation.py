@@ -2,10 +2,18 @@
 
 The oracle runs four stages in a fixed order: total value, vertex and edge
 constraints, cycle constraints (negative-cycle detection on the capacity-2
-subgraph after transferring the allocation to edge costs), and path
+subgraph G2 after transferring the allocation to edge costs), and path
 constraints (negative-cycle detection on endpoint-variant graphs through an
 artificial st edge). The first violated constraint is returned as an exact,
 re-verifiable certificate.
+
+Once the cycle and edge stages have passed, G2 has no negative cycle, so a
+minimum {a, b}-join in G2 costs the shortest a-b distance, and one set of
+G2 distances per allocation decides for every endpoint pair whether one of
+its variants holds a negative cycle. The path stage therefore searches the
+variants of the flagged pairs only, in the scan order of the full search, so
+the certificates are those the full search finds; called where G2 has a
+negative cycle or a violated edge, it searches every pair.
 
 The cycle and path stages cost edges in integers. With D = 2·lcm of all
 denominators of p and w, P_v = p_v·D/2 and W_e = w_e·D, an instance edge
@@ -22,7 +30,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import matching, negcycle
 from .model import Allocation, Instance, InvariantError, Violation, ViolationKind, coalition
@@ -228,20 +236,69 @@ def variants(inst: Instance, costs: TransferCosts, s: int, t: int) -> list[Coste
     return [realize_variant(inst, costs, st) for st in variant_structures(inst, s, t)]
 
 
+def _path_filter(inst: Instance,
+                 costs: TransferCosts) -> Optional[Callable[[int, int], bool]]:
+    """The exact per-pair path test: a predicate on s < t that says whether
+    pair {s, t} holds a violated path, or None where it does not apply.
+
+    It applies when G2 has no negative cycle and every G2 edge uv has
+    cost + half[u] + half[v] >= 0 (p_u + p_v >= w_uv), as the cycle and
+    edge stages establish. Then every negative cycle of a variant runs
+    through its marker, so pair {s, t} holds a violated path iff the minimum
+    over x in A(s), y in A(t) of c(s,x) + d(x,y) + c(y,t) + half[s] + half[t]
+    is negative, d being the G2 distances of `negcycle.join_distances`.
+    A(v) is {v} at c(v,v) = 0 when b_v = 2, else v's capacity-2 neighbours
+    other than the far endpoint, which is `variant_structures`' rule. The
+    st edge of two capacity-2 endpoints is in G2 but not in their variants;
+    its sum is >= 0, so it never decides.
+    """
+    g2 = build_g2(inst, costs)
+    half = costs.half
+    if any(e.cost + half[e.u] + half[e.v] < 0 for e in g2.edges):
+        return None
+    d = negcycle.join_distances(g2)
+    if d is None:
+        return None
+    attach = []  # (x, c(v,x)) per x in A(v)
+    for v in range(inst.n):
+        edges = [costs.edges[i] for i in inst.incident(v)]
+        attach.append([(v, 0)] if inst.b[v] == 2 else
+                      [(e.other(v), e.cost) for e in edges if inst.b[e.other(v)] == 2])
+
+    def flagged(s: int, t: int) -> bool:
+        sums = [
+            cx + d[x][y] + cy
+            for x, cx in attach[s] if x != t
+            for y, cy in attach[t] if y != s and y in d[x]
+        ]
+        return bool(sums) and min(sums) + half[s] + half[t] < 0
+
+    return flagged
+
+
 def _path_violations(inst: Instance, p: Allocation) -> Iterator[Violation]:
     """One violation per endpoint pair and variant with a negative cycle.
 
     A negative cycle through the marker st edge yields a violated path by
     deleting st; one avoiding the marker is a violated cycle, which cannot
-    occur once the cycle constraints hold.
+    occur once the cycle constraints hold. Where `_path_filter` applies,
+    only the pairs it flags are scanned, and each must yield a violation;
+    elsewhere every pair is.
     """
     costs = integer_costs(inst, p)
+    flagged = _path_filter(inst, costs)
     for s in range(inst.n):
         for t in range(s + 1, inst.n):
+            if flagged is not None and not flagged(s, t):
+                continue
+            found = False
             for g in variants(inst, costs, s, t):
                 cyc = negcycle.find_negative_cycle(g)
                 if cyc is not None:
+                    found = True
                     yield _cycle_violation(inst, p, g, cyc)
+            if flagged is not None and not found:
+                raise InvariantError("flagged endpoint pair holds no violated path")
 
 
 def separate_paths(inst: Instance, p: Allocation) -> Optional[Violation]:
@@ -274,8 +331,9 @@ def separate(inst: Instance, p: Allocation) -> SeparationVerdict:
 def separate_all(inst: Instance, p: Allocation) -> list[Violation]:
     """Diagnostic mode: every violated constraint-family member, not just the
     first. Order: total value, vertices, edges, the cycle family, then each
-    endpoint pair/variant; a violation found again (a marker-free cycle lies
-    in many variants) is kept only where it first appeared."""
+    endpoint pair/variant (the pairs the G2 distances flag, where that test
+    applies); a violation found again (a marker-free cycle lies in many
+    variants) is kept only where it first appeared."""
     _check_length(inst, p)
     found = chain(
         [check_total_value(inst, p)],
@@ -304,6 +362,8 @@ def verify_violation(inst: Instance, p: Allocation, v: Violation) -> bool:
         return v.bound == matching.nu(inst, S)
     # Edge / Cycle / Path: witness must be the claimed structure on exactly S
     eids = v.witness_edges
+    if len(set(eids)) != len(eids) or not all(0 <= i < inst.m for i in eids):
+        return False
     if v.bound != sum((inst.edges[i].w for i in eids), Fraction(0)):
         return False
     touched = set()

@@ -11,11 +11,11 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 BREAK = "from corematch import negcycle\nnegcycle._path_edges = lambda g, pred, a, b: set()\n"
 
 
-def run_optimized(code: str, *args: str) -> subprocess.CompletedProcess:
+def run_optimized(code: str, *args: str, prelude: str = BREAK) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-O", "-c", BREAK + code, *args],
+        [sys.executable, "-O", "-c", prelude + code, *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
 
@@ -101,3 +101,39 @@ def test_gadget_identity_raises_under_dash_o():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "4\nraised: gadget identity violated\n"
+
+
+# Empty every endpoint pair's variant scan, so a pair the G2-distance filter
+# flags yields no violated path.
+NO_VARIANTS = "from corematch import separation\nseparation.variants = lambda *a: []\n"
+
+
+def test_flagged_pair_without_a_path_raises_under_dash_o(tmp_path):
+    # on the counterexample, p = (0, 0, 1, 11, 0) passes the total value, the
+    # edges and the cycles and violates the path 0-2-1, so the filter flags
+    # pair {0, 1}
+    out = run_optimized(
+        "from corematch import flawed\n"
+        "from corematch.model import Allocation, InvariantError\n"
+        "assert False, 'asserts must be stripped here'\n"
+        "inst = flawed.counterexample_instance()\n"
+        "try:\n"
+        "    separation.separate(inst, Allocation((0, 0, 1, 11, 0)))\n"
+        "except InvariantError as exc:\n"
+        "    print('raised:', exc)\n",
+        prelude=NO_VARIANTS,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "raised: flagged endpoint pair holds no violated path\n"
+
+    alloc = tmp_path / "path.alloc"
+    alloc.write_text("0 0\n1 0\n2 1\n3 11\n4 0\n")
+    game = SRC.parent / "data" / "counterexample.game"
+    out = run_optimized(
+        "import sys\nfrom corematch import cli\nsys.exit(cli.main(sys.argv[1:]))\n",
+        "separate", "-i", str(game), "-a", str(alloc), prelude=NO_VARIANTS,
+    )
+    assert out.returncode == 5
+    assert out.stdout == ""
+    assert "flagged endpoint pair holds no violated path" in out.stderr
+    assert "Traceback" not in out.stderr

@@ -61,7 +61,7 @@ def planted(rng: random.Random, n: int):
 
 def cases():
     rng = random.Random(2026)
-    for n, count in ((8, 3), (16, 2), (24, 1)):
+    for n, count in ((8, 3), (16, 2), (24, 1), (32, 1), (40, 1)):
         for _ in range(count):
             inst, allocations = planted(rng, n)
             for p in allocations:
@@ -77,7 +77,7 @@ def verdicts():
 
 
 def test_cases_reach_the_path_stage(verdicts):
-    for n in (8, 16, 24):
+    for n in (8, 16, 24, 32, 40):
         at_n = [v for (inst, _), v in zip(CASES, verdicts) if inst.n == n]
         reached = [v is None or v.kind is ViolationKind.PATH for v in at_n]
         assert 3 * sum(reached) >= len(at_n)

@@ -276,3 +276,53 @@ def test_two_vertex_t_across_components(monkeypatch):
     monkeypatch.setattr(matching, "_min_perfect_pairs", None)
     with pytest.raises(TJoinError, match="T-join"):
         min_t_join(g, [e.cost for e in g.edges], [1, 2])
+
+
+def simple_path_distances(g):
+    """Shortest simple-path length between every two vertices, by DFS."""
+    d = {v: {v: 0} for v in g.vertices}
+
+    def walk(start, v, seen, cost):
+        for i in g.incident[v]:
+            w = g.edges[i].other(v)
+            if w not in seen:
+                c = cost + g.edges[i].cost
+                if w not in d[start] or c < d[start][w]:
+                    d[start][w] = c
+                walk(start, w, seen | {w}, c)
+
+    for v in g.vertices:
+        walk(v, v, {v}, 0)
+    return d
+
+
+def test_join_distances_are_simple_path_distances():
+    # without a negative cycle the minimum {a,b}-join is a shortest a-b path;
+    # with one, there is no distance to report
+    rng = random.Random(41)
+    conservative = matched = 0
+    for _ in range(300):
+        g, _ = scaled_to_int(random_rational_graph(rng, rng.randint(1, 7)))
+        d = negcycle.join_distances(g)
+        assert (d is None) == (find_negative_cycle(g) is not None)
+        if d is None:
+            continue
+        conservative += 1
+        assert d == simple_path_distances(g)
+        assert all(type(x) is int for row in d.values() for x in row.values())
+        odd = set()
+        for e in g.edges:
+            if e.cost < 0:
+                odd ^= {e.u, e.v}
+        matched += len(odd) >= 4  # some pair has |T'| >= 4 and needs a matching
+    assert conservative > 100 and matched > 10
+
+
+def test_join_distances_across_components():
+    g = graph(5, [(0, 1, -2), (2, 3, 5), (3, 4, -1)])
+    assert negcycle.join_distances(g) == {
+        0: {0: 0, 1: -2}, 1: {0: -2, 1: 0},
+        2: {2: 0, 3: 5, 4: 4}, 3: {2: 5, 3: 0, 4: -1}, 4: {2: 4, 3: -1, 4: 0},
+    }
+    assert negcycle.join_distances(graph(0, [])) == {}
+    assert negcycle.join_distances(triangle(1, 1, -3)) is None

@@ -4,6 +4,7 @@ import math
 import random
 import weakref
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -336,17 +337,25 @@ def test_grand_value_lookup_hashes_no_edge():
 
 
 def test_cycle_and_path_stages_run_on_ints(monkeypatch):
-    # rational p and w reach the T-joins as integer costs only
+    # rational p and w reach the T-joins and the G2 distances as integer
+    # costs only, and the distances come back as ints
     seen = []
-    real = negcycle.min_t_join
+    real_join, real_distances = negcycle.min_t_join, negcycle.join_distances
 
-    def checked(g, costs, T):
+    def checked_join(g, costs, T):
         seen.append(all(type(c) is int for c in costs))
-        return real(g, costs, T)
+        return real_join(g, costs, T)
 
-    monkeypatch.setattr(negcycle, "min_t_join", checked)
+    def checked_distances(g):
+        d = real_distances(g)
+        seen.append(all(type(e.cost) is int for e in g.edges)
+                    and (d is None or all(type(x) is int for r in d.values() for x in r.values())))
+        return d
+
+    monkeypatch.setattr(negcycle, "min_t_join", checked_join)
+    monkeypatch.setattr(negcycle, "join_distances", checked_distances)
     rng = random.Random(12)
-    for _ in range(20):
+    for _ in range(40):
         inst = random_instance(rng.randint(0, 10**6), rng.randint(3, 7), Fraction(1, 2), 8)
         p = normalized(random_allocation(rng, inst, lo=0), matching.b_matching_value(inst))
         separate_cycles(inst, p)
@@ -473,3 +482,119 @@ def test_variant_family_matches_edge_scan_oracle():
                 kept.update((st.kept_s is not None) + (st.kept_t is not None) for st in structs)
     assert pairs > 25_000 and min(kept[0], kept[1], kept[2]) > 5_000
 
+
+# ---------------------------------------------------------------------------
+# Oracle: the all-pairs path scan that ran a negative-cycle search on every
+# variant of every endpoint pair, before the G2-distance filter; kept here to
+# pin what the filtered scan reports.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_path_violations(inst, p):
+    """((s, t), violation) per endpoint pair and variant with a negative cycle."""
+    costs = separation.integer_costs(inst, p)
+    for s in range(inst.n):
+        for t in range(s + 1, inst.n):
+            for g in variants(inst, costs, s, t):
+                cyc = negcycle.find_negative_cycle(g)
+                if cyc is not None:
+                    yield (s, t), separation._cycle_violation(inst, p, g, cyc)
+
+
+def _repaired_case(rng):
+    """A game on n = 3…12 players plus an isolated one, and an allocation
+    that mostly reaches the path stage.
+
+    A random allocation is raised until it meets every edge constraint and
+    then (for up to n rounds) every cycle constraint; then, at times, one
+    player gives some value up, which can break an edge of G2 or close a
+    negative G2 cycle. The isolated player takes ν(N) − p(N), so the total
+    value holds whenever that is >= 0.
+    """
+    n = rng.choices(range(3, 13), weights=(12, 12, 10, 8, 6, 4, 2, 1, 1, 1))[0]
+    share = rng.choice((0.25, 0.5, 0.75, 1.0))
+    b = tuple(2 if rng.random() < share else 1 for _ in range(n))
+    density = rng.choice((0.25, 0.4, 0.6))
+    edges = tuple(
+        model.Edge(u, v, Fraction(rng.randint(0, 9), rng.choice((1, 2))))
+        for u in range(n) for v in range(u + 1, n) if rng.random() < density
+    )
+    game = model.Instance(n, b, edges)
+    p = [Fraction(rng.randint(0, 4), rng.choice((1, 2, 3))) for _ in range(n)]
+    for e in rng.sample(edges, len(edges)):
+        gap = e.w - p[e.u] - p[e.v]
+        if gap > 0:
+            p[rng.choice((e.u, e.v))] += gap
+    for _ in range(n):
+        v = separate_cycles(game, Allocation(tuple(p)))
+        if v is None:
+            break
+        p[rng.choice(v.coalition)] += v.bound - v.allocated
+    if rng.random() < 0.3:
+        p[rng.randrange(n)] -= Fraction(rng.randint(1, 8), rng.choice((1, 2)))
+    p.append(matching.b_matching_value(game) - sum(p))
+    inst = model.Instance(n + 1, b + (rng.choice((1, 2)),), edges)
+    return inst, Allocation(tuple(p))
+
+
+def test_path_filter_matches_all_pairs_scan():
+    rng = random.Random(2611)
+    seen = collections.Counter()
+    for _ in range(2000):
+        inst, p = _repaired_case(rng)
+        scan = list(_oracle_path_violations(inst, p))
+        oracle_paths = [v for _, v in scan]
+        assert separate_paths(inst, p) == (oracle_paths or [None])[0]
+
+        cycle = separate_cycles(inst, p)
+        stages = [check_total_value(inst, p), separate_vertices_edges(inst, p), cycle]
+        first = next((v for v in stages + oracle_paths if v is not None), None)
+        assert separate(inst, p).violation == first
+        found = chain([stages[0]], separation._vertex_edge_violations(inst, p), [cycle],
+                      oracle_paths)
+        assert separate_all(inst, p) == list(dict.fromkeys(v for v in found if v is not None))
+
+        # the filter flags exactly the pairs whose variants hold a violation
+        flagged = separation._path_filter(inst, separation.integer_costs(inst, p))
+        if flagged is not None:
+            pairs = {st for st, _ in scan}
+            for s in range(inst.n):
+                for t in range(s + 1, inst.n):
+                    assert flagged(s, t) == ((s, t) in pairs)
+        g2_edges = [inst.edges[i] for i in inst.e2]
+        seen["negative G2 cycle"] += cycle is not None
+        seen["violated G2 edge, no negative G2 cycle"] += cycle is None and any(
+            p[e.u] + p[e.v] < e.w for e in g2_edges)
+        seen["filter applies"] += flagged is not None
+        seen["filter flags a pair"] += flagged is not None and bool(scan)
+        if first is not None and first.kind is ViolationKind.PATH:
+            ends = [x for x in first.coalition
+                    if sum(x in inst.edges[i][:2] for i in first.witness_edges) == 1]
+            seen["capacity-1 end decides"] += min(inst.b[x] for x in ends) == 1
+            seen["capacity-2 ends decide"] += min(inst.b[x] for x in ends) == 2
+        seen["in core"] += first is None
+    assert len(seen) == 7 and min(seen.values()) >= 20, seen
+
+
+def test_verify_violation_rejects_a_repeated_witness_edge():
+    # edge 0 listed twice passed for a 2-cycle of weight 20, yet p = (5, 5)
+    # is in the core: nu({0, 1}) = 10
+    inst = model.Instance(2, (2, 2), (model.Edge(0, 1, Fraction(10)),))
+    p = alloc(5, 5)
+    assert separate(inst, p).in_core and matching.nu(inst, (0, 1)) == 10
+    forged = model.Violation(ViolationKind.CYCLE, (0, 1), Fraction(10), Fraction(20), (0, 0))
+    assert not verify_violation(inst, p, forged)
+
+
+@pytest.mark.parametrize("index", [-1, 2, 5])
+def test_verify_violation_rejects_a_witness_index_out_of_range(index):
+    # edge 1 = {1, 2} is really violated, but only as index 1: -1 used to
+    # read as the last edge and 2 or more raised IndexError
+    inst = parse_instance(
+        "game 3 2\nvertex 0 1\nvertex 1 1\nvertex 2 1\nedge 0 1 1\nedge 1 2 10\n"
+    )
+    p = alloc(0, 0, 0)
+    real = model.Violation(ViolationKind.EDGE, (1, 2), Fraction(0), Fraction(10), (1,))
+    assert verify_violation(inst, p, real)
+    assert not verify_violation(inst, p, model.Violation(
+        ViolationKind.EDGE, (1, 2), Fraction(0), Fraction(10), (index,)))
