@@ -1,0 +1,615 @@
+# This module is a port of `max_weight_matching` from networkx 3.6.1
+# (networkx/algorithms/matching.py), which carries this notice:
+#
+#   Copyright (c) 2004-2025, NetworkX Developers
+#   Aric Hagberg <hagberg@lanl.gov>
+#   Dan Schult <dschult@colgate.edu>
+#   Pieter Swart <swart@lanl.gov>
+#   All rights reserved.
+#
+#   Redistribution and use in source and binary forms, with or without
+#   modification, are permitted provided that the following conditions are
+#   met:
+#
+#     * Redistributions of source code must retain the above copyright
+#       notice, this list of conditions and the following disclaimer.
+#
+#     * Redistributions in binary form must reproduce the above
+#       copyright notice, this list of conditions and the following
+#       disclaimer in the documentation and/or other materials provided
+#       with the distribution.
+#
+#     * Neither the name of the NetworkX Developers nor the names of its
+#       contributors may be used to endorse or promote products derived
+#       from this software without specific prior written permission.
+#
+#   THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+#   "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+#   LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+#   A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+#   OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+#   SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+#   LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+#   DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+#   THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+#   (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+#   OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+
+"""Maximum-weight matching by Edmonds' primal-dual blossom method.
+
+The algorithm is the one in networkx's `max_weight_matching` (after Galil,
+"Efficient Algorithms for Finding Maximum Matching in Graphs", ACM Computing
+Surveys, 1986), moved onto int arrays for integer weights. It keeps every
+iteration order of the original, so it returns the same matching on the same
+edge list:
+
+- vertices are numbered in order of first appearance in the edge list, and
+  each vertex scans its edges in edge-list order;
+- non-trivial blossoms take ids n, n+1, ... (reused once expanded) and are
+  walked in creation order through the `live` dict;
+- leaves, the queue and stored edge orientations follow the original.
+
+An edge k joins endpoint[2k] and endpoint[2k + 1]; the oriented edge d runs
+from endpoint[d] to endpoint[d ^ 1], so d >> 1 is its index and d ^ 1 its
+reverse. Every check of the original raises InvariantError instead of
+asserting, and the dual certificate of optimality (`verify_optimum`) is
+checked on every solve, also under `python -O`.
+"""
+
+from itertools import chain
+
+from .model import InvariantError
+
+
+def verify_optimum(endpoint, w2, mate, dualvar, blossomdual, blossomparent,
+                   blossomedges, live, maxcardinality):
+    """Check the complementary-slackness certificate of the final state:
+    nonnegative duals and slacks, tight matched edges, zero duals on single
+    vertices (up to a common offset under `maxcardinality`) and full blossoms
+    wherever the blossom dual is positive."""
+    vdualoffset = max(0, -min(dualvar)) if maxcardinality else 0
+    if min(dualvar) + vdualoffset < 0 or any(blossomdual[b] < 0 for b in live):
+        raise InvariantError("blossom optimum: negative dual variable")
+    # each vertex's blossoms from the top level down, ending at the vertex
+    chains = []
+    for v in range(len(mate)):
+        chain = [v]
+        while blossomparent[chain[-1]] != -1:
+            chain.append(blossomparent[chain[-1]])
+        chain.reverse()
+        chains.append(chain)
+    for k, wk2 in enumerate(w2):
+        i, j = endpoint[2 * k], endpoint[2 * k + 1]
+        s = dualvar[i] + dualvar[j] - wk2
+        for bi, bj in zip(chains[i], chains[j]):  # the blossoms holding both
+            if bi != bj:
+                break
+            s += 2 * blossomdual[bi]
+        if s < 0:
+            raise InvariantError("blossom optimum: negative edge slack")
+        if mate[i] == j or mate[j] == i:
+            if mate[i] != j or mate[j] != i:
+                raise InvariantError("blossom optimum: asymmetric mate")
+            if s != 0:
+                raise InvariantError("blossom optimum: matched edge not tight")
+    for v, m in enumerate(mate):
+        if m == -1 and dualvar[v] + vdualoffset != 0:
+            raise InvariantError("blossom optimum: single vertex with nonzero dual")
+    for b in live:
+        if blossomdual[b] > 0:
+            edges = blossomedges[b]
+            if len(edges) % 2 != 1:
+                raise InvariantError("blossom optimum: even blossom")
+            for d in edges[1::2]:
+                i, j = endpoint[d], endpoint[d ^ 1]
+                if mate[i] != j or mate[j] != i:
+                    raise InvariantError("blossom optimum: positive blossom not full")
+
+
+def max_weight_mate(edges, weights, maxcardinality):
+    """Maximum-weight matching of the simple graph `edges` (node pairs) under
+    int `weights`; with `maxcardinality`, maximum weight among the matchings
+    of maximum cardinality.
+
+    Returns (index, mate, order): index maps each node to its vertex id (its
+    rank of first appearance in `edges`), mate[v] is the id matched to v or
+    -1, and order lists the matched ids in the order they were first matched.
+    """
+    index = {}
+    for e in edges:
+        for x in e:
+            index.setdefault(x, len(index))
+    endpoint = [index[x] for e in edges for x in e]
+    n, m = len(index), len(edges)
+    if len(weights) != m:
+        raise ValueError("edges and weights differ in length")
+    if any(type(w) is not int for w in weights):
+        raise TypeError("blossom weights must be ints")
+    pairs = {(a, b) if a < b else (b, a) for a, b in zip(endpoint[0::2], endpoint[1::2])}
+    if len(pairs) != m or any(a == b for a, b in pairs):
+        raise ValueError("blossom graph must be simple: no loops, no repeated edges")
+    mate = [-1] * n
+    order = []
+    if not m:
+        return index, mate, order
+
+    # 2 * weight per edge, and per vertex its (neighbour, oriented edge) list
+    w2 = [2 * w for w in weights]
+    nbrs = [[] for _ in range(n)]
+    for d, v in enumerate(endpoint):
+        nbrs[v].append((endpoint[d ^ 1], d))
+
+    # Ids below n are vertices (trivial blossoms); n .. 2n-1 are blossoms.
+    # The arrays below hold what networkx keeps in dicts keyed by either;
+    # -1 stands for None, label 0 for "no label".
+    size = 2 * n
+    mateedge = [-1] * n  # the oriented edge from v to mate[v]
+    label = [0] * size  # 1 = S, 2 = T, 5 = S with a breadcrumb
+    labeledge = [-1] * size
+    inblossom = list(range(n))
+    blossomparent = [-1] * size
+    blossomchilds = [None] * size
+    blossomedges = [None] * size  # edges[i] runs from childs[i] to childs[i + 1]
+    blossombase = list(range(n)) + [-1] * n
+    bestedge = [-1] * size
+    mybestedges = [None] * size
+    dualvar = [max(0, max(weights))] * n  # 2 * u(v)
+    blossomdual = [0] * size  # z(b)
+    allowedge = [False] * m
+    live = {}  # the non-trivial blossoms, in creation order
+    unused = list(range(size - 1, n - 1, -1))
+    queue = []
+
+    def slack(d):
+        return dualvar[endpoint[d]] + dualvar[endpoint[d ^ 1]] - w2[d >> 1]
+
+    def leaves(b):
+        stack = [*blossomchilds[b]]
+        out = []
+        while stack:
+            t = stack.pop()
+            if t >= n:
+                stack.extend(blossomchilds[t])
+            else:
+                out.append(t)
+        return out
+
+    def setmate(v, d):
+        if mate[v] == -1:
+            order.append(v)
+        mate[v] = endpoint[d ^ 1]
+        mateedge[v] = d
+
+    def assignLabel(w, t, d):
+        # label the top-level blossom of w with t, reached over d = (v, w)
+        # (d = -1: w's blossom has a single base)
+        b = inblossom[w]
+        if label[w] or label[b]:
+            raise InvariantError("blossom: labelling a labelled vertex")
+        label[w] = label[b] = t
+        labeledge[w] = labeledge[b] = d
+        bestedge[w] = bestedge[b] = -1
+        if t == 1:
+            if b >= n:
+                queue.extend(leaves(b))
+            else:
+                queue.append(b)
+        else:
+            # a T-blossom: its base is the only vertex with an outside mate
+            base = blossombase[b]
+            if mate[base] == -1:
+                raise InvariantError("blossom: T-blossom with a single base")
+            assignLabel(mate[base], 1, mateedge[base])
+
+    def scanBlossom(v, w):
+        # trace back from v and w; the base of a new blossom, or -1 when the
+        # paths reach two single vertices (an augmenting path)
+        path = []
+        base = -1
+        while v != -1:
+            b = inblossom[v]
+            if label[b] & 4:
+                base = blossombase[b]
+                break
+            if label[b] != 1:
+                raise InvariantError("blossom: tracing through a non-S blossom")
+            path.append(b)
+            label[b] = 5
+            d = labeledge[b]
+            if d == -1:
+                if mate[blossombase[b]] != -1:
+                    raise InvariantError("blossom: root blossom with a matched base")
+                v = -1
+            else:
+                v = endpoint[d]
+                if v != mate[blossombase[b]]:
+                    raise InvariantError("blossom: S-label not through the base's mate")
+                b = inblossom[v]
+                if label[b] != 2:
+                    raise InvariantError("blossom: S-blossom not reached from a T-blossom")
+                v = endpoint[labeledge[b]]
+            if w != -1:
+                v, w = w, v
+        for b in path:
+            label[b] = 1
+        return base
+
+    def check_path_label(bx):
+        d = labeledge[bx]
+        if d == -1 or not (label[bx] == 2 or (
+                label[bx] == 1 and endpoint[d] == mate[blossombase[bx]])):
+            raise InvariantError("blossom: new blossom's path is not alternating")
+        return d
+
+    def addBlossom(base, d):
+        # a new S-blossom with the given base, closed by the edge d = (v, w)
+        # between two S-vertices; its T-vertices join the queue
+        bb = inblossom[base]
+        bv = inblossom[endpoint[d]]
+        bw = inblossom[endpoint[d ^ 1]]
+        b = unused.pop()
+        live[b] = None
+        blossombase[b] = base
+        blossomparent[b] = -1
+        blossomparent[bb] = b
+        path = []
+        edgs = [d]
+        while bv != bb:
+            blossomparent[bv] = b
+            path.append(bv)
+            e = check_path_label(bv)
+            edgs.append(e)
+            bv = inblossom[endpoint[e]]
+        path.append(bb)
+        path.reverse()
+        edgs.reverse()
+        while bw != bb:
+            blossomparent[bw] = b
+            path.append(bw)
+            e = check_path_label(bw)
+            edgs.append(e ^ 1)
+            bw = inblossom[endpoint[e]]
+        if label[bb] != 1:
+            raise InvariantError("blossom: new blossom's base is not an S-blossom")
+        blossomchilds[b] = path
+        blossomedges[b] = edgs
+        label[b] = 1
+        labeledge[b] = labeledge[bb]
+        blossomdual[b] = 0
+        for v in leaves(b):
+            if label[inblossom[v]] == 2:
+                queue.append(v)
+            inblossom[v] = b
+        # least-slack edges from b to each neighbouring S-blossom
+        bestedgeto = {}
+        for bv in path:
+            if bv >= n:
+                nblist = mybestedges[bv]
+                if nblist is not None:
+                    mybestedges[bv] = None
+                else:
+                    nblist = [e for v in leaves(bv) for _, e in nbrs[v]]
+            else:
+                nblist = [e for _, e in nbrs[bv]]
+            for e in nblist:
+                bj = inblossom[endpoint[e ^ 1]]
+                if bj == b:
+                    bj = inblossom[endpoint[e]]
+                if bj != b and label[bj] == 1 and (
+                        bj not in bestedgeto or slack(e) < slack(bestedgeto[bj])):
+                    bestedgeto[bj] = e
+            bestedge[bv] = -1
+        mybestedges[b] = best = list(bestedgeto.values())
+        mybest = -1
+        for e in best:
+            eslack = slack(e)
+            if mybest == -1 or eslack < mybestslack:
+                mybest = e
+                mybestslack = eslack
+        bestedge[b] = mybest
+
+    def expandBlossom(b, endstage):
+        # trampoline: each generator yields the sub-blossoms to expand in turn
+        def _recurse(b, endstage):
+            childs = blossomchilds[b]
+            for s in childs:
+                blossomparent[s] = -1
+                if s >= n:
+                    if endstage and blossomdual[s] == 0:
+                        yield s
+                    else:
+                        for v in leaves(s):
+                            inblossom[v] = s
+                else:
+                    inblossom[s] = s
+            # expanding a T-blossom inside a stage relabels its sub-blossoms,
+            # from the one it was entered through round to the base
+            if not endstage and label[b] == 2:
+                bedges = blossomedges[b]
+                entrychild = inblossom[endpoint[labeledge[b] ^ 1]]
+                j = childs.index(entrychild)
+                if j & 1:
+                    j -= len(childs)
+                    jstep = 1
+                else:
+                    jstep = -1
+                d = labeledge[b]
+                while j != 0:
+                    pq = bedges[j] if jstep == 1 else bedges[j - 1] ^ 1
+                    w = endpoint[d ^ 1]
+                    label[w] = 0
+                    label[endpoint[pq ^ 1]] = 0
+                    assignLabel(w, 2, d)
+                    allowedge[pq >> 1] = True
+                    j += jstep
+                    d = bedges[j] if jstep == 1 else bedges[j - 1] ^ 1
+                    allowedge[d >> 1] = True
+                    j += jstep
+                # the base sub-blossom becomes T without labelling its mate
+                bw = childs[j]
+                w = endpoint[d ^ 1]
+                label[w] = label[bw] = 2
+                labeledge[w] = labeledge[bw] = d
+                bestedge[bw] = -1
+                j += jstep
+                while childs[j] != entrychild:
+                    bv = childs[j]
+                    if label[bv] == 1:
+                        # labelled S through a neighbour already
+                        j += jstep
+                        continue
+                    if bv >= n:
+                        for v in leaves(bv):
+                            if label[v]:
+                                break
+                    else:
+                        v = bv
+                    if label[v]:
+                        if label[v] != 2 or inblossom[v] != bv or mate[blossombase[bv]] == -1:
+                            raise InvariantError("blossom: stray label in an expanded T-blossom")
+                        label[v] = 0
+                        label[mate[blossombase[bv]]] = 0
+                        assignLabel(v, 2, labeledge[v])
+                    j += jstep
+            label[b] = 0
+            labeledge[b] = bestedge[b] = blossombase[b] = -1
+            blossomchilds[b] = blossomedges[b] = mybestedges[b] = None
+            blossomdual[b] = 0
+            del live[b]
+            unused.append(b)
+
+        stack = [_recurse(b, endstage)]
+        while stack:
+            top = stack[-1]
+            for s in top:
+                stack.append(_recurse(s, endstage))
+                break
+            else:
+                stack.pop()
+
+    def augmentBlossom(b, v):
+        # swap matched and unmatched edges on the alternating path in b from
+        # vertex v to the base, and make v the base (a trampoline, as above)
+        def _recurse(b, v):
+            t = v
+            while blossomparent[t] != b:
+                t = blossomparent[t]
+                if t == -1:
+                    raise InvariantError("blossom: augmenting outside the blossom")
+            if t >= n:
+                yield t, v
+            childs = blossomchilds[b]
+            bedges = blossomedges[b]
+            i = j = childs.index(t)
+            if i & 1:
+                j -= len(childs)
+                jstep = 1
+            else:
+                jstep = -1
+            while j != 0:
+                j += jstep
+                t = childs[j]
+                d = bedges[j] if jstep == 1 else bedges[j - 1] ^ 1  # (w, x)
+                if t >= n:
+                    yield t, endpoint[d]
+                j += jstep
+                t = childs[j]
+                if t >= n:
+                    yield t, endpoint[d ^ 1]
+                setmate(endpoint[d], d)
+                setmate(endpoint[d ^ 1], d ^ 1)
+            blossomchilds[b] = childs[i:] + childs[:i]
+            blossomedges[b] = bedges[i:] + bedges[:i]
+            blossombase[b] = blossombase[blossomchilds[b][0]]
+            if blossombase[b] != v:
+                raise InvariantError("blossom: augmented blossom has the wrong base")
+
+        stack = [_recurse(b, v)]
+        while stack:
+            top = stack[-1]
+            for args in top:
+                stack.append(_recurse(*args))
+                break
+            else:
+                stack.pop()
+
+    def augmentMatching(d):
+        # augment along the path through the S-vertices joined by d = (v, w)
+        for e in (d, d ^ 1):
+            s = endpoint[e]
+            while True:
+                bs = inblossom[s]
+                if label[bs] != 1:
+                    raise InvariantError("blossom: augmenting from a non-S blossom")
+                le = labeledge[bs]
+                if mate[blossombase[bs]] != (-1 if le == -1 else endpoint[le]):
+                    raise InvariantError("blossom: S-label not through the base's mate")
+                if bs >= n:
+                    augmentBlossom(bs, s)
+                setmate(s, e)
+                if le == -1:
+                    break  # reached a single vertex
+                t = endpoint[le]
+                bt = inblossom[t]
+                if label[bt] != 2:
+                    raise InvariantError("blossom: augmenting through a non-T blossom")
+                e = labeledge[bt]  # (s, j)
+                s = endpoint[e]
+                j = endpoint[e ^ 1]
+                if blossombase[bt] != t:
+                    raise InvariantError("blossom: T-blossom entered off its base")
+                if bt >= n:
+                    augmentBlossom(bt, j)
+                setmate(j, e ^ 1)
+
+    blank_labels = [0] * size
+    blank_edges = [-1] * size
+    blank_allowed = [False] * m
+    while True:
+        # a stage: find one augmenting path
+        label[:] = blank_labels
+        labeledge[:] = blank_edges
+        bestedge[:] = blank_edges
+        for b in live:
+            mybestedges[b] = None
+        allowedge[:] = blank_allowed
+        queue.clear()
+        # label the single vertices and blossoms S and queue their vertices
+        for v in range(n):
+            if mate[v] == -1 and not label[inblossom[v]]:
+                if inblossom[v] == v:
+                    label[v] = 1  # what assignLabel(v, 1, -1) does here
+                    queue.append(v)
+                else:
+                    assignLabel(v, 1, -1)
+
+        augmented = False
+        while True:
+            # a substage: label along tight edges until a path or no progress
+            while queue and not augmented:
+                v = queue.pop()
+                bv = inblossom[v]  # changes only when a new blossom forms
+                if label[bv] != 1:
+                    raise InvariantError("blossom: queued vertex is not an S-vertex")
+                dv = dualvar[v]
+                for w, d in nbrs[v]:
+                    bw = inblossom[w]
+                    if bv == bw:
+                        continue  # internal to a blossom
+                    k = d >> 1
+                    if not allowedge[k]:
+                        kslack = dv + dualvar[w] - w2[k]
+                        if kslack > 0:
+                            # not tight: keep the least-slack edge to an
+                            # S-blossom, or to a vertex not reached yet
+                            if label[bw] == 1:
+                                e = bestedge[bv]
+                                if e == -1 or kslack < (dualvar[endpoint[e]]
+                                                        + dualvar[endpoint[e ^ 1]] - w2[e >> 1]):
+                                    bestedge[bv] = d
+                            elif not label[w]:
+                                e = bestedge[w]
+                                if e == -1 or kslack < (dualvar[endpoint[e]]
+                                                        + dualvar[endpoint[e ^ 1]] - w2[e >> 1]):
+                                    bestedge[w] = d
+                            continue
+                        allowedge[k] = True
+                    lw = label[bw]
+                    if lw == 0:
+                        # w is free: label it T and its mate S
+                        assignLabel(w, 2, d)
+                    elif lw == 1:
+                        # w is S: a new blossom or an augmenting path
+                        base = scanBlossom(v, w)
+                        if base != -1:
+                            addBlossom(base, d)
+                            bv = inblossom[v]
+                        else:
+                            augmentMatching(d)
+                            augmented = True
+                            break
+                    elif not label[w]:
+                        # w sits in a T-blossom and is first reached now
+                        if lw != 2:
+                            raise InvariantError("blossom: unlabelled vertex in a non-T blossom")
+                        label[w] = 2
+                        labeledge[w] = d
+
+            if augmented:
+                break
+
+            # no augmenting path on tight edges: change the duals by delta
+            # (duals and slacks are doubled, so all stays integral)
+            deltatype = -1
+            delta = deltaedge = deltablossom = None
+            if not maxcardinality:
+                deltatype = 1
+                delta = min(dualvar)
+            for v in range(n):
+                if not label[inblossom[v]] and bestedge[v] != -1:
+                    dv = slack(bestedge[v])
+                    if deltatype == -1 or dv < delta:
+                        delta = dv
+                        deltatype = 2
+                        deltaedge = bestedge[v]
+            for b in chain(range(n), live):
+                if blossomparent[b] == -1 and label[b] == 1 and bestedge[b] != -1:
+                    kslack = slack(bestedge[b])
+                    if kslack % 2:
+                        raise InvariantError("blossom: odd slack between S-blossoms")
+                    dv = kslack // 2
+                    if deltatype == -1 or dv < delta:
+                        delta = dv
+                        deltatype = 3
+                        deltaedge = bestedge[b]
+            for b in live:
+                if (blossomparent[b] == -1 and label[b] == 2
+                        and (deltatype == -1 or blossomdual[b] < delta)):
+                    delta = blossomdual[b]
+                    deltatype = 4
+                    deltablossom = b
+            if deltatype == -1:
+                # max-cardinality optimum: a last update makes it verifiable
+                if not maxcardinality:
+                    raise InvariantError("blossom: no delta without maxcardinality")
+                deltatype = 1
+                delta = max(0, min(dualvar))
+
+            for v in range(n):
+                lv = label[inblossom[v]]
+                if lv == 1:
+                    dualvar[v] -= delta
+                elif lv == 2:
+                    dualvar[v] += delta
+            for b in live:
+                if blossomparent[b] == -1:
+                    if label[b] == 1:
+                        blossomdual[b] += delta
+                    elif label[b] == 2:
+                        blossomdual[b] -= delta
+
+            if deltatype == 1:
+                break  # optimum reached
+            elif deltatype == 2 or deltatype == 3:
+                # the least-slack edge is tight now: continue the search there
+                v = endpoint[deltaedge]
+                allowedge[deltaedge >> 1] = True
+                if label[inblossom[v]] != 1:
+                    raise InvariantError("blossom: delta edge leaves a non-S vertex")
+                queue.append(v)
+            else:
+                expandBlossom(deltablossom, False)
+
+        for v, x in enumerate(mate):
+            if x != -1 and mate[x] != v:
+                raise InvariantError("blossom: asymmetric mate")
+        if not augmented:
+            break
+        # end of a stage: expand the S-blossoms whose dual fell to zero
+        for b in list(live):
+            if b in live and blossomparent[b] == -1 and label[b] == 1 and blossomdual[b] == 0:
+                expandBlossom(b, True)
+
+    verify_optimum(endpoint, w2, mate, dualvar, blossomdual, blossomparent,
+                   blossomedges, live, maxcardinality)
+    return index, mate, order

@@ -1,7 +1,9 @@
 """Exact maximum-weight matching and b-matching (b <= 2).
 
-The blossom engine is networkx's primal-dual implementation, run on weights
-scaled to integers so every comparison is exact. On top of it this module
+The blossom engine is `_edmonds`, an int-array port of networkx's
+primal-dual implementation that returns the same matching, run on weights
+scaled to integers so every comparison is exact; it checks the dual
+certificate of optimality on every solve. On top of it this module
 implements deterministic tie-breaking (the optimum whose sorted edge-index
 tuple is lexicographically smallest), minimum-weight perfect matching, and
 maximum-weight b-matching through a vertex/edge gadget expansion on dense int
@@ -14,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-import networkx as nx
-
+from ._edmonds import max_weight_mate
 from .model import Instance, InvariantError, check_simple_graph
 
 
@@ -31,22 +32,29 @@ class MatchingResult:
     weight: Fraction
 
 
-def _scale_to_int(weights: Iterable[Fraction]) -> list[int]:
-    """Weights times the lcm of their denominators; int weights pass as is."""
+def _scale(weights: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Weights times the lcm of their denominators, and that lcm; int weights
+    pass as is."""
     ws = list(weights)
     if all(type(w) is int for w in ws):
-        return ws
-    ws = [Fraction(w) for w in ws]
+        return ws, 1
+    ws = [w if type(w) is Fraction else Fraction(w) for w in ws]
     denom = math.lcm(*(w.denominator for w in ws))
-    return [int(w * denom) for w in ws]
+    return [w.numerator * (denom // w.denominator) for w in ws], denom
 
 
 def _blossom(edges, int_weights, maxcardinality):
-    """Run the blossom engine; returns the matched node pairs as tuples."""
-    g = nx.Graph()
-    for i, (u, v) in enumerate(edges):
-        g.add_edge(u, v, weight=int_weights[i])
-    return nx.max_weight_matching(g, maxcardinality=maxcardinality)
+    """Run the blossom engine; returns the matched node pairs as tuples, each
+    oriented from the node that was matched first."""
+    index, mate, order = max_weight_mate(edges, int_weights, maxcardinality)
+    nodes = list(index)
+    pairs = set()
+    earlier = set()
+    for v in order:
+        if mate[v] not in earlier:
+            pairs.add((nodes[v], nodes[mate[v]]))
+        earlier.add(v)
+    return pairs
 
 
 def _solve_pairs(edges, int_weights, maxcardinality):
@@ -106,7 +114,8 @@ def _max_value(edges, weights) -> Fraction:
     """Maximum matching weight only (no tie-break canonicalization)."""
     if not edges:
         return Fraction(0)
-    pairs = _solve_pairs(edges, _scale_to_int(weights), maxcardinality=False)
+    ints, _ = _scale(weights)
+    pairs = _solve_pairs(edges, ints, maxcardinality=False)
     return _pairs_weight(edges, weights, pairs)
 
 
@@ -134,7 +143,7 @@ def _min_perfect_pairs(vertices, edges, weights):
         return None
     if n == 0:
         return set()
-    ints = _scale_to_int(weights)
+    ints, _ = _scale(weights)
     pairs = _solve_pairs(edges, [-w for w in ints], maxcardinality=True)
     return pairs if 2 * len(pairs) == n else None
 
@@ -216,13 +225,14 @@ def _b_value(inst: Instance, allowed: set[int], caps: Sequence[int]) -> Fraction
     if not allowed:
         return Fraction(0)
     _, edges, weights = build_gadget(inst, allowed, caps)
+    ints, scale = _scale(weights)
     mate = {}
-    for a, c in _blossom(edges, _scale_to_int(weights), maxcardinality=False):
+    for a, c in _blossom(edges, ints, maxcardinality=False):
         mate[a] = c
         mate[c] = a
     base = sum(caps)  # the first gadget node
-    total = wall = value = Fraction(0)
-    for (a, c), w in zip(edges, weights):
+    total = wall = value = 0  # in units of 1/scale
+    for (a, c), w in zip(edges, ints):
         matched = mate.get(a) == c
         if matched:
             total += w
@@ -234,7 +244,7 @@ def _b_value(inst: Instance, allowed: set[int], caps: Sequence[int]) -> Fraction
             value += w
     if total != wall + value:
         raise InvariantError("gadget identity violated")
-    return value
+    return Fraction(value, scale)
 
 
 def b_matching_value(inst: Instance, S: Optional[Iterable[int]] = None) -> Fraction:

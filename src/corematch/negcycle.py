@@ -150,7 +150,7 @@ def _pairing(T: list[int], dists) -> Optional[list[tuple[int, int]]]:
     if len(T) == 2:
         pairs = medges
     else:
-        # raw solve: any minimum perfect matching will do, and networkx is
+        # raw solve: any minimum perfect matching will do, and the engine is
         # deterministic for a fixed construction order
         matched = matching._min_perfect_pairs(T, medges, mweights)
         pairs = [] if matched is None else [e for e in medges if frozenset(e) in matched]

@@ -1,5 +1,9 @@
 import hashlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -194,6 +198,45 @@ def test_golden_emit(capsys, tmp_path, game, digest):
     code, _, _ = run(capsys, "extform", "-i", str(DATA / game), "--emit", str(target))
     assert code == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+# Run the CLI in a fresh interpreter in which `import networkx` fails.
+WITHOUT_NETWORKX = """
+import contextlib, io, json, sys
+sys.modules["networkx"] = None
+from corematch import cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    runs.append([code, out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def run_fresh(code, *args):
+    env = dict(os.environ)
+    src = str(DATA.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+
+
+def test_golden_stdout_without_networkx():
+    argvs = [["value", "-i", str(DATA / "counterexample.game")]]
+    argvs += [[str(DATA / a) if a.endswith((".game", ".alloc")) else a for a in argv]
+              for argv, _, _ in GOLDEN_STDOUT]
+    runs = json.loads(run_fresh(WITHOUT_NETWORKX, json.dumps(argvs)).stdout)
+    assert runs[0] == [0, "12\n"]
+    for (code, out), (_, exit_code, digest) in zip(runs[1:], GOLDEN_STDOUT):
+        assert code == exit_code
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_import_leaves_networkx_unloaded():
+    out = run_fresh("import sys, corematch; print('networkx' in sys.modules)")
+    assert out.stdout == "False\n"
 
 
 def test_file_error_exit_code(capsys):

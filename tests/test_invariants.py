@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # Break the T-join path expansion so the parity check must fire.
@@ -136,4 +138,62 @@ def test_flagged_pair_without_a_path_raises_under_dash_o(tmp_path):
     assert out.returncode == 5
     assert out.stdout == ""
     assert "flagged endpoint pair holds no violated path" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+
+# Corrupt the blossom engine's final state just before its certificate check,
+# at the matched vertex v with the largest dual: lower that dual by 2 (an edge
+# at v gets negative slack), raise it by 2 (v's matched edge is no longer
+# tight), or unmatch v and its mate (v is single with a positive dual). Each
+# entry holds the corrupting lines and the check that fails on the path
+# 0-1-2-3 with weights 3, 5, 3.
+CORRUPTIONS = {
+    "lower_dual": ("    dualvar[v] -= 2\n", "negative edge slack"),
+    "raise_dual": ("    dualvar[v] += 2\n", "matched edge not tight"),
+    "unmatch": ("    mate[mate[v]] = -1\n    mate[v] = -1\n", "single vertex with nonzero dual"),
+}
+
+
+def corrupt_certificate(how: str) -> str:
+    return (
+        "from corematch import _edmonds\n"
+        "real = _edmonds.verify_optimum\n"
+        "def corrupted(endpoint, w2, mate, dualvar, *rest):\n"
+        "    v = max((d, i) for i, d in enumerate(dualvar) if mate[i] != -1)[1]\n"
+        + CORRUPTIONS[how][0]
+        + "    real(endpoint, w2, mate, dualvar, *rest)\n"
+    )
+
+
+@pytest.mark.parametrize("how", sorted(CORRUPTIONS))
+def test_blossom_certificate_raises_under_dash_o(how):
+    out = run_optimized(
+        "from corematch import matching\n"
+        "from corematch.model import InvariantError\n"
+        "assert False, 'asserts must be stripped here'\n"
+        "path = [(0, 1), (1, 2), (2, 3)]\n"
+        "print(sorted(sorted(p) for p in matching._blossom(path, [3, 5, 3], False)))\n"
+        "_edmonds.verify_optimum = corrupted\n"
+        "try:\n"
+        "    matching._blossom(path, [3, 5, 3], False)\n"
+        "except InvariantError as exc:\n"
+        "    print('raised:', exc)\n",
+        prelude=corrupt_certificate(how),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == f"[[0, 1], [2, 3]]\nraised: blossom optimum: {CORRUPTIONS[how][1]}\n"
+
+
+@pytest.mark.parametrize("how", sorted(CORRUPTIONS))
+def test_cli_value_exits_5_on_a_broken_certificate(how):
+    game = SRC.parent / "data" / "counterexample.game"
+    out = run_optimized(
+        "_edmonds.verify_optimum = corrupted\n"
+        "import sys\nfrom corematch import cli\nsys.exit(cli.main(sys.argv[1:]))\n",
+        "value", "-i", str(game), prelude=corrupt_certificate(how),
+    )
+    assert out.returncode == 5
+    assert out.stdout == ""
+    assert "internal error: blossom optimum: " in out.stderr
     assert "Traceback" not in out.stderr

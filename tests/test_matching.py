@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import pathlib
@@ -256,7 +257,7 @@ def full_b_value(inst, allowed, caps):
     if not allowed:
         return Fraction(0)
     _, edges, weights = full_gadget(inst, allowed, caps)
-    pairs = matching._solve_pairs(edges, matching._scale_to_int(weights), maxcardinality=False)
+    pairs = matching._solve_pairs(edges, matching._scale(weights)[0], maxcardinality=False)
     total = matching._pairs_weight(edges, weights, pairs)
     mate = {}
     for p in pairs:
@@ -428,3 +429,111 @@ def test_b_matching_decomposes_into_paths_and_cycles():
             deg[inst.edges[i].v] += 1
         for v in range(inst.n):
             assert deg[v] <= inst.b[v] <= 2
+
+
+# ---------------------------------------------------------------------------
+# The blossom engine: pinned pairs, networkx itself, and enumeration.
+# ---------------------------------------------------------------------------
+
+WEIGHT_RANGES = ((0, 1), (0, 3), (-5, 5), (-1000, 1000), (0, 1000))
+
+
+def blossom_corpus(seed, count):
+    """Seeded (edges, int weights, maxcardinality) cases for `_blossom`: n = 2
+    to 30 (every 40th case 31 to 60) at three densities, with dense int,
+    sparse int or string labels, random edge order and orientation, weights
+    mostly tied (0/1, 0..3) or spread (±5, ±1000, 0..1000), and every 100th
+    case a `build_gadget` graph of a random game."""
+    rng = random.Random(seed)
+    for k in range(count):
+        maxcard = rng.random() < 0.5
+        if k % 100 == 99:
+            inst = random_instance(rng.randrange(10**6), rng.randint(8, 40), Fraction(1, 2), 10)
+            _, edges, weights = build_gadget(inst)
+            yield edges, matching._scale(weights)[0], maxcard
+            continue
+        n = rng.randint(31, 60) if k % 40 == 39 else rng.randint(2, 30)
+        style = k % 3
+        if style == 0:
+            labels = list(range(n))
+        elif style == 1:
+            labels = rng.sample(range(10 * n), n)
+        else:
+            labels = [f"v{x}" for x in rng.sample(range(3 * n), n)]
+        density = rng.choice((0.15, 0.4, 0.8))
+        edges = [(labels[u], labels[v]) if rng.random() < 0.5 else (labels[v], labels[u])
+                 for u, v in itertools.combinations(range(n), 2) if rng.random() < density]
+        rng.shuffle(edges)
+        lo, hi = WEIGHT_RANGES[k % len(WEIGHT_RANGES)]
+        yield edges, [rng.randint(lo, hi) for _ in edges], maxcard
+
+
+def test_blossom_pairs_pinned():
+    # recorded with networkx 3.6.1's max_weight_matching behind `_blossom`
+    h = hashlib.sha256()
+    for edges, weights, maxcard in blossom_corpus(20261018, 3000):
+        pairs = sorted(tuple(sorted(p)) for p in matching._blossom(edges, weights, maxcard))
+        h.update(repr(pairs).encode() + b"\n")
+    assert h.hexdigest() == "954bab677857972ec47dcde0604df0044ba3ef153e815cafb48e88e532acfe57"
+
+
+def test_blossom_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for edges, weights, maxcard in blossom_corpus(77, 600):
+        g = nx.Graph()
+        for (u, v), w in zip(edges, weights):
+            g.add_edge(u, v, weight=w)
+        # the same pairs, each oriented the same way
+        assert matching._blossom(edges, weights, maxcard) == nx.max_weight_matching(
+            g, maxcardinality=maxcard)
+
+
+def matching_scores(n, edges, weights):
+    """(cardinality, weight) of every matching of the graph on range(n)."""
+    incident = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        incident[min(u, v)].append((max(u, v), weights[i]))
+
+    def grow(v, used, size, weight):
+        while v < n and v in used:
+            v += 1
+        if v == n:
+            yield size, weight
+            return
+        yield from grow(v + 1, used, size, weight)
+        for u, w in incident[v]:
+            if u not in used:
+                yield from grow(v + 1, used | {v, u}, size + 1, weight + w)
+
+    return list(grow(0, frozenset(), 0, 0))
+
+
+def test_blossom_value_matches_enumeration():
+    rng = random.Random(31)
+    for k in range(300):
+        n = rng.randint(2, 10)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6]
+        rng.shuffle(edges)
+        lo, hi = WEIGHT_RANGES[k % len(WEIGHT_RANGES)]
+        weights = [rng.randint(lo, hi) for _ in edges]
+        weight_of = {frozenset(e): w for e, w in zip(edges, weights)}
+        scores = matching_scores(n, edges, weights)
+        for maxcard, want in ((False, max(w for _, w in scores)), (True, max(scores)[1])):
+            pairs = matching._blossom(edges, weights, maxcard)
+            covered = [x for p in pairs for x in p]
+            assert len(covered) == len(set(covered))
+            if maxcard:
+                assert len(pairs) == max(scores)[0]
+            assert sum(weight_of[frozenset(p)] for p in pairs) == want
+
+
+@pytest.mark.parametrize("edges, weights, error", [
+    ([(0, 0)], [1], ValueError),  # a loop
+    ([(0, 1), (1, 0)], [1, 2], ValueError),  # a repeated edge
+    ([(0, 1)], [1, 2], ValueError),  # lengths differ
+    ([(0, 1)], [Fraction(1, 2)], TypeError),
+    ([(0, 1)], [1.0], TypeError),
+])
+def test_blossom_rejects_what_it_cannot_solve(edges, weights, error):
+    with pytest.raises(error):
+        matching._blossom(edges, weights, False)
