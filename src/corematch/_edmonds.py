@@ -39,8 +39,9 @@
 
 The algorithm is the one in networkx's `max_weight_matching` (after Galil,
 "Efficient Algorithms for Finding Maximum Matching in Graphs", ACM Computing
-Surveys, 1986), moved onto int arrays for integer weights. It keeps every
-iteration order of the original, so it returns the same matching on the same
+Surveys, 1986), moved onto int arrays for integer weights. `matched_edges`
+returns the matching as ascending indices into the edge list. It keeps every
+iteration order of the original, so it picks the same matching on the same
 edge list:
 
 - vertices are numbered in order of first appearance in the edge list, and
@@ -58,7 +59,7 @@ checked on every solve, also under `python -O`.
 
 from itertools import chain
 
-from .model import InvariantError
+from .model import InvariantError, check_simple_graph
 
 
 def verify_optimum(endpoint, w2, mate, dualvar, blossomdual, blossomparent,
@@ -106,32 +107,26 @@ def verify_optimum(endpoint, w2, mate, dualvar, blossomdual, blossomparent,
                     raise InvariantError("blossom optimum: positive blossom not full")
 
 
-def max_weight_mate(edges, weights, maxcardinality):
+def matched_edges(edges, weights, maxcardinality):
     """Maximum-weight matching of the simple graph `edges` (node pairs) under
     int `weights`; with `maxcardinality`, maximum weight among the matchings
     of maximum cardinality.
 
-    Returns (index, mate, order): index maps each node to its vertex id (its
-    rank of first appearance in `edges`), mate[v] is the id matched to v or
-    -1, and order lists the matched ids in the order they were first matched.
+    Returns the indices into `edges` of the matched edges, ascending.
     """
     index = {}
     for e in edges:
         for x in e:
             index.setdefault(x, len(index))
-    endpoint = [index[x] for e in edges for x in e]
     n, m = len(index), len(edges)
     if len(weights) != m:
         raise ValueError("edges and weights differ in length")
     if any(type(w) is not int for w in weights):
         raise TypeError("blossom weights must be ints")
-    pairs = {(a, b) if a < b else (b, a) for a, b in zip(endpoint[0::2], endpoint[1::2])}
-    if len(pairs) != m or any(a == b for a, b in pairs):
-        raise ValueError("blossom graph must be simple: no loops, no repeated edges")
-    mate = [-1] * n
-    order = []
+    check_simple_graph(index, edges)
     if not m:
-        return index, mate, order
+        return []
+    endpoint = [index[x] for e in edges for x in e]
 
     # 2 * weight per edge, and per vertex its (neighbour, oriented edge) list
     w2 = [2 * w for w in weights]
@@ -143,6 +138,7 @@ def max_weight_mate(edges, weights, maxcardinality):
     # The arrays below hold what networkx keeps in dicts keyed by either;
     # -1 stands for None, label 0 for "no label".
     size = 2 * n
+    mate = [-1] * n
     mateedge = [-1] * n  # the oriented edge from v to mate[v]
     label = [0] * size  # 1 = S, 2 = T, 5 = S with a breadcrumb
     labeledge = [-1] * size
@@ -175,8 +171,6 @@ def max_weight_mate(edges, weights, maxcardinality):
         return out
 
     def setmate(v, d):
-        if mate[v] == -1:
-            order.append(v)
         mate[v] = endpoint[d ^ 1]
         mateedge[v] = d
 
@@ -612,4 +606,4 @@ def max_weight_mate(edges, weights, maxcardinality):
 
     verify_optimum(endpoint, w2, mate, dualvar, blossomdual, blossomparent,
                    blossomedges, live, maxcardinality)
-    return index, mate, order
+    return sorted({mateedge[v] >> 1 for v in range(n) if mate[v] != -1})

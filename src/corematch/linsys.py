@@ -339,13 +339,11 @@ def simplex_solve(system: ConstraintSystem) -> SimplexResult:
     unbounded. Systems without an objective reduce to a feasibility check.
     Raises ValueError if the objective uses an undeclared variable."""
     _check_objective(system)
+    if not system.objective:
+        return simplex_feasible(system)
     tab = _Tableau(system)
     if not tab.phase1():
         return SimplexResult(status="infeasible")
-    if not system.objective:
-        point = tab.witness()
-        _check_witness(system, point)
-        return SimplexResult(status="feasible", witness=point)
     status, value = tab.phase2()
     if status == "unbounded":
         return SimplexResult(status="unbounded")

@@ -1,13 +1,14 @@
 """Exact maximum-weight matching and b-matching (b <= 2).
 
-The blossom engine is `_edmonds`, an int-array port of networkx's
-primal-dual implementation that returns the same matching, run on weights
-scaled to integers so every comparison is exact; it checks the dual
-certificate of optimality on every solve. On top of it this module
-implements deterministic tie-breaking (the optimum whose sorted edge-index
-tuple is lexicographically smallest), minimum-weight perfect matching, and
-maximum-weight b-matching through a vertex/edge gadget expansion on dense int
-nodes, in which only edges joining two capacity-2 vertices get a gadget.
+The blossom engine is `_edmonds.matched_edges`, an int-array port of
+networkx's primal-dual implementation that picks the same matching and
+returns the indices of its edges, run on weights scaled to integers so every
+comparison is exact; it checks the dual certificate of optimality on every
+solve. On top of it this module implements deterministic tie-breaking (the
+optimum whose sorted edge-index tuple is lexicographically smallest),
+minimum-weight perfect matching, and maximum-weight b-matching through a
+vertex/edge gadget expansion on dense int nodes, in which only edges joining
+two capacity-2 vertices get a gadget.
 """
 
 import itertools
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from ._edmonds import max_weight_mate
+from ._edmonds import matched_edges
 from .model import Instance, InvariantError, check_simple_graph
 
 
@@ -41,30 +42,6 @@ def _scale(weights: Iterable[Fraction]) -> tuple[list[int], int]:
     ws = [w if type(w) is Fraction else Fraction(w) for w in ws]
     denom = math.lcm(*(w.denominator for w in ws))
     return [w.numerator * (denom // w.denominator) for w in ws], denom
-
-
-def _blossom(edges, int_weights, maxcardinality):
-    """Run the blossom engine; returns the matched node pairs as tuples, each
-    oriented from the node that was matched first."""
-    index, mate, order = max_weight_mate(edges, int_weights, maxcardinality)
-    nodes = list(index)
-    pairs = set()
-    earlier = set()
-    for v in order:
-        if mate[v] not in earlier:
-            pairs.add((nodes[v], nodes[mate[v]]))
-        earlier.add(v)
-    return pairs
-
-
-def _solve_pairs(edges, int_weights, maxcardinality):
-    """Run the blossom engine; returns the matched pairs as a set of frozensets."""
-    return {frozenset(p) for p in _blossom(edges, int_weights, maxcardinality)}
-
-
-def _pairs_weight(edges, weights, pairs) -> Fraction:
-    """Total weight of the edges whose endpoint pairs are matched in `pairs`."""
-    return sum((w for e, w in zip(edges, weights) if frozenset(e) in pairs), Fraction(0))
 
 
 def _lex_min(weights, opt, completion, complete) -> MatchingResult:
@@ -112,11 +89,8 @@ def _after(edges, weights, kept, i):
 
 def _max_value(edges, weights) -> Fraction:
     """Maximum matching weight only (no tie-break canonicalization)."""
-    if not edges:
-        return Fraction(0)
     ints, _ = _scale(weights)
-    pairs = _solve_pairs(edges, ints, maxcardinality=False)
-    return _pairs_weight(edges, weights, pairs)
+    return sum((weights[k] for k in matched_edges(edges, ints, False)), Fraction(0))
 
 
 def max_weight_matching(vertices, edges, weights) -> MatchingResult:
@@ -136,21 +110,19 @@ def max_weight_matching(vertices, edges, weights) -> MatchingResult:
     return _lex_min(weights, opt, completion, lambda kept, forced: forced == opt)
 
 
-def _min_perfect_pairs(vertices, edges, weights):
-    """Min-weight perfect matching pairs, or None if no perfect matching exists."""
-    n = len(vertices)
-    if n % 2 != 0:
+def _min_perfect_edges(vertices, edges, weights) -> Optional[list[int]]:
+    """Indices of the edges of a min-weight perfect matching, ascending, or
+    None if no perfect matching exists."""
+    if len(vertices) % 2:
         return None
-    if n == 0:
-        return set()
     ints, _ = _scale(weights)
-    pairs = _solve_pairs(edges, [-w for w in ints], maxcardinality=True)
-    return pairs if 2 * len(pairs) == n else None
+    matched = matched_edges(edges, [-w for w in ints], True)
+    return matched if 2 * len(matched) == len(vertices) else None
 
 
 def _min_perfect_value(vertices, edges, weights) -> Optional[Fraction]:
-    pairs = _min_perfect_pairs(vertices, edges, weights)
-    return None if pairs is None else _pairs_weight(edges, weights, pairs)
+    matched = _min_perfect_edges(vertices, edges, weights)
+    return None if matched is None else sum((weights[k] for k in matched), Fraction(0))
 
 
 def min_weight_perfect_matching(vertices, edges, weights) -> MatchingResult:
@@ -226,21 +198,18 @@ def _b_value(inst: Instance, allowed: set[int], caps: Sequence[int]) -> Fraction
         return Fraction(0)
     _, edges, weights = build_gadget(inst, allowed, caps)
     ints, scale = _scale(weights)
-    mate = {}
-    for a, c in _blossom(edges, ints, maxcardinality=False):
-        mate[a] = c
-        mate[c] = a
+    matched = set(matched_edges(edges, ints, False))
+    covered = {x for k in matched for x in edges[k]}
     base = sum(caps)  # the first gadget node
     total = wall = value = 0  # in units of 1/scale
-    for (a, c), w in zip(edges, ints):
-        matched = mate.get(a) == c
-        if matched:
+    for k, ((a, c), w) in enumerate(zip(edges, ints)):
+        if k in matched:
             total += w
         if a >= base and c >= base:  # the middle edge e_u - e_v of a gadget
             wall += w
-            if not matched and a in mate and c in mate:  # the gadget is fully used
+            if k not in matched and a in covered and c in covered:  # the gadget is fully used
                 value += w
-        elif matched and a < base and c < base:  # a direct edge
+        elif k in matched and a < base and c < base:  # a direct edge
             value += w
     if total != wall + value:
         raise InvariantError("gadget identity violated")

@@ -167,19 +167,12 @@ class Instance:
         """Edge indices incident to v, in edge-index order."""
         return self._incident[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._incident[v])
-
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e.key(): i for i, e in enumerate(self.edges)}
 
     def find_edge(self, u: int, v: int) -> Optional[int]:
         return self.edge_index.get((u, v) if u < v else (v, u))
-
-    @property
-    def vertices(self) -> range:
-        return range(self.n)
 
     @cached_property
     def n2(self) -> tuple[int, ...]:
@@ -191,9 +184,6 @@ class Instance:
         """Indices of the edges joining two capacity-2 vertices, ascending."""
         b = self.b
         return tuple(i for i, e in enumerate(self.edges) if b[e.u] == 2 == b[e.v])
-
-    def total_weight(self) -> Fraction:
-        return sum((e.w for e in self.edges), Fraction(0))
 
 
 @dataclass(frozen=True)

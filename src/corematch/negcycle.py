@@ -5,9 +5,10 @@ join) is negative exactly when a negative cycle exists, and is computed by
 flipping the negative edges and correcting their parity with a minimum T-join,
 which in turn reduces to shortest paths plus minimum-weight perfect matching.
 
-Costs may be of any exact number type: everything here only adds, negates
-and compares them, and no `Fraction` is seeded in, so integer costs stay
-integers. Separation passes transfer costs scaled to integers, cost·D =
+Costs are ints or Fractions (`CostedGraph` rejects floats, whose rounding
+would make the answer depend on edge order): everything here only adds,
+negates and compares them, and no `Fraction` is seeded in, so integer costs
+stay integers. Separation passes transfer costs scaled to integers, cost·D =
 P_u + P_v − W_e with P_v = p_v·D/2, W_e = w_e·D and D = 2·lcm of all
 denominators of p and w; a positive scale keeps every comparison, so the
 joins and cycles are those of the unscaled costs.
@@ -24,6 +25,7 @@ from .model import (
     FormatError,
     InvariantError,
     _content_lines,
+    _is_exact,
     check_simple_graph,
     edge_lines_blamed,
     parse_edge_lines,
@@ -52,7 +54,8 @@ class CostEdge(NamedTuple):
 
 @dataclass(frozen=True)
 class CostedGraph:
-    """Simple undirected graph with signed exact edge costs.
+    """Simple undirected graph with signed exact edge costs (ints or
+    Fractions).
 
     `marker` optionally names one distinguished edge (separation tags the
     artificial st edge this way).
@@ -64,6 +67,11 @@ class CostedGraph:
 
     def __post_init__(self):
         check_simple_graph(self.vertices, self.edges)
+        for e in self.edges:
+            if not _is_exact(e.cost):
+                raise ValueError(
+                    f"cost on edge {e.u}-{e.v} is not an int or a Fraction: {e.cost!r}"
+                )
         if self.marker is not None and not 0 <= self.marker < len(self.edges):
             raise ValueError("marker out of range")
 
@@ -152,8 +160,8 @@ def _pairing(T: list[int], dists) -> Optional[list[tuple[int, int]]]:
     else:
         # raw solve: any minimum perfect matching will do, and the engine is
         # deterministic for a fixed construction order
-        matched = matching._min_perfect_pairs(T, medges, mweights)
-        pairs = [] if matched is None else [e for e in medges if frozenset(e) in matched]
+        matched = matching._min_perfect_edges(T, medges, mweights)
+        pairs = [] if matched is None else [medges[k] for k in matched]
     return pairs if 2 * len(pairs) == len(T) else None
 
 

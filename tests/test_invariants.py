@@ -1,5 +1,6 @@
 """Internal exactness checks stay on under `python -O` and map to exit 5."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -20,6 +21,16 @@ def run_optimized(code: str, *args: str, prelude: str = BREAK) -> subprocess.Com
         [sys.executable, "-O", "-c", prelude + code, *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_src_has_no_assert_statements():
+    # `python -O` strips asserts, so every exactness check must be a raise
+    found = []
+    for path in sorted((SRC / "corematch").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not found, found
 
 
 def test_invariant_raises_under_dash_o():
@@ -87,15 +98,14 @@ def test_gadget_identity_raises_under_dash_o():
         "inst = parse_instance('game 4 6\\n' + ''.join(f'vertex {v} 2\\n' for v in range(4))\n"
         "    + 'edge 0 1 1\\nedge 0 2 1\\nedge 0 3 1\\nedge 1 2 1\\nedge 1 3 1\\nedge 2 3 1\\n')\n"
         "print(matching.b_matching_value(inst))\n"
-        "real = matching._blossom\n"
+        "real = matching.matched_edges\n"
         "def corrupted(edges, int_weights, maxcardinality):\n"
-        "    pairs = set(real(edges, int_weights, maxcardinality))\n"
-        "    weight = dict(zip(edges, int_weights))\n"
+        "    matched = real(edges, int_weights, maxcardinality)\n"
         "    # nodes 0..7 are the vertex copies, 8 and up the gadget nodes\n"
-        "    middle = sorted(p for p in pairs if min(p) >= 8 and weight[tuple(sorted(p))] > 0)\n"
-        "    pairs.discard(middle[0])\n"
-        "    return pairs\n"
-        "matching._blossom = corrupted\n"
+        "    middle = [k for k in matched if min(edges[k]) >= 8 and int_weights[k] > 0]\n"
+        "    matched.remove(middle[0])\n"
+        "    return matched\n"
+        "matching.matched_edges = corrupted\n"
         "try:\n"
         "    matching.b_matching_value(inst)\n"
         "except InvariantError as exc:\n"
@@ -169,20 +179,19 @@ def corrupt_certificate(how: str) -> str:
 @pytest.mark.parametrize("how", sorted(CORRUPTIONS))
 def test_blossom_certificate_raises_under_dash_o(how):
     out = run_optimized(
-        "from corematch import matching\n"
         "from corematch.model import InvariantError\n"
         "assert False, 'asserts must be stripped here'\n"
         "path = [(0, 1), (1, 2), (2, 3)]\n"
-        "print(sorted(sorted(p) for p in matching._blossom(path, [3, 5, 3], False)))\n"
+        "print(_edmonds.matched_edges(path, [3, 5, 3], False))\n"
         "_edmonds.verify_optimum = corrupted\n"
         "try:\n"
-        "    matching._blossom(path, [3, 5, 3], False)\n"
+        "    _edmonds.matched_edges(path, [3, 5, 3], False)\n"
         "except InvariantError as exc:\n"
         "    print('raised:', exc)\n",
         prelude=corrupt_certificate(how),
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout == f"[[0, 1], [2, 3]]\nraised: blossom optimum: {CORRUPTIONS[how][1]}\n"
+    assert out.stdout == f"[0, 2]\nraised: blossom optimum: {CORRUPTIONS[how][1]}\n"
 
 
 @pytest.mark.parametrize("how", sorted(CORRUPTIONS))

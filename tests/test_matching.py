@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from corematch import matching, model, oracle
+from corematch._edmonds import matched_edges
 from corematch.matching import (
     MatchingResult,
     NoPerfectMatchingError,
@@ -257,11 +258,11 @@ def full_b_value(inst, allowed, caps):
     if not allowed:
         return Fraction(0)
     _, edges, weights = full_gadget(inst, allowed, caps)
-    pairs = matching._solve_pairs(edges, matching._scale(weights)[0], maxcardinality=False)
-    total = matching._pairs_weight(edges, weights, pairs)
+    matched = matched_edges(edges, matching._scale(weights)[0], False)
+    total = sum((weights[k] for k in matched), Fraction(0))
     mate = {}
-    for p in pairs:
-        a, b = tuple(p)
+    for k in matched:
+        a, b = edges[k]
         mate[a] = b
         mate[b] = a
     value = Fraction(0)
@@ -432,14 +433,14 @@ def test_b_matching_decomposes_into_paths_and_cycles():
 
 
 # ---------------------------------------------------------------------------
-# The blossom engine: pinned pairs, networkx itself, and enumeration.
+# The blossom engine: pinned matchings, networkx itself, and enumeration.
 # ---------------------------------------------------------------------------
 
 WEIGHT_RANGES = ((0, 1), (0, 3), (-5, 5), (-1000, 1000), (0, 1000))
 
 
 def blossom_corpus(seed, count):
-    """Seeded (edges, int weights, maxcardinality) cases for `_blossom`: n = 2
+    """Seeded (edges, int weights, maxcardinality) cases for `matched_edges`: n = 2
     to 30 (every 40th case 31 to 60) at three densities, with dense int,
     sparse int or string labels, random edge order and orientation, weights
     mostly tied (0/1, 0..3) or spread (±5, ±1000, 0..1000), and every 100th
@@ -469,10 +470,10 @@ def blossom_corpus(seed, count):
 
 
 def test_blossom_pairs_pinned():
-    # recorded with networkx 3.6.1's max_weight_matching behind `_blossom`
+    # recorded with networkx 3.6.1's max_weight_matching in place of the engine
     h = hashlib.sha256()
     for edges, weights, maxcard in blossom_corpus(20261018, 3000):
-        pairs = sorted(tuple(sorted(p)) for p in matching._blossom(edges, weights, maxcard))
+        pairs = sorted(tuple(sorted(edges[k])) for k in matched_edges(edges, weights, maxcard))
         h.update(repr(pairs).encode() + b"\n")
     assert h.hexdigest() == "954bab677857972ec47dcde0604df0044ba3ef153e815cafb48e88e532acfe57"
 
@@ -483,9 +484,9 @@ def test_blossom_matches_networkx():
         g = nx.Graph()
         for (u, v), w in zip(edges, weights):
             g.add_edge(u, v, weight=w)
-        # the same pairs, each oriented the same way
-        assert matching._blossom(edges, weights, maxcard) == nx.max_weight_matching(
-            g, maxcardinality=maxcard)
+        # the same matching, compared as sets of edges
+        got = {frozenset(edges[k]) for k in matched_edges(edges, weights, maxcard)}
+        assert got == {frozenset(p) for p in nx.max_weight_matching(g, maxcardinality=maxcard)}
 
 
 def matching_scores(n, edges, weights):
@@ -516,15 +517,15 @@ def test_blossom_value_matches_enumeration():
         rng.shuffle(edges)
         lo, hi = WEIGHT_RANGES[k % len(WEIGHT_RANGES)]
         weights = [rng.randint(lo, hi) for _ in edges]
-        weight_of = {frozenset(e): w for e, w in zip(edges, weights)}
         scores = matching_scores(n, edges, weights)
         for maxcard, want in ((False, max(w for _, w in scores)), (True, max(scores)[1])):
-            pairs = matching._blossom(edges, weights, maxcard)
-            covered = [x for p in pairs for x in p]
+            matched = matched_edges(edges, weights, maxcard)
+            assert matched == sorted(set(matched))
+            covered = [x for k in matched for x in edges[k]]
             assert len(covered) == len(set(covered))
             if maxcard:
-                assert len(pairs) == max(scores)[0]
-            assert sum(weight_of[frozenset(p)] for p in pairs) == want
+                assert len(matched) == max(scores)[0]
+            assert sum(weights[k] for k in matched) == want
 
 
 @pytest.mark.parametrize("edges, weights, error", [
@@ -536,4 +537,4 @@ def test_blossom_value_matches_enumeration():
 ])
 def test_blossom_rejects_what_it_cannot_solve(edges, weights, error):
     with pytest.raises(error):
-        matching._blossom(edges, weights, False)
+        matched_edges(edges, weights, False)

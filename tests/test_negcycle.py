@@ -45,6 +45,32 @@ def even_subsets(g):
             yield {i for i in range(m) if mask >> i & 1}
 
 
+def four_cycle(costs):
+    return CostedGraph(
+        vertices=(0, 1, 2, 3),
+        edges=tuple(CostEdge(k, (k + 1) % 4, c, k) for k, c in enumerate(costs)),
+    )
+
+
+def test_exact_zero_cycle_is_not_negative():
+    # 2**53 + 1 + 1 - (2**53 + 2) = 0
+    costs = [Fraction(2**53), Fraction(1), Fraction(1), -Fraction(2**53 + 2)]
+    assert find_negative_cycle(four_cycle(costs)) is None
+
+
+@pytest.mark.parametrize("costs", [
+    # summed in this order the floats round 2**53 + 1 down and find a cycle of
+    # cost -2; with the 1s first they find none
+    [2.0**53, 1.0, 1.0, -(2.0**53 + 2)],
+    [1.0, 1.0, 2.0**53, -(2.0**53 + 2)],
+    [1, 1, 1, 0.5],
+    [1, True, 1, -2],
+])
+def test_costed_graph_rejects_inexact_costs(costs):
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        four_cycle(costs)
+
+
 def test_t_join_empty_t():
     g = triangle(1, 2, 3)
     assert min_t_join(g, [e.cost for e in g.edges], []) == frozenset()
@@ -262,10 +288,9 @@ def test_two_vertex_t_skips_the_blossom(monkeypatch):
         dist, pred = negcycle._dijkstra(g, costs, a)
         if b not in dist:
             continue
-        pairs = matching._min_perfect_pairs([a, b], [(a, b)], [dist[b]])
-        assert pairs == {frozenset((a, b))}
+        assert matching._min_perfect_edges([a, b], [(a, b)], [dist[b]]) == [0]
         with monkeypatch.context() as m:
-            m.setattr(matching, "_min_perfect_pairs", None)  # any call fails
+            m.setattr(matching, "_min_perfect_edges", None)  # any call fails
             assert min_t_join(g, costs, [b, a]) == negcycle._path_edges(g, pred, a, b)
         checked += 1
     assert checked > 20
@@ -273,7 +298,7 @@ def test_two_vertex_t_skips_the_blossom(monkeypatch):
 
 def test_two_vertex_t_across_components(monkeypatch):
     g = graph(4, [(0, 1, 2), (2, 3, 5)])
-    monkeypatch.setattr(matching, "_min_perfect_pairs", None)
+    monkeypatch.setattr(matching, "_min_perfect_edges", None)
     with pytest.raises(TJoinError, match="T-join"):
         min_t_join(g, [e.cost for e in g.edges], [1, 2])
 
