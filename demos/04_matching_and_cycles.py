@@ -69,7 +69,7 @@ for cyc in decompose_even_subgraph(g, join):
 print("most negative cycle:", find_negative_cycle(g))
 print()
 
-# The T-join machinery on its own: odd-degree repair between marked vertices.
-costs = [abs(e.cost) for e in g.edges]
-tj = min_t_join(g, costs, [1, 3])
-print("min {1,3}-join:", sorted(tj), "cost", sum(costs[i] for i in tj))
+# The T-join machinery on its own: odd-degree repair between marked vertices,
+# each edge costing the absolute value of its cost.
+tj = min_t_join(g, [1, 3])
+print("min {1,3}-join:", sorted(tj), "cost", sum(abs(g.edges[i].cost) for i in tj))

@@ -9,7 +9,7 @@ codes: 0 success / in core, 10 violated, 2 usage, 3 file or format error,
 import argparse
 import sys
 
-from . import extform, flawed, linsys, matching, model, negcycle, oracle, separation
+from . import extform, flawed, linsys, model, negcycle, oracle, separation
 from .model import FormatError, InvariantError
 
 EXIT_OK = 0
@@ -58,7 +58,7 @@ def _parse_coalition(text: str, inst: model.Instance):
 
 def _cmd_value(args) -> int:
     inst = _load_instance(args.instance)
-    print(matching.b_matching_value(inst))
+    print(inst.grand_value)
     return EXIT_OK
 
 
@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (negcycle.TJoinError, matching.NoPerfectMatchingError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import matching, separation
+from . import separation
 from .linsys import ConstraintSystem, simplex_feasible, simplex_solve
-from .model import Allocation, Instance
+from .model import Allocation, Instance, check_allocation_length
 from .negcycle import CostEdge, CostedGraph
 
 # one shared object per +-1 coefficient instead of a new Fraction per term
@@ -221,9 +221,8 @@ def build_extended_formulation(inst: Instance) -> ConstraintSystem:
     sys = ConstraintSystem(name=f"core-extform({inst.name or 'instance'})")
     for v in range(inst.n):
         sys.add_variable(f"p_{v}")
-    nu_n = matching.b_matching_value(inst)
     sys.add_constraint(
-        "total", {f"p_{v}": _ONE for v in range(inst.n)}, "=", nu_n
+        "total", {f"p_{v}": _ONE for v in range(inst.n)}, "=", inst.grand_value
     )
     for v in range(inst.n):
         sys.add_constraint(f"nn_p_{v}", {f"p_{v}": _ONE}, ">=", 0)
@@ -248,9 +247,8 @@ def check_membership(inst: Instance, p: Allocation) -> bool:
     """Exact core membership through the extended formulation: direct checks
     for the total/vertex/edge constraints, then one phase-I feasibility run
     per family member's dual block."""
-    if len(p) != inst.n:
-        raise ValueError("allocation length differs from the vertex count")
-    if p.total() != matching.b_matching_value(inst):
+    check_allocation_length(inst, p)
+    if p.total() != inst.grand_value:
         return False
     if any(p[v] < 0 for v in range(inst.n)):
         return False

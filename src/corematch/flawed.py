@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import matching, oracle, separation
+from . import oracle, separation
 from .model import Allocation, Instance, parse_instance
 
 
@@ -155,7 +155,6 @@ def demo_counterexample() -> str:
     p = counterexample_allocation()
     names = COUNTEREXAMPLE_NAMES
 
-    nu_n = matching.b_matching_value(inst)
     verdict = separation.separate(inst, p)
     brute = oracle.core_check_bruteforce(inst, p)
     flaw = flawed_separate_paths(inst, p)
@@ -176,10 +175,10 @@ def demo_counterexample() -> str:
         + ", ".join(str(x) for x in p.values)
         + ")"
     )
-    lines.append(f"nu(N) = {nu_n}")
+    lines.append(f"nu(N) = {inst.grand_value}")
     lines.append(
         f"p(N)  = {p.total()}"
-        + (" (matches nu(N))" if p.total() == nu_n else " (MISMATCH)")
+        + (" (matches nu(N))" if p.total() == inst.grand_value else " (MISMATCH)")
     )
     lines.append(
         "corrected separation:  "

@@ -142,14 +142,13 @@ class Instance:
             if e.w < 0:
                 raise ValueError(f"negative weight on edge {e.u}-{e.v}")
 
-    def __hash__(self) -> int:
-        return self._hash
-
     @cached_property
-    def _hash(self) -> int:
-        # the fields __eq__ compares, hashed once: hashing an edge hashes its
-        # Fraction weight, and the per-instance nu(N) cache hashes on every lookup
-        return hash((self.n, self.b, self.edges))
+    def grand_value(self) -> Fraction:
+        """ν(N), the grand coalition's value: computed on first use and
+        dropped with this object."""
+        from . import matching  # matching imports this module
+
+        return matching.b_matching_value(self)
 
     @property
     def m(self) -> int:
@@ -210,6 +209,12 @@ class Allocation:
     def of(self, S: Iterable[int]) -> Fraction:
         """p(S), the allocation total over a coalition."""
         return sum((self.values[v] for v in S), Fraction(0))
+
+
+def check_allocation_length(inst: Instance, p: Allocation) -> None:
+    """Raise ValueError unless p has one entry per vertex of inst."""
+    if len(p) != inst.n:
+        raise ValueError("allocation length differs from the vertex count")
 
 
 def coalition(members: Iterable[int]) -> tuple[int, ...]:

@@ -96,20 +96,24 @@ class Cycle:
 
 def _canonical_cycle(g: CostedGraph, edge_seq: Sequence[int],
                      vertex_seq: Sequence[int]) -> Cycle:
-    verts = list(vertex_seq)
-    k = len(verts)
-    start = verts.index(min(verts))
-    verts = verts[start:] + verts[:start]
+    """The closed walk whose edge edge_seq[j] joins vertex_seq[j] and
+    vertex_seq[j + 1] (cyclically), as a canonical Cycle."""
+    start = vertex_seq.index(min(vertex_seq))
+    verts = [*vertex_seq[start:], *vertex_seq[:start]]
+    edges = [*edge_seq[start:], *edge_seq[:start]]
     if verts[1] > verts[-1]:
         verts = [verts[0]] + verts[1:][::-1]
-    index = {}
-    for i in edge_seq:
-        index[g.edges[i].key()] = i
-    edges = []
-    for a, b in zip(verts, verts[1:] + verts[:1]):
-        edges.append(index[(a, b) if a < b else (b, a)])
+        edges.reverse()
     cost = sum(g.edges[i].cost for i in edges)
     return Cycle(edges=tuple(edges), vertices=tuple(verts), cost=cost)
+
+
+def _odd_vertices(g: CostedGraph, J) -> set[int]:
+    """The vertices of odd degree in the edge set J (edge indices of g)."""
+    odd: set[int] = set()
+    for i in J:
+        odd ^= {g.edges[i].u, g.edges[i].v}
+    return odd
 
 
 def _dijkstra(g: CostedGraph, costs: Sequence[Cost], source: int):
@@ -165,8 +169,9 @@ def _pairing(T: list[int], dists) -> Optional[list[tuple[int, int]]]:
     return pairs if 2 * len(pairs) == len(T) else None
 
 
-def min_t_join(g: CostedGraph, costs: Sequence[Cost], T) -> frozenset[int]:
-    """Minimum-cost edge set with odd degree exactly at T (costs >= 0).
+def min_t_join(g: CostedGraph, T) -> frozenset[int]:
+    """Minimum-cost edge set with odd degree exactly at T, each edge of g
+    costing the absolute value |c| of its cost.
 
     Shortest paths between T-vertices feed a minimum-weight perfect matching;
     the join is the symmetric difference of the matched pairs' paths. A pair
@@ -176,12 +181,10 @@ def min_t_join(g: CostedGraph, costs: Sequence[Cost], T) -> frozenset[int]:
     T = sorted(set(T))
     if len(T) % 2 != 0:
         raise TJoinError("odd T")
-    for c in costs:
-        if c < 0:
-            raise ValueError("min_t_join requires nonnegative costs")
     if not T:
         return frozenset()
 
+    costs = [abs(e.cost) for e in g.edges]
     dists = {}
     preds = {}
     for s in T[:-1]:
@@ -194,11 +197,7 @@ def min_t_join(g: CostedGraph, costs: Sequence[Cost], T) -> frozenset[int]:
     join: set[int] = set()
     for a, b in pairs:
         join ^= _path_edges(g, preds[a], a, b)
-    parity = {v: 0 for v in g.vertices}
-    for i in join:
-        parity[g.edges[i].u] ^= 1
-        parity[g.edges[i].v] ^= 1
-    if {v for v, p in parity.items() if p} != set(T):
+    if _odd_vertices(g, join) != set(T):
         raise InvariantError("T-join parity broken")
     return frozenset(join)
 
@@ -210,12 +209,7 @@ def min_zero_join(g: CostedGraph) -> tuple[frozenset[int], Cost]:
     |cost|: the result is E- symmetric-difference that join.
     """
     negative = {i for i, e in enumerate(g.edges) if e.cost < 0}
-    parity: dict[int, int] = {v: 0 for v in g.vertices}
-    for i in negative:
-        parity[g.edges[i].u] ^= 1
-        parity[g.edges[i].v] ^= 1
-    T = [v for v, p in parity.items() if p]
-    join = min_t_join(g, [abs(e.cost) for e in g.edges], T)
+    join = min_t_join(g, _odd_vertices(g, negative))
     J = frozenset(negative ^ join)
     cost = sum(g.edges[i].cost for i in J)
     check = sum(g.edges[i].cost for i in negative) + sum(
@@ -241,12 +235,9 @@ def join_distances(g: CostedGraph) -> Optional[dict[int, dict[int, Cost]]]:
     |T'| > 2. d[a] lacks b when a and b lie in different components.
     """
     costs = [abs(e.cost) for e in g.edges]
-    odd: set[int] = set()
-    base = 0
-    for e in g.edges:
-        if e.cost < 0:
-            odd ^= {e.u, e.v}
-            base += e.cost
+    negative = [i for i, e in enumerate(g.edges) if e.cost < 0]
+    odd = _odd_vertices(g, negative)
+    base = sum(g.edges[i].cost for i in negative)
     dists = {v: _dijkstra(g, costs, v)[0] for v in g.vertices}
 
     def distance(T) -> Optional[Cost]:
@@ -271,15 +262,12 @@ def join_distances(g: CostedGraph) -> Optional[dict[int, dict[int, Cost]]]:
 def decompose_even_subgraph(g: CostedGraph, J) -> list[Cycle]:
     """Split an even-degree edge set into edge-disjoint simple cycles."""
     J = set(J)
-    degree: dict[int, int] = {v: 0 for v in g.vertices}
+    if _odd_vertices(g, J):
+        raise ValueError("edge set has a vertex of odd degree")
     unused: dict[int, list[int]] = {v: [] for v in g.vertices}
     for i in sorted(J):
-        degree[g.edges[i].u] += 1
-        degree[g.edges[i].v] += 1
         unused[g.edges[i].u].append(i)
         unused[g.edges[i].v].append(i)
-    if any(d % 2 for d in degree.values()):
-        raise ValueError("edge set has a vertex of odd degree")
 
     removed: set[int] = set()
     cycles: list[Cycle] = []

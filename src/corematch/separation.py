@@ -21,19 +21,25 @@ uv costs cost·D = P_u + P_v − W_e and the st edge costs P_s + P_t, where
 cost = (p_u + p_v)/2 − w_uv is the exact transfer cost. Each stage costs
 every edge once for its allocation, and G2 and every variant select from
 those edges; since D > 0 every comparison, and so every join, cycle and
-certificate, is that of the exact costs. ν(N) is computed once per
-`Instance` and dropped with it.
+certificate, is that of the exact costs. ν(N) is `Instance.grand_value`.
 """
 
 import math
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import matching, negcycle
-from .model import Allocation, Instance, InvariantError, Violation, ViolationKind, coalition
+from .model import (
+    Allocation,
+    Instance,
+    InvariantError,
+    Violation,
+    ViolationKind,
+    check_allocation_length,
+    coalition,
+)
 from .negcycle import Cost, CostEdge, CostedGraph, Cycle
 
 
@@ -46,20 +52,9 @@ class SeparationVerdict:
         return self.violation is None
 
 
-# ν(N) per instance; an entry lives only as long as its instance
-_GRAND_VALUE: "weakref.WeakKeyDictionary[Instance, Fraction]" = weakref.WeakKeyDictionary()
-
-
-def _grand_value(inst: Instance) -> Fraction:
-    value = _GRAND_VALUE.get(inst)
-    if value is None:
-        value = _GRAND_VALUE[inst] = matching.b_matching_value(inst)
-    return value
-
-
 def check_total_value(inst: Instance, p: Allocation) -> Optional[Violation]:
     """None iff p(N) equals the grand-coalition value."""
-    total = _grand_value(inst)
+    total = inst.grand_value
     if p.total() == total:
         return None
     return Violation(
@@ -308,14 +303,9 @@ def separate_paths(inst: Instance, p: Allocation) -> Optional[Violation]:
     return next(_path_violations(inst, p), None)
 
 
-def _check_length(inst: Instance, p: Allocation) -> None:
-    if len(p) != inst.n:
-        raise ValueError("allocation length differs from the vertex count")
-
-
 def separate(inst: Instance, p: Allocation) -> SeparationVerdict:
     """Full core separation: total value, vertices/edges, cycles, paths."""
-    _check_length(inst, p)
+    check_allocation_length(inst, p)
     for stage in (
         check_total_value,
         separate_vertices_edges,
@@ -334,7 +324,7 @@ def separate_all(inst: Instance, p: Allocation) -> list[Violation]:
     endpoint pair/variant (the pairs the G2 distances flag, where that test
     applies); a violation found again (a marker-free cycle lies in many
     variants) is kept only where it first appeared."""
-    _check_length(inst, p)
+    check_allocation_length(inst, p)
     found = chain(
         [check_total_value(inst, p)],
         _vertex_edge_violations(inst, p),
@@ -346,12 +336,13 @@ def separate_all(inst: Instance, p: Allocation) -> list[Violation]:
 
 def verify_violation(inst: Instance, p: Allocation, v: Violation) -> bool:
     """Re-check a certificate arithmetically, including p(S) < nu(S)."""
+    check_allocation_length(inst, p)
     S = v.coalition
     if v.kind is ViolationKind.TOTAL_VALUE:
         return (
             S == tuple(range(inst.n))
             and v.allocated == p.total()
-            and v.bound == _grand_value(inst)
+            and v.bound == inst.grand_value
             and v.allocated != v.bound
         )
     if v.allocated != p.of(S) or v.allocated >= v.bound:

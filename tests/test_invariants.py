@@ -41,7 +41,7 @@ def test_invariant_raises_under_dash_o():
         "assert False, 'asserts must be stripped here'\n"
         "g = CostedGraph((0, 1, 2), (CostEdge(0, 1, Fraction(1)), CostEdge(1, 2, Fraction(1))))\n"
         "try:\n"
-        "    negcycle.min_t_join(g, [1, 1], [0, 2])\n"
+        "    negcycle.min_t_join(g, [0, 2])\n"
         "except InvariantError as exc:\n"
         "    print('raised:', exc)\n"
     )

@@ -273,6 +273,16 @@ def test_separate_all_rejects_wrong_length(counterexample, length):
         separate_all(counterexample, alloc(*[1] * length))
 
 
+@pytest.mark.parametrize("length", [3, 7])
+def test_verify_violation_rejects_wrong_length(counterexample, length):
+    # the edge 2-3 (weight 10) certificate at p = 0: a short allocation used
+    # to raise IndexError, and a long one to verify
+    v = model.Violation(ViolationKind.EDGE, (2, 3), Fraction(0), Fraction(10), (2,))
+    assert verify_violation(counterexample, alloc(0, 0, 0, 0, 0), v)
+    with pytest.raises(ValueError, match="length"):
+        verify_violation(counterexample, alloc(*[0] * length), v)
+
+
 def test_separate_paths_defensive_cycle_branch():
     # calling path separation with cycle constraints still violated (a caller
     # error) must surface a marker-free negative cycle as a Cycle violation:
@@ -328,12 +338,31 @@ def test_grand_value_lookup_hashes_no_edge():
     inst = model.Instance(
         base.n, base.b, tuple(model.Edge(e.u, e.v, CountedWeight(e.w)) for e in base.edges)
     )
-    value = separation._grand_value(inst)
-    assert CountedWeight.hashes > 0  # the first lookup hashes the edges
     CountedWeight.hashes = 0
-    assert separation._grand_value(inst) == value
-    assert hash(inst) == hash(base) and inst == base
+    assert inst.grand_value == base.grand_value
+    assert separate(inst, alloc(*[0] * inst.n)).violation.bound == inst.grand_value
+    assert inst == base
     assert CountedWeight.hashes == 0
+
+
+def test_equal_instances_each_compute_grand_value(monkeypatch):
+    # ν(N) belongs to the Instance object: an equal but distinct game
+    # computes its own and never reads another's
+    calls = []
+    real = matching.b_matching_value
+
+    def counted(inst, S=None):
+        calls.append(inst)
+        return real(inst, S)
+
+    monkeypatch.setattr(matching, "b_matching_value", counted)
+    text = model.emit_instance(random_instance(9, 9, Fraction(1, 2), 8))
+    a, b = parse_instance(text), parse_instance(text)
+    assert a == b and a is not b
+    rng = random.Random(9)
+    for inst in (a, b, a, b):
+        separate(inst, random_allocation(rng, inst))
+    assert len(calls) == 2 and calls[0] is a and calls[1] is b
 
 
 def test_cycle_and_path_stages_run_on_ints(monkeypatch):
@@ -342,9 +371,9 @@ def test_cycle_and_path_stages_run_on_ints(monkeypatch):
     seen = []
     real_join, real_distances = negcycle.min_t_join, negcycle.join_distances
 
-    def checked_join(g, costs, T):
-        seen.append(all(type(c) is int for c in costs))
-        return real_join(g, costs, T)
+    def checked_join(g, T):
+        seen.append(all(type(e.cost) is int for e in g.edges))
+        return real_join(g, T)
 
     def checked_distances(g):
         d = real_distances(g)
