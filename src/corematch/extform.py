@@ -51,6 +51,7 @@ def enumerate_family(inst: Instance, p: Optional[Allocation] = None) -> GraphFam
     """
     if p is None:
         p = Allocation((Fraction(0),) * inst.n)
+    check_allocation_length(inst, p)
     costs = separation.transfer_costs(inst, p)
     members = [separation.build_g2(inst, costs)]
     labels = ["g2"]
@@ -110,42 +111,33 @@ def build_flow_primal(g: CostedGraph) -> ConstraintSystem:
     edge: x_ē units must flow from u to v through the rest of the graph,
     every arc capacity bounded by its own x."""
     sys = ConstraintSystem(name="flow-primal")
-    for i in range(len(g.edges)):
-        sys.add_variable(f"x_e{i}")
-    for i in range(len(g.edges)):
-        for _, a, b in _arcs(g, i):
-            sys.add_variable(f"y_e{i}_{a}_{b}")
-    sys.objective = {
-        f"x_e{i}": Fraction(e.cost) for i, e in enumerate(g.edges) if e.cost != 0
-    }
+    m = len(g.edges)
+    # every name is formatted once: x[i], and y[i] as (j, a, b, name) in arc order
+    x = [sys.add_variable(f"x_e{i}") for i in range(m)]
+    y = [
+        [(j, a, b, sys.add_variable(f"y_e{i}_{a}_{b}")) for j, a, b in _arcs(g, i)]
+        for i in range(m)
+    ]
+    sys.objective = {x[i]: Fraction(e.cost) for i, e in enumerate(g.edges) if e.cost != 0}
 
     for i, ebar in enumerate(g.edges):
-        for v in g.vertices:
-            coeffs: dict[str, Fraction] = {}
-            for j, a, b in _arcs(g, i):
-                if a == v:
-                    coeffs[f"y_e{i}_{a}_{b}"] = _ONE
-                elif b == v:
-                    coeffs[f"y_e{i}_{a}_{b}"] = _MINUS_ONE
-            if v == ebar.u:
-                coeffs[f"x_e{i}"] = coeffs.get(f"x_e{i}", Fraction(0)) - 1
-            elif v == ebar.v:
-                coeffs[f"x_e{i}"] = coeffs.get(f"x_e{i}", Fraction(0)) + 1
+        # conservation at every vertex: out-arcs +1, in-arcs -1; x_ē leaves u
+        # and arrives at v
+        flow: dict[int, dict[str, Fraction]] = {v: {} for v in g.vertices}
+        for _, a, b, name in y[i]:
+            flow[a][name] = _ONE
+            flow[b][name] = _MINUS_ONE
+        flow[ebar.u][x[i]] = _MINUS_ONE
+        flow[ebar.v][x[i]] = _ONE
+        for v, coeffs in flow.items():
             sys.add_constraint(f"flow_e{i}_v{v}", coeffs, "=", 0)
-        for j, a, b in _arcs(g, i):
-            sys.add_constraint(
-                f"cap_e{i}_{a}_{b}",
-                {f"y_e{i}_{a}_{b}": _ONE, f"x_e{j}": _MINUS_ONE},
-                "<=",
-                0,
-            )
-    for i in range(len(g.edges)):
-        sys.add_constraint(f"nn_x_e{i}", {f"x_e{i}": _ONE}, ">=", 0)
-    for i in range(len(g.edges)):
-        for _, a, b in _arcs(g, i):
-            sys.add_constraint(
-                f"nn_y_e{i}_{a}_{b}", {f"y_e{i}_{a}_{b}": _ONE}, ">=", 0
-            )
+        for j, a, b, name in y[i]:
+            sys.add_constraint(f"cap_e{i}_{a}_{b}", {name: _ONE, x[j]: _MINUS_ONE}, "<=", 0)
+    for i in range(m):
+        sys.add_constraint(f"nn_x_e{i}", {x[i]: _ONE}, ">=", 0)
+    for i in range(m):
+        for _, a, b, name in y[i]:
+            sys.add_constraint(f"nn_y_e{i}_{a}_{b}", {name: _ONE}, ">=", 0)
     return sys
 
 
@@ -158,48 +150,39 @@ def _dual_block(sys: ConstraintSystem, g: CostedGraph, prefix: str,
     the left-hand side.
     """
     m = len(g.edges)
-    for i in range(m):
-        for v in g.vertices:
-            sys.add_variable(f"{prefix}gamma_e{i}_v{v}")
-    for i in range(m):
-        for _, a, b in _arcs(g, i):
-            sys.add_variable(f"{prefix}lam_e{i}_{a}_{b}")
+    # every name is formatted once: gamma[i][v], and lam[i][(a, b)] in arc order
+    gamma = [
+        {v: sys.add_variable(f"{prefix}gamma_e{i}_v{v}") for v in g.vertices}
+        for i in range(m)
+    ]
+    lam = [
+        {(a, b): sys.add_variable(f"{prefix}lam_e{i}_{a}_{b}") for _, a, b in _arcs(g, i)}
+        for i in range(m)
+    ]
 
     for i in range(m):
-        for j, a, b in _arcs(g, i):
+        for (a, b), name in lam[i].items():
             sys.add_constraint(
                 f"{prefix}arc_e{i}_{a}_{b}",
-                {
-                    f"{prefix}gamma_e{i}_v{a}": _ONE,
-                    f"{prefix}gamma_e{i}_v{b}": _MINUS_ONE,
-                    f"{prefix}lam_e{i}_{a}_{b}": _MINUS_ONE,
-                },
+                {gamma[i][a]: _ONE, gamma[i][b]: _MINUS_ONE, name: _MINUS_ONE},
                 "<=",
                 0,
             )
     for i, ebar in enumerate(g.edges):
-        coeffs: dict[str, Fraction] = {
-            f"{prefix}gamma_e{i}_v{ebar.u}": _MINUS_ONE,
-            f"{prefix}gamma_e{i}_v{ebar.v}": _ONE,
-        }
+        u, v = ebar.u, ebar.v
+        coeffs: dict[str, Fraction] = {gamma[i][u]: _MINUS_ONE, gamma[i][v]: _ONE}
         # capacity multipliers of edge ē inside every other block
         for k in range(m):
-            if k == i:
-                continue
-            coeffs[f"{prefix}lam_e{k}_{ebar.u}_{ebar.v}"] = _ONE
-            coeffs[f"{prefix}lam_e{k}_{ebar.v}_{ebar.u}"] = _ONE
+            if k != i:
+                coeffs[lam[k][u, v]] = _ONE
+                coeffs[lam[k][v, u]] = _ONE
         rhs, extra = cost_of(ebar)
         for var, c in extra.items():
-            coeffs[var] = coeffs.get(var, Fraction(0)) + c
+            coeffs[var] = coeffs.get(var, 0) + c
         sys.add_constraint(f"{prefix}cost_e{i}", coeffs, "<=", rhs)
     for i in range(m):
-        for _, a, b in _arcs(g, i):
-            sys.add_constraint(
-                f"{prefix}nn_lam_e{i}_{a}_{b}",
-                {f"{prefix}lam_e{i}_{a}_{b}": _ONE},
-                ">=",
-                0,
-            )
+        for (a, b), name in lam[i].items():
+            sys.add_constraint(f"{prefix}nn_lam_e{i}_{a}_{b}", {name: _ONE}, ">=", 0)
 
 
 def build_dual_system(g: CostedGraph, prefix: str = "") -> ConstraintSystem:

@@ -3,7 +3,10 @@ feasibility/optimization, and a deterministic LP-format writer/reader.
 
 Variables are free unless the system contains an explicit sign constraint;
 the simplex presolves single-variable ">= 0" rows into variable bounds and
-splits the remaining free variables. All arithmetic is fractions.Fraction.
+splits the remaining free variables. Arithmetic is exact: constraint
+coefficients, right-hand sides, witnesses and objective values are
+fractions.Fraction, and a tableau entry is an int when it is integral and a
+Fraction only when it is not, so a pivot on a +-1 element stays in ints.
 
 The tableau is sparse: a row keeps only its nonzero entries, so set-up,
 pricing and pivoting cost time per nonzero, as do witness re-verification and
@@ -20,12 +23,16 @@ from typing import Mapping, Optional, TextIO
 from .model import InvariantError
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _exact(x) -> Fraction:
     """x as an exact Fraction (a float converts exactly), reusing a Fraction."""
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _entry(x):
+    """A tableau entry: the int x.numerator if x is integral, else x."""
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass
@@ -38,9 +45,17 @@ class Constraint:
     def __post_init__(self):
         if self.rel not in ("<=", "=", ">="):
             raise ValueError(f"bad relation {self.rel!r}")
-        exact = ((v, _exact(c)) for v, c in self.coeffs.items())
-        self.coeffs = {v: c for v, c in exact if c}
-        self.rhs = _exact(self.rhs)
+        coeffs = {}
+        for v, c in self.coeffs.items():
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c:  # a zero is dropped after coercion ("0", 0.0, Fraction(0))
+                coeffs[v] = c
+        self.coeffs = coeffs
+        rhs = self.rhs
+        if type(rhs) is not Fraction:
+            rhs = Fraction(rhs)
+        self.rhs = rhs if rhs else _ZERO
 
     def holds(self, point: Mapping[str, Fraction]) -> bool:
         """Exact test of the row at `point`; a variable missing from the point
@@ -49,7 +64,9 @@ class Constraint:
         for v, c in self.coeffs.items():
             x = point.get(v)
             if x:
-                lhs += c * _exact(x)
+                if type(x) is not Fraction:
+                    x = Fraction(x)
+                lhs += c * x
         if self.rel == "<=":
             return lhs <= self.rhs
         if self.rel == ">=":
@@ -75,8 +92,8 @@ class ConstraintSystem:
             self._check_declared(con)
 
     def _check_declared(self, con: Constraint) -> None:
-        unknown = set(con.coeffs) - self._vs
-        if unknown:
+        if not self._vs.issuperset(con.coeffs):
+            unknown = set(con.coeffs) - self._vs
             raise ValueError(f"constraint {con.name} uses undeclared {sorted(unknown)}")
 
     def add_variable(self, name: str) -> str:
@@ -87,7 +104,7 @@ class ConstraintSystem:
         return name
 
     def add_constraint(self, name, coeffs, rel, rhs) -> Constraint:
-        con = Constraint(name, dict(coeffs), rel, rhs)
+        con = Constraint(name, coeffs, rel, rhs)  # builds its own dict
         self._check_declared(con)
         self.constraints.append(con)
         return con
@@ -125,29 +142,28 @@ class SimplexResult:
 
 def _eliminate(row: dict, prow: dict, c: int) -> None:
     """row -= row[c] * prow, where prow[c] == 1; entries that cancel are
-    deleted, so row[c] goes."""
+    deleted, so row[c] goes, and an integral Fraction becomes an int."""
     f = row.get(c)
     if f:
         for j, b in prow.items():
-            x = row.get(j)
-            if x is None:
-                row[j] = -f * b
+            x = row.get(j, 0) - f * b
+            if type(x) is not int and x.denominator == 1:
+                x = x.numerator
+            if x:
+                row[j] = x
             else:
-                x -= f * b
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
+                del row[j]
 
 
 class _Tableau:
     """Sparse simplex tableau with Bland's rule (anti-cycling, deterministic).
 
-    A row maps each column to its nonzero entry; the right-hand side is
-    column `total`. Columns run structural (one per nonnegative variable, two
-    per free one), then one slack or surplus per inequality row, then the
-    artificials from `first_art` on, one per row that is ">=" or "=" once
-    its rhs is made nonnegative.
+    A row maps each column to its nonzero entry, an int when the entry is
+    integral and a Fraction otherwise; the right-hand side is column `total`.
+    Columns run structural (one per nonnegative variable, two per free one),
+    then one slack or surplus per inequality row, then the artificials from
+    `first_art` on, one per row that is ">=" or "=" once its rhs is made
+    nonnegative.
     """
 
     def __init__(self, system: ConstraintSystem):
@@ -159,15 +175,15 @@ class _Tableau:
         nonneg = set()
         rows_src = []
         for con in system.constraints:
-            items = list(con.coeffs.items())
-            if len(items) == 1 and con.rhs == 0 and con.rel != "=":
-                v, c = items[0]
-                if (c > 0 and con.rel == ">=") or (c < 0 and con.rel == "<="):
+            rel = con.rel
+            if len(con.coeffs) == 1 and rel != "=" and not con.rhs:
+                ((v, c),) = con.coeffs.items()
+                sign = c.numerator
+                if (sign > 0 and rel == ">=") or (sign < 0 and rel == "<="):
                     nonneg.add(v)
                     continue
             # flip ">=" to "<=", then flip again if the rhs is negative
-            b = con.rhs
-            rel = con.rel
+            b = _entry(con.rhs)
             flip = rel == ">="
             if flip:
                 b = -b
@@ -179,38 +195,46 @@ class _Tableau:
                     rel = ">="
             rows_src.append((con.coeffs, flip, rel, b))
 
-        self.cols: list[tuple[str, int]] = []  # (variable, sign)
+        # (variable, sign) per column; col_of[v] is v's (plus, minus) column
+        # pair, minus None for a nonnegative v
+        self.cols: list[tuple[str, int]] = []
+        col_of: dict[str, tuple[int, Optional[int]]] = {}
         for v in system.variables:
+            plus = len(self.cols)
             self.cols.append((v, +1))
-            if v not in nonneg:
+            if v in nonneg:
+                col_of[v] = plus, None
+            else:
                 self.cols.append((v, -1))
-        col_of: dict[str, list[int]] = {}
-        for j, (v, sign) in enumerate(self.cols):
-            col_of.setdefault(v, []).append(j)
+                col_of[v] = plus, plus + 1
         self.nstruct = slack = len(self.cols)
         self.first_art = art = slack + sum(rel != "=" for _, _, rel, _ in rows_src)
         self.total = art + sum(rel != "<=" for _, _, rel, _ in rows_src)
 
         # "<=" gains a slack (basic), ">=" a surplus and an artificial
         # (basic), "=" an artificial (basic)
-        self.rows: list[dict[int, Fraction]] = []
+        self.rows: list[dict[int, int | Fraction]] = []
         self.basis: list[int] = []
         for coeffs, flip, rel, b in rows_src:
             row = {}
             for v, c in coeffs.items():
-                if c:
-                    q = -c if flip else c
-                    for j in col_of[v]:
-                        row[j] = q if self.cols[j][1] > 0 else -q
+                q = c.numerator if c.denominator == 1 else c  # _entry(c), inline
+                if q:
+                    if flip:
+                        q = -q
+                    plus, minus = col_of[v]
+                    row[plus] = q
+                    if minus is not None:
+                        row[minus] = -q
             if rel == "<=":
-                row[slack] = _ONE
+                row[slack] = 1
                 self.basis.append(slack)
                 slack += 1
             else:
                 if rel == ">=":
-                    row[slack] = -_ONE
+                    row[slack] = -1
                     slack += 1
-                row[art] = _ONE
+                row[art] = 1
                 self.basis.append(art)
                 art += 1
             if b:
@@ -224,10 +248,13 @@ class _Tableau:
     def _pivot(self, cost: dict, r: int, c: int):
         prow = self.rows[r]
         piv = prow[c]
-        if piv != 1:
-            inv = _ONE / piv
-            for j in prow:
-                prow[j] *= inv
+        if piv == -1:
+            for j, x in prow.items():
+                prow[j] = -x
+        elif piv != 1:
+            inv = Fraction(1, piv)
+            for j, x in prow.items():
+                prow[j] = _entry(x * inv)
         for row in self.rows:
             if row is not prow:
                 _eliminate(row, prow, c)
@@ -247,17 +274,19 @@ class _Tableau:
             enter = min((j for j, x in cost.items() if j < total and x < 0), default=-1)
             if enter < 0:
                 return "optimal"
+            # the least ratio rhs / a over a > 0, compared by cross
+            # multiplication (an int over an int would give a float)
             leave = -1
-            best = None
             for i, row in enumerate(self.rows):
                 a = row.get(enter)
                 if a is not None and a > 0:
-                    ratio = row.get(total, _ZERO) / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
+                    rhs = row.get(total, 0)
+                    if leave < 0:
+                        leave, best_rhs, best_a = i, rhs, a
+                        continue
+                    x, y = rhs * best_a, best_rhs * a
+                    if x < y or (x == y and self.basis[i] < self.basis[leave]):
+                        leave, best_rhs, best_a = i, rhs, a
             if leave < 0:
                 return "unbounded"
             self._pivot(cost, leave, enter)
@@ -266,7 +295,7 @@ class _Tableau:
 
     def phase1(self) -> bool:
         """Minimize the artificial sum; True iff the system is feasible."""
-        cost = dict.fromkeys(range(self.first_art, self.total), _ONE)
+        cost = dict.fromkeys(range(self.first_art, self.total), 1)
         self._price(cost)
         if self._bland(cost) != "optimal":  # bounded below by 0
             raise InvariantError("phase-1 objective came out unbounded")
@@ -294,20 +323,20 @@ class _Tableau:
         for j, (v, sign) in enumerate(self.cols):
             c = obj.get(v)
             if c:
-                c = _exact(c)
+                c = _entry(_exact(c))
                 cost[j] = c if sign > 0 else -c
         self._price(cost)
         if self._bland(cost) == "unbounded":
             return "unbounded", None
-        return "optimal", -cost.get(self.total, _ZERO)
+        return "optimal", _exact(-cost.get(self.total, 0))
 
     def witness(self) -> dict[str, Fraction]:
-        values = dict.fromkeys(self.sys.variables, _ZERO)
+        values = dict.fromkeys(self.sys.variables, 0)
         for row, b in zip(self.rows, self.basis):
             if b < self.nstruct:
                 v, sign = self.cols[b]
-                values[v] += sign * row.get(self.total, _ZERO)
-        return values
+                values[v] += sign * row.get(self.total, 0)
+        return {v: _exact(x) if x else _ZERO for v, x in values.items()}
 
 
 def _check_objective(system: ConstraintSystem) -> None:
@@ -434,7 +463,10 @@ def _row_kind(values) -> str:
     finite decimal expansion, else "exact"."""
     kind = "int"
     for x in values:
-        k = _decimal_places(x.denominator)
+        den = x.denominator
+        if den == 1:
+            continue
+        k = _decimal_places(den)
         if k is None:
             return "exact"
         if k:

@@ -54,6 +54,7 @@ class SeparationVerdict:
 
 def check_total_value(inst: Instance, p: Allocation) -> Optional[Violation]:
     """None iff p(N) equals the grand-coalition value."""
+    check_allocation_length(inst, p)
     total = inst.grand_value
     if p.total() == total:
         return None
@@ -77,6 +78,7 @@ def _vertex_edge_violations(inst: Instance, p: Allocation) -> Iterator[Violation
 
 def separate_vertices_edges(inst: Instance, p: Allocation) -> Optional[Violation]:
     """First violated vertex (p_i < 0) or edge (p_i + p_j < w_ij) in scan order."""
+    check_allocation_length(inst, p)
     return next(_vertex_edge_violations(inst, p), None)
 
 
@@ -153,6 +155,7 @@ def _cycle_violation(inst: Instance, p: Allocation, g: CostedGraph,
 
 def separate_cycles(inst: Instance, p: Allocation) -> Optional[Violation]:
     """None iff p(C) >= w(C) for every cycle through capacity-2 vertices."""
+    check_allocation_length(inst, p)
     g2 = build_g2(inst, integer_costs(inst, p))
     cyc = negcycle.find_negative_cycle(g2)
     if cyc is None:
@@ -300,6 +303,7 @@ def separate_paths(inst: Instance, p: Allocation) -> Optional[Violation]:
     """Search all endpoint pairs and variants for a violated path of length
     >= 2; assumes vertex/edge and cycle constraints already hold, and reports
     a marker-free negative cycle as a Cycle violation defensively."""
+    check_allocation_length(inst, p)
     return next(_path_violations(inst, p), None)
 
 

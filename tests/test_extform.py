@@ -112,6 +112,14 @@ def test_family_cost_identity_random():
             assert enumerate_family(inst, p) == shifted_family(inst, p)
 
 
+@pytest.mark.parametrize("length", [3, 7])
+def test_family_rejects_wrong_length(counterexample, length):
+    # a long allocation used to cost a 7-member family, a short one to raise
+    # IndexError
+    with pytest.raises(ValueError, match="length"):
+        enumerate_family(counterexample, alloc(*[1] * length))
+
+
 def test_family_edgeless_instance():
     inst = parse_instance("game 2 0\nvertex 0 1\nvertex 1 1\n")
     fam = enumerate_family(inst)

@@ -64,6 +64,17 @@ def test_optimal_value_exact():
     assert r.status == "optimal" and r.objective == 2
 
 
+def test_ratio_test_is_exact_on_large_ints():
+    # as floats both ratios read 2**53, and the tie would pick the first row
+    big = 2**53
+    s = system(
+        [({"x": 1}, ">=", 0), ({"x": 1}, "<=", big + 1), ({"x": 1}, "<=", big)],
+        objective={"x": -1},
+    )
+    r = simplex_solve(s)
+    assert r.status == "optimal" and r.objective == -big and r.witness == {"x": big}
+
+
 def test_unbounded_detection():
     s = system([({"x": 1}, ">=", 0)], objective={"x": Fraction(-1)})
     assert simplex_solve(s).status == "unbounded"
@@ -514,6 +525,71 @@ def test_setup_corpus_results_pinned():
     assert _digest(results) == SETUP_DIGEST
 
 
+SCALED_DIGEST = "9d8d8c28c33351a9ce17e580302836b35c0d8aff68859f84fa0f44b1cc852786"
+SCALED_PIVOTS = 1223
+_SCALED = (2, -2, 3, -3, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-2, 3))
+
+
+def _scaled_corpus():
+    """200 seeded systems over 2..5 variables whose coefficients all come from
+    {±2, ±3, ±1/2, ±2/3}, so that most pivot elements are not ±1: sign rows
+    with a scaled coefficient, mixed relations, fractional right-hand sides
+    and, for most systems, a scaled objective."""
+    systems = []
+    for i in range(200):
+        rng = random.Random(9700 + i)
+        names = [f"x{k}" for k in range(rng.randint(2, 5))]
+        s = ConstraintSystem(name=f"scaled{i}", variables=list(names))
+        for v in names:
+            if rng.random() < 0.4:
+                s.add_constraint(f"{v}_sign", {v: rng.choice(_SCALED[::2])}, ">=", 0)
+        for k in range(rng.randint(2, 6)):
+            coeffs = {v: rng.choice(_SCALED) for v in names if rng.random() < 0.7}
+            rel = rng.choice(("<=", "=", ">="))
+            rhs = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+            s.add_constraint(f"c{k}", coeffs, rel, rhs)
+        if rng.random() < 0.7:
+            s.objective = {v: rng.choice(_SCALED) for v in names if rng.random() < 0.7} or None
+        systems.append(s)
+    return systems
+
+
+def test_scaled_pivots_pinned(monkeypatch):
+    # pins the pivots whose element is not +-1, which the flow and dual
+    # corpora above rarely take
+    elements = []
+    pivot = linsys._Tableau._pivot
+
+    def recorded(self, cost, r, c):
+        elements.append(self.rows[r][c])
+        return pivot(self, cost, r, c)
+
+    monkeypatch.setattr(linsys._Tableau, "_pivot", recorded)
+    results = []
+    for s in _scaled_corpus():
+        results.append(_result_key(simplex_solve(s)))
+        results.append(_result_key(simplex_feasible(s)))
+    assert {r[0] for r in results} == {"optimal", "feasible", "infeasible", "unbounded"}
+    assert sum(abs(x) != 1 for x in elements) > len(elements) // 2
+    assert len(elements) == SCALED_PIVOTS
+    assert _digest(results) == SCALED_DIGEST
+
+
+def test_results_are_fractions():
+    systems = _setup_corpus()[:80] + _scaled_corpus()[:80]
+    for i in range(8):
+        g = random_cost_graph(random.Random(8100 + i), 3 + i % 4, density=0.5, cmax=6)
+        systems += [extform.build_flow_primal(g), extform.build_dual_system(g)]
+    values = []
+    for s in systems:
+        for r in (simplex_solve(s), simplex_feasible(s)):
+            values += (r.witness or {}).values()
+            if r.objective is not None:
+                values.append(r.objective)
+    assert len(values) > 1000 and 0 in values and 1 in values
+    assert {type(x) for x in values} == {Fraction}
+
+
 def _hand_built_systems():
     """Systems whose rows list variables out of declaration order, carry zero
     coefficients or an undeclared variable, have no finite decimal expansion,
@@ -548,6 +624,22 @@ def _emit_corpus():
         inst = random_instance(seed=8500 + i, n=3 + i % 4, density=Fraction(1, 2), wmax=9)
         systems.append(extform.build_extended_formulation(inst))
     return systems
+
+
+BLOCKS_EMIT_DIGEST = "4cfe52ebc65f756f085b754014d1a99c3527dd2dd141f335b1ee083551d7fb82"
+
+
+def test_flow_and_dual_lp_text_pinned():
+    # the variable and row order of both building blocks, on the cost graphs
+    # of the pinned corpus
+    texts = []
+    for i in range(36):
+        g = random_cost_graph(random.Random(8100 + i), 3 + i % 4, density=0.5, cmax=6)
+        for s in (extform.build_flow_primal(g), extform.build_dual_system(g, prefix="g1_")):
+            buf = io.StringIO()
+            emit_lp(s, buf)
+            texts.append(buf.getvalue())
+    assert _digest(texts) == BLOCKS_EMIT_DIGEST
 
 
 def test_emit_lp_bytes_pinned():
@@ -590,16 +682,33 @@ def test_holds_reads_missing_as_zero_and_floats_exactly():
 
 
 def test_constraint_keeps_fractions_and_converts_the_rest():
+    # a float converts exactly, and a zero is dropped after coercion
     half = Fraction(1, 2)
-    con = Constraint("r", {"x": half, "y": 2, "z": 0, "w": Fraction(0)}, "<=", 3)
-    assert con.coeffs == {"x": half, "y": Fraction(2)}
+    coeffs = {"x": half, "y": 2, "f": 0.1, "z": 0, "w": Fraction(0), "s": "0", "g": 0.0}
+    con = Constraint("r", coeffs, "<=", 3)
+    assert con.coeffs == {"x": half, "y": Fraction(2), "f": Fraction(0.1)}
+    assert con.coeffs["f"] == Fraction(3602879701896397, 36028797018963968)
     assert con.coeffs["x"] is half
     assert all(type(c) is Fraction for c in con.coeffs.values())
     assert type(con.rhs) is Fraction and con.rhs == 3
+    for rhs in (0.1, "0", 0.0):
+        row = Constraint("r", {}, "=", rhs)
+        assert type(row.rhs) is Fraction and row.rhs == Fraction(rhs)
     s = ConstraintSystem(name="k", variables=["x"])
     rhs = Fraction(7, 3)
     added = s.add_constraint("r", {"x": half}, ">=", rhs)
     assert added.coeffs["x"] is half and added.rhs is rhs
+
+
+def test_add_constraint_does_not_alias_the_callers_dict():
+    s = ConstraintSystem(name="alias", variables=["x", "y"])
+    coeffs = {"x": 1, "y": 0}
+    con = s.add_constraint("r", coeffs, "<=", 1)
+    assert con.coeffs is not coeffs and con.coeffs == {"x": 1}
+    assert coeffs == {"x": 1, "y": 0}  # the zero is dropped from the row only
+    coeffs["x"] = 5
+    coeffs["y"] = 7
+    assert con.coeffs == {"x": 1}
 
 
 # -- objectives over undeclared variables ---------------------------------------

@@ -283,6 +283,19 @@ def test_verify_violation_rejects_wrong_length(counterexample, length):
         verify_violation(counterexample, alloc(*[0] * length), v)
 
 
+@pytest.mark.parametrize("length", [3, 7])
+@pytest.mark.parametrize(
+    "stage",
+    [check_total_value, separate_vertices_edges, separate_cycles, separate_paths],
+    ids=lambda f: f.__name__,
+)
+def test_stages_reject_wrong_length(counterexample, stage, length):
+    # a short all-ones allocation used to give p(N) = 3 or IndexError, and a
+    # long one p(N) = 7, an Edge or a Path certificate
+    with pytest.raises(ValueError, match="length"):
+        stage(counterexample, alloc(*[1] * length))
+
+
 def test_separate_paths_defensive_cycle_branch():
     # calling path separation with cycle constraints still violated (a caller
     # error) must surface a marker-free negative cycle as a Cycle violation:
