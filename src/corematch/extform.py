@@ -20,13 +20,12 @@ from fractions import Fraction
 from typing import Optional
 
 from . import separation
-from .linsys import ConstraintSystem, simplex_feasible, simplex_solve
+from .linsys import _MINUS_ONE, _ONE, ConstraintSystem, simplex_feasible, simplex_solve
 from .model import Allocation, Instance, check_allocation_length
 from .negcycle import CostEdge, CostedGraph
 
-# one shared object per +-1 coefficient instead of a new Fraction per term
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
+# the p coefficient of every cost row of the formulation, one shared object
+_MINUS_HALF = Fraction(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,8 @@ def _dual_block(sys: ConstraintSystem, g: CostedGraph, prefix: str,
                 coeffs[lam[k][v, u]] = _ONE
         rhs, extra = cost_of(ebar)
         for var, c in extra.items():
-            coeffs[var] = coeffs.get(var, 0) + c
+            old = coeffs.get(var)
+            coeffs[var] = c if old is None else old + c
         sys.add_constraint(f"{prefix}cost_e{i}", coeffs, "<=", rhs)
     for i in range(m):
         for (a, b), name in lam[i].items():
@@ -191,7 +191,7 @@ def build_dual_system(g: CostedGraph, prefix: str = "") -> ConstraintSystem:
     sys = ConstraintSystem(name="flow-dual")
 
     def cost_of(e: CostEdge):
-        return Fraction(e.cost), {}
+        return e.cost, {}
 
     _dual_block(sys, g, prefix, cost_of)
     return sys
@@ -214,12 +214,10 @@ def build_extended_formulation(inst: Instance) -> ConstraintSystem:
             f"edge_e{i}", {f"p_{e.u}": _ONE, f"p_{e.v}": _ONE}, ">=", e.w
         )
 
-    half = Fraction(1, 2)
-
     def cost_of(e: CostEdge):
         # the family is costed at p = 0; move the (p_u + p_v)/2 part of the
         # cost to the left-hand side
-        return e.cost, {f"p_{e.u}": -half, f"p_{e.v}": -half}
+        return e.cost, {f"p_{e.u}": _MINUS_HALF, f"p_{e.v}": _MINUS_HALF}
 
     for k, g in enumerate(enumerate_family(inst).members):
         _dual_block(sys, g, f"g{k}_", cost_of)

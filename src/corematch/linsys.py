@@ -8,21 +8,29 @@ coefficients, right-hand sides, witnesses and objective values are
 fractions.Fraction, and a tableau entry is an int when it is integral and a
 Fraction only when it is not, so a pivot on a +-1 element stays in ints.
 
-The tableau is sparse: a row keeps only its nonzero entries, so set-up,
-pricing and pivoting cost time per nonzero, as do witness re-verification and
-`emit_lp` (each row's terms in declaration order). Every witness is still
-re-verified against every constraint before it is returned.
-"""
+Every step costs time per nonzero, and each coefficient is converted once
+per call: the shared _ZERO, _ONE and _MINUS_ONE pass construction and
+tableau set-up by identity, a pivot visits only the rows that hold its
+column, and `emit_lp` formats each distinct coefficient and right-hand side
+once and writes each row's terms in declaration order. Every witness is
+still re-verified against every constraint before it is returned, by
+`Constraint.holds`, which sums in ints (a numerator over a denominator) so an
+integral row builds no Fraction."""
 
-import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Optional, TextIO
 
 from .model import InvariantError
 
+# shared constants: a zero right-hand side becomes _ZERO, and a row that
+# holds _ONE or _MINUS_ONE (extform builds its rows from them) is neither
+# re-coerced nor zero-tested, and maps to an int by identity
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 def _exact(x) -> Fraction:
@@ -47,31 +55,61 @@ class Constraint:
             raise ValueError(f"bad relation {self.rel!r}")
         coeffs = {}
         for v, c in self.coeffs.items():
-            if type(c) is not Fraction:
-                c = Fraction(c)
-            if c:  # a zero is dropped after coercion ("0", 0.0, Fraction(0))
-                coeffs[v] = c
+            if c is not _ONE and c is not _MINUS_ONE:
+                if type(c) is not Fraction:
+                    c = Fraction(c)
+                if not c:  # a zero is dropped after coercion ("0", 0.0, Fraction(0))
+                    continue
+            coeffs[v] = c
         self.coeffs = coeffs
         rhs = self.rhs
-        if type(rhs) is not Fraction:
-            rhs = Fraction(rhs)
-        self.rhs = rhs if rhs else _ZERO
+        if type(rhs) is int and not rhs:  # the common zero, without a Fraction() call
+            rhs = _ZERO
+        elif rhs is not _ZERO:
+            if type(rhs) is not Fraction:
+                rhs = Fraction(rhs)
+            if not rhs:
+                rhs = _ZERO
+        self.rhs = rhs
 
     def holds(self, point: Mapping[str, Fraction]) -> bool:
         """Exact test of the row at `point`; a variable missing from the point
-        reads as 0 and a value that is not a Fraction is converted exactly."""
-        lhs = 0
+        reads as 0 and a value that is neither an int nor a Fraction is
+        converted exactly. The left-hand side is summed as an int numerator
+        over an int denominator, so an integral row builds no Fraction."""
+        num, den = 0, 1
         for v, c in self.coeffs.items():
             x = point.get(v)
-            if x:
-                if type(x) is not Fraction:
-                    x = Fraction(x)
-                lhs += c * x
+            if x is None or x is _ZERO:
+                continue
+            if type(x) is not int and type(x) is not Fraction:
+                x = Fraction(x)
+            if c is _ONE:
+                tn, td = x.numerator, x.denominator
+            elif c is _MINUS_ONE:
+                tn, td = -x.numerator, x.denominator
+            else:
+                tn, td = c.numerator * x.numerator, c.denominator * x.denominator
+            if td == den:
+                num += tn
+            else:
+                g = gcd(den, td)
+                num = num * (td // g) + tn * (den // g)
+                den = den // g * td
+        rhs = self.rhs
+        if rhs is _ZERO:
+            rhs = 0
+        else:  # compare num / den with rhs across the (positive) denominators
+            num, rhs = num * rhs.denominator, rhs.numerator * den
         if self.rel == "<=":
-            return lhs <= self.rhs
+            return num <= rhs
         if self.rel == ">=":
-            return lhs >= self.rhs
-        return lhs == self.rhs
+            return num >= rhs
+        return num == rhs
+
+
+def _undeclared(con: Constraint, names) -> ValueError:
+    return ValueError(f"constraint {con.name} uses undeclared {sorted(names)}")
 
 
 @dataclass
@@ -93,8 +131,7 @@ class ConstraintSystem:
 
     def _check_declared(self, con: Constraint) -> None:
         if not self._vs.issuperset(con.coeffs):
-            unknown = set(con.coeffs) - self._vs
-            raise ValueError(f"constraint {con.name} uses undeclared {sorted(unknown)}")
+            raise _undeclared(con, set(con.coeffs) - self._vs)
 
     def add_variable(self, name: str) -> str:
         if name in self._vs:
@@ -170,20 +207,22 @@ class _Tableau:
         self.sys = system
 
         # presolve: a single-variable constraint equivalent to v >= 0 becomes
-        # a sign marker instead of a row; every other row is normalized to a
-        # nonnegative rhs b, as (coeffs, flip, rel, b)
-        nonneg = set()
+        # a sign marker instead of a row (nonneg[v] is the row); every other
+        # row is normalized to a nonnegative rhs b, as (row, flip, rel, b)
+        nonneg: dict[str, Constraint] = {}
         rows_src = []
         for con in system.constraints:
             rel = con.rel
-            if len(con.coeffs) == 1 and rel != "=" and not con.rhs:
+            rhs = con.rhs
+            zero = rhs is _ZERO or not rhs
+            if len(con.coeffs) == 1 and rel != "=" and zero:
                 ((v, c),) = con.coeffs.items()
                 sign = c.numerator
                 if (sign > 0 and rel == ">=") or (sign < 0 and rel == "<="):
-                    nonneg.add(v)
+                    nonneg[v] = con
                     continue
             # flip ">=" to "<=", then flip again if the rhs is negative
-            b = _entry(con.rhs)
+            b = 0 if zero else _entry(rhs)
             flip = rel == ">="
             if flip:
                 b = -b
@@ -193,7 +232,7 @@ class _Tableau:
                 b = -b
                 if rel == "<=":
                     rel = ">="
-            rows_src.append((con.coeffs, flip, rel, b))
+            rows_src.append((con, flip, rel, b))
 
         # (variable, sign) per column; col_of[v] is v's (plus, minus) column
         # pair, minus None for a nonnegative v
@@ -207,39 +246,53 @@ class _Tableau:
             else:
                 self.cols.append((v, -1))
                 col_of[v] = plus, plus + 1
+        if not nonneg.keys() <= col_of.keys():
+            v = next(v for v in nonneg if v not in col_of)
+            raise _undeclared(nonneg[v], [v])
         self.nstruct = slack = len(self.cols)
         self.first_art = art = slack + sum(rel != "=" for _, _, rel, _ in rows_src)
-        self.total = art + sum(rel != "<=" for _, _, rel, _ in rows_src)
+        self.total = total = art + sum(rel != "<=" for _, _, rel, _ in rows_src)
 
         # "<=" gains a slack (basic), ">=" a surplus and an artificial
         # (basic), "=" an artificial (basic)
         self.rows: list[dict[int, int | Fraction]] = []
         self.basis: list[int] = []
-        for coeffs, flip, rel, b in rows_src:
-            row = {}
-            for v, c in coeffs.items():
-                q = c.numerator if c.denominator == 1 else c  # _entry(c), inline
-                if q:
-                    if flip:
-                        q = -q
+        add_row, add_basic = self.rows.append, self.basis.append
+        try:
+            for con, flip, rel, b in rows_src:
+                one = -1 if flip else 1
+                row = {}
+                for v, c in con.coeffs.items():
+                    if c is _ONE:
+                        q = one
+                    elif c is _MINUS_ONE:
+                        q = -one
+                    else:
+                        q = c.numerator if c.denominator == 1 else c  # _entry(c), inline
+                        if not q:
+                            continue
+                        if flip:
+                            q = -q
                     plus, minus = col_of[v]
                     row[plus] = q
                     if minus is not None:
                         row[minus] = -q
-            if rel == "<=":
-                row[slack] = 1
-                self.basis.append(slack)
-                slack += 1
-            else:
-                if rel == ">=":
-                    row[slack] = -1
+                if rel == "<=":
+                    row[slack] = 1
+                    add_basic(slack)
                     slack += 1
-                row[art] = 1
-                self.basis.append(art)
-                art += 1
-            if b:
-                row[self.total] = b
-            self.rows.append(row)
+                else:
+                    if rel == ">=":
+                        row[slack] = -1
+                        slack += 1
+                    row[art] = 1
+                    add_basic(art)
+                    art += 1
+                if b:
+                    row[total] = b
+                add_row(row)
+        except KeyError as exc:  # col_of has no column for the variable
+            raise _undeclared(con, exc.args) from None
         if any(row.get(b) != 1 for row, b in zip(self.rows, self.basis)):
             raise InvariantError("a row has no initial basic column")
 
@@ -255,8 +308,8 @@ class _Tableau:
             inv = Fraction(1, piv)
             for j, x in prow.items():
                 prow[j] = _entry(x * inv)
-        for row in self.rows:
-            if row is not prow:
+        for row in self.rows:  # a row without column c is left as it is
+            if c in row and row is not prow:
                 _eliminate(row, prow, c)
         _eliminate(cost, prow, c)
         self.basis[r] = c
@@ -341,8 +394,9 @@ class _Tableau:
 
 def _check_objective(system: ConstraintSystem) -> None:
     """Raise ValueError if a nonzero objective term uses an undeclared
-    variable, as `add_constraint` does for a row."""
-    unknown = {v for v, c in (system.objective or {}).items() if c} - system._vs
+    variable, as `add_constraint` does for a row; a value is read exactly, so
+    "0" and 0.0 are zeros."""
+    unknown = {v for v, c in (system.objective or {}).items() if _exact(c)} - system._vs
     if unknown:
         raise ValueError(f"objective uses undeclared {sorted(unknown)}")
 
@@ -425,53 +479,59 @@ def _decimal_places(den: int) -> Optional[int]:
     return max(twos, fives) if den == 1 else None
 
 
-def _decimal_str(x: Fraction) -> Optional[str]:
-    k = _decimal_places(x.denominator)
+def _forms(x) -> tuple[int, str, Optional[str]]:
+    """(rank, exact, decimal) of a value x: rank 0 for an integer, 1 for a
+    finite decimal expansion, 2 otherwise; exact is "n" or "n/d", and decimal
+    is the same value with a decimal point, None at rank 2."""
+    num, den = x.numerator, x.denominator
+    if den == 1:
+        text = str(num)
+        return 0, text, text
+    exact = f"{num}/{den}"
+    k = _decimal_places(den)
     if k is None:
-        return None
-    if k == 0:
-        return str(x.numerator)
-    scaled = x.numerator * 10**k // x.denominator
+        return 2, exact, None
+    scaled = num * 10**k // den
     sign = "-" if scaled < 0 else ""
     digits = str(abs(scaled)).rjust(k + 1, "0")
-    return f"{sign}{digits[:-k]}.{digits[-k:]}"
+    return 1, exact, f"{sign}{digits[:-k]}.{digits[-k:]}"
 
 
-def _term_head(c: Fraction, exact: bool) -> str:
-    """What precedes the variable in a term with coefficient c != 0: the sign,
-    then the magnitude (exact or decimal) unless it is 1."""
-    num, den = c.numerator, c.denominator
-    sign = "- " if num < 0 else "+ "
-    if den == 1:  # an integer reads the same either way
-        return sign if num in (1, -1) else f"{sign}{abs(num)} "
-    mag = abs(c)
-    return f"{sign}{mag if exact else _decimal_str(mag)} "
+def _head(c) -> tuple[int, Optional[str], Optional[str]]:
+    """(rank, exact head, decimal head) of a coefficient c, ranked as by
+    `_forms`; a head is what precedes the variable in a term: the sign, then
+    the magnitude unless it is 1 (" + ", " - 2 ", " + 1/3 "). Both heads are
+    None for a zero, and the decimal head is None at rank 2."""
+    num = c.numerator
+    if not num:
+        return 0, None, None
+    sign = " - " if num < 0 else " + "
+    if num in (1, -1) and c.denominator == 1:
+        return 0, sign, sign
+    rank, exact, decimal = _forms(abs(c))
+    return rank, f"{sign}{exact} ", decimal and f"{sign}{decimal} "
 
 
-def _terms_str(coeffs: dict[str, Fraction], pos: dict[str, int], exact: bool) -> str:
-    """The nonzero terms over declared variables, in declaration order (`pos`
-    maps each variable to its position); terms over other names are skipped."""
-    terms = sorted((pos[v], v, c) for v, c in coeffs.items() if c and v in pos)
-    if not terms:
-        return "0"
-    text = " ".join(_term_head(c, exact) + v for _, v, c in terms)
-    return text[2:] if text[0] == "+" else text  # no "+" before the first term
-
-
-def _row_kind(values) -> str:
-    """"int" if every value is an integer, else "decimal" if every value has a
-    finite decimal expansion, else "exact"."""
-    kind = "int"
-    for x in values:
-        den = x.denominator
-        if den == 1:
-            continue
-        k = _decimal_places(den)
-        if k is None:
-            return "exact"
-        if k:
-            kind = "decimal"
-    return kind
+def _terms(names, coeffs, heads: dict, k: int, rank: int) -> tuple[int, str]:
+    """The terms of `coeffs` over `names` (their order) with nonzero
+    coefficients, written with exact (k = 1) or decimal (k = 2) heads, and the
+    greater of `rank` and their coefficients' ranks. `heads` maps id(c) to
+    `_head(c)` and gains the coefficients it lacks."""
+    parts = []
+    for v in names:
+        c = coeffs[v]
+        head = heads.get(id(c))
+        if head is None:
+            head = heads[id(c)] = _head(c)
+        if head[0] > rank:
+            rank = head[0]
+        if head[k] is not None:
+            parts.append(head[k])
+            parts.append(v)
+    if not parts:
+        return rank, "0"
+    text = "".join(parts)
+    return rank, text[3:] if text[1] == "+" else text[1:]  # no "+" before the first term
 
 
 def emit_lp(system: ConstraintSystem, sink: TextIO) -> None:
@@ -482,38 +542,51 @@ def emit_lp(system: ConstraintSystem, sink: TextIO) -> None:
     _check_names(system)
     order = system.variables
     pos = {v: i for i, v in enumerate(order)}
+    # each distinct coefficient and rhs is formatted once, keyed by id() (a
+    # Fraction hashes slowly): every key's object lives in the system or in
+    # `obj` until the call returns
+    heads: dict[int, tuple] = {}
+    values: dict[int, tuple] = {}
+
+    def row(coeffs, rank) -> tuple[int, str, Optional[str]]:
+        """(rank, exact terms, decimal terms) of a row whose rhs ranks `rank`;
+        every coefficient ranks, but a term over an undeclared name is not
+        written. The decimal terms are None at rank 2."""
+        try:
+            names = sorted(coeffs, key=pos.__getitem__)
+        except KeyError:  # an undeclared name: rank its coefficient, skip its term
+            names = sorted(filter(pos.__contains__, coeffs), key=pos.__getitem__)
+            rank = _terms(coeffs.keys() - pos.keys(), coeffs, heads, 1, rank)[0]
+        rank, exact = _terms(names, coeffs, heads, 1, rank)
+        if rank == 1:
+            return rank, exact, _terms(names, coeffs, heads, 2, rank)[1]
+        return rank, exact, None if rank else exact
+
     w = sink.write
     w(f"\\ constraint-system: {system.name}\n")
     w(f"\\ variables: {len(order)}  constraints: {len(system.constraints)}\n")
     w("Minimize\n")
-    obj = system.objective or {}
-    kind = _row_kind(obj.values())
-    if kind == "exact":
-        w(f"\\X obj: {_terms_str(obj, pos, exact=True)}\n")
+    obj = {v: _exact(c) for v, c in (system.objective or {}).items()}
+    rank, exact, decimal = row(obj, 0)
+    if rank == 2:
+        w(f"\\X obj: {exact}\n")
         w(" obj: 0\n")
     else:
-        if kind == "decimal":
-            w(f"\\ exact obj: {_terms_str(obj, pos, exact=True)}\n")
-        w(f" obj: {_terms_str(obj, pos, exact=False)}\n")
+        if rank == 1:
+            w(f"\\ exact obj: {exact}\n")
+        w(f" obj: {decimal}\n")
     w("Subject To\n")
     for con in system.constraints:
-        rhs_exact = str(con.rhs)
-        kind = _row_kind(itertools.chain(con.coeffs.values(), (con.rhs,)))
-        if kind != "exact":
-            if kind == "decimal":
-                w(
-                    f"\\ exact {con.name}: "
-                    f"{_terms_str(con.coeffs, pos, exact=True)} {con.rel} {rhs_exact}\n"
-                )
-            w(
-                f" {con.name}: {_terms_str(con.coeffs, pos, exact=False)} "
-                f"{con.rel} {_decimal_str(con.rhs)}\n"
-            )
+        rhs = values.get(id(con.rhs))
+        if rhs is None:
+            rhs = values[id(con.rhs)] = _forms(con.rhs)
+        rank, exact, decimal = row(con.coeffs, rhs[0])
+        if rank == 2:
+            w(f"\\X {con.name}: {exact} {con.rel} {rhs[1]}\n")
         else:
-            w(
-                f"\\X {con.name}: {_terms_str(con.coeffs, pos, exact=True)} "
-                f"{con.rel} {rhs_exact}\n"
-            )
+            if rank == 1:
+                w(f"\\ exact {con.name}: {exact} {con.rel} {rhs[1]}\n")
+            w(f" {con.name}: {decimal} {con.rel} {rhs[2]}\n")
     w("Bounds\n")
     for v in order:
         w(f" {v} free\n")

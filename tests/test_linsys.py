@@ -735,3 +735,170 @@ def test_zero_objective_term_over_undeclared_variable_is_harmless():
     r = simplex_solve(s)
     assert r.status == "optimal" and r.objective == 2
     assert roundtrip(s) == s
+
+
+# -- objective values that are not Fractions -------------------------------------
+
+
+def _emitted(s: ConstraintSystem) -> str:
+    buf = io.StringIO()
+    emit_lp(s, buf)
+    return buf.getvalue()
+
+
+def test_emit_reads_objective_values_exactly():
+    # the simplex converts objective values exactly; the writer does the same
+    s = ConstraintSystem(name="obj", variables=["x"], objective={"x": 0.5})
+    s.add_constraint("c", {"x": 1}, ">=", 2)
+    assert simplex_solve(s).objective == 1
+    assert parse_lp(_emitted(s)).objective == {"x": Fraction(1, 2)}
+    s.objective = {"x": "1/3"}
+    text = _emitted(s)
+    assert "\\X obj: 1/3 x\n" in text
+    assert parse_lp(text).objective == {"x": Fraction(1, 3)}
+
+
+def test_objective_zero_is_read_exactly():
+    # "0" is a zero as the simplex reads it, so it is no undeclared term
+    for zero in ("0", 0.0):
+        s = ConstraintSystem(variables=["x"], objective={"x": 1, "z": zero})
+        s.add_constraint("c", {"x": 1}, ">=", 2)
+        assert simplex_solve(s).objective == 2
+        assert roundtrip(s).objective == {"x": 1}
+
+
+# -- rows over undeclared variables appended past the constructor's check ---------
+
+
+@pytest.mark.parametrize("objective", [None, {"p": 1}])
+def test_simplex_rejects_late_rows_over_undeclared_variables(objective):
+    s = ConstraintSystem(name="late", variables=["q", "p"], objective=objective)
+    s.add_constraint("r0", {"p": 1, "q": 1}, "<=", 4)
+    s.constraints.append(Constraint("r1", {"zz": 1, "p": -1, "q": 2}, "<=", 1))
+    for solve in (simplex_feasible, simplex_solve):
+        with pytest.raises(ValueError, match=r"constraint r1 uses undeclared \['zz'\]"):
+            solve(s)
+    # the writer still skips the term, as pinned by EMIT_DIGEST
+    assert " r1: 2 q - p <= 1\n" in _emitted(s)
+
+    # a one-term sign row is not presolved into a bound on a missing column
+    sign = ConstraintSystem(name="late", variables=["q", "p"], objective=objective)
+    sign.constraints.append(Constraint("nn_zz", {"zz": 1}, ">=", 0))
+    for solve in (simplex_feasible, simplex_solve):
+        with pytest.raises(ValueError, match=r"constraint nn_zz uses undeclared \['zz'\]"):
+            solve(sign)
+
+
+def test_late_zero_term_over_undeclared_variable_is_harmless():
+    s = ConstraintSystem(name="late", variables=["x"], objective={"x": 1})
+    row = s.add_constraint("c", {"x": 1}, ">=", 2)
+    row.coeffs["zz"] = Fraction(0)
+    assert simplex_solve(s).objective == 2
+
+
+# -- the shared-object and int fast paths agree with plain Fraction arithmetic ----
+
+_HUGE = 10**30
+_values = st.one_of(
+    st.integers(-9, 9),
+    st.sampled_from([0, _HUGE, -_HUGE, linsys._ZERO, linsys._ONE, linsys._MINUS_ONE]),
+    st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 7])),
+    st.builds(lambda k, d: Fraction(k * _HUGE, d), st.integers(-3, 3), st.sampled_from([1, 2, 3, 7])),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+def _reference_lhs(con: Constraint, point) -> Fraction:
+    return sum(
+        (Fraction(c) * Fraction(point[v]) for v, c in con.coeffs.items() if v in point),
+        Fraction(0),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_holds_agrees_with_fraction_reference(data):
+    names = [f"x{i}" for i in range(data.draw(st.integers(0, 5)))]
+    coeffs = {v: data.draw(_values) for v in names if data.draw(st.booleans())}
+    point = {v: data.draw(_values) for v in names if data.draw(st.booleans())}
+    probe = Constraint("probe", coeffs, "=", 0)
+    lhs = _reference_lhs(probe, point)
+    # the rhs is often the left-hand side itself or next to it, so that ties
+    # and near misses come up
+    rhs = data.draw(st.one_of(_values, st.sampled_from([lhs, lhs + Fraction(1, 7), lhs - 1])))
+    for rel, want in (("<=", lhs <= Fraction(rhs)), (">=", lhs >= Fraction(rhs)),
+                      ("=", lhs == Fraction(rhs))):
+        assert Constraint("r", coeffs, rel, rhs).holds(point) is want
+
+
+_KINDS = ("one", "minus_one", "half", "third", "three")
+_specs = st.fixed_dictionaries({
+    "nvars": st.integers(1, 5),
+    "rows": st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(_KINDS + (None,)), min_size=5, max_size=5),
+            st.sampled_from(["<=", ">=", "="]),
+            st.one_of(st.none(), st.integers(-4, 4)),
+        ),
+        max_size=7,
+    ),
+    "objective": st.one_of(st.none(), st.lists(st.sampled_from(_KINDS + (None,)),
+                                               min_size=5, max_size=5)),
+})
+
+
+def _spec_system(spec, fresh: bool) -> ConstraintSystem:
+    """The system a spec draws, over the shared _ONE, _MINUS_ONE and _ZERO,
+    or with a new Fraction for every term and zero rhs when `fresh`."""
+
+    def value(kind):
+        if kind == "one":
+            return Fraction(1) if fresh else linsys._ONE
+        if kind == "minus_one":
+            return Fraction(-1) if fresh else linsys._MINUS_ONE
+        return {"half": Fraction(-1, 2), "third": Fraction(1, 3), "three": Fraction(3)}[kind]
+
+    names = [f"v{i}" for i in range(spec["nvars"])]
+    s = ConstraintSystem(name="shared", variables=list(names))
+    for k, (kinds, rel, half_rhs) in enumerate(spec["rows"]):
+        coeffs = {v: value(kind) for v, kind in zip(names, kinds) if kind}
+        if half_rhs is None:
+            rhs = Fraction(0) if fresh else linsys._ZERO
+        else:
+            rhs = Fraction(half_rhs, 2)
+        s.add_constraint(f"c{k}", coeffs, rel, rhs)
+    if spec["objective"] is not None:
+        s.objective = {v: value(kind) for v, kind in zip(names, spec["objective"]) if kind}
+    return s
+
+
+def _outcome(s: ConstraintSystem):
+    return _emitted(s), _result_key(simplex_solve(s)), _result_key(simplex_feasible(s))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_specs)
+def test_shared_and_fresh_coefficients_emit_and_solve_alike(spec):
+    assert _outcome(_spec_system(spec, fresh=True)) == _outcome(_spec_system(spec, fresh=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_specs, st.data())
+def test_rows_mutated_after_construction_emit_and_solve_as_before(spec, data):
+    # a zero coefficient written into a row, or a zero rhs that is not the
+    # shared _ZERO, changes neither the LP text nor any simplex outcome; a
+    # zero rhs alone leaves the tableau as it was (a sign row stays a bound)
+    clean, mutated = _spec_system(spec, fresh=False), _spec_system(spec, fresh=False)
+    zeros_written = False
+    for con in mutated.constraints:
+        absent = [v for v in mutated.variables if v not in con.coeffs]
+        if absent and data.draw(st.booleans()):
+            con.coeffs[data.draw(st.sampled_from(absent))] = Fraction(0)
+            zeros_written = True
+        elif con.rhs == 0:
+            con.rhs = Fraction(0)
+            assert con.rhs is not linsys._ZERO
+    assert _outcome(mutated) == _outcome(clean)
+    if not zeros_written:
+        tab, ref = linsys._Tableau(mutated), linsys._Tableau(clean)
+        assert (tab.cols, tab.rows, tab.basis) == (ref.cols, ref.rows, ref.basis)
