@@ -55,6 +55,24 @@ from endpoint[d] to endpoint[d ^ 1], so d >> 1 is its index and d ^ 1 its
 reverse. Every check of the original raises InvariantError instead of
 asserting, and the dual certificate of optimality (`verify_optimum`) is
 checked on every solve, also under `python -O`.
+
+There are two starts and one main loop. The cold start, `matched_edges`, is
+networkx's: every dual at the largest weight and nothing matched, so it
+spends one stage per augmentation; it is the reference that the tests pin.
+The warm start, `warm_matched_edges` (maximum weight only), is the jump start
+of Mehlhorn & Schäfer (ACM JEA 2002) and of Kolmogorov's Blossom V: each
+vertex's dual is the largest weight at it, floored at 0, and the tight edges
+of positive weight are matched greedily, which leaves far fewer stages. With
+free vertices no longer sharing one dual, the loop then
+- roots a stage only at single vertices of positive dual, and ends when
+  there are none;
+- takes a tight edge from an S-vertex to an unlabelled blossom with a single
+  base (at dual 0) as an augmenting path;
+- lowers the S-duals at most to the least of them; an S-vertex that reaches
+  dual 0 ends the stage, a matched one after flipping its alternating path
+  to the root so that it turns single.
+The certificate is the same, so the warm start's matching has the largest
+weight too, but on ties it may be another matching than networkx picks.
 """
 
 from itertools import chain
@@ -110,10 +128,25 @@ def verify_optimum(endpoint, w2, mate, dualvar, blossomdual, blossomparent,
 def matched_edges(edges, weights, maxcardinality):
     """Maximum-weight matching of the simple graph `edges` (node pairs) under
     int `weights`; with `maxcardinality`, maximum weight among the matchings
-    of maximum cardinality.
+    of maximum cardinality. Cold start: the matching networkx picks.
 
     Returns the indices into `edges` of the matched edges, ascending.
     """
+    return _solve(edges, weights, maxcardinality, False)
+
+
+def warm_matched_edges(edges, weights):
+    """A maximum-weight matching of the simple graph `edges` under int
+    `weights`, solved from the warm start; its weight equals that of
+    `matched_edges(edges, weights, False)`, but on ties the matching may
+    differ.
+
+    Returns the indices into `edges` of the matched edges, ascending.
+    """
+    return _solve(edges, weights, False, True)
+
+
+def _solve(edges, weights, maxcardinality, warm):
     index = {}
     for e in edges:
         for x in e:
@@ -128,8 +161,10 @@ def matched_edges(edges, weights, maxcardinality):
         return []
     endpoint = [index[x] for e in edges for x in e]
 
-    # 2 * weight per edge, and per vertex its (neighbour, oriented edge) list
-    w2 = [2 * w for w in weights]
+    # 2 * weight per edge (4 * weight from the warm start, which keeps every
+    # dual even, so slacks between S-blossoms stay even), and per vertex its
+    # (neighbour, oriented edge) list
+    w2 = [(4 if warm else 2) * w for w in weights]
     nbrs = [[] for _ in range(n)]
     for d, v in enumerate(endpoint):
         nbrs[v].append((endpoint[d ^ 1], d))
@@ -149,7 +184,19 @@ def matched_edges(edges, weights, maxcardinality):
     blossombase = list(range(n)) + [-1] * n
     bestedge = [-1] * size
     mybestedges = [None] * size
-    dualvar = [max(0, max(weights))] * n  # 2 * u(v)
+    if warm:
+        # vertex-local duals: the largest weight at v, so an edge that is
+        # heaviest at both ends is tight; match such edges greedily
+        dualvar = [0] * n
+        for d, v in enumerate(endpoint):
+            dualvar[v] = max(dualvar[v], w2[d >> 1] >> 1)
+        for k, wk2 in enumerate(w2):
+            i, j = endpoint[2 * k], endpoint[2 * k + 1]
+            if wk2 > 0 and mate[i] == mate[j] == -1 and dualvar[i] + dualvar[j] == wk2:
+                mate[i], mateedge[i] = j, 2 * k
+                mate[j], mateedge[j] = i, 2 * k + 1
+    else:
+        dualvar = [max(0, max(weights))] * n  # 2 * u(v)
     blossomdual = [0] * size  # z(b)
     allowedge = [False] * m
     live = {}  # the non-trivial blossoms, in creation order
@@ -427,34 +474,36 @@ def matched_edges(edges, weights, maxcardinality):
             else:
                 stack.pop()
 
-    def augmentMatching(d):
-        # augment along the path through the S-vertices joined by d = (v, w)
-        for e in (d, d ^ 1):
-            s = endpoint[e]
-            while True:
-                bs = inblossom[s]
-                if label[bs] != 1:
-                    raise InvariantError("blossom: augmenting from a non-S blossom")
-                le = labeledge[bs]
-                if mate[blossombase[bs]] != (-1 if le == -1 else endpoint[le]):
-                    raise InvariantError("blossom: S-label not through the base's mate")
-                if bs >= n:
-                    augmentBlossom(bs, s)
+    def augmentPath(s, e):
+        # S-vertex s takes the oriented edge e = (s, x), or turns single when
+        # e is -1, and the alternating path from s back to its root flips
+        while True:
+            bs = inblossom[s]
+            if label[bs] != 1:
+                raise InvariantError("blossom: augmenting from a non-S blossom")
+            le = labeledge[bs]
+            if mate[blossombase[bs]] != (-1 if le == -1 else endpoint[le]):
+                raise InvariantError("blossom: S-label not through the base's mate")
+            if bs >= n:
+                augmentBlossom(bs, s)
+            if e == -1:
+                mate[s] = mateedge[s] = -1
+            else:
                 setmate(s, e)
-                if le == -1:
-                    break  # reached a single vertex
-                t = endpoint[le]
-                bt = inblossom[t]
-                if label[bt] != 2:
-                    raise InvariantError("blossom: augmenting through a non-T blossom")
-                e = labeledge[bt]  # (s, j)
-                s = endpoint[e]
-                j = endpoint[e ^ 1]
-                if blossombase[bt] != t:
-                    raise InvariantError("blossom: T-blossom entered off its base")
-                if bt >= n:
-                    augmentBlossom(bt, j)
-                setmate(j, e ^ 1)
+            if le == -1:
+                break  # reached the root
+            t = endpoint[le]
+            bt = inblossom[t]
+            if label[bt] != 2:
+                raise InvariantError("blossom: augmenting through a non-T blossom")
+            e = labeledge[bt]  # (s, j)
+            s = endpoint[e]
+            j = endpoint[e ^ 1]
+            if blossombase[bt] != t:
+                raise InvariantError("blossom: T-blossom entered off its base")
+            if bt >= n:
+                augmentBlossom(bt, j)
+            setmate(j, e ^ 1)
 
     blank_labels = [0] * size
     blank_edges = [-1] * size
@@ -468,19 +517,22 @@ def matched_edges(edges, weights, maxcardinality):
             mybestedges[b] = None
         allowedge[:] = blank_allowed
         queue.clear()
-        # label the single vertices and blossoms S and queue their vertices
+        # label the roots S and queue their vertices: the single vertices and
+        # blossoms, from the warm start only those whose dual is positive
         for v in range(n):
-            if mate[v] == -1 and not label[inblossom[v]]:
+            if mate[v] == -1 and not label[inblossom[v]] and (dualvar[v] > 0 or not warm):
                 if inblossom[v] == v:
                     label[v] = 1  # what assignLabel(v, 1, -1) does here
                     queue.append(v)
                 else:
                     assignLabel(v, 1, -1)
+        if not queue:
+            break  # no root left
 
-        augmented = False
+        stageover = False  # by an augmentation, or by a warm-start event
         while True:
             # a substage: label along tight edges until a path or no progress
-            while queue and not augmented:
+            while queue and not stageover:
                 v = queue.pop()
                 bv = inblossom[v]  # changes only when a new blossom forms
                 if label[bv] != 1:
@@ -510,6 +562,15 @@ def matched_edges(edges, weights, maxcardinality):
                         allowedge[k] = True
                     lw = label[bw]
                     if lw == 0:
+                        if mate[blossombase[bw]] == -1:
+                            # w's blossom has a single base at dual 0 (warm
+                            # start only): an augmenting path ends there
+                            if bw >= n:
+                                augmentBlossom(bw, w)
+                            setmate(w, d ^ 1)
+                            augmentPath(v, d)
+                            stageover = True
+                            break
                         # w is free: label it T and its mate S
                         assignLabel(w, 2, d)
                     elif lw == 1:
@@ -519,8 +580,9 @@ def matched_edges(edges, weights, maxcardinality):
                             addBlossom(base, d)
                             bv = inblossom[v]
                         else:
-                            augmentMatching(d)
-                            augmented = True
+                            augmentPath(v, d)
+                            augmentPath(w, d ^ 1)
+                            stageover = True
                             break
                     elif not label[w]:
                         # w sits in a T-blossom and is first reached now
@@ -529,7 +591,7 @@ def matched_edges(edges, weights, maxcardinality):
                         label[w] = 2
                         labeledge[w] = d
 
-            if augmented:
+            if stageover:
                 break
 
             # no augmenting path on tight edges: change the duals by delta
@@ -537,8 +599,10 @@ def matched_edges(edges, weights, maxcardinality):
             deltatype = -1
             delta = deltaedge = deltablossom = None
             if not maxcardinality:
+                # the least S-vertex dual (from the cold start, that of the
+                # single vertices, which is the least of all)
                 deltatype = 1
-                delta = min(dualvar)
+                delta = min(dualvar[v] for v in range(n) if label[inblossom[v]] == 1)
             for v in range(n):
                 if not label[inblossom[v]] and bestedge[v] != -1:
                     dv = slack(bestedge[v])
@@ -583,7 +647,15 @@ def matched_edges(edges, weights, maxcardinality):
                         blossomdual[b] -= delta
 
             if deltatype == 1:
-                break  # optimum reached
+                # from the cold start every single vertex is at dual 0: the
+                # optimum; from the warm start one S-vertex is, and a matched
+                # one turns single by flipping its path to the root
+                if warm:
+                    v = next(v for v in range(n) if label[inblossom[v]] == 1 and not dualvar[v])
+                    if mate[v] != -1:
+                        augmentPath(v, -1)
+                    stageover = True
+                break
             elif deltatype == 2 or deltatype == 3:
                 # the least-slack edge is tight now: continue the search there
                 v = endpoint[deltaedge]
@@ -597,8 +669,8 @@ def matched_edges(edges, weights, maxcardinality):
         for v, x in enumerate(mate):
             if x != -1 and mate[x] != v:
                 raise InvariantError("blossom: asymmetric mate")
-        if not augmented:
-            break
+        if not stageover:
+            break  # the optimum, from the cold start
         # end of a stage: expand the S-blossoms whose dual fell to zero
         for b in list(live):
             if b in live and blossomparent[b] == -1 and label[b] == 1 and blossomdual[b] == 0:

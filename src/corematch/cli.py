@@ -21,8 +21,17 @@ EXIT_INVARIANT = 5
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The file as text; a byte that is not UTF-8 is a format error naming
+    its line, counted as the parsers count lines (`str.splitlines`, which
+    also reads CRLF and CR as one break)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode("utf-8")
+        line = len((head + "x").splitlines())  # "x" stands for the bad byte
+        raise FormatError(f"not UTF-8 text ({exc.reason})", line) from None
 
 
 def _load_instance(path: str) -> model.Instance:

@@ -155,8 +155,9 @@ class ConstraintSystem:
         if not isinstance(other, ConstraintSystem):
             return NotImplemented
 
-        def obj(sys_):
-            return {v: c for v, c in (sys_.objective or {}).items() if c}
+        def obj(sys_):  # the nonzero values, read as the simplex reads them
+            exact = ((v, _exact(c)) for v, c in (sys_.objective or {}).items())
+            return {v: c for v, c in exact if c}
 
         return (
             self.name == other.name

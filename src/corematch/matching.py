@@ -1,14 +1,19 @@
 """Exact maximum-weight matching and b-matching (b <= 2).
 
-The blossom engine is `_edmonds.matched_edges`, an int-array port of
-networkx's primal-dual implementation that picks the same matching and
-returns the indices of its edges, run on weights scaled to integers so every
-comparison is exact; it checks the dual certificate of optimality on every
-solve. On top of it this module implements deterministic tie-breaking (the
-optimum whose sorted edge-index tuple is lexicographically smallest),
-minimum-weight perfect matching, and maximum-weight b-matching through a
-vertex/edge gadget expansion on dense int nodes, in which only edges joining
-two capacity-2 vertices get a gadget.
+The blossom engine is `_edmonds`, an int-array port of networkx's
+primal-dual implementation that returns the indices of the matched edges,
+run on weights scaled to integers so every comparison is exact; it checks
+the dual certificate of optimality on every solve. Calls that only read a
+value (`_max_value`, `_b_value`: nu and the tie-break completions) use its
+warm start, `warm_matched_edges`, which needs far fewer stages but may return
+another optimum of the same weight; no result depends on which. The perfect
+matchings (`_min_perfect_edges`) pick T-joins and so certificates, and use
+the cold start, `matched_edges`, which picks networkx's matching. On top of
+the engine this module implements deterministic tie-breaking (the optimum
+whose sorted edge-index tuple is lexicographically smallest), minimum-weight
+perfect matching, and maximum-weight b-matching through a vertex/edge gadget
+expansion on dense int nodes, in which only edges joining two capacity-2
+vertices get a gadget.
 """
 
 import itertools
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from ._edmonds import matched_edges
+from ._edmonds import matched_edges, warm_matched_edges
 from .model import Instance, InvariantError, check_simple_graph
 
 
@@ -90,7 +95,7 @@ def _after(edges, weights, kept, i):
 def _max_value(edges, weights) -> Fraction:
     """Maximum matching weight only (no tie-break canonicalization)."""
     ints, _ = _scale(weights)
-    return sum((weights[k] for k in matched_edges(edges, ints, False)), Fraction(0))
+    return sum((weights[k] for k in warm_matched_edges(edges, ints)), Fraction(0))
 
 
 def max_weight_matching(vertices, edges, weights) -> MatchingResult:
@@ -198,7 +203,7 @@ def _b_value(inst: Instance, allowed: set[int], caps: Sequence[int]) -> Fraction
         return Fraction(0)
     _, edges, weights = build_gadget(inst, allowed, caps)
     ints, scale = _scale(weights)
-    matched = set(matched_edges(edges, ints, False))
+    matched = set(warm_matched_edges(edges, ints))
     covered = {x for k in matched for x in edges[k]}
     base = sum(caps)  # the first gadget node
     total = wall = value = 0  # in units of 1/scale

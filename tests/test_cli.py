@@ -251,6 +251,21 @@ def test_format_error_exit_code(capsys, tmp_path):
     assert code == 3 and "capacity out of range" in err
 
 
+def test_non_utf8_input_exits_3_naming_the_line(files, capsys):
+    # a byte that is not UTF-8 is a format error on its line, counted as the
+    # parsers count lines (CRLF is one break)
+    tmp, game, _, _ = files
+    bad_game = tmp / "latin1.game"
+    bad_game.write_bytes(b"game 2 1\nvertex 0 2\nvertex 1 2\nedge 0 1 \xff\n")
+    bad_alloc = tmp / "latin1.alloc"
+    bad_alloc.write_bytes(b"0 0\r\n1 0\r\n2 \xc3\n3 10\n4 0\n")
+    for argv, line in ((["value", "-i", str(bad_game)], 4),
+                       (["check", "-i", str(game), "-a", str(bad_alloc)], 3)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: line {line}: not UTF-8 text")
+
+
 COSTS = "costs 3 3\nedge 0 1 -3\nedge 1 2 1\nedge 0 2 1\n"
 
 

@@ -98,14 +98,14 @@ def test_gadget_identity_raises_under_dash_o():
         "inst = parse_instance('game 4 6\\n' + ''.join(f'vertex {v} 2\\n' for v in range(4))\n"
         "    + 'edge 0 1 1\\nedge 0 2 1\\nedge 0 3 1\\nedge 1 2 1\\nedge 1 3 1\\nedge 2 3 1\\n')\n"
         "print(matching.b_matching_value(inst))\n"
-        "real = matching.matched_edges\n"
-        "def corrupted(edges, int_weights, maxcardinality):\n"
-        "    matched = real(edges, int_weights, maxcardinality)\n"
+        "real = matching.warm_matched_edges\n"
+        "def corrupted(edges, int_weights):\n"
+        "    matched = real(edges, int_weights)\n"
         "    # nodes 0..7 are the vertex copies, 8 and up the gadget nodes\n"
         "    middle = [k for k in matched if min(edges[k]) >= 8 and int_weights[k] > 0]\n"
         "    matched.remove(middle[0])\n"
         "    return matched\n"
-        "matching.matched_edges = corrupted\n"
+        "matching.warm_matched_edges = corrupted\n"
         "try:\n"
         "    matching.b_matching_value(inst)\n"
         "except InvariantError as exc:\n"
@@ -176,16 +176,26 @@ def corrupt_certificate(how: str) -> str:
     )
 
 
-@pytest.mark.parametrize("how", sorted(CORRUPTIONS))
-def test_blossom_certificate_raises_under_dash_o(how):
+# The solve on the path under each start: the cold and the warm one.
+SOLVES = {
+    "cold": "_edmonds.matched_edges(path, [3, 5, 3], False)",
+    "warm": "_edmonds.warm_matched_edges(path, [3, 5, 3])",
+}
+
+
+@pytest.mark.parametrize("how, start", [
+    pytest.param(how, start, id=how if start == "cold" else f"{how}-{start}")
+    for start in SOLVES for how in sorted(CORRUPTIONS)
+])
+def test_blossom_certificate_raises_under_dash_o(how, start):
     out = run_optimized(
         "from corematch.model import InvariantError\n"
         "assert False, 'asserts must be stripped here'\n"
         "path = [(0, 1), (1, 2), (2, 3)]\n"
-        "print(_edmonds.matched_edges(path, [3, 5, 3], False))\n"
+        f"print({SOLVES[start]})\n"
         "_edmonds.verify_optimum = corrupted\n"
         "try:\n"
-        "    _edmonds.matched_edges(path, [3, 5, 3], False)\n"
+        f"    {SOLVES[start]}\n"
         "except InvariantError as exc:\n"
         "    print('raised:', exc)\n",
         prelude=corrupt_certificate(how),

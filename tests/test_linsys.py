@@ -767,6 +767,15 @@ def test_objective_zero_is_read_exactly():
         assert roundtrip(s).objective == {"x": 1}
 
 
+def test_equality_reads_objective_values_exactly():
+    # objective values compare as the simplex and the writer read them
+    s = ConstraintSystem(variables=["x", "z"], objective={"x": 1, "z": "0"})
+    assert roundtrip(s) == s
+    half = ConstraintSystem(variables=["x"], objective={"x": "1/2"})
+    assert half == ConstraintSystem(variables=["x"], objective={"x": 0.5})
+    assert half != ConstraintSystem(variables=["x"], objective={"x": "1/3"})
+
+
 # -- rows over undeclared variables appended past the constructor's check ---------
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from corematch import matching, model, oracle
-from corematch._edmonds import matched_edges
+from corematch._edmonds import matched_edges, warm_matched_edges
 from corematch.matching import (
     MatchingResult,
     NoPerfectMatchingError,
@@ -518,14 +518,44 @@ def test_blossom_value_matches_enumeration():
         lo, hi = WEIGHT_RANGES[k % len(WEIGHT_RANGES)]
         weights = [rng.randint(lo, hi) for _ in edges]
         scores = matching_scores(n, edges, weights)
-        for maxcard, want in ((False, max(w for _, w in scores)), (True, max(scores)[1])):
-            matched = matched_edges(edges, weights, maxcard)
+        best = max(w for _, w in scores)
+        maxcard = matched_edges(edges, weights, True)
+        assert len(maxcard) == max(scores)[0]
+        for matched, want in ((matched_edges(edges, weights, False), best),
+                              (warm_matched_edges(edges, weights), best),
+                              (maxcard, max(scores)[1])):
             assert matched == sorted(set(matched))
             covered = [x for k in matched for x in edges[k]]
             assert len(covered) == len(set(covered))
-            if maxcard:
-                assert len(matched) == max(scores)[0]
             assert sum(weights[k] for k in matched) == want
+
+
+def test_warm_start_value_matches_cold_start():
+    # every case of the pinned corpus the warm start could serve: each
+    # maxcardinality=False case and each build_gadget case (every 100th)
+    for k, (edges, weights, maxcard) in enumerate(blossom_corpus(20261018, 3000)):
+        if maxcard and k % 100 != 99:
+            continue
+        cold = matched_edges(edges, weights, False)
+        warm = warm_matched_edges(edges, weights)
+        assert sum(weights[i] for i in warm) == sum(weights[i] for i in cold)
+
+
+@pytest.mark.parametrize("edges, weights, want", [
+    # the root c (dual 2) reaches dual 0 just as b - c turns tight; the tie
+    # goes to the dual, and the stage ends with c single
+    ([("a", "b"), ("b", "c")], [2, 1], [0]),
+    # t - s is matched greedily; from the root r, t turns T and s S, and s
+    # (numbered before r) reaches dual 0 together with r: s - t - r flips
+    ([("t", "s"), ("r", "t")], [5, 5], [1]),
+    # c - x is matched greedily; the root a (dual 2) reaches dual 0 and
+    # stays single, and in the next stage the root b reaches it over a - b
+    ([("c", "x"), ("b", "c"), ("a", "b")], [10, 10, 1], [0, 2]),
+])
+def test_warm_start_events(edges, weights, want):
+    assert warm_matched_edges(edges, weights) == want
+    cold = matched_edges(edges, weights, False)
+    assert sum(weights[k] for k in want) == sum(weights[k] for k in cold)
 
 
 @pytest.mark.parametrize("edges, weights, error", [
