@@ -46,9 +46,14 @@ def parse_rational(token: str, line: Optional[int] = None) -> Fraction:
     digits); reject anything else."""
     if not _RATIONAL_RE.fullmatch(token):
         raise FormatError(f"malformed rational {token!r}", line)
-    if "/" in token and int(token.split("/")[1]) == 0:
+    # the regex has checked the grammar, so build from ints rather than
+    # letting Fraction parse the string again
+    num, slash, den = token.partition("/")
+    if not slash:
+        return Fraction(int(num))
+    if int(den) == 0:
         raise FormatError(f"zero denominator in {token!r}", line)
-    return Fraction(token)
+    return Fraction(int(num), int(den))
 
 
 class Edge(NamedTuple):

@@ -122,13 +122,15 @@ def _dijkstra(g: CostedGraph, costs: Sequence[Cost], source: int):
     pred: dict[int, int] = {}
     done: set[int] = set()
     heap: list[tuple[Cost, int]] = [(0, source)]
+    edges, incident = g.edges, g.incident
     while heap:
         d, v = heapq.heappop(heap)
         if v in done:
             continue
         done.add(v)
-        for i in g.incident[v]:
-            w = g.edges[i].other(v)
+        for i in incident[v]:
+            e = edges[i]
+            w = e.v if e.u == v else e.u
             nd = d + costs[i]
             if w not in dist or nd < dist[w]:
                 dist[w] = nd
@@ -227,35 +229,68 @@ def join_distances(g: CostedGraph) -> Optional[dict[int, dict[int, Cost]]]:
     when g has a negative cycle.
 
     Every edge set with odd degree exactly at {a, b} is E- Δ J for a T'-join
-    J, T' = odd(E-) Δ {a, b}, and costs c(E-) + |c|(J); so d(a, b) =
-    c(E-) + a minimum T'-join on |c|. Without a negative cycle that minimum
+    J, T' = T0 Δ {a, b} with T0 = odd(E-), and costs c(E-) + |c|(J); so
+    d(a, b) = c(E-) + τ(T0 Δ {a, b}), τ(X) being a minimum perfect matching
+    on X under the |c|-distances D. Without a negative cycle that minimum
     {a, b}-join costs the shortest a-b path length (Schrijver, Combinatorial
-    Optimization, ch. 29; Sebő 1990), and d[a][a] = 0. One Dijkstra on |c|
-    runs from each vertex; a pair needs a perfect matching only when
-    |T'| > 2. d[a] lacks b when a and b lie in different components.
+    Optimization, ch. 29; Sebő 1990), and d[a][a] = 0. A perfect matching
+    of T0 Δ {a, b} pairs a and b off inside T0, so τ is needed only on T0
+    and on its two-vertex deletions τ(T0 − {x, y}):
+
+    - a, b in T0: τ(T0 − {a, b});
+    - a in T0, b not: the least D(b, x) + τ(T0 − {a, x}) over x in T0 − {a};
+    - a, b not in T0: the least of D(a, b) + τ(T0) and of
+      D(a, x) + D(b, y) + τ(T0 − {x, y}) over x ≠ y in T0.
+
+    One Dijkstra on |c| runs from each vertex; τ(T0) is the least
+    D(x0, x) + τ(T0 − {x0, x}) for the smallest x0, and a deletion needs a
+    perfect matching only when it holds more than two vertices, so never
+    when |T0| <= 4. d[a] lacks b when a and b lie in different components.
     """
     costs = [abs(e.cost) for e in g.edges]
     negative = [i for i, e in enumerate(g.edges) if e.cost < 0]
-    odd = _odd_vertices(g, negative)
+    T0 = sorted(_odd_vertices(g, negative))
     base = sum(g.edges[i].cost for i in negative)
     dists = {v: _dijkstra(g, costs, v)[0] for v in g.vertices}
 
-    def distance(T) -> Optional[Cost]:
-        if not T:
-            return base
-        pairs = _pairing(sorted(T), dists)
-        return None if pairs is None else base + sum(dists[a][b] for a, b in pairs)
-
-    zero = distance(odd)
-    if zero is None:
+    # tau[x][y] = τ(T0 − {x, y}); absent when T0 − {x, y} has no join
+    tau: dict[int, dict[int, Cost]] = {x: {} for x in T0}
+    for x_pos, x in enumerate(T0):
+        for y in T0[x_pos + 1 :]:
+            rest = [z for z in T0 if z != x and z != y]
+            pairs = _pairing(rest, dists) if rest else []
+            if pairs is not None:
+                tau[x][y] = tau[y][x] = sum(dists[a][b] for a, b in pairs)
+    if T0:
+        x0 = T0[0]
+        whole = min((dists[x0][x] + tau[x0][x] for x in tau[x0] if x in dists[x0]),
+                    default=None)
+    else:
+        whole = 0
+    if whole is None:
         raise InvariantError("odd(E-) has no join")
-    if zero < 0:
+    if base + whole < 0:
         return None
+
+    def distance(a: int, b: int) -> Cost:
+        if a in tau and b in tau:
+            return tau[a][b]
+        if b in tau:
+            a, b = b, a
+        if a in tau:
+            return min(dists[b][x] + tau[a][x] for x in tau[a] if x in dists[b])
+        da, db = dists[a], dists[b]
+        return min([
+            da[b] + whole,
+            *(da[x] + db[y] + tau[x][y]
+              for x in T0 if x in da for y in tau[x] if y in db),
+        ])
+
     d: dict[int, dict[int, Cost]] = {v: {v: 0} for v in g.vertices}
     for a_pos, a in enumerate(g.vertices):
         for b in g.vertices[a_pos + 1 :]:
             if b in dists[a]:
-                d[a][b] = d[b][a] = distance(odd ^ {a, b})
+                d[a][b] = d[b][a] = base + distance(a, b)
     return d
 
 

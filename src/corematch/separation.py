@@ -8,12 +8,17 @@ artificial st edge). The first violated constraint is returned as an exact,
 re-verifiable certificate.
 
 Once the cycle and edge stages have passed, G2 has no negative cycle, so a
-minimum {a, b}-join in G2 costs the shortest a-b distance, and one set of
-G2 distances per allocation decides for every endpoint pair whether one of
-its variants holds a negative cycle. The path stage therefore searches the
-variants of the flagged pairs only, in the scan order of the full search, so
-the certificates are those the full search finds; called where G2 has a
-negative cycle or a violated edge, it searches every pair.
+minimum {a, b}-join in G2 costs the shortest a-b distance d(a, b), and one
+set of G2 distances per allocation decides for every variant whether it
+holds a negative cycle: the variant keeping s-x and t-y does iff
+c(s,x) + d(x,y) + c(y,t) + P_s + P_t < 0. A pair is first tested against
+the least such sum, read from row minima per endpoint, and only the
+variants of a pair that passes are tested one by one. The path stage then
+builds and searches the flagged variants only, in the scan order of the
+full search, so the certificates are those the full search finds, and a
+flagged variant without a negative cycle raises `InvariantError`. Called
+where G2 has a negative cycle or a violated edge, it searches every variant
+of every pair.
 
 The cycle and path stages cost edges in integers. With D = 2·lcm of all
 denominators of p and w, P_v = p_v·D/2 and W_e = w_e·D, an instance edge
@@ -189,6 +194,8 @@ def variant_structures(inst: Instance, s: int, t: int) -> list[VariantStructure]
     if s == t:
         raise ValueError("endpoints must differ")
     s, t = min(s, t), max(s, t)
+    if s < 0 or t >= inst.n:
+        raise ValueError(f"endpoints must lie in 0..{inst.n - 1}")
     st = inst.find_edge(s, t)
     base = [i for i in inst.e2 if i != st]
     vertices = tuple(sorted({*inst.n2, s, t}))
@@ -234,21 +241,29 @@ def variants(inst: Instance, costs: TransferCosts, s: int, t: int) -> list[Coste
     return [realize_variant(inst, costs, st) for st in variant_structures(inst, s, t)]
 
 
-def _path_filter(inst: Instance,
-                 costs: TransferCosts) -> Optional[Callable[[int, int], bool]]:
-    """The exact per-pair path test: a predicate on s < t that says whether
-    pair {s, t} holds a violated path, or None where it does not apply.
+def _path_filter(
+    inst: Instance, costs: TransferCosts
+) -> Optional[Callable[[int, int], list[VariantStructure]]]:
+    """The exact path test: a function of s < t that lists, in scan order,
+    the variants of pair {s, t} that hold a violated path, or None where the
+    test does not apply.
 
     It applies when G2 has no negative cycle and every G2 edge uv has
     cost + half[u] + half[v] >= 0 (p_u + p_v >= w_uv), as the cycle and
     edge stages establish. Then every negative cycle of a variant runs
-    through its marker, so pair {s, t} holds a violated path iff the minimum
-    over x in A(s), y in A(t) of c(s,x) + d(x,y) + c(y,t) + half[s] + half[t]
-    is negative, d being the G2 distances of `negcycle.join_distances`.
-    A(v) is {v} at c(v,v) = 0 when b_v = 2, else v's capacity-2 neighbours
-    other than the far endpoint, which is `variant_structures`' rule. The
-    st edge of two capacity-2 endpoints is in G2 but not in their variants;
-    its sum is >= 0, so it never decides.
+    through its marker, so variant (kept_s → x, kept_t → y) holds a
+    violated path iff c(s,x) + d(x,y) + c(y,t) + half[s] + half[t] < 0,
+    d being the G2 distances of `negcycle.join_distances`; x = s at
+    c(s,s) = 0 when b_s = 2, and likewise y for t. So A(v) is {v} when
+    b_v = 2, else v's capacity-2 neighbours other than the far endpoint,
+    which is `variant_structures`' rule. The st edge of two capacity-2
+    endpoints is in G2 but not in their variants; its sum is >= 0, so it
+    never decides.
+
+    A pair is tested first against its least variant sum, from row minima:
+    for each s and G2 vertex y, the two least (c(s,x) + d(x,y), x) over x in
+    A(s), so that one with x ≠ t remains. Only a pair whose least sum is
+    negative has its variants built and tested one by one.
     """
     g2 = build_g2(inst, costs)
     half = costs.half
@@ -257,21 +272,71 @@ def _path_filter(inst: Instance,
     d = negcycle.join_distances(g2)
     if d is None:
         return None
-    attach = []  # (x, c(v,x)) per x in A(v)
+    attach = []  # (x, c(v,x)) per x in A(v), the far endpoint included
     for v in range(inst.n):
         edges = [costs.edges[i] for i in inst.incident(v)]
         attach.append([(v, 0)] if inst.b[v] == 2 else
                       [(e.other(v), e.cost) for e in edges if inst.b[e.other(v)] == 2])
+    # per s and G2 vertex y: the least (c(s,x) + d(x,y), x) over x in A(s),
+    # and the least such sum over the other x
+    first: list[dict[int, tuple[Cost, int]]] = []
+    second: list[dict[int, Cost]] = []
+    for s in range(inst.n):
+        if len(attach[s]) == 1:  # b_s = 2, or a single capacity-2 neighbour
+            (x, cx), = attach[s]
+            first.append({y: (cx + dxy, x) for y, dxy in d[x].items()})
+            second.append({})
+            continue
+        best, runner_up = {}, {}
+        for x, cx in attach[s]:
+            for y, dxy in d[x].items():
+                value = cx + dxy
+                if y not in best:
+                    best[y] = value, x
+                elif value < best[y][0]:
+                    runner_up[y] = best[y][0]
+                    best[y] = value, x
+                elif y not in runner_up or value < runner_up[y]:
+                    runner_up[y] = value
+        first.append(best)
+        second.append(runner_up)
 
-    def flagged(s: int, t: int) -> bool:
-        sums = [
-            cx + d[x][y] + cy
-            for x, cx in attach[s] if x != t
-            for y, cy in attach[t] if y != s and y in d[x]
-        ]
-        return bool(sums) and min(sums) + half[s] + half[t] < 0
+    def least(s: int, t: int) -> Optional[Cost]:
+        """min over x in A(s), y in A(t) of c(s,x) + d(x,y) + c(y,t), or
+        None when no such x and y are joined in G2."""
+        low = None
+        best, runner_up = first[s], second[s]
+        for y, cy in attach[t]:
+            if y == s or y not in best:
+                continue
+            value, x = best[y]
+            if x == t:
+                if y not in runner_up:
+                    continue
+                value = runner_up[y]
+            if low is None or value + cy < low:
+                low = value + cy
+        return low
 
-    return flagged
+    def end(v: int, kept: Optional[int]) -> tuple[int, Cost]:
+        if kept is None:
+            return v, 0
+        e = costs.edges[kept]
+        return e.other(v), e.cost
+
+    def negative(s: int, t: int) -> list[VariantStructure]:
+        st = half[s] + half[t]
+        low = least(s, t)
+        if low is None or low + st >= 0:
+            return []
+        out = []
+        for struct in variant_structures(inst, s, t):
+            (x, cx), (y, cy) = end(s, struct.kept_s), end(t, struct.kept_t)
+            if y in d[x] and cx + d[x][y] + cy + st < 0:
+                out.append(struct)
+        return out
+
+    return negative
 
 
 def _path_violations(inst: Instance, p: Allocation) -> Iterator[Violation]:
@@ -280,23 +345,21 @@ def _path_violations(inst: Instance, p: Allocation) -> Iterator[Violation]:
     A negative cycle through the marker st edge yields a violated path by
     deleting st; one avoiding the marker is a violated cycle, which cannot
     occur once the cycle constraints hold. Where `_path_filter` applies,
-    only the pairs it flags are scanned, and each must yield a violation;
-    elsewhere every pair is.
+    only the variants it flags are built and searched, and each must yield
+    a violation; elsewhere every variant of every pair is.
     """
     costs = integer_costs(inst, p)
-    flagged = _path_filter(inst, costs)
+    negative = _path_filter(inst, costs)
     for s in range(inst.n):
         for t in range(s + 1, inst.n):
-            if flagged is not None and not flagged(s, t):
-                continue
-            found = False
-            for g in variants(inst, costs, s, t):
+            structs = variant_structures(inst, s, t) if negative is None else negative(s, t)
+            for struct in structs:
+                g = realize_variant(inst, costs, struct)
                 cyc = negcycle.find_negative_cycle(g)
                 if cyc is not None:
-                    found = True
                     yield _cycle_violation(inst, p, g, cyc)
-            if flagged is not None and not found:
-                raise InvariantError("flagged endpoint pair holds no violated path")
+                elif negative is not None:
+                    raise InvariantError("flagged variant holds no negative cycle")
 
 
 def separate_paths(inst: Instance, p: Allocation) -> Optional[Violation]:
@@ -325,8 +388,8 @@ def separate(inst: Instance, p: Allocation) -> SeparationVerdict:
 def separate_all(inst: Instance, p: Allocation) -> list[Violation]:
     """Diagnostic mode: every violated constraint-family member, not just the
     first. Order: total value, vertices, edges, the cycle family, then each
-    endpoint pair/variant (the pairs the G2 distances flag, where that test
-    applies); a violation found again (a marker-free cycle lies in many
+    endpoint pair/variant (the variants the G2 distances flag, where that
+    test applies); a violation found again (a marker-free cycle lies in many
     variants) is kept only where it first appeared."""
     check_allocation_length(inst, p)
     found = chain(

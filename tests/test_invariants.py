@@ -115,15 +115,19 @@ def test_gadget_identity_raises_under_dash_o():
     assert out.stdout == "4\nraised: gadget identity violated\n"
 
 
-# Empty every endpoint pair's variant scan, so a pair the G2-distance filter
-# flags yields no violated path.
-NO_VARIANTS = "from corematch import separation\nseparation.variants = lambda *a: []\n"
+# Find no negative cycle in any variant (the graphs with a marker st edge),
+# so a variant that the G2-distance test flags yields no violated path.
+NO_VARIANT_CYCLES = (
+    "from corematch import negcycle, separation\n"
+    "real = negcycle.find_negative_cycle\n"
+    "negcycle.find_negative_cycle = lambda g: None if g.marker is not None else real(g)\n"
+)
 
 
 def test_flagged_pair_without_a_path_raises_under_dash_o(tmp_path):
     # on the counterexample, p = (0, 0, 1, 11, 0) passes the total value, the
     # edges and the cycles and violates the path 0-2-1, so the filter flags
-    # pair {0, 1}
+    # a variant of pair {0, 1}
     out = run_optimized(
         "from corematch import flawed\n"
         "from corematch.model import Allocation, InvariantError\n"
@@ -133,21 +137,21 @@ def test_flagged_pair_without_a_path_raises_under_dash_o(tmp_path):
         "    separation.separate(inst, Allocation((0, 0, 1, 11, 0)))\n"
         "except InvariantError as exc:\n"
         "    print('raised:', exc)\n",
-        prelude=NO_VARIANTS,
+        prelude=NO_VARIANT_CYCLES,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "raised: flagged endpoint pair holds no violated path\n"
+    assert out.stdout == "raised: flagged variant holds no negative cycle\n"
 
     alloc = tmp_path / "path.alloc"
     alloc.write_text("0 0\n1 0\n2 1\n3 11\n4 0\n")
     game = SRC.parent / "data" / "counterexample.game"
     out = run_optimized(
         "import sys\nfrom corematch import cli\nsys.exit(cli.main(sys.argv[1:]))\n",
-        "separate", "-i", str(game), "-a", str(alloc), prelude=NO_VARIANTS,
+        "separate", "-i", str(game), "-a", str(alloc), prelude=NO_VARIANT_CYCLES,
     )
     assert out.returncode == 5
     assert out.stdout == ""
-    assert "flagged endpoint pair holds no violated path" in out.stderr
+    assert "flagged variant holds no negative cycle" in out.stderr
     assert "Traceback" not in out.stderr
 
 

@@ -408,6 +408,28 @@ def test_rationals_keep_their_sign():
 
 
 @st.composite
+def rational_token(draw):
+    """A token of the rational grammar: optional sign, leading zeros, and an
+    optional denominator that need not be in lowest terms."""
+    sign = draw(st.sampled_from(("", "+", "-")))
+    num = "0" * draw(st.integers(0, 3)) + str(draw(st.integers(0, 10**30)))
+    if not draw(st.booleans()):
+        return sign + num
+    den = "0" * draw(st.integers(0, 3)) + str(draw(st.integers(1, 10**12)))
+    factor = draw(st.integers(1, 50))
+    if draw(st.booleans()):  # scale both parts so the token is not reduced
+        num, den = str(int(num) * factor), str(int(den) * factor)
+    return f"{sign}{num}/{den}"
+
+
+@given(st.one_of(rational_token(), st.sampled_from(("-0", "+0", "-0/7", "00/0004", "-12/8"))))
+def test_parse_rational_agrees_with_fraction(token):
+    x = parse_rational(token)
+    assert type(x) is Fraction
+    assert x == Fraction(token)
+
+
+@st.composite
 def canonical_instance_text(draw):
     n = draw(st.integers(1, 8))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]

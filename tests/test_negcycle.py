@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -348,3 +349,96 @@ def test_join_distances_across_components():
     }
     assert negcycle.join_distances(graph(0, [])) == {}
     assert negcycle.join_distances(triangle(1, 1, -3)) is None
+
+
+def oracle_join_distances(g):
+    """The per-pair formula that `join_distances` replaced: d(a, b) = c(E-) +
+    a minimum (odd(E-) Δ {a, b})-join on |c|, one perfect matching per pair."""
+    costs = [abs(e.cost) for e in g.edges]
+    negative = [i for i, e in enumerate(g.edges) if e.cost < 0]
+    odd = negcycle._odd_vertices(g, negative)
+    base = sum(g.edges[i].cost for i in negative)
+    dists = {v: negcycle._dijkstra(g, costs, v)[0] for v in g.vertices}
+
+    def distance(T):
+        pairs = negcycle._pairing(sorted(T), dists) if T else []
+        return None if pairs is None else base + sum(dists[a][b] for a, b in pairs)
+
+    if distance(odd) < 0:
+        return None
+    d = {v: {v: 0} for v in g.vertices}
+    for a_pos, a in enumerate(g.vertices):
+        for b in g.vertices[a_pos + 1 :]:
+            if b in dists[a]:
+                d[a][b] = d[b][a] = distance(odd ^ {a, b})
+    return d
+
+
+def conservative_graph(rng, k, fractional):
+    """A graph on n <= 11 vertices whose negative edges are k/2 disjoint edges
+    and, at times, one more that extends one of them into a path, or None
+    when that makes a negative cycle. Some graphs are split into two parts
+    with no edge between them."""
+    n = rng.randint(max(k, 2), 11)
+    order = rng.sample(range(n), n)
+    matched = {tuple(sorted(order[j : j + 2])) for j in range(0, k, 2)}
+    cut = rng.randint(1, n - 1) if rng.random() < 0.3 else n
+    density = rng.choice((0.2, 0.4, 0.7))
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) in matched:
+                c = -rng.randint(1, 5)
+            elif (u < cut) == (v < cut) and rng.random() < density:
+                c = rng.randint(0, 9) if rng.random() < 0.9 else -rng.randint(1, 3)
+            else:
+                continue
+            edges.append(CostEdge(u, v, Fraction(c, rng.choice((1, 2, 3))) if fractional else c,
+                                  len(edges)))
+    g = CostedGraph(vertices=tuple(range(n)), edges=tuple(edges))
+    return None if find_negative_cycle(g) is not None else g
+
+
+def test_join_distances_match_the_per_pair_formula():
+    # τ on odd(E-) and its two-vertex deletions gives every pair's distance
+    rng = random.Random(2024)
+    seen = collections.Counter()
+    for case in range(800):
+        g = conservative_graph(rng, 2 * (case % 5), fractional=case % 2 == 1)
+        if g is None:
+            continue
+        want = oracle_join_distances(g)
+        d = negcycle.join_distances(g)
+        assert d == want
+        assert [type(x) for r in d.values() for x in r.values()] == \
+            [type(x) for r in want.values() for x in r.values()]
+        k = len(negcycle._odd_vertices(g, [i for i, e in enumerate(g.edges) if e.cost < 0]))
+        connected = all(len(row) == len(g.vertices) for row in d.values())
+        seen[k, case % 2, connected] += 1
+    assert {k for k, _, _ in seen} >= {0, 2, 4, 6, 8}
+    assert min(seen[k, f, c] for k in (0, 2, 4, 6, 8) for f in (0, 1) for c in (True, False)) >= 5, seen
+
+
+def test_join_distances_solve_a_matching_only_past_four_odd_vertices(monkeypatch):
+    # no perfect matching when |odd(E-)| <= 4, and at most one per two-vertex
+    # deletion of odd(E-), plus one, above that
+    calls = []
+    real = matching._min_perfect_edges
+
+    def counted(vertices, edges, weights):
+        calls.append(len(vertices))
+        return real(vertices, edges, weights)
+
+    monkeypatch.setattr(matching, "_min_perfect_edges", counted)
+    rng = random.Random(77)
+    largest = 0
+    for case in range(400):
+        g = conservative_graph(rng, 2 * (case % 5), fractional=False)
+        if g is None:
+            continue
+        k = len(negcycle._odd_vertices(g, [i for i, e in enumerate(g.edges) if e.cost < 0]))
+        calls.clear()
+        negcycle.join_distances(g)
+        assert len(calls) <= (0 if k <= 4 else math.comb(k, 2) + 1), (k, calls)
+        largest = max(largest, len(calls))
+    assert largest >= 15  # some k >= 6 graph did need the blossom

@@ -260,6 +260,54 @@ def test_variants_rejects_equal_endpoints(counterexample, counterexample_core_p)
         variants(counterexample, transfer_costs(counterexample, counterexample_core_p), 1, 1)
 
 
+@pytest.mark.parametrize("s, t", [(-1, 2), (2, -1), (5, 2), (2, 5), (-1, 5)])
+def test_variants_reject_endpoints_out_of_range(counterexample, counterexample_core_p, s, t):
+    # n = 5: -1 used to wrap to vertex 4's capacity and 5 raised IndexError
+    costs = transfer_costs(counterexample, counterexample_core_p)
+    with pytest.raises(ValueError, match="endpoints must lie in 0..4"):
+        variant_structures(counterexample, s, t)
+    with pytest.raises(ValueError, match="endpoints must lie in 0..4"):
+        variants(counterexample, costs, s, t)
+    assert len(variants(counterexample, costs, 4, 2)) == 1  # in range: built as before
+
+
+# p passes the total value (ν = 25), the edges and the cycles; the G2
+# distances flag one of the two variants of pair {0, 1} and the only variant
+# of pairs {1, 2} and {1, 4}
+PATH_GAME = parse_instance(
+    "game 6 7\nvertex 0 2\nvertex 1 1\nvertex 2 2\nvertex 3 2\nvertex 4 2\nvertex 5 1\n"
+    "edge 0 1 1\nedge 0 2 3\nedge 0 4 8\nedge 1 2 1\nedge 1 3 8\nedge 2 3 5\nedge 2 4 4\n"
+)
+PATH_P = alloc(8, 1, 3, 7, 4, 2)
+
+
+def test_path_stage_builds_only_the_flagged_variants(monkeypatch):
+    inst, p = PATH_GAME, PATH_P
+    negative = separation._path_filter(inst, separation.integer_costs(inst, p))
+    pairs = [(s, t) for s in range(inst.n) for t in range(s + 1, inst.n)]
+    flagged = [st for s, t in pairs for st in negative(s, t)]
+    assert [(st.s, st.t, st.kept_s, st.kept_t) for st in flagged] == [
+        (0, 1, None, 4), (1, 2, 4, None), (1, 4, 4, None)]
+    assert len(variant_structures(inst, 0, 1)) == 2
+    assert sum(len(variant_structures(inst, s, t)) for s, t in pairs) > 10
+
+    built = []
+    real = separation.realize_variant
+
+    def counted(inst, costs, struct):
+        built.append(struct)
+        return real(inst, costs, struct)
+
+    monkeypatch.setattr(separation, "realize_variant", counted)
+    v = separate(inst, p).violation
+    assert v.kind is ViolationKind.PATH and verify_violation(inst, p, v)
+    assert built == flagged[:1]
+    built.clear()
+    found = separate_all(inst, p)
+    assert built == flagged
+    assert [v.kind for v in found] == [ViolationKind.PATH] * 3
+
+
 def test_separate_rejects_wrong_length(counterexample):
     with pytest.raises(ValueError, match="length"):
         separate(counterexample, alloc(0, 0))
@@ -533,14 +581,17 @@ def test_variant_family_matches_edge_scan_oracle():
 
 
 def _oracle_path_violations(inst, p):
-    """((s, t), violation) per endpoint pair and variant with a negative cycle."""
+    """((s, t, kept_s, kept_t), violation) per endpoint pair and variant with
+    a negative cycle."""
     costs = separation.integer_costs(inst, p)
     for s in range(inst.n):
         for t in range(s + 1, inst.n):
-            for g in variants(inst, costs, s, t):
+            structs = variant_structures(inst, s, t)
+            for struct, g in zip(structs, variants(inst, costs, s, t), strict=True):
                 cyc = negcycle.find_negative_cycle(g)
                 if cyc is not None:
-                    yield (s, t), separation._cycle_violation(inst, p, g, cyc)
+                    yield ((s, t, struct.kept_s, struct.kept_t),
+                           separation._cycle_violation(inst, p, g, cyc))
 
 
 def _repaired_case(rng):
@@ -596,13 +647,18 @@ def test_path_filter_matches_all_pairs_scan():
                       oracle_paths)
         assert separate_all(inst, p) == list(dict.fromkeys(v for v in found if v is not None))
 
-        # the filter flags exactly the pairs whose variants hold a violation
+        # the filter flags exactly the variants that hold a violation, pair
+        # by pair in scan order
         flagged = separation._path_filter(inst, separation.integer_costs(inst, p))
         if flagged is not None:
-            pairs = {st for st, _ in scan}
+            negative = collections.defaultdict(list)
+            for (s, t, ks, kt), _ in scan:
+                negative[s, t].append((ks, kt))
             for s in range(inst.n):
                 for t in range(s + 1, inst.n):
-                    assert flagged(s, t) == ((s, t) in pairs)
+                    structs = flagged(s, t)
+                    assert [(st.kept_s, st.kept_t) for st in structs] == negative[s, t]
+                    assert all(st in variant_structures(inst, s, t) for st in structs)
         g2_edges = [inst.edges[i] for i in inst.e2]
         seen["negative G2 cycle"] += cycle is not None
         seen["violated G2 edge, no negative G2 cycle"] += cycle is None and any(
