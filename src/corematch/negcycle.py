@@ -14,10 +14,9 @@ denominators of p and w; a positive scale keeps every comparison, so the
 joins and cycles are those of the unscaled costs.
 """
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from heapq import heappop, heappush
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import matching
@@ -75,14 +74,6 @@ class CostedGraph:
         if self.marker is not None and not 0 <= self.marker < len(self.edges):
             raise ValueError("marker out of range")
 
-    @cached_property
-    def incident(self) -> dict[int, tuple[int, ...]]:
-        inc: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for i, e in enumerate(self.edges):
-            inc[e.u].append(i)
-            inc[e.v].append(i)
-        return {v: tuple(x) for v, x in inc.items()}
-
 
 @dataclass(frozen=True)
 class Cycle:
@@ -116,26 +107,37 @@ def _odd_vertices(g: CostedGraph, J) -> set[int]:
     return odd
 
 
-def _dijkstra(g: CostedGraph, costs: Sequence[Cost], source: int):
-    """Nonnegative-cost shortest paths; returns (dist, pred edge index)."""
+Adjacency = dict[int, list[tuple[int, Cost, int]]]
+
+
+def _adjacency(g: CostedGraph) -> Adjacency:
+    """(neighbour, |c|, edge index) per vertex of g, in edge-index order."""
+    adj: Adjacency = {v: [] for v in g.vertices}
+    for i, e in enumerate(g.edges):
+        c = abs(e.cost)
+        adj[e.u].append((e.v, c, i))
+        adj[e.v].append((e.u, c, i))
+    return adj
+
+
+def _dijkstra(adj: Adjacency, source: int):
+    """Shortest paths under the |c| of `_adjacency`; returns
+    (dist, pred edge index). A vertex is settled when its entry pops at its
+    final distance: the costs are nonnegative and a push needs a strict
+    improvement, so later entries for it are stale."""
     dist: dict[int, Cost] = {source: 0}
     pred: dict[int, int] = {}
-    done: set[int] = set()
     heap: list[tuple[Cost, int]] = [(0, source)]
-    edges, incident = g.edges, g.incident
     while heap:
-        d, v = heapq.heappop(heap)
-        if v in done:
+        d, v = heappop(heap)
+        if d > dist[v]:
             continue
-        done.add(v)
-        for i in incident[v]:
-            e = edges[i]
-            w = e.v if e.u == v else e.u
-            nd = d + costs[i]
+        for w, c, i in adj[v]:
+            nd = d + c
             if w not in dist or nd < dist[w]:
                 dist[w] = nd
                 pred[w] = i
-                heapq.heappush(heap, (nd, w))
+                heappush(heap, (nd, w))
     return dist, pred
 
 
@@ -186,11 +188,11 @@ def min_t_join(g: CostedGraph, T) -> frozenset[int]:
     if not T:
         return frozenset()
 
-    costs = [abs(e.cost) for e in g.edges]
+    adj = _adjacency(g)
     dists = {}
     preds = {}
     for s in T[:-1]:
-        dists[s], preds[s] = _dijkstra(g, costs, s)
+        dists[s], preds[s] = _dijkstra(adj, s)
 
     pairs = _pairing(T, dists)
     if pairs is None:
@@ -247,11 +249,11 @@ def join_distances(g: CostedGraph) -> Optional[dict[int, dict[int, Cost]]]:
     perfect matching only when it holds more than two vertices, so never
     when |T0| <= 4. d[a] lacks b when a and b lie in different components.
     """
-    costs = [abs(e.cost) for e in g.edges]
     negative = [i for i, e in enumerate(g.edges) if e.cost < 0]
     T0 = sorted(_odd_vertices(g, negative))
     base = sum(g.edges[i].cost for i in negative)
-    dists = {v: _dijkstra(g, costs, v)[0] for v in g.vertices}
+    adj = _adjacency(g)
+    dists = {v: _dijkstra(adj, v)[0] for v in g.vertices}
 
     # tau[x][y] = τ(T0 − {x, y}); absent when T0 − {x, y} has no join
     tau: dict[int, dict[int, Cost]] = {x: {} for x in T0}

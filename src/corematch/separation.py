@@ -20,13 +20,17 @@ flagged variant without a negative cycle raises `InvariantError`. Called
 where G2 has a negative cycle or a violated edge, it searches every variant
 of every pair.
 
-The cycle and path stages cost edges in integers. With D = 2·lcm of all
-denominators of p and w, P_v = p_v·D/2 and W_e = w_e·D, an instance edge
-uv costs cost·D = P_u + P_v − W_e and the st edge costs P_s + P_t, where
-cost = (p_u + p_v)/2 − w_uv is the exact transfer cost. Each stage costs
-every edge once for its allocation, and G2 and every variant select from
-those edges; since D > 0 every comparison, and so every join, cycle and
-certificate, is that of the exact costs. ν(N) is `Instance.grand_value`.
+Past the total value the stages work on integer costs. With D = 2·lcm of
+all denominators of p and w, P_v = p_v·D/2 and W_e = w_e·D, an instance
+edge uv costs cost·D = P_u + P_v − W_e and the st edge costs P_s + P_t,
+where cost = (p_u + p_v)/2 − w_uv is the exact transfer cost. So p_v < 0
+iff P_v < 0, and p_u + p_v < w_uv iff cost·D + P_u + P_v < 0; the scan
+builds `Fraction`s only for the violation it reports. `separate` and
+`separate_all` cost the edges and build G2 once per allocation (a
+`Costing`) and hand that pair to each later stage; a stage called on its
+own builds it itself. G2 and every variant select from those edges; since
+D > 0 every comparison, and so every join, cycle and certificate, is that
+of the exact costs. ν(N) is `Instance.grand_value`.
 """
 
 import math
@@ -66,25 +70,6 @@ def check_total_value(inst: Instance, p: Allocation) -> Optional[Violation]:
     return Violation(
         ViolationKind.TOTAL_VALUE, tuple(range(inst.n)), p.total(), total
     )
-
-
-def _vertex_edge_violations(inst: Instance, p: Allocation) -> Iterator[Violation]:
-    """Violated vertex (p_i < 0), then edge (p_i + p_j < w_ij) constraints, in
-    scan order."""
-    for v in range(inst.n):
-        if p[v] < 0:
-            yield Violation(ViolationKind.VERTEX, (v,), p[v], Fraction(0))
-    for i, e in enumerate(inst.edges):
-        if p[e.u] + p[e.v] < e.w:
-            yield Violation(
-                ViolationKind.EDGE, coalition((e.u, e.v)), p[e.u] + p[e.v], e.w, (i,)
-            )
-
-
-def separate_vertices_edges(inst: Instance, p: Allocation) -> Optional[Violation]:
-    """First violated vertex (p_i < 0) or edge (p_i + p_j < w_ij) in scan order."""
-    check_allocation_length(inst, p)
-    return next(_vertex_edge_violations(inst, p), None)
 
 
 class TransferCosts(NamedTuple):
@@ -129,6 +114,46 @@ def build_g2(inst: Instance, costs: TransferCosts) -> CostedGraph:
     return CostedGraph(vertices=inst.n2, edges=tuple(costs.edges[i] for i in inst.e2))
 
 
+class Costing(NamedTuple):
+    """One allocation's integer transfer costs and the G2 they cost."""
+
+    costs: TransferCosts
+    g2: CostedGraph
+
+
+def cost_allocation(inst: Instance, p: Allocation) -> Costing:
+    """Cost every edge of inst for p in integers, once, and build G2."""
+    costs = integer_costs(inst, p)
+    return Costing(costs, build_g2(inst, costs))
+
+
+def _vertex_edge_violations(inst: Instance, p: Allocation,
+                            costs: TransferCosts) -> Iterator[Violation]:
+    """Violated vertex (p_i < 0), then edge (p_i + p_j < w_ij) constraints, in
+    scan order, read off the integer costs: P_i < 0, and
+    cost·D + P_i + P_j < 0."""
+    half = costs.half
+    for v, h in enumerate(half):
+        if h < 0:
+            yield Violation(ViolationKind.VERTEX, (v,), p[v], Fraction(0))
+    for i, e in enumerate(costs.edges):
+        if e.cost + half[e.u] + half[e.v] < 0:
+            yield Violation(
+                ViolationKind.EDGE, coalition((e.u, e.v)), p[e.u] + p[e.v],
+                inst.edges[i].w, (i,)
+            )
+
+
+def separate_vertices_edges(inst: Instance, p: Allocation, *,
+                            costing: Optional[Costing] = None) -> Optional[Violation]:
+    """First violated vertex (p_i < 0) or edge (p_i + p_j < w_ij) in scan
+    order. `costing` is `cost_allocation(inst, p)`, built here when None."""
+    check_allocation_length(inst, p)
+    if costing is None:
+        costing = cost_allocation(inst, p)
+    return next(_vertex_edge_violations(inst, p, costing.costs), None)
+
+
 def _cycle_violation(inst: Instance, p: Allocation, g: CostedGraph,
                      cyc: Cycle) -> Violation:
     """Build a violation from a negative cycle of g: a Path violation when the
@@ -158,10 +183,14 @@ def _cycle_violation(inst: Instance, p: Allocation, g: CostedGraph,
     return Violation(kind, verts, allocated, bound, orig)
 
 
-def separate_cycles(inst: Instance, p: Allocation) -> Optional[Violation]:
-    """None iff p(C) >= w(C) for every cycle through capacity-2 vertices."""
+def separate_cycles(inst: Instance, p: Allocation, *,
+                    costing: Optional[Costing] = None) -> Optional[Violation]:
+    """None iff p(C) >= w(C) for every cycle through capacity-2 vertices.
+    `costing` is `cost_allocation(inst, p)`, built here when None."""
     check_allocation_length(inst, p)
-    g2 = build_g2(inst, integer_costs(inst, p))
+    if costing is None:
+        costing = cost_allocation(inst, p)
+    g2 = costing.g2
     cyc = negcycle.find_negative_cycle(g2)
     if cyc is None:
         return None
@@ -242,7 +271,7 @@ def variants(inst: Instance, costs: TransferCosts, s: int, t: int) -> list[Coste
 
 
 def _path_filter(
-    inst: Instance, costs: TransferCosts
+    inst: Instance, costing: Costing
 ) -> Optional[Callable[[int, int], list[VariantStructure]]]:
     """The exact path test: a function of s < t that lists, in scan order,
     the variants of pair {s, t} that hold a violated path, or None where the
@@ -265,7 +294,7 @@ def _path_filter(
     A(s), so that one with x ≠ t remains. Only a pair whose least sum is
     negative has its variants built and tested one by one.
     """
-    g2 = build_g2(inst, costs)
+    costs, g2 = costing
     half = costs.half
     if any(e.cost + half[e.u] + half[e.v] < 0 for e in g2.edges):
         return None
@@ -339,7 +368,8 @@ def _path_filter(
     return negative
 
 
-def _path_violations(inst: Instance, p: Allocation) -> Iterator[Violation]:
+def _path_violations(inst: Instance, p: Allocation,
+                     costing: Costing) -> Iterator[Violation]:
     """One violation per endpoint pair and variant with a negative cycle.
 
     A negative cycle through the marker st edge yields a violated path by
@@ -348,8 +378,8 @@ def _path_violations(inst: Instance, p: Allocation) -> Iterator[Violation]:
     only the variants it flags are built and searched, and each must yield
     a violation; elsewhere every variant of every pair is.
     """
-    costs = integer_costs(inst, p)
-    negative = _path_filter(inst, costs)
+    costs = costing.costs
+    negative = _path_filter(inst, costing)
     for s in range(inst.n):
         for t in range(s + 1, inst.n):
             structs = variant_structures(inst, s, t) if negative is None else negative(s, t)
@@ -362,27 +392,30 @@ def _path_violations(inst: Instance, p: Allocation) -> Iterator[Violation]:
                     raise InvariantError("flagged variant holds no negative cycle")
 
 
-def separate_paths(inst: Instance, p: Allocation) -> Optional[Violation]:
+def separate_paths(inst: Instance, p: Allocation, *,
+                   costing: Optional[Costing] = None) -> Optional[Violation]:
     """Search all endpoint pairs and variants for a violated path of length
     >= 2; assumes vertex/edge and cycle constraints already hold, and reports
-    a marker-free negative cycle as a Cycle violation defensively."""
+    a marker-free negative cycle as a Cycle violation defensively.
+    `costing` is `cost_allocation(inst, p)`, built here when None."""
     check_allocation_length(inst, p)
-    return next(_path_violations(inst, p), None)
+    if costing is None:
+        costing = cost_allocation(inst, p)
+    return next(_path_violations(inst, p, costing), None)
 
 
 def separate(inst: Instance, p: Allocation) -> SeparationVerdict:
-    """Full core separation: total value, vertices/edges, cycles, paths."""
+    """Full core separation: total value, vertices/edges, cycles, paths.
+    Past the total value, p is costed and G2 built once for all stages."""
     check_allocation_length(inst, p)
-    for stage in (
-        check_total_value,
-        separate_vertices_edges,
-        separate_cycles,
-        separate_paths,
-    ):
-        violation = stage(inst, p)
-        if violation is not None:
-            return SeparationVerdict(violation)
-    return SeparationVerdict(None)
+    violation = check_total_value(inst, p)
+    if violation is None:
+        costing = cost_allocation(inst, p)
+        for stage in (separate_vertices_edges, separate_cycles, separate_paths):
+            violation = stage(inst, p, costing=costing)
+            if violation is not None:
+                break
+    return SeparationVerdict(violation)
 
 
 def separate_all(inst: Instance, p: Allocation) -> list[Violation]:
@@ -392,19 +425,23 @@ def separate_all(inst: Instance, p: Allocation) -> list[Violation]:
     test applies); a violation found again (a marker-free cycle lies in many
     variants) is kept only where it first appeared."""
     check_allocation_length(inst, p)
+    costing = cost_allocation(inst, p)
     found = chain(
         [check_total_value(inst, p)],
-        _vertex_edge_violations(inst, p),
-        [separate_cycles(inst, p)],
-        _path_violations(inst, p),
+        _vertex_edge_violations(inst, p, costing.costs),
+        [separate_cycles(inst, p, costing=costing)],
+        _path_violations(inst, p, costing),
     )
     return list(dict.fromkeys(v for v in found if v is not None))
 
 
 def verify_violation(inst: Instance, p: Allocation, v: Violation) -> bool:
-    """Re-check a certificate arithmetically, including p(S) < nu(S)."""
+    """Re-check a certificate arithmetically, including p(S) < nu(S); False
+    unless the coalition is a strictly increasing tuple in 0..n-1."""
     check_allocation_length(inst, p)
     S = v.coalition
+    if not all(0 <= x < inst.n for x in S) or any(a >= b for a, b in zip(S, S[1:])):
+        return False
     if v.kind is ViolationKind.TOTAL_VALUE:
         return (
             S == tuple(range(inst.n))

@@ -281,9 +281,8 @@ def test_two_vertex_t_skips_the_blossom(monkeypatch):
     checked = 0
     for _ in range(40):
         g = random_cost_graph(rng, rng.randint(2, 7), density=0.6)
-        costs = [abs(e.cost) for e in g.edges]
         a, b = sorted(rng.sample(list(g.vertices), 2))
-        dist, pred = negcycle._dijkstra(g, costs, a)
+        dist, pred = negcycle._dijkstra(negcycle._adjacency(g), a)
         if b not in dist:
             continue
         assert matching._min_perfect_edges([a, b], [(a, b)], [dist[b]]) == [0]
@@ -304,10 +303,10 @@ def test_two_vertex_t_across_components(monkeypatch):
 def simple_path_distances(g):
     """Shortest simple-path length between every two vertices, by DFS."""
     d = {v: {v: 0} for v in g.vertices}
+    adj = negcycle._adjacency(g)
 
     def walk(start, v, seen, cost):
-        for i in g.incident[v]:
-            w = g.edges[i].other(v)
+        for w, _, i in adj[v]:
             if w not in seen:
                 c = cost + g.edges[i].cost
                 if w not in d[start] or c < d[start][w]:
@@ -354,11 +353,11 @@ def test_join_distances_across_components():
 def oracle_join_distances(g):
     """The per-pair formula that `join_distances` replaced: d(a, b) = c(E-) +
     a minimum (odd(E-) Δ {a, b})-join on |c|, one perfect matching per pair."""
-    costs = [abs(e.cost) for e in g.edges]
+    adj = negcycle._adjacency(g)
     negative = [i for i, e in enumerate(g.edges) if e.cost < 0]
     odd = negcycle._odd_vertices(g, negative)
     base = sum(g.edges[i].cost for i in negative)
-    dists = {v: negcycle._dijkstra(g, costs, v)[0] for v in g.vertices}
+    dists = {v: negcycle._dijkstra(adj, v)[0] for v in g.vertices}
 
     def distance(T):
         pairs = negcycle._pairing(sorted(T), dists) if T else []

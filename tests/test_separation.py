@@ -283,7 +283,7 @@ PATH_P = alloc(8, 1, 3, 7, 4, 2)
 
 def test_path_stage_builds_only_the_flagged_variants(monkeypatch):
     inst, p = PATH_GAME, PATH_P
-    negative = separation._path_filter(inst, separation.integer_costs(inst, p))
+    negative = separation._path_filter(inst, separation.cost_allocation(inst, p))
     pairs = [(s, t) for s in range(inst.n) for t in range(s + 1, inst.n)]
     flagged = [st for s, t in pairs for st in negative(s, t)]
     assert [(st.s, st.t, st.kept_s, st.kept_t) for st in flagged] == [
@@ -580,6 +580,18 @@ def test_variant_family_matches_edge_scan_oracle():
 # ---------------------------------------------------------------------------
 
 
+def _oracle_vertex_edge_violations(inst, p):
+    """Violated vertex, then edge constraints, in scan order, summed in
+    Fractions the way the scan did before it read the integer costs."""
+    for v in range(inst.n):
+        if p[v] < 0:
+            yield model.Violation(ViolationKind.VERTEX, (v,), p[v], Fraction(0))
+    for i, e in enumerate(inst.edges):
+        if p[e.u] + p[e.v] < e.w:
+            yield model.Violation(ViolationKind.EDGE, model.coalition((e.u, e.v)),
+                                  p[e.u] + p[e.v], e.w, (i,))
+
+
 def _oracle_path_violations(inst, p):
     """((s, t, kept_s, kept_t), violation) per endpoint pair and variant with
     a negative cycle."""
@@ -643,13 +655,13 @@ def test_path_filter_matches_all_pairs_scan():
         stages = [check_total_value(inst, p), separate_vertices_edges(inst, p), cycle]
         first = next((v for v in stages + oracle_paths if v is not None), None)
         assert separate(inst, p).violation == first
-        found = chain([stages[0]], separation._vertex_edge_violations(inst, p), [cycle],
+        found = chain([stages[0]], _oracle_vertex_edge_violations(inst, p), [cycle],
                       oracle_paths)
         assert separate_all(inst, p) == list(dict.fromkeys(v for v in found if v is not None))
 
         # the filter flags exactly the variants that hold a violation, pair
         # by pair in scan order
-        flagged = separation._path_filter(inst, separation.integer_costs(inst, p))
+        flagged = separation._path_filter(inst, separation.cost_allocation(inst, p))
         if flagged is not None:
             negative = collections.defaultdict(list)
             for (s, t, ks, kt), _ in scan:
@@ -696,3 +708,28 @@ def test_verify_violation_rejects_a_witness_index_out_of_range(index):
     assert verify_violation(inst, p, real)
     assert not verify_violation(inst, p, model.Violation(
         ViolationKind.EDGE, (1, 2), Fraction(0), Fraction(10), (index,)))
+
+
+@pytest.mark.parametrize("kind, coalition, allocated, bound, witness", [
+    (ViolationKind.VERTEX, (-1,), -1, 0, ()),
+    (ViolationKind.VERTEX, (3,), -1, 0, ()),
+    (ViolationKind.EDGE, (-1, 1), -1, 10, (1,)),
+    (ViolationKind.EDGE, (1, 3), -1, 10, (1,)),
+    (ViolationKind.COALITION, (-1,), -1, 0, ()),
+    (ViolationKind.COALITION, (3,), -1, 0, ()),
+    (ViolationKind.COALITION, (2, 1), -1, 10, ()),
+])
+def test_verify_violation_rejects_a_coalition_out_of_range(kind, coalition, allocated,
+                                                           bound, witness):
+    # vertex 2 really violates p_2 >= 0, but only as 2: a coalition member -1
+    # used to read as vertex n - 1 = 2, so the forged Vertex certificate
+    # passed, and a member n = 3 raised IndexError; the unsorted (2, 1)
+    # passed as a Coalition with nu({1, 2}) = 10
+    inst = parse_instance(
+        "game 3 2\nvertex 0 1\nvertex 1 1\nvertex 2 1\nedge 0 1 1\nedge 1 2 10\n"
+    )
+    p = alloc(0, 0, -1)
+    assert verify_violation(inst, p, model.Violation(
+        ViolationKind.VERTEX, (2,), Fraction(-1), Fraction(0)))
+    assert not verify_violation(inst, p, model.Violation(
+        kind, coalition, Fraction(allocated), Fraction(bound), witness))
