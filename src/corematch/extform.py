@@ -46,7 +46,10 @@ def enumerate_family(inst: Instance, p: Optional[Allocation] = None) -> GraphFam
     formulation's right-hand sides. Variants in which an endpoint keeps no
     edge besides st are dropped: their st edge lies on no cycle, their cycles
     are already the capacity-2 subgraph's, and keeping them would break the
-    family-size bound.
+    family-size bound. An endpoint keeps such an edge in every variant of
+    its pair or in none, as it has a capacity-2 neighbour besides the far
+    endpoint (`Instance.nbrs2`) or not, so the test is made once per pair,
+    before any variant is built.
     """
     if p is None:
         p = Allocation((Fraction(0),) * inst.n)
@@ -56,11 +59,9 @@ def enumerate_family(inst: Instance, p: Optional[Allocation] = None) -> GraphFam
     labels = ["g2"]
     for s in range(inst.n):
         for t in range(s + 1, inst.n):
+            if not (_excess(inst, s, t) and _excess(inst, t, s)):
+                continue
             for struct in separation.variant_structures(inst, s, t):
-                kept = [inst.edges[i] for i in struct.edge_ids]
-                touched = {x for e in kept for x in (e.u, e.v)}
-                if s not in touched or t not in touched:
-                    continue
                 members.append(separation.realize_variant(inst, costs, struct))
                 labels.append(
                     f"variant s={s} t={t} kept_s={struct.kept_s} kept_t={struct.kept_t}"
@@ -68,23 +69,21 @@ def enumerate_family(inst: Instance, p: Optional[Allocation] = None) -> GraphFam
     return GraphFamily(members=tuple(members), labels=tuple(labels))
 
 
+def _excess(inst: Instance, x: int, far: int) -> int:
+    """The capacity-2 neighbours of endpoint x other than the far endpoint:
+    the edges besides st that x may keep in its pair's variants."""
+    return sum(y != far for y, _ in inst.nbrs2[x])
+
+
 def family_size_bound(inst: Instance) -> int:
     """1 + sum over ordered endpoint pairs of (d_s - 1)(d_t - 1), degrees taken
     in the st-augmented auxiliary graph.
 
-    d_s - 1 counts the edges from s to capacity-2 vertices other than t, so
-    every pair's degrees follow from one count of capacity-2 neighbours.
+    d_s - 1 counts the edges from s to capacity-2 vertices other than t,
+    which is `_excess(inst, s, t)`.
     """
-    deg2 = [0] * inst.n  # capacity-2 neighbours of each vertex
-    for e in inst.edges:
-        deg2[e.u] += inst.b[e.v] == 2
-        deg2[e.v] += inst.b[e.u] == 2
-
-    def excess(x: int, y: int) -> int:  # d_x - 1 for the pair (x, y)
-        return deg2[x] - (inst.b[y] == 2 and inst.find_edge(x, y) is not None)
-
     return 1 + sum(
-        excess(s, t) * excess(t, s)
+        _excess(inst, s, t) * _excess(inst, t, s)
         for s in range(inst.n)
         for t in range(inst.n)
         if s != t

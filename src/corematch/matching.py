@@ -167,7 +167,7 @@ def build_gadget(inst: Instance, allowed: Optional[Iterable[int]] = None,
                  caps: Optional[Sequence[int]] = None):
     """Gadget graph for max-weight b-matching restricted to `allowed` edges
     and per-vertex capacities `caps` in {0, 1, 2} (defaults: all edges,
-    caps = b).
+    caps = b; ValueError unless caps holds n such entries).
 
     Returns (vertices, edges, weights) on dense int nodes: vertex v's copies
     are offset_v .. offset_v + caps_v - 1 with offset_v = caps_0 + ... +
@@ -175,6 +175,11 @@ def build_gadget(inst: Instance, allowed: Optional[Iterable[int]] = None,
     e_u = sum(caps) + 2k and e_v = e_u + 1.
     """
     caps = inst.b if caps is None else caps
+    if len(caps) != inst.n:
+        raise ValueError(f"caps has {len(caps)} entries for {inst.n} vertices")
+    for v, c in enumerate(caps):
+        if c not in (0, 1, 2):
+            raise ValueError(f"capacity {c!r} at vertex {v} is not 0, 1 or 2")
     offset = list(itertools.accumulate(caps, initial=0))
     node = offset[-1]
     edges = []
@@ -223,10 +228,13 @@ def _b_value(inst: Instance, allowed: set[int], caps: Sequence[int]) -> Fraction
 
 def b_matching_value(inst: Instance, S: Optional[Iterable[int]] = None) -> Fraction:
     """nu-style value query: max b-matching weight in G[S] (S = all vertices
-    by default), without materializing a canonical edge set."""
+    by default), without materializing a canonical edge set. Raises
+    ValueError when S holds a vertex outside 0..n-1."""
     if S is None:
         return _b_value(inst, set(range(inst.m)), inst.b)
     members = set(S)
+    if not members <= set(range(inst.n)):
+        raise ValueError("coalition contains unknown vertices")
     allowed = {
         i for i, e in enumerate(inst.edges) if e.u in members and e.v in members
     }
@@ -253,7 +261,4 @@ def max_weight_b_matching(inst: Instance) -> MatchingResult:
 
 def nu(inst: Instance, S: Iterable[int]) -> Fraction:
     """Value of a maximum-weight b-matching in the subgraph induced by S."""
-    members = set(S)
-    if not members <= set(range(inst.n)):
-        raise ValueError("coalition contains unknown vertices")
-    return b_matching_value(inst, members)
+    return b_matching_value(inst, S)

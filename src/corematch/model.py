@@ -189,6 +189,18 @@ class Instance:
         b = self.b
         return tuple(i for i, e in enumerate(self.edges) if b[e.u] == 2 == b[e.v])
 
+    @cached_property
+    def nbrs2(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per vertex v, the pairs (x, i) for every edge i = vx whose other
+        end x has capacity 2, in edge-index order. Endpoint variants read
+        them: a capacity-1 endpoint v keeps one such edge, with x other
+        than the far endpoint."""
+        edges, b = self.edges, self.b
+        return tuple(
+            tuple((x, i) for i in inc if b[x := edges[i].other(v)] == 2)
+            for v, inc in enumerate(self._incident)
+        )
+
 
 @dataclass(frozen=True)
 class Allocation:

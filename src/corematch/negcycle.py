@@ -189,6 +189,9 @@ def min_t_join(g: CostedGraph, T) -> frozenset[int]:
         return frozenset()
 
     adj = _adjacency(g)
+    for v in T:
+        if v not in adj:
+            raise TJoinError(f"T-vertex {v} is not a vertex of the graph")
     dists = {}
     preds = {}
     for s in T[:-1]:
@@ -299,6 +302,9 @@ def join_distances(g: CostedGraph) -> Optional[dict[int, dict[int, Cost]]]:
 def decompose_even_subgraph(g: CostedGraph, J) -> list[Cycle]:
     """Split an even-degree edge set into edge-disjoint simple cycles."""
     J = set(J)
+    for i in J:
+        if not 0 <= i < len(g.edges):
+            raise ValueError(f"edge index {i} is not in 0..{len(g.edges) - 1}")
     if _odd_vertices(g, J):
         raise ValueError("edge set has a vertex of odd degree")
     unused: dict[int, list[int]] = {v: [] for v in g.vertices}

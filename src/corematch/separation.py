@@ -11,9 +11,12 @@ Once the cycle and edge stages have passed, G2 has no negative cycle, so a
 minimum {a, b}-join in G2 costs the shortest a-b distance d(a, b), and one
 set of G2 distances per allocation decides for every variant whether it
 holds a negative cycle: the variant keeping s-x and t-y does iff
-c(s,x) + d(x,y) + c(y,t) + P_s + P_t < 0. A pair is first tested against
-the least such sum, read from row minima per endpoint, and only the
-variants of a pair that passes are tested one by one. The path stage then
+c(s,x) + d(x,y) + c(y,t) + P_s + P_t < 0. The edges a variant may keep at
+an endpoint come from `Instance.nbrs2`, the one table that this module and
+`extform` read the endpoint-variant rule from. A pair is first tested
+against a lower bound on those sums, read from row minima per endpoint,
+and only the variants of a pair whose bound is negative are tested one by
+one; that test decides. The path stage then
 builds and searches the flagged variants only, in the scan order of the
 full search, so the certificates are those the full search finds, and a
 flagged variant without a negative cycle raises `InvariantError`. Called
@@ -216,9 +219,10 @@ def variant_structures(inst: Instance, s: int, t: int) -> list[VariantStructure]
     """Variant skeletons for the unordered endpoint pair {s, t}.
 
     Every variant keeps the capacity-2 subgraph's edges except st. A
-    capacity-1 endpoint adds one kept edge to a capacity-2 vertex (not st),
-    one variant per choice in edge-index order; both capacity-1 gives the
-    (kept_s, kept_t) product, and no choice at such an endpoint gives none.
+    capacity-1 endpoint adds one kept edge to a capacity-2 vertex other than
+    the far endpoint, read from `Instance.nbrs2`, one variant per choice in
+    edge-index order; both capacity-1 gives the (kept_s, kept_t) product,
+    and no choice at such an endpoint gives none.
     """
     if s == t:
         raise ValueError("endpoints must differ")
@@ -229,13 +233,10 @@ def variant_structures(inst: Instance, s: int, t: int) -> list[VariantStructure]
     base = [i for i in inst.e2 if i != st]
     vertices = tuple(sorted({*inst.n2, s, t}))
 
-    def choices(x: int) -> list[Optional[int]]:
+    def choices(x: int, far: int) -> list[Optional[int]]:
         if inst.b[x] == 2:
             return [None]
-        return [
-            i for i in inst.incident(x)
-            if i != st and inst.b[inst.edges[i].other(x)] == 2
-        ]
+        return [i for y, i in inst.nbrs2[x] if y != far]
 
     return [
         VariantStructure(
@@ -246,8 +247,8 @@ def variant_structures(inst: Instance, s: int, t: int) -> list[VariantStructure]
             kept_s=ks,
             kept_t=kt,
         )
-        for ks in choices(s)
-        for kt in choices(t)
+        for ks in choices(s, t)
+        for kt in choices(t, s)
     ]
 
 
@@ -283,16 +284,19 @@ def _path_filter(
     through its marker, so variant (kept_s → x, kept_t → y) holds a
     violated path iff c(s,x) + d(x,y) + c(y,t) + half[s] + half[t] < 0,
     d being the G2 distances of `negcycle.join_distances`; x = s at
-    c(s,s) = 0 when b_s = 2, and likewise y for t. So A(v) is {v} when
-    b_v = 2, else v's capacity-2 neighbours other than the far endpoint,
-    which is `variant_structures`' rule. The st edge of two capacity-2
-    endpoints is in G2 but not in their variants; its sum is >= 0, so it
-    never decides.
+    c(s,s) = 0 when b_s = 2, and likewise y for t. The st edge of two
+    capacity-2 endpoints is in G2 but not in their variants; its sum is
+    >= 0, so it never decides.
 
-    A pair is tested first against its least variant sum, from row minima:
-    for each s and G2 vertex y, the two least (c(s,x) + d(x,y), x) over x in
-    A(s), so that one with x ≠ t remains. Only a pair whose least sum is
-    negative has its variants built and tested one by one.
+    A pair is tested first against a lower bound, read from row minima: for
+    each s and G2 vertex y, the least c(s,x) + d(x,y) over x in A(s), where
+    A(v) is {v} when b_v = 2 and else v's capacity-2 neighbours
+    (`Instance.nbrs2`). The variants take A(v) less the far endpoint, so the
+    bound also counts the one combination through st (x = t or y = s, where
+    st joins a capacity-1 and a capacity-2 vertex); that one sums to
+    D·(p_s + p_t − w_st) >= 0 where the edge stage holds. Only a pair whose
+    bound is negative has its variants built and tested one by one, and
+    that test decides.
     """
     costs, g2 = costing
     half = costs.half
@@ -301,51 +305,19 @@ def _path_filter(
     d = negcycle.join_distances(g2)
     if d is None:
         return None
-    attach = []  # (x, c(v,x)) per x in A(v), the far endpoint included
-    for v in range(inst.n):
-        edges = [costs.edges[i] for i in inst.incident(v)]
-        attach.append([(v, 0)] if inst.b[v] == 2 else
-                      [(e.other(v), e.cost) for e in edges if inst.b[e.other(v)] == 2])
-    # per s and G2 vertex y: the least (c(s,x) + d(x,y), x) over x in A(s),
-    # and the least such sum over the other x
-    first: list[dict[int, tuple[Cost, int]]] = []
-    second: list[dict[int, Cost]] = []
+    attach = [  # (x, c(v,x)) per x in A(v), the far endpoint included
+        [(v, 0)] if inst.b[v] == 2 else [(x, costs.edges[i].cost) for x, i in inst.nbrs2[v]]
+        for v in range(inst.n)
+    ]
+    # per s and G2 vertex y: the least c(s,x) + d(x,y) over x in A(s)
+    rows: list[dict[int, Cost]] = []
     for s in range(inst.n):
-        if len(attach[s]) == 1:  # b_s = 2, or a single capacity-2 neighbour
-            (x, cx), = attach[s]
-            first.append({y: (cx + dxy, x) for y, dxy in d[x].items()})
-            second.append({})
-            continue
-        best, runner_up = {}, {}
+        row: dict[int, Cost] = {}
         for x, cx in attach[s]:
             for y, dxy in d[x].items():
-                value = cx + dxy
-                if y not in best:
-                    best[y] = value, x
-                elif value < best[y][0]:
-                    runner_up[y] = best[y][0]
-                    best[y] = value, x
-                elif y not in runner_up or value < runner_up[y]:
-                    runner_up[y] = value
-        first.append(best)
-        second.append(runner_up)
-
-    def least(s: int, t: int) -> Optional[Cost]:
-        """min over x in A(s), y in A(t) of c(s,x) + d(x,y) + c(y,t), or
-        None when no such x and y are joined in G2."""
-        low = None
-        best, runner_up = first[s], second[s]
-        for y, cy in attach[t]:
-            if y == s or y not in best:
-                continue
-            value, x = best[y]
-            if x == t:
-                if y not in runner_up:
-                    continue
-                value = runner_up[y]
-            if low is None or value + cy < low:
-                low = value + cy
-        return low
+                if y not in row or cx + dxy < row[y]:
+                    row[y] = cx + dxy
+        rows.append(row)
 
     def end(v: int, kept: Optional[int]) -> tuple[int, Cost]:
         if kept is None:
@@ -355,8 +327,8 @@ def _path_filter(
 
     def negative(s: int, t: int) -> list[VariantStructure]:
         st = half[s] + half[t]
-        low = least(s, t)
-        if low is None or low + st >= 0:
+        row = rows[s]
+        if all(y not in row or row[y] + cy + st >= 0 for y, cy in attach[t]):
             return []
         out = []
         for struct in variant_structures(inst, s, t):

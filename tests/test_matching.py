@@ -3,6 +3,7 @@ import itertools
 import json
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -191,6 +192,33 @@ def test_nu_rejects_unknown_vertices():
     inst = model.parse_instance("game 1 0\nvertex 0 1\n")
     with pytest.raises(ValueError):
         nu(inst, [0, 5])
+
+
+@pytest.mark.parametrize("S", [[0, 2, 3, 9], [-1, 2, 3]])
+def test_b_matching_value_rejects_unknown_vertices(S):
+    # [0, 2, 3, 9] on the counterexample returned 11, the 9 ignored, while
+    # nu raised; the value of the whole graph is not checked against a set
+    inst = model.parse_instance((ROOT / "data" / "counterexample.game").read_text())
+    with pytest.raises(ValueError, match="coalition contains unknown vertices"):
+        b_matching_value(inst, S)
+    with pytest.raises(ValueError, match="coalition contains unknown vertices"):
+        nu(inst, S)
+    assert b_matching_value(inst) == nu(inst, range(5)) == 12
+
+
+@pytest.mark.parametrize("caps, error", [
+    ((1, 1, 2), "caps has 3 entries for 5 vertices"),
+    ((3,) * 5, "capacity 3 at vertex 0 is not 0, 1 or 2"),
+    ((1, 1, 2, -1, 1), "capacity -1 at vertex 3 is not 0, 1 or 2"),
+])
+def test_gadget_rejects_capacities_outside_0_1_2(caps, error):
+    # (1, 1, 2) raised a bare IndexError, (3,) * 5 gave _b_value 30, the
+    # value of a 3-matching, and a -1 gave node ids from -1
+    inst = model.parse_instance((ROOT / "data" / "counterexample.game").read_text())
+    with pytest.raises(ValueError, match=re.escape(error)):
+        build_gadget(inst, None, caps)
+    with pytest.raises(ValueError, match=re.escape(error)):
+        matching._b_value(inst, set(range(inst.m)), caps)
 
 
 def gadgeted_weight(inst):

@@ -44,6 +44,9 @@ def test_parse_counterexample_file():
     assert inst.b == (1, 1, 2, 2, 1)
     assert [e.w for e in inst.edges] == [1, 1, 10, 1]
     assert inst.n2 == (2, 3)
+    # edges 0-2, 1-2, 2-3 and 3-4: each vertex's capacity-2 neighbours with
+    # the joining edge, in edge-index order
+    assert inst.nbrs2 == (((2, 0),), ((2, 1),), ((3, 2),), ((2, 2),), ((3, 3),))
 
 
 def test_parse_single_vertex():

@@ -94,6 +94,15 @@ def test_t_join_disconnected_pair():
         min_t_join(g, [2, 3])
 
 
+@pytest.mark.parametrize("T, named", [([99, 100], "99"), ([0, 99], "99"), ([-1, 0], "-1")])
+def test_t_join_rejects_a_vertex_outside_the_graph(T, named):
+    # [99, 100] raised a bare KeyError: 99, and [0, 99] claimed that some
+    # component holds an odd number of T-vertices
+    g = triangle(1, 1, 1)
+    with pytest.raises(TJoinError, match=f"T-vertex {named} is not a vertex"):
+        min_t_join(g, T)
+
+
 def test_t_join_split_components_ok():
     # two components, each with an even share of T: the join exists
     g = graph(4, [(0, 1, 2), (2, 3, 5)])
@@ -190,6 +199,15 @@ def test_decompose_rejects_odd_degree():
     g = triangle(1, 1, 1)
     with pytest.raises(ValueError, match="odd"):
         decompose_even_subgraph(g, {0})
+
+
+@pytest.mark.parametrize("J, named", [([-1, 0, 1], "-1"), ([0, 1, 5], "5")])
+def test_decompose_rejects_an_edge_index_out_of_range(J, named):
+    # -1 read the last edge and returned Cycle(edges=(0, 1, -1), ...); 5
+    # raised a bare IndexError
+    g = triangle(1, 1, 1)
+    with pytest.raises(ValueError, match=f"edge index {named} is not in 0..2"):
+        decompose_even_subgraph(g, J)
 
 
 def test_find_negative_cycle_triangle():

@@ -677,13 +677,18 @@ def test_path_filter_matches_all_pairs_scan():
             p[e.u] + p[e.v] < e.w for e in g2_edges)
         seen["filter applies"] += flagged is not None
         seen["filter flags a pair"] += flagged is not None and bool(scan)
+        # the row minima then also count the combination through st, which
+        # is negative here, so only the per-variant test can decide
+        seen["filter applies, an edge with a capacity-2 end violated"] += (
+            flagged is not None and any(p[e.u] + p[e.v] < e.w for e in inst.edges
+                                        if 2 in (inst.b[e.u], inst.b[e.v])))
         if first is not None and first.kind is ViolationKind.PATH:
             ends = [x for x in first.coalition
                     if sum(x in inst.edges[i][:2] for i in first.witness_edges) == 1]
             seen["capacity-1 end decides"] += min(inst.b[x] for x in ends) == 1
             seen["capacity-2 ends decide"] += min(inst.b[x] for x in ends) == 2
         seen["in core"] += first is None
-    assert len(seen) == 7 and min(seen.values()) >= 20, seen
+    assert len(seen) == 8 and min(seen.values()) >= 20, seen
 
 
 def test_verify_violation_rejects_a_repeated_witness_edge():
