@@ -1,11 +1,11 @@
 """Compact extended formulation of the core and exact LP membership checks.
 
-The graph family is separation's: the capacity-2 subgraph plus every
-st-variant, built by `separation.build_g2`, `separation.variant_structures`
-and `separation.realize_variant` from the exact (unscaled) costs of
-`separation.transfer_costs`. Every member edge u-v costs
-(p_u + p_v)/2 plus its cost at p = 0, so the family costed at p = 0 gives the
-constant parts of the formulation. For each graph in the family, the
+The graph family is separation's: G2, the capacity-2 subgraph, as
+`separation.transfer_costs` builds it from the exact (unscaled) costs, plus
+every st-variant, built from those costs by `separation.variant_structures`
+and `separation.realize_variant`. Every member edge u-v costs (p_u + p_v)/2
+plus its cost at p = 0, so the family costed at p = 0 gives the constant
+parts of the formulation. For each graph in the family, the
 no-negative-cycle condition is expressed through the dual of a compact
 flow LP over the cycle cone: cut/cycle inequalities for a fixed edge are
 max-flow feasibility, flows become per-edge conservation blocks, and the dual
@@ -55,7 +55,7 @@ def enumerate_family(inst: Instance, p: Optional[Allocation] = None) -> GraphFam
         p = Allocation((Fraction(0),) * inst.n)
     check_allocation_length(inst, p)
     costs = separation.transfer_costs(inst, p)
-    members = [separation.build_g2(inst, costs)]
+    members = [costs.g2]
     labels = ["g2"]
     for s in range(inst.n):
         for t in range(s + 1, inst.n):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import oracle, separation
-from .model import Allocation, Instance, parse_instance
+from .model import Allocation, Instance, check_allocation_length, parse_instance
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,7 @@ class LayeredGraph:
 
 
 def build_layered(inst: Instance, p: Allocation, i0: int, j0: int, k: int) -> LayeredGraph:
+    check_allocation_length(inst, p)
     if i0 == j0 or not (0 <= i0 < inst.n and 0 <= j0 < inst.n):
         raise ValueError("endpoints must be two distinct vertices")
     if not 1 <= k <= inst.n - 1:
@@ -107,6 +108,7 @@ def shortest_layered_path(lg: LayeredGraph) -> Optional[LayeredPath]:
 def flawed_separate_paths(inst: Instance, p: Allocation) -> Optional[LayeredPath]:
     """Scan all (i0, j0, k) in order; return the first strictly negative
     shortest layered path, or None."""
+    check_allocation_length(inst, p)
     for i0 in range(inst.n):
         for j0 in range(inst.n):
             if j0 == i0:

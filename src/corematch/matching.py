@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from ._edmonds import matched_edges, warm_matched_edges
-from .model import Instance, InvariantError, check_simple_graph
+from .model import Instance, InvariantError, check_coalition, check_simple_graph
 
 
 class NoPerfectMatchingError(ValueError):
@@ -165,9 +165,9 @@ def min_weight_perfect_matching(vertices, edges, weights) -> MatchingResult:
 
 def build_gadget(inst: Instance, allowed: Optional[Iterable[int]] = None,
                  caps: Optional[Sequence[int]] = None):
-    """Gadget graph for max-weight b-matching restricted to `allowed` edges
-    and per-vertex capacities `caps` in {0, 1, 2} (defaults: all edges,
-    caps = b; ValueError unless caps holds n such entries).
+    """Gadget graph for max-weight b-matching restricted to `allowed` edges,
+    indices in 0..m-1, and per-vertex capacities `caps` in {0, 1, 2}, n of
+    them (defaults: all edges, caps = b; ValueError otherwise).
 
     Returns (vertices, edges, weights) on dense int nodes: vertex v's copies
     are offset_v .. offset_v + caps_v - 1 with offset_v = caps_0 + ... +
@@ -182,9 +182,13 @@ def build_gadget(inst: Instance, allowed: Optional[Iterable[int]] = None,
             raise ValueError(f"capacity {c!r} at vertex {v} is not 0, 1 or 2")
     offset = list(itertools.accumulate(caps, initial=0))
     node = offset[-1]
+    ids = range(inst.m) if allowed is None else sorted(allowed)
+    for idx in (ids[0], ids[-1]) if ids else ():  # ascending: the ends bound the rest
+        if not 0 <= idx < inst.m:
+            raise ValueError(f"edge index {idx} is not in 0..{inst.m - 1}")
     edges = []
     weights = []
-    for idx in range(inst.m) if allowed is None else sorted(allowed):
+    for idx in ids:
         u, v, w = inst.edges[idx]
         us, vs = range(offset[u], offset[u + 1]), range(offset[v], offset[v + 1])
         if len(us) == len(vs) == 2:
@@ -232,9 +236,7 @@ def b_matching_value(inst: Instance, S: Optional[Iterable[int]] = None) -> Fract
     ValueError when S holds a vertex outside 0..n-1."""
     if S is None:
         return _b_value(inst, set(range(inst.m)), inst.b)
-    members = set(S)
-    if not members <= set(range(inst.n)):
-        raise ValueError("coalition contains unknown vertices")
+    members = check_coalition(inst, S)
     allowed = {
         i for i, e in enumerate(inst.edges) if e.u in members and e.v in members
     }

@@ -204,8 +204,8 @@ class Instance:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Payoff vector indexed by vertex id. Entries are ints or Fractions and
-    may be negative."""
+    """Payoff vector indexed by vertex id. Entries are ints or Fractions,
+    stored as Fractions so that halving one stays exact, and may be negative."""
 
     values: tuple[Fraction, ...]
 
@@ -213,6 +213,8 @@ class Allocation:
         for v, x in enumerate(self.values):
             if not _is_exact(x):
                 raise ValueError(f"allocation entry {v} is not an int or a Fraction: {x!r}")
+        if not all(type(x) is Fraction for x in self.values):
+            object.__setattr__(self, "values", tuple(map(Fraction, self.values)))
 
     def __getitem__(self, v: int) -> Fraction:
         return self.values[v]
@@ -232,6 +234,14 @@ def check_allocation_length(inst: Instance, p: Allocation) -> None:
     """Raise ValueError unless p has one entry per vertex of inst."""
     if len(p) != inst.n:
         raise ValueError("allocation length differs from the vertex count")
+
+
+def check_coalition(inst: Instance, S: Iterable[int]) -> set[int]:
+    """The members of S; ValueError when one lies outside 0..n-1."""
+    members = set(S)
+    if not members <= set(range(inst.n)):
+        raise ValueError("coalition contains unknown vertices")
+    return members
 
 
 def coalition(members: Iterable[int]) -> tuple[int, ...]:

@@ -10,7 +10,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .model import Allocation, Instance, Violation, ViolationKind, coalition
+from .model import (
+    Allocation,
+    Instance,
+    Violation,
+    ViolationKind,
+    check_allocation_length,
+    check_coalition,
+    coalition,
+)
 from .negcycle import CostedGraph
 
 
@@ -19,8 +27,9 @@ class SizeGuardError(RuntimeError):
 
 
 def nu_bruteforce(inst: Instance, S) -> Fraction:
-    """Max weight over all degree-feasible edge subsets of G[S]."""
-    members = set(S)
+    """Max weight over all degree-feasible edge subsets of G[S]; ValueError
+    when S holds a vertex outside 0..n-1."""
+    members = check_coalition(inst, S)
     edge_ids = [
         i for i, e in enumerate(inst.edges) if e.u in members and e.v in members
     ]
@@ -70,6 +79,7 @@ def core_check_bruteforce(
     """
     if inst.n > 12:
         raise SizeGuardError(f"core_check_bruteforce guard: n={inst.n} > 12")
+    check_allocation_length(inst, p)
     cache = nu_cache if nu_cache is not None else {}
 
     def nu_of(S: tuple[int, ...]) -> Fraction:
@@ -161,6 +171,7 @@ def constraint_check_bruteforce(
     """Verdict from the total-value / cycle / path constraint system."""
     if inst.n > 12:
         raise SizeGuardError(f"constraint_check_bruteforce guard: n={inst.n} > 12")
+    check_allocation_length(inst, p)
     nu_n = nu_bruteforce(inst, range(inst.n))
     if p.total() != nu_n:
         return Violation(

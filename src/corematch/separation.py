@@ -29,9 +29,9 @@ edge uv costs cost·D = P_u + P_v − W_e and the st edge costs P_s + P_t,
 where cost = (p_u + p_v)/2 − w_uv is the exact transfer cost. So p_v < 0
 iff P_v < 0, and p_u + p_v < w_uv iff cost·D + P_u + P_v < 0; the scan
 builds `Fraction`s only for the violation it reports. `separate` and
-`separate_all` cost the edges and build G2 once per allocation (a
-`Costing`) and hand that pair to each later stage; a stage called on its
-own builds it itself. G2 and every variant select from those edges; since
+`separate_all` cost the edges and build G2 once per allocation (one
+`TransferCosts`) and hand it to each later stage; a stage called on its own
+builds it itself. G2 and every variant select from those edges; since
 D > 0 every comparison, and so every join, cycle and certificate, is that
 of the exact costs. ν(N) is `Instance.grand_value`.
 """
@@ -80,11 +80,12 @@ class TransferCosts(NamedTuple):
 
     `half[v]` is P_v = p_v·D/2 and `edges[i]` is instance edge i = uv with
     cost P_u + P_v − W_i, W_i = w_i·D, and `orig` i; an artificial st edge
-    (weight 0) costs half[s] + half[t].
+    (weight 0) costs half[s] + half[t]. `g2` is G2, built from `edges`.
     """
 
     edges: tuple[CostEdge, ...]
     half: tuple[Cost, ...]
+    g2: CostedGraph
 
 
 def _costs(inst: Instance, half: tuple[Cost, ...], weights) -> TransferCosts:
@@ -92,7 +93,8 @@ def _costs(inst: Instance, half: tuple[Cost, ...], weights) -> TransferCosts:
         CostEdge(e.u, e.v, half[e.u] + half[e.v] - w, i)
         for i, (e, w) in enumerate(zip(inst.edges, weights))
     )
-    return TransferCosts(edges, half)
+    g2 = CostedGraph(vertices=inst.n2, edges=tuple(edges[i] for i in inst.e2))
+    return TransferCosts(edges, half, g2)
 
 
 def transfer_costs(inst: Instance, p: Allocation) -> TransferCosts:
@@ -112,22 +114,12 @@ def integer_costs(inst: Instance, p: Allocation) -> TransferCosts:
     return _costs(inst, half, weights)
 
 
-def build_g2(inst: Instance, costs: TransferCosts) -> CostedGraph:
-    """Induced subgraph on capacity-2 vertices, costed by `costs`."""
-    return CostedGraph(vertices=inst.n2, edges=tuple(costs.edges[i] for i in inst.e2))
-
-
-class Costing(NamedTuple):
-    """One allocation's integer transfer costs and the G2 they cost."""
-
-    costs: TransferCosts
-    g2: CostedGraph
-
-
-def cost_allocation(inst: Instance, p: Allocation) -> Costing:
-    """Cost every edge of inst for p in integers, once, and build G2."""
-    costs = integer_costs(inst, p)
-    return Costing(costs, build_g2(inst, costs))
+def _costed(inst: Instance, p: Allocation,
+            costs: Optional[TransferCosts]) -> TransferCosts:
+    """`costs`, or `integer_costs(inst, p)` when None; ValueError unless p
+    has one entry per vertex."""
+    check_allocation_length(inst, p)
+    return integer_costs(inst, p) if costs is None else costs
 
 
 def _vertex_edge_violations(inst: Instance, p: Allocation,
@@ -148,13 +140,10 @@ def _vertex_edge_violations(inst: Instance, p: Allocation,
 
 
 def separate_vertices_edges(inst: Instance, p: Allocation, *,
-                            costing: Optional[Costing] = None) -> Optional[Violation]:
+                            costs: Optional[TransferCosts] = None) -> Optional[Violation]:
     """First violated vertex (p_i < 0) or edge (p_i + p_j < w_ij) in scan
-    order. `costing` is `cost_allocation(inst, p)`, built here when None."""
-    check_allocation_length(inst, p)
-    if costing is None:
-        costing = cost_allocation(inst, p)
-    return next(_vertex_edge_violations(inst, p, costing.costs), None)
+    order. `costs` is `integer_costs(inst, p)`, built here when None."""
+    return next(_vertex_edge_violations(inst, p, _costed(inst, p, costs)), None)
 
 
 def _cycle_violation(inst: Instance, p: Allocation, g: CostedGraph,
@@ -187,13 +176,10 @@ def _cycle_violation(inst: Instance, p: Allocation, g: CostedGraph,
 
 
 def separate_cycles(inst: Instance, p: Allocation, *,
-                    costing: Optional[Costing] = None) -> Optional[Violation]:
+                    costs: Optional[TransferCosts] = None) -> Optional[Violation]:
     """None iff p(C) >= w(C) for every cycle through capacity-2 vertices.
-    `costing` is `cost_allocation(inst, p)`, built here when None."""
-    check_allocation_length(inst, p)
-    if costing is None:
-        costing = cost_allocation(inst, p)
-    g2 = costing.g2
+    `costs` is `integer_costs(inst, p)`, built here when None."""
+    g2 = _costed(inst, p, costs).g2
     cyc = negcycle.find_negative_cycle(g2)
     if cyc is None:
         return None
@@ -266,13 +252,8 @@ def realize_variant(inst: Instance, costs: TransferCosts,
     )
 
 
-def variants(inst: Instance, costs: TransferCosts, s: int, t: int) -> list[CostedGraph]:
-    """The costed variant family for the unordered endpoint pair {s, t}."""
-    return [realize_variant(inst, costs, st) for st in variant_structures(inst, s, t)]
-
-
 def _path_filter(
-    inst: Instance, costing: Costing
+    inst: Instance, costs: TransferCosts
 ) -> Optional[Callable[[int, int], list[VariantStructure]]]:
     """The exact path test: a function of s < t that lists, in scan order,
     the variants of pair {s, t} that hold a violated path, or None where the
@@ -298,8 +279,7 @@ def _path_filter(
     bound is negative has its variants built and tested one by one, and
     that test decides.
     """
-    costs, g2 = costing
-    half = costs.half
+    half, g2 = costs.half, costs.g2
     if any(e.cost + half[e.u] + half[e.v] < 0 for e in g2.edges):
         return None
     d = negcycle.join_distances(g2)
@@ -341,7 +321,7 @@ def _path_filter(
 
 
 def _path_violations(inst: Instance, p: Allocation,
-                     costing: Costing) -> Iterator[Violation]:
+                     costs: TransferCosts) -> Iterator[Violation]:
     """One violation per endpoint pair and variant with a negative cycle.
 
     A negative cycle through the marker st edge yields a violated path by
@@ -350,8 +330,7 @@ def _path_violations(inst: Instance, p: Allocation,
     only the variants it flags are built and searched, and each must yield
     a violation; elsewhere every variant of every pair is.
     """
-    costs = costing.costs
-    negative = _path_filter(inst, costing)
+    negative = _path_filter(inst, costs)
     for s in range(inst.n):
         for t in range(s + 1, inst.n):
             structs = variant_structures(inst, s, t) if negative is None else negative(s, t)
@@ -365,26 +344,22 @@ def _path_violations(inst: Instance, p: Allocation,
 
 
 def separate_paths(inst: Instance, p: Allocation, *,
-                   costing: Optional[Costing] = None) -> Optional[Violation]:
+                   costs: Optional[TransferCosts] = None) -> Optional[Violation]:
     """Search all endpoint pairs and variants for a violated path of length
     >= 2; assumes vertex/edge and cycle constraints already hold, and reports
     a marker-free negative cycle as a Cycle violation defensively.
-    `costing` is `cost_allocation(inst, p)`, built here when None."""
-    check_allocation_length(inst, p)
-    if costing is None:
-        costing = cost_allocation(inst, p)
-    return next(_path_violations(inst, p, costing), None)
+    `costs` is `integer_costs(inst, p)`, built here when None."""
+    return next(_path_violations(inst, p, _costed(inst, p, costs)), None)
 
 
 def separate(inst: Instance, p: Allocation) -> SeparationVerdict:
     """Full core separation: total value, vertices/edges, cycles, paths.
     Past the total value, p is costed and G2 built once for all stages."""
-    check_allocation_length(inst, p)
     violation = check_total_value(inst, p)
     if violation is None:
-        costing = cost_allocation(inst, p)
+        costs = integer_costs(inst, p)
         for stage in (separate_vertices_edges, separate_cycles, separate_paths):
-            violation = stage(inst, p, costing=costing)
+            violation = stage(inst, p, costs=costs)
             if violation is not None:
                 break
     return SeparationVerdict(violation)
@@ -396,13 +371,12 @@ def separate_all(inst: Instance, p: Allocation) -> list[Violation]:
     endpoint pair/variant (the variants the G2 distances flag, where that
     test applies); a violation found again (a marker-free cycle lies in many
     variants) is kept only where it first appeared."""
-    check_allocation_length(inst, p)
-    costing = cost_allocation(inst, p)
+    costs = _costed(inst, p, None)
     found = chain(
         [check_total_value(inst, p)],
-        _vertex_edge_violations(inst, p, costing.costs),
-        [separate_cycles(inst, p, costing=costing)],
-        _path_violations(inst, p, costing),
+        _vertex_edge_violations(inst, p, costs),
+        [separate_cycles(inst, p, costs=costs)],
+        _path_violations(inst, p, costs),
     )
     return list(dict.fromkeys(v for v in found if v is not None))
 

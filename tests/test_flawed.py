@@ -134,3 +134,13 @@ def test_counterexample_data_is_consistent():
     assert inst.b == (1, 1, 2, 2, 1)
     assert p.total() == 12
     assert oracle.core_check_bruteforce(inst, p) is None
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_flawed_scan_rejects_an_allocation_of_the_wrong_length(counterexample, n):
+    # the scan reported a negative path where every separation stage raises
+    p = alloc(*[-1] * n)
+    with pytest.raises(ValueError, match="allocation length differs"):
+        flawed_separate_paths(counterexample, p)
+    with pytest.raises(ValueError, match="allocation length differs"):
+        build_layered(counterexample, p, 0, 1, 2)

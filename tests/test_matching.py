@@ -221,6 +221,20 @@ def test_gadget_rejects_capacities_outside_0_1_2(caps, error):
         matching._b_value(inst, set(range(inst.m)), caps)
 
 
+@pytest.mark.parametrize("allowed, error", [
+    ([-1], "edge index -1 is not in 0..3"),
+    ([0, 9], "edge index 9 is not in 0..3"),
+])
+def test_gadget_rejects_edge_indices_out_of_range(allowed, error):
+    # [-1] built the gadget of the last edge, so _b_value read 1, and [9]
+    # raised a bare IndexError
+    inst = model.parse_instance((ROOT / "data" / "counterexample.game").read_text())
+    with pytest.raises(ValueError, match=re.escape(error)):
+        build_gadget(inst, allowed)
+    with pytest.raises(ValueError, match=re.escape(error)):
+        matching._b_value(inst, set(allowed), inst.b)
+
+
 def gadgeted_weight(inst):
     """w(E22): the weight of the edges joining two capacity-2 vertices, the
     only edges the gadget expands."""

@@ -185,7 +185,7 @@ def test_returned_rationals_in_lowest_terms():
         )
         audit(matching.b_matching_value(inst))
         audit(matching.nu(inst, range(inst.n)))
-        g2 = separation.build_g2(inst, separation.transfer_costs(inst, p))
+        g2 = separation.transfer_costs(inst, p).g2
         for e in g2.edges:
             audit(e.cost)
         cyc = find_negative_cycle(g2)
@@ -237,10 +237,35 @@ def test_allocation_rejects_inexact_entries(values):
 def test_ints_and_fractions_are_exact():
     from corematch import separation
 
+    from corematch import extform, flawed
+
     inst = Instance(2, (1, 1), (Edge(0, 1, 1),))
     verdict = separation.separate(inst, Allocation((0, Fraction(1, 2))))
     assert verdict.violation.bound == 1 and type(verdict.violation.bound) is Fraction
     assert separation.separate(inst, Allocation((Fraction(1, 2), Fraction(1, 2)))).in_core
+
+    # int entries are stored as Fractions, so a halved entry stays exact
+    # wherever an allocation is read: an int copy and a Fraction copy of the
+    # same allocation agree everywhere, and no cost or weight is a float
+    inst = flawed.counterexample_instance()
+    for ints in ((0, 0, 2, 10, 0), (1, 0, 1, 10, 0), (0, 1, 3, 7, 1), (2**60 + 1, 0, 0, 0, 0)):
+        exact = Allocation(tuple(map(Fraction, ints)))
+        p = Allocation(ints)
+        assert p == exact and all(type(x) is Fraction for x in p.values)
+        assert extform.check_membership(inst, p) == extform.check_membership(inst, exact)
+        family = extform.enumerate_family(inst, p)
+        assert family == extform.enumerate_family(inst, exact)
+        assert all(type(e.cost) is Fraction for g in family.members for e in g.edges)
+        path = flawed.flawed_separate_paths(inst, p)
+        assert path == flawed.flawed_separate_paths(inst, exact)
+        assert path is None or type(path.weight) is Fraction
+        arcs = flawed.build_layered(inst, p, 0, 4, 3).arcs
+        assert arcs == flawed.build_layered(inst, exact, 0, 4, 3).arcs
+        assert all(type(w) is Fraction for level in arcs for _, _, w in level)
+    assert extform.check_membership(inst, Allocation((0, 0, 2, 10, 0)))
+    (weight,) = {w for i, _, w in flawed.build_layered(
+        inst, Allocation((2**60 + 1, 0, 0, 0, 0)), 0, 1, 2).arcs[0] if i == 0}
+    assert weight == Fraction(2**60 + 1) - 1 and type(weight) is Fraction
 
 
 # -- one simple-graph validator ---------------------------------------------

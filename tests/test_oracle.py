@@ -193,3 +193,18 @@ def test_cut_system_guard():
     g = CostedGraph(tuple(range(11)), ())
     with pytest.raises(SizeGuardError):
         check_cut_system(g, [])
+
+
+@pytest.mark.parametrize("S", [[0, 2, 3, 9], [-1, 2, 3]])
+def test_nu_bruteforce_rejects_unknown_vertices(counterexample, S):
+    # [0, 2, 3, 9] returned 11, the 9 ignored, where matching.nu raises
+    with pytest.raises(ValueError, match="coalition contains unknown vertices"):
+        nu_bruteforce(counterexample, S)
+
+
+@pytest.mark.parametrize("check", [core_check_bruteforce, constraint_check_bruteforce])
+@pytest.mark.parametrize("n", [3, 7])
+def test_bruteforce_checks_reject_an_allocation_of_the_wrong_length(counterexample, check, n):
+    # both reported a violation where every separation stage raises
+    with pytest.raises(ValueError, match="allocation length differs"):
+        check(counterexample, alloc(*[1] * n))

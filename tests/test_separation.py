@@ -11,7 +11,6 @@ import pytest
 from corematch import matching, model, negcycle, oracle, separation
 from corematch.model import Allocation, ViolationKind, parse_instance, random_instance
 from corematch.separation import (
-    build_g2,
     check_total_value,
     separate,
     separate_all,
@@ -20,7 +19,6 @@ from corematch.separation import (
     separate_vertices_edges,
     transfer_costs,
     variant_structures,
-    variants,
     verify_violation,
 )
 
@@ -29,6 +27,11 @@ from conftest import normalized, random_allocation
 
 def alloc(*xs):
     return Allocation(tuple(Fraction(x) for x in xs))
+
+
+def variants(inst, costs, s, t):
+    """The costed variant family for the unordered endpoint pair {s, t}."""
+    return [separation.realize_variant(inst, costs, st) for st in variant_structures(inst, s, t)]
 
 
 SQUARE = parse_instance(
@@ -60,7 +63,7 @@ def test_vertex_and_edge_checks(counterexample, counterexample_core_p):
 
 
 def test_build_g2_counterexample(counterexample, counterexample_core_p):
-    g2 = build_g2(counterexample, transfer_costs(counterexample, counterexample_core_p))
+    g2 = transfer_costs(counterexample, counterexample_core_p).g2
     assert g2.vertices == (2, 3)
     assert len(g2.edges) == 1
     # transfer cost (2+10)/2 - 10 = -4 on the only capacity-2 edge
@@ -70,7 +73,7 @@ def test_build_g2_counterexample(counterexample, counterexample_core_p):
 
 def test_build_g2_all_capacity_one():
     inst = parse_instance("game 2 1\nvertex 0 1\nvertex 1 1\nedge 0 1 5\n")
-    g2 = build_g2(inst, transfer_costs(inst, alloc(0, 0)))
+    g2 = transfer_costs(inst, alloc(0, 0)).g2
     assert g2.vertices == () and g2.edges == ()
 
 
@@ -79,7 +82,7 @@ def test_build_g2_triangle_zero_allocation():
         "game 3 3\nvertex 0 2\nvertex 1 2\nvertex 2 2\n"
         "edge 0 1 1\nedge 1 2 1\nedge 0 2 1\n"
     )
-    g2 = build_g2(inst, transfer_costs(inst, alloc(0, 0, 0)))
+    g2 = transfer_costs(inst, alloc(0, 0, 0)).g2
     assert all(e.cost == -1 for e in g2.edges)
 
 
@@ -197,7 +200,7 @@ def test_cycle_transfer_identity():
     for _ in range(25):
         inst = random_instance(rng.randint(0, 10**6), rng.randint(3, 7), Fraction(3, 5), 6)
         p = random_allocation(rng, inst)
-        g2 = build_g2(inst, transfer_costs(inst, p))
+        g2 = transfer_costs(inst, p).g2
         fam = oracle.enumerate_constraints(inst)
         for verts, eids in fam.cycles:
             transferred = sum(
@@ -283,7 +286,7 @@ PATH_P = alloc(8, 1, 3, 7, 4, 2)
 
 def test_path_stage_builds_only_the_flagged_variants(monkeypatch):
     inst, p = PATH_GAME, PATH_P
-    negative = separation._path_filter(inst, separation.cost_allocation(inst, p))
+    negative = separation._path_filter(inst, separation.integer_costs(inst, p))
     pairs = [(s, t) for s in range(inst.n) for t in range(s + 1, inst.n)]
     flagged = [st for s, t in pairs for st in negative(s, t)]
     assert [(st.s, st.t, st.kept_s, st.kept_t) for st in flagged] == [
@@ -560,7 +563,7 @@ def test_variant_family_matches_edge_scan_oracle():
         scaled = case % 2 == 0
         costs = (separation.integer_costs if scaled else transfer_costs)(inst, p)
         edge_cost, half = _oracle_costs(inst, p, scaled)
-        assert build_g2(inst, costs) == _oracle_g2(inst, edge_cost)
+        assert costs.g2 == _oracle_g2(inst, edge_cost)
         for s in range(inst.n):
             for t in range(s + 1, inst.n):
                 structs = variant_structures(inst, s, t)
@@ -661,7 +664,7 @@ def test_path_filter_matches_all_pairs_scan():
 
         # the filter flags exactly the variants that hold a violation, pair
         # by pair in scan order
-        flagged = separation._path_filter(inst, separation.cost_allocation(inst, p))
+        flagged = separation._path_filter(inst, separation.integer_costs(inst, p))
         if flagged is not None:
             negative = collections.defaultdict(list)
             for (s, t, ks, kt), _ in scan:

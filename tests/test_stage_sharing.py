@@ -1,9 +1,10 @@
 """`separate` against its four public stages, and what one call builds.
 
-`separate` costs the allocation and builds G2 once, past the total value,
-and hands that pair to the later stages; called on their own, the stages
-build it themselves. Both routes must give the same first violation, and a
-`separate` call must build each derived fact at most once.
+`separate` costs the allocation once, past the total value, and hands the
+costs, which carry G2, to the later stages; called on their own, the stages
+build them themselves. Both routes must give the same first violation, and
+a `separate` or `separate_all` call must build each derived fact at most
+once.
 """
 
 import collections
@@ -27,6 +28,14 @@ from conftest import normalized, random_allocation
 from test_metamorphic import planted
 
 STAGES = (check_total_value, separate_vertices_edges, separate_cycles, separate_paths)
+
+
+def separate_all_is_quick(inst, v, is_planted):
+    """Whether `separate_all` is quick on a case whose first violation is v:
+    past n = 16 only on planted games where the path stage decides;
+    elsewhere it searches every variant of every pair, or the many that the
+    G2 distances flag, which takes up to minutes."""
+    return inst.n == 16 or is_planted and (v is None or v.kind is ViolationKind.PATH)
 
 
 def first_of_stages(inst, p):
@@ -84,10 +93,7 @@ def test_separate_is_the_first_violation_of_the_stages():
     for inst, p, is_planted in CASES:
         v = separate(inst, p).violation
         assert v == first_of_stages(inst, p)
-        # past n = 16 only on planted games where the path stage decides:
-        # elsewhere separate_all searches every variant of every pair, or
-        # the many that the G2 distances flag, which takes up to minutes
-        if inst.n == 16 or is_planted and (v is None or v.kind is ViolationKind.PATH):
+        if separate_all_is_quick(inst, v, is_planted):
             assert separate_all(inst, p)[:1] == ([] if v is None else [v])
             seen["separate_all", inst.n] += 1
         seen[None if v is None else v.kind] += 1
@@ -97,7 +103,8 @@ def test_separate_is_the_first_violation_of_the_stages():
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Per-name call counts of the costing, the G2 build and the distances."""
+    """Per-name call counts of the costing, which builds G2, and the
+    distances."""
     counts = collections.Counter()
 
     def counted(module, name):
@@ -110,14 +117,13 @@ def builds(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(separation, "integer_costs")
-    counted(separation, "build_g2")
     counted(negcycle, "join_distances")
     return counts
 
 
 def test_separate_costs_builds_g2_and_measures_distances_once(builds):
     decided = collections.Counter()
-    for inst, p, _ in CASES:
+    for inst, p, is_planted in CASES:
         builds.clear()
         v = separate(inst, p).violation
         kind = None if v is None else v.kind
@@ -126,10 +132,18 @@ def test_separate_costs_builds_g2_and_measures_distances_once(builds):
         if kind is ViolationKind.TOTAL_VALUE:
             assert not builds
         else:
-            assert builds["integer_costs"] == builds["build_g2"] == 1
+            assert builds["integer_costs"] == 1
         if kind in (ViolationKind.CYCLE, ViolationKind.VERTEX, ViolationKind.EDGE):
             # the cycle search runs before any distance is measured
             assert builds["join_distances"] == 0
         if kind in (None, ViolationKind.PATH):
             assert builds["join_distances"] == 1
+        if separate_all_is_quick(inst, v, is_planted):
+            builds.clear()
+            separate_all(inst, p)
+            # costed once, also where the total value fails
+            assert builds["integer_costs"] == 1 and builds["join_distances"] <= 1, builds
+            decided["separate_all", kind] += 1
     assert decided[ViolationKind.CYCLE] >= 3 and decided[ViolationKind.PATH] >= 3, decided
+    assert decided["separate_all", ViolationKind.TOTAL_VALUE] >= 1, decided
+    assert decided["separate_all", None] >= 3 and decided["separate_all", ViolationKind.PATH] >= 3, decided
