@@ -22,7 +22,7 @@ from typing import Optional
 from . import separation
 from .linsys import _MINUS_ONE, _ONE, ConstraintSystem, simplex_feasible, simplex_solve
 from .model import Allocation, Instance, check_allocation_length
-from .negcycle import CostEdge, CostedGraph
+from .negcycle import CostedGraph
 
 # the p coefficient of every cost row of the formulation, one shared object
 _MINUS_HALF = Fraction(-1, 2)
@@ -62,7 +62,7 @@ def enumerate_family(inst: Instance, p: Optional[Allocation] = None) -> GraphFam
             if not (_excess(inst, s, t) and _excess(inst, t, s)):
                 continue
             for struct in separation.variant_structures(inst, s, t):
-                members.append(separation.realize_variant(inst, costs, struct))
+                members.append(separation.realize_variant(costs, struct))
                 labels.append(
                     f"variant s={s} t={t} kept_s={struct.kept_s} kept_t={struct.kept_t}"
                 )
@@ -140,12 +140,12 @@ def build_flow_primal(g: CostedGraph) -> ConstraintSystem:
 
 
 def _dual_block(sys: ConstraintSystem, g: CostedGraph, prefix: str,
-                cost_of) -> None:
+                symbolic: bool) -> None:
     """Append one graph's dual feasibility block to `sys`.
 
-    `cost_of(edge) -> (const rhs, extra lhs coeffs)` lets the right-hand side
-    be a plain rational or an affine function of allocation variables moved to
-    the left-hand side.
+    Each cost row's right-hand side is its edge's cost. When `symbolic`, g
+    is costed at p = 0 and each cost row also carries -1/2 p_u and -1/2 p_v:
+    the (p_u + p_v)/2 part of the cost, moved to the left-hand side.
     """
     m = len(g.edges)
     # every name is formatted once: gamma[i][v], and lam[i][(a, b)] in arc order
@@ -174,25 +174,20 @@ def _dual_block(sys: ConstraintSystem, g: CostedGraph, prefix: str,
             if k != i:
                 coeffs[lam[k][u, v]] = _ONE
                 coeffs[lam[k][v, u]] = _ONE
-        rhs, extra = cost_of(ebar)
-        for var, c in extra.items():
-            old = coeffs.get(var)
-            coeffs[var] = c if old is None else old + c
-        sys.add_constraint(f"{prefix}cost_e{i}", coeffs, "<=", rhs)
+        if symbolic:
+            coeffs[f"p_{u}"] = _MINUS_HALF
+            coeffs[f"p_{v}"] = _MINUS_HALF
+        sys.add_constraint(f"{prefix}cost_e{i}", coeffs, "<=", ebar.cost)
     for i in range(m):
         for (a, b), name in lam[i].items():
             sys.add_constraint(f"{prefix}nn_lam_e{i}_{a}_{b}", {name: _ONE}, ">=", 0)
 
 
-def build_dual_system(g: CostedGraph, prefix: str = "") -> ConstraintSystem:
+def build_dual_system(g: CostedGraph) -> ConstraintSystem:
     """Mechanical dual of the compact flow primal; feasible iff the primal is
     bounded iff g has no negative-cost cycle."""
     sys = ConstraintSystem(name="flow-dual")
-
-    def cost_of(e: CostEdge):
-        return e.cost, {}
-
-    _dual_block(sys, g, prefix, cost_of)
+    _dual_block(sys, g, "", False)
     return sys
 
 
@@ -212,14 +207,8 @@ def build_extended_formulation(inst: Instance) -> ConstraintSystem:
         sys.add_constraint(
             f"edge_e{i}", {f"p_{e.u}": _ONE, f"p_{e.v}": _ONE}, ">=", e.w
         )
-
-    def cost_of(e: CostEdge):
-        # the family is costed at p = 0; move the (p_u + p_v)/2 part of the
-        # cost to the left-hand side
-        return e.cost, {f"p_{e.u}": _MINUS_HALF, f"p_{e.v}": _MINUS_HALF}
-
     for k, g in enumerate(enumerate_family(inst).members):
-        _dual_block(sys, g, f"g{k}_", cost_of)
+        _dual_block(sys, g, f"g{k}_", True)
     return sys
 
 
@@ -271,15 +260,12 @@ class SizeReport:
 def size_report(inst: Instance) -> SizeReport:
     family = enumerate_family(inst)
     gamma = 0
-    lam = 0
-    arc = 0
+    lam = 0  # one arc row and one sign row per lambda variable
     cost = 0
     for g in family.members:
         em = len(g.edges)
-        nv = len(g.vertices)
-        gamma += em * nv
+        gamma += em * len(g.vertices)
         lam += 2 * em * (em - 1)
-        arc += 2 * em * (em - 1)
         cost += em
     n, m = inst.n, inst.m
     envelope_family = 1 + n**4
@@ -295,10 +281,10 @@ def size_report(inst: Instance) -> SizeReport:
         lambda_vars=lam,
         total_vars=n + gamma + lam,
         base_constraints=1 + n + m,
-        arc_constraints=arc,
+        arc_constraints=lam,
         cost_constraints=cost,
         nonneg_constraints=lam,
-        total_constraints=1 + n + m + arc + cost + lam,
+        total_constraints=1 + n + m + 2 * lam + cost,
         var_envelope=n + envelope_family * block_vars,
         constraint_envelope=1 + n + m + envelope_family * block_cons,
     )

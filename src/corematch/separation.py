@@ -7,7 +7,7 @@ constraints (negative-cycle detection on endpoint-variant graphs through an
 artificial st edge). The first violated constraint is returned as an exact,
 re-verifiable certificate.
 
-Once the cycle and edge stages have passed, G2 has no negative cycle, so a
+Once the cycle stage has passed, G2 has no negative cycle, so a
 minimum {a, b}-join in G2 costs the shortest a-b distance d(a, b), and one
 set of G2 distances per allocation decides for every variant whether it
 holds a negative cycle: the variant keeping s-x and t-y does iff
@@ -19,9 +19,10 @@ and only the variants of a pair whose bound is negative are tested one by
 one; that test decides. The path stage then
 builds and searches the flagged variants only, in the scan order of the
 full search, so the certificates are those the full search finds, and a
-flagged variant without a negative cycle raises `InvariantError`. Called
-where G2 has a negative cycle or a violated edge, it searches every variant
-of every pair.
+flagged variant without a negative cycle raises `InvariantError`. A
+violated G2 edge st (reached by `separate_all`) keeps the test exact: pair
+{s, t} alone reads d(s, t) from G2 less st. Only where G2 has a negative
+cycle does the stage search every variant of every pair.
 
 Past the total value the stages work on integer costs. With D = 2·lcm of
 all denominators of p and w, P_v = p_v·D/2 and W_e = w_e·D, an instance
@@ -238,9 +239,9 @@ def variant_structures(inst: Instance, s: int, t: int) -> list[VariantStructure]
     ]
 
 
-def realize_variant(inst: Instance, costs: TransferCosts,
-                    struct: VariantStructure) -> CostedGraph:
-    """Attach precomputed costs to a variant skeleton.
+def realize_variant(costs: TransferCosts, struct: VariantStructure) -> CostedGraph:
+    """Cost a variant skeleton: its edges are `costs.edges` at its
+    `edge_ids`, then the st edge.
 
     The st edge comes last and is the graph's marker; it has weight 0, so its
     cost is half[s] + half[t].
@@ -259,15 +260,14 @@ def _path_filter(
     the variants of pair {s, t} that hold a violated path, or None where the
     test does not apply.
 
-    It applies when G2 has no negative cycle and every G2 edge uv has
-    cost + half[u] + half[v] >= 0 (p_u + p_v >= w_uv), as the cycle and
-    edge stages establish. Then every negative cycle of a variant runs
-    through its marker, so variant (kept_s → x, kept_t → y) holds a
-    violated path iff c(s,x) + d(x,y) + c(y,t) + half[s] + half[t] < 0,
-    d being the G2 distances of `negcycle.join_distances`; x = s at
-    c(s,s) = 0 when b_s = 2, and likewise y for t. The st edge of two
-    capacity-2 endpoints is in G2 but not in their variants; its sum is
-    >= 0, so it never decides.
+    It applies when G2 has no negative cycle, as the cycle stage
+    establishes. Then every negative cycle of a variant runs through its
+    marker, so variant (kept_s → x, kept_t → y) holds a violated path iff
+    c(s,x) + d(x,y) + c(y,t) + half[s] + half[t] < 0, d being the G2
+    distances of `negcycle.join_distances`; x = s at c(s,s) = 0 when
+    b_s = 2, and likewise y for t. A G2 edge st is not in its pair's one
+    variant; where it is violated, d(s, t) may run through it and decide,
+    so that pair reads d from G2 less st.
 
     A pair is tested first against a lower bound, read from row minima: for
     each s and G2 vertex y, the least c(s,x) + d(x,y) over x in A(s), where
@@ -280,11 +280,15 @@ def _path_filter(
     that test decides.
     """
     half, g2 = costs.half, costs.g2
-    if any(e.cost + half[e.u] + half[e.v] < 0 for e in g2.edges):
-        return None
     d = negcycle.join_distances(g2)
     if d is None:
         return None
+    # the distances of G2 less each violated G2 edge, keyed by its index
+    less = {
+        e.orig: negcycle.join_distances(
+            CostedGraph(g2.vertices, tuple(f for f in g2.edges if f is not e)))
+        for e in g2.edges if e.cost + half[e.u] + half[e.v] < 0
+    }
     attach = [  # (x, c(v,x)) per x in A(v), the far endpoint included
         [(v, 0)] if inst.b[v] == 2 else [(x, costs.edges[i].cost) for x, i in inst.nbrs2[v]]
         for v in range(inst.n)
@@ -310,10 +314,11 @@ def _path_filter(
         row = rows[s]
         if all(y not in row or row[y] + cy + st >= 0 for y, cy in attach[t]):
             return []
+        dist = less.get(inst.find_edge(s, t), d)
         out = []
         for struct in variant_structures(inst, s, t):
             (x, cx), (y, cy) = end(s, struct.kept_s), end(t, struct.kept_t)
-            if y in d[x] and cx + d[x][y] + cy + st < 0:
+            if y in dist[x] and cx + dist[x][y] + cy + st < 0:
                 out.append(struct)
         return out
 
@@ -326,16 +331,17 @@ def _path_violations(inst: Instance, p: Allocation,
 
     A negative cycle through the marker st edge yields a violated path by
     deleting st; one avoiding the marker is a violated cycle, which cannot
-    occur once the cycle constraints hold. Where `_path_filter` applies,
-    only the variants it flags are built and searched, and each must yield
-    a violation; elsewhere every variant of every pair is.
+    occur once the cycle constraints hold. Where `_path_filter` applies
+    (G2 has no negative cycle), only the variants it flags are built and
+    searched, and each must yield a violation; elsewhere every variant of
+    every pair is.
     """
     negative = _path_filter(inst, costs)
     for s in range(inst.n):
         for t in range(s + 1, inst.n):
             structs = variant_structures(inst, s, t) if negative is None else negative(s, t)
             for struct in structs:
-                g = realize_variant(inst, costs, struct)
+                g = realize_variant(costs, struct)
                 cyc = negcycle.find_negative_cycle(g)
                 if cyc is not None:
                     yield _cycle_violation(inst, p, g, cyc)
@@ -383,14 +389,17 @@ def separate_all(inst: Instance, p: Allocation) -> list[Violation]:
 
 def verify_violation(inst: Instance, p: Allocation, v: Violation) -> bool:
     """Re-check a certificate arithmetically, including p(S) < nu(S); False
-    unless the coalition is a strictly increasing tuple in 0..n-1."""
+    unless the coalition is a strictly increasing tuple in 0..n-1 and, for
+    TotalValue, Vertex and Coalition, the witness is empty."""
     check_allocation_length(inst, p)
     S = v.coalition
     if not all(0 <= x < inst.n for x in S) or any(a >= b for a, b in zip(S, S[1:])):
         return False
+    eids = v.witness_edges
     if v.kind is ViolationKind.TOTAL_VALUE:
         return (
-            S == tuple(range(inst.n))
+            eids == ()
+            and S == tuple(range(inst.n))
             and v.allocated == p.total()
             and v.bound == inst.grand_value
             and v.allocated != v.bound
@@ -398,11 +407,10 @@ def verify_violation(inst: Instance, p: Allocation, v: Violation) -> bool:
     if v.allocated != p.of(S) or v.allocated >= v.bound:
         return False
     if v.kind is ViolationKind.VERTEX:
-        return len(S) == 1 and v.bound == 0
+        return eids == () and len(S) == 1 and v.bound == 0
     if v.kind is ViolationKind.COALITION:
-        return v.bound == matching.nu(inst, S)
+        return eids == () and v.bound == matching.nu(inst, S)
     # Edge / Cycle / Path: witness must be the claimed structure on exactly S
-    eids = v.witness_edges
     if len(set(eids)) != len(eids) or not all(0 <= i < inst.m for i in eids):
         return False
     if v.bound != sum((inst.edges[i].w for i in eids), Fraction(0)):

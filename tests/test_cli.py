@@ -322,3 +322,80 @@ def test_missing_required_combo(files, capsys):
     _, game, _, _ = files
     code, _, err = run(capsys, "extform", "-i", str(game), "--check")
     assert code == 3 and "--alloc" in err
+
+
+@pytest.mark.parametrize("argv, code, text, broken", [
+    (["random", "--seed", "1", "--n", "0"], 2, "error: n must be >= 1", False),
+    (["random", "--seed", "1", "--n", "3", "--density", "2"], 2,
+     "error: density must lie in [0, 1]", False),
+    (["random", "--seed", "1", "--n", "3", "--wmax", "-1"], 2, "error: wmax must be >= 0", False),
+    (["check", "-i", "{data}/counterexample.game", "-a", "{data}/counterexample.alloc"], 5,
+     "internal error: stage failed", True),
+    (["oracle", "nu", "-i", "{data}/counterexample.game", "-S", "9"], 3,
+     "error: coalition out of range: '9'", False),
+    (["extform", "-i", "{data}/square.game"], 3, "error: extform needs one of", False),
+    (["flaw", "-i", "{data}/square.game"], 3, "error: flaw on an instance requires --alloc",
+     False),
+    (["oracle", "nu", "-i", "{data}/square.game"], 3, "error: oracle nu requires --coalition",
+     False),
+    (["oracle", "cut-check", "-c", "{tmp}/neg.costs", "-x", "{tmp}/x2.vec"], 3,
+     "error: x-vector has 2 entries, graph has 3 edges", False),
+    (["flaw", "-i", "{data}/square.game", "-a", "{data}/square-core.alloc"], 0,
+     "NO_NEGATIVE_PATH\n", False),
+    (["oracle", "negcycle", "-c", "{tmp}/pos.costs"], 0, "NO_NEGATIVE_CYCLE\n", False),
+    (["oracle", "cut-check", "-c", "{tmp}/neg.costs", "-x", "{tmp}/x511.vec"], 10,
+     "VIOLATED cut X={{0}} edge 0-1\n", False),
+    (["random", "--seed", "7", "--n", "6", "-o", "{tmp}/r.game"], 0,
+     "wrote {tmp}/r.game (6 vertices, 10 edges)\n", False),
+    (["oracle", "constraints", "-i", "{data}/square.game"], 0, "cycles: 1\n  C 0-1-2-3\n",
+     False),
+], ids=["n-0", "density-2", "wmax-negative", "invariant", "coalition-9", "extform-no-mode",
+        "flaw-no-alloc", "nu-no-coalition", "x-too-short", "no-negative-path",
+        "no-negative-cycle", "cut-violated", "random-to-file", "constraints-square"])
+def test_exit_code_contract(capsys, tmp_path, monkeypatch, argv, code, text, broken):
+    # an error prints nothing on stdout and one "error:" (or "internal
+    # error:") line on stderr; a result prints on stdout only
+    from corematch import separation
+    from corematch.model import InvariantError
+
+    (tmp_path / "neg.costs").write_text(COSTS)
+    (tmp_path / "pos.costs").write_text(COSTS.replace("-3", "3"))
+    (tmp_path / "x2.vec").write_text("1\n1\n")
+    (tmp_path / "x511.vec").write_text("5\n1\n1\n")
+    if broken:
+        def failing(*args, **kwargs):
+            raise InvariantError("stage failed")
+
+        monkeypatch.setattr(separation, "separate_cycles", failing)
+    text = text.format(tmp=tmp_path)
+    got, out, err = run(capsys, *(a.format(data=DATA, tmp=tmp_path) for a in argv))
+    assert got == code
+    if code in (cli.EXIT_USAGE, cli.EXIT_FILE, cli.EXIT_INVARIANT):
+        assert out == "" and err.startswith(text) and err.count("\n") == 1
+    else:
+        assert out.startswith(text) and err == ""
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("game", "game 2 1\nvertex 0 2\nvertex 1 2\nedge 0 1\n",
+     "line 4: expected 'edge <u> <v> <w>'"),
+    ("game", "# comments only\n", "empty instance file"),
+    ("game", "game 0 0\n", "line 1: instance needs at least one vertex"),
+    ("game", "game 2 1\nvertex 0 2\nvertex 1 2\n", "expected 2 vertex and 1 edge lines, found 2"),
+    ("game", "game 2 0\nvertex 0\nvertex 1 2\n", "line 2: expected 'vertex <id> <b>'"),
+    ("game", "game 2 0\nvertex 0 2\nvertex 2 2\n", "line 3: vertex id 2 out of range"),
+    ("alloc", "0 0 1\n1 1\n2 1\n3 1\n", "line 1: expected '<id> <rational>'"),
+    ("costs", "costs 3 2\nedge 0 1 1\n", "expected 2 edge lines, found 1"),
+    ("costs", "", "empty cost-graph file"),
+], ids=["edge-3-fields", "comments-only", "no-vertex", "line-count", "vertex-2-fields",
+        "vertex-id-n", "alloc-3-fields", "costs-line-count", "costs-empty"])
+def test_parser_grammar_errors_exit_3(capsys, tmp_path, kind, text, message):
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_text(text, encoding="utf-8")
+    argv = {
+        "game": ["value", "-i", str(bad)],
+        "alloc": ["check", "-i", str(DATA / "square.game"), "-a", str(bad)],
+        "costs": ["oracle", "negcycle", "-c", str(bad)],
+    }[kind]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", f"error: {message}\n")

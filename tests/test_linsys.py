@@ -635,7 +635,9 @@ def test_flow_and_dual_lp_text_pinned():
     texts = []
     for i in range(36):
         g = random_cost_graph(random.Random(8100 + i), 3 + i % 4, density=0.5, cmax=6)
-        for s in (extform.build_flow_primal(g), extform.build_dual_system(g, prefix="g1_")):
+        dual = ConstraintSystem(name="flow-dual")
+        extform._dual_block(dual, g, "g1_", False)
+        for s in (extform.build_flow_primal(g), dual):
             buf = io.StringIO()
             emit_lp(s, buf)
             texts.append(buf.getvalue())

@@ -31,7 +31,7 @@ def alloc(*xs):
 
 def variants(inst, costs, s, t):
     """The costed variant family for the unordered endpoint pair {s, t}."""
-    return [separation.realize_variant(inst, costs, st) for st in variant_structures(inst, s, t)]
+    return [separation.realize_variant(costs, st) for st in variant_structures(inst, s, t)]
 
 
 SQUARE = parse_instance(
@@ -297,9 +297,9 @@ def test_path_stage_builds_only_the_flagged_variants(monkeypatch):
     built = []
     real = separation.realize_variant
 
-    def counted(inst, costs, struct):
+    def counted(costs, struct):
         built.append(struct)
-        return real(inst, costs, struct)
+        return real(costs, struct)
 
     monkeypatch.setattr(separation, "realize_variant", counted)
     v = separate(inst, p).violation
@@ -694,6 +694,55 @@ def test_path_filter_matches_all_pairs_scan():
     assert len(seen) == 8 and min(seen.values()) >= 20, seen
 
 
+def _broken_g2_edge_case(rng, n):
+    """A random game on n players and an allocation that violates an edge of
+    G2 but closes no negative G2 cycle: edges and then cycles are repaired,
+    and one end of a G2 edge then takes 1/3 less than the edge needs."""
+    while True:
+        inst = random_instance(rng.randrange(10**6), n, Fraction(1, 4), 10)
+        p = [Fraction(rng.randint(0, 4), rng.choice((1, 2, 3))) for _ in range(n)]
+        for e in rng.sample(inst.edges, inst.m):
+            gap = e.w - p[e.u] - p[e.v]
+            if gap > 0:
+                p[rng.choice((e.u, e.v))] += gap
+        for _ in range(n):
+            v = separate_cycles(inst, Allocation(tuple(p)))
+            if v is None:
+                break
+            p[rng.choice(v.coalition)] += v.bound - v.allocated
+        if v is not None:
+            continue
+        for i in rng.sample(inst.e2, len(inst.e2)):
+            e = inst.edges[i]
+            q = list(p)
+            u = rng.choice((e.u, e.v))
+            q[u] = e.w - q[e.other(u)] - Fraction(1, 3)
+            if separate_cycles(inst, Allocation(tuple(q))) is None:
+                return inst, Allocation(tuple(q))
+
+
+@pytest.mark.parametrize("n", [20, 24, 28])
+def test_path_filter_is_exact_past_a_violated_g2_edge(n):
+    # the pair of a violated G2 edge st reads d(s, t) from G2 less st; every
+    # other pair reads G2's distances, and the filter still flags exactly
+    inst, p = _broken_g2_edge_case(random.Random(2100 + n), n)
+    assert any(p[e.u] + p[e.v] < e.w for e in (inst.edges[i] for i in inst.e2))
+    scan = list(_oracle_path_violations(inst, p))
+    flagged = separation._path_filter(inst, separation.integer_costs(inst, p))
+    assert flagged is not None and scan
+    negative = collections.defaultdict(list)
+    for (s, t, ks, kt), _ in scan:
+        negative[s, t].append((ks, kt))
+    for s in range(inst.n):
+        for t in range(s + 1, inst.n):
+            assert [(st.kept_s, st.kept_t) for st in flagged(s, t)] == negative[s, t]
+    oracle_paths = [v for _, v in scan]
+    assert separate_paths(inst, p) == oracle_paths[0]
+    found = chain([check_total_value(inst, p)], _oracle_vertex_edge_violations(inst, p),
+                  oracle_paths)
+    assert separate_all(inst, p) == list(dict.fromkeys(v for v in found if v is not None))
+
+
 def test_verify_violation_rejects_a_repeated_witness_edge():
     # edge 0 listed twice passed for a 2-cycle of weight 20, yet p = (5, 5)
     # is in the core: nu({0, 1}) = 10
@@ -716,6 +765,30 @@ def test_verify_violation_rejects_a_witness_index_out_of_range(index):
     assert verify_violation(inst, p, real)
     assert not verify_violation(inst, p, model.Violation(
         ViolationKind.EDGE, (1, 2), Fraction(0), Fraction(10), (index,)))
+
+
+@pytest.mark.parametrize("p, kind, coalition, allocated, bound, witness", [
+    ((0, 0, 2, 10, -1), ViolationKind.TOTAL_VALUE, (0, 1, 2, 3, 4), 11, 12, (0, 3)),
+    ((0, 0, 2, 10, -1), ViolationKind.VERTEX, (4,), -1, 0, (3,)),
+    ((0, 0, 1, 11, 0), ViolationKind.COALITION, (0, 1, 2), 1, 2, (2,)),
+], ids=["total-value", "vertex", "coalition"])
+def test_verify_violation_rejects_witness_edges_on_kinds_without_them(
+        counterexample, p, kind, coalition, allocated, bound, witness):
+    # these kinds carry no witness; each certificate is genuine without one,
+    # and passed with one
+    p = alloc(*p)
+    real = model.Violation(kind, coalition, Fraction(allocated), Fraction(bound))
+    assert verify_violation(counterexample, p, real)
+    assert not verify_violation(counterexample, p, model.Violation(
+        kind, coalition, Fraction(allocated), Fraction(bound), witness))
+
+
+def test_verify_violation_checks_a_coalition_bound_against_nu(counterexample):
+    p = alloc(0, 0, 1, 11, 0)
+    real = oracle.core_check_bruteforce(counterexample, p)
+    assert real.kind is ViolationKind.COALITION and verify_violation(counterexample, p, real)
+    assert not verify_violation(counterexample, p, model.Violation(
+        real.kind, real.coalition, real.allocated, real.bound + 1))
 
 
 @pytest.mark.parametrize("kind, coalition, allocated, bound, witness", [
