@@ -1,5 +1,7 @@
 """Linear constraint systems over exact rationals: a two-phase simplex for
-feasibility/optimization, and a deterministic LP-format writer/reader.
+feasibility/optimization, and a deterministic LP-format writer/reader that
+share one grammar: `parse_lp` reads exactly what `emit_lp` writes and
+rejects, naming its line, anything else.
 
 Variables are free unless the system contains an explicit sign constraint;
 the simplex presolves single-variable ">= 0" rows into variable bounds and
@@ -155,15 +157,11 @@ class ConstraintSystem:
         if not isinstance(other, ConstraintSystem):
             return NotImplemented
 
-        def obj(sys_):  # the nonzero values, read as the simplex reads them
-            exact = ((v, _exact(c)) for v, c in (sys_.objective or {}).items())
-            return {v: c for v, c in exact if c}
-
         return (
             self.name == other.name
             and self.variables == other.variables
             and self.constraints == other.constraints
-            and obj(self) == obj(other)
+            and _objective_terms(self) == _objective_terms(other)
         )
 
 
@@ -393,13 +391,22 @@ class _Tableau:
         return {v: _exact(x) if x else _ZERO for v, x in values.items()}
 
 
-def _check_objective(system: ConstraintSystem) -> None:
-    """Raise ValueError if a nonzero objective term uses an undeclared
-    variable, as `add_constraint` does for a row; a value is read exactly, so
-    "0" and 0.0 are zeros."""
-    unknown = {v for v, c in (system.objective or {}).items() if _exact(c)} - system._vs
+def _objective_terms(system: ConstraintSystem) -> dict[str, Fraction]:
+    """The objective's nonzero terms, each value read exactly as the simplex
+    reads it, so "0" and 0.0 are zeros."""
+    exact = ((v, _exact(c)) for v, c in (system.objective or {}).items())
+    return {v: c for v, c in exact if c}
+
+
+def _check_objective(system: ConstraintSystem) -> dict[str, Fraction]:
+    """The objective's nonzero terms (see `_objective_terms`); raises
+    ValueError if one uses an undeclared variable, as `add_constraint` does
+    for a row."""
+    terms = _objective_terms(system)
+    unknown = terms.keys() - system._vs
     if unknown:
         raise ValueError(f"objective uses undeclared {sorted(unknown)}")
+    return terms
 
 
 def _check_witness(system: ConstraintSystem, point: dict[str, Fraction]) -> None:
@@ -447,10 +454,22 @@ def simplex_solve(system: ConstraintSystem) -> SimplexResult:
 # "\X name: 1/3 x + ... <= 2/3" that external parsers skip as a comment.
 # Informational "\ exact" comments carry the fraction form of decimal rows.
 # Variable and constraint names match [A-Za-z_][A-Za-z0-9_]*, so no name can
-# read as a number, an operator, a separator or two tokens.
+# read as a number, an operator, a separator or two tokens. The patterns
+# below are that grammar; `_check_names` holds the writer to it, and
+# `parse_lp` reads nothing outside it.
 # ---------------------------------------------------------------------------
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME)
+# a magnitude: an integer, a decimal or a fraction with a nonzero denominator
+_NUM = r"[0-9]+(?:\.[0-9]+|/[1-9][0-9]*)?"
+# a term: a sign (optional on a row's first term), an optional magnitude
+# with a space before the name, and the name
+_TERM_RE = re.compile(rf"\s*([+-]?)\s*(?:({_NUM})\s+)?({_NAME})\s*")
+_ROW_RE = re.compile(
+    rf"(?P<name>{_NAME}):(?P<terms>[^<>=]*)(?:(?P<rel><=|>=|=)\s*(?P<rhs>-?{_NUM}))?"
+)
+_BOUND_RE = re.compile(rf"({_NAME})\s+free")
 
 
 def _check_names(system: ConstraintSystem) -> None:
@@ -537,9 +556,9 @@ def _terms(names, coeffs, heads: dict, k: int, rank: int) -> tuple[int, str]:
 
 def emit_lp(system: ConstraintSystem, sink: TextIO) -> None:
     """Write the system deterministically in LP format (see module notes).
-    Raises ValueError if the objective uses an undeclared variable or a
-    name breaks the name grammar."""
-    _check_objective(system)
+    Raises ValueError if the objective or a row uses an undeclared variable
+    or a name breaks the name grammar."""
+    obj = _check_objective(system)
     _check_names(system)
     order = system.variables
     pos = {v: i for i, v in enumerate(order)}
@@ -551,13 +570,9 @@ def emit_lp(system: ConstraintSystem, sink: TextIO) -> None:
 
     def row(coeffs, rank) -> tuple[int, str, Optional[str]]:
         """(rank, exact terms, decimal terms) of a row whose rhs ranks `rank`;
-        every coefficient ranks, but a term over an undeclared name is not
-        written. The decimal terms are None at rank 2."""
-        try:
-            names = sorted(coeffs, key=pos.__getitem__)
-        except KeyError:  # an undeclared name: rank its coefficient, skip its term
-            names = sorted(filter(pos.__contains__, coeffs), key=pos.__getitem__)
-            rank = _terms(coeffs.keys() - pos.keys(), coeffs, heads, 1, rank)[0]
+        the decimal terms are None at rank 2. Raises KeyError naming a
+        variable that is not declared."""
+        names = sorted(coeffs, key=pos.__getitem__)
         rank, exact = _terms(names, coeffs, heads, 1, rank)
         if rank == 1:
             return rank, exact, _terms(names, coeffs, heads, 2, rank)[1]
@@ -567,7 +582,6 @@ def emit_lp(system: ConstraintSystem, sink: TextIO) -> None:
     w(f"\\ constraint-system: {system.name}\n")
     w(f"\\ variables: {len(order)}  constraints: {len(system.constraints)}\n")
     w("Minimize\n")
-    obj = {v: _exact(c) for v, c in (system.objective or {}).items()}
     rank, exact, decimal = row(obj, 0)
     if rank == 2:
         w(f"\\X obj: {exact}\n")
@@ -581,7 +595,10 @@ def emit_lp(system: ConstraintSystem, sink: TextIO) -> None:
         rhs = values.get(id(con.rhs))
         if rhs is None:
             rhs = values[id(con.rhs)] = _forms(con.rhs)
-        rank, exact, decimal = row(con.coeffs, rhs[0])
+        try:
+            rank, exact, decimal = row(con.coeffs, rhs[0])
+        except KeyError as exc:  # pos has no entry for the variable
+            raise _undeclared(con, exc.args) from None
         if rank == 2:
             w(f"\\X {con.name}: {exact} {con.rel} {rhs[1]}\n")
         else:
@@ -594,109 +611,82 @@ def emit_lp(system: ConstraintSystem, sink: TextIO) -> None:
     w("End\n")
 
 
-def _parse_term_list(text: str, where: str) -> dict[str, Fraction]:
-    toks = text.replace("+", " + ").replace("-", " - ").split()
+def _read_terms(text: str) -> dict[str, Fraction]:
+    """The coefficients of a term list (see `_TERM_RE`), or {} for "0"."""
+    text = text.strip()
     coeffs: dict[str, Fraction] = {}
-    sign = Fraction(1)
-    pending: Optional[Fraction] = None
-    for tok in toks:
-        if tok == "+":
-            sign = Fraction(1) if pending is None else sign
-            continue
-        if tok == "-":
-            if pending is None:
-                sign = -sign if sign < 0 else Fraction(-1)
-            continue
-        head = tok[0]
-        if head.isdigit() or head == ".":
-            value = Fraction(tok)
-            if pending is not None:
-                raise ValueError(f"two consecutive numbers in {where}")
-            pending = value
-        else:
-            coeff = sign if pending is None else sign * pending
-            coeffs[tok] = coeffs.get(tok, Fraction(0)) + coeff
-            sign = Fraction(1)
-            pending = None
-    if pending is not None and pending != 0:
-        raise ValueError(f"dangling number in {where}")
-    return {v: c for v, c in coeffs.items() if c != 0}
+    pos = 0
+    while text != "0" and (pos < len(text) or not coeffs):
+        m = _TERM_RE.match(text, pos)
+        if m is None:
+            raise ValueError(f"no term at {text[pos:]!r}")
+        sign, num, name = m.groups()
+        if coeffs and not sign:
+            raise ValueError(f"no sign before {name!r}")
+        if name in coeffs:
+            raise ValueError(f"{name!r} twice in one row")
+        c = Fraction(num) if num else _ONE
+        coeffs[name] = -c if sign == "-" else c
+        pos = m.end()
+    return coeffs
 
 
-def _parse_constraint_line(body: str, where: str):
-    name, _, rest = body.partition(":")
-    name = name.strip()
-    if not name:
-        raise ValueError(f"constraint without a name in {where}")
-    for rel in ("<=", ">=", "="):
-        lhs, sep, rhs = rest.partition(rel)
-        if sep:
-            return name, _parse_term_list(lhs, where), rel, Fraction(rhs.strip())
-    raise ValueError(f"no relation in {where}")
+def _read_row(text: str, objective: bool) -> tuple:
+    """(name, coefficients, relation, rhs) of "name: terms rel rhs", or of
+    "name: terms", with relation and rhs None, when `objective`."""
+    m = _ROW_RE.fullmatch(text.strip())
+    if m is None or (m["rel"] is None) != objective:
+        raise ValueError("not " + ("an objective 'name: terms'" if objective
+                                   else "a row 'name: terms rel rhs'"))
+    return m["name"], _read_terms(m["terms"]), m["rel"], m["rhs"] and Fraction(m["rhs"])
+
+
+_SECTIONS = ("Minimize", "Subject To", "Bounds", "End")
 
 
 def parse_lp(source) -> ConstraintSystem:
-    """Read a file produced by emit_lp back into an equal ConstraintSystem."""
+    """Read LP text in the grammar `emit_lp` writes (see module notes) into a
+    ConstraintSystem; raises ValueError naming the first line outside the
+    grammar, or a row or objective term over an undeclared variable."""
     text = source.read() if hasattr(source, "read") else source
     name = ""
-    objective: Optional[dict[str, Fraction]] = None
+    objectives: dict[bool, dict[str, Fraction]] = {}  # keyed by "is a \\X row"
     constraints: list[Constraint] = []
     variables: list[str] = []
-    section = None
-    obj_text: Optional[str] = None
-    obj_override: Optional[dict[str, Fraction]] = None
-
-    for raw in text.splitlines():
-        line = raw.rstrip()
-        if not line.strip():
-            continue
-        stripped = line.strip()
-        if stripped.startswith("\\X"):
-            body = stripped[2:].strip()
-            if section == "minimize":
-                obj_override = _parse_term_list(body.partition(":")[2], "objective")
+    section = number = 0  # section: how many section lines have been read
+    for number, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        exact = line.startswith("\\X")
+        body = line[2:] if exact else line
+        try:
+            if line in _SECTIONS:
+                if section == 4 or line != _SECTIONS[section]:
+                    raise ValueError(f"section {line!r} out of order")
+                section += 1
+            elif line.startswith("\\ constraint-system:"):
+                name = line.partition(":")[2].strip()
+            elif not line or (line.startswith("\\") and not exact):
+                continue  # a blank line or a comment
+            elif section == 1:
+                if exact in objectives:
+                    raise ValueError("a second objective")
+                objectives[exact] = _read_row(body, True)[1]
+            elif section == 2:
+                constraints.append(Constraint(*_read_row(body, False)))
+            elif section == 3 and not exact:
+                m = _BOUND_RE.fullmatch(line)
+                if m is None:
+                    raise ValueError("not a bound 'name free'")
+                variables.append(m[1])
             else:
-                cname, coeffs, rel, rhs = _parse_constraint_line(body, body)
-                constraints.append(Constraint(cname, coeffs, rel, rhs))
-            continue
-        if stripped.startswith("\\"):
-            comment = stripped[1:].strip()
-            if comment.startswith("constraint-system:"):
-                name = comment.partition(":")[2].strip()
-            continue
-        lowered = stripped.lower()
-        if lowered == "minimize":
-            section = "minimize"
-            continue
-        if lowered == "maximize":
-            raise ValueError("only minimization problems are supported")
-        if lowered == "subject to":
-            section = "subject to"
-            continue
-        if lowered == "bounds":
-            section = "bounds"
-            continue
-        if lowered == "end":
-            break
-        if section == "minimize":
-            obj_text = stripped.partition(":")[2].strip()
-        elif section == "subject to":
-            cname, coeffs, rel, rhs = _parse_constraint_line(stripped, stripped)
-            constraints.append(Constraint(cname, coeffs, rel, rhs))
-        elif section == "bounds":
-            parts = stripped.split()
-            if len(parts) == 2 and parts[1] == "free":
-                variables.append(parts[0])
-            else:
-                raise ValueError(f"unsupported bounds line: {stripped}")
-
-    if obj_override is not None:
-        objective = obj_override
-    elif obj_text:
-        parsed = _parse_term_list(obj_text, "objective")
-        objective = parsed or None
-
-    system = ConstraintSystem(name=name, variables=variables, objective=objective)
-    for con in constraints:
-        system.add_constraint(con.name, con.coeffs, con.rel, con.rhs)
+                raise ValueError("a line outside Minimize, Subject To and Bounds")
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}: {raw!r}") from None
+    if section != 4:
+        raise ValueError(f"line {number + 1}: no End line before the text ends")
+    system = ConstraintSystem(
+        name=name, variables=variables, constraints=constraints,
+        objective=objectives.get(True, objectives.get(False)) or None,
+    )
+    _check_objective(system)
     return system

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from ._edmonds import matched_edges, warm_matched_edges
-from .model import Instance, InvariantError, check_coalition, check_simple_graph
+from .model import Instance, InvariantError, _is_exact, check_coalition, check_simple_graph
 
 
 class NoPerfectMatchingError(ValueError):
@@ -75,10 +75,14 @@ def _lex_min(weights, opt, completion, complete) -> MatchingResult:
 
 
 def _checked_weights(vertices, edges, weights) -> list[Fraction]:
-    """`weights` as Fractions, one per edge of a simple graph on `vertices`."""
+    """`weights` as Fractions, one per edge of a simple graph on `vertices`;
+    each must be an int or a Fraction (floats, bools and strings are not)."""
     check_simple_graph(vertices, edges)
     if len(edges) != len(weights):
         raise ValueError("edges and weights differ in length")
+    for k, w in enumerate(weights):
+        if not _is_exact(w):
+            raise ValueError(f"weight on edge {k} is not an int or a Fraction: {w!r}")
     return [Fraction(w) for w in weights]
 
 

@@ -33,12 +33,21 @@ class InvariantError(RuntimeError):
     explicitly rather than asserted, so `python -O` keeps the check."""
 
 
+def _int(digits: str, line: Optional[int]) -> int:
+    """int(digits) for ASCII digits with an optional sign; more digits than
+    Python converts (sys.get_int_max_str_digits()) is a FormatError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise FormatError(f"integer with too many digits ({len(digits)})", line) from None
+
+
 def parse_uint(token: str, line: Optional[int] = None) -> int:
     """Parse an unsigned ASCII integer, [0-9]+; reject signs, "_" and other
     digits."""
     if not (token.isascii() and token.isdigit()):
         raise FormatError(f"malformed integer {token!r}", line)
-    return int(token)
+    return _int(token, line)
 
 
 def parse_rational(token: str, line: Optional[int] = None) -> Fraction:
@@ -50,10 +59,11 @@ def parse_rational(token: str, line: Optional[int] = None) -> Fraction:
     # letting Fraction parse the string again
     num, slash, den = token.partition("/")
     if not slash:
-        return Fraction(int(num))
-    if int(den) == 0:
+        return Fraction(_int(num, line))
+    d = _int(den, line)
+    if d == 0:
         raise FormatError(f"zero denominator in {token!r}", line)
-    return Fraction(int(num), int(den))
+    return Fraction(_int(num, line), d)
 
 
 class Edge(NamedTuple):
@@ -138,6 +148,9 @@ class Instance:
                 raise ValueError(f"capacity at vertex {v} is not an int: {bv!r}")
             if bv not in (1, 2):
                 raise ValueError(f"capacity out of range at vertex {v}: {bv}")
+        for k, e in enumerate(self.edges):
+            if not isinstance(e, Edge):
+                raise ValueError(f"edge {k} is not an Edge: {e!r}")
         check_simple_graph(range(self.n), self.edges)
         for e in self.edges:
             if not _is_exact(e.w):

@@ -354,11 +354,20 @@ def find_negative_cycle(g: CostedGraph) -> Optional[Cycle]:
     return best
 
 
+# the costed-graph format has no vertex lines, so its header alone sets how
+# many vertices are built; the brute-force oracles that read it refuse more
+# than 10 anyway
+_MAX_FILE_VERTICES = 2**16
+
+
 def parse_cost_graph(text: str) -> CostedGraph:
     """Read the costed-graph debug format: "costs <n> <m>" then m lines
-    "edge <u> <v> <c>" with signed rationals."""
+    "edge <u> <v> <c>" with signed rationals; n is at most
+    _MAX_FILE_VERTICES."""
     lines = list(_content_lines(text))
     n, m = parse_header(lines, "costs", "cost-graph")
+    if n > _MAX_FILE_VERTICES:
+        raise FormatError(f"{n} vertices, more than {_MAX_FILE_VERTICES}", lines[0][0])
     if len(lines) != 1 + m:
         raise FormatError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = parse_edge_lines(lines[1:], "c")

@@ -275,10 +275,15 @@ COSTS = "costs 3 3\nedge 0 1 -3\nedge 1 2 1\nedge 0 2 1\n"
         (COSTS.replace("edge 1 2 1", "edge 0 0 1"), None, "line 3: loop at vertex 0"),
         (COSTS.replace("edge 1 2 1", "edge 1 0 1"), None, "line 3: duplicate edge 1-0"),
         (COSTS.replace("costs 3", "costs x"), None, "line 1: malformed integer 'x'"),
+        (COSTS.replace("costs 3", "costs 99999999999999999999"), None,
+         "line 1: 99999999999999999999 vertices, more than 65536"),
+        (COSTS.replace("costs 3", "costs " + "9" * 5000), None,
+         "line 1: integer with too many digits (5000)"),
         (COSTS, "1\n# comment\n-1\n1\n", "line 3: negative x entry -1"),
         (COSTS, "1\n1\n٣\n", "line 3: malformed rational"),
     ],
-    ids=["loop", "duplicate-edge", "header-count", "negative-x", "non-ascii-x"],
+    ids=["loop", "duplicate-edge", "header-count", "vertex-count", "long-count", "negative-x",
+         "non-ascii-x"],
 )
 def test_malformed_cost_files_exit_3(capsys, tmp_path, costs, xvector, message):
     cfile = tmp_path / "g.costs"

@@ -349,6 +349,77 @@ def test_parse_rejects_maximize():
         parse_lp("Maximize\n obj: x\nSubject To\n c: x <= 1\nBounds\n x free\nEnd\n")
 
 
+_HEAD = "\\ constraint-system: bad\nMinimize\n obj: x\nSubject To\n"
+_TAIL = "Bounds\n x free\n y free\nEnd\n"
+
+# case -> (LP text, the line the error names); each is one defect in text
+# that parse_lp reads once the defect is mended
+MALFORMED_LP = {
+    "line before Minimize": ("junk: x <= 1\n" + _HEAD + _TAIL, 1),
+    "lower-case section": (_HEAD.replace("Minimize", "minimize") + _TAIL, 2),
+    "line after End": (_HEAD + _TAIL + " c: x <= 1\n", 9),
+    "comment after End, then a row": (_HEAD + _TAIL + "\\ note\n c: x <= 1\n", 10),
+    "section out of order": ("Subject To\n c: x <= 1\nMinimize\n obj: x\n" + _TAIL, 1),
+    "Bounds before Subject To": (_HEAD.replace("Subject To", "Bounds") + _TAIL, 4),
+    "section twice": (_HEAD + "Subject To\n" + _TAIL, 5),
+    "missing End": (_HEAD + _TAIL.replace("End\n", ""), 8),
+    "Maximize": (_HEAD.replace("Minimize", "Maximize") + _TAIL, 2),
+    "two adjacent names": (_HEAD + " c1: x y <= 3\n" + _TAIL, 5),
+    "number after a name": (_HEAD + " c1: x 2 y <= 3\n" + _TAIL, 5),
+    "sign with no name": (_HEAD + " c1: x + <= 1\n" + _TAIL, 5),
+    "number with no name": (_HEAD + " c1: x + 2 <= 1\n" + _TAIL, 5),
+    "two numbers": (_HEAD + " c1: 2 3 x <= 1\n" + _TAIL, 5),
+    "number glued to a name": (_HEAD + " c1: 2x <= 1\n" + _TAIL, 5),
+    "no terms": (_HEAD + " c1: <= 1\n" + _TAIL, 5),
+    "name twice in a row": (_HEAD + " c1: x + x <= 2\n" + _TAIL, 5),
+    "name twice in the objective": (_HEAD.replace("obj: x", "obj: x - x") + _TAIL, 3),
+    "row name outside the grammar": (_HEAD + " 3bad: x <= 1\n" + _TAIL, 5),
+    "variable outside the grammar": (_HEAD + " c1: x - é <= 1\n" + _TAIL, 5),
+    "bound outside the grammar": (_HEAD + _TAIL.replace(" y free", " x-1 free"), 7),
+    "bound that is not free": (_HEAD + _TAIL.replace(" y free", " y >= 0"), 7),
+    "row without a relation": (_HEAD + " c1: x + y\n" + _TAIL, 5),
+    "objective with a relation": (_HEAD.replace("obj: x", "obj: x <= 1") + _TAIL, 3),
+    "second objective": (_HEAD.replace("Subject To", " obj2: y\nSubject To") + _TAIL, 4),
+    "second exact objective": (_HEAD.replace(" obj: x", "\\X obj: x\n\\X obj: y") + _TAIL, 4),
+    "exact row under Bounds": (_HEAD + "Bounds\n\\X c: 1/3 x <= 1\n x free\nEnd\n", 6),
+    "zero denominator": (_HEAD + " c1: x <= 1/0\n" + _TAIL, 5),
+    "rhs with no number": (_HEAD + " c1: x <=\n" + _TAIL, 5),
+}
+
+
+@pytest.mark.parametrize("text, line", MALFORMED_LP.values(), ids=MALFORMED_LP)
+def test_parse_rejects_malformed_lp(text, line):
+    with pytest.raises(ValueError, match=rf"^line {line}: "):
+        parse_lp(text)
+
+
+def test_parse_reads_the_grammar():
+    # blank lines, comments, CRLF and spacing around signs are read; a
+    # "\X" row replaces the objective written after it
+    assert parse_lp(_HEAD + _TAIL).variables == ["x", "y"]
+    text = (
+        _HEAD.replace(" obj: x", "\\X obj: 1/3 x\n obj: 0")
+        + "\n c1: -2 x+y <= -1/2\n\\ a comment\n c2: 0 = 0\n"
+        + _TAIL + "\\ after End\n"
+    )
+    for lines in (text, text.replace("\n", "\r\n")):
+        s = parse_lp(lines)
+        assert s.name == "bad" and s.variables == ["x", "y"]
+        assert s.objective == {"x": Fraction(1, 3)}
+        assert s.constraints == [
+            Constraint("c1", {"x": -2, "y": 1}, "<=", Fraction(-1, 2)),
+            Constraint("c2", {}, "=", 0),
+        ]
+    assert parse_lp(text.replace("\\X obj: 1/3 x\n", "")).objective is None
+
+
+def test_parse_rejects_undeclared_names():
+    with pytest.raises(ValueError, match=r"constraint c1 uses undeclared \['z'\]"):
+        parse_lp(_HEAD + " c1: x - z <= 1\n" + _TAIL)
+    with pytest.raises(ValueError, match=r"objective uses undeclared \['z'\]"):
+        parse_lp(_HEAD.replace("obj: x", "obj: z") + _TAIL)
+
+
 def test_constructor_rows_over_undeclared_variables_rejected():
     # such a row used to build: simplex_feasible then raised KeyError and
     # emit_lp dropped the term, so the system did not round-trip
@@ -377,7 +448,7 @@ def test_constraint_validation():
 FLOW_PRIMAL_DIGEST = "d0714296a3bf102e03ff3a59ff4906d298f9ce853bd4b58a7e4675bfce1694c0"
 DUAL_DIGEST = "c2c5776fbb4cc2759be3aed60cec7f3dd800a41924b9812973348705a6d8215a"
 CORPUS_PIVOTS = 2647
-EMIT_DIGEST = "4d851533548c1ee7b7fdda54a95eda39c275e25846f48bd12bf0739bbfcfd5e3"
+EMIT_DIGEST = "a4e78dbc6931cb535770daa383cb775cafa54aa9a4434ddeee371a8278483b9f"
 
 
 def _digest(items) -> str:
@@ -592,8 +663,8 @@ def test_results_are_fractions():
 
 def _hand_built_systems():
     """Systems whose rows list variables out of declaration order, carry zero
-    coefficients or an undeclared variable, have no finite decimal expansion,
-    or have a fractional objective."""
+    coefficients, have no finite decimal expansion, or have a fractional
+    objective."""
     shuffled = ConstraintSystem(name="shuffled", variables=["c", "a", "b"])
     shuffled.add_constraint("r0", {"b": 2, "c": -1, "a": Fraction(1, 4)}, "<=", 3)
     shuffled.add_constraint("r1", {"b": Fraction(-7, 5), "a": 1}, ">=", Fraction(-1, 8))
@@ -611,11 +682,7 @@ def _hand_built_systems():
     thirds.add_constraint("r1", {"v": 1, "u": Fraction(1, 2)}, ">=", Fraction(1, 7))
     thirds.add_constraint("r2", {"u": Fraction(3, 2)}, "=", Fraction(5, 4))
     thirds.objective = {"v": Fraction(1, 3), "u": Fraction(1, 2)}
-
-    # the constructor rejects the row, so it is appended past the check
-    undeclared = ConstraintSystem(name="undeclared", variables=["q", "p"])
-    undeclared.constraints.append(Constraint("r0", {"zz": 1, "p": -1, "q": 2}, "<=", 1))
-    return [shuffled, zeros, thirds, undeclared, ConstraintSystem(name="empty")]
+    return [shuffled, zeros, thirds, ConstraintSystem(name="empty")]
 
 
 def _emit_corpus():
@@ -789,8 +856,8 @@ def test_simplex_rejects_late_rows_over_undeclared_variables(objective):
     for solve in (simplex_feasible, simplex_solve):
         with pytest.raises(ValueError, match=r"constraint r1 uses undeclared \['zz'\]"):
             solve(s)
-    # the writer still skips the term, as pinned by EMIT_DIGEST
-    assert " r1: 2 q - p <= 1\n" in _emitted(s)
+    with pytest.raises(ValueError, match=r"constraint r1 uses undeclared \['zz'\]"):
+        emit_lp(s, io.StringIO())
 
     # a one-term sign row is not presolved into a bound on a missing column
     sign = ConstraintSystem(name="late", variables=["q", "p"], objective=objective)

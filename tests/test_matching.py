@@ -119,6 +119,14 @@ def test_min_perfect_k4_structured():
     assert r.edges == (0, 1) and r.weight == 2
 
 
+@pytest.mark.parametrize("solve", [max_weight_matching, min_weight_perfect_matching])
+@pytest.mark.parametrize("weights", [[0.1, 0.2], ["1/2", "1/3"], [True, 1], [1, None]])
+def test_matchings_reject_inexact_weights(solve, weights):
+    # Fraction(w) used to take each of these: 0.1 became 3602879701896397/2**55
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        solve([0, 1, 2, 3], [(0, 1), (2, 3)], weights)
+
+
 def test_min_perfect_requires_perfect():
     with pytest.raises(NoPerfectMatchingError):
         min_weight_perfect_matching(range(3), [(0, 1)], [1])

@@ -219,6 +219,13 @@ def test_instance_rejects_inexact_weights(w):
         Instance(2, (1, 1), (Edge(0, 1, w),))
 
 
+@pytest.mark.parametrize("edge", [(0, 1, Fraction(1)), [0, 1, 1], None])
+def test_instance_rejects_edges_that_are_not_edges(edge):
+    # a plain tuple used to fail with AttributeError on its missing .w
+    with pytest.raises(ValueError, match=r"edge 1 is not an Edge"):
+        Instance(3, (1, 1, 1), (Edge(1, 2, 1), edge))
+
+
 @pytest.mark.parametrize("b", [(1.0, 2.0), (True, 2), (1, Fraction(2))])
 def test_instance_rejects_inexact_capacities(b):
     # a float or bool capacity used to build, and emit_instance then wrote a
