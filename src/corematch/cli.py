@@ -309,6 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a value derived from the files (nu(N) over many edges, say) may have
+    # more digits than Python turns into text by default; the parsers cap
+    # their input at model.MAX_DIGITS, so the command runs without the
+    # interpreter's limit, which is restored on return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except FormatError as exc:
@@ -326,6 +332,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

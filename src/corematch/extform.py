@@ -20,11 +20,11 @@ from fractions import Fraction
 from typing import Optional
 
 from . import separation
-from .linsys import _MINUS_ONE, _ONE, ConstraintSystem, simplex_feasible, simplex_solve
+from .linsys import ConstraintSystem, simplex_feasible, simplex_solve
 from .model import Allocation, Instance, check_allocation_length
 from .negcycle import CostedGraph
 
-# the p coefficient of every cost row of the formulation, one shared object
+# the p coefficient of every cost row of the formulation
 _MINUS_HALF = Fraction(-1, 2)
 
 
@@ -121,21 +121,21 @@ def build_flow_primal(g: CostedGraph) -> ConstraintSystem:
     for i, ebar in enumerate(g.edges):
         # conservation at every vertex: out-arcs +1, in-arcs -1; x_ē leaves u
         # and arrives at v
-        flow: dict[int, dict[str, Fraction]] = {v: {} for v in g.vertices}
+        flow: dict[int, dict[str, int]] = {v: {} for v in g.vertices}
         for _, a, b, name in y[i]:
-            flow[a][name] = _ONE
-            flow[b][name] = _MINUS_ONE
-        flow[ebar.u][x[i]] = _MINUS_ONE
-        flow[ebar.v][x[i]] = _ONE
+            flow[a][name] = 1
+            flow[b][name] = -1
+        flow[ebar.u][x[i]] = -1
+        flow[ebar.v][x[i]] = 1
         for v, coeffs in flow.items():
             sys.add_constraint(f"flow_e{i}_v{v}", coeffs, "=", 0)
         for j, a, b, name in y[i]:
-            sys.add_constraint(f"cap_e{i}_{a}_{b}", {name: _ONE, x[j]: _MINUS_ONE}, "<=", 0)
+            sys.add_constraint(f"cap_e{i}_{a}_{b}", {name: 1, x[j]: -1}, "<=", 0)
     for i in range(m):
-        sys.add_constraint(f"nn_x_e{i}", {x[i]: _ONE}, ">=", 0)
+        sys.add_constraint(f"nn_x_e{i}", {x[i]: 1}, ">=", 0)
     for i in range(m):
         for _, a, b, name in y[i]:
-            sys.add_constraint(f"nn_y_e{i}_{a}_{b}", {name: _ONE}, ">=", 0)
+            sys.add_constraint(f"nn_y_e{i}_{a}_{b}", {name: 1}, ">=", 0)
     return sys
 
 
@@ -162,25 +162,25 @@ def _dual_block(sys: ConstraintSystem, g: CostedGraph, prefix: str,
         for (a, b), name in lam[i].items():
             sys.add_constraint(
                 f"{prefix}arc_e{i}_{a}_{b}",
-                {gamma[i][a]: _ONE, gamma[i][b]: _MINUS_ONE, name: _MINUS_ONE},
+                {gamma[i][a]: 1, gamma[i][b]: -1, name: -1},
                 "<=",
                 0,
             )
     for i, ebar in enumerate(g.edges):
         u, v = ebar.u, ebar.v
-        coeffs: dict[str, Fraction] = {gamma[i][u]: _MINUS_ONE, gamma[i][v]: _ONE}
+        coeffs: dict[str, int | Fraction] = {gamma[i][u]: -1, gamma[i][v]: 1}
         # capacity multipliers of edge ē inside every other block
         for k in range(m):
             if k != i:
-                coeffs[lam[k][u, v]] = _ONE
-                coeffs[lam[k][v, u]] = _ONE
+                coeffs[lam[k][u, v]] = 1
+                coeffs[lam[k][v, u]] = 1
         if symbolic:
             coeffs[f"p_{u}"] = _MINUS_HALF
             coeffs[f"p_{v}"] = _MINUS_HALF
         sys.add_constraint(f"{prefix}cost_e{i}", coeffs, "<=", ebar.cost)
     for i in range(m):
         for (a, b), name in lam[i].items():
-            sys.add_constraint(f"{prefix}nn_lam_e{i}_{a}_{b}", {name: _ONE}, ">=", 0)
+            sys.add_constraint(f"{prefix}nn_lam_e{i}_{a}_{b}", {name: 1}, ">=", 0)
 
 
 def build_dual_system(g: CostedGraph) -> ConstraintSystem:
@@ -199,13 +199,13 @@ def build_extended_formulation(inst: Instance) -> ConstraintSystem:
     for v in range(inst.n):
         sys.add_variable(f"p_{v}")
     sys.add_constraint(
-        "total", {f"p_{v}": _ONE for v in range(inst.n)}, "=", inst.grand_value
+        "total", {f"p_{v}": 1 for v in range(inst.n)}, "=", inst.grand_value
     )
     for v in range(inst.n):
-        sys.add_constraint(f"nn_p_{v}", {f"p_{v}": _ONE}, ">=", 0)
+        sys.add_constraint(f"nn_p_{v}", {f"p_{v}": 1}, ">=", 0)
     for i, e in enumerate(inst.edges):
         sys.add_constraint(
-            f"edge_e{i}", {f"p_{e.u}": _ONE, f"p_{e.v}": _ONE}, ">=", e.w
+            f"edge_e{i}", {f"p_{e.u}": 1, f"p_{e.v}": 1}, ">=", e.w
         )
     for k, g in enumerate(enumerate_family(inst).members):
         _dual_block(sys, g, f"g{k}_", True)

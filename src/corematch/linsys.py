@@ -5,19 +5,19 @@ rejects, naming its line, anything else.
 
 Variables are free unless the system contains an explicit sign constraint;
 the simplex presolves single-variable ">= 0" rows into variable bounds and
-splits the remaining free variables. Arithmetic is exact: constraint
-coefficients, right-hand sides, witnesses and objective values are
-fractions.Fraction, and a tableau entry is an int when it is integral and a
-Fraction only when it is not, so a pivot on a +-1 element stays in ints.
+splits the remaining free variables. Arithmetic is exact, under one number
+rule from the row to the tableau: a value is an int when it is integral and
+a Fraction only when it is not (`_value`), so a pivot on a +-1 element stays
+in ints. Constraint coefficients and right-hand sides are stored that way;
+witnesses and objective values are returned as fractions.Fraction.
 
-Every step costs time per nonzero, and each coefficient is converted once
-per call: the shared _ZERO, _ONE and _MINUS_ONE pass construction and
-tableau set-up by identity, a pivot visits only the rows that hold its
-column, and `emit_lp` formats each distinct coefficient and right-hand side
-once and writes each row's terms in declaration order. Every witness is
-still re-verified against every constraint before it is returned, by
-`Constraint.holds`, which sums in ints (a numerator over a denominator) so an
-integral row builds no Fraction."""
+Every step costs time per nonzero, and each coefficient is converted once,
+when its row is built: the tableau copies the row's values as they are, a
+pivot visits only the rows that hold its column, and `emit_lp` formats each
+distinct coefficient and right-hand side once and writes each row's terms in
+declaration order. Every witness is still re-verified against every
+constraint before it is returned, by `Constraint.holds`, which sums in ints
+(a numerator over a denominator) so an integral row builds no Fraction."""
 
 import re
 from dataclasses import dataclass, field
@@ -27,82 +27,64 @@ from typing import Mapping, Optional, TextIO
 
 from .model import InvariantError
 
-# shared constants: a zero right-hand side becomes _ZERO, and a row that
-# holds _ONE or _MINUS_ONE (extform builds its rows from them) is neither
-# re-coerced nor zero-tested, and maps to an int by identity
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
+
+def _value(x) -> int | Fraction:
+    """x under the module's number rule: an int if it is integral, else a
+    Fraction (x itself if it is one); a float or a string converts exactly."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _exact(x) -> Fraction:
-    """x as an exact Fraction (a float converts exactly), reusing a Fraction."""
+    """An output value x as a Fraction, reusing a Fraction."""
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _entry(x):
-    """A tableau entry: the int x.numerator if x is integral, else x."""
-    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass
 class Constraint:
     name: str
-    coeffs: dict[str, Fraction]
+    coeffs: dict[str, int | Fraction]
     rel: str  # one of "<=", "=", ">="
-    rhs: Fraction
+    rhs: int | Fraction
 
     def __post_init__(self):
         if self.rel not in ("<=", "=", ">="):
             raise ValueError(f"bad relation {self.rel!r}")
         coeffs = {}
         for v, c in self.coeffs.items():
-            if c is not _ONE and c is not _MINUS_ONE:
-                if type(c) is not Fraction:
-                    c = Fraction(c)
-                if not c:  # a zero is dropped after coercion ("0", 0.0, Fraction(0))
-                    continue
-            coeffs[v] = c
+            if type(c) is not int:  # most coefficients are ints already
+                c = _value(c)
+            if c:  # a zero is dropped after conversion ("0", 0.0, Fraction(0))
+                coeffs[v] = c
         self.coeffs = coeffs
-        rhs = self.rhs
-        if type(rhs) is int and not rhs:  # the common zero, without a Fraction() call
-            rhs = _ZERO
-        elif rhs is not _ZERO:
-            if type(rhs) is not Fraction:
-                rhs = Fraction(rhs)
-            if not rhs:
-                rhs = _ZERO
-        self.rhs = rhs
+        self.rhs = _value(self.rhs)
 
     def holds(self, point: Mapping[str, Fraction]) -> bool:
         """Exact test of the row at `point`; a variable missing from the point
         reads as 0 and a value that is neither an int nor a Fraction is
         converted exactly. The left-hand side is summed as an int numerator
-        over an int denominator, so an integral row builds no Fraction."""
+        over an int denominator (an int is its own numerator over 1), so an
+        integral row builds no Fraction."""
         num, den = 0, 1
         for v, c in self.coeffs.items():
             x = point.get(v)
-            if x is None or x is _ZERO:
+            if not x:  # missing, or a zero
                 continue
             if type(x) is not int and type(x) is not Fraction:
                 x = Fraction(x)
-            if c is _ONE:
-                tn, td = x.numerator, x.denominator
-            elif c is _MINUS_ONE:
-                tn, td = -x.numerator, x.denominator
-            else:
-                tn, td = c.numerator * x.numerator, c.denominator * x.denominator
+            tn, td = c.numerator * x.numerator, c.denominator * x.denominator
             if td == den:
                 num += tn
             else:
                 g = gcd(den, td)
                 num = num * (td // g) + tn * (den // g)
                 den = den // g * td
+        # compare num / den with rhs across the (positive) denominators
         rhs = self.rhs
-        if rhs is _ZERO:
-            rhs = 0
-        else:  # compare num / den with rhs across the (positive) denominators
-            num, rhs = num * rhs.denominator, rhs.numerator * den
+        num, rhs = num * rhs.denominator, rhs.numerator * den
         if self.rel == "<=":
             return num <= rhs
         if self.rel == ">=":
@@ -212,16 +194,13 @@ class _Tableau:
         rows_src = []
         for con in system.constraints:
             rel = con.rel
-            rhs = con.rhs
-            zero = rhs is _ZERO or not rhs
-            if len(con.coeffs) == 1 and rel != "=" and zero:
+            b = con.rhs
+            if len(con.coeffs) == 1 and rel != "=" and not b:
                 ((v, c),) = con.coeffs.items()
-                sign = c.numerator
-                if (sign > 0 and rel == ">=") or (sign < 0 and rel == "<="):
+                if (c > 0 and rel == ">=") or (c < 0 and rel == "<="):
                     nonneg[v] = con
                     continue
             # flip ">=" to "<=", then flip again if the rhs is negative
-            b = 0 if zero else _entry(rhs)
             flip = rel == ">="
             if flip:
                 b = -b
@@ -259,19 +238,12 @@ class _Tableau:
         add_row, add_basic = self.rows.append, self.basis.append
         try:
             for con, flip, rel, b in rows_src:
-                one = -1 if flip else 1
                 row = {}
-                for v, c in con.coeffs.items():
-                    if c is _ONE:
-                        q = one
-                    elif c is _MINUS_ONE:
-                        q = -one
-                    else:
-                        q = c.numerator if c.denominator == 1 else c  # _entry(c), inline
-                        if not q:
-                            continue
-                        if flip:
-                            q = -q
+                for v, q in con.coeffs.items():
+                    if not q:  # a zero written into the row after construction
+                        continue
+                    if flip:
+                        q = -q
                     plus, minus = col_of[v]
                     row[plus] = q
                     if minus is not None:
@@ -306,7 +278,7 @@ class _Tableau:
         elif piv != 1:
             inv = Fraction(1, piv)
             for j, x in prow.items():
-                prow[j] = _entry(x * inv)
+                prow[j] = _value(x * inv)
         for row in self.rows:  # a row without column c is left as it is
             if c in row and row is not prow:
                 _eliminate(row, prow, c)
@@ -375,30 +347,31 @@ class _Tableau:
         for j, (v, sign) in enumerate(self.cols):
             c = obj.get(v)
             if c:
-                c = _entry(_exact(c))
+                c = _value(c)
                 cost[j] = c if sign > 0 else -c
         self._price(cost)
         if self._bland(cost) == "unbounded":
             return "unbounded", None
         return "optimal", _exact(-cost.get(self.total, 0))
 
-    def witness(self) -> dict[str, Fraction]:
+    def witness(self) -> dict[str, int | Fraction]:
+        """Each variable's value at the current basis, in tableau values."""
         values = dict.fromkeys(self.sys.variables, 0)
         for row, b in zip(self.rows, self.basis):
             if b < self.nstruct:
                 v, sign = self.cols[b]
                 values[v] += sign * row.get(self.total, 0)
-        return {v: _exact(x) if x else _ZERO for v, x in values.items()}
+        return values
 
 
-def _objective_terms(system: ConstraintSystem) -> dict[str, Fraction]:
-    """The objective's nonzero terms, each value read exactly as the simplex
-    reads it, so "0" and 0.0 are zeros."""
-    exact = ((v, _exact(c)) for v, c in (system.objective or {}).items())
+def _objective_terms(system: ConstraintSystem) -> dict[str, int | Fraction]:
+    """The objective's nonzero terms, each value read as the simplex reads
+    it (`_value`), so "0" and 0.0 are zeros."""
+    exact = ((v, _value(c)) for v, c in (system.objective or {}).items())
     return {v: c for v, c in exact if c}
 
 
-def _check_objective(system: ConstraintSystem) -> dict[str, Fraction]:
+def _check_objective(system: ConstraintSystem) -> dict[str, int | Fraction]:
     """The objective's nonzero terms (see `_objective_terms`); raises
     ValueError if one uses an undeclared variable, as `add_constraint` does
     for a row."""
@@ -409,9 +382,13 @@ def _check_objective(system: ConstraintSystem) -> dict[str, Fraction]:
     return terms
 
 
-def _check_witness(system: ConstraintSystem, point: dict[str, Fraction]) -> None:
+def _verified_witness(system: ConstraintSystem, tab: _Tableau) -> dict[str, Fraction]:
+    """The tableau's witness, re-verified against every constraint in the
+    tableau's own values and then returned as Fractions."""
+    point = tab.witness()
     if not system.check_point(point):
         raise InvariantError("simplex witness failed re-verification")
+    return {v: _exact(x) for v, x in point.items()}
 
 
 def simplex_feasible(system: ConstraintSystem) -> SimplexResult:
@@ -420,9 +397,7 @@ def simplex_feasible(system: ConstraintSystem) -> SimplexResult:
     tab = _Tableau(system)
     if not tab.phase1():
         return SimplexResult(status="infeasible")
-    point = tab.witness()
-    _check_witness(system, point)
-    return SimplexResult(status="feasible", witness=point)
+    return SimplexResult(status="feasible", witness=_verified_witness(system, tab))
 
 
 def simplex_solve(system: ConstraintSystem) -> SimplexResult:
@@ -438,9 +413,8 @@ def simplex_solve(system: ConstraintSystem) -> SimplexResult:
     status, value = tab.phase2()
     if status == "unbounded":
         return SimplexResult(status="unbounded")
-    point = tab.witness()
-    _check_witness(system, point)
-    return SimplexResult(status="optimal", witness=point, objective=value)
+    return SimplexResult(status="optimal", witness=_verified_witness(system, tab),
+                         objective=value)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +447,14 @@ _BOUND_RE = re.compile(rf"({_NAME})\s+free")
 
 
 def _check_names(system: ConstraintSystem) -> None:
-    """Raise ValueError naming the first variable, then constraint, name
-    that `parse_lp` could not read back."""
+    """Raise ValueError naming the system name, or else the first variable,
+    then constraint, name that `parse_lp` could not read back. The system
+    name goes on one header line that is read back stripped, so it may hold
+    no line break (any that `str.splitlines` splits on) and no space at
+    either end."""
+    name = system.name
+    if name != name.strip() or len(name.splitlines()) > 1:
+        raise ValueError(f"system name {name!r} has a line break or a space at one end")
     for kind, names in (
         ("variable", system.variables),
         ("constraint", (con.name for con in system.constraints)),
@@ -611,10 +591,10 @@ def emit_lp(system: ConstraintSystem, sink: TextIO) -> None:
     w("End\n")
 
 
-def _read_terms(text: str) -> dict[str, Fraction]:
+def _read_terms(text: str) -> dict[str, int | Fraction]:
     """The coefficients of a term list (see `_TERM_RE`), or {} for "0"."""
     text = text.strip()
-    coeffs: dict[str, Fraction] = {}
+    coeffs: dict[str, int | Fraction] = {}
     pos = 0
     while text != "0" and (pos < len(text) or not coeffs):
         m = _TERM_RE.match(text, pos)
@@ -625,20 +605,20 @@ def _read_terms(text: str) -> dict[str, Fraction]:
             raise ValueError(f"no sign before {name!r}")
         if name in coeffs:
             raise ValueError(f"{name!r} twice in one row")
-        c = Fraction(num) if num else _ONE
+        c = _value(num) if num else 1
         coeffs[name] = -c if sign == "-" else c
         pos = m.end()
     return coeffs
 
 
 def _read_row(text: str, objective: bool) -> tuple:
-    """(name, coefficients, relation, rhs) of "name: terms rel rhs", or of
-    "name: terms", with relation and rhs None, when `objective`."""
+    """(name, coefficients, relation, rhs text) of "name: terms rel rhs", or
+    of "name: terms", with relation and rhs None, when `objective`."""
     m = _ROW_RE.fullmatch(text.strip())
     if m is None or (m["rel"] is None) != objective:
         raise ValueError("not " + ("an objective 'name: terms'" if objective
                                    else "a row 'name: terms rel rhs'"))
-    return m["name"], _read_terms(m["terms"]), m["rel"], m["rhs"] and Fraction(m["rhs"])
+    return m["name"], _read_terms(m["terms"]), m["rel"], m["rhs"]
 
 
 _SECTIONS = ("Minimize", "Subject To", "Bounds", "End")
@@ -650,7 +630,7 @@ def parse_lp(source) -> ConstraintSystem:
     grammar, or a row or objective term over an undeclared variable."""
     text = source.read() if hasattr(source, "read") else source
     name = ""
-    objectives: dict[bool, dict[str, Fraction]] = {}  # keyed by "is a \\X row"
+    objectives: dict[bool, dict[str, int | Fraction]] = {}  # keyed by "is a \\X row"
     constraints: list[Constraint] = []
     variables: list[str] = []
     section = number = 0  # section: how many section lines have been read

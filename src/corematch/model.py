@@ -33,13 +33,19 @@ class InvariantError(RuntimeError):
     explicitly rather than asserted, so `python -O` keeps the check."""
 
 
+# the most digits an integer in an input file may have (Python's default
+# limit on converting a str to an int); the parsers hold input to it
+# themselves, so the CLI can lift the interpreter's limit to print values
+# derived from the files, which may be longer
+MAX_DIGITS = 4300
+
+
 def _int(digits: str, line: Optional[int]) -> int:
-    """int(digits) for ASCII digits with an optional sign; more digits than
-    Python converts (sys.get_int_max_str_digits()) is a FormatError."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise FormatError(f"integer with too many digits ({len(digits)})", line) from None
+    """int(digits) for ASCII digits with an optional sign; more than
+    MAX_DIGITS digits is a FormatError."""
+    if len(digits.lstrip("+-")) > MAX_DIGITS:
+        raise FormatError(f"integer with too many digits ({len(digits)})", line)
+    return int(digits)
 
 
 def parse_uint(token: str, line: Optional[int] = None) -> int:

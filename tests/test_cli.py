@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -296,6 +297,43 @@ def test_malformed_cost_files_exit_3(capsys, tmp_path, costs, xvector, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
     assert message in err
+
+
+def test_values_past_pythons_digit_limit_print_in_full(tmp_path, capsys):
+    # nu(N) over two disjoint edges of weight 1/(10^3000 + 1) and
+    # 1/(10^3000 + 3) has a 6 001-digit denominator, past the 4 300 digits
+    # Python turns into text by default; the parsers keep their own cap
+    a, b = 10**3000 + 1, 10**3000 + 3
+    head = "game 4 2\n" + "".join(f"vertex {v} 1\n" for v in range(4))
+    game = tmp_path / "long.game"
+    game.write_text(head + f"edge 0 1 1/{a}\nedge 2 3 1/{b}\n")
+    alloc = tmp_path / "zero.alloc"
+    alloc.write_text("".join(f"{v} 0\n" for v in range(4)))
+    lp = tmp_path / "long.lp"
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        nu = str(Fraction(1, a) + Fraction(1, b))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    violated = f"VIOLATED kind=TotalValue S={{0,1,2,3}} p(S)=0 bound={nu}"
+    for argv, code, out in (
+        (["value", "-i", str(game)], 0, f"{nu}\n"),
+        (["check", "-i", str(game), "-a", str(alloc)], 10, f"{violated}\n"),
+        (["separate", "-i", str(game), "-a", str(alloc)], 10,
+         f"{violated}\nwitness: -\nreverified: yes\n"),
+        (["oracle", "nu", "-i", str(game), "-S", "0,1,2,3"], 0, f"{nu}\n"),
+        (["extform", "-i", str(game), "--emit", str(lp)], 0, f"wrote {lp}\n"),
+    ):
+        assert run(capsys, *argv) == (code, out, "")
+        assert sys.get_int_max_str_digits() == limit
+    assert f"\\X total: p_0 + p_1 + p_2 + p_3 = {nu}\n" in lp.read_text()
+    for digits, code in ((4300, 0), (4301, 3), (5000, 3)):
+        game.write_text(head + f"edge 0 1 {'9' * digits}\nedge 2 3 1\n")
+        got = run(capsys, "value", "-i", str(game))
+        assert got[0] == code and sys.get_int_max_str_digits() == limit
+        if code == 3:
+            assert got[2] == f"error: line 6: integer with too many digits ({digits})\n"
 
 
 @pytest.mark.parametrize("coalition", ["0_0", "+0", "٣", "1,+2", "2,0_3"])

@@ -178,6 +178,17 @@ def test_extended_formulation_counterexample(counterexample, counterexample_core
     assert not check_membership(counterexample, alloc(0, 0, 0, 0, 0))
 
 
+def test_formulation_values_are_ints_or_non_integral_fractions(counterexample):
+    # the linear systems hold every value under one number rule: an int when
+    # it is integral, a Fraction only when it is not
+    sys_ = build_extended_formulation(counterexample)
+    values = [c.rhs for c in sys_.constraints]
+    values += [x for c in sys_.constraints for x in c.coeffs.values()]
+    assert len(values) > 800 and Fraction(-1, 2) in values
+    for x in values:
+        assert type(x) is int or (type(x) is Fraction and x.denominator != 1), x
+
+
 def test_extended_formulation_edgeless():
     inst = parse_instance("game 2 0\nvertex 0 2\nvertex 1 1\n")
     sys_ = build_extended_formulation(inst)
