@@ -89,6 +89,11 @@ def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def _is_int(x) -> bool:
+    """Whether x is an int (a bool is not)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class GraphError(ValueError):
     """A graph that is not simple. `edge` is the position of the offending
     edge in the edge sequence, or None when the vertices repeat."""
@@ -145,18 +150,23 @@ class Instance:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
+        if not _is_int(self.n):
+            raise ValueError(f"vertex count is not an int: {self.n!r}")
         if self.n < 1:
             raise ValueError("instance needs at least one vertex")
         if len(self.b) != self.n:
             raise ValueError("capacity vector length != n")
         for v, bv in enumerate(self.b):
-            if isinstance(bv, bool) or not isinstance(bv, int):
+            if not _is_int(bv):
                 raise ValueError(f"capacity at vertex {v} is not an int: {bv!r}")
             if bv not in (1, 2):
                 raise ValueError(f"capacity out of range at vertex {v}: {bv}")
         for k, e in enumerate(self.edges):
             if not isinstance(e, Edge):
                 raise ValueError(f"edge {k} is not an Edge: {e!r}")
+            if not (_is_int(e.u) and _is_int(e.v)):
+                raise ValueError(
+                    f"edge {k} has an endpoint that is not an int: {e.u!r}-{e.v!r}")
         check_simple_graph(range(self.n), self.edges)
         for e in self.edges:
             if not _is_exact(e.w):
@@ -211,8 +221,9 @@ class Instance:
     @cached_property
     def nbrs2(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per vertex v, the pairs (x, i) for every edge i = vx whose other
-        end x has capacity 2, in edge-index order. Endpoint variants read
-        them: a capacity-1 endpoint v keeps one such edge, with x other
+        end x has capacity 2, in edge-index order: A(v) when b_v = 1.
+        `separation._ends` reads it, the one place the endpoint-variant rule
+        is stated: a capacity-1 endpoint v keeps one such edge, with x other
         than the far endpoint."""
         edges, b = self.edges, self.b
         return tuple(

@@ -11,18 +11,19 @@ Once the cycle stage has passed, G2 has no negative cycle, so a
 minimum {a, b}-join in G2 costs the shortest a-b distance d(a, b), and one
 set of G2 distances per allocation decides for every variant whether it
 holds a negative cycle: the variant keeping s-x and t-y does iff
-c(s,x) + d(x,y) + c(y,t) + P_s + P_t < 0. The edges a variant may keep at
-an endpoint come from `Instance.nbrs2`, the one table that this module and
-`extform` read the endpoint-variant rule from. A pair is first tested
-against a lower bound on those sums, read from row minima per endpoint,
-and only the variants of a pair whose bound is negative are tested one by
-one; that test decides. The path stage then
-builds and searches the flagged variants only, in the scan order of the
-full search, so the certificates are those the full search finds, and a
-flagged variant without a negative cycle raises `InvariantError`. A
-violated G2 edge st (reached by `separate_all`) keeps the test exact: pair
-{s, t} alone reads d(s, t) from G2 less st. Only where G2 has a negative
-cycle does the stage search every variant of every pair.
+c(s,x) + d(x,y) + c(y,t) + P_s + P_t < 0. A variant is the record
+(s, t, kept_s, kept_t): `_ends` lists the (x, kept edge) choices at an
+endpoint, `_pairs` their product in scan order, and only `realize_variant`
+makes a record a graph, from G2. A pair is first tested against a lower
+bound on those sums, read from row minima per endpoint, and only the
+variants of a pair whose bound is negative are tested one by one; that
+test decides. The path stage then builds and searches the flagged variants
+only, in the scan order of the full search, so the certificates are those
+the full search finds, and a flagged variant without a negative cycle
+raises `InvariantError`. A violated G2 edge st (reached by `separate_all`)
+keeps the test exact: pair {s, t} alone reads d(s, t) from G2 less st.
+Only where G2 has a negative cycle does the stage search every variant of
+every pair.
 
 Past the total value the stages work on integer costs. With D = 2·lcm of
 all denominators of p and w, P_v = p_v·D/2 and W_e = w_e·D, an instance
@@ -32,15 +33,17 @@ iff P_v < 0, and p_u + p_v < w_uv iff cost·D + P_u + P_v < 0; the scan
 builds `Fraction`s only for the violation it reports. `separate` and
 `separate_all` cost the edges and build G2 once per allocation (one
 `TransferCosts`) and hand it to each later stage; a stage called on its own
-builds it itself. G2 and every variant select from those edges; since
+builds it itself. G2 and every variant hold those edges; since
 D > 0 every comparison, and so every join, cycle and certificate, is that
 of the exact costs. ν(N) is `Instance.grand_value`.
 """
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import matching, negcycle
@@ -50,6 +53,7 @@ from .model import (
     InvariantError,
     Violation,
     ViolationKind,
+    _is_int,
     check_allocation_length,
     coalition,
 )
@@ -189,68 +193,58 @@ def separate_cycles(inst: Instance, p: Allocation, *,
 
 @dataclass(frozen=True)
 class VariantStructure:
-    """Cost-free skeleton of one st-variant: which instance edges it keeps.
+    """One st-variant, s < t: the edges that its capacity-1 endpoints keep
+    (None at a capacity-2 endpoint). `realize_variant` makes it a graph."""
 
-    The marker st edge is implicit and always appended after `edge_ids`.
-    """
-
-    vertices: tuple[int, ...]
-    edge_ids: tuple[int, ...]
     s: int
     t: int
     kept_s: Optional[int]
     kept_t: Optional[int]
 
 
-def variant_structures(inst: Instance, s: int, t: int) -> list[VariantStructure]:
-    """Variant skeletons for the unordered endpoint pair {s, t}.
+def _ends(inst: Instance, v: int, far: Optional[int]) -> list[tuple[int, Optional[int]]]:
+    """The (G2 vertex, kept edge) choices at endpoint v: (v, None) when
+    b_v = 2, else (x, i) per edge i = vx to a capacity-2 vertex x other than
+    the far endpoint, in edge-index order. With `far` None these are A(v)."""
+    if inst.b[v] == 2:
+        return [(v, None)]
+    return [(x, i) for x, i in inst.nbrs2[v] if x != far]
 
-    Every variant keeps the capacity-2 subgraph's edges except st. A
-    capacity-1 endpoint adds one kept edge to a capacity-2 vertex other than
-    the far endpoint, read from `Instance.nbrs2`, one variant per choice in
-    edge-index order; both capacity-1 gives the (kept_s, kept_t) product,
-    and no choice at such an endpoint gives none.
-    """
+
+def _pairs(inst: Instance, s: int, t: int):
+    """The variants of pair s < t as ((x, kept_s), (y, kept_t)), in scan order."""
+    return ((a, b) for a in _ends(inst, s, t) for b in _ends(inst, t, s))
+
+
+def variant_structures(inst: Instance, s: int, t: int) -> list[VariantStructure]:
+    """The variants of the unordered endpoint pair {s, t}, in scan order."""
     if s == t:
         raise ValueError("endpoints must differ")
     s, t = min(s, t), max(s, t)
     if s < 0 or t >= inst.n:
         raise ValueError(f"endpoints must lie in 0..{inst.n - 1}")
-    st = inst.find_edge(s, t)
-    base = [i for i in inst.e2 if i != st]
-    vertices = tuple(sorted({*inst.n2, s, t}))
+    return [VariantStructure(s, t, ks, kt) for (_, ks), (_, kt) in _pairs(inst, s, t)]
 
-    def choices(x: int, far: int) -> list[Optional[int]]:
-        if inst.b[x] == 2:
-            return [None]
-        return [i for y, i in inst.nbrs2[x] if y != far]
 
-    return [
-        VariantStructure(
-            vertices=vertices,
-            edge_ids=tuple(sorted(base + [k for k in (ks, kt) if k is not None])),
-            s=s,
-            t=t,
-            kept_s=ks,
-            kept_t=kt,
-        )
-        for ks in choices(s, t)
-        for kt in choices(t, s)
-    ]
+def _less_st(g2: CostedGraph, s: int, t: int) -> list[CostEdge]:
+    """G2's edges, in order, less st."""
+    st = {s, t}
+    return [e for e in g2.edges if e.u not in st or e.v not in st]
 
 
 def realize_variant(costs: TransferCosts, struct: VariantStructure) -> CostedGraph:
-    """Cost a variant skeleton: its edges are `costs.edges` at its
-    `edge_ids`, then the st edge.
-
-    The st edge comes last and is the graph's marker; it has weight 0, so its
-    cost is half[s] + half[t].
-    """
-    edges = [costs.edges[i] for i in struct.edge_ids]
-    edges.append(CostEdge(struct.s, struct.t, costs.half[struct.s] + costs.half[struct.t]))
-    return CostedGraph(
-        vertices=struct.vertices, edges=tuple(edges), marker=len(edges) - 1
-    )
+    """A variant as a graph: G2's vertices plus s and t; G2's edges less st
+    with the kept edges merged in by instance index (a kept edge has a
+    capacity-1 end, so it is no G2 edge); last, as the marker, the st edge,
+    of weight 0 and so of cost half[s] + half[t]."""
+    s, t, g2 = struct.s, struct.t, costs.g2
+    edges = _less_st(g2, s, t)
+    for i in (struct.kept_s, struct.kept_t):
+        if i is not None:
+            insort(edges, costs.edges[i], key=attrgetter("orig"))
+    edges.append(CostEdge(s, t, costs.half[s] + costs.half[t]))
+    vertices = tuple(sorted({*g2.vertices, s, t}))
+    return CostedGraph(vertices, tuple(edges), marker=len(edges) - 1)
 
 
 def _path_filter(
@@ -262,22 +256,19 @@ def _path_filter(
 
     It applies when G2 has no negative cycle, as the cycle stage
     establishes. Then every negative cycle of a variant runs through its
-    marker, so variant (kept_s → x, kept_t → y) holds a violated path iff
-    c(s,x) + d(x,y) + c(y,t) + half[s] + half[t] < 0, d being the G2
-    distances of `negcycle.join_distances`; x = s at c(s,s) = 0 when
-    b_s = 2, and likewise y for t. A G2 edge st is not in its pair's one
-    variant; where it is violated, d(s, t) may run through it and decide,
-    so that pair reads d from G2 less st.
+    marker, so variant ((x, kept_s), (y, kept_t)) of `_pairs` holds a
+    violated path iff c(s,x) + d(x,y) + c(y,t) + half[s] + half[t] < 0, d
+    being the G2 distances of `negcycle.join_distances` and c(v,v) = 0. A
+    G2 edge st is not in its pair's one variant; where it is violated,
+    d(s, t) may run through it and decide, so that pair reads d from G2
+    less st.
 
     A pair is tested first against a lower bound, read from row minima: for
-    each s and G2 vertex y, the least c(s,x) + d(x,y) over x in A(s), where
-    A(v) is {v} when b_v = 2 and else v's capacity-2 neighbours
-    (`Instance.nbrs2`). The variants take A(v) less the far endpoint, so the
-    bound also counts the one combination through st (x = t or y = s, where
-    st joins a capacity-1 and a capacity-2 vertex); that one sums to
+    each s and G2 vertex y, the least c(s,x) + d(x,y) over x in A(s), the
+    `_ends` of s with no far endpoint left out. The bound so also counts
+    the one combination through st (x = t or y = s), which sums to
     D·(p_s + p_t − w_st) >= 0 where the edge stage holds. Only a pair whose
-    bound is negative has its variants built and tested one by one, and
-    that test decides.
+    bound is negative has its variants tested one by one; that test decides.
     """
     half, g2 = costs.half, costs.g2
     d = negcycle.join_distances(g2)
@@ -286,13 +277,14 @@ def _path_filter(
     # the distances of G2 less each violated G2 edge, keyed by its index
     less = {
         e.orig: negcycle.join_distances(
-            CostedGraph(g2.vertices, tuple(f for f in g2.edges if f is not e)))
+            CostedGraph(g2.vertices, tuple(_less_st(g2, e.u, e.v))))
         for e in g2.edges if e.cost + half[e.u] + half[e.v] < 0
     }
-    attach = [  # (x, c(v,x)) per x in A(v), the far endpoint included
-        [(v, 0)] if inst.b[v] == 2 else [(x, costs.edges[i].cost) for x, i in inst.nbrs2[v]]
-        for v in range(inst.n)
-    ]
+
+    def c(kept: Optional[int]) -> Cost:
+        return 0 if kept is None else costs.edges[kept].cost
+
+    attach = [[(x, c(i)) for x, i in _ends(inst, v, None)] for v in range(inst.n)]
     # per s and G2 vertex y: the least c(s,x) + d(x,y) over x in A(s)
     rows: list[dict[int, Cost]] = []
     for s in range(inst.n):
@@ -303,24 +295,17 @@ def _path_filter(
                     row[y] = cx + dxy
         rows.append(row)
 
-    def end(v: int, kept: Optional[int]) -> tuple[int, Cost]:
-        if kept is None:
-            return v, 0
-        e = costs.edges[kept]
-        return e.other(v), e.cost
-
     def negative(s: int, t: int) -> list[VariantStructure]:
         st = half[s] + half[t]
         row = rows[s]
         if all(y not in row or row[y] + cy + st >= 0 for y, cy in attach[t]):
             return []
         dist = less.get(inst.find_edge(s, t), d)
-        out = []
-        for struct in variant_structures(inst, s, t):
-            (x, cx), (y, cy) = end(s, struct.kept_s), end(t, struct.kept_t)
-            if y in dist[x] and cx + dist[x][y] + cy + st < 0:
-                out.append(struct)
-        return out
+        return [
+            VariantStructure(s, t, ks, kt)
+            for (x, ks), (y, kt) in _pairs(inst, s, t)
+            if y in dist[x] and c(ks) + dist[x][y] + c(kt) + st < 0
+        ]
 
     return negative
 
@@ -389,13 +374,15 @@ def separate_all(inst: Instance, p: Allocation) -> list[Violation]:
 
 def verify_violation(inst: Instance, p: Allocation, v: Violation) -> bool:
     """Re-check a certificate arithmetically, including p(S) < nu(S); False
-    unless the coalition is a strictly increasing tuple in 0..n-1 and, for
-    TotalValue, Vertex and Coalition, the witness is empty."""
+    unless the coalition is a strictly increasing tuple of ints in 0..n-1,
+    every witness edge is an int in 0..m-1 and, for TotalValue, Vertex and
+    Coalition, the witness is empty."""
     check_allocation_length(inst, p)
-    S = v.coalition
+    S, eids = v.coalition, v.witness_edges
+    if not all(map(_is_int, (*S, *eids))):
+        return False
     if not all(0 <= x < inst.n for x in S) or any(a >= b for a, b in zip(S, S[1:])):
         return False
-    eids = v.witness_edges
     if v.kind is ViolationKind.TOTAL_VALUE:
         return (
             eids == ()

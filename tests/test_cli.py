@@ -177,10 +177,39 @@ GOLDEN_STDOUT = [
         0,
         "a667b1916b84deda859f65df357385371ea471aaec98d0b209f28c3dc419dd97",
     ),
+    (
+        ("check", "-i", "path.game", "-a", "path-core.alloc"),
+        0,
+        "c09c1ef51bad88d17e91d48ed3f2c1082fe894085aa08f8460c1bd342dcb3307",
+    ),
+    (
+        # a Path certificate whose witness holds the kept edges at both
+        # capacity-1 ends: edge 0 before G2's edges 1, 2, 3, 6 and edge 7
+        # after them
+        ("separate", "-i", "path.game", "-a", "path-low.alloc"),
+        10,
+        "e9152cfecfd4e4f9323fae2078fd542224cc0477e62861d225c139900ae661fd",
+    ),
+    (
+        ("separate", "-i", "path.game", "-a", "path-low.alloc", "--all"),
+        10,
+        "819afee2de23d1d806a350b56cad88b717494213c93a8035b606dbbb5abab5a4",
+    ),
+    (
+        ("check", "-i", "path.game", "-a", "path-low.alloc"),
+        10,
+        "50a04870cd39404e868fb68bb45a552a623b625fe8f4b450852d3c4597763357",
+    ),
+    (
+        ("extform", "-i", "path.game", "--size"),
+        0,
+        "16018bf58c3ea216b8998be0ca3c4cc098161ee2bfbd867cf1725cedf9aa3df3",
+    ),
 ]
 
 GOLDEN_EMIT = {
     "counterexample.game": "0f9a035e64d0095fcd60589370b92502ad803e737f20f7f352e6198d88e857d6",
+    "path.game": "89ded308219126c7c028a6f79b5099226170b753df779875173e715434f33c30",
     "square.game": "685697f0136b382c6a3fb3e56cccfa37b30b02b9ffe7d9d98c19f73004daa844",
 }
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -232,6 +233,21 @@ def test_instance_rejects_inexact_capacities(b):
     # vertex line that parse_instance rejects
     with pytest.raises(ValueError, match="is not an int"):
         Instance(2, b, (Edge(0, 1, 1),))
+
+
+@pytest.mark.parametrize("n, b, edges, message", [
+    (True, (1,), (), "vertex count is not an int: True"),
+    (2.0, (1, 1), (), "vertex count is not an int: 2.0"),
+    (2, (1, 1), (Edge(1.0, 0, 3),), "edge 0 has an endpoint that is not an int: 1.0-0"),
+    (3, (1, 1, 1), (Edge(0, 1, 1), Edge(2, True, 1)),
+     "edge 1 has an endpoint that is not an int: 2-True"),
+], ids=["bool-n", "float-n", "float-endpoint", "bool-endpoint"])
+def test_instance_rejects_counts_and_endpoints_that_are_not_ints(n, b, edges, message):
+    # True and a float endpoint used to build (emit_instance then wrote
+    # "game True 0", and separate raised a bare TypeError on a float index);
+    # 2.0 raised TypeError
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Instance(n, b, edges)
 
 
 @pytest.mark.parametrize("values", [(0.5, 0.5, 0.0), (Fraction(1), False, 0), (1, "1", 0)])

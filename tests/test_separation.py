@@ -488,6 +488,8 @@ def _oracle_g2(inst, edge_cost):
 
 
 def _oracle_structures(inst, s, t):
+    """(variant, vertices, edge ids) per variant of pair {s, t}, found by
+    scanning every instance edge."""
     s, t = min(s, t), max(s, t)
     members = set(inst.n2) | {s, t}
     base_ids = [
@@ -510,29 +512,21 @@ def _oracle_structures(inst, s, t):
                 if kt is not None and t in (e.u, e.v) and i != kt:
                     continue
                 ids.append(i)
-            out.append(
-                separation.VariantStructure(
-                    vertices=tuple(sorted(members)),
-                    edge_ids=tuple(ids),
-                    s=s,
-                    t=t,
-                    kept_s=ks,
-                    kept_t=kt,
-                )
-            )
+            out.append((separation.VariantStructure(s, t, ks, kt),
+                        tuple(sorted(members)), tuple(ids)))
     return out
 
 
-def _oracle_realize(inst, edge_cost, half, struct):
+def _oracle_realize(inst, edge_cost, half, struct, vertices, edge_ids):
     edges = [
         negcycle.CostEdge(inst.edges[i].u, inst.edges[i].v, edge_cost[i], i)
-        for i in struct.edge_ids
+        for i in edge_ids
     ]
     edges.append(
         negcycle.CostEdge(struct.s, struct.t, half[struct.s] + half[struct.t], None)
     )
     return negcycle.CostedGraph(
-        vertices=struct.vertices, edges=tuple(edges), marker=len(edges) - 1
+        vertices=vertices, edges=tuple(edges), marker=len(edges) - 1
     )
 
 
@@ -567,10 +561,11 @@ def test_variant_family_matches_edge_scan_oracle():
         for s in range(inst.n):
             for t in range(s + 1, inst.n):
                 structs = variant_structures(inst, s, t)
-                assert structs == _oracle_structures(inst, s, t)
+                expected = _oracle_structures(inst, s, t)
+                assert structs == [st for st, _, _ in expected]
                 assert variant_structures(inst, t, s) == structs
                 graphs = variants(inst, costs, s, t)
-                assert graphs == [_oracle_realize(inst, edge_cost, half, st) for st in structs]
+                assert graphs == [_oracle_realize(inst, edge_cost, half, *x) for x in expected]
                 pairs += 1
                 kept.update((st.kept_s is not None) + (st.kept_t is not None) for st in structs)
     assert pairs > 25_000 and min(kept[0], kept[1], kept[2]) > 5_000
@@ -813,4 +808,17 @@ def test_verify_violation_rejects_a_coalition_out_of_range(kind, coalition, allo
     assert verify_violation(inst, p, model.Violation(
         ViolationKind.VERTEX, (2,), Fraction(-1), Fraction(0)))
     assert not verify_violation(inst, p, model.Violation(
+        kind, coalition, Fraction(allocated), Fraction(bound), witness))
+
+
+@pytest.mark.parametrize("p, kind, coalition, allocated, bound, witness", [
+    ((0, 0, 2, 10, -1), ViolationKind.VERTEX, (4.0,), -1, 0, ()),
+    ((0, 0, 2, 10, -1), ViolationKind.EDGE, (2, 3), 12, 20, (2.0,)),
+    ((0, -1, 2, 10, 0), ViolationKind.VERTEX, (True,), -1, 0, ()),
+], ids=["float-member", "float-witness", "bool-member"])
+def test_verify_violation_rejects_members_and_witnesses_that_are_not_ints(
+        counterexample, p, kind, coalition, allocated, bound, witness):
+    # a float member or witness index used to raise TypeError on indexing,
+    # and True passed as vertex 1
+    assert not verify_violation(counterexample, alloc(*p), model.Violation(
         kind, coalition, Fraction(allocated), Fraction(bound), witness))
