@@ -20,7 +20,10 @@ from fractions import Fraction
 from typing import Optional
 
 from . import separation
-from .linsys import ConstraintSystem, simplex_feasible, simplex_solve
+# perfbench/tracing.py lists extform.simplex_feasible in WRAPPED and
+# `install` reads it with getattr, so this binding must stay even where no
+# code here calls it; check_membership solves every block through it
+from .linsys import _LP, ConstraintSystem, _value, simplex_feasible, simplex_solve
 from .model import Allocation, Instance, check_allocation_length
 from .negcycle import CostedGraph
 
@@ -116,7 +119,7 @@ def build_flow_primal(g: CostedGraph) -> ConstraintSystem:
         [(j, a, b, sys.add_variable(f"y_e{i}_{a}_{b}")) for j, a, b in _arcs(g, i)]
         for i in range(m)
     ]
-    sys.objective = {x[i]: Fraction(e.cost) for i, e in enumerate(g.edges) if e.cost != 0}
+    sys.objective = {x[i]: e.cost for i, e in enumerate(g.edges) if e.cost != 0}
 
     for i, ebar in enumerate(g.edges):
         # conservation at every vertex: out-arcs +1, in-arcs -1; x_ē leaves u
@@ -139,55 +142,80 @@ def build_flow_primal(g: CostedGraph) -> ConstraintSystem:
     return sys
 
 
-def _dual_block(sys: ConstraintSystem, g: CostedGraph, prefix: str,
-                symbolic: bool) -> None:
-    """Append one graph's dual feasibility block to `sys`.
+def _dual_block(g: CostedGraph, keys, first: int, symbolic: bool) -> list:
+    """One graph's dual feasibility block as rows over the columns first,
+    first + 1, ...: gamma_e{i}_v{v} for each edge i and each vertex v of g,
+    in order, then lam_e{i}_{a}_{b} (>= 0) for each edge i and each arc
+    (a, b) of `_arcs(g, i)`, in order. The rows are the arc rows in lam
+    order, then one cost row per edge, each as (coeffs, rel, rhs), where
+    coeffs maps keys[column] to the value: `keys` lists the columns
+    themselves for an indexed block, or a ConstraintSystem's variables.
 
     Each cost row's right-hand side is its edge's cost. When `symbolic`, g
-    is costed at p = 0 and each cost row also carries -1/2 p_u and -1/2 p_v:
-    the (p_u + p_v)/2 part of the cost, moved to the left-hand side.
+    is costed at p = 0 and each cost row also carries -1/2 at columns u and
+    v, the p_u and p_v columns: the (p_u + p_v)/2 part of the cost, moved to
+    the left-hand side.
     """
-    m = len(g.edges)
-    # every name is formatted once: gamma[i][v], and lam[i][(a, b)] in arc order
-    gamma = [
-        {v: sys.add_variable(f"{prefix}gamma_e{i}_v{v}") for v in g.vertices}
-        for i in range(m)
-    ]
-    lam = [
-        {(a, b): sys.add_variable(f"{prefix}lam_e{i}_{a}_{b}") for _, a, b in _arcs(g, i)}
-        for i in range(m)
-    ]
-
+    m, nv = len(g.edges), len(g.vertices)
+    at = {v: first + k for k, v in enumerate(g.vertices)}  # gamma_e0_v{v}
+    lam0, width = first + m * nv, 2 * (m - 1)  # lam_e0's first column, arcs a block
+    rows = []
+    col = lam0
     for i in range(m):
-        for (a, b), name in lam[i].items():
-            sys.add_constraint(
-                f"{prefix}arc_e{i}_{a}_{b}",
-                {gamma[i][a]: 1, gamma[i][b]: -1, name: -1},
-                "<=",
-                0,
-            )
+        gi = i * nv
+        for _, a, b in _arcs(g, i):
+            rows.append(({keys[at[a] + gi]: 1, keys[at[b] + gi]: -1, keys[col]: -1}, "<=", 0))
+            col += 1
     for i, ebar in enumerate(g.edges):
         u, v = ebar.u, ebar.v
-        coeffs: dict[str, int | Fraction] = {gamma[i][u]: -1, gamma[i][v]: 1}
-        # capacity multipliers of edge ē inside every other block
+        coeffs = {keys[at[u] + i * nv]: -1, keys[at[v] + i * nv]: 1}
+        # capacity multipliers of edge ē inside every other block k: its arcs
+        # u-v and v-u are block k's arcs 2i and 2i + 1, less the 2 of edge k
+        # when k < i
         for k in range(m):
             if k != i:
-                coeffs[lam[k][u, v]] = 1
-                coeffs[lam[k][v, u]] = 1
+                c = lam0 + k * width + 2 * (i - (k < i))
+                coeffs[keys[c]] = coeffs[keys[c + 1]] = 1
         if symbolic:
-            coeffs[f"p_{u}"] = _MINUS_HALF
-            coeffs[f"p_{v}"] = _MINUS_HALF
-        sys.add_constraint(f"{prefix}cost_e{i}", coeffs, "<=", ebar.cost)
+            coeffs[keys[u]] = coeffs[keys[v]] = _MINUS_HALF
+        rows.append((coeffs, "<=", _value(ebar.cost)))
+    return rows
+
+
+def _add_dual_block(sys: ConstraintSystem, g: CostedGraph, prefix: str,
+                    symbolic: bool) -> None:
+    """Append g's dual block (`_dual_block`) to `sys`, naming its columns
+    and rows in the builder's order; each lam column's sign becomes an
+    nn_lam row."""
+    first = len(sys.variables)
+    m = len(g.edges)
     for i in range(m):
-        for (a, b), name in lam[i].items():
-            sys.add_constraint(f"{prefix}nn_lam_e{i}_{a}_{b}", {name: 1}, ">=", 0)
+        for v in g.vertices:
+            sys.add_variable(f"{prefix}gamma_e{i}_v{v}")
+    arcs = [(i, a, b) for i in range(m) for _, a, b in _arcs(g, i)]
+    lams = [sys.add_variable(f"{prefix}lam_e{i}_{a}_{b}") for i, a, b in arcs]
+    row_names = [f"{prefix}arc_e{i}_{a}_{b}" for i, a, b in arcs]
+    row_names += [f"{prefix}cost_e{i}" for i in range(m)]
+    for name, row in zip(row_names, _dual_block(g, sys.variables, first, symbolic)):
+        sys.add_constraint(name, *row)
+    for (i, a, b), lam in zip(arcs, lams):
+        sys.add_constraint(f"{prefix}nn_lam_e{i}_{a}_{b}", {lam: 1}, ">=", 0)
+
+
+def _membership_lp(g: CostedGraph) -> _LP:
+    """g's dual block as the indexed system `_lower(build_dual_system(g))`:
+    the lam columns are sign columns, so the block has no nn_lam rows."""
+    m = len(g.edges)
+    lam0 = m * len(g.vertices)
+    ncols = lam0 + 2 * m * (m - 1)
+    return _LP(ncols, set(range(lam0, ncols)), _dual_block(g, list(range(ncols)), 0, False))
 
 
 def build_dual_system(g: CostedGraph) -> ConstraintSystem:
     """Mechanical dual of the compact flow primal; feasible iff the primal is
     bounded iff g has no negative-cost cycle."""
     sys = ConstraintSystem(name="flow-dual")
-    _dual_block(sys, g, "", False)
+    _add_dual_block(sys, g, "", False)
     return sys
 
 
@@ -208,14 +236,14 @@ def build_extended_formulation(inst: Instance) -> ConstraintSystem:
             f"edge_e{i}", {f"p_{e.u}": 1, f"p_{e.v}": 1}, ">=", e.w
         )
     for k, g in enumerate(enumerate_family(inst).members):
-        _dual_block(sys, g, f"g{k}_", True)
+        _add_dual_block(sys, g, f"g{k}_", True)
     return sys
 
 
 def check_membership(inst: Instance, p: Allocation) -> bool:
     """Exact core membership through the extended formulation: direct checks
     for the total/vertex/edge constraints, then one phase-I feasibility run
-    per family member's dual block."""
+    per family member's dual block, built as an indexed `_LP`."""
     check_allocation_length(inst, p)
     if p.total() != inst.grand_value:
         return False
@@ -225,7 +253,7 @@ def check_membership(inst: Instance, p: Allocation) -> bool:
         return False
     family = enumerate_family(inst, p)
     for g in family.members:
-        if not simplex_feasible(build_dual_system(g)).is_feasible:
+        if not simplex_feasible(_membership_lp(g)).is_feasible:
             return False
     return True
 

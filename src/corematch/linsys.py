@@ -3,27 +3,35 @@ feasibility/optimization, and a deterministic LP-format writer/reader that
 share one grammar: `parse_lp` reads exactly what `emit_lp` writes and
 rejects, naming its line, anything else.
 
-Variables are free unless the system contains an explicit sign constraint;
-the simplex presolves single-variable ">= 0" rows into variable bounds and
-splits the remaining free variables. Arithmetic is exact, under one number
-rule from the row to the tableau: a value is an int when it is integral and
-a Fraction only when it is not (`_value`), so a pivot on a +-1 element stays
-in ints. Constraint coefficients and right-hand sides are stored that way;
-witnesses and objective values are returned as fractions.Fraction.
+The simplex reads one indexed form, `_LP`: a column count, the sign (>= 0)
+columns, and rows {column: value} with a relation and a right-hand side. A
+named system reaches the tableau as named system -> `_lower` -> `_LP` ->
+`_Tableau`: `_lower` makes variable k column k, rejects an undeclared name
+and presolves a single-variable row equivalent to v >= 0 into a sign
+column; the tableau splits every free column in two. `extform.check_membership` builds its dual
+blocks as `_LP`s directly and hands them to `simplex_feasible` as they
+are. `_solve` is the one routine from an `_LP` to a verified point.
+
+Arithmetic is exact, under one number rule from the row to the tableau: a
+value is an int when it is integral and a Fraction only when it is not
+(`_value`), so a pivot on a +-1 element stays in ints. Constraint
+coefficients and right-hand sides are stored that way; witnesses and
+objective values are returned as fractions.Fraction.
 
 Every step costs time per nonzero, and each coefficient is converted once,
 when its row is built: the tableau copies the row's values as they are, a
 pivot visits only the rows that hold its column, and `emit_lp` formats each
 distinct coefficient and right-hand side once and writes each row's terms in
-declaration order. Every witness is still re-verified against every
-constraint before it is returned, by `Constraint.holds`, which sums in ints
-(a numerator over a denominator) so an integral row builds no Fraction."""
+declaration order. Every point is still re-verified against every row and
+every sign column of its `_LP` before it is returned, by `_holds`, which
+sums in ints (a numerator over a denominator) so an integral row builds no
+Fraction."""
 
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Optional, TextIO
+from typing import Mapping, NamedTuple, Optional, TextIO
 
 from .model import InvariantError
 
@@ -41,6 +49,36 @@ def _value(x) -> int | Fraction:
 def _exact(x) -> Fraction:
     """An output value x as a Fraction, reusing a Fraction."""
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _holds(coeffs: Mapping, rel: str, rhs: int | Fraction, point: Mapping) -> bool:
+    """Exact test of the row `coeffs rel rhs` at `point`, both keyed alike
+    (by name or by column); a key missing from the point reads as 0 and a
+    value that is neither an int nor a Fraction is converted exactly. The
+    left-hand side is summed as an int numerator over an int denominator (an
+    int is its own numerator over 1), so an integral row builds no
+    Fraction."""
+    num, den = 0, 1
+    for v, c in coeffs.items():
+        x = point.get(v)
+        if not x:  # missing, or a zero
+            continue
+        if type(x) is not int and type(x) is not Fraction:
+            x = Fraction(x)
+        tn, td = c.numerator * x.numerator, c.denominator * x.denominator
+        if td == den:
+            num += tn
+        else:
+            g = gcd(den, td)
+            num = num * (td // g) + tn * (den // g)
+            den = den // g * td
+    # compare num / den with rhs across the (positive) denominators
+    num, rhs = num * rhs.denominator, rhs.numerator * den
+    if rel == "<=":
+        return num <= rhs
+    if rel == ">=":
+        return num >= rhs
+    return num == rhs
 
 
 @dataclass
@@ -63,33 +101,8 @@ class Constraint:
         self.rhs = _value(self.rhs)
 
     def holds(self, point: Mapping[str, Fraction]) -> bool:
-        """Exact test of the row at `point`; a variable missing from the point
-        reads as 0 and a value that is neither an int nor a Fraction is
-        converted exactly. The left-hand side is summed as an int numerator
-        over an int denominator (an int is its own numerator over 1), so an
-        integral row builds no Fraction."""
-        num, den = 0, 1
-        for v, c in self.coeffs.items():
-            x = point.get(v)
-            if not x:  # missing, or a zero
-                continue
-            if type(x) is not int and type(x) is not Fraction:
-                x = Fraction(x)
-            tn, td = c.numerator * x.numerator, c.denominator * x.denominator
-            if td == den:
-                num += tn
-            else:
-                g = gcd(den, td)
-                num = num * (td // g) + tn * (den // g)
-                den = den // g * td
-        # compare num / den with rhs across the (positive) denominators
-        rhs = self.rhs
-        num, rhs = num * rhs.denominator, rhs.numerator * den
-        if self.rel == "<=":
-            return num <= rhs
-        if self.rel == ">=":
-            return num >= rhs
-        return num == rhs
+        """Exact test of the row at `point` (see `_holds`)."""
+        return _holds(self.coeffs, self.rel, self.rhs, point)
 
 
 def _undeclared(con: Constraint, names) -> ValueError:
@@ -173,34 +186,73 @@ def _eliminate(row: dict, prow: dict, c: int) -> None:
                 del row[j]
 
 
+class _LP(NamedTuple):
+    """The indexed form the tableau reads: columns 0 .. ncols - 1, those in
+    `sign` constrained to be >= 0 and the rest free; rows (coeffs, rel, rhs)
+    with coeffs a {column: nonzero value} dict; and an objective {column:
+    value} to minimize, or None for a feasibility check. Values follow the
+    module's number rule."""
+
+    ncols: int
+    sign: set[int]
+    rows: list[tuple[dict[int, int | Fraction], str, int | Fraction]]
+    objective: Optional[dict[int, int | Fraction]] = None
+
+    # a ConstraintSystem's shape under its names, which is what the trace
+    # notes of perfbench/tracing.py read from every simplex_feasible call
+    @property
+    def variables(self) -> range:
+        return range(self.ncols)
+
+    @property
+    def constraints(self) -> list:
+        return self.rows
+
+
+def _lower(system: ConstraintSystem,
+           objective: Optional[Mapping[str, int | Fraction]] = None) -> _LP:
+    """The system as an _LP whose column k is variable k, with `objective`
+    (checked terms, or None) over the same columns. A one-variable row
+    equivalent to v >= 0 (c v >= 0 with c > 0, or c v <= 0 with c < 0)
+    makes v a sign column instead of a row; every other row is kept, less
+    any zero written into it after construction. Raises ValueError naming
+    the first row that uses an undeclared variable."""
+    pos = {v: k for k, v in enumerate(system.variables)}
+    sign: set[int] = set()
+    rows = []
+    try:
+        for con in system.constraints:
+            rel, rhs = con.rel, con.rhs
+            if len(con.coeffs) == 1 and rel != "=" and not rhs:
+                ((v, c),) = con.coeffs.items()
+                if (c > 0 and rel == ">=") or (c < 0 and rel == "<="):
+                    sign.add(pos[v])
+                    continue
+            rows.append(({pos[v]: c for v, c in con.coeffs.items() if c}, rel, rhs))
+    except KeyError as exc:  # pos has no column for the variable
+        raise _undeclared(con, exc.args) from None
+    if objective is not None:
+        objective = {pos[v]: c for v, c in objective.items()}
+    return _LP(len(system.variables), sign, rows, objective)
+
+
 class _Tableau:
     """Sparse simplex tableau with Bland's rule (anti-cycling, deterministic).
 
     A row maps each column to its nonzero entry, an int when the entry is
     integral and a Fraction otherwise; the right-hand side is column `total`.
-    Columns run structural (one per nonnegative variable, two per free one),
-    then one slack or surplus per inequality row, then the artificials from
-    `first_art` on, one per row that is ">=" or "=" once its rhs is made
+    Columns run structural (one per sign column of the _LP, two per free
+    one), then one slack or surplus per inequality row, then the artificials
+    from `first_art` on, one per row that is ">=" or "=" once its rhs is made
     nonnegative.
     """
 
-    def __init__(self, system: ConstraintSystem):
-        self.sys = system
-
-        # presolve: a single-variable constraint equivalent to v >= 0 becomes
-        # a sign marker instead of a row (nonneg[v] is the row); every other
-        # row is normalized to a nonnegative rhs b, as (row, flip, rel, b)
-        nonneg: dict[str, Constraint] = {}
+    def __init__(self, lp: _LP):
+        self.objective = lp.objective
+        # every row is normalized to a nonnegative rhs b, as (coeffs, flip,
+        # rel, b): flip ">=" to "<=", then flip again if the rhs is negative
         rows_src = []
-        for con in system.constraints:
-            rel = con.rel
-            b = con.rhs
-            if len(con.coeffs) == 1 and rel != "=" and not b:
-                ((v, c),) = con.coeffs.items()
-                if (c > 0 and rel == ">=") or (c < 0 and rel == "<="):
-                    nonneg[v] = con
-                    continue
-            # flip ">=" to "<=", then flip again if the rhs is negative
+        for coeffs, rel, b in lp.rows:
             flip = rel == ">="
             if flip:
                 b = -b
@@ -210,23 +262,22 @@ class _Tableau:
                 b = -b
                 if rel == "<=":
                     rel = ">="
-            rows_src.append((con, flip, rel, b))
+            rows_src.append((coeffs, flip, rel, b))
 
-        # (variable, sign) per column; col_of[v] is v's (plus, minus) column
-        # pair, minus None for a nonnegative v
-        self.cols: list[tuple[str, int]] = []
-        col_of: dict[str, tuple[int, Optional[int]]] = {}
-        for v in system.variables:
-            plus = len(self.cols)
-            self.cols.append((v, +1))
-            if v in nonneg:
-                col_of[v] = plus, None
+        # (LP column, sign) per tableau column; LP column k is tableau
+        # column plus[k], less tableau column minus[k] unless k is a sign
+        # column (minus[k] None)
+        self.cols: list[tuple[int, int]] = []
+        plus: list[int] = []
+        minus: list[Optional[int]] = []
+        for k in range(lp.ncols):
+            plus.append(len(self.cols))
+            self.cols.append((k, +1))
+            if k in lp.sign:
+                minus.append(None)
             else:
-                self.cols.append((v, -1))
-                col_of[v] = plus, plus + 1
-        if not nonneg.keys() <= col_of.keys():
-            v = next(v for v in nonneg if v not in col_of)
-            raise _undeclared(nonneg[v], [v])
+                minus.append(len(self.cols))
+                self.cols.append((k, -1))
         self.nstruct = slack = len(self.cols)
         self.first_art = art = slack + sum(rel != "=" for _, _, rel, _ in rows_src)
         self.total = total = art + sum(rel != "<=" for _, _, rel, _ in rows_src)
@@ -236,34 +287,29 @@ class _Tableau:
         self.rows: list[dict[int, int | Fraction]] = []
         self.basis: list[int] = []
         add_row, add_basic = self.rows.append, self.basis.append
-        try:
-            for con, flip, rel, b in rows_src:
-                row = {}
-                for v, q in con.coeffs.items():
-                    if not q:  # a zero written into the row after construction
-                        continue
-                    if flip:
-                        q = -q
-                    plus, minus = col_of[v]
-                    row[plus] = q
-                    if minus is not None:
-                        row[minus] = -q
-                if rel == "<=":
-                    row[slack] = 1
-                    add_basic(slack)
+        for coeffs, flip, rel, b in rows_src:
+            row = {}
+            for k, q in coeffs.items():
+                if flip:
+                    q = -q
+                row[plus[k]] = q
+                j = minus[k]
+                if j is not None:
+                    row[j] = -q
+            if rel == "<=":
+                row[slack] = 1
+                add_basic(slack)
+                slack += 1
+            else:
+                if rel == ">=":
+                    row[slack] = -1
                     slack += 1
-                else:
-                    if rel == ">=":
-                        row[slack] = -1
-                        slack += 1
-                    row[art] = 1
-                    add_basic(art)
-                    art += 1
-                if b:
-                    row[total] = b
-                add_row(row)
-        except KeyError as exc:  # col_of has no column for the variable
-            raise _undeclared(con, exc.args) from None
+                row[art] = 1
+                add_basic(art)
+                art += 1
+            if b:
+                row[total] = b
+            add_row(row)
         if any(row.get(b) != 1 for row, b in zip(self.rows, self.basis)):
             raise InvariantError("a row has no initial basic column")
 
@@ -342,25 +388,25 @@ class _Tableau:
         # re-enter, so its column leaves the tableau
         art = range(self.first_art, self.total)
         self.rows = [{j: x for j, x in row.items() if j not in art} for row in self.rows]
-        obj = self.sys.objective or {}
+        obj = self.objective
         cost = {}
-        for j, (v, sign) in enumerate(self.cols):
-            c = obj.get(v)
+        for j, (k, sign) in enumerate(self.cols):
+            c = obj.get(k)
             if c:
-                c = _value(c)
                 cost[j] = c if sign > 0 else -c
         self._price(cost)
         if self._bland(cost) == "unbounded":
             return "unbounded", None
         return "optimal", _exact(-cost.get(self.total, 0))
 
-    def witness(self) -> dict[str, int | Fraction]:
-        """Each variable's value at the current basis, in tableau values."""
-        values = dict.fromkeys(self.sys.variables, 0)
+    def witness(self) -> dict[int, int | Fraction]:
+        """Each basic LP column's value at the current basis, in tableau
+        values; a column that is not listed is zero."""
+        values = {}
         for row, b in zip(self.rows, self.basis):
             if b < self.nstruct:
-                v, sign = self.cols[b]
-                values[v] += sign * row.get(self.total, 0)
+                k, sign = self.cols[b]
+                values[k] = values.get(k, 0) + sign * row.get(self.total, 0)
         return values
 
 
@@ -382,39 +428,54 @@ def _check_objective(system: ConstraintSystem) -> dict[str, int | Fraction]:
     return terms
 
 
-def _verified_witness(system: ConstraintSystem, tab: _Tableau) -> dict[str, Fraction]:
-    """The tableau's witness, re-verified against every constraint in the
-    tableau's own values and then returned as Fractions."""
-    point = tab.witness()
-    if not system.check_point(point):
-        raise InvariantError("simplex witness failed re-verification")
-    return {v: _exact(x) for v, x in point.items()}
-
-
-def simplex_feasible(system: ConstraintSystem) -> SimplexResult:
-    """Exact phase-I feasibility; a returned witness is re-verified by
-    substitution into every constraint before being handed back."""
-    tab = _Tableau(system)
+def _solve(lp: _LP) -> tuple[str, Optional[dict[int, int | Fraction]], Optional[Fraction]]:
+    """Phase 1, then phase 2 if lp has an objective: (status, point, value).
+    The point maps LP columns to values as `_Tableau.witness` does, and is
+    re-verified by substitution into every row and every sign column before
+    it is returned; point and value are None where the status has none."""
+    tab = _Tableau(lp)
     if not tab.phase1():
-        return SimplexResult(status="infeasible")
-    return SimplexResult(status="feasible", witness=_verified_witness(system, tab))
+        return "infeasible", None, None
+    status, value = "feasible", None
+    if lp.objective is not None:
+        status, value = tab.phase2()
+        if status == "unbounded":
+            return status, None, None
+    point = tab.witness()
+    if (any(point.get(k, 0) < 0 for k in lp.sign)
+            or not all(_holds(coeffs, rel, rhs, point) for coeffs, rel, rhs in lp.rows)):
+        raise InvariantError("simplex witness failed re-verification")
+    return status, point, value
+
+
+def _result(system: ConstraintSystem, solved: tuple) -> SimplexResult:
+    """`_solve`'s answer on `_lower(system)`, with the witness by name."""
+    status, point, value = solved
+    if point is None:
+        return SimplexResult(status=status)
+    witness = {v: _exact(point.get(k, 0)) for k, v in enumerate(system.variables)}
+    return SimplexResult(status=status, witness=witness, objective=value)
+
+
+def simplex_feasible(system: ConstraintSystem | _LP) -> SimplexResult:
+    """Exact phase-I feasibility; a returned witness is re-verified by
+    substitution into every constraint before being handed back. An `_LP`
+    is solved as it is (`_solve`), and its witness is the verified point by
+    column, in tableau values."""
+    if isinstance(system, _LP):
+        status, point, _ = _solve(system)
+        return SimplexResult(status=status, witness=point)
+    return _result(system, _solve(_lower(system)))
 
 
 def simplex_solve(system: ConstraintSystem) -> SimplexResult:
     """Minimize the objective: optimal (with witness), infeasible, or
     unbounded. Systems without an objective reduce to a feasibility check.
     Raises ValueError if the objective uses an undeclared variable."""
-    _check_objective(system)
+    terms = _check_objective(system)
     if not system.objective:
         return simplex_feasible(system)
-    tab = _Tableau(system)
-    if not tab.phase1():
-        return SimplexResult(status="infeasible")
-    status, value = tab.phase2()
-    if status == "unbounded":
-        return SimplexResult(status="unbounded")
-    return SimplexResult(status="optimal", witness=_verified_witness(system, tab),
-                         objective=value)
+    return _result(system, _solve(_lower(system, terms)))
 
 
 # ---------------------------------------------------------------------------

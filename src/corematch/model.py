@@ -267,11 +267,15 @@ def check_allocation_length(inst: Instance, p: Allocation) -> None:
 
 
 def check_coalition(inst: Instance, S: Iterable[int]) -> set[int]:
-    """The members of S; ValueError when one lies outside 0..n-1."""
-    members = set(S)
-    if not members <= set(range(inst.n)):
+    """The members of S; ValueError when one is not an int (a bool is not)
+    or lies outside 0..n-1."""
+    members = tuple(S)
+    for v in members:  # before any set, which would merge True into a 1
+        if not _is_int(v):
+            raise ValueError(f"coalition member is not an int: {v!r}")
+    if not set(members) <= set(range(inst.n)):
         raise ValueError("coalition contains unknown vertices")
-    return members
+    return set(members)
 
 
 def coalition(members: Iterable[int]) -> tuple[int, ...]:

@@ -1,10 +1,11 @@
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from corematch import extform, matching, oracle, separation
+from corematch import extform, linsys, matching, oracle, separation
 from corematch.extform import (
     build_dual_system,
     build_extended_formulation,
@@ -16,10 +17,13 @@ from corematch.extform import (
     size_report,
 )
 from corematch.linsys import simplex_feasible, simplex_solve
-from corematch.model import Allocation, parse_instance, random_instance
+from corematch.model import Allocation, parse_allocation, parse_instance, random_instance
 from corematch.negcycle import CostEdge, CostedGraph, find_negative_cycle
 
 from conftest import normalized, random_allocation, random_cost_graph
+from test_metamorphic import planted
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 def alloc(*xs):
@@ -255,6 +259,85 @@ def test_membership_agrees_with_separation():
             checked += 1
             in_core += got
     assert checked == 50 and 0 < in_core < 50
+
+
+def _typed(lp):
+    """An _LP with the type of every value spelled out, rows and terms in
+    their order, so that 1 and Fraction(1) or a reordered row differ."""
+    rows = [([(k, type(c), c) for k, c in coeffs.items()], rel, type(rhs), rhs)
+            for coeffs, rel, rhs in lp.rows]
+    return lp.ncols, sorted(lp.sign), rows, lp.objective
+
+
+def _membership_cases():
+    """(game, allocations): each data/ game with its allocations, and seeded
+    games: random ones at n = 4..7, and planted ones at n = 5..7 (a planted
+    game needs two components), whose allocations are in the core or leave
+    it by one transfer."""
+    for game in sorted(DATA.glob("*.game")):
+        inst = parse_instance(game.read_text())
+        allocs = sorted(DATA.glob(game.stem + "*.alloc"))
+        yield inst, [parse_allocation(a.read_text(), inst) for a in allocs]
+    for n in range(4, 8):
+        rng = random.Random(7200 + n)
+        inst = random_instance(seed=7300 + n, n=n, density=Fraction(1, 2), wmax=6)
+        nu_n = matching.b_matching_value(inst)
+        yield inst, [random_allocation(rng, inst),
+                     normalized(random_allocation(rng, inst, lo=0), nu_n)]
+        if n > 4:
+            yield planted(random.Random(7100 + n), n)
+
+
+def test_membership_blocks_match_the_lowered_dual_systems(monkeypatch):
+    # check_membership builds each member's indexed block itself; it must be
+    # the named dual system as `_lower` reads it, and so pivot alike
+    pivots = 0
+    pivot = linsys._Tableau._pivot
+
+    def counted(self, *args):
+        nonlocal pivots
+        pivots += 1
+        return pivot(self, *args)
+
+    solved = []
+
+    def recorded(system):
+        solved.append(system)
+        return simplex_feasible(system)
+
+    monkeypatch.setattr(linsys._Tableau, "_pivot", counted)
+    monkeypatch.setattr(extform, "simplex_feasible", recorded)
+    blocks, outcomes = 0, set()
+    for inst, allocations in _membership_cases():
+        for p in allocations:
+            members = enumerate_family(inst, p).members
+            feasible = []
+            for g in members:
+                lp = extform._membership_lp(g)
+                named = build_dual_system(g)
+                assert _typed(lp) == _typed(linsys._lower(named))
+                pivots = 0
+                status = simplex_feasible(lp).status
+                indexed_pivots = pivots
+                pivots = 0
+                result = simplex_feasible(named)
+                assert (status, indexed_pivots) == (result.status, pivots)
+                feasible.append(result.is_feasible)
+                blocks += 1
+            solved.clear()
+            basic = (p.total() == inst.grand_value
+                     and all(x >= 0 for x in p.values)
+                     and all(p[e.u] + p[e.v] >= e.w for e in inst.edges))
+            verdict = check_membership(inst, p)
+            assert verdict == (basic and all(feasible))
+            # the blocks it solved are the members', in order, up to the
+            # first infeasible one
+            want = (feasible.index(False) + 1 if False in feasible else len(members)) if basic else 0
+            assert [_typed(lp) for lp in solved] == [
+                _typed(extform._membership_lp(g)) for g in members[:want]]
+            outcomes.add((basic, verdict))
+    # in the core, out of it by a block, and out of it by a direct check
+    assert blocks > 200 and outcomes == {(True, True), (True, False), (False, False)}
 
 
 # The n = 6 formulations of `random_instance(seed, 6, 1/2, 6)` run from 39 to

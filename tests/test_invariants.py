@@ -75,8 +75,8 @@ def test_bad_simplex_witness_raises_under_dash_o():
         "s.add_constraint('c0', {'x': 1, 'y': 1}, '=', 1)\n"
         "s.add_constraint('c1', {'x': 1}, '>=', 0)\n"
         "print(linsys.simplex_feasible(s).status)\n"
-        "# x + y = 2 breaks the row c0\n"
-        "linsys._Tableau.witness = lambda self: {'x': Fraction(1), 'y': Fraction(1)}\n"
+        "# x + y = 2 breaks the row c0 (a witness is keyed by column: x, y)\n"
+        "linsys._Tableau.witness = lambda self: {0: Fraction(1), 1: Fraction(1)}\n"
         "try:\n"
         "    linsys.simplex_feasible(s)\n"
         "except InvariantError as exc:\n"
@@ -84,6 +84,33 @@ def test_bad_simplex_witness_raises_under_dash_o():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "feasible\nraised: simplex witness failed re-verification\n"
+
+
+def test_bad_membership_witness_raises_under_dash_o():
+    # check_membership solves each dual block from its indexed form and
+    # makes no named witness, but still re-verifies the tableau's point
+    out = run_optimized(
+        "from corematch import extform, linsys, parse_instance\n"
+        "from corematch.model import Allocation, InvariantError\n"
+        "assert False, 'asserts must be stripped here'\n"
+        "inst = parse_instance('game 4 4\\n' + ''.join(f'vertex {v} 2\\n' for v in range(4))\n"
+        "    + 'edge 0 1 1\\nedge 1 2 1\\nedge 2 3 1\\nedge 3 0 1\\n')\n"
+        "p = Allocation((1, 1, 1, 1))\n"
+        "print(extform.check_membership(inst, p))\n"
+        "# the last column of a block with edges is a lam, which is >= 0\n"
+        "real = linsys._Tableau.witness\n"
+        "def negated(self):\n"
+        "    point = real(self)\n"
+        "    point[self.cols[-1][0]] = -1\n"
+        "    return point\n"
+        "linsys._Tableau.witness = negated\n"
+        "try:\n"
+        "    extform.check_membership(inst, p)\n"
+        "except InvariantError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "True\nraised: simplex witness failed re-verification\n"
 
 
 def test_gadget_identity_raises_under_dash_o():

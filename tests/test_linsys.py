@@ -18,7 +18,7 @@ from corematch.linsys import (
     simplex_feasible,
     simplex_solve,
 )
-from corematch.model import Allocation, random_instance
+from corematch.model import Allocation, InvariantError, random_instance
 
 from conftest import random_allocation, random_cost_graph
 
@@ -722,7 +722,7 @@ def test_flow_and_dual_lp_text_pinned():
     for i in range(36):
         g = random_cost_graph(random.Random(8100 + i), 3 + i % 4, density=0.5, cmax=6)
         dual = ConstraintSystem(name="flow-dual")
-        extform._dual_block(dual, g, "g1_", False)
+        extform._add_dual_block(dual, g, "g1_", False)
         for s in (extform.build_flow_primal(g), dual):
             buf = io.StringIO()
             emit_lp(s, buf)
@@ -757,6 +757,20 @@ def test_check_point_semantics():
     assert not s.check_point({"x": 0.1})
     assert s.check_point({"x": Fraction(1, 10)})
     assert s.check_point({"x": 0.0625, "y": 1})
+
+
+def test_witness_breaking_only_a_sign_column_is_caught(monkeypatch):
+    # x >= 0 is presolved into a sign column, so no row of the lowered
+    # system reads x; the re-verification still checks its sign
+    s = ConstraintSystem(name="sign", variables=["x", "y"])
+    s.add_constraint("nn_x", {"x": 1}, ">=", 0)
+    s.add_constraint("c", {"y": 1}, "<=", 1)
+    lp = linsys._lower(s)
+    assert (lp.sign, lp.rows) == ({0}, [({1: 1}, "<=", 1)])
+    assert simplex_feasible(s).witness == {"x": 0, "y": 0}
+    monkeypatch.setattr(linsys._Tableau, "witness", lambda self: {0: -1})
+    with pytest.raises(InvariantError, match="simplex witness failed re-verification"):
+        simplex_feasible(s)
 
 
 def test_holds_reads_missing_as_zero_and_floats_exactly():
@@ -998,5 +1012,5 @@ def test_rows_mutated_after_construction_emit_and_solve_as_before(spec, data):
             con.rhs = Fraction(0)
     assert _outcome(mutated) == _outcome(clean)
     if not zeros_written:
-        tab, ref = linsys._Tableau(mutated), linsys._Tableau(clean)
+        tab, ref = linsys._Tableau(linsys._lower(mutated)), linsys._Tableau(linsys._lower(clean))
         assert (tab.cols, tab.rows, tab.basis) == (ref.cols, ref.rows, ref.basis)

@@ -10,6 +10,7 @@ from corematch.matching import (
     NoPerfectMatchingError,
     max_weight_matching,
     min_weight_perfect_matching,
+    nu,
 )
 from corematch.model import (
     Allocation,
@@ -248,6 +249,22 @@ def test_instance_rejects_counts_and_endpoints_that_are_not_ints(n, b, edges, me
     # 2.0 raised TypeError
     with pytest.raises(ValueError, match=re.escape(message)):
         Instance(n, b, edges)
+
+
+@pytest.mark.parametrize("S, message", [
+    ((2.0, 3), "coalition member is not an int: 2.0"),
+    ((True, 2), "coalition member is not an int: True"),
+    ((1, True), "coalition member is not an int: True"),
+], ids=["float", "bool", "bool-after-its-int"])
+def test_coalitions_reject_members_that_are_not_ints(counterexample, S, message):
+    # on the counterexample nu(inst, (2.0, 3)) returned 10 and
+    # nu(inst, (True, 2)) returned 1, since 2.0 and True pass
+    # set(S) <= set(range(n)); (1, True) collapses to {1} in a set
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model.check_coalition(counterexample, S)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        nu(counterexample, S)
+    assert nu(counterexample, (2, 3)) == 10 and nu(counterexample, (1, 2)) == 1
 
 
 @pytest.mark.parametrize("values", [(0.5, 0.5, 0.0), (Fraction(1), False, 0), (1, "1", 0)])
