@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import math
 import random
 import re
@@ -18,7 +19,7 @@ from corematch.linsys import (
     simplex_feasible,
     simplex_solve,
 )
-from corematch.model import Allocation, InvariantError, random_instance
+from corematch.model import Allocation, Edge, Instance, InvariantError, random_instance
 
 from conftest import random_allocation, random_cost_graph
 
@@ -728,6 +729,35 @@ def test_flow_and_dual_lp_text_pinned():
             emit_lp(s, buf)
             texts.append(buf.getvalue())
     assert _digest(texts) == BLOCKS_EMIT_DIGEST
+
+
+FORMULATION_DIGEST = "d2fdbde5919fac3011daff60d99db58d3472adbcb93e187e23687d80ef26be64"
+
+
+def _build_shape_instances():
+    """Games of the benchmark's formulation builds: n = 5 with 6 edges and
+    n = 6 with 7 edges, each with two capacity-1 vertices and weights 0..10,
+    six of each shape; then one n = 7 game (858 rows)."""
+    for i in range(12):
+        rng = random.Random(9950 + i)
+        n, m = (5, 6) if i % 2 == 0 else (6, 7)
+        pairs = sorted(rng.sample(list(itertools.combinations(range(n), 2)), m))
+        b = [1, 1] + [2] * (n - 2)
+        rng.shuffle(b)
+        edges = tuple(Edge(u, v, Fraction(rng.randint(0, 10))) for u, v in pairs)
+        yield Instance(n=n, b=tuple(b), edges=edges, name=f"shape{i}")
+    yield random_instance(seed=9909, n=7, density=Fraction(1, 2), wmax=9)
+
+
+def test_formulation_bytes_pinned_at_benchmark_shapes():
+    # the bytes and the shape of the formulations the benchmark builds, and
+    # of one at n = 7, past the reach of the other emit digests
+    items = []
+    for inst in _build_shape_instances():
+        s = extform.build_extended_formulation(inst)
+        items.append((len(s.variables), len(s.constraints), _emitted(s)))
+    assert items[-1][1] == 858
+    assert _digest(items) == FORMULATION_DIGEST
 
 
 def test_emit_lp_bytes_pinned():
