@@ -13,6 +13,10 @@ of the whole thing is a feasibility system whose right-hand sides are affine
 in the allocation. Gluing those blocks onto the total-value, vertex, and edge
 constraints yields a polynomial-size system whose projection onto the
 allocation variables is exactly the core.
+
+Every LP here is written by column: the flow primal and each dual block go
+into their `ConstraintSystem` as one block of indexed rows, and a
+membership check solves each member's block as an `_LP`, with no names.
 """
 
 from dataclasses import dataclass
@@ -111,73 +115,68 @@ def build_flow_primal(g: CostedGraph) -> ConstraintSystem:
     """min sum c_e x_e over the cycle cone, written with one flow block per
     edge: x_ē units must flow from u to v through the rest of the graph,
     every arc capacity bounded by its own x."""
-    sys = ConstraintSystem(name="flow-primal")
     m = len(g.edges)
-    # every name is formatted once: x[i], and y[i] as (j, a, b, name) in arc order
-    x = [sys.add_variable(f"x_e{i}") for i in range(m)]
-    y = [
-        [(j, a, b, sys.add_variable(f"y_e{i}_{a}_{b}")) for j, a, b in _arcs(g, i)]
-        for i in range(m)
-    ]
-    sys.objective = {x[i]: e.cost for i, e in enumerate(g.edges) if e.cost != 0}
-
+    arcs = [list(_arcs(g, i)) for i in range(m)]
+    # column i is x_e{i}; then the y of every edge's arcs, in arc order
+    variables = [f"x_e{i}" for i in range(m)]
+    variables += [f"y_e{i}_{a}_{b}" for i in range(m) for _, a, b in arcs[i]]
+    sys = ConstraintSystem("flow-primal", objective={
+        variables[i]: e.cost for i, e in enumerate(g.edges) if e.cost != 0})
+    names, rows = [], []
+    y = m  # the column of edge i's first y
     for i, ebar in enumerate(g.edges):
         # conservation at every vertex: out-arcs +1, in-arcs -1; x_ē leaves u
         # and arrives at v
-        flow: dict[int, dict[str, int]] = {v: {} for v in g.vertices}
-        for _, a, b, name in y[i]:
-            flow[a][name] = 1
-            flow[b][name] = -1
-        flow[ebar.u][x[i]] = -1
-        flow[ebar.v][x[i]] = 1
-        for v, coeffs in flow.items():
-            sys.add_constraint(f"flow_e{i}_v{v}", coeffs, "=", 0)
-        for j, a, b, name in y[i]:
-            sys.add_constraint(f"cap_e{i}_{a}_{b}", {name: 1, x[j]: -1}, "<=", 0)
-    for i in range(m):
-        sys.add_constraint(f"nn_x_e{i}", {x[i]: 1}, ">=", 0)
-    for i in range(m):
-        for _, a, b, name in y[i]:
-            sys.add_constraint(f"nn_y_e{i}_{a}_{b}", {name: 1}, ">=", 0)
+        flow: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
+        for col, (_, a, b) in enumerate(arcs[i], y):
+            flow[a][col] = 1
+            flow[b][col] = -1
+        flow[ebar.u][i] = -1
+        flow[ebar.v][i] = 1
+        names += [f"flow_e{i}_v{v}" for v in flow]
+        rows += [(coeffs, "=", 0) for coeffs in flow.values()]
+        names += [f"cap_e{i}_{a}_{b}" for _, a, b in arcs[i]]
+        rows += [({col: 1, j: -1}, "<=", 0) for col, (j, _, _) in enumerate(arcs[i], y)]
+        y += len(arcs[i])
+    names += [f"nn_{v}" for v in variables]
+    rows += [({k: 1}, ">=", 0) for k in range(len(variables))]
+    sys._extend(variables, names, rows)
     return sys
 
 
-def _dual_block(g: CostedGraph, keys, first: int, symbolic: bool) -> list:
-    """One graph's dual feasibility block as rows over the columns first,
-    first + 1, ...: gamma_e{i}_v{v} for each edge i and each vertex v of g,
-    in order, then lam_e{i}_{a}_{b} (>= 0) for each edge i and each arc
-    (a, b) of `_arcs(g, i)`, in order. The rows are the arc rows in lam
-    order, then one cost row per edge, each as (coeffs, rel, rhs), where
-    coeffs maps keys[column] to the value: `keys` lists the columns
-    themselves for an indexed block, or a ConstraintSystem's variables.
-
-    Each cost row's right-hand side is its edge's cost. When `symbolic`, g
-    is costed at p = 0 and each cost row also carries -1/2 at columns u and
-    v, the p_u and p_v columns: the (p_u + p_v)/2 part of the cost, moved to
-    the left-hand side.
-    """
+def _dual_block(g: CostedGraph, first: int, symbolic: bool) -> list:
+    """One graph's dual feasibility block as rows (coeffs by column, rel,
+    rhs) over the columns first, first + 1, ...: gamma_e{i}_v{v} for each
+    edge i and vertex v of g, then lam_e{i}_{a}_{b} (>= 0) for each edge i
+    and arc (a, b) of `_arcs(g, i)`. The rows are the arc rows in lam order,
+    then one cost row per edge, whose rhs is the edge's cost. When
+    `symbolic`, g is costed at p = 0 and each cost row also carries -1/2 at
+    columns u and v, the p_u and p_v columns: the (p_u + p_v)/2 part of the
+    cost, moved to the left-hand side."""
     m, nv = len(g.edges), len(g.vertices)
-    at = {v: first + k for k, v in enumerate(g.vertices)}  # gamma_e0_v{v}
-    lam0, width = first + m * nv, 2 * (m - 1)  # lam_e0's first column, arcs a block
+    lam0, width = m * nv, 2 * (m - 1)  # lam_e0's offset, arcs a block
+    # column k of the block is col[k]: one int object, shared by its rows
+    col = list(range(first, first + lam0 + m * width))
+    at = {v: k for k, v in enumerate(g.vertices)}  # gamma_e0_v{v}
     rows = []
-    col = lam0
+    lam = lam0
     for i in range(m):
         gi = i * nv
         for _, a, b in _arcs(g, i):
-            rows.append(({keys[at[a] + gi]: 1, keys[at[b] + gi]: -1, keys[col]: -1}, "<=", 0))
-            col += 1
+            rows.append(({col[at[a] + gi]: 1, col[at[b] + gi]: -1, col[lam]: -1}, "<=", 0))
+            lam += 1
     for i, ebar in enumerate(g.edges):
         u, v = ebar.u, ebar.v
-        coeffs = {keys[at[u] + i * nv]: -1, keys[at[v] + i * nv]: 1}
+        coeffs = {col[at[u] + i * nv]: -1, col[at[v] + i * nv]: 1}
         # capacity multipliers of edge ē inside every other block k: its arcs
         # u-v and v-u are block k's arcs 2i and 2i + 1, less the 2 of edge k
         # when k < i
         for k in range(m):
             if k != i:
                 c = lam0 + k * width + 2 * (i - (k < i))
-                coeffs[keys[c]] = coeffs[keys[c + 1]] = 1
+                coeffs[col[c]] = coeffs[col[c + 1]] = 1
         if symbolic:
-            coeffs[keys[u]] = coeffs[keys[v]] = _MINUS_HALF
+            coeffs[u] = coeffs[v] = _MINUS_HALF
         rows.append((coeffs, "<=", _value(ebar.cost)))
     return rows
 
@@ -187,19 +186,18 @@ def _add_dual_block(sys: ConstraintSystem, g: CostedGraph, prefix: str,
     """Append g's dual block (`_dual_block`) to `sys`, naming its columns
     and rows in the builder's order; each lam column's sign becomes an
     nn_lam row."""
-    first = len(sys.variables)
     m = len(g.edges)
-    for i in range(m):
-        for v in g.vertices:
-            sys.add_variable(f"{prefix}gamma_e{i}_v{v}")
-    arcs = [(i, a, b) for i in range(m) for _, a, b in _arcs(g, i)]
-    lams = [sys.add_variable(f"{prefix}lam_e{i}_{a}_{b}") for i, a, b in arcs]
-    row_names = [f"{prefix}arc_e{i}_{a}_{b}" for i, a, b in arcs]
-    row_names += [f"{prefix}cost_e{i}" for i in range(m)]
-    for name, row in zip(row_names, _dual_block(g, sys.variables, first, symbolic)):
-        sys.add_constraint(name, *row)
-    for (i, a, b), lam in zip(arcs, lams):
-        sys.add_constraint(f"{prefix}nn_lam_e{i}_{a}_{b}", {lam: 1}, ">=", 0)
+    arcs = [f"e{i}_{a}_{b}" for i in range(m) for _, a, b in _arcs(g, i)]
+    first = len(sys.variables)
+    lam0 = first + m * len(g.vertices)
+    variables = [f"{prefix}gamma_e{i}_v{v}" for i in range(m) for v in g.vertices]
+    variables += [f"{prefix}lam_{arc}" for arc in arcs]
+    names = [f"{prefix}arc_{arc}" for arc in arcs]
+    names += [f"{prefix}cost_e{i}" for i in range(m)]
+    names += [f"{prefix}nn_lam_{arc}" for arc in arcs]
+    rows = _dual_block(g, first, symbolic)
+    rows += [({k: 1}, ">=", 0) for k in range(lam0, lam0 + len(arcs))]
+    sys._extend(variables, names, rows)
 
 
 def _membership_lp(g: CostedGraph) -> _LP:
@@ -208,7 +206,7 @@ def _membership_lp(g: CostedGraph) -> _LP:
     m = len(g.edges)
     lam0 = m * len(g.vertices)
     ncols = lam0 + 2 * m * (m - 1)
-    return _LP(ncols, set(range(lam0, ncols)), _dual_block(g, list(range(ncols)), 0, False))
+    return _LP(ncols, set(range(lam0, ncols)), _dual_block(g, 0, False))
 
 
 def build_dual_system(g: CostedGraph) -> ConstraintSystem:
@@ -223,18 +221,13 @@ def build_extended_formulation(inst: Instance) -> ConstraintSystem:
     """The full core system: total value, vertex and edge constraints, plus
     one symbolic dual block per family member. Its projection onto the p
     variables is the core."""
-    sys = ConstraintSystem(name=f"core-extform({inst.name or 'instance'})")
+    p = [f"p_{v}" for v in range(inst.n)]
+    sys = ConstraintSystem(f"core-extform({inst.name or 'instance'})", p)
+    sys.add_constraint("total", dict.fromkeys(p, 1), "=", inst.grand_value)
     for v in range(inst.n):
-        sys.add_variable(f"p_{v}")
-    sys.add_constraint(
-        "total", {f"p_{v}": 1 for v in range(inst.n)}, "=", inst.grand_value
-    )
-    for v in range(inst.n):
-        sys.add_constraint(f"nn_p_{v}", {f"p_{v}": 1}, ">=", 0)
+        sys.add_constraint(f"nn_{p[v]}", {p[v]: 1}, ">=", 0)
     for i, e in enumerate(inst.edges):
-        sys.add_constraint(
-            f"edge_e{i}", {f"p_{e.u}": 1, f"p_{e.v}": 1}, ">=", e.w
-        )
+        sys.add_constraint(f"edge_e{i}", {p[e.u]: 1, p[e.v]: 1}, ">=", e.w)
     for k, g in enumerate(enumerate_family(inst).members):
         _add_dual_block(sys, g, f"g{k}_", True)
     return sys

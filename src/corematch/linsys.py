@@ -3,34 +3,35 @@ feasibility/optimization, and a deterministic LP-format writer/reader that
 share one grammar: `parse_lp` reads exactly what `emit_lp` writes and
 rejects, naming its line, anything else.
 
-The simplex reads one indexed form, `_LP`: a column count, the sign (>= 0)
-columns, and rows {column: value} with a relation and a right-hand side. A
-named system reaches the tableau as named system -> `_lower` -> `_LP` ->
-`_Tableau`: `_lower` makes variable k column k, rejects an undeclared name
-and presolves a single-variable row equivalent to v >= 0 into a sign
-column; the tableau splits every free column in two. `extform.check_membership` builds its dual
-blocks as `_LP`s directly and hands them to `simplex_feasible` as they
-are. `_solve` is the one routine from an `_LP` to a verified point.
+A ConstraintSystem stores its rows in the simplex's indexed form, (coeffs,
+rel, rhs) with coeffs a {column: nonzero value} dict, variable k being
+column k, beside a list of row names. The constructor, `add_constraint` and
+`parse_lp` translate names to columns once per row; extform appends whole
+blocks by column (`_extend`). `constraints` is a read-only sequence that
+builds a frozen `Constraint` view of a row only when the row is read.
 
-Arithmetic is exact, under one number rule from the row to the tableau: a
-value is an int when it is integral and a Fraction only when it is not
-(`_value`), so a pivot on a +-1 element stays in ints. Constraint
-coefficients and right-hand sides are stored that way; witnesses and
-objective values are returned as fractions.Fraction.
+The simplex reads one form, `_LP`: a column count, the sign (>= 0) columns
+and the rows. `_lower` makes a system one, presolving a one-variable row
+equivalent to v >= 0 into a sign column; `extform.check_membership` builds
+its blocks as `_LP`s. `_solve` goes from an `_LP` to a verified point: with
+no objective and no row that needs an artificial, phase 1 would make no
+pivot from the slack basis, so the point is the origin and no `_Tableau` is
+built (`_slack_point`).
 
-Every step costs time per nonzero, and each coefficient is converted once,
-when its row is built: the tableau copies the row's values as they are, a
-pivot visits only the rows that hold its column, and `emit_lp` formats each
-distinct coefficient and right-hand side once and writes each row's terms in
-declaration order. Every point is still re-verified against every row and
-every sign column of its `_LP` before it is returned, by `_holds`, which
-sums in ints (a numerator over a denominator) so an integral row builds no
-Fraction."""
+Arithmetic is exact, under one number rule: a value is an int when it is
+integral and a Fraction only when it is not (`_value`), so a pivot on a +-1
+element stays in ints; witnesses and objective values are returned as
+Fractions. Work is per nonzero, and each coefficient is converted once, when
+its row is built; `emit_lp` writes each row in column order and formats each
+distinct coefficient once. Every point is re-verified against every row and
+sign column of its `_LP` by `_holds`, which sums in ints."""
 
 import re
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, TextIO
 
 from .model import InvariantError
@@ -46,20 +47,14 @@ def _value(x) -> int | Fraction:
     return x.numerator if x.denominator == 1 else x
 
 
-def _exact(x) -> Fraction:
-    """An output value x as a Fraction, reusing a Fraction."""
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def _holds(coeffs: Mapping, rel: str, rhs: int | Fraction, point: Mapping) -> bool:
-    """Exact test of the row `coeffs rel rhs` at `point`, both keyed alike
-    (by name or by column); a key missing from the point reads as 0 and a
-    value that is neither an int nor a Fraction is converted exactly. The
-    left-hand side is summed as an int numerator over an int denominator (an
-    int is its own numerator over 1), so an integral row builds no
-    Fraction."""
+    """Exact test of the row `coeffs rel rhs` at `point`, both keyed alike;
+    a key missing from the point reads as 0, and another value than an int
+    or a Fraction converts exactly. The left-hand side is summed as an int
+    numerator over an int denominator, so an integral row builds no Fraction
+    (and at the origin, an empty point, no term is read)."""
     num, den = 0, 1
-    for v, c in coeffs.items():
+    for v, c in coeffs.items() if point else ():
         x = point.get(v)
         if not x:  # missing, or a zero
             continue
@@ -81,10 +76,14 @@ def _holds(coeffs: Mapping, rel: str, rhs: int | Fraction, point: Mapping) -> bo
     return num == rhs
 
 
-@dataclass
+@dataclass(frozen=True)
 class Constraint:
+    """One named row `coeffs rel rhs`, read-only: coeffs is a read-only
+    {name: value} mapping. Values follow the module's number rule, and a
+    zero coefficient is dropped."""
+
     name: str
-    coeffs: dict[str, int | Fraction]
+    coeffs: Mapping[str, int | Fraction]
     rel: str  # one of "<=", "=", ">="
     rhs: int | Fraction
 
@@ -97,67 +96,105 @@ class Constraint:
                 c = _value(c)
             if c:  # a zero is dropped after conversion ("0", 0.0, Fraction(0))
                 coeffs[v] = c
-        self.coeffs = coeffs
-        self.rhs = _value(self.rhs)
+        object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
+        object.__setattr__(self, "rhs", _value(self.rhs))
 
     def holds(self, point: Mapping[str, Fraction]) -> bool:
         """Exact test of the row at `point` (see `_holds`)."""
         return _holds(self.coeffs, self.rel, self.rhs, point)
 
 
-def _undeclared(con: Constraint, names) -> ValueError:
-    return ValueError(f"constraint {con.name} uses undeclared {sorted(names)}")
-
-
 @dataclass
+class _Rows(Sequence):
+    """A system's rows as `Constraint` views, each built when it is read."""
+
+    _system: "ConstraintSystem"
+
+    def __len__(self) -> int:
+        return len(self._system._rows)
+
+    def __getitem__(self, i: int) -> Constraint:
+        s = self._system
+        coeffs, rel, rhs = s._rows[i]
+        return Constraint(s._names[i], {s.variables[k]: c for k, c in coeffs.items()}, rel, rhs)
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+
+def _columns(variables: list[str]) -> dict[str, int]:
+    """Each variable's column; raises ValueError if two share a name."""
+    pos = {v: k for k, v in enumerate(variables)}
+    if len(pos) != len(variables):
+        raise ValueError("duplicate variables")
+    return pos
+
+
 class ConstraintSystem:
-    """Named rational variables plus linear constraints and an optional
-    minimization objective."""
+    """Named rational variables, linear constraints stored by column (see
+    module notes) and an optional minimization objective."""
 
-    name: str = ""
-    variables: list[str] = field(default_factory=list)
-    constraints: list[Constraint] = field(default_factory=list)
-    objective: Optional[dict[str, Fraction]] = None
+    def __init__(self, name: str = "", variables=(), constraints=(),
+                 objective: Optional[dict[str, Fraction]] = None):
+        self.name = name
+        self.variables = list(variables)
+        self.objective = objective
+        self._cols: Optional[dict[str, int]] = _columns(self.variables)
+        self._rows: list[tuple[dict[int, int | Fraction], str, int | Fraction]] = []
+        self._names: list[str] = []  # row k's name
+        for con in constraints:
+            self.add_constraint(con.name, con.coeffs, con.rel, con.rhs)
 
-    def __post_init__(self):
-        self._vs = set(self.variables)
-        if len(self._vs) != len(self.variables):
-            raise ValueError("duplicate variables")
-        for con in self.constraints:
-            self._check_declared(con)
+    @property
+    def constraints(self) -> _Rows:
+        return _Rows(self)
 
-    def _check_declared(self, con: Constraint) -> None:
-        if not self._vs.issuperset(con.coeffs):
-            raise _undeclared(con, set(con.coeffs) - self._vs)
+    @property
+    def _pos(self) -> dict[str, int]:
+        """Each variable's column (`_columns`), built again when first read
+        after `_extend` declared variables."""
+        if self._cols is None:
+            self._cols = _columns(self.variables)
+        return self._cols
 
-    def add_variable(self, name: str) -> str:
-        if name in self._vs:
-            raise ValueError(f"duplicate variable {name}")
-        self.variables.append(name)
-        self._vs.add(name)
-        return name
+    def _extend(self, variables: list[str], names: list[str], rows: list) -> None:
+        """Declare `variables`, kept distinct by the caller, and append
+        `rows` in the stored form, named `names`. Checked once per block:
+        raises ValueError, changing nothing, if a column is undeclared."""
+        ncols = len(self.variables) + len(variables)
+        cols = set().union(*(coeffs for coeffs, _, _ in rows))
+        if len(names) != len(rows) or cols and (min(cols) < 0 or max(cols) >= ncols):
+            raise ValueError("a block row names a column outside the system")
+        if variables:
+            self._cols = None
+            self.variables += variables
+        self._rows += rows
+        self._names += names
 
     def add_constraint(self, name, coeffs, rel, rhs) -> Constraint:
+        """Append the row, translated to columns once; raises ValueError if
+        it uses an undeclared variable."""
         con = Constraint(name, coeffs, rel, rhs)  # builds its own dict
-        self._check_declared(con)
-        self.constraints.append(con)
+        pos = self._pos
+        if not pos.keys() >= con.coeffs.keys():
+            unknown = sorted(con.coeffs.keys() - pos.keys())
+            raise ValueError(f"constraint {name} uses undeclared {unknown}")
+        self._rows.append(({pos[v]: c for v, c in con.coeffs.items()}, con.rel, con.rhs))
+        self._names.append(name)
         return con
 
     def check_point(self, point: Mapping[str, Fraction]) -> bool:
-        """Exact test of every constraint at `point` (see `Constraint.holds`);
-        keys that are not variables of a row are ignored."""
-        return all(c.holds(point) for c in self.constraints)
+        """Exact test of every row at `point`, by name (see `_holds`)."""
+        pos = self._pos
+        at = {pos[v]: x for v, x in point.items() if v in pos}
+        return all(_holds(coeffs, rel, rhs, at) for coeffs, rel, rhs in self._rows)
 
     def __eq__(self, other):
         if not isinstance(other, ConstraintSystem):
             return NotImplemented
-
-        return (
-            self.name == other.name
-            and self.variables == other.variables
-            and self.constraints == other.constraints
-            and _objective_terms(self) == _objective_terms(other)
-        )
+        return (self.name, self.variables, self._names, self._rows) == (
+            other.name, other.variables, other._names, other._rows
+        ) and _objective_terms(self) == _objective_terms(other)
 
 
 @dataclass(frozen=True)
@@ -211,28 +248,21 @@ class _LP(NamedTuple):
 
 def _lower(system: ConstraintSystem,
            objective: Optional[Mapping[str, int | Fraction]] = None) -> _LP:
-    """The system as an _LP whose column k is variable k, with `objective`
-    (checked terms, or None) over the same columns. A one-variable row
-    equivalent to v >= 0 (c v >= 0 with c > 0, or c v <= 0 with c < 0)
-    makes v a sign column instead of a row; every other row is kept, less
-    any zero written into it after construction. Raises ValueError naming
-    the first row that uses an undeclared variable."""
-    pos = {v: k for k, v in enumerate(system.variables)}
+    """The system as an _LP, with `objective` (checked terms, or None) by
+    column. A one-variable row equivalent to v >= 0 (c v >= 0 with c > 0, or
+    c v <= 0 with c < 0) makes v a sign column; the other rows stay as stored."""
     sign: set[int] = set()
     rows = []
-    try:
-        for con in system.constraints:
-            rel, rhs = con.rel, con.rhs
-            if len(con.coeffs) == 1 and rel != "=" and not rhs:
-                ((v, c),) = con.coeffs.items()
-                if (c > 0 and rel == ">=") or (c < 0 and rel == "<="):
-                    sign.add(pos[v])
-                    continue
-            rows.append(({pos[v]: c for v, c in con.coeffs.items() if c}, rel, rhs))
-    except KeyError as exc:  # pos has no column for the variable
-        raise _undeclared(con, exc.args) from None
+    for row in system._rows:
+        coeffs, rel, rhs = row
+        if len(coeffs) == 1 and rel != "=" and not rhs:
+            ((k, c),) = coeffs.items()
+            if (c > 0) == (rel == ">="):
+                sign.add(k)
+                continue
+        rows.append(row)
     if objective is not None:
-        objective = {pos[v]: c for v, c in objective.items()}
+        objective = {system._pos[v]: c for v, c in objective.items()}
     return _LP(len(system.variables), sign, rows, objective)
 
 
@@ -249,20 +279,15 @@ class _Tableau:
 
     def __init__(self, lp: _LP):
         self.objective = lp.objective
-        # every row is normalized to a nonnegative rhs b, as (coeffs, flip,
-        # rel, b): flip ">=" to "<=", then flip again if the rhs is negative
+        # every row is normalized to a nonnegative rhs, as (coeffs, flip,
+        # rel, |rhs|): a ">=" row is negated into "<=" unless its rhs is
+        # positive, any other row where its rhs is negative
         rows_src = []
         for coeffs, rel, b in lp.rows:
-            flip = rel == ">="
-            if flip:
-                b = -b
-                rel = "<="
-            if b < 0:
-                flip = not flip
-                b = -b
-                if rel == "<=":
-                    rel = ">="
-            rows_src.append((coeffs, flip, rel, b))
+            flip = b <= 0 if rel == ">=" else b < 0
+            if flip and rel != "=":
+                rel = "<=" if rel == ">=" else ">="
+            rows_src.append((coeffs, flip, rel, abs(b)))
 
         # (LP column, sign) per tableau column; LP column k is tableau
         # column plus[k], less tableau column minus[k] unless k is a sign
@@ -272,12 +297,8 @@ class _Tableau:
         minus: list[Optional[int]] = []
         for k in range(lp.ncols):
             plus.append(len(self.cols))
-            self.cols.append((k, +1))
-            if k in lp.sign:
-                minus.append(None)
-            else:
-                minus.append(len(self.cols))
-                self.cols.append((k, -1))
+            minus.append(None if k in lp.sign else len(self.cols) + 1)
+            self.cols += [(k, +1)] if k in lp.sign else [(k, +1), (k, -1)]
         self.nstruct = slack = len(self.cols)
         self.first_art = art = slack + sum(rel != "=" for _, _, rel, _ in rows_src)
         self.total = total = art + sum(rel != "<=" for _, _, rel, _ in rows_src)
@@ -397,7 +418,7 @@ class _Tableau:
         self._price(cost)
         if self._bland(cost) == "unbounded":
             return "unbounded", None
-        return "optimal", _exact(-cost.get(self.total, 0))
+        return "optimal", Fraction(-cost.get(self.total, 0))
 
     def witness(self) -> dict[int, int | Fraction]:
         """Each basic LP column's value at the current basis, in tableau
@@ -418,31 +439,40 @@ def _objective_terms(system: ConstraintSystem) -> dict[str, int | Fraction]:
 
 
 def _check_objective(system: ConstraintSystem) -> dict[str, int | Fraction]:
-    """The objective's nonzero terms (see `_objective_terms`); raises
-    ValueError if one uses an undeclared variable, as `add_constraint` does
-    for a row."""
+    """The objective's nonzero terms (`_objective_terms`); raises ValueError
+    if one uses an undeclared variable, as `add_constraint` does for a row."""
     terms = _objective_terms(system)
-    unknown = terms.keys() - system._vs
+    unknown = terms and terms.keys() - system._pos.keys()
     if unknown:
         raise ValueError(f"objective uses undeclared {sorted(unknown)}")
     return terms
 
 
+def _slack_point(lp: _LP) -> Optional[dict]:
+    """The origin, {}, where lp has no objective and no row needs an
+    artificial (no "=" row, every "<=" row has rhs >= 0 and every ">=" row
+    rhs <= 0): phase 1 would make no pivot from the slack basis. Else None."""
+    return {} if lp.objective is None and all(
+        rhs >= 0 if rel == "<=" else rel == ">=" and rhs <= 0 for _, rel, rhs in lp.rows) else None
+
+
 def _solve(lp: _LP) -> tuple[str, Optional[dict[int, int | Fraction]], Optional[Fraction]]:
     """Phase 1, then phase 2 if lp has an objective: (status, point, value).
-    The point maps LP columns to values as `_Tableau.witness` does, and is
-    re-verified by substitution into every row and every sign column before
-    it is returned; point and value are None where the status has none."""
-    tab = _Tableau(lp)
-    if not tab.phase1():
-        return "infeasible", None, None
+    The point, `_slack_point`'s or else `_Tableau.witness`, is re-verified by
+    substitution into every row and every sign column before it is returned;
+    point and value are None where the status has none."""
     status, value = "feasible", None
-    if lp.objective is not None:
-        status, value = tab.phase2()
-        if status == "unbounded":
-            return status, None, None
-    point = tab.witness()
-    if (any(point.get(k, 0) < 0 for k in lp.sign)
+    point = _slack_point(lp)
+    if point is None:
+        tab = _Tableau(lp)
+        if not tab.phase1():
+            return "infeasible", None, None
+        if lp.objective is not None:
+            status, value = tab.phase2()
+            if status == "unbounded":
+                return status, None, None
+        point = tab.witness()
+    if (any(x < 0 for k, x in point.items() if k in lp.sign)
             or not all(_holds(coeffs, rel, rhs, point) for coeffs, rel, rhs in lp.rows)):
         raise InvariantError("simplex witness failed re-verification")
     return status, point, value
@@ -453,7 +483,7 @@ def _result(system: ConstraintSystem, solved: tuple) -> SimplexResult:
     status, point, value = solved
     if point is None:
         return SimplexResult(status=status)
-    witness = {v: _exact(point.get(k, 0)) for k, v in enumerate(system.variables)}
+    witness = {v: Fraction(point.get(k, 0)) for k, v in enumerate(system.variables)}
     return SimplexResult(status=status, witness=witness, objective=value)
 
 
@@ -482,16 +512,14 @@ def simplex_solve(system: ConstraintSystem) -> SimplexResult:
 # LP text format.
 #
 # Standard sections (Minimize / Subject To / Bounds / End); every variable is
-# declared free in Bounds (sign constraints are ordinary rows here), and the
-# Bounds order doubles as the variable declaration order for round-trips.
-# Coefficients are written as exact decimals; a constraint containing any
-# coefficient without a finite decimal expansion moves to an extension line
-# "\X name: 1/3 x + ... <= 2/3" that external parsers skip as a comment.
-# Informational "\ exact" comments carry the fraction form of decimal rows.
-# Variable and constraint names match [A-Za-z_][A-Za-z0-9_]*, so no name can
-# read as a number, an operator, a separator or two tokens. The patterns
-# below are that grammar; `_check_names` holds the writer to it, and
-# `parse_lp` reads nothing outside it.
+# declared free in Bounds, in declaration order (sign constraints are rows).
+# Coefficients are written as exact decimals; a row with a coefficient that
+# has no finite decimal expansion moves to an extension line "\X name: 1/3 x
+# + ... <= 2/3" that external parsers skip as a comment, and "\ exact"
+# comments carry the fraction form of decimal rows. Names match
+# [A-Za-z_][A-Za-z0-9_]*, so no name reads as a number, an operator, a
+# separator or two tokens. The patterns below are that grammar;
+# `_check_names` holds the writer to it, and `parse_lp` reads nothing else.
 # ---------------------------------------------------------------------------
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -510,21 +538,15 @@ _BOUND_RE = re.compile(rf"({_NAME})\s+free")
 def _check_names(system: ConstraintSystem) -> None:
     """Raise ValueError naming the system name, or else the first variable,
     then constraint, name that `parse_lp` could not read back. The system
-    name goes on one header line that is read back stripped, so it may hold
-    no line break (any that `str.splitlines` splits on) and no space at
-    either end."""
+    name is read back stripped from one header line, so it may hold no line
+    break (any that `str.splitlines` splits on) and no space at either end."""
     name = system.name
     if name != name.strip() or len(name.splitlines()) > 1:
         raise ValueError(f"system name {name!r} has a line break or a space at one end")
-    for kind, names in (
-        ("variable", system.variables),
-        ("constraint", (con.name for con in system.constraints)),
-    ):
-        for name in names:
-            if not _NAME_RE.fullmatch(name):
-                raise ValueError(
-                    f"{kind} name {name!r} does not match [A-Za-z_][A-Za-z0-9_]*"
-                )
+    for kind, names in (("variable", system.variables), ("constraint", system._names)):
+        if not all(map(_NAME_RE.fullmatch, names)):
+            name = next(v for v in names if not _NAME_RE.fullmatch(v))
+            raise ValueError(f"{kind} name {name!r} does not match [A-Za-z_][A-Za-z0-9_]*")
 
 
 def _decimal_places(den: int) -> Optional[int]:
@@ -558,72 +580,59 @@ def _forms(x) -> tuple[int, str, Optional[str]]:
     return 1, exact, f"{sign}{digits[:-k]}.{digits[-k:]}"
 
 
-def _head(c) -> tuple[int, Optional[str], Optional[str]]:
-    """(rank, exact head, decimal head) of a coefficient c, ranked as by
-    `_forms`; a head is what precedes the variable in a term: the sign, then
-    the magnitude unless it is 1 (" + ", " - 2 ", " + 1/3 "). Both heads are
-    None for a zero, and the decimal head is None at rank 2."""
-    num = c.numerator
-    if not num:
-        return 0, None, None
-    sign = " - " if num < 0 else " + "
-    if num in (1, -1) and c.denominator == 1:
-        return 0, sign, sign
-    rank, exact, decimal = _forms(abs(c))
-    return rank, f"{sign}{exact} ", decimal and f"{sign}{decimal} "
-
-
-def _terms(names, coeffs, heads: dict, k: int, rank: int) -> tuple[int, str]:
-    """The terms of `coeffs` over `names` (their order) with nonzero
-    coefficients, written with exact (k = 1) or decimal (k = 2) heads, and the
-    greater of `rank` and their coefficients' ranks. `heads` maps id(c) to
-    `_head(c)` and gains the coefficients it lacks."""
-    parts = []
-    for v in names:
-        c = coeffs[v]
-        head = heads.get(id(c))
-        if head is None:
-            head = heads[id(c)] = _head(c)
-        if head[0] > rank:
-            rank = head[0]
-        if head[k] is not None:
-            parts.append(head[k])
-            parts.append(v)
-    if not parts:
-        return rank, "0"
-    text = "".join(parts)
-    return rank, text[3:] if text[1] == "+" else text[1:]  # no "+" before the first term
-
-
 def emit_lp(system: ConstraintSystem, sink: TextIO) -> None:
     """Write the system deterministically in LP format (see module notes).
-    Raises ValueError if the objective or a row uses an undeclared variable
-    or a name breaks the name grammar."""
+    Raises ValueError if the objective uses an undeclared variable or a name
+    breaks the name grammar."""
     obj = _check_objective(system)
     _check_names(system)
     order = system.variables
-    pos = {v: i for i, v in enumerate(order)}
-    # each distinct coefficient and rhs is formatted once, keyed by id() (a
-    # Fraction hashes slowly): every key's object lives in the system or in
-    # `obj` until the call returns
+    # per column, the term of a +1 and of a -1; each other distinct value is
+    # formatted once, keyed by id() (a Fraction hashes slowly): every key's
+    # object lives in the system or in `obj` until the call returns
+    plus, minus = [f" + {v}" for v in order], [f" - {v}" for v in order]
     heads: dict[int, tuple] = {}
     values: dict[int, tuple] = {}
 
+    def terms(cols, coeffs, k: int, rank: int) -> tuple[int, str]:
+        """The terms of `coeffs` over `cols`, with exact (k = 1) or decimal
+        (k = 2) heads, and the greater of `rank` and their values' ranks."""
+        parts = []
+        for j in cols:
+            c = coeffs[j]
+            if c == 1:
+                parts.append(plus[j])
+            elif c == -1:
+                parts.append(minus[j])
+            else:
+                head = heads.get(id(c))
+                if head is None:  # (rank, exact head, decimal head): " - 2 ", " + 1/3 "
+                    sign = " - " if c < 0 else " + "
+                    r, e, d = _forms(abs(c))
+                    head = heads[id(c)] = r, f"{sign}{e} ", d and f"{sign}{d} "
+                if head[0] > rank:
+                    rank = head[0]
+                if head[k] is not None:
+                    parts.append(head[k] + order[j])
+        if not parts:
+            return rank, "0"
+        text = "".join(parts)
+        return rank, text[3:] if text[1] == "+" else text[1:]  # no "+" before the first term
+
     def row(coeffs, rank) -> tuple[int, str, Optional[str]]:
         """(rank, exact terms, decimal terms) of a row whose rhs ranks `rank`;
-        the decimal terms are None at rank 2. Raises KeyError naming a
-        variable that is not declared."""
-        names = sorted(coeffs, key=pos.__getitem__)
-        rank, exact = _terms(names, coeffs, heads, 1, rank)
+        the decimal terms are None at rank 2."""
+        cols = sorted(coeffs)
+        rank, exact = terms(cols, coeffs, 1, rank)
         if rank == 1:
-            return rank, exact, _terms(names, coeffs, heads, 2, rank)[1]
+            return rank, exact, terms(cols, coeffs, 2, rank)[1]
         return rank, exact, None if rank else exact
 
     w = sink.write
     w(f"\\ constraint-system: {system.name}\n")
-    w(f"\\ variables: {len(order)}  constraints: {len(system.constraints)}\n")
+    w(f"\\ variables: {len(order)}  constraints: {len(system._rows)}\n")
     w("Minimize\n")
-    rank, exact, decimal = row(obj, 0)
+    rank, exact, decimal = row({system._pos[v]: c for v, c in obj.items()}, 0)
     if rank == 2:
         w(f"\\X obj: {exact}\n")
         w(" obj: 0\n")
@@ -632,20 +641,17 @@ def emit_lp(system: ConstraintSystem, sink: TextIO) -> None:
             w(f"\\ exact obj: {exact}\n")
         w(f" obj: {decimal}\n")
     w("Subject To\n")
-    for con in system.constraints:
-        rhs = values.get(id(con.rhs))
-        if rhs is None:
-            rhs = values[id(con.rhs)] = _forms(con.rhs)
-        try:
-            rank, exact, decimal = row(con.coeffs, rhs[0])
-        except KeyError as exc:  # pos has no entry for the variable
-            raise _undeclared(con, exc.args) from None
+    for name, (coeffs, rel, rhs) in zip(system._names, system._rows):
+        form = values.get(id(rhs))
+        if form is None:
+            form = values[id(rhs)] = _forms(rhs)
+        rank, exact, decimal = row(coeffs, form[0])
         if rank == 2:
-            w(f"\\X {con.name}: {exact} {con.rel} {rhs[1]}\n")
+            w(f"\\X {name}: {exact} {rel} {form[1]}\n")
         else:
             if rank == 1:
-                w(f"\\ exact {con.name}: {exact} {con.rel} {rhs[1]}\n")
-            w(f" {con.name}: {decimal} {con.rel} {rhs[2]}\n")
+                w(f"\\ exact {name}: {exact} {rel} {form[1]}\n")
+            w(f" {name}: {decimal} {rel} {form[2]}\n")
     w("Bounds\n")
     for v in order:
         w(f" {v} free\n")
@@ -692,7 +698,7 @@ def parse_lp(source) -> ConstraintSystem:
     text = source.read() if hasattr(source, "read") else source
     name = ""
     objectives: dict[bool, dict[str, int | Fraction]] = {}  # keyed by "is a \\X row"
-    constraints: list[Constraint] = []
+    rows: list[tuple] = []
     variables: list[str] = []
     section = number = 0  # section: how many section lines have been read
     for number, raw in enumerate(text.splitlines(), 1):
@@ -713,7 +719,7 @@ def parse_lp(source) -> ConstraintSystem:
                     raise ValueError("a second objective")
                 objectives[exact] = _read_row(body, True)[1]
             elif section == 2:
-                constraints.append(Constraint(*_read_row(body, False)))
+                rows.append(_read_row(body, False))
             elif section == 3 and not exact:
                 m = _BOUND_RE.fullmatch(line)
                 if m is None:
@@ -725,9 +731,9 @@ def parse_lp(source) -> ConstraintSystem:
             raise ValueError(f"line {number}: {exc}: {raw!r}") from None
     if section != 4:
         raise ValueError(f"line {number + 1}: no End line before the text ends")
-    system = ConstraintSystem(
-        name=name, variables=variables, constraints=constraints,
-        objective=objectives.get(True, objectives.get(False)) or None,
-    )
+    system = ConstraintSystem(name, variables,
+                              objective=objectives.get(True, objectives.get(False)) or None)
+    for row in rows:
+        system.add_constraint(*row)
     _check_objective(system)
     return system

@@ -88,14 +88,16 @@ def test_bad_simplex_witness_raises_under_dash_o():
 
 def test_bad_membership_witness_raises_under_dash_o():
     # check_membership solves each dual block from its indexed form and
-    # makes no named witness, but still re-verifies the tableau's point
+    # makes no named witness, but still re-verifies the tableau's point;
+    # every block of the counterexample at its core allocation has a cost
+    # row with a negative rhs, so each one reaches the tableau
     out = run_optimized(
         "from corematch import extform, linsys, parse_instance\n"
         "from corematch.model import Allocation, InvariantError\n"
         "assert False, 'asserts must be stripped here'\n"
-        "inst = parse_instance('game 4 4\\n' + ''.join(f'vertex {v} 2\\n' for v in range(4))\n"
-        "    + 'edge 0 1 1\\nedge 1 2 1\\nedge 2 3 1\\nedge 3 0 1\\n')\n"
-        "p = Allocation((1, 1, 1, 1))\n"
+        "inst = parse_instance('game 5 4\\n' + ''.join(f'vertex {v} {b}\\n' for v, b in enumerate((1, 1, 2, 2, 1)))\n"
+        "    + 'edge 0 2 1\\nedge 1 2 1\\nedge 2 3 10\\nedge 3 4 1\\n')\n"
+        "p = Allocation((0, 0, 2, 10, 0))\n"
         "print(extform.check_membership(inst, p))\n"
         "# the last column of a block with edges is a lam, which is >= 0\n"
         "real = linsys._Tableau.witness\n"
@@ -104,6 +106,31 @@ def test_bad_membership_witness_raises_under_dash_o():
         "    point[self.cols[-1][0]] = -1\n"
         "    return point\n"
         "linsys._Tableau.witness = negated\n"
+        "try:\n"
+        "    extform.check_membership(inst, p)\n"
+        "except InvariantError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "True\nraised: simplex witness failed re-verification\n"
+
+
+def test_bad_slack_point_raises_under_dash_o():
+    # every block of the 4-cycle at p = (1, 1, 1, 1) has only "<=" rows with
+    # rhs >= 0, so its point is the origin and no tableau is built; a
+    # corrupted origin is still re-verified
+    out = run_optimized(
+        "from corematch import extform, linsys, parse_instance\n"
+        "from corematch.model import Allocation, InvariantError\n"
+        "assert False, 'asserts must be stripped here'\n"
+        "inst = parse_instance('game 4 4\\n' + ''.join(f'vertex {v} 2\\n' for v in range(4))\n"
+        "    + 'edge 0 1 1\\nedge 1 2 1\\nedge 2 3 1\\nedge 3 0 1\\n')\n"
+        "p = Allocation((1, 1, 1, 1))\n"
+        "linsys._Tableau = None\n"
+        "print(extform.check_membership(inst, p))\n"
+        "# the last column of a block with edges is a lam, which is >= 0\n"
+        "real = linsys._slack_point\n"
+        "linsys._slack_point = lambda lp: None if real(lp) is None else {lp.ncols - 1: -1}\n"
         "try:\n"
         "    extform.check_membership(inst, p)\n"
         "except InvariantError as exc:\n"

@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import io
 import itertools
 import math
+import pathlib
 import random
 import re
 from fractions import Fraction
@@ -19,9 +21,19 @@ from corematch.linsys import (
     simplex_feasible,
     simplex_solve,
 )
-from corematch.model import Allocation, Edge, Instance, InvariantError, random_instance
+from corematch.model import (
+    Allocation,
+    Edge,
+    Instance,
+    InvariantError,
+    parse_allocation,
+    parse_instance,
+    random_instance,
+)
 
 from conftest import random_allocation, random_cost_graph
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 def system(constraints, nvars=None, objective=None, name="test"):
@@ -313,8 +325,9 @@ def test_roundtrip_preserves_order_and_names():
 
 def test_roundtrip_extension_row_named_obj():
     # a "\X obj: ..." row under Subject To is a constraint, not the objective
-    s = system([({"x": Fraction(1, 3)}, "<=", 1)], objective={"x": Fraction(1)})
-    s.constraints[0] = Constraint("obj", {"x": Fraction(1, 3)}, "<=", 1)
+    row = Constraint("obj", {"x": Fraction(1, 3)}, "<=", 1)
+    s = ConstraintSystem(name="test", variables=["x"], constraints=[row],
+                         objective={"x": Fraction(1)})
     assert roundtrip(s) == s
 
 
@@ -484,6 +497,17 @@ def _result_key(r):
     return r.status, r.objective, witness
 
 
+def _dual_corpus():
+    """(instance, allocation) pairs: 10 seeded instances (n = 3..7), each at
+    an egalitarian and a random allocation."""
+    for i in range(10):
+        inst = random_instance(seed=8300 + i, n=3 + i % 5, density=Fraction(1, 2), wmax=8)
+        nu_n = matching.b_matching_value(inst)
+        rng = random.Random(8400 + i)
+        yield inst, Allocation(tuple(Fraction(nu_n, inst.n) for _ in range(inst.n)))
+        yield inst, random_allocation(rng, inst)
+
+
 @lru_cache(maxsize=1)
 def _pinned_corpus_run():
     """Solve the flow primals of 36 seeded cost graphs (n = 3..6) and check
@@ -504,16 +528,9 @@ def _pinned_corpus_run():
             g = random_cost_graph(random.Random(8100 + i), 3 + i % 4, density=0.5, cmax=6)
             primal.append(_result_key(simplex_solve(extform.build_flow_primal(g))))
         dual = []
-        for i in range(10):
-            inst = random_instance(seed=8300 + i, n=3 + i % 5, density=Fraction(1, 2), wmax=8)
-            nu_n = matching.b_matching_value(inst)
-            rng = random.Random(8400 + i)
-            for p in (
-                Allocation(tuple(Fraction(nu_n, inst.n) for _ in range(inst.n))),
-                random_allocation(rng, inst),
-            ):
-                for g in extform.enumerate_family(inst, p).members:
-                    dual.append(_result_key(simplex_feasible(extform.build_dual_system(g))))
+        for inst, p in _dual_corpus():
+            for g in extform.enumerate_family(inst, p).members:
+                dual.append(_result_key(simplex_feasible(extform.build_dual_system(g))))
     return primal, dual, pivots
 
 
@@ -533,6 +550,40 @@ def test_dual_results_pinned():
 def test_pivot_count_pinned():
     _, _, pivots = _pinned_corpus_run()
     assert pivots == CORPUS_PIVOTS
+
+
+SKIPPED_BLOCKS = 40
+
+
+def _membership_blocks():
+    """The membership block of every family member of `_dual_corpus` and of
+    each data/ game at each of its allocations."""
+    cases = list(_dual_corpus())
+    for game in sorted(DATA.glob("*.game")):
+        inst = parse_instance(game.read_text())
+        cases += [(inst, parse_allocation(a.read_text(), inst))
+                  for a in sorted(DATA.glob(game.stem + "*.alloc"))]
+    for inst, p in cases:
+        for g in extform.enumerate_family(inst, p).members:
+            yield extform._membership_lp(g)
+
+
+def test_slack_basis_skip_pinned(monkeypatch):
+    # the tableau is skipped exactly where it would hold no artificial, and
+    # the skip answers as the tableau does
+    blocks = skipped = 0
+    for lp in _membership_blocks():
+        tab = linsys._Tableau(lp)
+        skip = linsys._slack_point(lp) is not None
+        assert skip == (tab.first_art == tab.total)
+        got = simplex_feasible(lp)
+        with monkeypatch.context() as mp:
+            mp.setattr(linsys, "_slack_point", lambda lp: None)
+            forced = simplex_feasible(lp)
+        assert (got.status, got.witness) == (forced.status, forced.witness)
+        blocks += 1
+        skipped += skip
+    assert blocks > skipped == SKIPPED_BLOCKS
 
 
 def test_phase2_eliminates_no_artificial_column(monkeypatch):
@@ -682,8 +733,8 @@ def test_results_are_fractions():
 
 
 def _hand_built_systems():
-    """Systems whose rows list variables out of declaration order, carry zero
-    coefficients, have no finite decimal expansion, or have a fractional
+    """Systems whose rows list variables out of declaration order, are
+    written with zero coefficients, have no finite decimal expansion, or have a fractional
     objective."""
     shuffled = ConstraintSystem(name="shuffled", variables=["c", "a", "b"])
     shuffled.add_constraint("r0", {"b": 2, "c": -1, "a": Fraction(1, 4)}, "<=", 3)
@@ -692,8 +743,7 @@ def _hand_built_systems():
     shuffled.objective = {"b": Fraction(1, 4), "c": Fraction(-5, 2), "a": 3}
 
     zeros = ConstraintSystem(name="zeros", variables=["x", "y", "z"])
-    row = zeros.add_constraint("r0", {"z": 1, "x": 2}, "<=", 1)
-    row.coeffs["y"] = Fraction(0)  # a zero written in after construction
+    zeros.add_constraint("r0", {"z": 1, "x": 2, "y": Fraction(0)}, "<=", 1)
     zeros.add_constraint("r1", {"y": 0, "x": 0}, "=", 0)
     zeros.objective = {"z": Fraction(0), "y": Fraction(1)}
 
@@ -791,14 +841,15 @@ def test_check_point_semantics():
 
 def test_witness_breaking_only_a_sign_column_is_caught(monkeypatch):
     # x >= 0 is presolved into a sign column, so no row of the lowered
-    # system reads x; the re-verification still checks its sign
+    # system reads x; the re-verification still checks its sign (the "="
+    # row needs an artificial, so the solve reaches the tableau)
     s = ConstraintSystem(name="sign", variables=["x", "y"])
     s.add_constraint("nn_x", {"x": 1}, ">=", 0)
-    s.add_constraint("c", {"y": 1}, "<=", 1)
+    s.add_constraint("c", {"y": 1}, "=", 1)
     lp = linsys._lower(s)
-    assert (lp.sign, lp.rows) == ({0}, [({1: 1}, "<=", 1)])
-    assert simplex_feasible(s).witness == {"x": 0, "y": 0}
-    monkeypatch.setattr(linsys._Tableau, "witness", lambda self: {0: -1})
+    assert (lp.sign, lp.rows) == ({0}, [({1: 1}, "=", 1)])
+    assert simplex_feasible(s).witness == {"x": 0, "y": 1}
+    monkeypatch.setattr(linsys._Tableau, "witness", lambda self: {0: -1, 1: 1})
     with pytest.raises(InvariantError, match="simplex witness failed re-verification"):
         simplex_feasible(s)
 
@@ -846,6 +897,83 @@ def test_add_constraint_does_not_alias_the_callers_dict():
     coeffs["x"] = 5
     coeffs["y"] = 7
     assert con.coeffs == {"x": 1}
+
+
+# -- the row store ----------------------------------------------------------------
+
+
+def test_store_is_read_only():
+    s = system([({"x": 1, "y": -1}, "<=", 1)], objective={"x": 1})
+    copy = system([({"x": 1, "y": -1}, "<=", 1)], objective={"x": 1})
+    con = s.constraints[0]
+    with pytest.raises(TypeError):
+        s.constraints[0] = Constraint("c0", {"x": 2}, "<=", 1)
+    with pytest.raises(TypeError):
+        del s.constraints[0]
+    with pytest.raises(AttributeError):
+        s.constraints.append(con)
+    with pytest.raises(AttributeError):
+        s.constraints = []
+    with pytest.raises(TypeError):
+        con.coeffs["y"] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        con.rhs = 5
+    added = s.add_constraint("c1", {"x": 1}, ">=", 0)
+    with pytest.raises(TypeError):
+        added.coeffs["x"] = 3
+    assert len(s.constraints) == 2
+    copy.add_constraint("c1", {"x": 1}, ">=", 0)
+    assert s == copy and _outcome(s) == _outcome(copy)
+
+
+def test_store_builds_views_only_when_read(monkeypatch):
+    inst = random_instance(seed=8503, n=6, density=Fraction(1, 2), wmax=9)
+    s = extform.build_extended_formulation(inst)
+    built = []
+    post_init = Constraint.__post_init__
+
+    def counted(self):
+        built.append(self.name)
+        post_init(self)
+
+    monkeypatch.setattr(Constraint, "__post_init__", counted)
+    assert len(s.constraints) == extform.size_report(inst).total_constraints == 892
+    _emitted(s)
+    assert built == []
+    last = s.constraints[-1]
+    assert built == [last.name] and last.name.startswith("g14_nn_lam_")
+    views = list(s.constraints)
+    assert [c.name for c in views[:3]] == ["total", "nn_p_0", "nn_p_1"]
+    assert s.constraints == views and views == s.constraints
+    assert s.constraints[1] == Constraint("nn_p_0", {"p_0": 1}, ">=", 0)
+
+
+def test_store_extend_checks_the_columns_of_a_block():
+    s = ConstraintSystem(variables=["x", "y"])
+    for variables, names, rows in (([], ["r"], [({0: 1, 2: -1}, "<=", 0)]),
+                                   (["z"], ["r"], [({-1: 1}, "<=", 0)]),
+                                   ([], ["r", "q"], [({0: 1}, "<=", 0)])):
+        with pytest.raises(ValueError, match="outside the system"):
+            s._extend(variables, names, rows)
+    assert (s.variables, len(s.constraints)) == (["x", "y"], 0)
+    s._extend(["z"], ["r", "e"], [({2: 1, 0: -1}, "<=", 0), ({}, "=", 0)])
+    assert list(s.constraints) == [Constraint("r", {"z": 1, "x": -1}, "<=", 0),
+                                   Constraint("e", {}, "=", 0)]
+    s.add_constraint("c", {"z": 2}, ">=", 1)
+    assert s.constraints[2] == Constraint("c", {"z": 2}, ">=", 1)
+
+
+def test_store_rejects_duplicate_variables():
+    with pytest.raises(ValueError, match="duplicate variables"):
+        ConstraintSystem(variables=["x", "y", "x"])
+    s = ConstraintSystem(variables=["x"])
+    # a block's names are the builder's to keep distinct; a repeat is
+    # caught when the columns are next read
+    s._extend(["x"], [], [])
+    with pytest.raises(ValueError, match="duplicate variables"):
+        s.add_constraint("c", {"x": 1}, "<=", 1)
+    with pytest.raises(ValueError, match="duplicate variables"):
+        parse_lp(_HEAD + _TAIL.replace(" y free", " x free"))
 
 
 # -- objectives over undeclared variables ---------------------------------------
@@ -913,32 +1041,32 @@ def test_equality_reads_objective_values_exactly():
     assert half != ConstraintSystem(variables=["x"], objective={"x": "1/3"})
 
 
-# -- rows over undeclared variables appended past the constructor's check ---------
+# -- rows over undeclared variables added after construction ---------------------
 
 
 @pytest.mark.parametrize("objective", [None, {"p": 1}])
 def test_simplex_rejects_late_rows_over_undeclared_variables(objective):
+    # the store is read-only, so such a row never reaches the simplex or the
+    # writer: add_constraint rejects it, as the constructor does, and the
+    # system solves and emits as it did before
     s = ConstraintSystem(name="late", variables=["q", "p"], objective=objective)
     s.add_constraint("r0", {"p": 1, "q": 1}, "<=", 4)
-    s.constraints.append(Constraint("r1", {"zz": 1, "p": -1, "q": 2}, "<=", 1))
-    for solve in (simplex_feasible, simplex_solve):
-        with pytest.raises(ValueError, match=r"constraint r1 uses undeclared \['zz'\]"):
-            solve(s)
+    before = _outcome(s)
     with pytest.raises(ValueError, match=r"constraint r1 uses undeclared \['zz'\]"):
-        emit_lp(s, io.StringIO())
-
+        s.add_constraint("r1", {"zz": 1, "p": -1, "q": 2}, "<=", 1)
     # a one-term sign row is not presolved into a bound on a missing column
-    sign = ConstraintSystem(name="late", variables=["q", "p"], objective=objective)
-    sign.constraints.append(Constraint("nn_zz", {"zz": 1}, ">=", 0))
-    for solve in (simplex_feasible, simplex_solve):
-        with pytest.raises(ValueError, match=r"constraint nn_zz uses undeclared \['zz'\]"):
-            solve(sign)
+    with pytest.raises(ValueError, match=r"constraint nn_zz uses undeclared \['zz'\]"):
+        s.add_constraint("nn_zz", {"zz": 1}, ">=", 0)
+    with pytest.raises(ValueError, match=r"constraint nn_zz uses undeclared \['zz'\]"):
+        ConstraintSystem(variables=["q", "p"], constraints=[Constraint("nn_zz", {"zz": 1}, ">=", 0)])
+    assert len(s.constraints) == 1 and _outcome(s) == before
 
 
 def test_late_zero_term_over_undeclared_variable_is_harmless():
+    # a zero is dropped before the row's names are checked
     s = ConstraintSystem(name="late", variables=["x"], objective={"x": 1})
-    row = s.add_constraint("c", {"x": 1}, ">=", 2)
-    row.coeffs["zz"] = Fraction(0)
+    row = s.add_constraint("c", {"x": 1, "zz": Fraction(0)}, ">=", 2)
+    assert row.coeffs == {"x": 1} and s.constraints[0] == row
     assert simplex_solve(s).objective == 2
 
 
@@ -1027,20 +1155,21 @@ def test_int_and_fraction_coefficients_emit_and_solve_alike(spec):
 
 @settings(max_examples=150, deadline=None)
 @given(_specs, st.data())
-def test_rows_mutated_after_construction_emit_and_solve_as_before(spec, data):
+def test_zero_terms_written_at_construction_emit_and_solve_as_before(spec, data):
     # a zero coefficient written into a row, or a zero rhs written as a
-    # Fraction, changes neither the LP text nor any simplex outcome; a zero
-    # rhs alone leaves the tableau as it was (a sign row stays a bound)
-    clean, mutated = _spec_system(spec, ints=True), _spec_system(spec, ints=True)
-    zeros_written = False
-    for con in mutated.constraints:
-        absent = [v for v in mutated.variables if v not in con.coeffs]
+    # Fraction, changes neither the stored row, the LP text, the tableau (a
+    # sign row stays a bound) nor any simplex outcome
+    clean = _spec_system(spec, ints=True)
+    padded = ConstraintSystem(name=clean.name, variables=clean.variables,
+                              objective=clean.objective)
+    for con in clean.constraints:
+        coeffs = dict(con.coeffs)
+        absent = [v for v in clean.variables if v not in coeffs]
         if absent and data.draw(st.booleans()):
-            con.coeffs[data.draw(st.sampled_from(absent))] = Fraction(0)
-            zeros_written = True
-        elif con.rhs == 0:
-            con.rhs = Fraction(0)
-    assert _outcome(mutated) == _outcome(clean)
-    if not zeros_written:
-        tab, ref = linsys._Tableau(linsys._lower(mutated)), linsys._Tableau(linsys._lower(clean))
-        assert (tab.cols, tab.rows, tab.basis) == (ref.cols, ref.rows, ref.basis)
+            coeffs[data.draw(st.sampled_from(absent))] = Fraction(0)
+        padded.add_constraint(con.name, coeffs, con.rel, Fraction(con.rhs))
+    assert padded == clean
+    assert [type(c.rhs) for c in padded.constraints] == [type(c.rhs) for c in clean.constraints]
+    assert _outcome(padded) == _outcome(clean)
+    tab, ref = linsys._Tableau(linsys._lower(padded)), linsys._Tableau(linsys._lower(clean))
+    assert (tab.cols, tab.rows, tab.basis) == (ref.cols, ref.rows, ref.basis)
