@@ -500,10 +500,10 @@ def simplex_feasible(system: ConstraintSystem | _LP) -> SimplexResult:
 
 def simplex_solve(system: ConstraintSystem) -> SimplexResult:
     """Minimize the objective: optimal (with witness), infeasible, or
-    unbounded. Systems without an objective reduce to a feasibility check.
+    unbounded. An objective with no nonzero term is a feasibility check.
     Raises ValueError if the objective uses an undeclared variable."""
     terms = _check_objective(system)
-    if not system.objective:
+    if not terms:
         return simplex_feasible(system)
     return _result(system, _solve(_lower(system, terms)))
 

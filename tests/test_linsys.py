@@ -614,7 +614,7 @@ def test_phase2_eliminates_no_artificial_column(monkeypatch):
     assert len(steps) > 100 and not any(steps)
 
 
-SETUP_DIGEST = "fec06da9de236e31b679531d996b90308195c971e6d1d9f30423da533746644e"
+SETUP_DIGEST = "3ff475170b73cb9b43d265d6cbea4ebcfa73a745dd45b782848c8117e9716fe8"
 
 
 def _setup_corpus():
@@ -665,6 +665,22 @@ def test_setup_corpus_results_pinned():
         results.append(_result_key(simplex_feasible(s)))
     assert {r[0] for r in results} == {"optimal", "feasible", "infeasible", "unbounded"}
     assert _digest(results) == SETUP_DIGEST
+
+
+def test_equal_systems_solve_alike():
+    # parse_lp(emit_lp(s)) == s, so both must solve alike; an objective whose
+    # every term is zero compares equal to no objective, and solves as none
+    zero_objective = {}
+    for s in _setup_corpus() + _scaled_corpus():
+        back = roundtrip(s)
+        result = simplex_solve(s)
+        assert back == s and _result_key(result) == _result_key(simplex_solve(back))
+        if s.objective and back.objective is None:
+            zero_objective[s.name] = result.status
+    assert zero_objective == {
+        "setup9": "feasible", "setup61": "feasible", "setup85": "infeasible",
+        "setup137": "infeasible", "setup164": "infeasible", "setup172": "feasible",
+        "setup181": "infeasible", "setup202": "feasible"}
 
 
 SCALED_DIGEST = "9d8d8c28c33351a9ce17e580302836b35c0d8aff68859f84fa0f44b1cc852786"
