@@ -122,7 +122,7 @@ class _Rows(Sequence):
         return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
 
 
-def _columns(variables: list[str]) -> dict[str, int]:
+def _columns(variables: tuple[str, ...]) -> dict[str, int]:
     """Each variable's column; raises ValueError if two share a name."""
     pos = {v: k for k, v in enumerate(variables)}
     if len(pos) != len(variables):
@@ -137,7 +137,7 @@ class ConstraintSystem:
     def __init__(self, name: str = "", variables=(), constraints=(),
                  objective: Optional[dict[str, Fraction]] = None):
         self.name = name
-        self.variables = list(variables)
+        self.variables = tuple(variables)  # fixed: a row's columns index it
         self.objective = objective
         self._cols: Optional[dict[str, int]] = _columns(self.variables)
         self._rows: list[tuple[dict[int, int | Fraction], str, int | Fraction]] = []
@@ -167,7 +167,7 @@ class ConstraintSystem:
             raise ValueError("a block row names a column outside the system")
         if variables:
             self._cols = None
-            self.variables += variables
+            self.variables += tuple(variables)
         self._rows += rows
         self._names += names
 

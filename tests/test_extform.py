@@ -196,7 +196,7 @@ def test_formulation_values_are_ints_or_non_integral_fractions(counterexample):
 def test_extended_formulation_edgeless():
     inst = parse_instance("game 2 0\nvertex 0 2\nvertex 1 1\n")
     sys_ = build_extended_formulation(inst)
-    assert sys_.variables == ["p_0", "p_1"]
+    assert sys_.variables == ("p_0", "p_1")
     rels = [(c.name, c.rel, c.rhs) for c in sys_.constraints]
     assert rels == [
         ("total", "=", Fraction(0)),

@@ -318,7 +318,7 @@ def test_roundtrip_preserves_order_and_names():
     s.add_constraint("second", {"a": 1}, "<=", 4)
     s.add_constraint("first", {"b": Fraction(5, 2), "a": -2}, ">=", 1)
     back = roundtrip(s)
-    assert back.variables == ["b", "a"]
+    assert back.variables == ("b", "a")
     assert [c.name for c in back.constraints] == ["second", "first"]
     assert back == s
 
@@ -429,7 +429,7 @@ def test_parse_rejects_malformed_lp(text, line):
 def test_parse_reads_the_grammar():
     # blank lines, comments, CRLF and spacing around signs are read; a
     # "\X" row replaces the objective written after it
-    assert parse_lp(_HEAD + _TAIL).variables == ["x", "y"]
+    assert parse_lp(_HEAD + _TAIL).variables == ("x", "y")
     text = (
         _HEAD.replace(" obj: x", "\\X obj: 1/3 x\n obj: 0")
         + "\n c1: -2 x+y <= -1/2\n\\ a comment\n c2: 0 = 0\n"
@@ -437,7 +437,7 @@ def test_parse_reads_the_grammar():
     )
     for lines in (text, text.replace("\n", "\r\n")):
         s = parse_lp(lines)
-        assert s.name == "bad" and s.variables == ["x", "y"]
+        assert s.name == "bad" and s.variables == ("x", "y")
         assert s.objective == {"x": Fraction(1, 3)}
         assert s.constraints == [
             Constraint("c1", {"x": -2, "y": 1}, "<=", Fraction(-1, 2)),
@@ -934,6 +934,11 @@ def test_store_is_read_only():
         con.coeffs["y"] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         con.rhs = 5
+    # a row's columns index the variables, so they cannot be reordered
+    with pytest.raises(TypeError):
+        s.variables[0] = "y"
+    with pytest.raises(AttributeError):
+        s.variables.reverse()
     added = s.add_constraint("c1", {"x": 1}, ">=", 0)
     with pytest.raises(TypeError):
         added.coeffs["x"] = 3
@@ -971,7 +976,7 @@ def test_store_extend_checks_the_columns_of_a_block():
                                    ([], ["r", "q"], [({0: 1}, "<=", 0)])):
         with pytest.raises(ValueError, match="outside the system"):
             s._extend(variables, names, rows)
-    assert (s.variables, len(s.constraints)) == (["x", "y"], 0)
+    assert (s.variables, len(s.constraints)) == (("x", "y"), 0)
     s._extend(["z"], ["r", "e"], [({2: 1, 0: -1}, "<=", 0), ({}, "=", 0)])
     assert list(s.constraints) == [Constraint("r", {"z": 1, "x": -1}, "<=", 0),
                                    Constraint("e", {}, "=", 0)]
