@@ -524,6 +524,7 @@ def simplex_solve(system: ConstraintSystem) -> SimplexResult:
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_NAME)
+_NAME_LINES_RE = re.compile(rf"{_NAME}(?:\n{_NAME})*")
 # a magnitude: an integer, a decimal or a fraction with a nonzero denominator
 _NUM = r"[0-9]+(?:\.[0-9]+|/[1-9][0-9]*)?"
 # a term: a sign (optional on a row's first term), an optional magnitude
@@ -544,7 +545,9 @@ def _check_names(system: ConstraintSystem) -> None:
     if name != name.strip() or len(name.splitlines()) > 1:
         raise ValueError(f"system name {name!r} has a line break or a space at one end")
     for kind, names in (("variable", system.variables), ("constraint", system._names)):
-        if not all(map(_NAME_RE.fullmatch, names)):
+        # one match over the names a line each, unless a name holds a "\n"
+        text = "\n".join(names)
+        if names and (text.count("\n") >= len(names) or not _NAME_LINES_RE.fullmatch(text)):
             name = next(v for v in names if not _NAME_RE.fullmatch(v))
             raise ValueError(f"{kind} name {name!r} does not match [A-Za-z_][A-Za-z0-9_]*")
 
@@ -612,46 +615,40 @@ def emit_lp(system: ConstraintSystem, sink: TextIO) -> None:
                     head = heads[id(c)] = r, f"{sign}{e} ", d and f"{sign}{d} "
                 if head[0] > rank:
                     rank = head[0]
-                if head[k] is not None:
-                    parts.append(head[k] + order[j])
+                parts.append(head[k] + order[j])  # k = 2 only at rank 1
         if not parts:
             return rank, "0"
         text = "".join(parts)
         return rank, text[3:] if text[1] == "+" else text[1:]  # no "+" before the first term
 
-    def row(coeffs, rank) -> tuple[int, str, Optional[str]]:
-        """(rank, exact terms, decimal terms) of a row whose rhs ranks `rank`;
-        the decimal terms are None at rank 2."""
-        cols = sorted(coeffs)
-        rank, exact = terms(cols, coeffs, 1, rank)
-        if rank == 1:
-            return rank, exact, terms(cols, coeffs, 2, rank)[1]
-        return rank, exact, None if rank else exact
-
     w = sink.write
     w(f"\\ constraint-system: {system.name}\n")
     w(f"\\ variables: {len(order)}  constraints: {len(system._rows)}\n")
     w("Minimize\n")
-    rank, exact, decimal = row({system._pos[v]: c for v, c in obj.items()}, 0)
+    obj = {system._pos[v]: c for v, c in obj.items()}
+    cols = sorted(obj)
+    rank, exact = terms(cols, obj, 1, 0)
     if rank == 2:
-        w(f"\\X obj: {exact}\n")
-        w(" obj: 0\n")
+        w(f"\\X obj: {exact}\n obj: 0\n")
     else:
         if rank == 1:
             w(f"\\ exact obj: {exact}\n")
-        w(f" obj: {decimal}\n")
+            exact = terms(cols, obj, 2, 1)[1]
+        w(f" obj: {exact}\n")
     w("Subject To\n")
     for name, (coeffs, rel, rhs) in zip(system._names, system._rows):
         form = values.get(id(rhs))
         if form is None:
             form = values[id(rhs)] = _forms(rhs)
-        rank, exact, decimal = row(coeffs, form[0])
+        cols = sorted(coeffs)
+        rank, exact = terms(cols, coeffs, 1, form[0])
         if rank == 2:
             w(f"\\X {name}: {exact} {rel} {form[1]}\n")
         else:
             if rank == 1:
                 w(f"\\ exact {name}: {exact} {rel} {form[1]}\n")
-            w(f" {name}: {decimal} {rel} {form[2]}\n")
+                exact = terms(cols, coeffs, 2, 1)[1]
+            w(f" {name}: {exact} {rel} {form[2]}\n")
     w("Bounds\n")
     for v in order:
         w(f" {v} free\n")

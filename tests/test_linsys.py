@@ -341,8 +341,11 @@ def test_roundtrip_extension_row_named_obj():
         (["x"], "a:b", "constraint name 'a:b'"),
         (["x"], "", "constraint name ''"),
         (["x-1"], "a:b", "variable name 'x-1'"),
+        (["x", "y\nz"], "c", "variable name 'y\\nz'"),
+        (["x"], "c\nd", "constraint name 'c\\nd'"),
     ],
-    ids=["minus", "space", "digit-first", "non-ascii", "colon", "empty", "variables-first"],
+    ids=["minus", "space", "digit-first", "non-ascii", "colon", "empty", "variables-first",
+         "variable-line-break", "row-line-break"],
 )
 def test_emit_rejects_unreadable_names(variables, row, bad):
     # each of these used to be written and then fail to parse back
