@@ -49,7 +49,7 @@ def _value(x) -> int | Fraction:
 
 def _holds(coeffs: Mapping, rel: str, rhs: int | Fraction, point: Mapping) -> bool:
     """Exact test of the row `coeffs rel rhs` at `point`, both keyed alike;
-    a key missing from the point reads as 0, and another value than an int
+    a key missing from the point reads as 0, and a value other than an int
     or a Fraction converts exactly. The left-hand side is summed as an int
     numerator over an int denominator, so an integral row builds no Fraction
     (and at the origin, an empty point, no term is read)."""
@@ -184,7 +184,8 @@ class ConstraintSystem:
         return con
 
     def check_point(self, point: Mapping[str, Fraction]) -> bool:
-        """Exact test of every row at `point`, by name (see `_holds`)."""
+        """Exact test of every row at `point`, by name (see `_holds`); other
+        keys are ignored."""
         pos = self._pos
         at = {pos[v]: x for v, x in point.items() if v in pos}
         return all(_holds(coeffs, rel, rhs, at) for coeffs, rel, rhs in self._rows)
