@@ -736,6 +736,39 @@ def test_scaled_pivots_pinned(monkeypatch):
     assert _digest(results) == SCALED_DIGEST
 
 
+# (seed, n) of `random_instance(seed, n, 1/2, 6)` -> (status, pivots) of its
+# extended formulation under phase 1; seed 9721's core is empty
+LARGE_FORMULATIONS = {
+    (9734, 6): ("feasible", 164),
+    (9721, 6): ("infeasible", 312),
+    (9741, 7): ("feasible", 149),
+}
+LARGE_DIGEST = "c310ddaca2a24289b717dcd8eac2a6feeaa458516ab9104b1bd0a73e91874d92"
+
+
+def test_large_formulations_pinned(monkeypatch):
+    # 500-800 rows and 150-300 pivots per tableau, far past the corpora
+    # above; a formulation's column order comes from dict iteration
+    pivots = 0
+    pivot = linsys._Tableau._pivot
+
+    def counted(self, *args):
+        nonlocal pivots
+        pivots += 1
+        return pivot(self, *args)
+
+    monkeypatch.setattr(linsys._Tableau, "_pivot", counted)
+    got, results = {}, []
+    for seed, n in LARGE_FORMULATIONS:
+        pivots = 0
+        inst = random_instance(seed=seed, n=n, density=Fraction(1, 2), wmax=6)
+        result = simplex_feasible(extform.build_extended_formulation(inst))
+        got[seed, n] = result.status, pivots
+        results.append(_result_key(result))
+    assert got == LARGE_FORMULATIONS
+    assert _digest(results) == LARGE_DIGEST
+
+
 def test_results_are_fractions():
     systems = _setup_corpus()[:80] + _scaled_corpus()[:80]
     for i in range(8):
