@@ -39,18 +39,23 @@ from .model import InvariantError
 
 def _value(x) -> int | Fraction:
     """x under the module's number rule: an int if it is integral, else a
-    Fraction (x itself if it is one); a float or a string converts exactly."""
+    Fraction (x itself if it is one); a float or a string converts exactly.
+    Raises ValueError naming x if it has no exact value (a non-finite float,
+    a zero denominator or a malformed string)."""
     if type(x) is int:
         return x
     if type(x) is not Fraction:
-        x = Fraction(x)
+        try:
+            x = Fraction(x)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            raise ValueError(f"{x!r} is not a finite rational") from None
     return x.numerator if x.denominator == 1 else x
 
 
 def _holds(coeffs: Mapping, rel: str, rhs: int | Fraction, point: Mapping) -> bool:
     """Exact test of the row `coeffs rel rhs` at `point`, both keyed alike;
     a key missing from the point reads as 0, and a value other than an int
-    or a Fraction converts exactly. The left-hand side is summed as an int
+    or a Fraction converts exactly (`_value`). The left-hand side is summed as an int
     numerator over an int denominator, so an integral row builds no Fraction
     (and at the origin, an empty point, no term is read)."""
     num, den = 0, 1
@@ -59,7 +64,7 @@ def _holds(coeffs: Mapping, rel: str, rhs: int | Fraction, point: Mapping) -> bo
         if not x:  # missing, or a zero
             continue
         if type(x) is not int and type(x) is not Fraction:
-            x = Fraction(x)
+            x = _value(x)
         tn, td = c.numerator * x.numerator, c.denominator * x.denominator
         if td == den:
             num += tn

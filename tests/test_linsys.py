@@ -1098,6 +1098,25 @@ def test_equality_reads_objective_values_exactly():
     assert half != ConstraintSystem(variables=["x"], objective={"x": "1/3"})
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), "2/0", "1/0"])
+def test_values_with_no_exact_rational_raise_value_error(bad):
+    # a non-finite float or a zero denominator names the value in a
+    # ValueError, wherever a value is read: a row, its rhs, an objective
+    # and a point
+    name = re.escape(repr(bad))
+    with pytest.raises(ValueError, match=name):
+        ConstraintSystem("s", ["x"]).add_constraint("c", {"x": bad}, "<=", 1)
+    with pytest.raises(ValueError, match=name):
+        Constraint("c", {"x": 1}, "<=", bad)
+    s = ConstraintSystem("s", ["x"], objective={"x": bad})
+    for read in (simplex_solve, _emitted, lambda s: s == ConstraintSystem("s", ["x"]),
+                 lambda s: ConstraintSystem("s", ["x"]) == s):
+        with pytest.raises(ValueError, match=name):
+            read(s)
+    with pytest.raises(ValueError, match=name):
+        system([({"x": 1}, "<=", 1)]).check_point({"x": bad})
+
+
 # -- rows over undeclared variables added after construction ---------------------
 
 
