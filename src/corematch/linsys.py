@@ -18,19 +18,23 @@ no objective and no row that needs an artificial, phase 1 would make no
 pivot from the slack basis, so the point is the origin and no `_Tableau` is
 built (`_slack_point`).
 
-Arithmetic is exact, under one number rule: a value is an int when it is
-integral and a Fraction only when it is not (`_value`), so a pivot on a +-1
-element stays in ints; witnesses and objective values are returned as
-Fractions. Work is per nonzero, and each coefficient is converted once, when
-its row is built; `emit_lp` writes each row in column order and formats each
-distinct coefficient once. Every point is re-verified against every row and
-sign column of its `_LP` by `_holds`, which sums in ints."""
+Arithmetic is exact. Under the module's number rule a stored value is an int
+when it is integral and a Fraction only when it is not (`_value`, which
+reads every value that enters a system). The tableau holds no Fraction: each
+row is ints over one positive int denominator, in lowest terms, and the rhs
+column is scaled once by the lcm of the rhs denominators, so a pivot is one
+int multiply-subtract per entry and one gcd per changed row; witnesses and
+objective values become Fractions once, on the way out. Work is per nonzero,
+and each coefficient is converted once, when its row is built; `emit_lp`
+writes each row in column order and formats each distinct coefficient once.
+Every point is re-verified against every row and sign column of its `_LP` by
+`_holds`, which sums in ints."""
 
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, TextIO
 
@@ -214,19 +218,34 @@ class SimplexResult:
         return self.status in ("optimal", "feasible")
 
 
-def _eliminate(row: dict, prow: dict, c: int) -> None:
-    """row -= row[c] * prow, where prow[c] == 1; entries that cancel are
-    deleted, so row[c] goes, and an integral Fraction becomes an int."""
+def _reduced(row: dict, den: int) -> tuple[dict, int]:
+    """row / den in lowest terms: both divided by the gcd of den and every
+    entry."""
+    g = gcd(den, *row.values()) if den != 1 else 1
+    return (row, den) if g == 1 else ({j: x // g for j, x in row.items()}, den // g)
+
+
+def _eliminate(row: dict, den: int, prow: dict, pden: int, c: int) -> tuple[dict, int]:
+    """row / den less its column-c entry times prow / pden, where prow[c] ==
+    pden: the new (row, den), in lowest terms (row itself, changed in place,
+    where no scale is needed). Entries that cancel are deleted, so column c
+    goes; the rest is one int multiply-subtract per entry of prow."""
     f = row.get(c)
-    if f:
-        for j, b in prow.items():
-            x = row.get(j, 0) - f * b
-            if type(x) is not int and x.denominator == 1:
-                x = x.numerator
-            if x:
-                row[j] = x
-            else:
-                del row[j]
+    if not f:
+        return row, den
+    g = gcd(f, pden)
+    if g != pden:  # scale row by pden / g so that f / pden times prow is in ints
+        m = pden // g
+        row = {j: x * m for j, x in row.items()}
+        den *= m
+    f //= g
+    for j, b in prow.items():
+        x = row.get(j, 0) - f * b
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+    return _reduced(row, den)
 
 
 class _LP(NamedTuple):
@@ -275,8 +294,13 @@ def _lower(system: ConstraintSystem,
 class _Tableau:
     """Sparse simplex tableau with Bland's rule (anti-cycling, deterministic).
 
-    A row maps each column to its nonzero entry, an int when the entry is
-    integral and a Fraction otherwise; the right-hand side is column `total`.
+    Row i is the ints rows[i], a {column: nonzero entry} dict, over the
+    positive int dens[i], and is kept in lowest terms (`_reduced`); its basic
+    column's entry equals its denominator. The cost row is cost over
+    cost_den in the same way. The right-hand side is column `total`, scaled
+    once by `scale`, the lcm of the rows' rhs denominators: a positive scale
+    of a row or of the rhs column changes no sign, no ratio rhs / a and no
+    tie, so Bland's rule and the ratio test read the ints as they are.
     Columns run structural (one per sign column of the _LP, two per free
     one), then one slack or surplus per inequality row, then the artificials
     from `first_art` on, one per row that is ">=" or "=" once its rhs is made
@@ -294,6 +318,7 @@ class _Tableau:
             if flip and rel != "=":
                 rel = "<=" if rel == ">=" else ">="
             rows_src.append((coeffs, flip, rel, abs(b)))
+        self.scale = scale = lcm(*{b.denominator for _, _, _, b in rows_src})
 
         # (LP column, sign) per tableau column; LP column k is tableau
         # column plus[k], less tableau column minus[k] unless k is a sign
@@ -309,70 +334,80 @@ class _Tableau:
         self.first_art = art = slack + sum(rel != "=" for _, _, rel, _ in rows_src)
         self.total = total = art + sum(rel != "<=" for _, _, rel, _ in rows_src)
 
-        # "<=" gains a slack (basic), ">=" a surplus and an artificial
-        # (basic), "=" an artificial (basic)
-        self.rows: list[dict[int, int | Fraction]] = []
+        # each row over the lcm of its coefficients' denominators; "<="
+        # gains a slack (basic), ">=" a surplus and an artificial (basic),
+        # "=" an artificial (basic)
+        self.rows: list[dict[int, int]] = []
+        self.dens: list[int] = []
         self.basis: list[int] = []
-        add_row, add_basic = self.rows.append, self.basis.append
         for coeffs, flip, rel, b in rows_src:
+            den = lcm(*{q.denominator for q in coeffs.values() if type(q) is not int})
+            m = -den if flip else den
             row = {}
             for k, q in coeffs.items():
-                if flip:
-                    q = -q
+                q = q * m if type(q) is int else q.numerator * (m // q.denominator)
                 row[plus[k]] = q
                 j = minus[k]
                 if j is not None:
                     row[j] = -q
             if rel == "<=":
-                row[slack] = 1
-                add_basic(slack)
+                row[slack] = den
+                self.basis.append(slack)
                 slack += 1
             else:
                 if rel == ">=":
-                    row[slack] = -1
+                    row[slack] = -den
                     slack += 1
-                row[art] = 1
-                add_basic(art)
+                row[art] = den
+                self.basis.append(art)
                 art += 1
             if b:
-                row[total] = b
-            add_row(row)
-        if any(row.get(b) != 1 for row, b in zip(self.rows, self.basis)):
+                row[total] = den * (b * scale if type(b) is int
+                                    else b.numerator * (scale // b.denominator))
+            self.rows.append(row)
+            self.dens.append(den)
+        if any(row.get(b) != den for row, den, b in zip(self.rows, self.dens, self.basis)):
             raise InvariantError("a row has no initial basic column")
+        self.cost: dict[int, int] = {}
+        self.cost_den = 1
 
     # -- pivoting ---------------------------------------------------------
 
-    def _pivot(self, cost: dict, r: int, c: int):
-        prow = self.rows[r]
+    def _pivot(self, r: int, c: int):
+        """Make column c basic in row r: row r is divided by its entry (its
+        sign goes into the entries, so its denominator stays positive), then
+        eliminated from every other row and from the cost row."""
+        rows, dens = self.rows, self.dens
+        prow, pden = rows[r], dens[r]
         piv = prow[c]
-        if piv == -1:
-            for j, x in prow.items():
-                prow[j] = -x
-        elif piv != 1:
-            inv = Fraction(1, piv)
-            for j, x in prow.items():
-                prow[j] = _value(x * inv)
-        for row in self.rows:  # a row without column c is left as it is
-            if c in row and row is not prow:
-                _eliminate(row, prow, c)
-        _eliminate(cost, prow, c)
+        if piv != pden:
+            if piv < 0:
+                prow, piv = {j: -x for j, x in prow.items()}, -piv
+            prow, pden = _reduced(prow, piv)
+            rows[r], dens[r] = prow, pden
+        for i, row in enumerate(rows):  # a row without column c is left as it is
+            if c in row and i != r:
+                rows[i], dens[i] = _eliminate(row, dens[i], prow, pden, c)
+        self.cost, self.cost_den = _eliminate(self.cost, self.cost_den, prow, pden, c)
         self.basis[r] = c
 
-    def _price(self, cost: dict) -> None:
-        """Make every basic column's cost zero by subtracting its row."""
-        for row, b in zip(self.rows, self.basis):
-            _eliminate(cost, row, b)
+    def _price(self, cost: dict[int, int], den: int) -> None:
+        """Take cost / den as the cost row, with every basic column's cost
+        made zero by subtracting its row."""
+        for row, rden, b in zip(self.rows, self.dens, self.basis):
+            cost, den = _eliminate(cost, den, row, rden, b)
+        self.cost, self.cost_den = cost, den
 
-    def _bland(self, cost: dict) -> str:
+    def _bland(self) -> str:
         """Run Bland's rule over every column to optimality; returns
         'optimal' or 'unbounded'."""
         total = self.total
         while True:
-            enter = min((j for j, x in cost.items() if j < total and x < 0), default=-1)
+            enter = min((j for j, x in self.cost.items() if j < total and x < 0), default=-1)
             if enter < 0:
                 return "optimal"
-            # the least ratio rhs / a over a > 0, compared by cross
-            # multiplication (an int over an int would give a float)
+            # the least ratio rhs / a over a > 0 (a row's denominator
+            # cancels), compared by cross multiplication
             leave = -1
             for i, row in enumerate(self.rows):
                 a = row.get(enter)
@@ -386,17 +421,16 @@ class _Tableau:
                         leave, best_rhs, best_a = i, rhs, a
             if leave < 0:
                 return "unbounded"
-            self._pivot(cost, leave, enter)
+            self._pivot(leave, enter)
 
     # -- phases -----------------------------------------------------------
 
     def phase1(self) -> bool:
         """Minimize the artificial sum; True iff the system is feasible."""
-        cost = dict.fromkeys(range(self.first_art, self.total), 1)
-        self._price(cost)
-        if self._bland(cost) != "optimal":  # bounded below by 0
+        self._price(dict.fromkeys(range(self.first_art, self.total), 1), 1)
+        if self._bland() != "optimal":  # bounded below by 0
             raise InvariantError("phase-1 objective came out unbounded")
-        if cost.get(self.total):
+        if self.cost.get(self.total):
             return False
         # pivot leftover artificials out on their row's first other nonzero
         # column; drop rows that became redundant
@@ -404,36 +438,39 @@ class _Tableau:
             if self.basis[i] >= self.first_art:
                 j = min(self.rows[i])
                 if j < self.first_art:
-                    self._pivot(cost, i, j)
+                    self._pivot(i, j)
                 else:
-                    del self.rows[i]
-                    del self.basis[i]
+                    del self.rows[i], self.dens[i], self.basis[i]
         return True
 
     def phase2(self) -> tuple[str, Optional[Fraction]]:
         # after phase 1 every artificial is nonbasic at zero and may not
         # re-enter, so its column leaves the tableau
         art = range(self.first_art, self.total)
-        self.rows = [{j: x for j, x in row.items() if j not in art} for row in self.rows]
+        for i, row in enumerate(self.rows):
+            self.rows[i], self.dens[i] = _reduced(
+                {j: x for j, x in row.items() if j not in art}, self.dens[i])
         obj = self.objective
         cost = {}
         for j, (k, sign) in enumerate(self.cols):
             c = obj.get(k)
             if c:
                 cost[j] = c if sign > 0 else -c
-        self._price(cost)
-        if self._bland(cost) == "unbounded":
+        den = lcm(*{c.denominator for c in cost.values()})
+        self._price({j: c.numerator * (den // c.denominator) for j, c in cost.items()}, den)
+        if self._bland() == "unbounded":
             return "unbounded", None
-        return "optimal", Fraction(-cost.get(self.total, 0))
+        return "optimal", Fraction(-self.cost.get(self.total, 0), self.cost_den * self.scale)
 
-    def witness(self) -> dict[int, int | Fraction]:
-        """Each basic LP column's value at the current basis, in tableau
-        values; a column that is not listed is zero."""
+    def witness(self) -> dict[int, Fraction]:
+        """Each basic LP column's value at the current basis; a column that
+        is not listed is zero."""
         values = {}
-        for row, b in zip(self.rows, self.basis):
+        for row, den, b in zip(self.rows, self.dens, self.basis):
             if b < self.nstruct:
                 k, sign = self.cols[b]
-                values[k] = values.get(k, 0) + sign * row.get(self.total, 0)
+                x = Fraction(sign * row.get(self.total, 0), den * self.scale)
+                values[k] = values.get(k, 0) + x
         return values
 
 
@@ -497,7 +534,7 @@ def simplex_feasible(system: ConstraintSystem | _LP) -> SimplexResult:
     """Exact phase-I feasibility; a returned witness is re-verified by
     substitution into every constraint before being handed back. An `_LP`
     is solved as it is (`_solve`), and its witness is the verified point by
-    column, in tableau values."""
+    column; a column that is not listed is zero."""
     if isinstance(system, _LP):
         status, point, _ = _solve(system)
         return SimplexResult(status=status, witness=point)

@@ -604,10 +604,10 @@ def test_phase2_eliminates_no_artificial_column(monkeypatch):
         finally:
             current = None
 
-    def counted(row, prow, c):
+    def counted(row, den, prow, pden, c):
         if current is not None:
             steps.append(any(current.first_art <= j < current.total for j in prow))
-        eliminate(row, prow, c)
+        return eliminate(row, den, prow, pden, c)
 
     monkeypatch.setattr(linsys._Tableau, "phase2", tracked)
     monkeypatch.setattr(linsys, "_eliminate", counted)
@@ -721,9 +721,9 @@ def test_scaled_pivots_pinned(monkeypatch):
     elements = []
     pivot = linsys._Tableau._pivot
 
-    def recorded(self, cost, r, c):
-        elements.append(self.rows[r][c])
-        return pivot(self, cost, r, c)
+    def recorded(self, r, c):
+        elements.append(Fraction(self.rows[r][c], self.dens[r]))
+        return pivot(self, r, c)
 
     monkeypatch.setattr(linsys._Tableau, "_pivot", recorded)
     results = []
@@ -1248,4 +1248,4 @@ def test_zero_terms_written_at_construction_emit_and_solve_as_before(spec, data)
     assert [type(c.rhs) for c in padded.constraints] == [type(c.rhs) for c in clean.constraints]
     assert _outcome(padded) == _outcome(clean)
     tab, ref = linsys._Tableau(linsys._lower(padded)), linsys._Tableau(linsys._lower(clean))
-    assert (tab.cols, tab.rows, tab.basis) == (ref.cols, ref.rows, ref.basis)
+    assert (tab.cols, tab.rows, tab.dens, tab.basis) == (ref.cols, ref.rows, ref.dens, ref.basis)
