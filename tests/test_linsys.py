@@ -769,6 +769,32 @@ def test_large_formulations_pinned(monkeypatch):
     assert _digest(results) == LARGE_DIGEST
 
 
+def test_rows_stay_int_and_in_lowest_terms(monkeypatch):
+    # after every pivot, each row and the cost row is nonzero ints over a
+    # positive int denominator coprime to them, and each row's basic entry
+    # equals its denominator
+    pivots = 0
+    pivot = linsys._Tableau._pivot
+
+    def checked(self, r, c):
+        nonlocal pivots
+        pivot(self, r, c)
+        pivots += 1
+        for row, den in [*zip(self.rows, self.dens), (self.cost, self.cost_den)]:
+            assert type(den) is int and den > 0 and math.gcd(den, *row.values()) == 1
+            assert all(type(x) is int and x for x in row.values())
+        assert all(row[b] == den for row, den, b in zip(self.rows, self.dens, self.basis))
+
+    monkeypatch.setattr(linsys._Tableau, "_pivot", checked)
+    for s in _scaled_corpus():
+        simplex_solve(s)
+        simplex_feasible(s)
+    for i in range(36):
+        g = random_cost_graph(random.Random(8100 + i), 3 + i % 4, density=0.5, cmax=6)
+        simplex_solve(extform.build_flow_primal(g))
+    assert pivots > SCALED_PIVOTS
+
+
 def test_results_are_fractions():
     systems = _setup_corpus()[:80] + _scaled_corpus()[:80]
     for i in range(8):
