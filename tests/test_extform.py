@@ -340,32 +340,37 @@ def test_membership_blocks_match_the_lowered_dual_systems(monkeypatch):
     assert blocks > 200 and outcomes == {(True, True), (True, False), (False, False)}
 
 
-# The n = 6 formulations of `random_instance(seed, 6, 1/2, 6)` run from 39 to
-# over 5 000 rows, and their feasibility check costs with the rows (seed 9722:
-# 5 143 rows, about 37 s on 2 vCPU, all of it in pivots). The differential
-# test takes, among seeds 9720-9739, those whose `size_report` total is at
-# most N6_MAX_ROWS, read before anything is solved.
+# The n = 6 and n = 7 formulations of `random_instance(seed, n, 1/2, 6)` run
+# from 39 to over 5 000 rows, and their feasibility check costs with the rows
+# (seed 9722 at n = 6: 5 143 rows, about 7 s on 2 vCPU, all of it in pivots).
+# The differential test takes, among seeds 9720-9739 at n = 6 and 9740-9749
+# at n = 7, those whose `size_report` total is at most the cap for their n,
+# read before anything is solved.
 N6_SEEDS = range(9720, 9740)
 N6_MAX_ROWS = 1000
+N7_SEEDS = range(9740, 9750)
+N7_MAX_ROWS = 2300
 
 
 def _witness_cases():
-    """(instance, rng) pairs: 18 at n = 3..5, then the small n = 6 ones."""
+    """(instance, rng) pairs: 18 at n = 3..5, then the small n = 6 and n = 7
+    ones."""
     for i in range(18):
         n = 3 + i % 3
         density = Fraction(1, 2) if n == 5 else Fraction(1)
         yield random_instance(seed=9700 + i, n=n, density=density, wmax=6), random.Random(9800 + i)
-    for seed in N6_SEEDS:
-        inst = random_instance(seed=seed, n=6, density=Fraction(1, 2), wmax=6)
-        if size_report(inst).total_constraints <= N6_MAX_ROWS:
-            yield inst, random.Random(seed + 100)
+    for n, seeds, cap in ((6, N6_SEEDS, N6_MAX_ROWS), (7, N7_SEEDS, N7_MAX_ROWS)):
+        for seed in seeds:
+            inst = random_instance(seed=seed, n=n, density=Fraction(1, 2), wmax=6)
+            if size_report(inst).total_constraints <= cap:
+                yield inst, random.Random(seed + 100)
 
 
 def test_separation_agrees_with_formulation_witnesses():
     # in-core allocations come from the extended formulation's own witness,
     # out-of-core candidates move a little value between two vertices; where
     # the formulation is infeasible the core is empty and nothing may pass
-    seen = {(n, kind): 0 for n in (3, 4, 5, 6) for kind in ("empty", "in", "out")}
+    seen = {(n, kind): 0 for n in (3, 4, 5, 6, 7) for kind in ("empty", "in", "out")}
     for inst, rng in _witness_cases():
         n = inst.n
         result = simplex_feasible(build_extended_formulation(inst))
@@ -393,9 +398,9 @@ def test_separation_agrees_with_formulation_witnesses():
             got = separation.separate(inst, p).in_core
             assert got == check_membership(inst, p)
             seen[n, "in" if got else "out"] += 1
-    # every outcome comes up, and at n = 6 too (seed 9721 has an empty core)
-    assert all(sum(seen[n, kind] for n in (3, 4, 5, 6)) for kind in ("empty", "in", "out")), seen
-    assert seen[6, "empty"] and seen[6, "in"] and seen[6, "out"], seen
+    # every outcome comes up, and at n = 6 and n = 7 too (seeds 9721 and 9742
+    # have an empty core)
+    assert all(seen[n, kind] for n in (6, 7) for kind in ("empty", "in", "out")), seen
 
 
 def test_witness_validity_on_feasible_blocks():
