@@ -35,6 +35,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, TextIO
 
@@ -218,6 +219,9 @@ class SimplexResult:
         return self.status in ("optimal", "feasible")
 
 
+_denominator = attrgetter("denominator")
+
+
 def _reduced(row: dict, den: int) -> tuple[dict, int]:
     """row / den in lowest terms: both divided by the gcd of den and every
     entry."""
@@ -233,19 +237,20 @@ def _eliminate(row: dict, den: int, prow: dict, pden: int, c: int) -> tuple[dict
     f = row.get(c)
     if not f:
         return row, den
-    g = gcd(f, pden)
-    if g != pden:  # scale row by pden / g so that f / pden times prow is in ints
-        m = pden // g
-        row = {j: x * m for j, x in row.items()}
-        den *= m
-    f //= g
+    if pden != 1:
+        g = gcd(f, pden)
+        if g != pden:  # scale row by pden / g so that f / pden times prow is in ints
+            m = pden // g
+            row = {j: x * m for j, x in row.items()}
+            den *= m
+        f //= g
     for j, b in prow.items():
         x = row.get(j, 0) - f * b
         if x:
             row[j] = x
         else:
             del row[j]
-    return _reduced(row, den)
+    return (row, den) if den == 1 else _reduced(row, den)
 
 
 class _LP(NamedTuple):
@@ -313,12 +318,15 @@ class _Tableau:
         # rel, |rhs|): a ">=" row is negated into "<=" unless its rhs is
         # positive, any other row where its rhs is negative
         rows_src = []
+        scale = 1
         for coeffs, rel, b in lp.rows:
             flip = b <= 0 if rel == ">=" else b < 0
             if flip and rel != "=":
                 rel = "<=" if rel == ">=" else ">="
+            if type(b) is not int:
+                scale = lcm(scale, b.denominator)
             rows_src.append((coeffs, flip, rel, abs(b)))
-        self.scale = scale = lcm(*{b.denominator for _, _, _, b in rows_src})
+        self.scale = scale
 
         # (LP column, sign) per tableau column; LP column k is tableau
         # column plus[k], less tableau column minus[k] unless k is a sign
@@ -341,11 +349,13 @@ class _Tableau:
         self.dens: list[int] = []
         self.basis: list[int] = []
         for coeffs, flip, rel, b in rows_src:
-            den = lcm(*{q.denominator for q in coeffs.values() if type(q) is not int})
-            m = -den if flip else den
+            den = lcm(*map(_denominator, coeffs.values()))
+            if den != 1:
+                coeffs = {k: q.numerator * (den // q.denominator) for k, q in coeffs.items()}
             row = {}
             for k, q in coeffs.items():
-                q = q * m if type(q) is int else q.numerator * (m // q.denominator)
+                if flip:
+                    q = -q
                 row[plus[k]] = q
                 j = minus[k]
                 if j is not None:
@@ -470,7 +480,7 @@ class _Tableau:
             if b < self.nstruct:
                 k, sign = self.cols[b]
                 x = Fraction(sign * row.get(self.total, 0), den * self.scale)
-                values[k] = values.get(k, 0) + x
+                values[k] = values[k] + x if k in values else x
         return values
 
 
