@@ -466,7 +466,7 @@ class _Tableau:
             c = obj.get(k)
             if c:
                 cost[j] = c if sign > 0 else -c
-        den = lcm(*{c.denominator for c in cost.values()})
+        den = lcm(*map(_denominator, cost.values()))
         self._price({j: c.numerator * (den // c.denominator) for j, c in cost.items()}, den)
         if self._bland() == "unbounded":
             return "unbounded", None
