@@ -342,7 +342,7 @@ def test_membership_blocks_match_the_lowered_dual_systems(monkeypatch):
 
 # The n = 6 and n = 7 formulations of `random_instance(seed, n, 1/2, 6)` run
 # from 39 to over 5 000 rows, and their feasibility check costs with the rows
-# (seed 9722 at n = 6: 5 143 rows, about 7 s on 2 vCPU, all of it in pivots).
+# (seed 9722 at n = 6: 5 143 rows, about 4 s on 2 vCPU, all of it in pivots).
 # The differential test takes, among seeds 9720-9739 at n = 6 and 9740-9749
 # at n = 7, those whose `size_report` total is at most the cap for their n,
 # read before anything is solved.
