@@ -54,7 +54,10 @@ An edge k joins endpoint[2k] and endpoint[2k + 1]; the oriented edge d runs
 from endpoint[d] to endpoint[d ^ 1], so d >> 1 is its index and d ^ 1 its
 reverse. Every check of the original raises InvariantError instead of
 asserting, and the dual certificate of optimality (`verify_optimum`) is
-checked on every solve, also under `python -O`.
+checked on every solve, also under `python -O`. Its slack of an edge adds
+only the blossoms of positive dual that hold both ends: they are the common
+head of the ends' chains of positive-dual blossoms, built once per vertex,
+as a blossom of dual 0 adds nothing and blossoms nest.
 
 There are two starts and one main loop. The cold start, `matched_edges`, is
 networkx's: every dual at the largest weight and nothing matched, so it
@@ -62,8 +65,11 @@ spends one stage per augmentation; it is the reference that the tests pin.
 The warm start, `warm_matched_edges` (maximum weight only), is the jump start
 of Mehlhorn & Schäfer (ACM JEA 2002) and of Kolmogorov's Blossom V: each
 vertex's dual is the largest weight at it, floored at 0, and the tight edges
-of positive weight are matched greedily, which leaves far fewer stages. With
-free vertices no longer sharing one dual, the loop then
+of positive weight are matched greedily. Then each vertex left single, in
+vertex order, has its dual lowered to the least value, floored at 0, that
+keeps the slacks of its edges nonnegative, and takes the first edge of
+positive weight that is now tight to a single neighbour. Both leave far
+fewer stages. With free vertices no longer sharing one dual, the loop then
 - roots a stage only at single vertices of positive dual, and ends when
   there are none;
 - takes a tight edge from an S-vertex to an unlabelled blossom with a single
@@ -74,8 +80,6 @@ free vertices no longer sharing one dual, the loop then
 The certificate is the same, so the warm start's matching has the largest
 weight too, but on ties it may be another matching than networkx picks.
 """
-
-from itertools import chain
 
 from .model import InvariantError, check_simple_graph
 
@@ -89,18 +93,23 @@ def verify_optimum(endpoint, w2, mate, dualvar, blossomdual, blossomparent,
     vdualoffset = max(0, -min(dualvar)) if maxcardinality else 0
     if min(dualvar) + vdualoffset < 0 or any(blossomdual[b] < 0 for b in live):
         raise InvariantError("blossom optimum: negative dual variable")
-    # each vertex's blossoms from the top level down, ending at the vertex
+    # each vertex's blossoms of positive dual from the top level down; a
+    # blossom of dual 0 adds nothing to a slack, and as blossoms nest, those
+    # holding both ends of an edge are the common head of the ends' chains
     chains = []
     for v in range(len(mate)):
-        chain = [v]
-        while blossomparent[chain[-1]] != -1:
-            chain.append(blossomparent[chain[-1]])
+        chain = []
+        b = blossomparent[v]
+        while b != -1:
+            if blossomdual[b]:
+                chain.append(b)
+            b = blossomparent[b]
         chain.reverse()
         chains.append(chain)
     for k, wk2 in enumerate(w2):
         i, j = endpoint[2 * k], endpoint[2 * k + 1]
         s = dualvar[i] + dualvar[j] - wk2
-        for bi, bj in zip(chains[i], chains[j]):  # the blossoms holding both
+        for bi, bj in zip(chains[i], chains[j]):
             if bi != bj:
                 break
             s += 2 * blossomdual[bi]
@@ -195,6 +204,19 @@ def _solve(edges, weights, maxcardinality, warm):
             if wk2 > 0 and mate[i] == mate[j] == -1 and dualvar[i] + dualvar[j] == wk2:
                 mate[i], mateedge[i] = j, 2 * k
                 mate[j], mateedge[j] = i, 2 * k + 1
+        # then lower each single vertex's dual to the least that keeps its
+        # slacks nonnegative (even, like every dual here), and match it over
+        # the first edge of positive weight that turns tight to a single
+        # neighbour
+        for v in range(n):
+            if mate[v] == -1:
+                dv = dualvar[v] = max(0, max(w2[d >> 1] - dualvar[x] for x, d in nbrs[v]))
+                for x, d in nbrs[v]:
+                    wk2 = w2[d >> 1]
+                    if wk2 > 0 and mate[x] == -1 and dv + dualvar[x] == wk2:
+                        mate[v], mateedge[v] = x, d
+                        mate[x], mateedge[x] = v, d ^ 1
+                        break
     else:
         dualvar = [max(0, max(weights))] * n  # 2 * u(v)
     blossomdual = [0] * size  # z(b)
@@ -595,31 +617,46 @@ def _solve(edges, weights, maxcardinality, warm):
                 break
 
             # no augmenting path on tight edges: change the duals by delta
-            # (duals and slacks are doubled, so all stays integral)
+            # (duals and slacks are doubled, so all stays integral); on a tie
+            # the first candidate in the order below wins. One pass over the
+            # vertices finds the S- and T-vertices, whose duals change, and
+            # the least slacks of types 2 and 3 at a vertex
+            svs, tvs = [], []
+            edge2 = edge3 = -1
+            for v in range(n):
+                lv = label[inblossom[v]]
+                if lv == 1:
+                    svs.append(v)
+                    if inblossom[v] == v and bestedge[v] != -1:
+                        kslack = slack(bestedge[v])
+                        if kslack % 2:
+                            raise InvariantError("blossom: odd slack between S-blossoms")
+                        if edge3 == -1 or kslack // 2 < slack3:
+                            slack3, edge3 = kslack // 2, bestedge[v]
+                elif lv == 2:
+                    tvs.append(v)
+                elif bestedge[v] != -1:
+                    kslack = slack(bestedge[v])
+                    if edge2 == -1 or kslack < slack2:
+                        slack2, edge2 = kslack, bestedge[v]
             deltatype = -1
             delta = deltaedge = deltablossom = None
             if not maxcardinality:
                 # the least S-vertex dual (from the cold start, that of the
                 # single vertices, which is the least of all)
                 deltatype = 1
-                delta = min(dualvar[v] for v in range(n) if label[inblossom[v]] == 1)
-            for v in range(n):
-                if not label[inblossom[v]] and bestedge[v] != -1:
-                    dv = slack(bestedge[v])
-                    if deltatype == -1 or dv < delta:
-                        delta = dv
-                        deltatype = 2
-                        deltaedge = bestedge[v]
-            for b in chain(range(n), live):
+                delta = min(dualvar[v] for v in svs)
+            if edge2 != -1 and (deltatype == -1 or slack2 < delta):
+                delta, deltatype, deltaedge = slack2, 2, edge2
+            for b in live:
                 if blossomparent[b] == -1 and label[b] == 1 and bestedge[b] != -1:
                     kslack = slack(bestedge[b])
                     if kslack % 2:
                         raise InvariantError("blossom: odd slack between S-blossoms")
-                    dv = kslack // 2
-                    if deltatype == -1 or dv < delta:
-                        delta = dv
-                        deltatype = 3
-                        deltaedge = bestedge[b]
+                    if edge3 == -1 or kslack // 2 < slack3:
+                        slack3, edge3 = kslack // 2, bestedge[b]
+            if edge3 != -1 and (deltatype == -1 or slack3 < delta):
+                delta, deltatype, deltaedge = slack3, 3, edge3
             for b in live:
                 if (blossomparent[b] == -1 and label[b] == 2
                         and (deltatype == -1 or blossomdual[b] < delta)):
@@ -633,12 +670,10 @@ def _solve(edges, weights, maxcardinality, warm):
                 deltatype = 1
                 delta = max(0, min(dualvar))
 
-            for v in range(n):
-                lv = label[inblossom[v]]
-                if lv == 1:
-                    dualvar[v] -= delta
-                elif lv == 2:
-                    dualvar[v] += delta
+            for v in svs:
+                dualvar[v] -= delta
+            for v in tvs:
+                dualvar[v] += delta
             for b in live:
                 if blossomparent[b] == -1:
                     if label[b] == 1:
@@ -651,7 +686,7 @@ def _solve(edges, weights, maxcardinality, warm):
                 # optimum; from the warm start one S-vertex is, and a matched
                 # one turns single by flipping its path to the root
                 if warm:
-                    v = next(v for v in range(n) if label[inblossom[v]] == 1 and not dualvar[v])
+                    v = next(v for v in svs if not dualvar[v])
                     if mate[v] != -1:
                         augmentPath(v, -1)
                     stageover = True

@@ -6,14 +6,16 @@ run on weights scaled to integers so every comparison is exact; it checks
 the dual certificate of optimality on every solve. Calls that only read a
 value (`_max_value`, `_b_value`: nu and the tie-break completions) use its
 warm start, `warm_matched_edges`, which needs far fewer stages but may return
-another optimum of the same weight; no result depends on which. The perfect
-matchings (`_min_perfect_edges`) pick T-joins and so certificates, and use
-the cold start, `matched_edges`, which picks networkx's matching. On top of
-the engine this module implements deterministic tie-breaking (the optimum
-whose sorted edge-index tuple is lexicographically smallest), minimum-weight
-perfect matching, and maximum-weight b-matching through a vertex/edge gadget
-expansion on dense int nodes, in which only edges joining two capacity-2
-vertices get a gadget.
+another optimum of the same weight; no result depends on which. A b-matching
+value solve reads the instance's weights scaled to ints once per `Instance`
+(`Instance.scaled_weights`) and leaves out the edges of weight 0, which add
+nothing to a value. The perfect matchings (`_min_perfect_edges`) pick
+T-joins and so certificates, and use the cold start, `matched_edges`, which
+picks networkx's matching. On top of the engine this module implements
+deterministic tie-breaking (the optimum whose sorted edge-index tuple is
+lexicographically smallest), minimum-weight perfect matching, and
+maximum-weight b-matching through a vertex/edge gadget expansion on dense
+int nodes, in which only edges joining two capacity-2 vertices get a gadget.
 """
 
 import itertools
@@ -178,22 +180,34 @@ def build_gadget(inst: Instance, allowed: Optional[Iterable[int]] = None,
     caps_(v-1), and the k-th gadgeted edge in index order has the nodes
     e_u = sum(caps) + 2k and e_v = e_u + 1.
     """
+    caps, ids = _gadget_args(inst, allowed, caps)
+    return _gadget(inst, ids, caps, [e.w for e in inst.edges])
+
+
+def _gadget_args(inst: Instance, allowed, caps) -> tuple[Sequence[int], Sequence[int]]:
+    """`build_gadget`'s caps and its edge indices, ascending, both checked."""
     caps = inst.b if caps is None else caps
     if len(caps) != inst.n:
         raise ValueError(f"caps has {len(caps)} entries for {inst.n} vertices")
     for v, c in enumerate(caps):
         if c not in (0, 1, 2):
             raise ValueError(f"capacity {c!r} at vertex {v} is not 0, 1 or 2")
-    offset = list(itertools.accumulate(caps, initial=0))
-    node = offset[-1]
     ids = range(inst.m) if allowed is None else sorted(allowed)
     for idx in (ids[0], ids[-1]) if ids else ():  # ascending: the ends bound the rest
         if not 0 <= idx < inst.m:
             raise ValueError(f"edge index {idx} is not in 0..{inst.m - 1}")
+    return caps, ids
+
+
+def _gadget(inst: Instance, ids: Iterable[int], caps: Sequence[int], weights: Sequence):
+    """The gadget graph over the checked edge indices `ids` at `caps`; each
+    of its edges weighs `weights[idx]`, idx the index of the edge it expands."""
+    offset = list(itertools.accumulate(caps, initial=0))
+    node = offset[-1]
     edges = []
-    weights = []
+    gweights = []
     for idx in ids:
-        u, v, w = inst.edges[idx]
+        u, v, _ = inst.edges[idx]
         us, vs = range(offset[u], offset[u + 1]), range(offset[v], offset[v + 1])
         if len(us) == len(vs) == 2:
             eu, ev = node, node + 1
@@ -202,25 +216,27 @@ def build_gadget(inst: Instance, allowed: Optional[Iterable[int]] = None,
         else:
             pairs = [(x, y) for x in us for y in vs]
         edges += pairs
-        weights += [w] * len(pairs)
-    return list(range(node)), edges, weights
+        gweights += [weights[idx]] * len(pairs)
+    return list(range(node)), edges, gweights
 
 
 def _b_value(inst: Instance, allowed: set[int], caps: Sequence[int]) -> Fraction:
     """Max b-matching weight over `allowed` edges with capacities `caps`.
 
-    Checks the gadget identity maxWeight(G*) = w(E22) + w(M) before
-    returning w(M).
+    Solves on the instance's scaled int weights and leaves out the edges of
+    weight 0, which add nothing to a value. Checks the gadget identity
+    maxWeight(G*) = w(E22) + w(M) before returning w(M).
     """
     if not allowed:
         return Fraction(0)
-    _, edges, weights = build_gadget(inst, allowed, caps)
-    ints, scale = _scale(weights)
-    matched = set(warm_matched_edges(edges, ints))
+    caps, ids = _gadget_args(inst, allowed, caps)
+    ints, scale = inst.scaled_weights
+    _, edges, weights = _gadget(inst, [i for i in ids if ints[i]], caps, ints)
+    matched = set(warm_matched_edges(edges, weights))
     covered = {x for k in matched for x in edges[k]}
     base = sum(caps)  # the first gadget node
     total = wall = value = 0  # in units of 1/scale
-    for k, ((a, c), w) in enumerate(zip(edges, ints)):
+    for k, ((a, c), w) in enumerate(zip(edges, weights)):
         if k in matched:
             total += w
         if a >= base and c >= base:  # the middle edge e_u - e_v of a gadget

@@ -184,6 +184,16 @@ class Instance:
 
         return matching.b_matching_value(self)
 
+    @cached_property
+    def scaled_weights(self) -> tuple[tuple[int, ...], int]:
+        """The edge weights times the lcm of their denominators, as ints in
+        edge order, and that lcm: computed on first use, for the b-matching
+        value solves."""
+        from . import matching  # matching imports this module
+
+        ints, scale = matching._scale(e.w for e in self.edges)
+        return tuple(ints), scale
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -336,17 +346,33 @@ def _content_lines(text: str):
             yield no, line
 
 
-def parse_edge_lines(lines, value: str):
+def parse_edge_lines(lines, value: str, nonnegative: bool = False):
     """Read "edge <u> <v> <value>" lines: yields (line number, u, v,
     rational) per line; raises FormatError, with the line number, on a
-    malformed line. Whether the edges form a simple graph is
-    `check_simple_graph`'s to decide (see `edge_lines_blamed`)."""
+    malformed line, and with `nonnegative` on a negative weight. Each
+    distinct token is read and checked once, at its first line, so edges
+    that share a value token share its Fraction. Whether the edges form a
+    simple graph is `check_simple_graph`'s to decide (see
+    `edge_lines_blamed`)."""
+    ends: dict[str, int] = {}
+    values: dict[str, Fraction] = {}
     for no, line in lines:
         parts = line.split()
         if len(parts) != 4 or parts[0] != "edge":
             raise FormatError(f"expected 'edge <u> <v> <{value}>'", no)
-        u, v = parse_uint(parts[1], no), parse_uint(parts[2], no)
-        yield no, u, v, parse_rational(parts[3], no)
+        _, su, sv, sx = parts
+        u = ends.get(su)
+        if u is None:
+            u = ends[su] = parse_uint(su, no)
+        v = ends.get(sv)
+        if v is None:
+            v = ends[sv] = parse_uint(sv, no)
+        x = values.get(sx)
+        if x is None:
+            x = values[sx] = parse_rational(sx, no)
+            if nonnegative and x < 0:
+                raise FormatError(f"negative weight on edge {u}-{v}", no)
+        yield no, u, v, x
 
 
 def parse_header(lines, word: str, what: str) -> tuple[int, int]:
@@ -386,11 +412,7 @@ def parse_instance(text: str) -> Instance:
             raise FormatError(f"capacity out of range at vertex {vid}: {bv}", no)
         b[vid] = bv
 
-    edges: list[Edge] = []
-    for no, u, v, w in parse_edge_lines(lines[1 + n :], "w"):
-        if w < 0:
-            raise FormatError(f"negative weight on edge {u}-{v}", no)
-        edges.append(Edge(u, v, w))
+    edges = [Edge(u, v, w) for _, u, v, w in parse_edge_lines(lines[1 + n :], "w", True)]
     with edge_lines_blamed(lines[1 + n :]):
         return Instance(n=n, b=tuple(b[i] for i in range(n)), edges=tuple(edges))
 

@@ -274,3 +274,67 @@ def test_cli_value_exits_5_on_a_broken_certificate(how):
     assert out.stdout == ""
     assert "internal error: blossom optimum: " in out.stderr
     assert "Traceback" not in out.stderr
+
+
+# A graph on 7 vertices whose final state, from either start, nests three
+# blossoms: one of positive dual inside one of dual 0 inside one of positive
+# dual. The certificate check walks only the positive-dual blossoms holding
+# an edge, so each corruption of the inner positive-dual blossom b must still
+# fail: raising its dual by 1 (the matched edge inside is no longer tight),
+# lowering it by 1 (a tight edge inside gets negative slack), or unmatching
+# the matched edge inside (its ends are single with positive duals).
+NESTED = ("[(0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (3, 4), (3, 5), (4, 6)], "
+          "[3, 3, 6, 6, 6, 5, 6, 5, 1, 6]")
+BLOSSOM_CORRUPTIONS = {
+    "raise_blossom_dual": ("        blossomdual[b] += 1\n", "matched edge not tight"),
+    "lower_blossom_dual": ("        blossomdual[b] -= 1\n", "negative edge slack"),
+    "unmatch_inside": ("        d = blossomedges[b][1]\n"
+                       "        mate[endpoint[d]] = mate[endpoint[d ^ 1]] = -1\n",
+                       "single vertex with nonzero dual"),
+}
+
+
+def corrupt_blossom(how: str) -> str:
+    return (
+        "from corematch import _edmonds\n"
+        "real = _edmonds.verify_optimum\n"
+        "CORRUPT = False\n"
+        "def corrupted(endpoint, w2, mate, dualvar, blossomdual, blossomparent,\n"
+        "              blossomedges, live, maxcardinality):\n"
+        "    b = next(b for b in live if blossomdual[b] > 0 and blossomparent[b] != -1\n"
+        "             and blossomdual[blossomparent[b]] == 0)\n"
+        "    print('positive dual under dual 0:', blossomdual[b] > 0)\n"
+        "    if CORRUPT:\n"
+        + BLOSSOM_CORRUPTIONS[how][0]
+        + "    real(endpoint, w2, mate, dualvar, blossomdual, blossomparent,\n"
+          "         blossomedges, live, maxcardinality)\n"
+        "_edmonds.verify_optimum = corrupted\n"
+    )
+
+
+NESTED_SOLVES = {
+    "cold": f"_edmonds.matched_edges({NESTED}, False)",
+    "warm": f"_edmonds.warm_matched_edges({NESTED})",
+}
+
+
+@pytest.mark.parametrize("how", sorted(BLOSSOM_CORRUPTIONS))
+@pytest.mark.parametrize("start", sorted(NESTED_SOLVES))
+def test_positive_dual_blossom_corruption_raises_under_dash_o(how, start):
+    out = run_optimized(
+        "from corematch.model import InvariantError\n"
+        "assert False, 'asserts must be stripped here'\n"
+        f"print({NESTED_SOLVES[start]})\n"
+        "CORRUPT = True\n"
+        "try:\n"
+        f"    {NESTED_SOLVES[start]}\n"
+        "except InvariantError as exc:\n"
+        "    print('raised:', exc)\n",
+        prelude=corrupt_blossom(how),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (
+        "positive dual under dual 0: True\n[4, 6, 7]\n"
+        "positive dual under dual 0: True\n"
+        f"raised: blossom optimum: {BLOSSOM_CORRUPTIONS[how][1]}\n"
+    )

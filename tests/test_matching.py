@@ -393,6 +393,51 @@ def test_nu_equals_bruteforce_all_coalitions():
                 assert nu(inst, S) == oracle.nu_bruteforce(inst, S)
 
 
+def zero_heavy_instance(rng, n):
+    """A game on n vertices with at most 14 edges, so the brute force stays
+    small; most weights are 0 and the rest are k/d with d in 1..3."""
+    pairs = [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+    rng.shuffle(pairs)
+    edges = tuple(
+        model.Edge(u, v, Fraction(0) if rng.random() < 0.6 else Fraction(rng.randint(1, 6), rng.randint(1, 3)))
+        for u, v in pairs[:14]
+    )
+    return model.Instance(n, tuple(rng.randint(1, 2) for _ in range(n)), edges)
+
+
+def test_nu_with_weight_zero_edges_matches_bruteforce():
+    # value solves leave the weight-0 edges out of the blossom
+    rng = random.Random(28)
+    cases = [zero_heavy_instance(rng, rng.randint(1, 9)) for _ in range(60)]
+    cases += [
+        model.Instance(6, (2, 1, 2, 2, 1, 2), tuple(
+            model.Edge(u, v, Fraction(0)) for u, v in itertools.combinations(range(6), 2))),
+        model.Instance(5, (1, 2, 2, 1, 2), ()),
+        model.Instance(4, (2, 2, 2, 2), (model.Edge(0, 1, 0), model.Edge(1, 2, Fraction(1, 3)),
+                                         model.Edge(2, 3, 0), model.Edge(3, 0, Fraction(5, 2)))),
+    ]
+    for inst in cases:
+        value = b_matching_value(inst)
+        assert type(value) is Fraction
+        assert value == oracle.nu_bruteforce(inst, range(inst.n))
+        S = [v for v in range(inst.n) if rng.random() < 0.7]
+        assert nu(inst, S) == oracle.nu_bruteforce(inst, S)
+    assert b_matching_value(cases[-3]) == b_matching_value(cases[-2]) == 0
+    assert b_matching_value(cases[-1]) == Fraction(17, 6)
+
+
+def test_warm_b_value_matches_cold_start_at_benchmark_sizes():
+    # games shaped like the sep-fresh ones: the value solve (warm start,
+    # weight-0 edges left out) against the cold start on the whole gadget,
+    # through its identity maxWeight(G*) = w(E22) + nu
+    for k, n in enumerate((24, 32, 40, 24, 32, 40)):
+        inst = random_instance(2800 + k, n, Fraction(1, 2), 10)
+        _, edges, weights = build_gadget(inst)
+        ints, scale = matching._scale(weights)
+        cold = Fraction(sum(ints[i] for i in matched_edges(edges, ints, False)), scale)
+        assert b_matching_value(inst) == cold - gadgeted_weight(inst)
+
+
 def test_nu_monotone():
     rng = random.Random(13)
     for _ in range(15):

@@ -521,3 +521,49 @@ def test_allocation_text_roundtrip(values):
     inst = Instance(len(values), (1,) * len(values), ())
     text = "".join(f"{v} {x}\n" for v, x in enumerate(values))
     assert emit_allocation(parse_allocation(text, inst)) == text
+
+
+@given(canonical_instance_text())
+def test_instance_roundtrip_from_text(text):
+    inst = parse_instance(text)
+    assert parse_instance(emit_instance(inst)) == inst
+
+
+GAME_HEAD = "game 4 3\nvertex 0 1\nvertex 1 2\nvertex 2 2\nvertex 3 1\n"
+COSTS_HEAD = "costs 4 3\n"
+
+
+@pytest.mark.parametrize("parse, head", [
+    (parse_instance, GAME_HEAD), (parse_cost_graph, COSTS_HEAD),
+])
+@pytest.mark.parametrize("token, message", [
+    ("3/0", "zero denominator"), ("1.5", "malformed rational"),
+])
+def test_repeated_bad_value_token_is_reported_at_its_first_line(parse, head, token, message):
+    # each distinct value token is read once, at its first line
+    first = head.count("\n") + 2
+    text = head + f"edge 0 1 2\nedge 1 2 {token}\nedge 2 3 {token}\n"
+    with pytest.raises(FormatError, match=f"^line {first}: {message}"):
+        parse(text)
+
+
+def test_repeated_negative_weight_is_reported_at_its_first_line():
+    text = GAME_HEAD + "edge 0 1 2\nedge 1 2 -1/2\nedge 2 3 -1/2\n"
+    with pytest.raises(FormatError, match="^line 7: negative weight on edge 1-2$"):
+        parse_instance(text)
+    # costs may be negative
+    g = parse_cost_graph(COSTS_HEAD + "edge 0 1 2\nedge 1 2 -1/2\nedge 2 3 -1/2\n")
+    assert [e.cost for e in g.edges] == [2, Fraction(-1, 2), Fraction(-1, 2)]
+
+
+@pytest.mark.parametrize("parse, head, value", [
+    (parse_instance, GAME_HEAD, lambda e: e.w), (parse_cost_graph, COSTS_HEAD, lambda e: e.cost),
+])
+def test_edges_sharing_a_token_get_equal_values(parse, head, value):
+    text = head + "edge 0 1 6/4\nedge 1 2 3\nedge 2 3 6/4\n"
+    edges = parse(text).edges
+    assert [value(e) for e in edges] == [Fraction(3, 2), 3, Fraction(3, 2)]
+    assert all(type(value(e)) is Fraction for e in edges)
+    # "3/2" is another token with the same value
+    other = parse(head + "edge 0 1 6/4\nedge 1 2 3\nedge 2 3 3/2\n").edges
+    assert [value(e) for e in other] == [value(e) for e in edges]
