@@ -95,11 +95,12 @@ def _is_int(x) -> bool:
 
 
 class GraphError(ValueError):
-    """A graph that is not simple. `edge` is the position of the offending
-    edge in the edge sequence, or None when the vertices repeat."""
+    """A graph or game that breaks a rule of its type, at the position of
+    the offending edge (in edge order) or vertex, or at neither for a rule
+    of the whole (the vertex count, vertices that repeat)."""
 
-    def __init__(self, message: str, edge: Optional[int] = None):
-        self.edge = edge
+    def __init__(self, message: str, edge: Optional[int] = None, vertex: Optional[int] = None):
+        self.edge, self.vertex = edge, vertex
         super().__init__(message)
 
 
@@ -126,19 +127,23 @@ def check_simple_graph(vertices: Sequence, edges: Iterable[Sequence]) -> None:
 
 
 @contextmanager
-def edge_lines_blamed(edge_lines):
-    """Turn a GraphError on an edge into a FormatError, with the same text,
-    on the line that edge was read from (`edge_lines` are the edges'
-    (line number, text) pairs, in edge order)."""
+def lines_blamed(lines, edge_lines, vertex_lines=None):
+    """Turn a GraphError into a FormatError, with the same text, on the line
+    of its edge (`edge_lines`, the edges' (line number, text) pairs) or
+    vertex (`vertex_lines` maps it to its line number), else on the header,
+    the first of the file's `lines`."""
     try:
         yield
     except GraphError as err:
-        raise FormatError(str(err), edge_lines[err.edge][0]) from None
+        no = (edge_lines[err.edge][0] if err.edge is not None
+              else lines[0][0] if err.vertex is None else vertex_lines[err.vertex])
+        raise FormatError(str(err), no) from None
 
 
 @dataclass(frozen=True)
 class Instance:
-    """A 2-matching game: simple graph, capacities b in {1,2}, weights w >= 0.
+    """A 2-matching game: simple graph, capacities b in {1,2}, weights w >= 0,
+    each rule stated once, in `__post_init__`, an edge's own before the graph's.
 
     Vertex ids are dense 0-based integers; edge order is the file order and is
     preserved so downstream scans and certificates are deterministic.
@@ -151,30 +156,27 @@ class Instance:
 
     def __post_init__(self):
         if not _is_int(self.n):
-            raise ValueError(f"vertex count is not an int: {self.n!r}")
+            raise GraphError(f"vertex count is not an int: {self.n!r}")
         if self.n < 1:
-            raise ValueError("instance needs at least one vertex")
+            raise GraphError("instance needs at least one vertex")
         if len(self.b) != self.n:
-            raise ValueError("capacity vector length != n")
+            raise GraphError("capacity vector length != n")
         for v, bv in enumerate(self.b):
             if not _is_int(bv):
-                raise ValueError(f"capacity at vertex {v} is not an int: {bv!r}")
+                raise GraphError(f"capacity at vertex {v} is not an int: {bv!r}", vertex=v)
             if bv not in (1, 2):
-                raise ValueError(f"capacity out of range at vertex {v}: {bv}")
+                raise GraphError(f"capacity out of range at vertex {v}: {bv}", vertex=v)
         for k, e in enumerate(self.edges):
             if not isinstance(e, Edge):
-                raise ValueError(f"edge {k} is not an Edge: {e!r}")
-            if not (_is_int(e.u) and _is_int(e.v)):
-                raise ValueError(
-                    f"edge {k} has an endpoint that is not an int: {e.u!r}-{e.v!r}")
+                raise GraphError(f"edge {k} is not an Edge: {e!r}", k)
+            u, v, w = e
+            if not (_is_int(u) and _is_int(v)):
+                raise GraphError(f"edge {k} has an endpoint that is not an int: {u!r}-{v!r}", k)
+            if not _is_exact(w):
+                raise GraphError(f"weight on edge {u}-{v} is not an int or a Fraction: {w!r}", k)
+            if w < 0:
+                raise GraphError(f"negative weight on edge {u}-{v}", k)
         check_simple_graph(range(self.n), self.edges)
-        for e in self.edges:
-            if not _is_exact(e.w):
-                raise ValueError(
-                    f"weight on edge {e.u}-{e.v} is not an int or a Fraction: {e.w!r}"
-                )
-            if e.w < 0:
-                raise ValueError(f"negative weight on edge {e.u}-{e.v}")
 
     @cached_property
     def grand_value(self) -> Fraction:
@@ -346,14 +348,13 @@ def _content_lines(text: str):
             yield no, line
 
 
-def parse_edge_lines(lines, value: str, nonnegative: bool = False):
+def parse_edge_lines(lines, value: str):
     """Read "edge <u> <v> <value>" lines: yields (line number, u, v,
     rational) per line; raises FormatError, with the line number, on a
-    malformed line, and with `nonnegative` on a negative weight. Each
-    distinct token is read and checked once, at its first line, so edges
-    that share a value token share its Fraction. Whether the edges form a
-    simple graph is `check_simple_graph`'s to decide (see
-    `edge_lines_blamed`)."""
+    malformed line. Each distinct token is read once, at its first line, so
+    edges that share a value token share its Fraction. Whether the edges
+    and their values obey the rules of the graph's type is the type's to
+    decide (see `lines_blamed`)."""
     ends: dict[str, int] = {}
     values: dict[str, Fraction] = {}
     for no, line in lines:
@@ -370,8 +371,6 @@ def parse_edge_lines(lines, value: str, nonnegative: bool = False):
         x = values.get(sx)
         if x is None:
             x = values[sx] = parse_rational(sx, no)
-            if nonnegative and x < 0:
-                raise FormatError(f"negative weight on edge {u}-{v}", no)
         yield no, u, v, x
 
 
@@ -388,17 +387,19 @@ def parse_header(lines, word: str, what: str) -> tuple[int, int]:
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse the line-oriented instance format into a validated Instance."""
+    """Parse the line-oriented instance format into an Instance. The parser
+    only reads (header, line count, tokens, vertex ids in range and not
+    repeated); `Instance` is the one validator, and its GraphError lands on
+    its edge's or vertex's line, or the header. So file shape and syntax
+    errors come first, then the game's rules."""
     lines = list(_content_lines(text))
     n, m = parse_header(lines, "game", "instance")
-    if n < 1:
-        raise FormatError("instance needs at least one vertex", lines[0][0])
     if len(lines) != 1 + n + m:
         raise FormatError(
             f"expected {n} vertex and {m} edge lines, found {len(lines) - 1}"
         )
 
-    b: dict[int, int] = {}
+    b, at = {}, {}  # vertex id -> capacity, and -> its line number
     for no, line in lines[1 : 1 + n]:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "vertex":
@@ -408,12 +409,10 @@ def parse_instance(text: str) -> Instance:
             raise FormatError(f"vertex id {vid} out of range", no)
         if vid in b:
             raise FormatError(f"duplicate vertex {vid}", no)
-        if bv not in (1, 2):
-            raise FormatError(f"capacity out of range at vertex {vid}: {bv}", no)
-        b[vid] = bv
+        b[vid], at[vid] = bv, no
 
-    edges = [Edge(u, v, w) for _, u, v, w in parse_edge_lines(lines[1 + n :], "w", True)]
-    with edge_lines_blamed(lines[1 + n :]):
+    edges = [Edge(u, v, w) for _, u, v, w in parse_edge_lines(lines[1 + n :], "w")]
+    with lines_blamed(lines, lines[1 + n :], at):
         return Instance(n=n, b=tuple(b[i] for i in range(n)), edges=tuple(edges))
 
 

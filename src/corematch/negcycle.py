@@ -26,7 +26,7 @@ from .model import (
     _content_lines,
     _is_exact,
     check_simple_graph,
-    edge_lines_blamed,
+    lines_blamed,
     parse_edge_lines,
     parse_header,
 )
@@ -372,5 +372,5 @@ def parse_cost_graph(text: str) -> CostedGraph:
         raise FormatError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = parse_edge_lines(lines[1:], "c")
     edges = tuple(CostEdge(u, v, c, k) for k, (_, u, v, c) in enumerate(edges))
-    with edge_lines_blamed(lines[1:]):
+    with lines_blamed(lines, lines[1:]):
         return CostedGraph(vertices=tuple(range(n)), edges=edges)

@@ -104,19 +104,20 @@ def _costs(inst: Instance, half: tuple[Cost, ...], weights) -> TransferCosts:
 
 def transfer_costs(inst: Instance, p: Allocation) -> TransferCosts:
     """The exact transfer costs (p_u + p_v)/2 − w_uv, as Fractions (D = 1)."""
+    check_allocation_length(inst, p)
     return _costs(inst, tuple(x / 2 for x in p.values), (e.w for e in inst.edges))
 
 
 def integer_costs(inst: Instance, p: Allocation) -> TransferCosts:
     """The transfer costs times D = 2·lcm of all denominators of p and w,
     as ints."""
-    lcm = math.lcm(
-        *(x.denominator for x in p.values), *(e.w.denominator for e in inst.edges)
-    )
-    # P_v = p_v·D/2 = p_v·lcm and W_e = w_e·D = 2·w_e·lcm
+    check_allocation_length(inst, p)
+    ints, scale = inst.scaled_weights  # w_e·scale, scale the lcm of w's denominators
+    lcm = math.lcm(scale, *(x.denominator for x in p.values))
+    # P_v = p_v·D/2 = p_v·lcm and W_e = w_e·D = (2·lcm/scale)·ints[e]
     half = tuple(x.numerator * (lcm // x.denominator) for x in p.values)
-    weights = (2 * e.w.numerator * (lcm // e.w.denominator) for e in inst.edges)
-    return _costs(inst, half, weights)
+    k = 2 * lcm // scale
+    return _costs(inst, half, (k * w for w in ints))
 
 
 def _costed(inst: Instance, p: Allocation,

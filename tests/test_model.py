@@ -392,6 +392,21 @@ def test_graph_defects_report_their_file_line(bad, message):
     assert str(exc.value) == f"line 7: {message}"
 
 
+@pytest.mark.parametrize("text, message", [
+    # vertex 1's line comes before vertex 0's
+    ("game 2 0\nvertex 1 3\nvertex 0 2\n", "line 2: capacity out of range at vertex 1: 3"),
+    ("game 3 3\nvertex 0 2\nvertex 1 2\nvertex 2 2\n"
+     "edge 0 1 1\nedge 1 2 -2\nedge 0 2 -2\n", "line 6: negative weight on edge 1-2"),
+    ("game 0 0\n", "line 1: instance needs at least one vertex"),
+], ids=["capacity-out-of-order", "shared-negative-weight", "no-vertex"])
+def test_instance_rules_report_their_file_line(text, message):
+    # a broken rule of the game lands on the line of its vertex, of its
+    # first edge, or on the header for the vertex count
+    with pytest.raises(FormatError) as exc:
+        parse_instance(text)
+    assert str(exc.value) == message
+
+
 def test_validator_accepts_the_repaired_graph():
     vertices, edges, weights = [0, 1, 2, 3], [(0, 1), (2, 3)], [1, 1]
     for target, build in VALIDATED.items():

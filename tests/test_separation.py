@@ -337,12 +337,14 @@ def test_verify_violation_rejects_wrong_length(counterexample, length):
 @pytest.mark.parametrize("length", [3, 7])
 @pytest.mark.parametrize(
     "stage",
-    [check_total_value, separate_vertices_edges, separate_cycles, separate_paths],
+    [check_total_value, separate_vertices_edges, separate_cycles, separate_paths,
+     separation.integer_costs, transfer_costs],
     ids=lambda f: f.__name__,
 )
 def test_stages_reject_wrong_length(counterexample, stage, length):
     # a short all-ones allocation used to give p(N) = 3 or IndexError, and a
-    # long one p(N) = 7, an Edge or a Path certificate
+    # long one p(N) = 7, an Edge or a Path certificate; the cost builders
+    # raised IndexError on a short one and costed seven halves on a long one
     with pytest.raises(ValueError, match="length"):
         stage(counterexample, alloc(*[1] * length))
 
