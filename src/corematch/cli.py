@@ -57,7 +57,7 @@ def _witness_line(inst: model.Instance, violation) -> str:
 
 def _parse_coalition(text: str, inst: model.Instance):
     ids = sorted({model.parse_uint(x.strip()) for x in text.split(",") if x.strip()})
-    if not ids or not all(0 <= v < inst.n for v in ids):
+    if not ids or not all(model._is_index(v, range(inst.n)) for v in ids):
         raise FormatError(f"coalition out of range: {text!r}")
     return tuple(ids)
 
@@ -222,17 +222,14 @@ def _cmd_oracle(args) -> int:
         return EXIT_VIOLATED
     if op == "cut-check":
         graph = negcycle.parse_cost_graph(_read(args.costs))
-        values = []
-        for no, tok in model._content_lines(_read(args.xvector)):
-            x = model.parse_rational(tok, no)
-            if x < 0:
-                raise FormatError(f"negative x entry {tok}", no)
-            values.append(x)
+        lines = list(model._content_lines(_read(args.xvector)))
+        values = [model.parse_rational(tok, no) for no, tok in lines]
         if len(values) != len(graph.edges):
             raise FormatError(
                 f"x-vector has {len(values)} entries, graph has {len(graph.edges)} edges"
             )
-        violation = oracle.check_cut_system(graph, values)
+        with model.lines_blamed(lines, lines):
+            violation = oracle.check_cut_system(graph, values)
         if violation is None:
             print("HOLDS")
             return EXIT_OK
@@ -242,7 +239,6 @@ def _cmd_oracle(args) -> int:
             f"edge {e.u}-{e.v}"
         )
         return EXIT_VIOLATED
-    raise FormatError(f"unknown oracle op {op!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import oracle, separation
-from .model import Allocation, Instance, check_allocation_length, parse_instance
+from .model import Allocation, Instance, _is_index, check_allocation_length, parse_instance
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,9 @@ class LayeredGraph:
 
 def build_layered(inst: Instance, p: Allocation, i0: int, j0: int, k: int) -> LayeredGraph:
     check_allocation_length(inst, p)
-    if i0 == j0 or not (0 <= i0 < inst.n and 0 <= j0 < inst.n):
+    if i0 == j0 or not (_is_index(i0, range(inst.n)) and _is_index(j0, range(inst.n))):
         raise ValueError("endpoints must be two distinct vertices")
-    if not 1 <= k <= inst.n - 1:
+    if not _is_index(k, range(1, inst.n)):
         raise ValueError(f"length k must lie in 1..{inst.n - 1}")
     n2 = inst.n2
     layers = [(i0,)] + [n2] * (k - 1) + [(j0,)]

@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from ._edmonds import matched_edges, warm_matched_edges
-from .model import Instance, InvariantError, _is_exact, check_coalition, check_simple_graph
+from .model import (Instance, InvariantError, _is_exact, _is_index, check_coalition,
+                    check_simple_graph)
 
 
 class NoPerfectMatchingError(ValueError):
@@ -180,23 +181,17 @@ def build_gadget(inst: Instance, allowed: Optional[Iterable[int]] = None,
     caps_(v-1), and the k-th gadgeted edge in index order has the nodes
     e_u = sum(caps) + 2k and e_v = e_u + 1.
     """
-    caps, ids = _gadget_args(inst, allowed, caps)
-    return _gadget(inst, ids, caps, [e.w for e in inst.edges])
-
-
-def _gadget_args(inst: Instance, allowed, caps) -> tuple[Sequence[int], Sequence[int]]:
-    """`build_gadget`'s caps and its edge indices, ascending, both checked."""
     caps = inst.b if caps is None else caps
     if len(caps) != inst.n:
         raise ValueError(f"caps has {len(caps)} entries for {inst.n} vertices")
     for v, c in enumerate(caps):
-        if c not in (0, 1, 2):
+        if not _is_index(c, (0, 1, 2)):
             raise ValueError(f"capacity {c!r} at vertex {v} is not 0, 1 or 2")
-    ids = range(inst.m) if allowed is None else sorted(allowed)
-    for idx in (ids[0], ids[-1]) if ids else ():  # ascending: the ends bound the rest
-        if not 0 <= idx < inst.m:
+    ids = range(inst.m) if allowed is None else tuple(allowed)
+    for idx in ids:
+        if not _is_index(idx, range(inst.m)):
             raise ValueError(f"edge index {idx} is not in 0..{inst.m - 1}")
-    return caps, ids
+    return _gadget(inst, sorted(ids), caps, [e.w for e in inst.edges])
 
 
 def _gadget(inst: Instance, ids: Iterable[int], caps: Sequence[int], weights: Sequence):
@@ -221,7 +216,8 @@ def _gadget(inst: Instance, ids: Iterable[int], caps: Sequence[int], weights: Se
 
 
 def _b_value(inst: Instance, allowed: set[int], caps: Sequence[int]) -> Fraction:
-    """Max b-matching weight over `allowed` edges with capacities `caps`.
+    """Max b-matching weight over `allowed` edges with capacities `caps`,
+    both already checked (by `Instance`, `check_coalition` or the tie-break).
 
     Solves on the instance's scaled int weights and leaves out the edges of
     weight 0, which add nothing to a value. Checks the gadget identity
@@ -229,9 +225,8 @@ def _b_value(inst: Instance, allowed: set[int], caps: Sequence[int]) -> Fraction
     """
     if not allowed:
         return Fraction(0)
-    caps, ids = _gadget_args(inst, allowed, caps)
     ints, scale = inst.scaled_weights
-    _, edges, weights = _gadget(inst, [i for i in ids if ints[i]], caps, ints)
+    _, edges, weights = _gadget(inst, sorted(i for i in allowed if ints[i]), caps, ints)
     matched = set(warm_matched_edges(edges, weights))
     covered = {x for k in matched for x in edges[k]}
     base = sum(caps)  # the first gadget node

@@ -94,6 +94,13 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_index(x, valid) -> bool:
+    """The index rule: x is an int (a bool is not) in `valid`, a range, a
+    tuple of allowed values or a vertex set; every public function that
+    takes a vertex id, an edge index, a capacity or a marker reads it."""
+    return _is_int(x) and x in valid
+
+
 class GraphError(ValueError):
     """A graph or game that breaks a rule of its type, at the position of
     the offending edge (in edge order) or vertex, or at neither for a rule
@@ -283,10 +290,9 @@ def check_coalition(inst: Instance, S: Iterable[int]) -> set[int]:
     or lies outside 0..n-1."""
     members = tuple(S)
     for v in members:  # before any set, which would merge True into a 1
-        if not _is_int(v):
-            raise ValueError(f"coalition member is not an int: {v!r}")
-    if not set(members) <= set(range(inst.n)):
-        raise ValueError("coalition contains unknown vertices")
+        if not _is_index(v, range(inst.n)):
+            raise ValueError("coalition contains unknown vertices" if _is_int(v)
+                             else f"coalition member is not an int: {v!r}")
     return set(members)
 
 
@@ -455,8 +461,6 @@ def random_instance(seed: int, n: int, density: Fraction, wmax: int) -> Instance
 
     Identical arguments always produce identical instances.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if not 0 <= density <= 1:
         raise ValueError("density must lie in [0, 1]")
     if wmax < 0:

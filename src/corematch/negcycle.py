@@ -25,6 +25,7 @@ from .model import (
     InvariantError,
     _content_lines,
     _is_exact,
+    _is_index,
     check_simple_graph,
     lines_blamed,
     parse_edge_lines,
@@ -71,7 +72,7 @@ class CostedGraph:
                 raise ValueError(
                     f"cost on edge {e.u}-{e.v} is not an int or a Fraction: {e.cost!r}"
                 )
-        if self.marker is not None and not 0 <= self.marker < len(self.edges):
+        if self.marker is not None and not _is_index(self.marker, range(len(self.edges))):
             raise ValueError("marker out of range")
 
 
@@ -182,16 +183,17 @@ def min_t_join(g: CostedGraph, T) -> frozenset[int]:
     a < b reads the paths from a, so the largest T-vertex needs no Dijkstra
     run, and a two-vertex T is its own only perfect matching.
     """
+    T = tuple(T)
+    if not T:
+        return frozenset()
+    adj = _adjacency(g)
+    for v in T:  # before any set, which would merge True into a 1
+        if not _is_index(v, adj):
+            raise TJoinError(f"T-vertex {v} is not a vertex of the graph")
     T = sorted(set(T))
     if len(T) % 2 != 0:
         raise TJoinError("odd T")
-    if not T:
-        return frozenset()
 
-    adj = _adjacency(g)
-    for v in T:
-        if v not in adj:
-            raise TJoinError(f"T-vertex {v} is not a vertex of the graph")
     dists = {}
     preds = {}
     for s in T[:-1]:
@@ -301,10 +303,11 @@ def join_distances(g: CostedGraph) -> Optional[dict[int, dict[int, Cost]]]:
 
 def decompose_even_subgraph(g: CostedGraph, J) -> list[Cycle]:
     """Split an even-degree edge set into edge-disjoint simple cycles."""
-    J = set(J)
-    for i in J:
-        if not 0 <= i < len(g.edges):
+    J = tuple(J)
+    for i in J:  # before any set, which would merge True into a 1
+        if not _is_index(i, range(len(g.edges))):
             raise ValueError(f"edge index {i} is not in 0..{len(g.edges) - 1}")
+    J = set(J)
     if _odd_vertices(g, J):
         raise ValueError("edge set has a vertex of odd degree")
     unused: dict[int, list[int]] = {v: [] for v in g.vertices}

@@ -12,6 +12,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .model import (
     Allocation,
+    GraphError,
     Instance,
     Violation,
     ViolationKind,
@@ -259,16 +260,17 @@ class CutViolation(NamedTuple):
 def check_cut_system(g: CostedGraph, x: Sequence[Fraction]) -> Optional[CutViolation]:
     """Check x >= 0 and x_e <= x(B \\ e) for every cut B and every e in B.
 
-    Returns None when the whole system holds.
+    Returns None when the whole system holds. A negative entry is a
+    GraphError at its edge's position, raised ahead of the size guard.
     """
+    for i, xi in enumerate(x):
+        if xi < 0:
+            raise GraphError(f"negative x entry {xi}", i)
     n = len(g.vertices)
     if n > 10:
         raise SizeGuardError(f"check_cut_system guard: n={n} > 10")
     if len(x) != len(g.edges):
         raise ValueError("x must assign a value to every edge")
-    for i, xi in enumerate(x):
-        if xi < 0:
-            raise ValueError(f"x must be nonnegative (edge {i})")
     verts = sorted(g.vertices)
     anchor = verts[0]
     rest = verts[1:]

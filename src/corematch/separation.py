@@ -53,7 +53,7 @@ from .model import (
     InvariantError,
     Violation,
     ViolationKind,
-    _is_int,
+    _is_index,
     check_allocation_length,
     coalition,
 )
@@ -221,9 +221,9 @@ def variant_structures(inst: Instance, s: int, t: int) -> list[VariantStructure]
     """The variants of the unordered endpoint pair {s, t}, in scan order."""
     if s == t:
         raise ValueError("endpoints must differ")
-    s, t = min(s, t), max(s, t)
-    if s < 0 or t >= inst.n:
+    if not (_is_index(s, range(inst.n)) and _is_index(t, range(inst.n))):
         raise ValueError(f"endpoints must lie in 0..{inst.n - 1}")
+    s, t = min(s, t), max(s, t)
     return [VariantStructure(s, t, ks, kt) for (_, ks), (_, kt) in _pairs(inst, s, t)]
 
 
@@ -380,9 +380,9 @@ def verify_violation(inst: Instance, p: Allocation, v: Violation) -> bool:
     Coalition, the witness is empty."""
     check_allocation_length(inst, p)
     S, eids = v.coalition, v.witness_edges
-    if not all(map(_is_int, (*S, *eids))):
+    if not all(_is_index(x, range(inst.n)) for x in S) or any(a >= b for a, b in zip(S, S[1:])):
         return False
-    if not all(0 <= x < inst.n for x in S) or any(a >= b for a, b in zip(S, S[1:])):
+    if not all(_is_index(i, range(inst.m)) for i in eids):
         return False
     if v.kind is ViolationKind.TOTAL_VALUE:
         return (
@@ -399,7 +399,7 @@ def verify_violation(inst: Instance, p: Allocation, v: Violation) -> bool:
     if v.kind is ViolationKind.COALITION:
         return eids == () and v.bound == matching.nu(inst, S)
     # Edge / Cycle / Path: witness must be the claimed structure on exactly S
-    if len(set(eids)) != len(eids) or not all(0 <= i < inst.m for i in eids):
+    if len(set(eids)) != len(eids):
         return False
     if v.bound != sum((inst.edges[i].w for i in eids), Fraction(0)):
         return False

@@ -397,7 +397,7 @@ def test_missing_required_combo(files, capsys):
 
 
 @pytest.mark.parametrize("argv, code, text, broken", [
-    (["random", "--seed", "1", "--n", "0"], 2, "error: n must be >= 1", False),
+    (["random", "--seed", "1", "--n", "0"], 2, "error: instance needs at least one vertex", False),
     (["random", "--seed", "1", "--n", "3", "--density", "2"], 2,
      "error: density must lie in [0, 1]", False),
     (["random", "--seed", "1", "--n", "3", "--wmax", "-1"], 2, "error: wmax must be >= 0", False),

@@ -221,12 +221,11 @@ def test_b_matching_value_rejects_unknown_vertices(S):
 ])
 def test_gadget_rejects_capacities_outside_0_1_2(caps, error):
     # (1, 1, 2) raised a bare IndexError, (3,) * 5 gave _b_value 30, the
-    # value of a 3-matching, and a -1 gave node ids from -1
+    # value of a 3-matching, and a -1 gave node ids from -1; _b_value reads
+    # only caps that are checked already, so the public builder checks them
     inst = model.parse_instance((ROOT / "data" / "counterexample.game").read_text())
     with pytest.raises(ValueError, match=re.escape(error)):
         build_gadget(inst, None, caps)
-    with pytest.raises(ValueError, match=re.escape(error)):
-        matching._b_value(inst, set(range(inst.m)), caps)
 
 
 @pytest.mark.parametrize("allowed, error", [
@@ -235,12 +234,11 @@ def test_gadget_rejects_capacities_outside_0_1_2(caps, error):
 ])
 def test_gadget_rejects_edge_indices_out_of_range(allowed, error):
     # [-1] built the gadget of the last edge, so _b_value read 1, and [9]
-    # raised a bare IndexError
+    # raised a bare IndexError; _b_value reads only edge ids that are checked
+    # already, so the public builder checks them
     inst = model.parse_instance((ROOT / "data" / "counterexample.game").read_text())
     with pytest.raises(ValueError, match=re.escape(error)):
         build_gadget(inst, allowed)
-    with pytest.raises(ValueError, match=re.escape(error)):
-        matching._b_value(inst, set(allowed), inst.b)
 
 
 def gadgeted_weight(inst):

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from corematch import model
+from corematch import flawed, model, separation
 from corematch.matching import (
     NoPerfectMatchingError,
+    build_gadget,
     max_weight_matching,
     min_weight_perfect_matching,
     nu,
@@ -24,7 +25,13 @@ from corematch.model import (
     parse_rational,
     random_instance,
 )
-from corematch.negcycle import CostEdge, CostedGraph, parse_cost_graph
+from corematch.negcycle import (
+    CostEdge,
+    CostedGraph,
+    decompose_even_subgraph,
+    min_t_join,
+    parse_cost_graph,
+)
 
 COUNTEREXAMPLE = """\
 game 5 4
@@ -411,6 +418,55 @@ def test_validator_accepts_the_repaired_graph():
     vertices, edges, weights = [0, 1, 2, 3], [(0, 1), (2, 3)], [1, 1]
     for target, build in VALIDATED.items():
         build(vertices, edges, weights, None)
+
+
+# -- one index rule ------------------------------------------------------------
+
+TRIANGLE = CostedGraph((0, 1, 2), (CostEdge(0, 1, -1, 0), CostEdge(1, 2, 1, 1), CostEdge(0, 2, 1, 2)))
+
+# case -> (the call on the counterexample instance, its allocation and the
+# triangle g, the message of its site); a bool or a float is never an index,
+# and each site says so as it says an index is out of range
+BAD_INDICES = {
+    "float endpoint": (lambda inst, p, g: separation.variant_structures(inst, 2.0, 3),
+                       "endpoints must lie in 0..4"),
+    "bool endpoint": (lambda inst, p, g: separation.variant_structures(inst, 2, True),
+                      "endpoints must lie in 0..4"),
+    "float edge id": (lambda inst, p, g: build_gadget(inst, [1.0]),
+                      "edge index 1.0 is not in 0..3"),
+    "bool edge id": (lambda inst, p, g: build_gadget(inst, [True]),
+                     "edge index True is not in 0..3"),
+    "bool caps": (lambda inst, p, g: build_gadget(inst, None, (True, True, 2, 2, True)),
+                  "capacity True at vertex 0 is not 0, 1 or 2"),
+    "float length": (lambda inst, p, g: flawed.build_layered(inst, p, 0, 1, 2.0),
+                     "length k must lie in 1..4"),
+    "float layered end": (lambda inst, p, g: flawed.build_layered(inst, p, 0, 1.0, 3),
+                          "endpoints must be two distinct vertices"),
+    "bool cycle edge": (lambda inst, p, g: decompose_even_subgraph(g, [True, 0, 2]),
+                        "edge index True is not in 0..2"),
+    "float cycle edge": (lambda inst, p, g: decompose_even_subgraph(g, [1.0, 0, 2]),
+                         "edge index 1.0 is not in 0..2"),
+    "float T-vertex": (lambda inst, p, g: min_t_join(g, [0, 2.0]),
+                       "T-vertex 2.0 is not a vertex of the graph"),
+    "bool T-vertex beside its int": (lambda inst, p, g: min_t_join(g, [1, True]),
+                                     "T-vertex True is not a vertex of the graph"),
+    "str edge id": (lambda inst, p, g: build_gadget(inst, ["x", 0]),
+                    "edge index x is not in 0..3"),
+    "bool marker": (lambda inst, p, g: CostedGraph(g.vertices, g.edges, True),
+                    "marker out of range"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INDICES)
+def test_every_index_is_an_int_in_range(case):
+    # each case was accepted (variant_structures(inst, 2, True),
+    # build_gadget(inst, [True]) built edge 1's gadget, decompose returned
+    # Cycle(edges=(0, True, 2), ...), CostedGraph read marker True as 1) or
+    # raised a bare TypeError
+    call, message = BAD_INDICES[case]
+    inst = flawed.counterexample_instance()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(inst, flawed.counterexample_allocation(), TRIANGLE)
 
 
 # -- strict ASCII numeric grammar ---------------------------------------------
