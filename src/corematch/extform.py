@@ -14,9 +14,11 @@ in the allocation. Gluing those blocks onto the total-value, vertex, and edge
 constraints yields a polynomial-size system whose projection onto the
 allocation variables is exactly the core.
 
-Every LP here is written by column: the flow primal and each dual block go
-into their `ConstraintSystem` as one block of indexed rows, and a
-membership check solves each member's block as an `_LP`, with no names.
+Every LP here is written by column: the flow primal and each dual block
+build their rows as flat lists of columns, values and row ends, each row in
+ascending column order, and hand them to linsys's row store a block at a
+time (`_Store.extend`), never a row at a time; a membership check solves
+each member's block as an `_LP`, with no names.
 """
 
 from dataclasses import dataclass
@@ -27,7 +29,7 @@ from . import separation
 # perfbench/tracing.py lists extform.simplex_feasible in WRAPPED and
 # `install` reads it with getattr, so this binding must stay even where no
 # code here calls it; check_membership solves every block through it
-from .linsys import _LP, ConstraintSystem, _value, simplex_feasible, simplex_solve
+from .linsys import _LP, ConstraintSystem, _Store, _value, simplex_feasible, simplex_solve
 from .model import Allocation, Instance, check_allocation_length
 from .negcycle import CostedGraph
 
@@ -122,63 +124,97 @@ def build_flow_primal(g: CostedGraph) -> ConstraintSystem:
     variables += [f"y_e{i}_{a}_{b}" for i in range(m) for _, a, b in arcs[i]]
     sys = ConstraintSystem("flow-primal", objective={
         variables[i]: e.cost for i, e in enumerate(g.edges) if e.cost != 0})
-    names, rows = [], []
+    # (edge, sign) at each vertex, in edge order: edge j's arc u-v leaves u
+    # (+1) and enters v (-1), its arc v-u the other way round
+    incident: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
+    for j, e in enumerate(g.edges):
+        incident[e.u].append((j, 1))
+        incident[e.v].append((j, -1))
+    names, cols, vals, ends, rels = [], [], [], [], []
     y = m  # the column of edge i's first y
     for i, ebar in enumerate(g.edges):
-        # conservation at every vertex: out-arcs +1, in-arcs -1; x_ē leaves u
-        # and arrives at v
-        flow: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
-        for col, (_, a, b) in enumerate(arcs[i], y):
-            flow[a][col] = 1
-            flow[b][col] = -1
-        flow[ebar.u][i] = -1
-        flow[ebar.v][i] = 1
-        names += [f"flow_e{i}_v{v}" for v in flow]
-        rows += [(coeffs, "=", 0) for coeffs in flow.values()]
+        # conservation at every vertex: x_ē leaves u and arrives at v, then
+        # out-arcs +1 and in-arcs -1, whose columns ascend in edge order and
+        # follow every x
+        for w in g.vertices:
+            if w == ebar.u or w == ebar.v:
+                cols.append(i)
+                vals.append(-1 if w == ebar.u else 1)
+            for j, s in incident[w]:
+                if j != i:
+                    c = y + 2 * (j - (j > i))
+                    cols += (c, c + 1)
+                    vals += (s, -s)
+            ends.append(len(cols))
+        names += [f"flow_e{i}_v{v}" for v in g.vertices]
+        rels += ["="] * len(g.vertices)
+        # x_e{j} <= y: the x column comes first
+        na, base = len(arcs[i]), len(cols)
+        cols += [k for col, (j, _, _) in enumerate(arcs[i], y) for k in (j, col)]
+        vals += [-1, 1] * na
+        ends += range(base + 2, base + 2 * na + 1, 2)
         names += [f"cap_e{i}_{a}_{b}" for _, a, b in arcs[i]]
-        rows += [({col: 1, j: -1}, "<=", 0) for col, (j, _, _) in enumerate(arcs[i], y)]
-        y += len(arcs[i])
+        rels += ["<="] * na
+        y += na
+    k, base = len(variables), len(cols)
     names += [f"nn_{v}" for v in variables]
-    rows += [({k: 1}, ">=", 0) for k in range(len(variables))]
-    sys._extend(variables, names, rows)
+    cols += range(k)
+    vals += [1] * k
+    ends += range(base + 1, base + k + 1)
+    rels += [">="] * k
+    sys._extend(variables, names, cols, vals, ends, rels, [0] * len(ends))
     return sys
 
 
-def _dual_block(g: CostedGraph, first: int, symbolic: bool) -> list:
-    """One graph's dual feasibility block as rows (coeffs by column, rel,
-    rhs) over the columns first, first + 1, ...: gamma_e{i}_v{v} for each
-    edge i and vertex v of g, then lam_e{i}_{a}_{b} (>= 0) for each edge i
-    and arc (a, b) of `_arcs(g, i)`. The rows are the arc rows in lam order,
-    then one cost row per edge, whose rhs is the edge's cost. When
-    `symbolic`, g is costed at p = 0 and each cost row also carries -1/2 at
-    columns u and v, the p_u and p_v columns: the (p_u + p_v)/2 part of the
-    cost, moved to the left-hand side."""
+def _dual_block(g: CostedGraph, first: int, symbolic: bool) -> tuple[list, ...]:
+    """One graph's dual feasibility block, as `linsys._Store.extend` takes
+    it, all of its rows "<=", over the columns first, first + 1, ...:
+    gamma_e{i}_v{v} for each edge i and vertex v of g, then
+    lam_e{i}_{a}_{b} (>= 0) for each edge i and arc (a, b) of `_arcs(g, i)`.
+    The rows are the arc rows in lam order, then one cost row per edge,
+    whose rhs is the edge's cost. When `symbolic`, g is costed at p = 0 and
+    each cost row also carries -1/2 at columns u and v, the p_u and p_v
+    columns: the (p_u + p_v)/2 part of the cost, moved to the left-hand
+    side. Each row's columns are written in ascending order."""
     m, nv = len(g.edges), len(g.vertices)
-    lam0, width = m * nv, 2 * (m - 1)  # lam_e0's offset, arcs a block
-    # column k of the block is col[k]: one int object, shared by its rows
-    col = list(range(first, first + lam0 + m * width))
-    at = {v: k for k, v in enumerate(g.vertices)}  # gamma_e0_v{v}
-    rows = []
+    lam0, width = first + m * nv, 2 * (m - 1)  # lam_e0's column, arcs a block
+    at = {v: k for k, v in enumerate(g.vertices)}  # gamma_e0_v{v}, less first
+    # per edge, its gamma columns in order, less the block's first, and the
+    # values of its arc rows u-v and v-u: gamma_a - gamma_b - lam <= 0
+    arc_rows = [(at[e.u], at[e.v], (1, -1, -1, -1, 1, -1)) if at[e.u] < at[e.v]
+                else (at[e.v], at[e.u], (-1, 1, -1, 1, -1, -1)) for e in g.edges]
+    cols, vals = [], []
     lam = lam0
     for i in range(m):
-        gi = i * nv
-        for _, a, b in _arcs(g, i):
-            rows.append(({col[at[a] + gi]: 1, col[at[b] + gi]: -1, col[lam]: -1}, "<=", 0))
-            lam += 1
+        gi = first + i * nv
+        for j, (a, b, signs) in enumerate(arc_rows):  # `_arcs(g, i)`'s order
+            if j != i:
+                a += gi
+                b += gi
+                cols += (a, b, lam, a, b, lam + 1)
+                vals += signs
+                lam += 2
+    ends = [*range(3, len(cols) + 1, 3)]
     for i, ebar in enumerate(g.edges):
         u, v = ebar.u, ebar.v
-        coeffs = {col[at[u] + i * nv]: -1, col[at[v] + i * nv]: 1}
-        # capacity multipliers of edge ē inside every other block k: its arcs
-        # u-v and v-u are block k's arcs 2i and 2i + 1, less the 2 of edge k
-        # when k < i
+        if symbolic:  # the p columns, below every gamma
+            cols += (u, v) if u < v else (v, u)
+            vals += (_MINUS_HALF, _MINUS_HALF)
+        a, b, signs = arc_rows[i]  # -gamma_u + gamma_v
+        gi = first + i * nv
+        cols += (a + gi, b + gi)
+        vals += signs[3:5]
+        # capacity multipliers of edge ē inside every other block k, in k
+        # order: its arcs u-v and v-u are block k's arcs 2i and 2i + 1, less
+        # the 2 of edge k when k < i
         for k in range(m):
             if k != i:
                 c = lam0 + k * width + 2 * (i - (k < i))
-                coeffs[col[c]] = coeffs[col[c + 1]] = 1
-        if symbolic:
-            coeffs[u] = coeffs[v] = _MINUS_HALF
-        rows.append((coeffs, "<=", _value(ebar.cost)))
-    return rows
+                cols += (c, c + 1)
+        vals += (1,) * width
+        ends.append(len(cols))
+    rhs = [0] * (m * width) + [_value(e.cost) for e in g.edges]
+    return cols, vals, ends, ["<="] * len(ends), rhs
 
 
 def _add_dual_block(sys: ConstraintSystem, g: CostedGraph, prefix: str,
@@ -189,15 +225,19 @@ def _add_dual_block(sys: ConstraintSystem, g: CostedGraph, prefix: str,
     m = len(g.edges)
     arcs = [f"e{i}_{a}_{b}" for i in range(m) for _, a, b in _arcs(g, i)]
     first = len(sys.variables)
-    lam0 = first + m * len(g.vertices)
+    lam0, n = first + m * len(g.vertices), len(arcs)
     variables = [f"{prefix}gamma_e{i}_v{v}" for i in range(m) for v in g.vertices]
     variables += [f"{prefix}lam_{arc}" for arc in arcs]
     names = [f"{prefix}arc_{arc}" for arc in arcs]
     names += [f"{prefix}cost_e{i}" for i in range(m)]
     names += [f"{prefix}nn_lam_{arc}" for arc in arcs]
-    rows = _dual_block(g, first, symbolic)
-    rows += [({k: 1}, ">=", 0) for k in range(lam0, lam0 + len(arcs))]
-    sys._extend(variables, names, rows)
+    cols, vals, ends, rels, rhs = _dual_block(g, first, symbolic)
+    ends += range(len(cols) + 1, len(cols) + n + 1)
+    cols += range(lam0, lam0 + n)
+    vals += [1] * n
+    rels += [">="] * n
+    rhs += [0] * n
+    sys._extend(variables, names, cols, vals, ends, rels, rhs)
 
 
 def _membership_lp(g: CostedGraph) -> _LP:
@@ -206,7 +246,9 @@ def _membership_lp(g: CostedGraph) -> _LP:
     m = len(g.edges)
     lam0 = m * len(g.vertices)
     ncols = lam0 + 2 * m * (m - 1)
-    return _LP(ncols, set(range(lam0, ncols)), _dual_block(g, 0, False))
+    rows = _Store()
+    rows.extend(*_dual_block(g, 0, False))
+    return _LP(ncols, set(range(lam0, ncols)), rows)
 
 
 def build_dual_system(g: CostedGraph) -> ConstraintSystem:

@@ -5,7 +5,10 @@ The procedure searches, for every endpoint pair (i0, j0) and length k, for a
 negative-weight i0-j0 path in a layered product graph. Layered paths may
 revisit vertices of the underlying graph, so a negative layered path does not
 certify a violated (simple) path constraint: the bundled counterexample has a
-core allocation that the scan nevertheless rejects.
+core allocation that the scan nevertheless rejects. So does a game with one
+edge, `data/one-edge.game`: edge 0-1 of weight 10 between two capacity-2
+vertices, where p = (5, 5, 0, 0) is in the core and the walk 0,1,0,1 (k = 3)
+weighs -10.
 """
 
 from dataclasses import dataclass

@@ -3,20 +3,30 @@ feasibility/optimization, and a deterministic LP-format writer/reader that
 share one grammar: `parse_lp` reads exactly what `emit_lp` writes and
 rejects, naming its line, anything else.
 
-A ConstraintSystem stores its rows in the simplex's indexed form, (coeffs,
-rel, rhs) with coeffs a {column: nonzero value} dict, variable k being
-column k, beside a list of row names. The constructor, `add_constraint` and
-`parse_lp` translate names to columns once per row; extform appends whole
-blocks by column (`_extend`). `constraints` is a read-only sequence that
-builds a frozen `Constraint` view of a row only when the row is read.
+Every system keeps its rows in one flat store, `_Store`, variable k being
+column k: the columns of all rows one after the other in one int array,
+their values in one list, the row offsets, and a relation code and a
+right-hand side per row. A row holds its nonzero terms in ascending column
+order, the order `emit_lp` writes, so the writer sorts nothing and
+`parse_lp(emit_lp(s)) == s` compares the flat fields as they are. A
+ConstraintSystem keeps a store beside a list of row names; an `_LP` keeps
+one too, and the store is the only row format: the tableau set-up, `_lower`,
+`_slack_point`, `_holds`, `check_point`, `emit_lp`, `__eq__` and the
+`Constraint` view all read it. The tableau set-up, `_holds` and `emit_lp`
+walk a store's columns and values with one iterator, each row taking its
+length in turn, so they slice no row. The constructor, `add_constraint`
+and `parse_lp` translate names to columns once per row; extform hands over
+whole blocks as flat lists (`_Store.extend`, `_extend`), so the store grows
+a block at a time. `constraints` is a read-only sequence that builds a
+frozen `Constraint` view of a row only when the row is read.
 
 The simplex reads one form, `_LP`: a column count, the sign (>= 0) columns
-and the rows. `_lower` makes a system one, presolving a one-variable row
-equivalent to v >= 0 into a sign column; `extform.check_membership` builds
-its blocks as `_LP`s. `_solve` goes from an `_LP` to a verified point: with
-no objective and no row that needs an artificial, phase 1 would make no
-pivot from the slack basis, so the point is the origin and no `_Tableau` is
-built (`_slack_point`).
+and a store of rows. `_lower` makes a system one, presolving a one-variable
+row equivalent to v >= 0 into a sign column and copying the other rows a run
+at a time; `extform.check_membership` builds its blocks as `_LP`s. `_solve`
+goes from an `_LP` to a verified point: with no objective and no row that
+needs an artificial, phase 1 would make no pivot from the slack basis, so
+the point is the origin and no `_Tableau` is built (`_slack_point`).
 
 Arithmetic is exact. Under the module's number rule a stored value is an int
 when it is integral and a Fraction only when it is not (`_value`, which
@@ -26,14 +36,15 @@ column is scaled once by the lcm of the rhs denominators, so a pivot is one
 int multiply-subtract per entry and one gcd per changed row; witnesses and
 objective values become Fractions once, on the way out. Work is per nonzero,
 and each coefficient is converted once, when its row is built; `emit_lp`
-writes each row in column order and formats each distinct coefficient once.
-Every point is re-verified against every row and sign column of its `_LP` by
-`_holds`, which sums in ints."""
+formats each distinct coefficient once. Every point is re-verified against
+every row and sign column of its `_LP` by `_holds`, which sums in ints."""
 
 import re
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, pairwise
 from math import gcd, lcm
 from operator import attrgetter
 from types import MappingProxyType
@@ -57,14 +68,15 @@ def _value(x) -> int | Fraction:
     return x.numerator if x.denominator == 1 else x
 
 
-def _holds(coeffs: Mapping, rel: str, rhs: int | Fraction, point: Mapping) -> bool:
-    """Exact test of the row `coeffs rel rhs` at `point`, both keyed alike;
-    a key missing from the point reads as 0, and a value other than an int
-    or a Fraction converts exactly (`_value`). The left-hand side is summed as an int
-    numerator over an int denominator, so an integral row builds no Fraction
-    (and at the origin, an empty point, no term is read)."""
+def _holds(terms, rel: str, rhs: int | Fraction, point: Mapping) -> bool:
+    """Exact test of the row `terms rel rhs` at `point`, terms being (key,
+    coefficient) pairs keyed as the point is; a key missing from the point
+    reads as 0, and a value other than an int or a Fraction converts exactly
+    (`_value`). The left-hand side is summed as an int numerator over an int
+    denominator, so an integral row builds no Fraction (and at the origin,
+    an empty point, no term is read)."""
     num, den = 0, 1
-    for v, c in coeffs.items() if point else ():
+    for v, c in terms if point else ():
         x = point.get(v)
         if not x:  # missing, or a zero
             continue
@@ -111,7 +123,107 @@ class Constraint:
 
     def holds(self, point: Mapping[str, Fraction]) -> bool:
         """Exact test of the row at `point` (see `_holds`)."""
-        return _holds(self.coeffs, self.rel, self.rhs, point)
+        return _holds(self.coeffs.items(), self.rel, self.rhs, point)
+
+
+_RELS = ("<=", "=", ">=")  # a row's relation, by its code in the store
+_LE, _EQ, _GE = range(3)
+_CODES = {rel: code for code, rel in enumerate(_RELS)}
+
+
+class _Store:
+    """Rows in one flat form (see module notes): row r's terms are the
+    columns cols[starts[r]:starts[r + 1]], ascending, with their values at
+    the same places of vals; its relation is _RELS[rels[r]] and its
+    right-hand side rhs[r]. Values follow the module's number rule, and no
+    stored coefficient is zero."""
+
+    __slots__ = ("cols", "vals", "starts", "rels", "rhs")
+
+    def __init__(self):
+        self.cols = array("I")  # unsigned, so no column is negative
+        self.vals: list = []
+        self.starts = array("Q", [0])
+        self.rels = bytearray()
+        self.rhs: list = []
+
+    def __len__(self) -> int:
+        return len(self.rhs)
+
+    def __eq__(self, other):
+        if not isinstance(other, _Store):
+            return NotImplemented
+        return (self.cols, self.vals, self.starts, self.rels, self.rhs) == (
+            other.cols, other.vals, other.starts, other.rels, other.rhs)
+
+    def __getitem__(self, r: int) -> tuple:
+        """Row r as (columns, values, relation, rhs), the columns an array;
+        a negative r counts from the end."""
+        r = range(len(self))[r]
+        lo, hi = self.starts[r], self.starts[r + 1]
+        return self.cols[lo:hi], self.vals[lo:hi], _RELS[self.rels[r]], self.rhs[r]
+
+    def holds(self, point: Mapping) -> bool:
+        """Exact test of every row at `point`, keyed by column (`_holds`)."""
+        if not point:  # the origin, where each left-hand side is 0
+            return all(rhs >= 0 if code == _LE else rhs <= 0 if code == _GE else not rhs
+                       for code, rhs in zip(self.rels, self.rhs))
+        terms = zip(self.cols, self.vals)  # each row takes its hi - lo in turn
+        return all(_holds(islice(terms, hi - lo), _RELS[code], rhs, point)
+                   for (lo, hi), code, rhs in zip(pairwise(self.starts), self.rels, self.rhs))
+
+    def append(self, cols: list, vals, rel: str, rhs) -> None:
+        """Append one row from a caller that has put its columns in
+        ascending order and checked them, and its relation, already."""
+        self.cols.fromlist(cols)
+        self.vals += vals
+        self.starts.append(len(self.cols))
+        self.rels.append(_CODES[rel])
+        self.rhs.append(rhs)
+
+    def extend(self, cols: list, vals: list, ends: list, rels: list, rhs: list) -> None:
+        """Append a block of rows given as flat lists: row k's columns are
+        cols[ends[k - 1]:ends[k]] (from 0 for k = 0), in ascending order,
+        which the caller keeps, its values the same places of `vals`, its
+        relation rels[k] and its right-hand side rhs[k]. The block's shape is
+        checked once: raises ValueError, changing nothing, if the lengths
+        disagree, an end goes back, a relation is unknown or a column is
+        negative."""
+        n = len(ends)
+        if (len(vals) != len(cols) or len(rels) != n or len(rhs) != n
+                or (ends[-1] if n else 0) != len(cols) or n and ends[0] < 0
+                or sorted(ends) != ends):
+            raise ValueError("a block's rows do not match its ends")
+        try:
+            codes = bytes(map(_CODES.__getitem__, rels))
+        except KeyError as exc:
+            raise ValueError(f"bad relation {exc.args[0]!r}") from None
+        base = len(self.cols)
+        try:
+            self.cols.fromlist(cols)  # all or nothing
+        except (OverflowError, TypeError):
+            raise ValueError("a block row names a column outside the system") from None
+        self.vals += vals
+        self.starts.fromlist([base + e for e in ends])
+        self.rels += codes
+        self.rhs += rhs
+
+    def without(self, drop: list[int]) -> "_Store":
+        """A copy without the rows listed, ascending, in `drop`, made a run
+        of kept rows at a time."""
+        out, a = _Store(), 0
+        for r in [*drop, len(self)]:
+            if r > a:  # rows a .. r - 1: one copy of each field's run
+                lo, hi = self.starts[a], self.starts[r]
+                shift = len(out.cols) - lo
+                out.cols += self.cols[lo:hi]
+                out.vals += self.vals[lo:hi]
+                ends = self.starts[a + 1:r + 1]
+                out.starts += array("Q", [e + shift for e in ends]) if shift else ends
+                out.rels += self.rels[a:r]
+                out.rhs += self.rhs[a:r]
+            a = r + 1
+        return out
 
 
 @dataclass
@@ -125,8 +237,8 @@ class _Rows(Sequence):
 
     def __getitem__(self, i: int) -> Constraint:
         s = self._system
-        coeffs, rel, rhs = s._rows[i]
-        return Constraint(s._names[i], {s.variables[k]: c for k, c in coeffs.items()}, rel, rhs)
+        cols, vals, rel, rhs = s._rows[i]
+        return Constraint(s._names[i], {s.variables[k]: c for k, c in zip(cols, vals)}, rel, rhs)
 
     def __eq__(self, other):
         return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
@@ -150,7 +262,7 @@ class ConstraintSystem:
         self.variables = tuple(variables)  # fixed: a row's columns index it
         self.objective = objective
         self._cols: Optional[dict[str, int]] = _columns(self.variables)
-        self._rows: list[tuple[dict[int, int | Fraction], str, int | Fraction]] = []
+        self._rows = _Store()
         self._names: list[str] = []  # row k's name
         for con in constraints:
             self.add_constraint(con.name, con.coeffs, con.rel, con.rhs)
@@ -167,29 +279,32 @@ class ConstraintSystem:
             self._cols = _columns(self.variables)
         return self._cols
 
-    def _extend(self, variables: list[str], names: list[str], rows: list) -> None:
-        """Declare `variables`, kept distinct by the caller, and append
-        `rows` in the stored form, named `names`. Checked once per block:
-        raises ValueError, changing nothing, if a column is undeclared."""
+    def _extend(self, variables: list[str], names: list[str], cols: list, vals: list,
+                ends: list, rels: list, rhs: list) -> None:
+        """Declare `variables`, kept distinct by the caller, and append a
+        block of rows named `names`, given as `_Store.extend` takes it.
+        Checked once per block: raises ValueError, changing nothing, if a
+        column is undeclared or the block's shape does not hold."""
         ncols = len(self.variables) + len(variables)
-        cols = set().union(*(coeffs for coeffs, _, _ in rows))
-        if len(names) != len(rows) or cols and (min(cols) < 0 or max(cols) >= ncols):
+        if len(names) != len(ends) or max(cols, default=-1) >= ncols:
             raise ValueError("a block row names a column outside the system")
+        self._rows.extend(cols, vals, ends, rels, rhs)
         if variables:
             self._cols = None
             self.variables += tuple(variables)
-        self._rows += rows
         self._names += names
 
     def add_constraint(self, name, coeffs, rel, rhs) -> Constraint:
-        """Append the row, translated to columns once; raises ValueError if
-        it uses an undeclared variable."""
+        """Append the row, translated to columns once and put in column
+        order; raises ValueError if it uses an undeclared variable."""
         con = Constraint(name, coeffs, rel, rhs)  # builds its own dict
         pos = self._pos
         if not pos.keys() >= con.coeffs.keys():
             unknown = sorted(con.coeffs.keys() - pos.keys())
             raise ValueError(f"constraint {name} uses undeclared {unknown}")
-        self._rows.append(({pos[v]: c for v, c in con.coeffs.items()}, con.rel, con.rhs))
+        at = {pos[v]: c for v, c in con.coeffs.items()}
+        cols = sorted(at)
+        self._rows.append(cols, map(at.__getitem__, cols), con.rel, con.rhs)
         self._names.append(name)
         return con
 
@@ -198,7 +313,7 @@ class ConstraintSystem:
         keys are ignored."""
         pos = self._pos
         at = {pos[v]: x for v, x in point.items() if v in pos}
-        return all(_holds(coeffs, rel, rhs, at) for coeffs, rel, rhs in self._rows)
+        return self._rows.holds(at)
 
     def __eq__(self, other):
         if not isinstance(other, ConstraintSystem):
@@ -255,14 +370,13 @@ def _eliminate(row: dict, den: int, prow: dict, pden: int, c: int) -> tuple[dict
 
 class _LP(NamedTuple):
     """The indexed form the tableau reads: columns 0 .. ncols - 1, those in
-    `sign` constrained to be >= 0 and the rest free; rows (coeffs, rel, rhs)
-    with coeffs a {column: nonzero value} dict; and an objective {column:
-    value} to minimize, or None for a feasibility check. Values follow the
-    module's number rule."""
+    `sign` constrained to be >= 0 and the rest free; the rows, a `_Store`;
+    and an objective {column: value} to minimize, or None for a feasibility
+    check. Values follow the module's number rule."""
 
     ncols: int
     sign: set[int]
-    rows: list[tuple[dict[int, int | Fraction], str, int | Fraction]]
+    rows: _Store
     objective: Optional[dict[int, int | Fraction]] = None
 
     # a ConstraintSystem's shape under its names, which is what the trace
@@ -272,7 +386,7 @@ class _LP(NamedTuple):
         return range(self.ncols)
 
     @property
-    def constraints(self) -> list:
+    def constraints(self) -> _Store:
         return self.rows
 
 
@@ -280,20 +394,21 @@ def _lower(system: ConstraintSystem,
            objective: Optional[Mapping[str, int | Fraction]] = None) -> _LP:
     """The system as an _LP, with `objective` (checked terms, or None) by
     column. A one-variable row equivalent to v >= 0 (c v >= 0 with c > 0, or
-    c v <= 0 with c < 0) makes v a sign column; the other rows stay as stored."""
+    c v <= 0 with c < 0) makes v a sign column; the other rows stay as stored
+    (the system's own store where no row is dropped)."""
+    rows = system._rows
+    starts, rhs = rows.starts, rows.rhs
     sign: set[int] = set()
-    rows = []
-    for row in system._rows:
-        coeffs, rel, rhs = row
-        if len(coeffs) == 1 and rel != "=" and not rhs:
-            ((k, c),) = coeffs.items()
-            if (c > 0) == (rel == ">="):
-                sign.add(k)
-                continue
-        rows.append(row)
+    drop = []
+    for r, code in enumerate(rows.rels):
+        if code != _EQ and not rhs[r]:
+            lo = starts[r]
+            if starts[r + 1] - lo == 1 and (rows.vals[lo] > 0) == (code == _GE):
+                sign.add(rows.cols[lo])
+                drop.append(r)
     if objective is not None:
         objective = {system._pos[v]: c for v, c in objective.items()}
-    return _LP(len(system.variables), sign, rows, objective)
+    return _LP(len(system.variables), sign, rows.without(drop) if drop else rows, objective)
 
 
 class _Tableau:
@@ -314,18 +429,19 @@ class _Tableau:
 
     def __init__(self, lp: _LP):
         self.objective = lp.objective
-        # every row is normalized to a nonnegative rhs, as (coeffs, flip,
-        # rel, |rhs|): a ">=" row is negated into "<=" unless its rhs is
+        # every row is normalized to a nonnegative rhs, as (flip, rel,
+        # |rhs|): a ">=" row is negated into "<=" unless its rhs is
         # positive, any other row where its rhs is negative
         rows_src = []
         scale = 1
-        for coeffs, rel, b in lp.rows:
+        for code, b in zip(lp.rows.rels, lp.rows.rhs):
+            rel = _RELS[code]
             flip = b <= 0 if rel == ">=" else b < 0
             if flip and rel != "=":
                 rel = "<=" if rel == ">=" else ">="
             if type(b) is not int:
                 scale = lcm(scale, b.denominator)
-            rows_src.append((coeffs, flip, rel, abs(b)))
+            rows_src.append((flip, rel, abs(b)))
         self.scale = scale
 
         # (LP column, sign) per tableau column; LP column k is tableau
@@ -339,8 +455,8 @@ class _Tableau:
             minus.append(None if k in lp.sign else len(self.cols) + 1)
             self.cols += [(k, +1)] if k in lp.sign else [(k, +1), (k, -1)]
         self.nstruct = slack = len(self.cols)
-        self.first_art = art = slack + sum(rel != "=" for _, _, rel, _ in rows_src)
-        self.total = total = art + sum(rel != "<=" for _, _, rel, _ in rows_src)
+        self.first_art = art = slack + sum(rel != "=" for _, rel, _ in rows_src)
+        self.total = total = art + sum(rel != "<=" for _, rel, _ in rows_src)
 
         # each row over the lcm of its coefficients' denominators; "<="
         # gains a slack (basic), ">=" a surplus and an artificial (basic),
@@ -348,12 +464,15 @@ class _Tableau:
         self.rows: list[dict[int, int]] = []
         self.dens: list[int] = []
         self.basis: list[int] = []
-        for coeffs, flip, rel, b in rows_src:
-            den = lcm(*map(_denominator, coeffs.values()))
-            if den != 1:
-                coeffs = {k: q.numerator * (den // q.denominator) for k, q in coeffs.items()}
+        vals = lp.rows.vals
+        fractions = Fraction in map(type, vals)  # else every row's den is 1
+        terms = zip(lp.rows.cols, vals)  # each row takes its hi - lo in turn
+        for (lo, hi), (flip, rel, b) in zip(pairwise(lp.rows.starts), rows_src):
+            den = lcm(*map(_denominator, vals[lo:hi])) if fractions else 1
             row = {}
-            for k, q in coeffs.items():
+            for k, q in islice(terms, hi - lo):
+                if den != 1:
+                    q = q.numerator * (den // q.denominator)
                 if flip:
                     q = -q
                 row[plus[k]] = q
@@ -506,7 +625,8 @@ def _slack_point(lp: _LP) -> Optional[dict]:
     artificial (no "=" row, every "<=" row has rhs >= 0 and every ">=" row
     rhs <= 0): phase 1 would make no pivot from the slack basis. Else None."""
     return {} if lp.objective is None and all(
-        rhs >= 0 if rel == "<=" else rel == ">=" and rhs <= 0 for _, rel, rhs in lp.rows) else None
+        rhs >= 0 if code == _LE else code == _GE and rhs <= 0
+        for code, rhs in zip(lp.rows.rels, lp.rows.rhs)) else None
 
 
 def _solve(lp: _LP) -> tuple[str, Optional[dict[int, int | Fraction]], Optional[Fraction]]:
@@ -526,7 +646,7 @@ def _solve(lp: _LP) -> tuple[str, Optional[dict[int, int | Fraction]], Optional[
                 return status, None, None
         point = tab.witness()
     if (any(x < 0 for k, x in point.items() if k in lp.sign)
-            or not all(_holds(coeffs, rel, rhs, point) for coeffs, rel, rhs in lp.rows)):
+            or not lp.rows.holds(point)):
         raise InvariantError("simplex witness failed re-verification")
     return status, point, value
 
@@ -636,6 +756,15 @@ def _forms(x) -> tuple[int, str, Optional[str]]:
     return 1, exact, f"{sign}{digits[:-k]}.{digits[-k:]}"
 
 
+def _joined(parts: list[str]) -> str:
+    """A row's term texts as one term list: no "+" before the first term,
+    and "0" for no term."""
+    if not parts:
+        return "0"
+    text = "".join(parts)
+    return text[3:] if text[1] == "+" else text[1:]
+
+
 def emit_lp(system: ConstraintSystem, sink: TextIO) -> None:
     """Write the system deterministically in LP format (see module notes).
     Raises ValueError if the objective uses an undeclared variable or a name
@@ -650,12 +779,12 @@ def emit_lp(system: ConstraintSystem, sink: TextIO) -> None:
     heads: dict[int, tuple] = {}
     values: dict[int, tuple] = {}
 
-    def terms(cols, coeffs, k: int, rank: int) -> tuple[int, str]:
-        """The terms of `coeffs` over `cols`, with exact (k = 1) or decimal
-        (k = 2) heads, and the greater of `rank` and their values' ranks."""
-        parts = []
-        for j in cols:
-            c = coeffs[j]
+    def terms(pairs, rank: int) -> tuple[int, str, Optional[str]]:
+        """The greater of `rank` and the ranks of the values of the (column,
+        value) pairs, their terms with exact heads, and, at rank 1, with
+        decimal heads."""
+        parts, others = [], []  # others: (place, decimal head, column)
+        for j, c in pairs:
             if c == 1:
                 parts.append(plus[j])
             elif c == -1:
@@ -668,39 +797,44 @@ def emit_lp(system: ConstraintSystem, sink: TextIO) -> None:
                     head = heads[id(c)] = r, f"{sign}{e} ", d and f"{sign}{d} "
                 if head[0] > rank:
                     rank = head[0]
-                parts.append(head[k] + order[j])  # k = 2 only at rank 1
-        if not parts:
-            return rank, "0"
-        text = "".join(parts)
-        return rank, text[3:] if text[1] == "+" else text[1:]  # no "+" before the first term
+                others.append((len(parts), head[2], j))
+                parts.append(head[1] + order[j])
+        exact = _joined(parts)
+        if rank != 1:
+            return rank, exact, None
+        for k, d, j in others:
+            parts[k] = d + order[j]
+        return rank, exact, _joined(parts)
 
     w = sink.write
     w(f"\\ constraint-system: {system.name}\n")
     w(f"\\ variables: {len(order)}  constraints: {len(system._rows)}\n")
     w("Minimize\n")
     obj = {system._pos[v]: c for v, c in obj.items()}
-    cols = sorted(obj)
-    rank, exact = terms(cols, obj, 1, 0)
+    rank, exact, decimal = terms(sorted(obj.items()), 0)
     if rank == 2:
         w(f"\\X obj: {exact}\n obj: 0\n")
     else:
         if rank == 1:
             w(f"\\ exact obj: {exact}\n")
-            exact = terms(cols, obj, 2, 1)[1]
+            exact = decimal
         w(f" obj: {exact}\n")
     w("Subject To\n")
-    for name, (coeffs, rel, rhs) in zip(system._names, system._rows):
+    rows = system._rows
+    pairs = zip(rows.cols, rows.vals)  # each row takes its hi - lo in turn
+    for name, (lo, hi), code, rhs in zip(system._names, pairwise(rows.starts), rows.rels,
+                                         rows.rhs):
         form = values.get(id(rhs))
         if form is None:
             form = values[id(rhs)] = _forms(rhs)
-        cols = sorted(coeffs)
-        rank, exact = terms(cols, coeffs, 1, form[0])
+        rank, exact, decimal = terms(islice(pairs, hi - lo), form[0])
+        rel = _RELS[code]
         if rank == 2:
             w(f"\\X {name}: {exact} {rel} {form[1]}\n")
         else:
             if rank == 1:
                 w(f"\\ exact {name}: {exact} {rel} {form[1]}\n")
-                exact = terms(cols, coeffs, 2, 1)[1]
+                exact = decimal
             w(f" {name}: {exact} {rel} {form[2]}\n")
     w("Bounds\n")
     for v in order:

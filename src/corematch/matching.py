@@ -190,7 +190,7 @@ def build_gadget(inst: Instance, allowed: Optional[Iterable[int]] = None,
     ids = range(inst.m) if allowed is None else tuple(allowed)
     for idx in ids:
         if not _is_index(idx, range(inst.m)):
-            raise ValueError(f"edge index {idx} is not in 0..{inst.m - 1}")
+            raise ValueError(f"edge index {idx!r} is not in 0..{inst.m - 1}")
     return _gadget(inst, sorted(ids), caps, [e.w for e in inst.edges])
 
 

@@ -189,7 +189,7 @@ def min_t_join(g: CostedGraph, T) -> frozenset[int]:
     adj = _adjacency(g)
     for v in T:  # before any set, which would merge True into a 1
         if not _is_index(v, adj):
-            raise TJoinError(f"T-vertex {v} is not a vertex of the graph")
+            raise TJoinError(f"T-vertex {v!r} is not a vertex of the graph")
     T = sorted(set(T))
     if len(T) % 2 != 0:
         raise TJoinError("odd T")
@@ -306,7 +306,7 @@ def decompose_even_subgraph(g: CostedGraph, J) -> list[Cycle]:
     J = tuple(J)
     for i in J:  # before any set, which would merge True into a 1
         if not _is_index(i, range(len(g.edges))):
-            raise ValueError(f"edge index {i} is not in 0..{len(g.edges) - 1}")
+            raise ValueError(f"edge index {i!r} is not in 0..{len(g.edges) - 1}")
     J = set(J)
     if _odd_vertices(g, J):
         raise ValueError("edge set has a vertex of odd degree")

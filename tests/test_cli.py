@@ -205,6 +205,19 @@ GOLDEN_STDOUT = [
         0,
         "16018bf58c3ea216b8998be0ca3c4cc098161ee2bfbd867cf1725cedf9aa3df3",
     ),
+    (
+        # IN_CORE: one edge, and p pays it in full
+        ("check", "-i", "one-edge.game", "-a", "one-edge.alloc"),
+        0,
+        "c09c1ef51bad88d17e91d48ed3f2c1082fe894085aa08f8460c1bd342dcb3307",
+    ),
+    (
+        # the legacy scan rejects it all the same: NEGATIVE_PATH (0,1,0,1)
+        # weight -10 k=3, a walk that runs the one edge three times
+        ("flaw", "-i", "one-edge.game", "-a", "one-edge.alloc"),
+        10,
+        "8e3c74452e021d42a2d7eedf60138df08c0439bc65e30fdc1c33cbfce2e3f37e",
+    ),
 ]
 
 GOLDEN_EMIT = {
@@ -228,6 +241,21 @@ def test_golden_emit(capsys, tmp_path, game, digest):
     code, _, _ = run(capsys, "extform", "-i", str(DATA / game), "--emit", str(target))
     assert code == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+# `extform --emit` of the game that `random --seed 4 --n 10 --density 1/2`
+# writes: a formulation of 16 561 rows, past the reach of GOLDEN_EMIT
+GOLDEN_EMIT_N10 = "7b3f8b96696d6d0f5e7a6ab95fcb6b23c5b46e271f8a692a72035f9bf48e1fee"
+
+
+def test_golden_emit_at_scale(capsys, tmp_path):
+    code, game, _ = run(capsys, "random", "--seed", "4", "--n", "10", "--density", "1/2")
+    assert code == 0
+    path, target = tmp_path / "random10.game", tmp_path / "system.lp"
+    path.write_text(game)
+    code, _, _ = run(capsys, "extform", "-i", str(path), "--emit", str(target))
+    assert code == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == GOLDEN_EMIT_N10
 
 
 # Run the CLI in a fresh interpreter in which `import networkx` fails.

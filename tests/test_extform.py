@@ -264,8 +264,8 @@ def test_membership_agrees_with_separation():
 def _typed(lp):
     """An _LP with the type of every value spelled out, rows and terms in
     their order, so that 1 and Fraction(1) or a reordered row differ."""
-    rows = [([(k, type(c), c) for k, c in coeffs.items()], rel, type(rhs), rhs)
-            for coeffs, rel, rhs in lp.rows]
+    rows = [([(k, type(c), c) for k, c in zip(cols, vals)], rel, type(rhs), rhs)
+            for cols, vals, rel, rhs in lp.rows]
     return lp.ncols, sorted(lp.sign), rows, lp.objective
 
 

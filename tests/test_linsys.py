@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import io
 import itertools
@@ -6,6 +7,7 @@ import math
 import pathlib
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -925,7 +927,8 @@ def test_witness_breaking_only_a_sign_column_is_caught(monkeypatch):
     s.add_constraint("nn_x", {"x": 1}, ">=", 0)
     s.add_constraint("c", {"y": 1}, "=", 1)
     lp = linsys._lower(s)
-    assert (lp.sign, lp.rows) == ({0}, [({1: 1}, "=", 1)])
+    assert (lp.sign, [(list(c), v, rel, rhs) for c, v, rel, rhs in lp.rows]) == (
+        {0}, [([1], [1], "=", 1)])
     assert simplex_feasible(s).witness == {"x": 0, "y": 1}
     monkeypatch.setattr(linsys._Tableau, "witness", lambda self: {0: -1, 1: 1})
     with pytest.raises(InvariantError, match="simplex witness failed re-verification"):
@@ -1031,15 +1034,28 @@ def test_store_builds_views_only_when_read(monkeypatch):
     assert s.constraints[1] == Constraint("nn_p_0", {"p_0": 1}, ">=", 0)
 
 
+def _block(*rows) -> tuple[list, ...]:
+    """The rows (columns, values, rel, rhs) as one block, the flat lists
+    (columns, values, row ends, relations, right-hand sides)."""
+    cols, vals, ends, rels, rhs = [], [], [], [], []
+    for c, v, rel, b in rows:
+        cols += c
+        vals += v
+        ends.append(len(cols))
+        rels.append(rel)
+        rhs.append(b)
+    return cols, vals, ends, rels, rhs
+
+
 def test_store_extend_checks_the_columns_of_a_block():
     s = ConstraintSystem(variables=["x", "y"])
-    for variables, names, rows in (([], ["r"], [({0: 1, 2: -1}, "<=", 0)]),
-                                   (["z"], ["r"], [({-1: 1}, "<=", 0)]),
-                                   ([], ["r", "q"], [({0: 1}, "<=", 0)])):
+    for variables, names, rows in (([], ["r"], [([0, 2], [1, -1], "<=", 0)]),
+                                   (["z"], ["r"], [([-1], [1], "<=", 0)]),
+                                   ([], ["r", "q"], [([0], [1], "<=", 0)])):
         with pytest.raises(ValueError, match="outside the system"):
-            s._extend(variables, names, rows)
+            s._extend(variables, names, *_block(*rows))
     assert (s.variables, len(s.constraints)) == (("x", "y"), 0)
-    s._extend(["z"], ["r", "e"], [({2: 1, 0: -1}, "<=", 0), ({}, "=", 0)])
+    s._extend(["z"], ["r", "e"], *_block(([0, 2], [-1, 1], "<=", 0), ([], [], "=", 0)))
     assert list(s.constraints) == [Constraint("r", {"z": 1, "x": -1}, "<=", 0),
                                    Constraint("e", {}, "=", 0)]
     s.add_constraint("c", {"z": 2}, ">=", 1)
@@ -1052,11 +1068,49 @@ def test_store_rejects_duplicate_variables():
     s = ConstraintSystem(variables=["x"])
     # a block's names are the builder's to keep distinct; a repeat is
     # caught when the columns are next read
-    s._extend(["x"], [], [])
+    s._extend(["x"], [], *_block())
     with pytest.raises(ValueError, match="duplicate variables"):
         s.add_constraint("c", {"x": 1}, "<=", 1)
     with pytest.raises(ValueError, match="duplicate variables"):
         parse_lp(_HEAD + _TAIL.replace(" y free", " x free"))
+
+
+def test_store_keeps_a_formulation_in_at_most_300_bytes_a_row():
+    # the formulation of a 16 561-row game as its builder leaves it, names
+    # and variables included, under tracemalloc: the flat store keeps a term
+    # as an array int and a list slot (a row as a {column: value} dict took
+    # 482 bytes a row on Python 3.11)
+    inst = random_instance(seed=4, n=10, density=Fraction(1, 2), wmax=10)
+    extform.build_extended_formulation(inst)  # fills the instance's caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        s = extform.build_extended_formulation(inst)
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(s.constraints) == 16561
+    assert size / len(s.constraints) <= 300
+
+
+def test_store_rows_ascend_from_every_builder():
+    # `_Store.extend` leaves the column order to its callers, so each
+    # builder's rows are checked here: emit_lp writes them as stored
+    def ascending(rows):
+        return all(all(a < b for a, b in itertools.pairwise(cols)) for cols, _, _, _ in rows)
+
+    for i in range(6):
+        inst = random_instance(seed=8600 + i, n=4 + i % 3, density=Fraction(1, 2), wmax=9)
+        assert ascending(extform.build_extended_formulation(inst)._rows)
+        for g in extform.enumerate_family(inst).members:
+            assert ascending(extform.build_flow_primal(g)._rows)
+            assert ascending(extform.build_dual_system(g)._rows)
+            assert ascending(extform._membership_lp(g).rows)
+    s = ConstraintSystem(variables=["x", "y", "z"])
+    s.add_constraint("r", {"z": 1, "x": 2, "y": -1}, "<=", 1)
+    assert list(s._rows[0][0]) == [0, 1, 2] and s._rows[0][1] == [2, -1, 1]
 
 
 # -- objectives over undeclared variables ---------------------------------------

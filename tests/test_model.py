@@ -451,7 +451,13 @@ BAD_INDICES = {
     "bool T-vertex beside its int": (lambda inst, p, g: min_t_join(g, [1, True]),
                                      "T-vertex True is not a vertex of the graph"),
     "str edge id": (lambda inst, p, g: build_gadget(inst, ["x", 0]),
-                    "edge index x is not in 0..3"),
+                    "edge index 'x' is not in 0..3"),
+    "str edge id reading as one": (lambda inst, p, g: build_gadget(inst, ["1"]),
+                                   "edge index '1' is not in 0..3"),
+    "str cycle edge reading as one": (lambda inst, p, g: decompose_even_subgraph(g, ["1", 0, 2]),
+                                      "edge index '1' is not in 0..2"),
+    "str T-vertex reading as one": (lambda inst, p, g: min_t_join(g, [0, "1"]),
+                                    "T-vertex '1' is not a vertex of the graph"),
     "bool marker": (lambda inst, p, g: CostedGraph(g.vertices, g.edges, True),
                     "marker out of range"),
 }
