@@ -143,6 +143,8 @@ def _cmd_extform(args) -> int:
 
 def _cmd_flaw(args) -> int:
     if args.instance is None:
+        if args.alloc is not None:
+            raise FormatError("flaw --alloc requires --instance")
         print(flawed.demo_counterexample(), end="")
         return EXIT_OK
     inst = _load_instance(args.instance)

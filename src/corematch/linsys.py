@@ -14,11 +14,13 @@ one too, and the store is the only row format: the tableau set-up, `_lower`,
 `_slack_point`, `_holds`, `check_point`, `emit_lp`, `__eq__` and the
 `Constraint` view all read it. The tableau set-up, `_holds` and `emit_lp`
 walk a store's columns and values with one iterator, each row taking its
-length in turn, so they slice no row. The constructor, `add_constraint`
-and `parse_lp` translate names to columns once per row; extform hands over
-whole blocks as flat lists (`_Store.extend`, `_extend`), so the store grows
-a block at a time. `constraints` is a read-only sequence that builds a
-frozen `Constraint` view of a row only when the row is read.
+length in turn, so they slice no row. Every row enters through `_extend`
+and `_Store.extend`, a block at a time: extform hands over whole blocks as
+flat lists, and `_append` translates names to columns once per row for the
+constructor and `parse_lp`, which each hand over all their rows as one
+block, and for `add_constraint`, whose block is its one row. `constraints`
+is a read-only sequence that builds a frozen `Constraint` view of a row
+only when the row is read.
 
 The simplex reads one form, `_LP`: a column count, the sign (>= 0) columns
 and a store of rows. `_lower` makes a system one, presolving a one-variable
@@ -172,15 +174,6 @@ class _Store:
         return all(_holds(islice(terms, hi - lo), _RELS[code], rhs, point)
                    for (lo, hi), code, rhs in zip(pairwise(self.starts), self.rels, self.rhs))
 
-    def append(self, cols: list, vals, rel: str, rhs) -> None:
-        """Append one row from a caller that has put its columns in
-        ascending order and checked them, and its relation, already."""
-        self.cols.fromlist(cols)
-        self.vals += vals
-        self.starts.append(len(self.cols))
-        self.rels.append(_CODES[rel])
-        self.rhs.append(rhs)
-
     def extend(self, cols: list, vals: list, ends: list, rels: list, rhs: list) -> None:
         """Append a block of rows given as flat lists: row k's columns are
         cols[ends[k - 1]:ends[k]] (from 0 for k = 0), in ascending order,
@@ -264,8 +257,7 @@ class ConstraintSystem:
         self._cols: Optional[dict[str, int]] = _columns(self.variables)
         self._rows = _Store()
         self._names: list[str] = []  # row k's name
-        for con in constraints:
-            self.add_constraint(con.name, con.coeffs, con.rel, con.rhs)
+        self._append(Constraint(c.name, c.coeffs, c.rel, c.rhs) for c in constraints)
 
     @property
     def constraints(self) -> _Rows:
@@ -295,18 +287,30 @@ class ConstraintSystem:
         self._names += names
 
     def add_constraint(self, name, coeffs, rel, rhs) -> Constraint:
-        """Append the row, translated to columns once and put in column
-        order; raises ValueError if it uses an undeclared variable."""
+        """Append the row as a one-row block (`_append`) and return it."""
         con = Constraint(name, coeffs, rel, rhs)  # builds its own dict
-        pos = self._pos
-        if not pos.keys() >= con.coeffs.keys():
-            unknown = sorted(con.coeffs.keys() - pos.keys())
-            raise ValueError(f"constraint {name} uses undeclared {unknown}")
-        at = {pos[v]: c for v, c in con.coeffs.items()}
-        cols = sorted(at)
-        self._rows.append(cols, map(at.__getitem__, cols), con.rel, con.rhs)
-        self._names.append(name)
+        self._append([con])
         return con
+
+    def _append(self, cons) -> None:
+        """Append the Constraints `cons` as one block (`_extend`), each row
+        translated to columns once and put in column order; raises
+        ValueError, changing nothing, if one uses an undeclared variable."""
+        pos = self._pos
+        cols, vals, ends, names, rels, rhs = [], [], [], [], [], []
+        for con in cons:
+            if not pos.keys() >= con.coeffs.keys():
+                unknown = sorted(con.coeffs.keys() - pos.keys())
+                raise ValueError(f"constraint {con.name} uses undeclared {unknown}")
+            at = {pos[v]: c for v, c in con.coeffs.items()}
+            row = sorted(at)
+            cols += row
+            vals += map(at.__getitem__, row)
+            ends.append(len(cols))
+            names.append(con.name)
+            rels.append(con.rel)
+            rhs.append(con.rhs)
+        self._extend([], names, cols, vals, ends, rels, rhs)
 
     def check_point(self, point: Mapping[str, Fraction]) -> bool:
         """Exact test of every row at `point`, by name (see `_holds`); other
@@ -917,7 +921,6 @@ def parse_lp(source) -> ConstraintSystem:
         raise ValueError(f"line {number + 1}: no End line before the text ends")
     system = ConstraintSystem(name, variables,
                               objective=objectives.get(True, objectives.get(False)) or None)
-    for row in rows:
-        system.add_constraint(*row)
+    system._append(Constraint(*row) for row in rows)
     _check_objective(system)
     return system

@@ -20,7 +20,7 @@ from .model import (
     check_coalition,
     coalition,
 )
-from .negcycle import CostedGraph
+from .negcycle import CostedGraph, Cycle
 
 
 class SizeGuardError(RuntimeError):
@@ -206,12 +206,6 @@ def constraint_check_bruteforce(
     return worst[1] if worst else None
 
 
-class BruteCycle(NamedTuple):
-    edges: tuple[int, ...]
-    vertices: tuple[int, ...]
-    cost: Fraction
-
-
 def _simple_cycles(g: CostedGraph):
     index = {}
     for i, e in enumerate(g.edges):
@@ -221,7 +215,7 @@ def _simple_cycles(g: CostedGraph):
         incident[e.u].append(i)
         incident[e.v].append(i)
 
-    out: list[BruteCycle] = []
+    out: list[Cycle] = []
 
     def extend(verts: list[int], eids: list[int]):
         root, v = verts[0], verts[-1]
@@ -229,7 +223,7 @@ def _simple_cycles(g: CostedGraph):
         if close is not None and len(verts) >= 3 and verts[1] < v:
             cost = sum((g.edges[i].cost for i in eids), Fraction(0))
             cost += g.edges[close].cost
-            out.append(BruteCycle(tuple(eids) + (close,), tuple(verts), cost))
+            out.append(Cycle(tuple(eids) + (close,), tuple(verts), cost))
         for i in incident[v]:
             w = g.edges[i].other(v)
             if w > root and w not in verts:
@@ -240,7 +234,7 @@ def _simple_cycles(g: CostedGraph):
     return out
 
 
-def negative_cycle_bruteforce(g: CostedGraph) -> Optional[BruteCycle]:
+def negative_cycle_bruteforce(g: CostedGraph) -> Optional[Cycle]:
     """Minimum-cost simple cycle if negative, else None (full enumeration)."""
     if len(g.vertices) > 9:
         raise SizeGuardError(f"negative_cycle_bruteforce guard: n={len(g.vertices)} > 9")

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from corematch import cli
+from corematch import cli, model
 from corematch.flawed import COUNTEREXAMPLE_TEXT
 
 CORE_ALLOC = "0 0\n1 0\n2 2\n3 10\n4 0\n"
@@ -147,149 +147,168 @@ def test_output_byte_deterministic(files, capsys):
     assert sizes[0] == sizes[1]
 
 
-# SHA-256 of the exact stdout for the shipped data files; any byte change in
-# verdicts, certificates, scan order or size tallies shows up here.
-GOLDEN_STDOUT = [
-    (
-        ("separate", "-i", "counterexample.game", "-a", "counterexample.alloc"),
-        0,
-        "c09c1ef51bad88d17e91d48ed3f2c1082fe894085aa08f8460c1bd342dcb3307",
-    ),
-    (
-        ("separate", "-i", "square.game", "-a", "square-low.alloc"),
-        10,
-        "c338c6367750b3a1e1594203fea1abc00cf7e0772bc49460737af8132084660f",
-    ),
-    (
-        # each violation once: the cycle stage's Cycle is not repeated by the
-        # endpoint variants that contain it
-        ("separate", "-i", "square.game", "-a", "square-low.alloc", "--all"),
-        10,
-        "452e86dfb3fe1ecbffa1b397654959cefd3c499a739ff98eb2c9e2a8c242becb",
-    ),
-    (
-        ("extform", "-i", "counterexample.game", "--size"),
-        0,
-        "ef69be1bc3925cb2a99b8322160c5b6ba7d78b6a6978d44754aa126bb3cb79ed",
-    ),
-    (
-        ("extform", "-i", "square.game", "--size"),
-        0,
-        "a667b1916b84deda859f65df357385371ea471aaec98d0b209f28c3dc419dd97",
-    ),
-    (
-        ("check", "-i", "path.game", "-a", "path-core.alloc"),
-        0,
-        "c09c1ef51bad88d17e91d48ed3f2c1082fe894085aa08f8460c1bd342dcb3307",
-    ),
-    (
-        # a Path certificate whose witness holds the kept edges at both
-        # capacity-1 ends: edge 0 before G2's edges 1, 2, 3, 6 and edge 7
-        # after them
-        ("separate", "-i", "path.game", "-a", "path-low.alloc"),
-        10,
-        "e9152cfecfd4e4f9323fae2078fd542224cc0477e62861d225c139900ae661fd",
-    ),
-    (
-        ("separate", "-i", "path.game", "-a", "path-low.alloc", "--all"),
-        10,
-        "819afee2de23d1d806a350b56cad88b717494213c93a8035b606dbbb5abab5a4",
-    ),
-    (
-        ("check", "-i", "path.game", "-a", "path-low.alloc"),
-        10,
-        "50a04870cd39404e868fb68bb45a552a623b625fe8f4b450852d3c4597763357",
-    ),
-    (
-        ("extform", "-i", "path.game", "--size"),
-        0,
-        "16018bf58c3ea216b8998be0ca3c4cc098161ee2bfbd867cf1725cedf9aa3df3",
-    ),
-    (
-        # IN_CORE: one edge, and p pays it in full
-        ("check", "-i", "one-edge.game", "-a", "one-edge.alloc"),
-        0,
-        "c09c1ef51bad88d17e91d48ed3f2c1082fe894085aa08f8460c1bd342dcb3307",
-    ),
-    (
-        # the legacy scan rejects it all the same: NEGATIVE_PATH (0,1,0,1)
-        # weight -10 k=3, a walk that runs the one edge three times
-        ("flaw", "-i", "one-edge.game", "-a", "one-edge.alloc"),
-        10,
-        "8e3c74452e021d42a2d7eedf60138df08c0439bc65e30fdc1c33cbfce2e3f37e",
-    ),
-]
+COSTS = "costs 3 3\nedge 0 1 -3\nedge 1 2 1\nedge 0 2 1\n"
 
-GOLDEN_EMIT = {
-    "counterexample.game": "0f9a035e64d0095fcd60589370b92502ad803e737f20f7f352e6198d88e857d6",
-    "path.game": "89ded308219126c7c028a6f79b5099226170b753df779875173e715434f33c30",
-    "square.game": "685697f0136b382c6a3fb3e56cccfa37b30b02b9ffe7d9d98c19f73004daa844",
+
+def contract_commands() -> list[str]:
+    """The CLI byte contract: every command whose exit code, stdout, stderr
+    and LP file must not change under `python -O` with networkx blocked.
+    {data} stands for data/ and {tmp} for the directory that the `contract`
+    fixture fills; a new subcommand joins by one entry here."""
+    commands = [
+        "flaw",
+        "random --seed 7 --n 6 --density 1/2",
+        # the costed-graph commands: a negative cycle, an x-vector on which
+        # the cut system holds and one with a negative entry, a format error
+        "oracle negcycle -c {tmp}/neg.costs",
+        "oracle cut-check -c {tmp}/neg.costs -x {tmp}/holds.vec",
+        "oracle cut-check -c {tmp}/neg.costs -x {tmp}/negative.vec",
+        # value, check and separate at the gadget sizes of one-shot use: the
+        # all-zero allocation stops at the total value (kind=TotalValue), the
+        # egalitarian one, p_v = nu(N)/40, at the cycle stage (kind=Cycle)
+        "value -i {tmp}/random40.game",
+        *(f"{cmd} -i {{tmp}}/random40.game -a {{tmp}}/{alloc}40.alloc"
+          for alloc in ("zero", "egal") for cmd in ("check", "separate")),
+        # a formulation of 16 561 rows, past the data/ games
+        "extform -i {tmp}/random10.game --emit {tmp}/core.lp",
+    ]
+    for game in sorted(DATA.glob("*.game")):
+        g = "{data}/" + game.name
+        commands += [f"value -i {g}", f"oracle nu -i {g} -S 0,1", f"extform -i {g} --size",
+                     f"extform -i {g} --emit {{tmp}}/core.lp", f"oracle constraints -i {g}"]
+        for alloc in sorted(DATA.glob(game.stem + "*.alloc")):
+            ga = f"-i {g} -a {{data}}/{alloc.name}"
+            commands += [f"check {ga}", f"separate {ga}", f"separate --all {ga}",
+                         f"extform --check {ga}", f"flaw {ga}", f"oracle core-check {ga}",
+                         f"oracle constraint-check {ga}"]
+    return commands
+
+
+CONTRACT = contract_commands()
+
+# The exit code and the SHA-256 of the exact stdout or, for a command that
+# writes {tmp}/core.lp, of that file; any byte change in verdicts,
+# certificates, scan order, size tallies or LP text shows up here.
+GOLDEN = {
+    "separate -i {data}/counterexample.game -a {data}/counterexample.alloc": (
+        0, "c09c1ef51bad88d17e91d48ed3f2c1082fe894085aa08f8460c1bd342dcb3307"),
+    "separate -i {data}/square.game -a {data}/square-low.alloc": (
+        10, "c338c6367750b3a1e1594203fea1abc00cf7e0772bc49460737af8132084660f"),
+    # each violation once: the cycle stage's Cycle is not repeated by the
+    # endpoint variants that contain it
+    "separate --all -i {data}/square.game -a {data}/square-low.alloc": (
+        10, "452e86dfb3fe1ecbffa1b397654959cefd3c499a739ff98eb2c9e2a8c242becb"),
+    "extform -i {data}/counterexample.game --size": (
+        0, "ef69be1bc3925cb2a99b8322160c5b6ba7d78b6a6978d44754aa126bb3cb79ed"),
+    "extform -i {data}/square.game --size": (
+        0, "a667b1916b84deda859f65df357385371ea471aaec98d0b209f28c3dc419dd97"),
+    "check -i {data}/path.game -a {data}/path-core.alloc": (
+        0, "c09c1ef51bad88d17e91d48ed3f2c1082fe894085aa08f8460c1bd342dcb3307"),
+    # a Path certificate whose witness holds the kept edges at both
+    # capacity-1 ends: edge 0 before G2's edges 1, 2, 3, 6 and edge 7 after
+    # them
+    "separate -i {data}/path.game -a {data}/path-low.alloc": (
+        10, "e9152cfecfd4e4f9323fae2078fd542224cc0477e62861d225c139900ae661fd"),
+    "separate --all -i {data}/path.game -a {data}/path-low.alloc": (
+        10, "819afee2de23d1d806a350b56cad88b717494213c93a8035b606dbbb5abab5a4"),
+    "check -i {data}/path.game -a {data}/path-low.alloc": (
+        10, "50a04870cd39404e868fb68bb45a552a623b625fe8f4b450852d3c4597763357"),
+    "extform -i {data}/path.game --size": (
+        0, "16018bf58c3ea216b8998be0ca3c4cc098161ee2bfbd867cf1725cedf9aa3df3"),
+    # IN_CORE: one edge, and p pays it in full
+    "check -i {data}/one-edge.game -a {data}/one-edge.alloc": (
+        0, "c09c1ef51bad88d17e91d48ed3f2c1082fe894085aa08f8460c1bd342dcb3307"),
+    # the legacy scan rejects it all the same: NEGATIVE_PATH (0,1,0,1)
+    # weight -10 k=3, a walk that runs the one edge three times
+    "flaw -i {data}/one-edge.game -a {data}/one-edge.alloc": (
+        10, "8e3c74452e021d42a2d7eedf60138df08c0439bc65e30fdc1c33cbfce2e3f37e"),
+    "extform -i {data}/counterexample.game --emit {tmp}/core.lp": (
+        0, "0f9a035e64d0095fcd60589370b92502ad803e737f20f7f352e6198d88e857d6"),
+    "extform -i {data}/path.game --emit {tmp}/core.lp": (
+        0, "89ded308219126c7c028a6f79b5099226170b753df779875173e715434f33c30"),
+    "extform -i {data}/square.game --emit {tmp}/core.lp": (
+        0, "685697f0136b382c6a3fb3e56cccfa37b30b02b9ffe7d9d98c19f73004daa844"),
+    "extform -i {tmp}/random10.game --emit {tmp}/core.lp": (
+        0, "7b3f8b96696d6d0f5e7a6ab95fcb6b23c5b46e271f8a692a72035f9bf48e1fee"),
+    "oracle negcycle -c {tmp}/neg.costs": (
+        10, "478791910552db9f5298fa82405edaf9357531e5675ec9caa18aff7c418504ba"),
 }
 
-
-@pytest.mark.parametrize("argv, exit_code, digest", GOLDEN_STDOUT)
-def test_golden_stdout(capsys, argv, exit_code, digest):
-    argv = [str(DATA / a) if a.endswith((".game", ".alloc")) else a for a in argv]
-    code, out, _ = run(capsys, *argv)
-    assert code == exit_code
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
-
-
-@pytest.mark.parametrize("game, digest", sorted(GOLDEN_EMIT.items()))
-def test_golden_emit(capsys, tmp_path, game, digest):
-    target = tmp_path / "system.lp"
-    code, _, _ = run(capsys, "extform", "-i", str(DATA / game), "--emit", str(target))
-    assert code == 0
-    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
-
-
-# `extform --emit` of the game that `random --seed 4 --n 10 --density 1/2`
-# writes: a formulation of 16 561 rows, past the reach of GOLDEN_EMIT
-GOLDEN_EMIT_N10 = "7b3f8b96696d6d0f5e7a6ab95fcb6b23c5b46e271f8a692a72035f9bf48e1fee"
-
-
-def test_golden_emit_at_scale(capsys, tmp_path):
-    code, game, _ = run(capsys, "random", "--seed", "4", "--n", "10", "--density", "1/2")
-    assert code == 0
-    path, target = tmp_path / "random10.game", tmp_path / "system.lp"
-    path.write_text(game)
-    code, _, _ = run(capsys, "extform", "-i", str(path), "--emit", str(target))
-    assert code == 0
-    assert hashlib.sha256(target.read_bytes()).hexdigest() == GOLDEN_EMIT_N10
-
-
-# Run the CLI in a fresh interpreter in which `import networkx` fails.
+# Run each command of the JSON list sys.argv[2] as `python -m corematch.cli`
+# runs it, in an interpreter in which `import networkx` fails, and print per
+# command its exit code, stdout, stderr and the SHA-256 of the LP file
+# sys.argv[1], which is removed before each command (None if none is written).
 WITHOUT_NETWORKX = """
-import contextlib, io, json, sys
+import contextlib, hashlib, io, json, os, runpy, sys
 sys.modules["networkx"] = None
-from corematch import cli
-runs = []
-for argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
-    runs.append([code, out.getvalue()])
+lp, runs = sys.argv[1], []
+for argv in json.loads(sys.argv[2]):
+    sys.argv = ["corematch", *argv]
+    out, err, code, digest = io.StringIO(), io.StringIO(), None, None
+    if os.path.exists(lp):
+        os.remove(lp)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            runpy.run_module("corematch.cli", run_name="__main__")
+        except SystemExit as exc:
+            code = exc.code
+    if os.path.exists(lp):
+        with open(lp, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+    runs.append([code, out.getvalue(), err.getvalue(), digest])
 print(json.dumps(runs))
 """
 
 
 def run_fresh(code, *args):
+    """Run `code` in a fresh interpreter under python -O (asserts stripped)."""
     env = dict(os.environ)
     src = str(DATA.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+    return subprocess.run([sys.executable, "-O", "-c", code, *args], capture_output=True,
                           text=True, env=env, timeout=120, check=True)
 
 
-def test_golden_stdout_without_networkx():
-    argvs = [["value", "-i", str(DATA / "counterexample.game")]]
-    argvs += [[str(DATA / a) if a.endswith((".game", ".alloc")) else a for a in argv]
-              for argv, _, _ in GOLDEN_STDOUT]
-    runs = json.loads(run_fresh(WITHOUT_NETWORKX, json.dumps(argvs)).stdout)
-    assert runs[0] == [0, "12\n"]
-    for (code, out), (_, exit_code, digest) in zip(runs[1:], GOLDEN_STDOUT):
-        assert code == exit_code
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+def contract_argv(command: str, tmp: pathlib.Path) -> list[str]:
+    return [a.format(data=DATA, tmp=tmp) for a in command.split()]
+
+
+@pytest.fixture(scope="module")
+def contract(tmp_path_factory):
+    """The {tmp} directory, filled with the contract's input files, and each
+    command's run under WITHOUT_NETWORKX, by command."""
+    assert GOLDEN.keys() <= set(CONTRACT)  # every pin is checked
+    tmp = tmp_path_factory.mktemp("contract")
+    big = model.random_instance(7, 40, Fraction(1, 2), 10)
+    inputs = {
+        "neg.costs": COSTS,
+        "holds.vec": "1\n1\n1\n",
+        "negative.vec": "1\n# comment\n-1\n1\n",
+        "random40.game": model.emit_instance(big),
+        "zero40.alloc": "".join(f"{v} 0\n" for v in range(40)),
+        "egal40.alloc": "".join(f"{v} {big.grand_value / 40}\n" for v in range(40)),
+        "random10.game": model.emit_instance(model.random_instance(4, 10, Fraction(1, 2), 10)),
+    }
+    for name, text in inputs.items():
+        (tmp / name).write_text(text)
+    argvs = [contract_argv(command, tmp) for command in CONTRACT]
+    runs = run_fresh(WITHOUT_NETWORKX, str(tmp / "core.lp"), json.dumps(argvs))
+    return tmp, dict(zip(CONTRACT, json.loads(runs.stdout)))
+
+
+@pytest.mark.parametrize("command", CONTRACT)
+def test_cli_contract(capsys, contract, command):
+    # in-process with asserts on, against python -O with networkx blocked:
+    # the same exit code, stdout, stderr and LP bytes, and the pin if any
+    tmp, optimized = contract
+    lp = tmp / "core.lp"
+    lp.unlink(missing_ok=True)
+    code, out, err = run(capsys, *contract_argv(command, tmp))
+    digest = hashlib.sha256(lp.read_bytes()).hexdigest() if lp.exists() else None
+    if command in GOLDEN:
+        pinned = digest if "--emit" in command else hashlib.sha256(out.encode()).hexdigest()
+        assert (code, pinned) == GOLDEN[command]
+    assert [code, out, err, digest] == optimized[command]
 
 
 def test_import_leaves_networkx_unloaded():
@@ -322,9 +341,6 @@ def test_non_utf8_input_exits_3_naming_the_line(files, capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert err.startswith(f"error: line {line}: not UTF-8 text")
-
-
-COSTS = "costs 3 3\nedge 0 1 -3\nedge 1 2 1\nedge 0 2 1\n"
 
 
 @pytest.mark.parametrize(
@@ -436,6 +452,8 @@ def test_missing_required_combo(files, capsys):
     (["extform", "-i", "{data}/square.game"], 3, "error: extform needs one of", False),
     (["flaw", "-i", "{data}/square.game"], 3, "error: flaw on an instance requires --alloc",
      False),
+    (["flaw", "-a", "{data}/square-core.alloc"], 3, "error: flaw --alloc requires --instance",
+     False),
     (["oracle", "nu", "-i", "{data}/square.game"], 3, "error: oracle nu requires --coalition",
      False),
     (["oracle", "cut-check", "-c", "{tmp}/neg.costs", "-x", "{tmp}/x2.vec"], 3,
@@ -450,8 +468,9 @@ def test_missing_required_combo(files, capsys):
     (["oracle", "constraints", "-i", "{data}/square.game"], 0, "cycles: 1\n  C 0-1-2-3\n",
      False),
 ], ids=["n-0", "density-2", "wmax-negative", "invariant", "coalition-9", "extform-no-mode",
-        "flaw-no-alloc", "nu-no-coalition", "x-too-short", "no-negative-path",
-        "no-negative-cycle", "cut-violated", "random-to-file", "constraints-square"])
+        "flaw-no-alloc", "flaw-alloc-no-instance", "nu-no-coalition", "x-too-short",
+        "no-negative-path", "no-negative-cycle", "cut-violated", "random-to-file",
+        "constraints-square"])
 def test_exit_code_contract(capsys, tmp_path, monkeypatch, argv, code, text, broken):
     # an error prints nothing on stdout and one "error:" (or "internal
     # error:") line on stderr; a result prints on stdout only
