@@ -18,7 +18,10 @@ Every LP here is written by column: the flow primal and each dual block
 build their rows as flat lists of columns, values and row ends, each row in
 ascending column order, and hand them to linsys's row store a block at a
 time (`_Store.extend`), never a row at a time; a membership check solves
-each member's block as an `_LP`, with no names.
+each member's block as an `_LP`, with no names. A block's column and row
+names are not formatted when it is built: it hands linsys two block runs
+(`linsys._Run`) over its prefix, vertex tuple and edge endpoint pairs, and
+the functions under "Names" below format them when they are read.
 """
 
 from dataclasses import dataclass
@@ -29,7 +32,8 @@ from . import separation
 # perfbench/tracing.py lists extform.simplex_feasible in WRAPPED and
 # `install` reads it with getattr, so this binding must stay even where no
 # code here calls it; check_membership solves every block through it
-from .linsys import _LP, ConstraintSystem, _Store, _value, simplex_feasible, simplex_solve
+from .linsys import (_LP, Constraint, ConstraintSystem, _Run, _Store, _value, simplex_feasible,
+                     simplex_solve)
 from .model import Allocation, Instance, check_allocation_length
 from .negcycle import CostedGraph
 
@@ -113,24 +117,71 @@ def _arcs(g: CostedGraph, skip: int):
         yield j, e.v, e.u
 
 
+# Names: each function below returns a block's column or row names, from
+# its prefix, vertex tuple and edge endpoint pairs, in the order the block's
+# builder lays the columns and rows out.
+
+
+def _endpoints(g: CostedGraph) -> tuple[tuple[int, int], ...]:
+    return tuple((e.u, e.v) for e in g.edges)
+
+
+def _edge_names(head: str, m: int, tails: list[str]) -> list[str]:
+    """{head}{i}{tail} for each edge i < m and each of `tails`, in order."""
+    return [e + tail for e in [f"{head}{i}" for i in range(m)] for tail in tails]
+
+
+def _other_arcs(pairs: tuple) -> list[list[str]]:
+    """Per edge i, _{a}_{b} for each arc (a, b) of `_arcs(g, i)`, pairs
+    being g's `_endpoints`."""
+    arcs = [f"_{a}_{b}" for u, v in pairs for a, b in ((u, v), (v, u))]
+    return [arcs[:2 * i] + arcs[2 * i + 2:] for i in range(len(pairs))]
+
+
+def _arc_names(head: str, others: list[list[str]]) -> list[str]:
+    """{head}{i}_{a}_{b} for each edge i and each of its `_other_arcs`."""
+    return [e + arc for e, arcs in zip([f"{head}{i}" for i in range(len(others))], others)
+            for arc in arcs]
+
+
+def _flow_columns(pairs: tuple) -> list[str]:
+    return [f"x_e{i}" for i in range(len(pairs))] + _arc_names("y_e", _other_arcs(pairs))
+
+
+def _flow_rows(vertices: tuple, pairs: tuple) -> list[str]:
+    names = []
+    for i, arcs in enumerate(_other_arcs(pairs)):
+        names += [f"flow_e{i}_v{v}" for v in vertices]
+        names += [f"cap_e{i}{arc}" for arc in arcs]
+    return names + [f"nn_{v}" for v in _flow_columns(pairs)]
+
+
+def _dual_columns(prefix: str, vertices: tuple, pairs: tuple) -> list[str]:
+    return (_edge_names(f"{prefix}gamma_e", len(pairs), [f"_v{v}" for v in vertices])
+            + _arc_names(f"{prefix}lam_e", _other_arcs(pairs)))
+
+
+def _dual_rows(prefix: str, pairs: tuple) -> list[str]:
+    others = _other_arcs(pairs)
+    return (_arc_names(f"{prefix}arc_e", others) + [f"{prefix}cost_e{i}" for i in range(len(pairs))]
+            + _arc_names(f"{prefix}nn_lam_e", others))
+
+
 def build_flow_primal(g: CostedGraph) -> ConstraintSystem:
     """min sum c_e x_e over the cycle cone, written with one flow block per
     edge: x_ē units must flow from u to v through the rest of the graph,
     every arc capacity bounded by its own x."""
-    m = len(g.edges)
-    arcs = [list(_arcs(g, i)) for i in range(m)]
+    m, nv = len(g.edges), len(g.vertices)
     # column i is x_e{i}; then the y of every edge's arcs, in arc order
-    variables = [f"x_e{i}" for i in range(m)]
-    variables += [f"y_e{i}_{a}_{b}" for i in range(m) for _, a, b in arcs[i]]
     sys = ConstraintSystem("flow-primal", objective={
-        variables[i]: e.cost for i, e in enumerate(g.edges) if e.cost != 0})
+        f"x_e{i}": e.cost for i, e in enumerate(g.edges) if e.cost != 0})
     # (edge, sign) at each vertex, in edge order: edge j's arc u-v leaves u
     # (+1) and enters v (-1), its arc v-u the other way round
     incident: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
     for j, e in enumerate(g.edges):
         incident[e.u].append((j, 1))
         incident[e.v].append((j, -1))
-    names, cols, vals, ends, rels = [], [], [], [], []
+    cols, vals, ends, rels = [], [], [], []
     y = m  # the column of edge i's first y
     for i, ebar in enumerate(g.edges):
         # conservation at every vertex: x_ē leaves u and arrives at v, then
@@ -146,23 +197,22 @@ def build_flow_primal(g: CostedGraph) -> ConstraintSystem:
                     cols += (c, c + 1)
                     vals += (s, -s)
             ends.append(len(cols))
-        names += [f"flow_e{i}_v{v}" for v in g.vertices]
-        rels += ["="] * len(g.vertices)
+        rels += ["="] * nv
         # x_e{j} <= y: the x column comes first
-        na, base = len(arcs[i]), len(cols)
-        cols += [k for col, (j, _, _) in enumerate(arcs[i], y) for k in (j, col)]
+        na, base = 2 * (m - 1), len(cols)
+        cols += [k for col, (j, _, _) in enumerate(_arcs(g, i), y) for k in (j, col)]
         vals += [-1, 1] * na
         ends += range(base + 2, base + 2 * na + 1, 2)
-        names += [f"cap_e{i}_{a}_{b}" for _, a, b in arcs[i]]
         rels += ["<="] * na
         y += na
-    k, base = len(variables), len(cols)
-    names += [f"nn_{v}" for v in variables]
-    cols += range(k)
-    vals += [1] * k
-    ends += range(base + 1, base + k + 1)
-    rels += [">="] * k
-    sys._extend(variables, names, cols, vals, ends, rels, [0] * len(ends))
+    base = len(cols)
+    cols += range(y)
+    vals += [1] * y
+    ends += range(base + 1, base + y + 1)
+    rels += [">="] * y
+    pairs = _endpoints(g)
+    sys._extend(_Run(y, _flow_columns, pairs), _Run(len(ends), _flow_rows, g.vertices, pairs),
+                cols, vals, ends, rels, [0] * len(ends))
     return sys
 
 
@@ -219,25 +269,21 @@ def _dual_block(g: CostedGraph, first: int, symbolic: bool) -> tuple[list, ...]:
 
 def _add_dual_block(sys: ConstraintSystem, g: CostedGraph, prefix: str,
                     symbolic: bool) -> None:
-    """Append g's dual block (`_dual_block`) to `sys`, naming its columns
-    and rows in the builder's order; each lam column's sign becomes an
-    nn_lam row."""
+    """Append g's dual block (`_dual_block`) to `sys`, its columns and rows
+    named (`_dual_columns`, `_dual_rows`) when read; each lam column's sign
+    becomes an nn_lam row."""
     m = len(g.edges)
-    arcs = [f"e{i}_{a}_{b}" for i in range(m) for _, a, b in _arcs(g, i)]
     first = len(sys.variables)
-    lam0, n = first + m * len(g.vertices), len(arcs)
-    variables = [f"{prefix}gamma_e{i}_v{v}" for i in range(m) for v in g.vertices]
-    variables += [f"{prefix}lam_{arc}" for arc in arcs]
-    names = [f"{prefix}arc_{arc}" for arc in arcs]
-    names += [f"{prefix}cost_e{i}" for i in range(m)]
-    names += [f"{prefix}nn_lam_{arc}" for arc in arcs]
+    lam0, n = first + m * len(g.vertices), 2 * m * (m - 1)
     cols, vals, ends, rels, rhs = _dual_block(g, first, symbolic)
     ends += range(len(cols) + 1, len(cols) + n + 1)
     cols += range(lam0, lam0 + n)
     vals += [1] * n
     rels += [">="] * n
     rhs += [0] * n
-    sys._extend(variables, names, cols, vals, ends, rels, rhs)
+    pairs = _endpoints(g)
+    sys._extend(_Run(lam0 + n - first, _dual_columns, prefix, g.vertices, pairs),
+                _Run(len(ends), _dual_rows, prefix, pairs), cols, vals, ends, rels, rhs)
 
 
 def _membership_lp(g: CostedGraph) -> _LP:
@@ -265,11 +311,10 @@ def build_extended_formulation(inst: Instance) -> ConstraintSystem:
     variables is the core."""
     p = [f"p_{v}" for v in range(inst.n)]
     sys = ConstraintSystem(f"core-extform({inst.name or 'instance'})", p)
-    sys.add_constraint("total", dict.fromkeys(p, 1), "=", inst.grand_value)
-    for v in range(inst.n):
-        sys.add_constraint(f"nn_{p[v]}", {p[v]: 1}, ">=", 0)
-    for i, e in enumerate(inst.edges):
-        sys.add_constraint(f"edge_e{i}", {p[e.u]: 1, p[e.v]: 1}, ">=", e.w)
+    sys._append([Constraint("total", dict.fromkeys(p, 1), "=", inst.grand_value),
+                 *(Constraint(f"nn_{v}", {v: 1}, ">=", 0) for v in p),
+                 *(Constraint(f"edge_e{i}", {p[e.u]: 1, p[e.v]: 1}, ">=", e.w)
+                   for i, e in enumerate(inst.edges))])
     for k, g in enumerate(enumerate_family(inst).members):
         _add_dual_block(sys, g, f"g{k}_", True)
     return sys

@@ -9,6 +9,11 @@ core allocation that the scan nevertheless rejects. So does a game with one
 edge, `data/one-edge.game`: edge 0-1 of weight 10 between two capacity-2
 vertices, where p = (5, 5, 0, 0) is in the core and the walk 0,1,0,1 (k = 3)
 weighs -10.
+
+Fidelity: the repository's copy of the paper (PAPER.md) holds only its
+abstract, so whether the published procedure also let k run up to n - 1
+with repeated interior vertices, as `build_layered` does, is not checked
+against the published text; the replication keeps that reading.
 """
 
 from dataclasses import dataclass

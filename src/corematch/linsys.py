@@ -9,18 +9,32 @@ their values in one list, the row offsets, and a relation code and a
 right-hand side per row. A row holds its nonzero terms in ascending column
 order, the order `emit_lp` writes, so the writer sorts nothing and
 `parse_lp(emit_lp(s)) == s` compares the flat fields as they are. A
-ConstraintSystem keeps a store beside a list of row names; an `_LP` keeps
-one too, and the store is the only row format: the tableau set-up, `_lower`,
-`_slack_point`, `_holds`, `check_point`, `emit_lp`, `__eq__` and the
-`Constraint` view all read it. The tableau set-up, `_holds` and `emit_lp`
-walk a store's columns and values with one iterator, each row taking its
-length in turn, so they slice no row. Every row enters through `_extend`
-and `_Store.extend`, a block at a time: extform hands over whole blocks as
-flat lists, and `_append` translates names to columns once per row for the
-constructor and `parse_lp`, which each hand over all their rows as one
-block, and for `add_constraint`, whose block is its one row. `constraints`
-is a read-only sequence that builds a frozen `Constraint` view of a row
-only when the row is read.
+ConstraintSystem keeps a store beside two name sequences, `variables` and
+its row names (see below); an `_LP` keeps a store too, and the store is the
+only row format: the tableau set-up, `_lower`, `_slack_point`, `_holds`,
+`check_point`, `emit_lp`, `__eq__` and the `Constraint` view all read it.
+The tableau set-up, `_holds` and `emit_lp` walk a store's columns and values
+with one iterator, each row taking its length in turn, so they slice no row.
+Every row enters through `_extend` and `_Store.extend`, a block at a time:
+extform hands over whole blocks as flat lists, and `_append` translates
+names to columns once per row for the constructor and `parse_lp`, which each
+hand over all their rows as one block, and for `add_constraint`, whose block
+is its one row. `constraints` is a read-only sequence that builds a frozen
+`Constraint` view of a row only when the row is read.
+
+A system holds no name string per column or row of a block after it is
+built. A name sequence, `_Names`, is read-only and equal to the tuple of its
+names. It is made of runs of two kinds. A literal run is a list of the
+names, as the constructor, `add_constraint` and `parse_lp` hand them over. A
+block run, `_Run`, is a name count and a function with its arguments
+(extform's: a prefix, a vertex tuple and edge endpoint pairs) that formats
+the block's names, in order, each time it is read. So a name is formatted
+when it is read: a pass in order formats each name once, and `emit_lp` makes
+one such pass per sequence for the name check, the +1 and -1 term strings
+and the text; reading by index formats the whole block run that holds the
+name, and only the last block so read is kept formatted. `_pos`, the column
+of each name, is built when it is first read: extform's builders read it
+only before their first block, and `emit_lp` only for an objective.
 
 The simplex reads one form, `_LP`: a column count, the sign (>= 0) columns
 and a store of rows. `_lower` makes a system one, presolving a one-variable
@@ -43,12 +57,13 @@ every row and sign column of its `_LP` by `_holds`, which sums in ints."""
 
 import re
 from array import array
-from collections.abc import Sequence
+from bisect import bisect_right
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, pairwise
+from itertools import chain, islice, pairwise
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, eq
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, TextIO
 
@@ -219,6 +234,84 @@ class _Store:
         return out
 
 
+class _Run:
+    """A block run of a name sequence: `size` names, which `format(*args)`
+    returns as a list, in order, each time the run is read. It keeps what
+    the names are made of, not the names."""
+
+    __slots__ = ("size", "format", "args")
+
+    def __init__(self, size: int, format: Callable[..., list[str]], *args):
+        self.size, self.format, self.args = size, format, args
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator[str]:
+        names = self.format(*self.args)
+        if len(names) != self.size:
+            raise InvariantError(f"a block run formatted {len(names)} names, not {self.size}")
+        return iter(names)
+
+
+class _Names(Sequence):
+    """A read-only sequence of names made of runs (see module notes), equal
+    to the tuple of the same names: a literal run is a list of names, which
+    the names of a literal block appended next join, and a block run is a
+    `_Run`. Reading in order formats each name once; reading by index
+    formats the whole block run that holds the name, and the last block run
+    so read is the one kept formatted."""
+
+    __slots__ = ("_runs", "_ends", "_block")
+
+    def __init__(self, names: Iterable[str] = ()):
+        self._runs: list = []
+        self._ends = array("Q")  # run r's names end at _ends[r]
+        self._block: tuple[int, list[str]] = (-1, [])  # (run, its names)
+        self._add(names)
+
+    def _add(self, run) -> None:
+        """Append `run`, a `_Run` or names, which a literal run before it
+        takes in."""
+        if type(run) is not _Run:
+            run = list(run)
+            if self._runs and type(self._runs[-1]) is list:
+                self._runs[-1] += run
+                self._ends[-1] += len(run)
+                return
+        if len(run):
+            self._runs.append(run)
+            self._ends.append(len(self) + len(run))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self) -> Iterator[str]:
+        return chain.from_iterable(self._runs)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self)[k]
+        k = range(len(self))[k]
+        r = bisect_right(self._ends, k)
+        run = self._runs[r]
+        if r:
+            k -= self._ends[r - 1]
+        if type(run) is list:
+            return run[k]
+        if self._block[0] != r:
+            self._block = r, list(run)
+        return self._block[1][k]
+
+    def __eq__(self, other):
+        if not isinstance(other, (_Names, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass
 class _Rows(Sequence):
     """A system's rows as `Constraint` views, each built when it is read."""
@@ -237,7 +330,7 @@ class _Rows(Sequence):
         return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
 
 
-def _columns(variables: tuple[str, ...]) -> dict[str, int]:
+def _columns(variables: Sequence[str]) -> dict[str, int]:
     """Each variable's column; raises ValueError if two share a name."""
     pos = {v: k for k, v in enumerate(variables)}
     if len(pos) != len(variables):
@@ -252,11 +345,11 @@ class ConstraintSystem:
     def __init__(self, name: str = "", variables=(), constraints=(),
                  objective: Optional[dict[str, Fraction]] = None):
         self.name = name
-        self.variables = tuple(variables)  # fixed: a row's columns index it
+        self.variables = _Names(variables)  # fixed: a row's columns index it
         self.objective = objective
         self._cols: Optional[dict[str, int]] = _columns(self.variables)
         self._rows = _Store()
-        self._names: list[str] = []  # row k's name
+        self._names = _Names()  # row k's name
         self._append(Constraint(c.name, c.coeffs, c.rel, c.rhs) for c in constraints)
 
     @property
@@ -271,20 +364,21 @@ class ConstraintSystem:
             self._cols = _columns(self.variables)
         return self._cols
 
-    def _extend(self, variables: list[str], names: list[str], cols: list, vals: list,
-                ends: list, rels: list, rhs: list) -> None:
+    def _extend(self, variables: list[str] | _Run, names: list[str] | _Run, cols: list,
+                vals: list, ends: list, rels: list, rhs: list) -> None:
         """Declare `variables`, kept distinct by the caller, and append a
-        block of rows named `names`, given as `_Store.extend` takes it.
-        Checked once per block: raises ValueError, changing nothing, if a
-        column is undeclared or the block's shape does not hold."""
+        block of rows named `names`, given as `_Store.extend` takes it; each
+        of the two is a run of its sequence (`_Names`), a list of names or a
+        `_Run`. Checked once per block: raises ValueError, changing nothing,
+        if a column is undeclared or the block's shape does not hold."""
         ncols = len(self.variables) + len(variables)
         if len(names) != len(ends) or max(cols, default=-1) >= ncols:
             raise ValueError("a block row names a column outside the system")
         self._rows.extend(cols, vals, ends, rels, rhs)
         if variables:
             self._cols = None
-            self.variables += tuple(variables)
-        self._names += names
+            self.variables._add(variables)
+        self._names._add(names)
 
     def add_constraint(self, name, coeffs, rel, rhs) -> Constraint:
         """Append the row as a one-row block (`_append`) and return it."""
@@ -660,7 +754,7 @@ def _result(system: ConstraintSystem, solved: tuple) -> SimplexResult:
     status, point, value = solved
     if point is None:
         return SimplexResult(status=status)
-    witness = {v: Fraction(point.get(k, 0)) for k, v in enumerate(system.variables)}
+    witness = {v: Fraction(point.get(k, 0)) for v, k in system._pos.items()}
     return SimplexResult(status=status, witness=witness, objective=value)
 
 
@@ -713,15 +807,14 @@ _ROW_RE = re.compile(
 _BOUND_RE = re.compile(rf"({_NAME})\s+free")
 
 
-def _check_names(system: ConstraintSystem) -> None:
+def _check_names(name: str, variables: list[str], rows: list[str]) -> None:
     """Raise ValueError naming the system name, or else the first variable,
     then constraint, name that `parse_lp` could not read back. The system
     name is read back stripped from one header line, so it may hold no line
     break (any that `str.splitlines` splits on) and no space at either end."""
-    name = system.name
     if name != name.strip() or len(name.splitlines()) > 1:
         raise ValueError(f"system name {name!r} has a line break or a space at one end")
-    for kind, names in (("variable", system.variables), ("constraint", system._names)):
+    for kind, names in (("variable", variables), ("constraint", rows)):
         # one match over the names a line each, unless a name holds a "\n"
         text = "\n".join(names)
         if names and (text.count("\n") >= len(names) or not _NAME_LINES_RE.fullmatch(text)):
@@ -774,8 +867,9 @@ def emit_lp(system: ConstraintSystem, sink: TextIO) -> None:
     Raises ValueError if the objective uses an undeclared variable or a name
     breaks the name grammar."""
     obj = _check_objective(system)
-    _check_names(system)
-    order = system.variables
+    # every name formatted once (see module notes), for the check and the text
+    order, names = list(system.variables), list(system._names)
+    _check_names(system.name, order, names)
     # per column, the term of a +1 and of a -1; each other distinct value is
     # formatted once, keyed by id() (a Fraction hashes slowly): every key's
     # object lives in the system or in `obj` until the call returns
@@ -826,8 +920,7 @@ def emit_lp(system: ConstraintSystem, sink: TextIO) -> None:
     w("Subject To\n")
     rows = system._rows
     pairs = zip(rows.cols, rows.vals)  # each row takes its hi - lo in turn
-    for name, (lo, hi), code, rhs in zip(system._names, pairwise(rows.starts), rows.rels,
-                                         rows.rhs):
+    for name, (lo, hi), code, rhs in zip(names, pairwise(rows.starts), rows.rels, rows.rhs):
         form = values.get(id(rhs))
         if form is None:
             form = values[id(rhs)] = _forms(rhs)
@@ -841,8 +934,8 @@ def emit_lp(system: ConstraintSystem, sink: TextIO) -> None:
                 exact = decimal
             w(f" {name}: {exact} {rel} {form[2]}\n")
     w("Bounds\n")
-    for v in order:
-        w(f" {v} free\n")
+    if order:
+        w(" " + " free\n ".join(order) + " free\n")
     w("End\n")
 
 

@@ -1075,11 +1075,12 @@ def test_store_rejects_duplicate_variables():
         parse_lp(_HEAD + _TAIL.replace(" y free", " x free"))
 
 
-def test_store_keeps_a_formulation_in_at_most_300_bytes_a_row():
-    # the formulation of a 16 561-row game as its builder leaves it, names
-    # and variables included, under tracemalloc: the flat store keeps a term
-    # as an array int and a list slot (a row as a {column: value} dict took
-    # 482 bytes a row on Python 3.11)
+def test_names_leave_a_formulation_at_most_64_bytes_a_row():
+    # the formulation of a 16 561-row game as its builder leaves it, under
+    # tracemalloc: the flat store keeps a term as an array int and a list
+    # slot, and a dual block's column and row names are two runs that format
+    # them when read (formatted when built, they took 128 of 179 bytes a row
+    # on Python 3.11; a row as a {column: value} dict took 482)
     inst = random_instance(seed=4, n=10, density=Fraction(1, 2), wmax=10)
     extform.build_extended_formulation(inst)  # fills the instance's caches
     gc.collect()
@@ -1092,7 +1093,78 @@ def test_store_keeps_a_formulation_in_at_most_300_bytes_a_row():
     finally:
         tracemalloc.stop()
     assert len(s.constraints) == 16561
-    assert size / len(s.constraints) <= 300
+    assert size / len(s.constraints) <= 64
+
+
+# SHA-256 of "\n".join(variables) and of the joined row names, computed when
+# every name was formatted as its own string at build time
+NAMES_DIGESTS = {
+    "shape0": ("41e562c828177c7823baf6611d268cd8e52909920420469e68362ed436821d9a",
+               "753c3071c8c288a2fea17bb9b14c6e038c4c611dae5fc3570a64b26876b39523"),
+    "shape1": ("cfe1901e3cd6549b940e840fb692c6e082d7b09c53a67c94a7ef08a037ce57ce",
+               "cd94bd301cc6f468cc8f051f69d154103a32fce190733568fb060e7bd241dd02"),
+    "n7": ("c9b4a603f8e9f64b61180eb1d577b72515ae2cad8bfd5cedfe6600b1634db52f",
+           "1622f3c0f8b28a26fcef70be59f208e093ea603198de52ee0f9755a289db50ba"),
+    "flow-primal": ("293d28dcf7ddc5fd311185711ca64cb2308fe547e4e5d47b3ebdc61c9bb84736",
+                    "b1c49ef28fb17dfd3733c2aaba90f8888605309c48d95a48182ddcba04d14e2e"),
+    "flow-dual": ("27a438cfd483b85e551ae6c3cb8c2bd048d596a7bd9be1e14492dbb980a28dde",
+                  "a066af79f10b471ac7cab15fd236f126f64956e6b76f17d5a653530627c792c2"),
+}
+
+
+def test_names_pinned_at_benchmark_shapes():
+    # the names of one formulation of each benchmark build shape (n = 5 and
+    # n = 6), of the pinned n = 7 one, and of the flow primal and dual system
+    # of a 5-edge member of the n = 6 game's family, read in order
+    def digests(s):
+        return tuple(hashlib.sha256("\n".join(names).encode()).hexdigest()
+                     for names in (s.variables, s._names))
+
+    insts = list(_build_shape_instances())
+    got = {"shape0": digests(extform.build_extended_formulation(insts[0])),
+           "shape1": digests(extform.build_extended_formulation(insts[1])),
+           "n7": digests(extform.build_extended_formulation(insts[-1]))}
+    g = extform.enumerate_family(insts[1]).members[6]
+    assert len(g.edges) == 5
+    got["flow-primal"] = digests(extform.build_flow_primal(g))
+    got["flow-dual"] = digests(extform.build_dual_system(g))
+    assert got == NAMES_DIGESTS
+
+
+def test_names_behave_as_a_read_only_tuple():
+    # variables and row names, made of literal runs (the p columns, the base
+    # rows) and block runs (each dual block), read as the tuple of their names
+    inst = random_instance(seed=8502, n=5, density=Fraction(1, 2), wmax=9)
+    s = extform.build_extended_formulation(inst)
+    assert s._cols is None  # the build reads no column map once blocks are in
+    for names in (s.variables, s._names):
+        plain = tuple(names)
+        assert names == plain and plain == names and not names != plain
+        assert names != plain[:-1] and plain[:-1] != names and names != list(plain)
+        assert len(names) == len(plain) and list(reversed(names)) == list(reversed(plain))
+        assert names[:3] == plain[:3] and names[-5::-7] == plain[-5::-7]
+        assert names[10:len(plain) - 10:3] == plain[10:len(plain) - 10:3]
+        order = list(range(-len(plain), len(plain)))
+        random.Random(1).shuffle(order)
+        assert [names[k] for k in order] == [plain[k] for k in order]
+        for k in (0, len(plain) // 2, len(plain) - 1):
+            assert plain[k] in names and names.index(plain[k]) == k
+        assert "no_such_name" not in names
+        with pytest.raises(ValueError):
+            names.index("no_such_name")
+        with pytest.raises(IndexError):
+            names[len(plain)]
+        with pytest.raises(TypeError):
+            names[0] = "y"
+        with pytest.raises(AttributeError):
+            names.reverse()
+    assert s.variables[:inst.n] == tuple(f"p_{v}" for v in range(inst.n))
+    assert s._names[0] == "total" and s._names[-1].startswith("g")
+    back = roundtrip(s)
+    assert back == s and s == back
+    assert back.variables == s.variables and back._names == s._names
+    _emitted(s)
+    assert s._cols is None  # nor does emit_lp
 
 
 def test_store_rows_ascend_from_every_builder():
