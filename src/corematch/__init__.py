@@ -7,6 +7,8 @@ breaks it, and builds a compact extended formulation of the core checked by
 an exact rational simplex.
 """
 
+from __future__ import annotations
+
 from .model import (
     Allocation,
     Edge,

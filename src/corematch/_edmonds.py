@@ -81,6 +81,8 @@ The certificate is the same, so the warm start's matching has the largest
 weight too, but on ties it may be another matching than networkx picks.
 """
 
+from __future__ import annotations
+
 from .model import InvariantError, check_simple_graph
 
 

@@ -6,6 +6,8 @@ codes: 0 success / in core, 10 violated, 2 usage, 3 file or format error,
 4 size-guard refusal, 5 internal invariant failure (a bug).
 """
 
+from __future__ import annotations
+
 import argparse
 import sys
 

@@ -24,9 +24,10 @@ names are not formatted when it is built: it hands linsys two block runs
 the functions under "Names" below format them when they are read.
 """
 
-from dataclasses import dataclass
+from __future__ import annotations
+
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import separation
 # perfbench/tracing.py lists extform.simplex_feasible in WRAPPED and
@@ -41,8 +42,7 @@ from .negcycle import CostedGraph
 _MINUS_HALF = Fraction(-1, 2)
 
 
-@dataclass(frozen=True)
-class GraphFamily:
+class GraphFamily(NamedTuple):
     """The capacity-2 subgraph followed by the kept st-variants, with labels
     describing each member's origin."""
 
@@ -343,8 +343,7 @@ def flow_primal_unbounded(g: CostedGraph) -> bool:
     return simplex_solve(build_flow_primal(g)).status == "unbounded"
 
 
-@dataclass(frozen=True)
-class SizeReport:
+class SizeReport(NamedTuple):
     """Exact variable/constraint tallies for the extended formulation, plus
     the closed-form family bound and polynomial size envelopes."""
 

@@ -55,11 +55,12 @@ and each coefficient is converted once, when its row is built; `emit_lp`
 formats each distinct coefficient once. Every point is re-verified against
 every row and sign column of its `_LP` by `_holds`, which sums in ints."""
 
+from __future__ import annotations
+
 import re
 from array import array
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, pairwise
 from math import gcd, lcm
@@ -67,7 +68,7 @@ from operator import attrgetter, eq
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, TextIO
 
-from .model import InvariantError
+from .model import InvariantError, _Frozen
 
 
 def _value(x) -> int | Fraction:
@@ -115,18 +116,20 @@ def _holds(terms, rel: str, rhs: int | Fraction, point: Mapping) -> bool:
     return num == rhs
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(_Frozen):
     """One named row `coeffs rel rhs`, read-only: coeffs is a read-only
     {name: value} mapping. Values follow the module's number rule, and a
     zero coefficient is dropped."""
 
-    name: str
-    coeffs: Mapping[str, int | Fraction]
-    rel: str  # one of "<=", "=", ">="
-    rhs: int | Fraction
+    __slots__ = _fields = ("name", "coeffs", "rel", "rhs")
 
-    def __post_init__(self):
+    def __init__(self, name: str, coeffs: Mapping[str, int | Fraction],
+                 rel: str,  # one of "<=", "=", ">="
+                 rhs: int | Fraction):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "rel", rel)
+        object.__setattr__(self, "rhs", rhs)
         if self.rel not in ("<=", "=", ">="):
             raise ValueError(f"bad relation {self.rel!r}")
         coeffs = {}
@@ -312,11 +315,13 @@ class _Names(Sequence):
         return repr(tuple(self))
 
 
-@dataclass
 class _Rows(Sequence):
     """A system's rows as `Constraint` views, each built when it is read."""
 
-    _system: "ConstraintSystem"
+    __slots__ = ("_system",)
+
+    def __init__(self, system: ConstraintSystem):
+        self._system = system
 
     def __len__(self) -> int:
         return len(self._system._rows)
@@ -421,8 +426,7 @@ class ConstraintSystem:
         ) and _objective_terms(self) == _objective_terms(other)
 
 
-@dataclass(frozen=True)
-class SimplexResult:
+class SimplexResult(NamedTuple):
     status: str  # "optimal" | "feasible" | "infeasible" | "unbounded"
     witness: Optional[dict[str, Fraction]] = None
     objective: Optional[Fraction] = None

@@ -18,11 +18,12 @@ maximum-weight b-matching through a vertex/edge gadget expansion on dense
 int nodes, in which only edges joining two capacity-2 vertices get a gadget.
 """
 
+from __future__ import annotations
+
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ._edmonds import matched_edges, warm_matched_edges
 from .model import (Instance, InvariantError, _is_exact, _is_index, check_coalition,
@@ -33,8 +34,7 @@ class NoPerfectMatchingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MatchingResult:
+class MatchingResult(NamedTuple):
     """Chosen edge indices (sorted) and their exact total weight."""
 
     edges: tuple[int, ...]

@@ -4,10 +4,11 @@ All numeric quantities are exact rationals (`fractions.Fraction`); no floating
 point is used anywhere a decision depends on arithmetic.
 """
 
+from __future__ import annotations
+
 import random
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -147,21 +148,59 @@ def lines_blamed(lines, edge_lines, vertex_lines=None):
         raise FormatError(str(err), no) from None
 
 
-@dataclass(frozen=True)
-class Instance:
+class _Frozen:
+    """Base of the validated types. `__init__`, each type's one validator,
+    sets the fields named in `_fields` with `object.__setattr__`; after that
+    a field can be neither assigned nor deleted. Objects of one type are
+    equal, and hash alike, when their `_key()`s are; the repr shows every
+    field, and a pickle or a copy goes through `__init__` again."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    _key = _astuple
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={x!r}" for f, x in zip(self._fields, self._astuple()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Instance(_Frozen):
     """A 2-matching game: simple graph, capacities b in {1,2}, weights w >= 0,
-    each rule stated once, in `__post_init__`, an edge's own before the graph's.
+    each rule stated once, in `__init__`, an edge's own before the graph's.
 
     Vertex ids are dense 0-based integers; edge order is the file order and is
     preserved so downstream scans and certificates are deterministic.
     """
 
-    n: int
-    b: tuple[int, ...]
-    edges: tuple[Edge, ...]
-    name: str = field(default="", compare=False)
+    # no __slots__: the cached properties below keep their values in __dict__
+    _fields = ("n", "b", "edges", "name")
 
-    def __post_init__(self):
+    def __init__(self, n: int, b: tuple[int, ...], edges: tuple[Edge, ...], name: str = ""):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "name", name)
         if not _is_int(self.n):
             raise GraphError(f"vertex count is not an int: {self.n!r}")
         if self.n < 1:
@@ -184,6 +223,9 @@ class Instance:
             if w < 0:
                 raise GraphError(f"negative weight on edge {u}-{v}", k)
         check_simple_graph(range(self.n), self.edges)
+
+    def _key(self) -> tuple:
+        return self.n, self.b, self.edges  # the name is not compared
 
     @cached_property
     def grand_value(self) -> Fraction:
@@ -251,14 +293,14 @@ class Instance:
         )
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(_Frozen):
     """Payoff vector indexed by vertex id. Entries are ints or Fractions,
     stored as Fractions so that halving one stays exact, and may be negative."""
 
-    values: tuple[Fraction, ...]
+    __slots__ = _fields = ("values",)
 
-    def __post_init__(self):
+    def __init__(self, values: tuple[Fraction, ...]):
+        object.__setattr__(self, "values", values)
         for v, x in enumerate(self.values):
             if not _is_exact(x):
                 raise ValueError(f"allocation entry {v} is not an int or a Fraction: {x!r}")
@@ -315,8 +357,7 @@ class ViolationKind(Enum):
     COALITION = "Coalition"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """Certificate that an allocation is not in the core.
 
     For every kind except TotalValue, allocated < bound; for TotalValue,

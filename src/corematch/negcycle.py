@@ -14,7 +14,8 @@ denominators of p and w; a positive scale keeps every comparison, so the
 joins and cycles are those of the unscaled costs.
 """
 
-from dataclasses import dataclass
+from __future__ import annotations
+
 from fractions import Fraction
 from heapq import heappop, heappush
 from typing import NamedTuple, Optional, Sequence, Union
@@ -24,6 +25,7 @@ from .model import (
     FormatError,
     InvariantError,
     _content_lines,
+    _Frozen,
     _is_exact,
     _is_index,
     check_simple_graph,
@@ -52,8 +54,7 @@ class CostEdge(NamedTuple):
         return self.v if x == self.u else self.u
 
 
-@dataclass(frozen=True)
-class CostedGraph:
+class CostedGraph(_Frozen):
     """Simple undirected graph with signed exact edge costs (ints or
     Fractions).
 
@@ -61,11 +62,13 @@ class CostedGraph:
     artificial st edge this way).
     """
 
-    vertices: tuple[int, ...]
-    edges: tuple[CostEdge, ...]
-    marker: Optional[int] = None
+    __slots__ = _fields = ("vertices", "edges", "marker")
 
-    def __post_init__(self):
+    def __init__(self, vertices: tuple[int, ...], edges: tuple[CostEdge, ...],
+                 marker: Optional[int] = None):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "marker", marker)
         check_simple_graph(self.vertices, self.edges)
         for e in self.edges:
             if not _is_exact(e.cost):
@@ -76,8 +79,7 @@ class CostedGraph:
             raise ValueError("marker out of range")
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     """Simple cycle: edge indices and the closed vertex walk, canonicalized
     to start at the smallest vertex and run toward its smaller neighbor."""
 

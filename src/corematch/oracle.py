@@ -6,7 +6,8 @@ rest of the library can be tested against it without circularity. Hard size
 guards keep property harnesses from silently running exponential scans.
 """
 
-from dataclasses import dataclass
+from __future__ import annotations
+
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -109,8 +110,7 @@ def core_check_bruteforce(
     return Violation(ViolationKind.COALITION, S, ps, value)
 
 
-@dataclass(frozen=True)
-class ConstraintFamily:
+class ConstraintFamily(NamedTuple):
     """All cycles with every vertex of capacity 2, and all paths whose inner
     vertices have capacity 2 (lengths 0..n-1), each listed once up to
     direction. Entries are (vertex tuple, edge-index tuple)."""

@@ -38,9 +38,10 @@ D > 0 every comparison, and so every join, cycle and certificate, is that
 of the exact costs. ν(N) is `Instance.grand_value`.
 """
 
+from __future__ import annotations
+
 import math
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter
@@ -60,8 +61,7 @@ from .model import (
 from .negcycle import Cost, CostEdge, CostedGraph, Cycle
 
 
-@dataclass(frozen=True)
-class SeparationVerdict:
+class SeparationVerdict(NamedTuple):
     violation: Optional[Violation]
 
     @property
@@ -192,8 +192,7 @@ def separate_cycles(inst: Instance, p: Allocation, *,
     return _cycle_violation(inst, p, g2, cyc)
 
 
-@dataclass(frozen=True)
-class VariantStructure:
+class VariantStructure(NamedTuple):
     """One st-variant, s < t: the edges that its capacity-1 endpoints keep
     (None at a capacity-2 endpoint). `realize_variant` makes it a graph."""
 

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import io
@@ -997,7 +996,7 @@ def test_store_is_read_only():
         s.constraints = []
     with pytest.raises(TypeError):
         con.coeffs["y"] = 0
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         con.rhs = 5
     # a row's columns index the variables, so they cannot be reordered
     with pytest.raises(TypeError):
@@ -1016,13 +1015,13 @@ def test_store_builds_views_only_when_read(monkeypatch):
     inst = random_instance(seed=8503, n=6, density=Fraction(1, 2), wmax=9)
     s = extform.build_extended_formulation(inst)
     built = []
-    post_init = Constraint.__post_init__
+    init = Constraint.__init__
 
-    def counted(self):
-        built.append(self.name)
-        post_init(self)
+    def counted(self, name, *args):
+        built.append(name)
+        init(self, name, *args)
 
-    monkeypatch.setattr(Constraint, "__post_init__", counted)
+    monkeypatch.setattr(Constraint, "__init__", counted)
     assert len(s.constraints) == extform.size_report(inst).total_constraints == 892
     _emitted(s)
     assert built == []
