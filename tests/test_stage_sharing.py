@@ -8,6 +8,7 @@ once.
 """
 
 import collections
+import hashlib
 import random
 from fractions import Fraction
 
@@ -147,3 +148,43 @@ def test_separate_costs_builds_g2_and_measures_distances_once(builds):
     assert decided[ViolationKind.CYCLE] >= 3 and decided[ViolationKind.PATH] >= 3, decided
     assert decided["separate_all", ViolationKind.TOTAL_VALUE] >= 1, decided
     assert decided["separate_all", None] >= 3 and decided["separate_all", ViolationKind.PATH] >= 3, decided
+
+
+def certificate_corpus():
+    """(inst, p, with_all): planted streams at n = 16, then random games at
+    n = 6…24 under a random, a normalized and a repaired allocation;
+    `with_all` where `separate_all` is quick (n <= 16)."""
+    rng = random.Random(4096)
+    for _ in range(8):
+        inst, allocations = planted(rng, 16)
+        for p in allocations:
+            yield inst, p, True
+    for n in (6, 8, 10, 12, 16, 20, 24):
+        for _ in range(5):
+            inst = random_instance(rng.randint(0, 10**6), n, Fraction(1, 3), 10)
+            yield inst, random_allocation(rng, inst), n <= 16
+            yield inst, normalized(random_allocation(rng, inst), inst.grand_value), n <= 16
+            yield inst, repaired(rng, inst), n <= 16
+
+
+def record(v):
+    return "in core" if v is None else f"{v.describe()} witness={v.witness_edges}"
+
+
+# SHA-256 of every verdict and certificate of `separate` and `separate_all`
+# over `certificate_corpus`: any change to a scan order, a tie-break or a
+# certificate moves it
+CERTIFICATES = "8485023992440650147e3f05077e6cd750ea70084bac1215927ead49fbc8fa08"
+
+
+def test_certificates_are_pinned():
+    h = hashlib.sha256()
+    kinds = collections.Counter()
+    for inst, p, with_all in certificate_corpus():
+        v = separate(inst, p).violation
+        kinds[None if v is None else v.kind] += 1
+        h.update(f"{record(v)}\n".encode())
+        if with_all:
+            h.update(f"all: {'; '.join(map(record, separate_all(inst, p)))}\n".encode())
+    assert set(kinds) == {None, *ViolationKind} - {ViolationKind.COALITION}, kinds
+    assert h.hexdigest() == CERTIFICATES
