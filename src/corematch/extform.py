@@ -1,9 +1,9 @@
 """Compact extended formulation of the core and exact LP membership checks.
 
-The graph family is separation's: G2, the capacity-2 subgraph, as
-`separation.transfer_costs` builds it from the exact (unscaled) costs, plus
-every st-variant, built from those costs by `separation.variant_structures`
-and `separation.realize_variant`. Every member edge u-v costs (p_u + p_v)/2
+The graph family is separation's: G2, the capacity-2 subgraph, plus every
+st-variant, built by `separation.variant_structures` and
+`separation.realize_variant` from `separation.integer_costs` divided back by
+their scale, the exact costs. Every member edge u-v costs (p_u + p_v)/2
 plus its cost at p = 0, so the family costed at p = 0 gives the constant
 parts of the formulation. For each graph in the family, the
 no-negative-cycle condition is expressed through the dual of a compact
@@ -36,7 +36,7 @@ from . import separation
 from .linsys import (_LP, Constraint, ConstraintSystem, _Run, _Store, _value, simplex_feasible,
                      simplex_solve)
 from .model import Allocation, Instance, check_allocation_length
-from .negcycle import CostedGraph
+from .negcycle import CostEdge, CostedGraph
 
 # the p coefficient of every cost row of the formulation
 _MINUS_HALF = Fraction(-1, 2)
@@ -66,8 +66,7 @@ def enumerate_family(inst: Instance, p: Optional[Allocation] = None) -> GraphFam
     """
     if p is None:
         p = Allocation((Fraction(0),) * inst.n)
-    check_allocation_length(inst, p)
-    costs = separation.transfer_costs(inst, p)
+    costs = _exact(separation.integer_costs(inst, p))
     members = [costs.g2]
     labels = ["g2"]
     for s in range(inst.n):
@@ -80,6 +79,15 @@ def enumerate_family(inst: Instance, p: Optional[Allocation] = None) -> GraphFam
                     f"variant s={s} t={t} kept_s={struct.kept_s} kept_t={struct.kept_t}"
                 )
     return GraphFamily(members=tuple(members), labels=tuple(labels))
+
+
+def _exact(costs: separation.TransferCosts) -> separation.TransferCosts:
+    """The integer `costs` divided by their scale: the exact ones, at scale 1."""
+    half = [Fraction(x, costs.scale) for x in costs.half]
+    cost = [Fraction(x, costs.scale) for x in costs.cost]
+    g2 = CostedGraph._trusted(costs.g2.vertices, tuple([CostEdge(e.u, e.v, cost[e.orig], e.orig)
+                                                        for e in costs.g2.edges]))
+    return costs._replace(scale=1, half=half, cost=cost, g2=g2)
 
 
 def _excess(inst: Instance, x: int, far: int) -> int:

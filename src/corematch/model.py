@@ -6,6 +6,7 @@ point is used anywhere a decision depends on arithmetic.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from contextlib import contextmanager
@@ -239,11 +240,18 @@ class Instance(_Frozen):
     def scaled_weights(self) -> tuple[tuple[int, ...], int]:
         """The edge weights times the lcm of their denominators, as ints in
         edge order, and that lcm: computed on first use, for the b-matching
-        value solves."""
+        value solves and the transfer costs."""
         from . import matching  # matching imports this module
 
         ints, scale = matching._scale(e.w for e in self.edges)
         return tuple(ints), scale
+
+    @cached_property
+    def skeleton(self):
+        """`separation.skeleton`: computed on first use and dropped with this object."""
+        from . import separation  # separation imports this module
+
+        return separation.skeleton(self)
 
     @property
     def m(self) -> int:
@@ -314,7 +322,9 @@ class Allocation(_Frozen):
         return len(self.values)
 
     def total(self) -> Fraction:
-        return sum(self.values, Fraction(0))
+        """p(N), summed in ints over the lcm of the denominators."""
+        lcm = math.lcm(*(x.denominator for x in self.values))
+        return Fraction(sum(x.numerator * (lcm // x.denominator) for x in self.values), lcm)
 
     def of(self, S: Iterable[int]) -> Fraction:
         """p(S), the allocation total over a coalition."""

@@ -2,16 +2,16 @@
 
 The route is combinatorial: a minimum-cost even-degree edge set (an empty-set
 join) is negative exactly when a negative cycle exists, and is computed by
-flipping the negative edges and correcting their parity with a minimum T-join,
-which in turn reduces to shortest paths plus minimum-weight perfect matching.
+flipping the negative edges and correcting their parity with a minimum T-join:
+shortest paths plus a perfect matching. All-pairs distances use Floyd–Warshall.
 
 Costs are ints or Fractions (`CostedGraph` rejects floats, whose rounding
-would make the answer depend on edge order): everything here only adds,
-negates and compares them, and no `Fraction` is seeded in, so integer costs
-stay integers. Separation passes transfer costs scaled to integers, cost·D =
-P_u + P_v − W_e with P_v = p_v·D/2, W_e = w_e·D and D = 2·lcm of all
-denominators of p and w; a positive scale keeps every comparison, so the
-joins and cycles are those of the unscaled costs.
+would make the answer depend on edge order; `CostedGraph._trusted`, for
+separation's G2, checks nothing): everything here only adds, negates and
+compares them, so integer costs stay integers. Separation passes transfer
+costs scaled to integers, cost·D = P_u + P_v − W_e with P_v = p_v·D/2,
+W_e = w_e·D and D = 2·lcm of all denominators of p and w; a positive scale
+keeps every comparison, so the joins and cycles are those of the unscaled costs.
 """
 
 from __future__ import annotations
@@ -21,18 +21,8 @@ from heapq import heappop, heappush
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import matching
-from .model import (
-    FormatError,
-    InvariantError,
-    _content_lines,
-    _Frozen,
-    _is_exact,
-    _is_index,
-    check_simple_graph,
-    lines_blamed,
-    parse_edge_lines,
-    parse_header,
-)
+from .model import (FormatError, InvariantError, _content_lines, _Frozen, _is_exact, _is_index,
+                    check_simple_graph, lines_blamed, parse_edge_lines, parse_header)
 
 Cost = Union[int, Fraction]
 
@@ -77,6 +67,16 @@ class CostedGraph(_Frozen):
                 )
         if self.marker is not None and not _is_index(self.marker, range(len(self.edges))):
             raise ValueError("marker out of range")
+
+    @classmethod
+    def _trusted(cls, vertices: tuple[int, ...], edges: tuple[CostEdge, ...]) -> CostedGraph:
+        """A graph whose shape and costs the caller vouches for, unchecked:
+        separation's G2, a subgraph of a validated game, with int costs."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertices", vertices)
+        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "marker", None)
+        return g
 
 
 class Cycle(NamedTuple):
@@ -233,6 +233,70 @@ def min_zero_join(g: CostedGraph) -> tuple[frozenset[int], Cost]:
     return J, cost
 
 
+def _join_rows(g: CostedGraph) -> Optional[list[list[Optional[Cost]]]]:
+    """`join_distances` by vertex position: row a holds d(a, b) at b's
+    position, None where b lies in another component."""
+    at = {v: k for k, v in enumerate(g.vertices)}
+    negative = [i for i, e in enumerate(g.edges) if e.cost < 0]
+    T0 = sorted(at[v] for v in _odd_vertices(g, negative))
+    base = sum(g.edges[i].cost for i in negative)
+    # D by position, from Floyd–Warshall on the symmetric matrix: row k also
+    # holds every distance to k, and a pair is relaxed once
+    dists: list[list[Optional[Cost]]] = [[None] * len(at) for _ in at]
+    for k, row in enumerate(dists):
+        row[k] = 0
+    for e in g.edges:
+        dists[at[e.u]][at[e.v]] = dists[at[e.v]][at[e.u]] = abs(e.cost)
+    for k, via in enumerate(dists):
+        for i, to_k in enumerate(via):
+            if to_k is not None and i != k:
+                row = dists[i]
+                for j in range(i + 1, len(via)):
+                    rest = via[j]
+                    if rest is not None and (row[j] is None or to_k + rest < row[j]):
+                        row[j] = dists[j][i] = to_k + rest
+    if not negative:
+        return dists
+    if not T0:
+        return None  # E- is an even edge set of negative cost
+
+    # tau[x][y] = τ(T0 − {x, y}); absent when T0 − {x, y} has no join
+    near = {x: {y: dists[x][y] for y in T0 if dists[x][y] is not None} for x in T0}
+    tau: dict[int, dict[int, Cost]] = {x: {} for x in T0}
+    for x_pos, x in enumerate(T0):
+        for y in T0[x_pos + 1 :]:
+            rest = [z for z in T0 if z != x and z != y]
+            pairs = _pairing(rest, near) if rest else []
+            if pairs is not None:
+                tau[x][y] = tau[y][x] = sum(dists[a][b] for a, b in pairs)
+    x0 = dists[T0[0]]
+    whole = min((x0[x] + t for x, t in tau[T0[0]].items() if x0[x] is not None), default=None)
+    if whole is None:
+        raise InvariantError("odd(E-) has no join")
+    if base + whole < 0:
+        return None
+
+    def distance(a: int, b: int) -> Cost:
+        if a in tau and b in tau:
+            return tau[a][b]
+        if b in tau:
+            a, b = b, a
+        db = dists[b]
+        if a in tau:
+            return min(db[x] + t for x, t in tau[a].items() if db[x] is not None)
+        da = dists[a]
+        return min([da[b] + whole, *(da[x] + db[y] + t for x in T0 if da[x] is not None
+                                     for y, t in tau[x].items() if db[y] is not None)])
+
+    d: list[list[Optional[Cost]]] = [[None] * len(at) for _ in at]
+    for a, row in enumerate(dists):
+        d[a][a] = 0
+        for b in range(a + 1, len(row)):
+            if row[b] is not None:
+                d[a][b] = d[b][a] = base + distance(a, b)
+    return d
+
+
 def join_distances(g: CostedGraph) -> Optional[dict[int, dict[int, Cost]]]:
     """Shortest-path distances d[a][b] between the vertices of g, or None
     when g has a negative cycle.
@@ -251,56 +315,15 @@ def join_distances(g: CostedGraph) -> Optional[dict[int, dict[int, Cost]]]:
     - a, b not in T0: the least of D(a, b) + τ(T0) and of
       D(a, x) + D(b, y) + τ(T0 − {x, y}) over x ≠ y in T0.
 
-    One Dijkstra on |c| runs from each vertex; τ(T0) is the least
+    D comes from one Floyd–Warshall pass (`_join_rows`, which gives the
+    distances by vertex position); τ(T0) is the least
     D(x0, x) + τ(T0 − {x0, x}) for the smallest x0, and a deletion needs a
     perfect matching only when it holds more than two vertices, so never
     when |T0| <= 4. d[a] lacks b when a and b lie in different components.
     """
-    negative = [i for i, e in enumerate(g.edges) if e.cost < 0]
-    T0 = sorted(_odd_vertices(g, negative))
-    base = sum(g.edges[i].cost for i in negative)
-    adj = _adjacency(g)
-    dists = {v: _dijkstra(adj, v)[0] for v in g.vertices}
-
-    # tau[x][y] = τ(T0 − {x, y}); absent when T0 − {x, y} has no join
-    tau: dict[int, dict[int, Cost]] = {x: {} for x in T0}
-    for x_pos, x in enumerate(T0):
-        for y in T0[x_pos + 1 :]:
-            rest = [z for z in T0 if z != x and z != y]
-            pairs = _pairing(rest, dists) if rest else []
-            if pairs is not None:
-                tau[x][y] = tau[y][x] = sum(dists[a][b] for a, b in pairs)
-    if T0:
-        x0 = T0[0]
-        whole = min((dists[x0][x] + tau[x0][x] for x in tau[x0] if x in dists[x0]),
-                    default=None)
-    else:
-        whole = 0
-    if whole is None:
-        raise InvariantError("odd(E-) has no join")
-    if base + whole < 0:
-        return None
-
-    def distance(a: int, b: int) -> Cost:
-        if a in tau and b in tau:
-            return tau[a][b]
-        if b in tau:
-            a, b = b, a
-        if a in tau:
-            return min(dists[b][x] + tau[a][x] for x in tau[a] if x in dists[b])
-        da, db = dists[a], dists[b]
-        return min([
-            da[b] + whole,
-            *(da[x] + db[y] + tau[x][y]
-              for x in T0 if x in da for y in tau[x] if y in db),
-        ])
-
-    d: dict[int, dict[int, Cost]] = {v: {v: 0} for v in g.vertices}
-    for a_pos, a in enumerate(g.vertices):
-        for b in g.vertices[a_pos + 1 :]:
-            if b in dists[a]:
-                d[a][b] = d[b][a] = base + distance(a, b)
-    return d
+    rows, vs = _join_rows(g), g.vertices
+    return None if rows is None else {
+        a: {a: 0, **{b: x for b, x in zip(vs, row) if x is not None}} for a, row in zip(vs, rows)}
 
 
 def decompose_even_subgraph(g: CostedGraph, J) -> list[Cycle]:

@@ -5,37 +5,20 @@ constraints, cycle constraints (negative-cycle detection on the capacity-2
 subgraph G2 after transferring the allocation to edge costs), and path
 constraints (negative-cycle detection on endpoint-variant graphs through an
 artificial st edge). The first violated constraint is returned as an exact,
-re-verifiable certificate.
+re-verifiable certificate. Past the cycle stage, G2's distances flag the
+variants that hold a violated path (`_path_filter`), and only those are
+built and searched, in the scan order of the full search.
 
-Once the cycle stage has passed, G2 has no negative cycle, so a
-minimum {a, b}-join in G2 costs the shortest a-b distance d(a, b), and one
-set of G2 distances per allocation decides for every variant whether it
-holds a negative cycle: the variant keeping s-x and t-y does iff
-c(s,x) + d(x,y) + c(y,t) + P_s + P_t < 0. A variant is the record
-(s, t, kept_s, kept_t): `_ends` lists the (x, kept edge) choices at an
-endpoint, `_pairs` their product in scan order, and only `realize_variant`
-makes a record a graph, from G2. A pair is first tested against a lower
-bound on those sums, read from row minima per endpoint, and only the
-variants of a pair whose bound is negative are tested one by one; that
-test decides. The path stage then builds and searches the flagged variants
-only, in the scan order of the full search, so the certificates are those
-the full search finds, and a flagged variant without a negative cycle
-raises `InvariantError`. A violated G2 edge st (reached by `separate_all`)
-keeps the test exact: pair {s, t} alone reads d(s, t) from G2 less st.
-Only where G2 has a negative cycle does the stage search every variant of
-every pair.
-
-Past the total value the stages work on integer costs. With D = 2·lcm of
-all denominators of p and w, P_v = p_v·D/2 and W_e = w_e·D, an instance
-edge uv costs cost·D = P_u + P_v − W_e and the st edge costs P_s + P_t,
-where cost = (p_u + p_v)/2 − w_uv is the exact transfer cost. So p_v < 0
-iff P_v < 0, and p_u + p_v < w_uv iff cost·D + P_u + P_v < 0; the scan
-builds `Fraction`s only for the violation it reports. `separate` and
-`separate_all` cost the edges and build G2 once per allocation (one
-`TransferCosts`) and hand it to each later stage; a stage called on its own
-builds it itself. G2 and every variant hold those edges; since
-D > 0 every comparison, and so every join, cycle and certificate, is that
-of the exact costs. ν(N) is `Instance.grand_value`.
+The stages work on integer costs. With D = 2·lcm of all denominators of p
+and w, P_v = p_v·D/2 and W_e = w_e·D, an instance edge uv costs
+cost·D = P_u + P_v − W_e and the st edge costs P_s + P_t, where
+cost = (p_u + p_v)/2 − w_uv is the exact transfer cost; as D > 0, every
+comparison, join, cycle and certificate is that of the exact costs, and
+`Fraction`s are built only for the violation reported. The rest is cached
+on the game (`Instance.skeleton`), so one game at many allocations, the
+cutting-plane use, costs an allocation one int vector P and one int
+edge-cost list (`integer_costs`), held with G2 in one `TransferCosts` that
+a stage refuses when built for another game or allocation.
 """
 
 from __future__ import annotations
@@ -45,19 +28,11 @@ from bisect import insort
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import matching, negcycle
-from .model import (
-    Allocation,
-    Instance,
-    InvariantError,
-    Violation,
-    ViolationKind,
-    _is_index,
-    check_allocation_length,
-    coalition,
-)
+from .model import (Allocation, Instance, InvariantError, Violation, ViolationKind, _is_index,
+                    check_allocation_length, coalition)
 from .negcycle import Cost, CostEdge, CostedGraph, Cycle
 
 
@@ -75,57 +50,51 @@ def check_total_value(inst: Instance, p: Allocation) -> Optional[Violation]:
     total = inst.grand_value
     if p.total() == total:
         return None
-    return Violation(
-        ViolationKind.TOTAL_VALUE, tuple(range(inst.n)), p.total(), total
-    )
+    return Violation(ViolationKind.TOTAL_VALUE, tuple(range(inst.n)), p.total(), total)
+
+
+def skeleton(inst: Instance) -> tuple[tuple[int, int, Optional[int]], ...]:
+    """Each A(v) in turn, the `_ends` of v with no far endpoint left out, as
+    (v, position of x in G2, kept edge): cached as `Instance.skeleton`."""
+    return tuple((v, inst.n2.index(x), i) for v in range(inst.n) for x, i in _ends(inst, v, None))
 
 
 class TransferCosts(NamedTuple):
-    """The transfer costs of one allocation, times a positive scale D.
+    """The transfer costs of allocation `p` in game `inst` times D = `scale`:
+    `half[v]` is P_v = p_v·D/2, `cost[i]` is P_u + P_v − w_i·D for edge i = uv,
+    an artificial st edge costs half[s] + half[t], and `g2` is G2 so costed."""
 
-    `half[v]` is P_v = p_v·D/2 and `edges[i]` is instance edge i = uv with
-    cost P_u + P_v − W_i, W_i = w_i·D, and `orig` i; an artificial st edge
-    (weight 0) costs half[s] + half[t]. `g2` is G2, built from `edges`.
-    """
-
-    edges: tuple[CostEdge, ...]
-    half: tuple[Cost, ...]
+    inst: Instance
+    p: Allocation
+    scale: int
+    half: list[int]
+    cost: list[int]
     g2: CostedGraph
 
 
-def _costs(inst: Instance, half: tuple[Cost, ...], weights) -> TransferCosts:
-    edges = tuple(
-        CostEdge(e.u, e.v, half[e.u] + half[e.v] - w, i)
-        for i, (e, w) in enumerate(zip(inst.edges, weights))
-    )
-    g2 = CostedGraph(vertices=inst.n2, edges=tuple(edges[i] for i in inst.e2))
-    return TransferCosts(edges, half, g2)
-
-
-def transfer_costs(inst: Instance, p: Allocation) -> TransferCosts:
-    """The exact transfer costs (p_u + p_v)/2 − w_uv, as Fractions (D = 1)."""
-    check_allocation_length(inst, p)
-    return _costs(inst, tuple(x / 2 for x in p.values), (e.w for e in inst.edges))
-
-
 def integer_costs(inst: Instance, p: Allocation) -> TransferCosts:
-    """The transfer costs times D = 2·lcm of all denominators of p and w,
-    as ints."""
+    """The transfer costs times D = 2·lcm of all denominators of p and w."""
     check_allocation_length(inst, p)
     ints, scale = inst.scaled_weights  # w_e·scale, scale the lcm of w's denominators
     lcm = math.lcm(scale, *(x.denominator for x in p.values))
-    # P_v = p_v·D/2 = p_v·lcm and W_e = w_e·D = (2·lcm/scale)·ints[e]
-    half = tuple(x.numerator * (lcm // x.denominator) for x in p.values)
-    k = 2 * lcm // scale
-    return _costs(inst, half, (k * w for w in ints))
+    half = [x.numerator * (lcm // x.denominator) for x in p.values]  # P_v = p_v·D/2 = p_v·lcm
+    k = 2 * lcm // scale  # W_e = w_e·D = (2·lcm/scale)·ints[e]
+    cost = [half[e.u] + half[e.v] - k * w for e, w in zip(inst.edges, ints)]
+    # G2, a subgraph of the validated game, costed without checks
+    g2 = tuple([CostEdge(inst.edges[i].u, inst.edges[i].v, cost[i], i) for i in inst.e2])
+    return TransferCosts(inst, p, 2 * lcm, half, cost, CostedGraph._trusted(inst.n2, g2))
 
 
 def _costed(inst: Instance, p: Allocation,
             costs: Optional[TransferCosts]) -> TransferCosts:
     """`costs`, or `integer_costs(inst, p)` when None; ValueError unless p
-    has one entry per vertex."""
+    has one entry per vertex and `costs` were built for inst and p."""
     check_allocation_length(inst, p)
-    return integer_costs(inst, p) if costs is None else costs
+    if costs is None:
+        return integer_costs(inst, p)
+    if not ((costs.inst is inst or costs.inst == inst) and (costs.p is p or costs.p == p)):
+        raise ValueError("costs were built for another game or allocation")
+    return costs
 
 
 def _vertex_edge_violations(inst: Instance, p: Allocation,
@@ -137,11 +106,10 @@ def _vertex_edge_violations(inst: Instance, p: Allocation,
     for v, h in enumerate(half):
         if h < 0:
             yield Violation(ViolationKind.VERTEX, (v,), p[v], Fraction(0))
-    for i, e in enumerate(costs.edges):
-        if e.cost + half[e.u] + half[e.v] < 0:
+    for i, (e, c) in enumerate(zip(inst.edges, costs.cost)):
+        if c + half[e.u] + half[e.v] < 0:
             yield Violation(
-                ViolationKind.EDGE, coalition((e.u, e.v)), p[e.u] + p[e.v],
-                inst.edges[i].w, (i,)
+                ViolationKind.EDGE, coalition((e.u, e.v)), p[e.u] + p[e.v], e.w, (i,)
             )
 
 
@@ -241,97 +209,88 @@ def realize_variant(costs: TransferCosts, struct: VariantStructure) -> CostedGra
     edges = _less_st(g2, s, t)
     for i in (struct.kept_s, struct.kept_t):
         if i is not None:
-            insort(edges, costs.edges[i], key=attrgetter("orig"))
+            e = costs.inst.edges[i]
+            insort(edges, CostEdge(e.u, e.v, costs.cost[i], i), key=attrgetter("orig"))
     edges.append(CostEdge(s, t, costs.half[s] + costs.half[t]))
     vertices = tuple(sorted({*g2.vertices, s, t}))
     return CostedGraph(vertices, tuple(edges), marker=len(edges) - 1)
 
 
-def _path_filter(
-    inst: Instance, costs: TransferCosts
-) -> Optional[Callable[[int, int], list[VariantStructure]]]:
-    """The exact path test: a function of s < t that lists, in scan order,
-    the variants of pair {s, t} that hold a violated path, or None where the
-    test does not apply.
+def _path_filter(inst: Instance, costs: TransferCosts) -> Optional[list[VariantStructure]]:
+    """The variants, over every pair s < t in scan order, that hold a
+    violated path, or None where G2 has a negative cycle.
 
-    It applies when G2 has no negative cycle, as the cycle stage
-    establishes. Then every negative cycle of a variant runs through its
-    marker, so variant ((x, kept_s), (y, kept_t)) of `_pairs` holds a
-    violated path iff c(s,x) + d(x,y) + c(y,t) + half[s] + half[t] < 0, d
-    being the G2 distances of `negcycle.join_distances` and c(v,v) = 0. A
-    G2 edge st is not in its pair's one variant; where it is violated,
-    d(s, t) may run through it and decide, so that pair reads d from G2
-    less st.
-
-    A pair is tested first against a lower bound, read from row minima: for
-    each s and G2 vertex y, the least c(s,x) + d(x,y) over x in A(s), the
-    `_ends` of s with no far endpoint left out. The bound so also counts
-    the one combination through st (x = t or y = s), which sums to
-    D·(p_s + p_t − w_st) >= 0 where the edge stage holds. Only a pair whose
-    bound is negative has its variants tested one by one; that test decides.
+    Without one, every negative cycle of a variant runs through its marker
+    and a minimum {a, b}-join in G2 costs the shortest a-b distance d(a, b),
+    so variant ((x, kept_s), (y, kept_t)) of `_pairs` holds a violated path
+    iff c(s,x) + d(x,y) + c(y,t) + half[s] + half[t] < 0, with c(v,v) = 0;
+    where a G2 edge st is violated, d(s, t) may run through it, so that pair
+    reads d from G2 less st. A pair is first tested, with all pairs at once,
+    against the least of those sums over A(s) and A(t), which also counts
+    the combination through st, D·(p_s + p_t − w_st) >= 0 where the edge
+    stage holds; only a pair whose bound is negative is tested variant by
+    variant, and that test decides.
     """
-    half, g2 = costs.half, costs.g2
-    d = negcycle.join_distances(g2)
+    half, cost, g2 = costs.half, costs.cost, costs.g2
+    d = negcycle._join_rows(g2)  # by position in g2.vertices
     if d is None:
         return None
     # the distances of G2 less each violated G2 edge, keyed by its index
-    less = {
-        e.orig: negcycle.join_distances(
-            CostedGraph(g2.vertices, tuple(_less_st(g2, e.u, e.v))))
-        for e in g2.edges if e.cost + half[e.u] + half[e.v] < 0
-    }
+    less = {e.orig: negcycle._join_rows(CostedGraph(g2.vertices, tuple(_less_st(g2, e.u, e.v))))
+            for e in g2.edges if e.cost + half[e.u] + half[e.v] < 0}
 
     def c(kept: Optional[int]) -> Cost:
-        return 0 if kept is None else costs.edges[kept].cost
+        return 0 if kept is None else cost[kept]
 
-    attach = [[(x, c(i)) for x, i in _ends(inst, v, None)] for v in range(inst.n)]
-    # per s and G2 vertex y: the least c(s,x) + d(x,y) over x in A(s)
-    rows: list[dict[int, Cost]] = []
-    for s in range(inst.n):
-        row: dict[int, Cost] = {}
-        for x, cx in attach[s]:
-            for y, dxy in d[x].items():
-                if y not in row or cx + dxy < row[y]:
-                    row[y] = cx + dxy
-        rows.append(row)
+    # each h below (a half plus a cost) and each distance (a path's cost) is
+    # at most M = Σ|cost| + Σ|half| in size, so a sum with inf = 6M + 1 for a
+    # missing distance exceeds every sum without one, and 0
+    inf = 6 * (sum(map(abs, cost)) + sum(map(abs, half))) + 1
+    dist = [[inf if x is None else x for x in row] for row in d]
+    # pair {s, t} is flagged when h[j] + d(x, y) + h[l] < 0 for choices
+    # j = (s, x, ·) and l = (t, y, ·) of the skeleton, h[j] = half[s] + c(s,x)
+    attach = inst.skeleton
+    h = [half[t] + c(i) for t, _, i in attach]
+    least = [inf] * len(dist)  # per y, the least h of a choice at y
+    for (_, y, _), hj in zip(attach, h):
+        least[y] = min(least[y], hj)
+    # per x, the least h[l] + d(x, y) over all l: most j pass it unscanned
+    low = [min([a + b for a, b in zip(least, row)]) for row in dist]
+    hits = set()
+    for (s, x, _), hj in zip(attach, h):
+        if low[x] + hj < 0:
+            row = dist[x]
+            hits.update([(s, t) for (t, y, _), hl in zip(attach, h)
+                         if t > s and hj + row[y] + hl < 0])
 
-    def negative(s: int, t: int) -> list[VariantStructure]:
+    flagged = []
+    at = {v: k for k, v in enumerate(g2.vertices)}
+    for s, t in sorted(hits):
         st = half[s] + half[t]
-        row = rows[s]
-        if all(y not in row or row[y] + cy + st >= 0 for y, cy in attach[t]):
-            return []
-        dist = less.get(inst.find_edge(s, t), d)
-        return [
-            VariantStructure(s, t, ks, kt)
-            for (x, ks), (y, kt) in _pairs(inst, s, t)
-            if y in dist[x] and c(ks) + dist[x][y] + c(kt) + st < 0
-        ]
-
-    return negative
+        dt = less.get(inst.find_edge(s, t), d)
+        flagged += [VariantStructure(s, t, ks, kt) for (x, ks), (y, kt) in _pairs(inst, s, t)
+                    if dt[at[x]][at[y]] is not None and c(ks) + dt[at[x]][at[y]] + c(kt) + st < 0]
+    return flagged
 
 
 def _path_violations(inst: Instance, p: Allocation,
                      costs: TransferCosts) -> Iterator[Violation]:
-    """One violation per endpoint pair and variant with a negative cycle.
-
-    A negative cycle through the marker st edge yields a violated path by
-    deleting st; one avoiding the marker is a violated cycle, which cannot
-    occur once the cycle constraints hold. Where `_path_filter` applies
-    (G2 has no negative cycle), only the variants it flags are built and
-    searched, and each must yield a violation; elsewhere every variant of
-    every pair is.
-    """
-    negative = _path_filter(inst, costs)
-    for s in range(inst.n):
-        for t in range(s + 1, inst.n):
-            structs = variant_structures(inst, s, t) if negative is None else negative(s, t)
-            for struct in structs:
-                g = realize_variant(costs, struct)
-                cyc = negcycle.find_negative_cycle(g)
-                if cyc is not None:
-                    yield _cycle_violation(inst, p, g, cyc)
-                elif negative is not None:
-                    raise InvariantError("flagged variant holds no negative cycle")
+    """One violation per endpoint pair and variant with a negative cycle:
+    deleting the marker st edge from a cycle through it leaves a violated
+    path, and a cycle avoiding it (which the cycle stage rules out) is a
+    violated cycle. Only the variants `_path_filter` flags are searched,
+    and each must yield one, unless G2 has a negative cycle."""
+    flagged = _path_filter(inst, costs)
+    structs = flagged if flagged is not None else (
+        struct for s in range(inst.n) for t in range(s + 1, inst.n)
+        for struct in variant_structures(inst, s, t))
+    for struct in structs:
+        g = realize_variant(costs, struct)
+        cyc = negcycle.find_negative_cycle(g)
+        if cyc is not None:
+            yield _cycle_violation(inst, p, g, cyc)
+        elif flagged is not None:
+            raise InvariantError("flagged variant holds no negative cycle")
 
 
 def separate_paths(inst: Instance, p: Allocation, *,

@@ -49,6 +49,23 @@ def test_invariant_raises_under_dash_o():
     assert out.stdout == "raised: T-join parity broken\n"
 
 
+def test_costs_of_another_allocation_are_refused_under_dash_o():
+    out = run_optimized(
+        "from corematch.model import Allocation, parse_instance\n"
+        "from corematch.separation import integer_costs, separate_vertices_edges\n"
+        "assert False, 'asserts must be stripped here'\n"
+        "g = parse_instance('game 2 1\\nvertex 0 2\\nvertex 1 2\\nedge 0 1 10\\n')\n"
+        "p, q = Allocation((10, 0)), Allocation((-1, 11))\n"
+        "try:\n"
+        "    separate_vertices_edges(g, p, costs=integer_costs(g, q))\n"
+        "except ValueError as exc:\n"
+        "    print('raised:', exc)\n",
+        prelude="",
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "raised: costs were built for another game or allocation\n"
+
+
 def test_cli_exits_5_without_traceback(tmp_path):
     # the capacity-2 edge 2-3 gets a negative transfer cost, so the cycle
     # stage runs a T-join on T = {2, 3}

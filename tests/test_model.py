@@ -179,7 +179,7 @@ def test_returned_rationals_in_lowest_terms():
     # comes back has gcd(num, den) = 1 and a positive denominator
     import random
 
-    from corematch import matching, separation
+    from corematch import extform, matching, separation
     from corematch.negcycle import find_negative_cycle
 
     def audit(x: Fraction):
@@ -194,7 +194,7 @@ def test_returned_rationals_in_lowest_terms():
         )
         audit(matching.b_matching_value(inst))
         audit(matching.nu(inst, range(inst.n)))
-        g2 = separation.transfer_costs(inst, p).g2
+        g2 = extform.enumerate_family(inst, p).members[0]  # G2 at its exact costs
         for e in g2.edges:
             audit(e.cost)
         cyc = find_negative_cycle(g2)

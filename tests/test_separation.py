@@ -8,7 +8,7 @@ from itertools import chain
 
 import pytest
 
-from corematch import matching, model, negcycle, oracle, separation
+from corematch import extform, matching, model, negcycle, oracle, separation
 from corematch.model import Allocation, ViolationKind, parse_instance, random_instance
 from corematch.separation import (
     check_total_value,
@@ -16,8 +16,8 @@ from corematch.separation import (
     separate_all,
     separate_cycles,
     separate_paths,
+    integer_costs,
     separate_vertices_edges,
-    transfer_costs,
     variant_structures,
     verify_violation,
 )
@@ -63,17 +63,18 @@ def test_vertex_and_edge_checks(counterexample, counterexample_core_p):
 
 
 def test_build_g2_counterexample(counterexample, counterexample_core_p):
-    g2 = transfer_costs(counterexample, counterexample_core_p).g2
+    costs = integer_costs(counterexample, counterexample_core_p)
+    g2 = costs.g2
     assert g2.vertices == (2, 3)
     assert len(g2.edges) == 1
-    # transfer cost (2+10)/2 - 10 = -4 on the only capacity-2 edge
-    assert g2.edges[0].cost == -4
+    # transfer cost (2+10)/2 - 10 = -4 on the only capacity-2 edge, times D
+    assert g2.edges[0].cost == -4 * costs.scale
     assert g2.edges[0].orig == 2
 
 
 def test_build_g2_all_capacity_one():
     inst = parse_instance("game 2 1\nvertex 0 1\nvertex 1 1\nedge 0 1 5\n")
-    g2 = transfer_costs(inst, alloc(0, 0)).g2
+    g2 = integer_costs(inst, alloc(0, 0)).g2
     assert g2.vertices == () and g2.edges == ()
 
 
@@ -82,8 +83,8 @@ def test_build_g2_triangle_zero_allocation():
         "game 3 3\nvertex 0 2\nvertex 1 2\nvertex 2 2\n"
         "edge 0 1 1\nedge 1 2 1\nedge 0 2 1\n"
     )
-    g2 = transfer_costs(inst, alloc(0, 0, 0)).g2
-    assert all(e.cost == -1 for e in g2.edges)
+    costs = integer_costs(inst, alloc(0, 0, 0))
+    assert all(e.cost == -costs.scale for e in costs.g2.edges)
 
 
 def test_separate_cycles_square():
@@ -103,21 +104,21 @@ def test_variants_counterexample(counterexample, counterexample_core_p):
     # {s,t}: both capacity 1, one non-st edge each -> exactly one variant
     (struct,) = variant_structures(inst, 0, 1)
     assert struct.kept_s == 0 and struct.kept_t == 1
-    (g,) = variants(inst, transfer_costs(inst, p), 0, 1)
+    (g,) = variants(inst, integer_costs(inst, p), 0, 1)
     marker = g.edges[g.marker]
     assert {marker.u, marker.v} == {0, 1} and marker.orig is None
     assert marker.cost == 0  # (p_s + p_t)/2 with p_s = p_t = 0
     # {u,v}: both capacity 2 -> the single direct graph, no removals
     (struct_uv,) = variant_structures(inst, 2, 3)
     assert struct_uv.kept_s is None and struct_uv.kept_t is None
-    assert len(variants(inst, transfer_costs(inst, p), 2, 3)) == 1
+    assert len(variants(inst, integer_costs(inst, p), 2, 3)) == 1
 
 
 def test_variants_isolated_endpoint():
     inst = parse_instance(
         "game 3 1\nvertex 0 1\nvertex 1 1\nvertex 2 2\nedge 1 2 1\n"
     )
-    assert variants(inst, transfer_costs(inst, alloc(0, 0, 0)), 0, 1) == []
+    assert variants(inst, integer_costs(inst, alloc(0, 0, 0)), 0, 1) == []
 
 
 def test_variants_counts_both_capacity_one():
@@ -129,7 +130,7 @@ def test_variants_counts_both_capacity_one():
     structs = variant_structures(inst, 0, 1)
     assert len(structs) == 4  # d_s = d_t = 3 in the st-augmented graph
     assert {(v.kept_s, v.kept_t) for v in structs} == {(0, 2), (0, 3), (1, 2), (1, 3)}
-    assert len(variants(inst, transfer_costs(inst, alloc(0, 0, 0, 0)), 0, 1)) == 4
+    assert len(variants(inst, integer_costs(inst, alloc(0, 0, 0, 0)), 0, 1)) == 4
 
 
 def test_separate_paths_counterexample(counterexample, counterexample_core_p):
@@ -200,7 +201,6 @@ def test_cycle_transfer_identity():
     for _ in range(25):
         inst = random_instance(rng.randint(0, 10**6), rng.randint(3, 7), Fraction(3, 5), 6)
         p = random_allocation(rng, inst)
-        g2 = transfer_costs(inst, p).g2
         fam = oracle.enumerate_constraints(inst)
         for verts, eids in fam.cycles:
             transferred = sum(
@@ -260,13 +260,13 @@ def test_separation_agrees_with_bruteforce_small():
 
 def test_variants_rejects_equal_endpoints(counterexample, counterexample_core_p):
     with pytest.raises(ValueError):
-        variants(counterexample, transfer_costs(counterexample, counterexample_core_p), 1, 1)
+        variants(counterexample, integer_costs(counterexample, counterexample_core_p), 1, 1)
 
 
 @pytest.mark.parametrize("s, t", [(-1, 2), (2, -1), (5, 2), (2, 5), (-1, 5)])
 def test_variants_reject_endpoints_out_of_range(counterexample, counterexample_core_p, s, t):
     # n = 5: -1 used to wrap to vertex 4's capacity and 5 raised IndexError
-    costs = transfer_costs(counterexample, counterexample_core_p)
+    costs = integer_costs(counterexample, counterexample_core_p)
     with pytest.raises(ValueError, match="endpoints must lie in 0..4"):
         variant_structures(counterexample, s, t)
     with pytest.raises(ValueError, match="endpoints must lie in 0..4"):
@@ -286,9 +286,8 @@ PATH_P = alloc(8, 1, 3, 7, 4, 2)
 
 def test_path_stage_builds_only_the_flagged_variants(monkeypatch):
     inst, p = PATH_GAME, PATH_P
-    negative = separation._path_filter(inst, separation.integer_costs(inst, p))
+    flagged = separation._path_filter(inst, integer_costs(inst, p))
     pairs = [(s, t) for s in range(inst.n) for t in range(s + 1, inst.n)]
-    flagged = [st for s, t in pairs for st in negative(s, t)]
     assert [(st.s, st.t, st.kept_s, st.kept_t) for st in flagged] == [
         (0, 1, None, 4), (1, 2, 4, None), (1, 4, 4, None)]
     assert len(variant_structures(inst, 0, 1)) == 2
@@ -309,6 +308,34 @@ def test_path_stage_builds_only_the_flagged_variants(monkeypatch):
     found = separate_all(inst, p)
     assert built == flagged
     assert [v.kind for v in found] == [ViolationKind.PATH] * 3
+
+
+# the 4-cycle game, b = 2 and w = 10 everywhere
+SQUARE10 = parse_instance(
+    "game 4 4\nvertex 0 2\nvertex 1 2\nvertex 2 2\nvertex 3 2\n"
+    "edge 0 1 10\nedge 1 2 10\nedge 2 3 10\nedge 3 0 10\n"
+)
+
+
+@pytest.mark.parametrize("stage", [separate_vertices_edges, separate_cycles, separate_paths],
+                         ids=lambda f: f.__name__)
+def test_stages_refuse_costs_built_for_another_allocation_or_game(stage):
+    # a stage used to trust them: the vertex stage reported
+    # Violation(VERTEX, (0,), 10, 0), which verify_violation rejects, at
+    # p_in with the costs of neg, and nothing at neg with those of p_in;
+    # the costs of the game at w = 30 made the cycle stage raise
+    # InvariantError
+    p_in, neg = alloc(10, 10, 10, 10), alloc(-1, 21, -1, 21)
+    assert separate(SQUARE10, p_in).in_core
+    assert separate(SQUARE10, neg).violation.coalition == (0,)
+    heavy = parse_instance(model.emit_instance(SQUARE10).replace(" 10\n", " 30\n"))
+    for p, costs in ((p_in, integer_costs(SQUARE10, neg)), (neg, integer_costs(SQUARE10, p_in)),
+                     (p_in, integer_costs(heavy, p_in))):
+        with pytest.raises(ValueError, match="another game or allocation"):
+            stage(SQUARE10, p, costs=costs)
+    # the costs of an equal game and allocation are the same costs
+    twin = parse_instance(model.emit_instance(SQUARE10))
+    assert stage(SQUARE10, p_in, costs=integer_costs(twin, alloc(10, 10, 10, 10))) is None
 
 
 def test_separate_rejects_wrong_length(counterexample):
@@ -338,7 +365,7 @@ def test_verify_violation_rejects_wrong_length(counterexample, length):
 @pytest.mark.parametrize(
     "stage",
     [check_total_value, separate_vertices_edges, separate_cycles, separate_paths,
-     separation.integer_costs, transfer_costs],
+     integer_costs],
     ids=lambda f: f.__name__,
 )
 def test_stages_reject_wrong_length(counterexample, stage, length):
@@ -435,7 +462,7 @@ def test_cycle_and_path_stages_run_on_ints(monkeypatch):
     # rational p and w reach the T-joins and the G2 distances as integer
     # costs only, and the distances come back as ints
     seen = []
-    real_join, real_distances = negcycle.min_t_join, negcycle.join_distances
+    real_join, real_distances = negcycle.min_t_join, negcycle._join_rows
 
     def checked_join(g, T):
         seen.append(all(type(e.cost) is int for e in g.edges))
@@ -444,11 +471,11 @@ def test_cycle_and_path_stages_run_on_ints(monkeypatch):
     def checked_distances(g):
         d = real_distances(g)
         seen.append(all(type(e.cost) is int for e in g.edges)
-                    and (d is None or all(type(x) is int for r in d.values() for x in r.values())))
+                    and (d is None or all(type(x) is int for r in d for x in r if x is not None)))
         return d
 
     monkeypatch.setattr(negcycle, "min_t_join", checked_join)
-    monkeypatch.setattr(negcycle, "join_distances", checked_distances)
+    monkeypatch.setattr(negcycle, "_join_rows", checked_distances)
     rng = random.Random(12)
     for _ in range(40):
         inst = random_instance(rng.randint(0, 10**6), rng.randint(3, 7), Fraction(1, 2), 8)
@@ -465,7 +492,8 @@ def test_cycle_and_path_stages_run_on_ints(monkeypatch):
 
 
 def _oracle_costs(inst, p, scaled):
-    """(edge cost tuple, half tuple) the way transfer_costs/integer_costs did."""
+    """(edge cost tuple, half tuple): the exact transfer costs, or, when
+    `scaled`, the integer costs the way integer_costs built them."""
     if scaled:
         lcm = math.lcm(
             *(x.denominator for x in p.values), *(e.w.denominator for e in inst.edges)
@@ -557,7 +585,11 @@ def test_variant_family_matches_edge_scan_oracle():
         inst = _shuffled_instance(rng)
         p = random_allocation(rng, inst)
         scaled = case % 2 == 0
-        costs = (separation.integer_costs if scaled else transfer_costs)(inst, p)
+        # the exact costs are the integer ones divided by their scale, as
+        # the extended formulation reads them
+        costs = integer_costs(inst, p)
+        if not scaled:
+            costs = extform._exact(costs)
         edge_cost, half = _oracle_costs(inst, p, scaled)
         assert costs.g2 == _oracle_g2(inst, edge_cost)
         for s in range(inst.n):
@@ -595,7 +627,7 @@ def _oracle_vertex_edge_violations(inst, p):
 def _oracle_path_violations(inst, p):
     """((s, t, kept_s, kept_t), violation) per endpoint pair and variant with
     a negative cycle."""
-    costs = separation.integer_costs(inst, p)
+    costs = integer_costs(inst, p)
     for s in range(inst.n):
         for t in range(s + 1, inst.n):
             structs = variant_structures(inst, s, t)
@@ -642,6 +674,16 @@ def _repaired_case(rng):
     return inst, Allocation(tuple(p))
 
 
+def by_pair(flagged):
+    """The flagged variants per pair {s, t}; the list must run in scan
+    order, pair by pair."""
+    assert [(st.s, st.t) for st in flagged] == sorted((st.s, st.t) for st in flagged)
+    out = collections.defaultdict(list)
+    for st in flagged:
+        out[st.s, st.t].append(st)
+    return out
+
+
 def test_path_filter_matches_all_pairs_scan():
     rng = random.Random(2611)
     seen = collections.Counter()
@@ -661,16 +703,16 @@ def test_path_filter_matches_all_pairs_scan():
 
         # the filter flags exactly the variants that hold a violation, pair
         # by pair in scan order
-        flagged = separation._path_filter(inst, separation.integer_costs(inst, p))
+        flagged = separation._path_filter(inst, integer_costs(inst, p))
         if flagged is not None:
             negative = collections.defaultdict(list)
             for (s, t, ks, kt), _ in scan:
                 negative[s, t].append((ks, kt))
+            structs = by_pair(flagged)
             for s in range(inst.n):
                 for t in range(s + 1, inst.n):
-                    structs = flagged(s, t)
-                    assert [(st.kept_s, st.kept_t) for st in structs] == negative[s, t]
-                    assert all(st in variant_structures(inst, s, t) for st in structs)
+                    assert [(st.kept_s, st.kept_t) for st in structs[s, t]] == negative[s, t]
+                    assert all(st in variant_structures(inst, s, t) for st in structs[s, t])
         g2_edges = [inst.edges[i] for i in inst.e2]
         seen["negative G2 cycle"] += cycle is not None
         seen["violated G2 edge, no negative G2 cycle"] += cycle is None and any(
@@ -725,14 +767,15 @@ def test_path_filter_is_exact_past_a_violated_g2_edge(n):
     inst, p = _broken_g2_edge_case(random.Random(2100 + n), n)
     assert any(p[e.u] + p[e.v] < e.w for e in (inst.edges[i] for i in inst.e2))
     scan = list(_oracle_path_violations(inst, p))
-    flagged = separation._path_filter(inst, separation.integer_costs(inst, p))
+    flagged = separation._path_filter(inst, integer_costs(inst, p))
     assert flagged is not None and scan
     negative = collections.defaultdict(list)
     for (s, t, ks, kt), _ in scan:
         negative[s, t].append((ks, kt))
+    structs = by_pair(flagged)
     for s in range(inst.n):
         for t in range(s + 1, inst.n):
-            assert [(st.kept_s, st.kept_t) for st in flagged(s, t)] == negative[s, t]
+            assert [(st.kept_s, st.kept_t) for st in structs[s, t]] == negative[s, t]
     oracle_paths = [v for _, v in scan]
     assert separate_paths(inst, p) == oracle_paths[0]
     found = chain([check_total_value(inst, p)], _oracle_vertex_edge_violations(inst, p),

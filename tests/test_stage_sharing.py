@@ -8,14 +8,17 @@ once.
 """
 
 import collections
+import gc
 import hashlib
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from corematch import negcycle, separation
-from corematch.model import Allocation, ViolationKind, random_instance
+from corematch.model import (Allocation, ViolationKind, emit_instance, parse_instance,
+                             random_instance)
 from corematch.separation import (
     check_total_value,
     separate,
@@ -104,8 +107,8 @@ def test_separate_is_the_first_violation_of_the_stages():
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Per-name call counts of the costing, which builds G2, and the
-    distances."""
+    """Per-name call counts of the instance skeleton, the costing, which
+    builds G2, and the distances."""
     counts = collections.Counter()
 
     def counted(module, name):
@@ -117,9 +120,35 @@ def builds(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
+    counted(separation, "skeleton")
     counted(separation, "integer_costs")
-    counted(negcycle, "join_distances")
+    counted(negcycle, "_join_rows")
     return counts
+
+
+def test_skeleton_is_built_once_per_instance(builds):
+    game, allocations = planted(random.Random(31), 16)
+    text = emit_instance(game)
+    a, b = parse_instance(text), parse_instance(text)
+    assert a == b and a is not b
+    # a TotalValue verdict costs nothing
+    v = separate(a, Allocation((Fraction(0),) * a.n)).violation
+    assert v.kind is ViolationKind.TOTAL_VALUE and not builds
+    kinds = set()
+    for p in (allocations * 8)[:8]:
+        v = separate(a, p).violation
+        kinds.add(None if v is None else v.kind)
+    # the skeleton serves the path stage, which some of them reach
+    assert len(kinds) >= 2 and None in kinds and ViolationKind.TOTAL_VALUE not in kinds
+    assert builds["skeleton"] == 1 and builds["integer_costs"] == 8
+    # an equal game is another object, with a skeleton of its own
+    separate(b, allocations[0])
+    assert builds["skeleton"] == 2 and a.skeleton == b.skeleton and a.skeleton is not b.skeleton
+    # the cached skeleton does not keep its instance alive
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is None
 
 
 def test_separate_costs_builds_g2_and_measures_distances_once(builds):
@@ -136,14 +165,14 @@ def test_separate_costs_builds_g2_and_measures_distances_once(builds):
             assert builds["integer_costs"] == 1
         if kind in (ViolationKind.CYCLE, ViolationKind.VERTEX, ViolationKind.EDGE):
             # the cycle search runs before any distance is measured
-            assert builds["join_distances"] == 0
+            assert builds["_join_rows"] == 0
         if kind in (None, ViolationKind.PATH):
-            assert builds["join_distances"] == 1
+            assert builds["_join_rows"] == 1
         if separate_all_is_quick(inst, v, is_planted):
             builds.clear()
             separate_all(inst, p)
             # costed once, also where the total value fails
-            assert builds["integer_costs"] == 1 and builds["join_distances"] <= 1, builds
+            assert builds["integer_costs"] == 1 and builds["_join_rows"] <= 1, builds
             decided["separate_all", kind] += 1
     assert decided[ViolationKind.CYCLE] >= 3 and decided[ViolationKind.PATH] >= 3, decided
     assert decided["separate_all", ViolationKind.TOTAL_VALUE] >= 1, decided
