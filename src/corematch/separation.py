@@ -17,8 +17,8 @@ comparison, join, cycle and certificate is that of the exact costs, and
 `Fraction`s are built only for the violation reported. The rest is cached
 on the game (`Instance.skeleton`), so one game at many allocations, the
 cutting-plane use, costs an allocation one int vector P and one int
-edge-cost list (`integer_costs`), held with G2 in one `TransferCosts` that
-a stage refuses when built for another game or allocation.
+edge-cost list (`integer_costs`), held with G2 in one `TransferCosts`: the
+one input of the vertex/edge, cycle and path stages.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ def skeleton(inst: Instance) -> tuple[tuple[int, int, Optional[int]], ...]:
 class TransferCosts(NamedTuple):
     """The transfer costs of allocation `p` in game `inst` times D = `scale`:
     `half[v]` is P_v = p_v·D/2, `cost[i]` is P_u + P_v − w_i·D for edge i = uv,
-    an artificial st edge costs half[s] + half[t], and `g2` is G2 so costed."""
+    an artificial st edge costs half[s] + half[t], and `g2` is G2 so costed.
+    The vertex/edge, cycle and path stages read the game and p from here."""
 
     inst: Instance
     p: Allocation
@@ -85,24 +86,11 @@ def integer_costs(inst: Instance, p: Allocation) -> TransferCosts:
     return TransferCosts(inst, p, 2 * lcm, half, cost, CostedGraph._trusted(inst.n2, g2))
 
 
-def _costed(inst: Instance, p: Allocation,
-            costs: Optional[TransferCosts]) -> TransferCosts:
-    """`costs`, or `integer_costs(inst, p)` when None; ValueError unless p
-    has one entry per vertex and `costs` were built for inst and p."""
-    check_allocation_length(inst, p)
-    if costs is None:
-        return integer_costs(inst, p)
-    if not ((costs.inst is inst or costs.inst == inst) and (costs.p is p or costs.p == p)):
-        raise ValueError("costs were built for another game or allocation")
-    return costs
-
-
-def _vertex_edge_violations(inst: Instance, p: Allocation,
-                            costs: TransferCosts) -> Iterator[Violation]:
+def _vertex_edge_violations(costs: TransferCosts) -> Iterator[Violation]:
     """Violated vertex (p_i < 0), then edge (p_i + p_j < w_ij) constraints, in
     scan order, read off the integer costs: P_i < 0, and
     cost·D + P_i + P_j < 0."""
-    half = costs.half
+    inst, p, half = costs.inst, costs.p, costs.half
     for v, h in enumerate(half):
         if h < 0:
             yield Violation(ViolationKind.VERTEX, (v,), p[v], Fraction(0))
@@ -113,15 +101,13 @@ def _vertex_edge_violations(inst: Instance, p: Allocation,
             )
 
 
-def separate_vertices_edges(inst: Instance, p: Allocation, *,
-                            costs: Optional[TransferCosts] = None) -> Optional[Violation]:
+def separate_vertices_edges(costs: TransferCosts) -> Optional[Violation]:
     """First violated vertex (p_i < 0) or edge (p_i + p_j < w_ij) in scan
-    order. `costs` is `integer_costs(inst, p)`, built here when None."""
-    return next(_vertex_edge_violations(inst, p, _costed(inst, p, costs)), None)
+    order, for `costs = integer_costs(inst, p)`."""
+    return next(_vertex_edge_violations(costs), None)
 
 
-def _cycle_violation(inst: Instance, p: Allocation, g: CostedGraph,
-                     cyc: Cycle) -> Violation:
+def _cycle_violation(costs: TransferCosts, g: CostedGraph, cyc: Cycle) -> Violation:
     """Build a violation from a negative cycle of g: a Path violation when the
     cycle runs through g's marker edge (which is dropped), else a Cycle."""
     if g.marker not in cyc.edges:
@@ -142,22 +128,18 @@ def _cycle_violation(inst: Instance, p: Allocation, g: CostedGraph,
     if any(o is None for o in orig):
         raise InvariantError("certificate holds a synthetic edge")
     verts = coalition(cyc.vertices)
-    allocated = p.of(verts)
-    bound = sum((inst.edges[i].w for i in orig), Fraction(0))
+    allocated = costs.p.of(verts)
+    bound = sum((costs.inst.edges[i].w for i in orig), Fraction(0))
     if allocated >= bound:
         raise InvariantError("negative cycle gives no violated certificate")
     return Violation(kind, verts, allocated, bound, orig)
 
 
-def separate_cycles(inst: Instance, p: Allocation, *,
-                    costs: Optional[TransferCosts] = None) -> Optional[Violation]:
-    """None iff p(C) >= w(C) for every cycle through capacity-2 vertices.
-    `costs` is `integer_costs(inst, p)`, built here when None."""
-    g2 = _costed(inst, p, costs).g2
-    cyc = negcycle.find_negative_cycle(g2)
-    if cyc is None:
-        return None
-    return _cycle_violation(inst, p, g2, cyc)
+def separate_cycles(costs: TransferCosts) -> Optional[Violation]:
+    """None iff p(C) >= w(C) for every cycle through capacity-2 vertices,
+    for `costs = integer_costs(inst, p)`."""
+    cyc = negcycle.find_negative_cycle(costs.g2)
+    return None if cyc is None else _cycle_violation(costs, costs.g2, cyc)
 
 
 class VariantStructure(NamedTuple):
@@ -204,19 +186,25 @@ def realize_variant(costs: TransferCosts, struct: VariantStructure) -> CostedGra
     """A variant as a graph: G2's vertices plus s and t; G2's edges less st
     with the kept edges merged in by instance index (a kept edge has a
     capacity-1 end, so it is no G2 edge); last, as the marker, the st edge,
-    of weight 0 and so of cost half[s] + half[t]."""
-    s, t, g2 = struct.s, struct.t, costs.g2
+    of weight 0 and so of cost half[s] + half[t]. ValueError unless s < t
+    are vertex ids and each kept edge is one of its endpoint's `_ends`."""
+    inst, s, t, g2 = costs.inst, struct.s, struct.t, costs.g2
+    if not (_is_index(s, range(inst.n)) and _is_index(t, range(s + 1, inst.n))):
+        raise ValueError(f"endpoints must satisfy s < t in 0..{inst.n - 1}")
+    for v, far, i in ((s, t, struct.kept_s), (t, s, struct.kept_t)):
+        if not (i is None if inst.b[v] == 2 else _is_index(i, [j for _, j in _ends(inst, v, far)])):
+            raise ValueError(f"kept edge {i!r} is no choice at endpoint {v}")
     edges = _less_st(g2, s, t)
     for i in (struct.kept_s, struct.kept_t):
         if i is not None:
-            e = costs.inst.edges[i]
+            e = inst.edges[i]
             insort(edges, CostEdge(e.u, e.v, costs.cost[i], i), key=attrgetter("orig"))
     edges.append(CostEdge(s, t, costs.half[s] + costs.half[t]))
     vertices = tuple(sorted({*g2.vertices, s, t}))
     return CostedGraph(vertices, tuple(edges), marker=len(edges) - 1)
 
 
-def _path_filter(inst: Instance, costs: TransferCosts) -> Optional[list[VariantStructure]]:
+def _path_filter(costs: TransferCosts) -> Optional[list[VariantStructure]]:
     """The variants, over every pair s < t in scan order, that hold a
     violated path, or None where G2 has a negative cycle.
 
@@ -231,7 +219,7 @@ def _path_filter(inst: Instance, costs: TransferCosts) -> Optional[list[VariantS
     stage holds; only a pair whose bound is negative is tested variant by
     variant, and that test decides.
     """
-    half, cost, g2 = costs.half, costs.cost, costs.g2
+    inst, half, cost, g2 = costs.inst, costs.half, costs.cost, costs.g2
     d = negcycle._join_rows(g2)  # by position in g2.vertices
     if d is None:
         return None
@@ -273,14 +261,13 @@ def _path_filter(inst: Instance, costs: TransferCosts) -> Optional[list[VariantS
     return flagged
 
 
-def _path_violations(inst: Instance, p: Allocation,
-                     costs: TransferCosts) -> Iterator[Violation]:
+def _path_violations(costs: TransferCosts) -> Iterator[Violation]:
     """One violation per endpoint pair and variant with a negative cycle:
     deleting the marker st edge from a cycle through it leaves a violated
     path, and a cycle avoiding it (which the cycle stage rules out) is a
     violated cycle. Only the variants `_path_filter` flags are searched,
     and each must yield one, unless G2 has a negative cycle."""
-    flagged = _path_filter(inst, costs)
+    inst, flagged = costs.inst, _path_filter(costs)
     structs = flagged if flagged is not None else (
         struct for s in range(inst.n) for t in range(s + 1, inst.n)
         for struct in variant_structures(inst, s, t))
@@ -288,18 +275,17 @@ def _path_violations(inst: Instance, p: Allocation,
         g = realize_variant(costs, struct)
         cyc = negcycle.find_negative_cycle(g)
         if cyc is not None:
-            yield _cycle_violation(inst, p, g, cyc)
+            yield _cycle_violation(costs, g, cyc)
         elif flagged is not None:
             raise InvariantError("flagged variant holds no negative cycle")
 
 
-def separate_paths(inst: Instance, p: Allocation, *,
-                   costs: Optional[TransferCosts] = None) -> Optional[Violation]:
+def separate_paths(costs: TransferCosts) -> Optional[Violation]:
     """Search all endpoint pairs and variants for a violated path of length
-    >= 2; assumes vertex/edge and cycle constraints already hold, and reports
-    a marker-free negative cycle as a Cycle violation defensively.
-    `costs` is `integer_costs(inst, p)`, built here when None."""
-    return next(_path_violations(inst, p, _costed(inst, p, costs)), None)
+    >= 2, for `costs = integer_costs(inst, p)`; assumes vertex/edge and cycle
+    constraints already hold, and reports a marker-free negative cycle as a
+    Cycle violation defensively."""
+    return next(_path_violations(costs), None)
 
 
 def separate(inst: Instance, p: Allocation) -> SeparationVerdict:
@@ -309,7 +295,7 @@ def separate(inst: Instance, p: Allocation) -> SeparationVerdict:
     if violation is None:
         costs = integer_costs(inst, p)
         for stage in (separate_vertices_edges, separate_cycles, separate_paths):
-            violation = stage(inst, p, costs=costs)
+            violation = stage(costs)
             if violation is not None:
                 break
     return SeparationVerdict(violation)
@@ -321,13 +307,9 @@ def separate_all(inst: Instance, p: Allocation) -> list[Violation]:
     endpoint pair/variant (the variants the G2 distances flag, where that
     test applies); a violation found again (a marker-free cycle lies in many
     variants) is kept only where it first appeared."""
-    costs = _costed(inst, p, None)
-    found = chain(
-        [check_total_value(inst, p)],
-        _vertex_edge_violations(inst, p, costs),
-        [separate_cycles(inst, p, costs=costs)],
-        _path_violations(inst, p, costs),
-    )
+    costs = integer_costs(inst, p)
+    found = chain([check_total_value(inst, p)], _vertex_edge_violations(costs),
+                  [separate_cycles(costs)], _path_violations(costs))
     return list(dict.fromkeys(v for v in found if v is not None))
 
 

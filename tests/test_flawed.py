@@ -87,14 +87,15 @@ def test_flawed_agrees_when_layered_paths_are_simple():
     for _ in range(300):
         inst = random_instance(rng.randint(0, 10**6), rng.randint(2, 5), Fraction(1, 2), 8)
         p = normalized(random_allocation(rng, inst, lo=0), matching.b_matching_value(inst))
-        if separation.separate_vertices_edges(inst, p) is not None:
+        costs = separation.integer_costs(inst, p)
+        if separation.separate_vertices_edges(costs) is not None:
             continue
-        if separation.separate_cycles(inst, p) is not None:
+        if separation.separate_cycles(costs) is not None:
             continue
         if not _all_shortest_layered_simple(inst, p):
             continue
         flaw = flawed_separate_paths(inst, p)
-        corrected = separation.separate_paths(inst, p)
+        corrected = separation.separate_paths(costs)
         assert (flaw is None) == (corrected is None)
         compared += 1
     assert compared >= 20
@@ -108,12 +109,13 @@ def test_flawed_none_implies_corrected_none():
     for _ in range(150):
         inst = random_instance(rng.randint(0, 10**6), rng.randint(2, 6), Fraction(1, 2), 8)
         p = random_allocation(rng, inst, lo=0)
-        if separation.separate_cycles(inst, p) is not None:
+        costs = separation.integer_costs(inst, p)
+        if separation.separate_cycles(costs) is not None:
             continue
         if flawed_separate_paths(inst, p) is None:
             # p >= 0 by construction, so a clean scan also certifies the edges
-            assert separation.separate_vertices_edges(inst, p) is None
-            assert separation.separate_paths(inst, p) is None
+            assert separation.separate_vertices_edges(costs) is None
+            assert separation.separate_paths(costs) is None
             checked += 1
     assert checked >= 20
 

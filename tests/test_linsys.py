@@ -1061,6 +1061,32 @@ def test_store_extend_checks_the_columns_of_a_block():
     assert s.constraints[2] == Constraint("c", {"z": 2}, ">=", 1)
 
 
+@pytest.mark.parametrize("block, message", [
+    (([0], [1, 2], [1], ["<="], [0]), "do not match its ends"),
+    (([0], [1], [1], ["<=", "<="], [0]), "do not match its ends"),
+    (([0], [1], [1], ["<="], []), "do not match its ends"),
+    (([0, 1], [1, 1], [1], ["<="], [0]), "do not match its ends"),
+    (([0], [1], [-1, 1], ["<=", "<="], [0, 0]), "do not match its ends"),
+    (([0, 1], [1, 1], [2, 1], ["<=", "<="], [0, 0]), "do not match its ends"),
+    (([0], [1], [1], ["<>"], [0]), "bad relation '<>'"),
+], ids=["values", "relations", "rhs", "last-end", "negative-end", "end-goes-back", "relation"])
+def test_store_extend_refuses_a_block_of_another_shape(block, message):
+    # no builder hands over such a block, so no other test reached these
+    store, same = linsys._Store(), linsys._Store()
+    for s in (store, same):
+        s.extend([0, 1], [1, -1], [2], ["<="], [3])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        store.extend(*block)
+    assert store == same and len(store) == 1
+
+
+def test_block_run_checks_the_count_of_names_it_formats():
+    run = linsys._Run(2, lambda prefix: [f"{prefix}0"], "x")
+    with pytest.raises(InvariantError, match="formatted 1 names, not 2"):
+        list(run)
+    assert list(linsys._Run(1, lambda prefix: [f"{prefix}0"], "x")) == ["x0"]
+
+
 def test_store_rejects_duplicate_variables():
     with pytest.raises(ValueError, match="duplicate variables"):
         ConstraintSystem(variables=["x", "y", "x"])

@@ -258,6 +258,20 @@ def test_instance_rejects_counts_and_endpoints_that_are_not_ints(n, b, edges, me
         Instance(n, b, edges)
 
 
+@pytest.mark.parametrize("b", [(1,), (1, 2, 1)], ids=["short", "long"])
+def test_instance_rejects_a_capacity_vector_of_another_length(b):
+    # the game reader checks its vertex lines first, so no parsed game and
+    # no other test reached this
+    with pytest.raises(model.GraphError, match="capacity vector length != n"):
+        Instance(2, b, ())
+
+
+def test_coalition_rejects_no_members():
+    assert model.coalition((3, 1, 3)) == (1, 3)
+    with pytest.raises(ValueError, match="empty coalition"):
+        model.coalition(())
+
+
 @pytest.mark.parametrize("S, message", [
     ((2.0, 3), "coalition member is not an int: 2.0"),
     ((True, 2), "coalition member is not an int: True"),

@@ -2,6 +2,7 @@ import collections
 import gc
 import math
 import random
+import re
 import weakref
 from fractions import Fraction
 from itertools import chain
@@ -53,11 +54,11 @@ def test_total_value_edgeless():
 
 
 def test_vertex_and_edge_checks(counterexample, counterexample_core_p):
-    assert separate_vertices_edges(counterexample, counterexample_core_p) is None
-    v = separate_vertices_edges(counterexample, alloc(0, -1, 3, 10, 0))
+    assert separate_vertices_edges(integer_costs(counterexample, counterexample_core_p)) is None
+    v = separate_vertices_edges(integer_costs(counterexample, alloc(0, -1, 3, 10, 0)))
     assert v.kind is ViolationKind.VERTEX and v.coalition == (1,)
     inst = parse_instance("game 2 1\nvertex 0 1\nvertex 1 1\nedge 0 1 5\n")
-    v = separate_vertices_edges(inst, alloc(2, 2))
+    v = separate_vertices_edges(integer_costs(inst, alloc(2, 2)))
     assert v.kind is ViolationKind.EDGE
     assert (v.allocated, v.bound) == (4, 5) and v.witness_edges == (0,)
 
@@ -88,15 +89,15 @@ def test_build_g2_triangle_zero_allocation():
 
 
 def test_separate_cycles_square():
-    v = separate_cycles(SQUARE, alloc("1/2", "1/2", "1/2", "1/2"))
+    v = separate_cycles(integer_costs(SQUARE, alloc("1/2", "1/2", "1/2", "1/2")))
     assert v is not None and v.kind is ViolationKind.CYCLE
     assert v.coalition == (0, 1, 2, 3)
     assert (v.allocated, v.bound) == (2, 4)
-    assert separate_cycles(SQUARE, alloc(1, 1, 1, 1)) is None
+    assert separate_cycles(integer_costs(SQUARE, alloc(1, 1, 1, 1))) is None
 
 
 def test_separate_cycles_counterexample_has_no_cycle(counterexample, counterexample_core_p):
-    assert separate_cycles(counterexample, counterexample_core_p) is None
+    assert separate_cycles(integer_costs(counterexample, counterexample_core_p)) is None
 
 
 def test_variants_counterexample(counterexample, counterexample_core_p):
@@ -134,8 +135,8 @@ def test_variants_counts_both_capacity_one():
 
 
 def test_separate_paths_counterexample(counterexample, counterexample_core_p):
-    assert separate_paths(counterexample, counterexample_core_p) is None
-    v = separate_paths(counterexample, alloc(0, 0, 1, 11, 0))
+    assert separate_paths(integer_costs(counterexample, counterexample_core_p)) is None
+    v = separate_paths(integer_costs(counterexample, alloc(0, 0, 1, 11, 0)))
     assert v is not None and v.kind is ViolationKind.PATH
     assert v.coalition == (0, 1, 2)
     assert (v.allocated, v.bound) == (1, 2)
@@ -143,7 +144,7 @@ def test_separate_paths_counterexample(counterexample, counterexample_core_p):
 
 
 def test_separate_paths_huge_allocation(counterexample):
-    assert separate_paths(counterexample, alloc(100, 100, 100, 100, 100)) is None
+    assert separate_paths(integer_costs(counterexample, alloc(100, 100, 100, 100, 100))) is None
 
 
 def test_separate_counterexample_in_core(counterexample, counterexample_core_p):
@@ -215,7 +216,7 @@ def test_path_recovery_identity(counterexample):
     # weight sum and the transferred allocation sum
     inst = counterexample
     p = alloc(0, 0, 1, 11, 0)
-    v = separate_paths(inst, p)
+    v = separate_paths(integer_costs(inst, p))
     path_w = sum((inst.edges[i].w for i in v.witness_edges), Fraction(0))
     assert path_w == v.bound
     prime = sum(
@@ -286,7 +287,7 @@ PATH_P = alloc(8, 1, 3, 7, 4, 2)
 
 def test_path_stage_builds_only_the_flagged_variants(monkeypatch):
     inst, p = PATH_GAME, PATH_P
-    flagged = separation._path_filter(inst, integer_costs(inst, p))
+    flagged = separation._path_filter(integer_costs(inst, p))
     pairs = [(s, t) for s in range(inst.n) for t in range(s + 1, inst.n)]
     assert [(st.s, st.t, st.kept_s, st.kept_t) for st in flagged] == [
         (0, 1, None, 4), (1, 2, 4, None), (1, 4, 4, None)]
@@ -308,34 +309,6 @@ def test_path_stage_builds_only_the_flagged_variants(monkeypatch):
     found = separate_all(inst, p)
     assert built == flagged
     assert [v.kind for v in found] == [ViolationKind.PATH] * 3
-
-
-# the 4-cycle game, b = 2 and w = 10 everywhere
-SQUARE10 = parse_instance(
-    "game 4 4\nvertex 0 2\nvertex 1 2\nvertex 2 2\nvertex 3 2\n"
-    "edge 0 1 10\nedge 1 2 10\nedge 2 3 10\nedge 3 0 10\n"
-)
-
-
-@pytest.mark.parametrize("stage", [separate_vertices_edges, separate_cycles, separate_paths],
-                         ids=lambda f: f.__name__)
-def test_stages_refuse_costs_built_for_another_allocation_or_game(stage):
-    # a stage used to trust them: the vertex stage reported
-    # Violation(VERTEX, (0,), 10, 0), which verify_violation rejects, at
-    # p_in with the costs of neg, and nothing at neg with those of p_in;
-    # the costs of the game at w = 30 made the cycle stage raise
-    # InvariantError
-    p_in, neg = alloc(10, 10, 10, 10), alloc(-1, 21, -1, 21)
-    assert separate(SQUARE10, p_in).in_core
-    assert separate(SQUARE10, neg).violation.coalition == (0,)
-    heavy = parse_instance(model.emit_instance(SQUARE10).replace(" 10\n", " 30\n"))
-    for p, costs in ((p_in, integer_costs(SQUARE10, neg)), (neg, integer_costs(SQUARE10, p_in)),
-                     (p_in, integer_costs(heavy, p_in))):
-        with pytest.raises(ValueError, match="another game or allocation"):
-            stage(SQUARE10, p, costs=costs)
-    # the costs of an equal game and allocation are the same costs
-    twin = parse_instance(model.emit_instance(SQUARE10))
-    assert stage(SQUARE10, p_in, costs=integer_costs(twin, alloc(10, 10, 10, 10))) is None
 
 
 def test_separate_rejects_wrong_length(counterexample):
@@ -362,16 +335,12 @@ def test_verify_violation_rejects_wrong_length(counterexample, length):
 
 
 @pytest.mark.parametrize("length", [3, 7])
-@pytest.mark.parametrize(
-    "stage",
-    [check_total_value, separate_vertices_edges, separate_cycles, separate_paths,
-     integer_costs],
-    ids=lambda f: f.__name__,
-)
+@pytest.mark.parametrize("stage", [check_total_value, integer_costs], ids=lambda f: f.__name__)
 def test_stages_reject_wrong_length(counterexample, stage, length):
     # a short all-ones allocation used to give p(N) = 3 or IndexError, and a
-    # long one p(N) = 7, an Edge or a Path certificate; the cost builders
-    # raised IndexError on a short one and costed seven halves on a long one
+    # long one p(N) = 7; the cost builders raised IndexError on a short one
+    # and costed seven halves on a long one, from which the later stages
+    # read an Edge or a Path certificate
     with pytest.raises(ValueError, match="length"):
         stage(counterexample, alloc(*[1] * length))
 
@@ -385,8 +354,8 @@ def test_separate_paths_defensive_cycle_branch():
         "edge 2 3 1\nedge 3 4 1\nedge 2 4 1\n"
     )
     p = alloc(0, 0, 0, 0, 0)
-    assert separate_cycles(inst, p) is not None  # precondition really broken
-    v = separate_paths(inst, p)
+    assert separate_cycles(integer_costs(inst, p)) is not None  # precondition really broken
+    v = separate_paths(integer_costs(inst, p))
     assert v is not None and v.kind is ViolationKind.CYCLE
     assert v.coalition == (2, 3, 4)
     assert verify_violation(inst, p, v)
@@ -480,8 +449,9 @@ def test_cycle_and_path_stages_run_on_ints(monkeypatch):
     for _ in range(40):
         inst = random_instance(rng.randint(0, 10**6), rng.randint(3, 7), Fraction(1, 2), 8)
         p = normalized(random_allocation(rng, inst, lo=0), matching.b_matching_value(inst))
-        separate_cycles(inst, p)
-        separate_paths(inst, p)
+        costs = integer_costs(inst, p)
+        separate_cycles(costs)
+        separate_paths(costs)
     assert len(seen) > 100 and all(seen)
 
 
@@ -635,7 +605,7 @@ def _oracle_path_violations(inst, p):
                 cyc = negcycle.find_negative_cycle(g)
                 if cyc is not None:
                     yield ((s, t, struct.kept_s, struct.kept_t),
-                           separation._cycle_violation(inst, p, g, cyc))
+                           separation._cycle_violation(costs, g, cyc))
 
 
 def _repaired_case(rng):
@@ -663,7 +633,7 @@ def _repaired_case(rng):
         if gap > 0:
             p[rng.choice((e.u, e.v))] += gap
     for _ in range(n):
-        v = separate_cycles(game, Allocation(tuple(p)))
+        v = separate_cycles(integer_costs(game, Allocation(tuple(p))))
         if v is None:
             break
         p[rng.choice(v.coalition)] += v.bound - v.allocated
@@ -691,10 +661,11 @@ def test_path_filter_matches_all_pairs_scan():
         inst, p = _repaired_case(rng)
         scan = list(_oracle_path_violations(inst, p))
         oracle_paths = [v for _, v in scan]
-        assert separate_paths(inst, p) == (oracle_paths or [None])[0]
+        costs = integer_costs(inst, p)
+        assert separate_paths(costs) == (oracle_paths or [None])[0]
 
-        cycle = separate_cycles(inst, p)
-        stages = [check_total_value(inst, p), separate_vertices_edges(inst, p), cycle]
+        cycle = separate_cycles(costs)
+        stages = [check_total_value(inst, p), separate_vertices_edges(costs), cycle]
         first = next((v for v in stages + oracle_paths if v is not None), None)
         assert separate(inst, p).violation == first
         found = chain([stages[0]], _oracle_vertex_edge_violations(inst, p), [cycle],
@@ -703,7 +674,7 @@ def test_path_filter_matches_all_pairs_scan():
 
         # the filter flags exactly the variants that hold a violation, pair
         # by pair in scan order
-        flagged = separation._path_filter(inst, integer_costs(inst, p))
+        flagged = separation._path_filter(costs)
         if flagged is not None:
             negative = collections.defaultdict(list)
             for (s, t, ks, kt), _ in scan:
@@ -745,7 +716,7 @@ def _broken_g2_edge_case(rng, n):
             if gap > 0:
                 p[rng.choice((e.u, e.v))] += gap
         for _ in range(n):
-            v = separate_cycles(inst, Allocation(tuple(p)))
+            v = separate_cycles(integer_costs(inst, Allocation(tuple(p))))
             if v is None:
                 break
             p[rng.choice(v.coalition)] += v.bound - v.allocated
@@ -756,7 +727,7 @@ def _broken_g2_edge_case(rng, n):
             q = list(p)
             u = rng.choice((e.u, e.v))
             q[u] = e.w - q[e.other(u)] - Fraction(1, 3)
-            if separate_cycles(inst, Allocation(tuple(q))) is None:
+            if separate_cycles(integer_costs(inst, Allocation(tuple(q)))) is None:
                 return inst, Allocation(tuple(q))
 
 
@@ -767,7 +738,7 @@ def test_path_filter_is_exact_past_a_violated_g2_edge(n):
     inst, p = _broken_g2_edge_case(random.Random(2100 + n), n)
     assert any(p[e.u] + p[e.v] < e.w for e in (inst.edges[i] for i in inst.e2))
     scan = list(_oracle_path_violations(inst, p))
-    flagged = separation._path_filter(inst, integer_costs(inst, p))
+    flagged = separation._path_filter(integer_costs(inst, p))
     assert flagged is not None and scan
     negative = collections.defaultdict(list)
     for (s, t, ks, kt), _ in scan:
@@ -777,7 +748,7 @@ def test_path_filter_is_exact_past_a_violated_g2_edge(n):
         for t in range(s + 1, inst.n):
             assert [(st.kept_s, st.kept_t) for st in structs[s, t]] == negative[s, t]
     oracle_paths = [v for _, v in scan]
-    assert separate_paths(inst, p) == oracle_paths[0]
+    assert separate_paths(integer_costs(inst, p)) == oracle_paths[0]
     found = chain([check_total_value(inst, p)], _oracle_vertex_edge_violations(inst, p),
                   oracle_paths)
     assert separate_all(inst, p) == list(dict.fromkeys(v for v in found if v is not None))
@@ -854,6 +825,65 @@ def test_verify_violation_rejects_a_coalition_out_of_range(kind, coalition, allo
         ViolationKind.VERTEX, (2,), Fraction(-1), Fraction(0)))
     assert not verify_violation(inst, p, model.Violation(
         kind, coalition, Fraction(allocated), Fraction(bound), witness))
+
+
+# a triangle 0-1-2 with two pendant edges at 2, b = 2 and w = 1 everywhere:
+# at p = 0 edge 0-1, the path 1-2-3 and the triangle are genuine certificates
+KITE = parse_instance(
+    "game 5 5\nvertex 0 2\nvertex 1 2\nvertex 2 2\nvertex 3 2\nvertex 4 2\n"
+    "edge 0 1 1\nedge 1 2 1\nedge 0 2 1\nedge 2 3 1\nedge 2 4 1\n"
+)
+
+
+@pytest.mark.parametrize("kind, coalition, allocated, bound, witness", [
+    (ViolationKind.EDGE, (0, 1), -1, 1, (0,)),
+    (ViolationKind.EDGE, (0, 1), 0, 0, (0,)),
+    (ViolationKind.EDGE, (0, 1), 0, 2, (0,)),
+    (ViolationKind.EDGE, (0, 2), 0, 1, (0,)),
+    (ViolationKind.CYCLE, (0, 1, 2, 3), 0, 3, (0, 1, 3)),
+    (ViolationKind.PATH, (1, 2, 3, 4), 0, 3, (1, 3, 4)),
+    (ViolationKind.PATH, (0, 1, 2, 3, 4), 0, 5, (0, 1, 2, 3, 4)),
+    ("edge", (0, 1), 0, 1, (0,)),
+], ids=["allocated-not-p(S)", "not-violated", "bound-not-w", "witness-not-S",
+        "cycle-degree-1", "path-third-end", "path-branching", "kind-not-a-kind"])
+def test_verify_violation_rejects_tampered_certificates(kind, coalition, allocated, bound,
+                                                        witness):
+    # a genuine certificate below with one field changed, or a witness that
+    # is no cycle or path; no test reached these rejections
+    p = alloc(0, 0, 0, 0, 0)
+    for real in [(ViolationKind.EDGE, (0, 1), 1, (0,)), (ViolationKind.PATH, (1, 2, 3), 2, (1, 3)),
+                 (ViolationKind.CYCLE, (0, 1, 2), 3, (0, 1, 2))]:
+        k, S, w, eids = real
+        assert verify_violation(KITE, p, model.Violation(k, S, Fraction(0), Fraction(w), eids))
+    assert not verify_violation(KITE, p, model.Violation(
+        kind, coalition, Fraction(allocated), Fraction(bound), witness))
+
+
+@pytest.mark.parametrize("struct, message", [
+    ((0, 1, 99, None), "kept edge 99 is no choice at endpoint 0"),
+    ((0, 9, 0, None), "endpoints must satisfy s < t in 0..4"),
+    ((0, 1, -1, 1), "kept edge -1 is no choice at endpoint 0"),
+    ((0, 1, True, 1), "kept edge True is no choice at endpoint 0"),
+    ((1, 0, 1, 0), "endpoints must satisfy s < t in 0..4"),
+    ((-1, 1, 0, 1), "endpoints must satisfy s < t in 0..4"),
+    ((0, 1, 1, 0), "kept edge 1 is no choice at endpoint 0"),
+    ((0, 1, 0, None), "kept edge None is no choice at endpoint 1"),
+    ((0, 3, 0, 2), "kept edge 2 is no choice at endpoint 3"),
+    ((3, 4, None, 3), "kept edge 3 is no choice at endpoint 4"),
+    ((0.0, 1, 0, 1), "endpoints must satisfy s < t in 0..4"),
+], ids=["kept-out-of-range", "t-out-of-range", "kept-negative", "kept-bool", "s-after-t",
+        "s-negative", "kept-swapped", "none-at-capacity-1", "kept-at-capacity-2",
+        "kept-to-far-endpoint", "float-endpoint"])
+def test_realize_variant_follows_the_index_rule(counterexample, struct, message):
+    # 99 and t = 9 raised a bare IndexError; -1 and True read edges 3 and 1
+    # and failed as GraphErrors that name no index; s > t built a graph
+    costs = integer_costs(counterexample, alloc(0, 0, 2, 10, 0))
+    for s in range(5):
+        for t in range(s + 1, 5):
+            for ok in variant_structures(counterexample, s, t):
+                separation.realize_variant(costs, ok)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        separation.realize_variant(costs, separation.VariantStructure(*struct))
 
 
 @pytest.mark.parametrize("p, kind, coalition, allocated, bound, witness", [

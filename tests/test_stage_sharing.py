@@ -21,6 +21,7 @@ from corematch.model import (Allocation, ViolationKind, emit_instance, parse_ins
                              random_instance)
 from corematch.separation import (
     check_total_value,
+    integer_costs,
     separate,
     separate_all,
     separate_cycles,
@@ -31,7 +32,7 @@ from corematch.separation import (
 from conftest import normalized, random_allocation
 from test_metamorphic import planted
 
-STAGES = (check_total_value, separate_vertices_edges, separate_cycles, separate_paths)
+STAGES = (separate_vertices_edges, separate_cycles, separate_paths)
 
 
 def separate_all_is_quick(inst, v, is_planted):
@@ -43,12 +44,13 @@ def separate_all_is_quick(inst, v, is_planted):
 
 
 def first_of_stages(inst, p):
-    """The first non-None violation of the four stages called one by one."""
+    """The first non-None violation of the four stages called one by one,
+    each stage past the total value on costs of its own."""
+    violation = check_total_value(inst, p)
     for stage in STAGES:
-        violation = stage(inst, p)
-        if violation is not None:
-            return violation
-    return None
+        if violation is None:
+            violation = stage(integer_costs(inst, p))
+    return violation
 
 
 def repaired(rng, inst):
@@ -60,7 +62,7 @@ def repaired(rng, inst):
         if gap > 0:
             p[rng.choice((e.u, e.v))] += gap
     for _ in range(inst.n):
-        v = separate_cycles(inst, Allocation(tuple(p)))
+        v = separate_cycles(integer_costs(inst, Allocation(tuple(p))))
         if v is None:
             break
         p[rng.choice(v.coalition)] += v.bound - v.allocated
