@@ -233,9 +233,29 @@ def min_zero_join(g: CostedGraph) -> tuple[frozenset[int], Cost]:
     return J, cost
 
 
-def _join_rows(g: CostedGraph) -> Optional[list[list[Optional[Cost]]]]:
-    """`join_distances` by vertex position: row a holds d(a, b) at b's
-    position, None where b lies in another component."""
+def join_distances(g: CostedGraph) -> Optional[list[list[Optional[Cost]]]]:
+    """Shortest-path distances between the vertices of g by position in
+    g.vertices, row a holding d(a, b) at b's position and None where b lies
+    in another component, or None when g has a negative cycle.
+
+    Every edge set with odd degree exactly at {a, b} is E- Δ J for a T'-join
+    J, T' = T0 Δ {a, b} with T0 = odd(E-), and costs c(E-) + |c|(J); so
+    d(a, b) = c(E-) + τ(T0 Δ {a, b}), τ(X) being a minimum perfect matching
+    on X under the |c|-distances D. Without a negative cycle that minimum
+    {a, b}-join costs the shortest a-b path length (Schrijver, Combinatorial
+    Optimization, ch. 29; Sebő 1990), and d(a, a) = 0. A perfect matching
+    of T0 Δ {a, b} pairs a and b off inside T0, so τ is needed only on T0
+    and on its two-vertex deletions τ(T0 − {x, y}):
+
+    - a, b in T0: τ(T0 − {a, b});
+    - a in T0, b not: the least D(b, x) + τ(T0 − {a, x}) over x in T0 − {a};
+    - a, b not in T0: the least of D(a, b) + τ(T0) and of
+      D(a, x) + D(b, y) + τ(T0 − {x, y}) over x ≠ y in T0.
+
+    D comes from one Floyd–Warshall pass; τ(T0) is the least D(x0, x) +
+    τ(T0 − {x0, x}) for the smallest x0, and a deletion needs a perfect
+    matching only when it holds more than two vertices, so never when |T0| <= 4.
+    """
     at = {v: k for k, v in enumerate(g.vertices)}
     negative = [i for i, e in enumerate(g.edges) if e.cost < 0]
     T0 = sorted(at[v] for v in _odd_vertices(g, negative))
@@ -295,35 +315,6 @@ def _join_rows(g: CostedGraph) -> Optional[list[list[Optional[Cost]]]]:
             if row[b] is not None:
                 d[a][b] = d[b][a] = base + distance(a, b)
     return d
-
-
-def join_distances(g: CostedGraph) -> Optional[dict[int, dict[int, Cost]]]:
-    """Shortest-path distances d[a][b] between the vertices of g, or None
-    when g has a negative cycle.
-
-    Every edge set with odd degree exactly at {a, b} is E- Δ J for a T'-join
-    J, T' = T0 Δ {a, b} with T0 = odd(E-), and costs c(E-) + |c|(J); so
-    d(a, b) = c(E-) + τ(T0 Δ {a, b}), τ(X) being a minimum perfect matching
-    on X under the |c|-distances D. Without a negative cycle that minimum
-    {a, b}-join costs the shortest a-b path length (Schrijver, Combinatorial
-    Optimization, ch. 29; Sebő 1990), and d[a][a] = 0. A perfect matching
-    of T0 Δ {a, b} pairs a and b off inside T0, so τ is needed only on T0
-    and on its two-vertex deletions τ(T0 − {x, y}):
-
-    - a, b in T0: τ(T0 − {a, b});
-    - a in T0, b not: the least D(b, x) + τ(T0 − {a, x}) over x in T0 − {a};
-    - a, b not in T0: the least of D(a, b) + τ(T0) and of
-      D(a, x) + D(b, y) + τ(T0 − {x, y}) over x ≠ y in T0.
-
-    D comes from one Floyd–Warshall pass (`_join_rows`, which gives the
-    distances by vertex position); τ(T0) is the least
-    D(x0, x) + τ(T0 − {x0, x}) for the smallest x0, and a deletion needs a
-    perfect matching only when it holds more than two vertices, so never
-    when |T0| <= 4. d[a] lacks b when a and b lie in different components.
-    """
-    rows, vs = _join_rows(g), g.vertices
-    return None if rows is None else {
-        a: {a: 0, **{b: x for b, x in zip(vs, row) if x is not None}} for a, row in zip(vs, rows)}
 
 
 def decompose_even_subgraph(g: CostedGraph, J) -> list[Cycle]:

@@ -7,7 +7,10 @@ constraints (negative-cycle detection on endpoint-variant graphs through an
 artificial st edge). The first violated constraint is returned as an exact,
 re-verifiable certificate. Past the cycle stage, G2's distances flag the
 variants that hold a violated path (`_path_filter`), and only those are
-built and searched, in the scan order of the full search.
+built and searched, in the scan order of the full search. A pair joined by
+a G2 edge st is never flagged: a path P from s to t closes the G2 cycle
+P + st, so P plus the st marker, of cost c(st) + W_st, costs at least
+c(P) + c(st) >= 0.
 
 The stages work on integer costs. With D = 2·lcm of all denominators of p
 and w, P_v = p_v·D/2 and W_e = w_e·D, an instance edge uv costs
@@ -33,7 +36,7 @@ from typing import Iterator, NamedTuple, Optional
 from . import matching, negcycle
 from .model import (Allocation, Instance, InvariantError, Violation, ViolationKind, _is_index,
                     check_allocation_length, coalition)
-from .negcycle import Cost, CostEdge, CostedGraph, Cycle
+from .negcycle import CostEdge, CostedGraph, Cycle
 
 
 class SeparationVerdict(NamedTuple):
@@ -161,11 +164,6 @@ def _ends(inst: Instance, v: int, far: Optional[int]) -> list[tuple[int, Optiona
     return [(x, i) for x, i in inst.nbrs2[v] if x != far]
 
 
-def _pairs(inst: Instance, s: int, t: int):
-    """The variants of pair s < t as ((x, kept_s), (y, kept_t)), in scan order."""
-    return ((a, b) for a in _ends(inst, s, t) for b in _ends(inst, t, s))
-
-
 def variant_structures(inst: Instance, s: int, t: int) -> list[VariantStructure]:
     """The variants of the unordered endpoint pair {s, t}, in scan order."""
     if s == t:
@@ -173,13 +171,8 @@ def variant_structures(inst: Instance, s: int, t: int) -> list[VariantStructure]
     if not (_is_index(s, range(inst.n)) and _is_index(t, range(inst.n))):
         raise ValueError(f"endpoints must lie in 0..{inst.n - 1}")
     s, t = min(s, t), max(s, t)
-    return [VariantStructure(s, t, ks, kt) for (_, ks), (_, kt) in _pairs(inst, s, t)]
-
-
-def _less_st(g2: CostedGraph, s: int, t: int) -> list[CostEdge]:
-    """G2's edges, in order, less st."""
-    st = {s, t}
-    return [e for e in g2.edges if e.u not in st or e.v not in st]
+    return [VariantStructure(s, t, ks, kt)
+            for _, ks in _ends(inst, s, t) for _, kt in _ends(inst, t, s)]
 
 
 def realize_variant(costs: TransferCosts, struct: VariantStructure) -> CostedGraph:
@@ -194,7 +187,7 @@ def realize_variant(costs: TransferCosts, struct: VariantStructure) -> CostedGra
     for v, far, i in ((s, t, struct.kept_s), (t, s, struct.kept_t)):
         if not (i is None if inst.b[v] == 2 else _is_index(i, [j for _, j in _ends(inst, v, far)])):
             raise ValueError(f"kept edge {i!r} is no choice at endpoint {v}")
-    edges = _less_st(g2, s, t)
+    edges = [e for e in g2.edges if e.u not in (s, t) or e.v not in (s, t)]
     for i in (struct.kept_s, struct.kept_t):
         if i is not None:
             e = inst.edges[i]
@@ -210,54 +203,44 @@ def _path_filter(costs: TransferCosts) -> Optional[list[VariantStructure]]:
 
     Without one, every negative cycle of a variant runs through its marker
     and a minimum {a, b}-join in G2 costs the shortest a-b distance d(a, b),
-    so variant ((x, kept_s), (y, kept_t)) of `_pairs` holds a violated path
-    iff c(s,x) + d(x,y) + c(y,t) + half[s] + half[t] < 0, with c(v,v) = 0;
-    where a G2 edge st is violated, d(s, t) may run through it, so that pair
-    reads d from G2 less st. A pair is first tested, with all pairs at once,
-    against the least of those sums over A(s) and A(t), which also counts
-    the combination through st, D·(p_s + p_t − w_st) >= 0 where the edge
-    stage holds; only a pair whose bound is negative is tested variant by
-    variant, and that test decides.
+    so a variant reaching G2 at x and y holds a violated path iff
+    c(s,x) + d(x,y) + c(y,t) + half[s] + half[t] < 0, with c(v,v) = 0.
+    Where st is a G2 edge, d may use st, which the variant drops; but such
+    a pair holds no violated path, and is skipped. Its one variant is G2
+    less st plus the marker, of cost half[s] + half[t]; a path P from s to
+    t in it closes the G2 cycle P + st, so c(P) + half[s] + half[t] >=
+    c(P) + c(st) >= 0, as c(st) = half[s] + half[t] − W_st and W_st >= 0,
+    violated st or not. A choice x is tested variant by variant only where
+    its least sum over every y, found for all x at once, is negative.
     """
-    inst, half, cost, g2 = costs.inst, costs.half, costs.cost, costs.g2
-    d = negcycle._join_rows(g2)  # by position in g2.vertices
+    inst, half, cost = costs.inst, costs.half, costs.cost
+    d = negcycle.join_distances(costs.g2)  # by position in G2's vertices
     if d is None:
         return None
-    # the distances of G2 less each violated G2 edge, keyed by its index
-    less = {e.orig: negcycle._join_rows(CostedGraph(g2.vertices, tuple(_less_st(g2, e.u, e.v))))
-            for e in g2.edges if e.cost + half[e.u] + half[e.v] < 0}
-
-    def c(kept: Optional[int]) -> Cost:
-        return 0 if kept is None else cost[kept]
-
     # each h below (a half plus a cost) and each distance (a path's cost) is
     # at most M = Σ|cost| + Σ|half| in size, so a sum with inf = 6M + 1 for a
     # missing distance exceeds every sum without one, and 0
     inf = 6 * (sum(map(abs, cost)) + sum(map(abs, half))) + 1
     dist = [[inf if x is None else x for x in row] for row in d]
-    # pair {s, t} is flagged when h[j] + d(x, y) + h[l] < 0 for choices
-    # j = (s, x, ·) and l = (t, y, ·) of the skeleton, h[j] = half[s] + c(s,x)
+    # variant (s, t, kept_s, kept_t) is flagged when h[j] + d(x, y) + h[l] < 0 for
+    # skeleton choices j = (s, x, kept_s) and l = (t, y, kept_t), h[j] = half[s] + c(s,x)
     attach = inst.skeleton
-    h = [half[t] + c(i) for t, _, i in attach]
+    h = [half[t] + (0 if i is None else cost[i]) for t, _, i in attach]
     least = [inf] * len(dist)  # per y, the least h of a choice at y
     for (_, y, _), hj in zip(attach, h):
         least[y] = min(least[y], hj)
     # per x, the least h[l] + d(x, y) over all l: most j pass it unscanned
     low = [min([a + b for a, b in zip(least, row)]) for row in dist]
-    hits = set()
-    for (s, x, _), hj in zip(attach, h):
+    flagged = []
+    for (s, x, ks), hj in zip(attach, h):
         if low[x] + hj < 0:
             row = dist[x]
-            hits.update([(s, t) for (t, y, _), hl in zip(attach, h)
-                         if t > s and hj + row[y] + hl < 0])
-
-    flagged = []
-    at = {v: k for k, v in enumerate(g2.vertices)}
-    for s, t in sorted(hits):
-        st = half[s] + half[t]
-        dt = less.get(inst.find_edge(s, t), d)
-        flagged += [VariantStructure(s, t, ks, kt) for (x, ks), (y, kt) in _pairs(inst, s, t)
-                    if dt[at[x]][at[y]] is not None and c(ks) + dt[at[x]][at[y]] + c(kt) + st < 0]
+            # an edge i = st is no kept edge (`_ends` leaves out the far endpoint),
+            # and with ks == kt == None it is a G2 edge, whose pair is skipped
+            flagged += [VariantStructure(s, t, ks, kt) for (t, y, kt), hl in zip(attach, h)
+                        if t > s and hj + row[y] + hl < 0 and (
+                            (i := inst.find_edge(s, t)) is None or i not in (ks, kt) and ks != kt)]
+    flagged.sort(key=attrgetter("s", "t"))  # stable: a pair's variants keep scan order
     return flagged
 
 

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import math
 import random
@@ -142,6 +143,36 @@ def test_t_join_parity_property(seed):
         parity[g.edges[i].u] ^= 1
         parity[g.edges[i].v] ^= 1
     assert {v for v, x in parity.items() if x} == set(T)
+
+
+def tie_corpus():
+    """800 seeded graphs on n = 3…14 vertices with int costs within ±k,
+    k = 1…10, each with a T: the odd vertices of a random edge subset, so
+    a T-join exists. Small k makes many equal-cost paths and joins."""
+    rng = random.Random(4242)
+    for _ in range(800):
+        n, k, density = rng.randint(3, 14), rng.randint(1, 10), rng.choice((0.3, 0.5, 0.8))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        g = CostedGraph(tuple(range(n)), tuple(
+            CostEdge(u, v, rng.randint(-k, k), i) for i, (u, v) in enumerate(edges)))
+        yield g, sorted(negcycle._odd_vertices(g, [i for i in range(len(edges)) if rng.random() < 0.5]))
+
+
+# SHA-256 of `find_negative_cycle` and of two `min_t_join`s per graph of
+# `tie_corpus`: a change to which of equal-cost paths or joins is taken moves it
+TIE_RULE = "8c6a1537693e5a85dfba732c95660bcb4e0e18f0a5d4cce99e6d214db7767abf"
+
+
+def test_t_join_tie_rule_is_pinned():
+    h = hashlib.sha256()
+    found = 0
+    for g, T in tie_corpus():
+        cyc = find_negative_cycle(g)
+        found += cyc is not None
+        T0 = negcycle._odd_vertices(g, [i for i, e in enumerate(g.edges) if e.cost < 0])
+        h.update(f"{cyc} {sorted(min_t_join(g, T0))} {sorted(min_t_join(g, T))}\n".encode())
+    assert 200 < found < 600, found
+    assert h.hexdigest() == TIE_RULE
 
 
 def test_zero_join_all_nonnegative():
@@ -336,6 +367,14 @@ def simple_path_distances(g):
     return d
 
 
+def keyed(g):
+    """`join_distances` keyed by vertex id, each row starting at its own
+    vertex: the shape of `oracle_join_distances`."""
+    rows, vs = negcycle.join_distances(g), g.vertices
+    return None if rows is None else {
+        a: {a: 0, **{b: x for b, x in zip(vs, row) if x is not None}} for a, row in zip(vs, rows)}
+
+
 def test_join_distances_are_simple_path_distances():
     # without a negative cycle the minimum {a,b}-join is a shortest a-b path;
     # with one, there is no distance to report
@@ -343,7 +382,7 @@ def test_join_distances_are_simple_path_distances():
     conservative = matched = 0
     for _ in range(300):
         g, _ = scaled_to_int(random_rational_graph(rng, rng.randint(1, 7)))
-        d = negcycle.join_distances(g)
+        d = keyed(g)
         assert (d is None) == (find_negative_cycle(g) is not None)
         if d is None:
             continue
@@ -360,12 +399,12 @@ def test_join_distances_are_simple_path_distances():
 
 def test_join_distances_across_components():
     g = graph(5, [(0, 1, -2), (2, 3, 5), (3, 4, -1)])
-    assert negcycle.join_distances(g) == {
+    assert keyed(g) == {
         0: {0: 0, 1: -2}, 1: {0: -2, 1: 0},
         2: {2: 0, 3: 5, 4: 4}, 3: {2: 5, 3: 0, 4: -1}, 4: {2: 4, 3: -1, 4: 0},
     }
-    assert negcycle.join_distances(graph(0, [])) == {}
-    assert negcycle.join_distances(triangle(1, 1, -3)) is None
+    assert keyed(graph(0, [])) == {}
+    assert keyed(triangle(1, 1, -3)) is None
 
 
 def oracle_join_distances(g):
@@ -425,7 +464,7 @@ def test_join_distances_match_the_per_pair_formula():
         if g is None:
             continue
         want = oracle_join_distances(g)
-        d = negcycle.join_distances(g)
+        d = keyed(g)
         assert d == want
         assert [type(x) for r in d.values() for x in r.values()] == \
             [type(x) for r in want.values() for x in r.values()]

@@ -431,7 +431,7 @@ def test_cycle_and_path_stages_run_on_ints(monkeypatch):
     # rational p and w reach the T-joins and the G2 distances as integer
     # costs only, and the distances come back as ints
     seen = []
-    real_join, real_distances = negcycle.min_t_join, negcycle._join_rows
+    real_join, real_distances = negcycle.min_t_join, negcycle.join_distances
 
     def checked_join(g, T):
         seen.append(all(type(e.cost) is int for e in g.edges))
@@ -444,7 +444,7 @@ def test_cycle_and_path_stages_run_on_ints(monkeypatch):
         return d
 
     monkeypatch.setattr(negcycle, "min_t_join", checked_join)
-    monkeypatch.setattr(negcycle, "_join_rows", checked_distances)
+    monkeypatch.setattr(negcycle, "join_distances", checked_distances)
     rng = random.Random(12)
     for _ in range(40):
         inst = random_instance(rng.randint(0, 10**6), rng.randint(3, 7), Fraction(1, 2), 8)
@@ -733,8 +733,8 @@ def _broken_g2_edge_case(rng, n):
 
 @pytest.mark.parametrize("n", [20, 24, 28])
 def test_path_filter_is_exact_past_a_violated_g2_edge(n):
-    # the pair of a violated G2 edge st reads d(s, t) from G2 less st; every
-    # other pair reads G2's distances, and the filter still flags exactly
+    # every pair reads G2's distances, the pair of a violated G2 edge st is
+    # skipped as it holds no violated path, and the filter still flags exactly
     inst, p = _broken_g2_edge_case(random.Random(2100 + n), n)
     assert any(p[e.u] + p[e.v] < e.w for e in (inst.edges[i] for i in inst.e2))
     scan = list(_oracle_path_violations(inst, p))
@@ -752,6 +752,26 @@ def test_path_filter_is_exact_past_a_violated_g2_edge(n):
     found = chain([check_total_value(inst, p)], _oracle_vertex_edge_violations(inst, p),
                   oracle_paths)
     assert separate_all(inst, p) == list(dict.fromkeys(v for v in found if v is not None))
+
+
+def test_a_pair_joined_by_a_g2_edge_holds_no_violated_path():
+    # the lemma behind `_path_filter`'s skip: where G2 has no negative cycle,
+    # a path P from s to t closes the G2 cycle P + st, so P plus the marker
+    # costs at least c(P) + c(st) >= 0, also where st itself is violated
+    rng = random.Random(4201)
+    checked = violated = 0
+    for _ in range(1200):
+        inst = random_instance(rng.randrange(10**6), rng.randint(3, 12),
+                               Fraction(rng.choice((1, 2, 3)), 4), 10)
+        costs = integer_costs(inst, random_allocation(rng, inst, lo=0, hi=6))
+        if negcycle.find_negative_cycle(costs.g2) is not None:
+            continue
+        for e in costs.g2.edges:
+            g = separation.realize_variant(costs, separation.VariantStructure(e.u, e.v, None, None))
+            assert negcycle.find_negative_cycle(g) is None, (inst, costs.p, e)
+            checked += 1
+            violated += e.cost + costs.half[e.u] + costs.half[e.v] < 0
+    assert checked >= 500 and violated >= 200, (checked, violated)
 
 
 def test_verify_violation_rejects_a_repeated_witness_edge():

@@ -1,15 +1,16 @@
 """`separate` against its four public stages, and what one call builds.
 
 `separate` costs the allocation once, past the total value, and hands the
-costs, which carry G2, to the later stages; called on their own, the stages
-build them themselves. Both routes must give the same first violation, and
-a `separate` or `separate_all` call must build each derived fact at most
-once.
+costs, which carry G2, to the later stages; a stage called on its own takes
+costs built by `integer_costs` for it. Both routes must give the same first
+violation, and a `separate` or `separate_all` call must build each derived
+fact at most once.
 """
 
 import collections
 import gc
 import hashlib
+import pathlib
 import random
 import weakref
 from fractions import Fraction
@@ -32,6 +33,7 @@ from corematch.separation import (
 from conftest import normalized, random_allocation
 from test_metamorphic import planted
 
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 STAGES = (separate_vertices_edges, separate_cycles, separate_paths)
 
 
@@ -124,7 +126,7 @@ def builds(monkeypatch):
 
     counted(separation, "skeleton")
     counted(separation, "integer_costs")
-    counted(negcycle, "_join_rows")
+    counted(negcycle, "join_distances")
     return counts
 
 
@@ -167,18 +169,36 @@ def test_separate_costs_builds_g2_and_measures_distances_once(builds):
             assert builds["integer_costs"] == 1
         if kind in (ViolationKind.CYCLE, ViolationKind.VERTEX, ViolationKind.EDGE):
             # the cycle search runs before any distance is measured
-            assert builds["_join_rows"] == 0
+            assert builds["join_distances"] == 0
         if kind in (None, ViolationKind.PATH):
-            assert builds["_join_rows"] == 1
+            assert builds["join_distances"] == 1
         if separate_all_is_quick(inst, v, is_planted):
             builds.clear()
             separate_all(inst, p)
             # costed once, also where the total value fails
-            assert builds["integer_costs"] == 1 and builds["_join_rows"] <= 1, builds
+            assert builds["integer_costs"] == 1 and builds["join_distances"] <= 1, builds
             decided["separate_all", kind] += 1
     assert decided[ViolationKind.CYCLE] >= 3 and decided[ViolationKind.PATH] >= 3, decided
     assert decided["separate_all", ViolationKind.TOTAL_VALUE] >= 1, decided
     assert decided["separate_all", None] >= 3 and decided["separate_all", ViolationKind.PATH] >= 3, decided
+
+
+def test_separate_all_measures_distances_once_past_a_violated_g2_edge(builds):
+    # edge {2,3} joins two capacity-2 vertices and is violated; the path
+    # stage still reads G2's distances alone
+    inst = parse_instance((DATA / "counterexample.game").read_text())
+    p = Allocation(tuple(map(Fraction, (1, 1, 2, 5, 3))))
+    found = separate_all(inst, p)
+    assert builds["integer_costs"] == 1 and builds["join_distances"] == 1, builds
+    assert [v.describe() for v in found] == [
+        "kind=Edge S={2,3} p(S)=7 bound=10",
+        "kind=Path S={0,2,3} p(S)=8 bound=11",
+        "kind=Path S={0,2,3,4} p(S)=11 bound=12",
+        "kind=Path S={1,2,3} p(S)=8 bound=11",
+        "kind=Path S={1,2,3,4} p(S)=11 bound=12",
+        "kind=Path S={2,3,4} p(S)=10 bound=11",
+    ]
+    assert [v.witness_edges for v in found] == [(2,), (0, 2), (0, 2, 3), (1, 2), (1, 2, 3), (2, 3)]
 
 
 def certificate_corpus():
