@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from numbers import Real
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 Rational = Fraction
@@ -265,8 +266,15 @@ class Instance(_Frozen):
             inc[e.v].append(i)
         return tuple(tuple(x) for x in inc)
 
+    def _check_vertices(self, *xs) -> None:
+        for x in xs:
+            if not _is_index(x, range(self.n)):
+                raise ValueError(f"not a vertex of the game: {x!r}")
+
     def incident(self, v: int) -> tuple[int, ...]:
-        """Edge indices incident to v, in edge-index order."""
+        """Edge indices incident to v, in edge-index order; ValueError unless
+        v is a vertex id."""
+        self._check_vertices(v)
         return self._incident[v]
 
     @cached_property
@@ -274,6 +282,8 @@ class Instance(_Frozen):
         return {e.key(): i for i, e in enumerate(self.edges)}
 
     def find_edge(self, u: int, v: int) -> Optional[int]:
+        """The index of edge uv, or None; ValueError unless u and v are vertex ids."""
+        self._check_vertices(u, v)
         return self.edge_index.get((u, v) if u < v else (v, u))
 
     @cached_property
@@ -510,8 +520,15 @@ def random_instance(seed: int, n: int, density: Fraction, wmax: int) -> Instance
     """Deterministic random instance: Bernoulli(density) edges, integer weights
     uniform in [0, wmax], capacities uniform in {1, 2}.
 
-    Identical arguments always produce identical instances.
+    Identical arguments always produce identical instances. ValueError
+    unless n and wmax are ints (a bool is not), wmax >= 0, and density is a
+    real number in [0, 1].
     """
+    for name, x in (("n", n), ("wmax", wmax)):
+        if not _is_int(x):
+            raise ValueError(f"{name} must be an int: {x!r}")
+    if not isinstance(density, Real) or isinstance(density, bool):
+        raise ValueError(f"density must be a real number: {density!r}")
     if not 0 <= density <= 1:
         raise ValueError("density must lie in [0, 1]")
     if wmax < 0:

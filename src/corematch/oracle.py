@@ -1,9 +1,10 @@
 """Brute-force ground-truth oracles at desk scale.
 
-Everything here is definitionally exhaustive — edge-subset scans, coalition
-scans, cycle/path enumeration — and never calls the solver modules, so the
-rest of the library can be tested against it without circularity. Hard size
-guards keep property harnesses from silently running exponential scans.
+Everything here is definitionally exhaustive — a search of all
+degree-feasible edge subsets, coalition scans, cycle/path enumeration — and
+never calls the solver modules, so the rest of the library can be tested
+against it without circularity. Hard size guards keep property harnesses
+from silently running exponential scans.
 """
 
 from __future__ import annotations
@@ -29,50 +30,34 @@ class SizeGuardError(RuntimeError):
 
 
 def nu_bruteforce(inst: Instance, S) -> Fraction:
-    """Max weight over all degree-feasible edge subsets of G[S]; ValueError
-    when S holds a vertex outside 0..n-1."""
+    """Max weight over all degree-feasible edge subsets of G[S], each visited
+    once: every edge in index order is skipped or, while both its ends have
+    capacity left, taken. ValueError when S holds a vertex outside 0..n-1."""
     members = check_coalition(inst, S)
-    edge_ids = [
-        i for i, e in enumerate(inst.edges) if e.u in members and e.v in members
-    ]
-    m = len(edge_ids)
+    edges = [e for e in inst.edges if e.u in members and e.v in members]
+    m = len(edges)
     if m > 25:
         raise SizeGuardError(f"nu_bruteforce guard: {m} edges > 25")
-    best = Fraction(0)
-    # Gray-code walk: one edge flips per step, so the degree vector and
-    # weight are maintained incrementally.
-    deg = [0] * inst.n
-    over = 0  # number of vertices with deg > b
-    weight = Fraction(0)
-    in_set = [False] * m
-    prev = 0
-    for k in range(1, 1 << m):
-        gray = k ^ (k >> 1)
-        bit = (gray ^ prev).bit_length() - 1
-        prev = gray
-        e = inst.edges[edge_ids[bit]]
-        if in_set[bit]:
-            in_set[bit] = False
-            for v in (e.u, e.v):
-                if deg[v] == inst.b[v] + 1:
-                    over -= 1
-                deg[v] -= 1
-            weight -= e.w
-        else:
-            in_set[bit] = True
-            for v in (e.u, e.v):
-                deg[v] += 1
-                if deg[v] == inst.b[v] + 1:
-                    over += 1
-            weight += e.w
-        if over == 0 and weight > best:
-            best = weight
-    return best
+    room = list(inst.b)
+    empty = Fraction(0)  # made once: the search ends in up to 2^m leaves
+
+    def best(k: int) -> Fraction:
+        if k == m:
+            return empty
+        value = best(k + 1)
+        u, v, w = edges[k]
+        if room[u] and room[v]:
+            room[u] -= 1
+            room[v] -= 1
+            value = max(value, w + best(k + 1))
+            room[u] += 1
+            room[v] += 1
+        return value
+
+    return best(0)
 
 
-def core_check_bruteforce(
-    inst: Instance, p: Allocation, nu_cache: Optional[dict] = None
-) -> Optional[Violation]:
+def core_check_bruteforce(inst: Instance, p: Allocation) -> Optional[Violation]:
     """Check p against every coalition constraint; None means in the core.
 
     If violated, returns the maximally violated coalition (largest nu(S) - p(S),
@@ -82,22 +67,15 @@ def core_check_bruteforce(
     if inst.n > 12:
         raise SizeGuardError(f"core_check_bruteforce guard: n={inst.n} > 12")
     check_allocation_length(inst, p)
-    cache = nu_cache if nu_cache is not None else {}
-
-    def nu_of(S: tuple[int, ...]) -> Fraction:
-        if S not in cache:
-            cache[S] = nu_bruteforce(inst, S)
-        return cache[S]
-
     everyone = tuple(range(inst.n))
-    nu_n = nu_of(everyone)
+    nu_n = nu_bruteforce(inst, everyone)
     if p.total() != nu_n:
         return Violation(ViolationKind.TOTAL_VALUE, everyone, p.total(), nu_n)
 
     worst: Optional[tuple[Fraction, tuple[int, ...], Fraction, Fraction]] = None
     for mask in range(1, (1 << inst.n) - 1):
         S = tuple(v for v in range(inst.n) if mask >> v & 1)
-        value = nu_of(S)
+        value = nu_bruteforce(inst, S)
         ps = p.of(S)
         gap = value - ps
         if gap > 0:
@@ -166,9 +144,7 @@ def enumerate_constraints(inst: Instance) -> ConstraintFamily:
     return ConstraintFamily(cycles=tuple(cycles), paths=tuple(paths))
 
 
-def constraint_check_bruteforce(
-    inst: Instance, p: Allocation, family: Optional[ConstraintFamily] = None
-) -> Optional[Violation]:
+def constraint_check_bruteforce(inst: Instance, p: Allocation) -> Optional[Violation]:
     """Verdict from the total-value / cycle / path constraint system."""
     if inst.n > 12:
         raise SizeGuardError(f"constraint_check_bruteforce guard: n={inst.n} > 12")
@@ -178,8 +154,7 @@ def constraint_check_bruteforce(
         return Violation(
             ViolationKind.TOTAL_VALUE, tuple(range(inst.n)), p.total(), nu_n
         )
-    if family is None:
-        family = enumerate_constraints(inst)
+    family = enumerate_constraints(inst)
 
     worst = None
     for kind, entries in (
@@ -254,17 +229,18 @@ class CutViolation(NamedTuple):
 def check_cut_system(g: CostedGraph, x: Sequence[Fraction]) -> Optional[CutViolation]:
     """Check x >= 0 and x_e <= x(B \\ e) for every cut B and every e in B.
 
-    Returns None when the whole system holds. A negative entry is a
-    GraphError at its edge's position, raised ahead of the size guard.
+    Returns None when the whole system holds. An x of another length than
+    the edge list is a ValueError; then a negative entry is a GraphError at
+    its edge's position; both are raised ahead of the size guard.
     """
+    if len(x) != len(g.edges):
+        raise ValueError("x must assign a value to every edge")
     for i, xi in enumerate(x):
         if xi < 0:
             raise GraphError(f"negative x entry {xi}", i)
     n = len(g.vertices)
     if n > 10:
         raise SizeGuardError(f"check_cut_system guard: n={n} > 10")
-    if len(x) != len(g.edges):
-        raise ValueError("x must assign a value to every edge")
     verts = sorted(g.vertices)
     anchor = verts[0]
     rest = verts[1:]

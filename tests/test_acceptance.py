@@ -83,10 +83,9 @@ def test_criterion_2_separation_matches_bruteforce():
     t0 = time.time()
     cases = disagreements = violated = bad_certificates = 0
     for inst, allocations in _separation_corpus():
-        cache: dict = {}
         for p in allocations:
             verdict = separation.separate(inst, p)
-            brute = oracle.core_check_bruteforce(inst, p, nu_cache=cache)
+            brute = oracle.core_check_bruteforce(inst, p)
             cases += 1
             if verdict.in_core != (brute is None):
                 disagreements += 1
@@ -119,11 +118,9 @@ def test_criterion_2_separation_matches_bruteforce():
 def test_criterion_3_characterization_equivalence():
     cases = disagreements = 0
     for inst, allocations in _separation_corpus():
-        family = oracle.enumerate_constraints(inst)
-        cache: dict = {}
         for p in allocations:
-            a = oracle.core_check_bruteforce(inst, p, nu_cache=cache)
-            b = oracle.constraint_check_bruteforce(inst, p, family=family)
+            a = oracle.core_check_bruteforce(inst, p)
+            b = oracle.constraint_check_bruteforce(inst, p)
             cases += 1
             disagreements += (a is None) != (b is None)
     ok = cases == 800 and disagreements == 0

@@ -1163,7 +1163,9 @@ def test_names_behave_as_a_read_only_tuple():
     s = extform.build_extended_formulation(inst)
     assert s._cols is None  # the build reads no column map once blocks are in
     for names in (s.variables, s._names):
+        assert any(type(run) is linsys._Run for run in names._runs)
         plain = tuple(names)
+        assert repr(names) == repr(plain)
         assert names == plain and plain == names and not names != plain
         assert names != plain[:-1] and plain[:-1] != names and names != list(plain)
         assert len(names) == len(plain) and list(reversed(names)) == list(reversed(plain))

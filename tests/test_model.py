@@ -474,6 +474,18 @@ BAD_INDICES = {
                                     "T-vertex '1' is not a vertex of the graph"),
     "bool marker": (lambda inst, p, g: CostedGraph(g.vertices, g.edges, True),
                     "marker out of range"),
+    "negative incident vertex": (lambda inst, p, g: inst.incident(-1),
+                                 "not a vertex of the game: -1"),
+    "bool incident vertex": (lambda inst, p, g: inst.incident(True),
+                             "not a vertex of the game: True"),
+    "incident vertex past n": (lambda inst, p, g: inst.incident(5),
+                               "not a vertex of the game: 5"),
+    "float incident vertex": (lambda inst, p, g: inst.incident(2.0),
+                              "not a vertex of the game: 2.0"),
+    "float edge end": (lambda inst, p, g: inst.find_edge(2.0, 3),
+                       "not a vertex of the game: 2.0"),
+    "bool edge end": (lambda inst, p, g: inst.find_edge(True, 2),
+                      "not a vertex of the game: True"),
 }
 
 
@@ -481,12 +493,29 @@ BAD_INDICES = {
 def test_every_index_is_an_int_in_range(case):
     # each case was accepted (variant_structures(inst, 2, True),
     # build_gadget(inst, [True]) built edge 1's gadget, decompose returned
-    # Cycle(edges=(0, True, 2), ...), CostedGraph read marker True as 1) or
-    # raised a bare TypeError
+    # Cycle(edges=(0, True, 2), ...), CostedGraph read marker True as 1,
+    # incident(-1) listed vertex 4's edges, find_edge(True, 2) found edge 1)
+    # or raised a bare TypeError or IndexError
     call, message = BAD_INDICES[case]
     inst = flawed.counterexample_instance()
     with pytest.raises(ValueError, match=re.escape(message)):
         call(inst, flawed.counterexample_allocation(), TRIANGLE)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"wmax": 2.0}, "wmax must be an int: 2.0"),
+    ({"wmax": True}, "wmax must be an int: True"),
+    ({"n": 4.0}, "n must be an int: 4.0"),
+    ({"density": "1/2"}, "density must be a real number: '1/2'"),
+    ({"density": True}, "density must be a real number: True"),
+    ({"density": float("nan")}, "density must lie in [0, 1]"),
+], ids=["float wmax", "bool wmax", "float n", "str density", "bool density", "nan density"])
+def test_random_instance_checks_its_arguments(bad, message):
+    # wmax=2.0 took randrange's deprecated float path, wmax=True named the
+    # game "...wmax=True", and n=4.0 and density="1/2" raised a bare TypeError
+    args = {"seed": 1, "n": 4, "density": Fraction(1, 2), "wmax": 10, **bad}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        random_instance(**args)
 
 
 # -- strict ASCII numeric grammar ---------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from corematch import oracle
 from corematch.model import Allocation, ViolationKind, parse_instance, random_instance
-from corematch.negcycle import CostEdge, CostedGraph
+from corematch.negcycle import CostEdge, CostedGraph, parse_cost_graph
 from corematch.oracle import (
     SizeGuardError,
     check_cut_system,
@@ -64,11 +64,18 @@ def test_core_check_total_value_first(counterexample):
 
 
 def test_core_check_guard():
+    # the constraint-system checks keep the same n <= 12 guard
     inst = parse_instance(
         "game 13 0\n" + "".join(f"vertex {v} 1\n" for v in range(13))
     )
-    with pytest.raises(SizeGuardError):
-        core_check_bruteforce(inst, Allocation(tuple(Fraction(0) for _ in range(13))))
+    p = Allocation(tuple(Fraction(0) for _ in range(13)))
+    for check, args in [
+        (core_check_bruteforce, (inst, p)),
+        (constraint_check_bruteforce, (inst, p)),
+        (enumerate_constraints, (inst,)),
+    ]:
+        with pytest.raises(SizeGuardError, match=f"{check.__name__} guard: n=13 > 12"):
+            check(*args)
 
 
 def test_enumerate_constraints_counterexample(counterexample):
@@ -127,12 +134,10 @@ def test_constraint_check_agrees_with_core_check():
     both = violated = 0
     for _ in range(40):
         inst = random_instance(rng.randint(0, 10**6), rng.randint(1, 6), Fraction(1, 2), 8)
-        fam = enumerate_constraints(inst)
-        cache: dict = {}
         for _ in range(4):
             p = random_allocation(rng, inst)
-            a = core_check_bruteforce(inst, p, nu_cache=cache)
-            b = constraint_check_bruteforce(inst, p, family=fam)
+            a = core_check_bruteforce(inst, p)
+            b = constraint_check_bruteforce(inst, p)
             assert (a is None) == (b is None)
             both += 1
             violated += a is not None
@@ -187,6 +192,14 @@ def test_cut_system_examples():
     assert v is not None and v.edge == 0 and v.cut == (0,)
     with pytest.raises(ValueError):
         check_cut_system(bridge, [Fraction(-1)])
+
+
+@pytest.mark.parametrize("x", [(5, 1, 1, -1), (5, 1)])
+def test_cut_system_checks_the_length_before_the_entries(x):
+    # (5, 1, 1, -1) was a GraphError at edge 3, which the graph lacks
+    g = parse_cost_graph("costs 3 3\nedge 0 1 -3\nedge 1 2 1\nedge 0 2 1\n")
+    with pytest.raises(ValueError, match="x must assign a value to every edge"):
+        check_cut_system(g, [Fraction(v) for v in x])
 
 
 def test_cut_system_guard():

@@ -236,7 +236,6 @@ def test_separation_agrees_with_bruteforce_small():
     for _ in range(60):
         inst = random_instance(rng.randint(0, 10**6), rng.randint(1, 6), Fraction(1, 2), 8)
         nu_n = matching.b_matching_value(inst)
-        cache: dict = {}
         for kind in range(3):
             if kind == 0:
                 p = random_allocation(rng, inst)
@@ -245,7 +244,7 @@ def test_separation_agrees_with_bruteforce_small():
             else:
                 p = normalized(random_allocation(rng, inst, lo=0), nu_n)
             verdict = separate(inst, p)
-            brute = oracle.core_check_bruteforce(inst, p, nu_cache=cache)
+            brute = oracle.core_check_bruteforce(inst, p)
             assert verdict.in_core == (brute is None)
             agreements += 1
             if not verdict.in_core:
