@@ -103,8 +103,11 @@ def _cmd_separate(args) -> int:
 
 def _cmd_extform(args) -> int:
     inst = _load_instance(args.instance)
-    did = False
-    code = EXIT_OK
+    if not (args.size or args.emit is not None or args.check):
+        raise FormatError("extform needs one of --size, --emit FILE, --check")
+    if args.check and args.alloc is None:
+        raise FormatError("--check requires --alloc")
+    p = _load_allocation(args.alloc, inst) if args.check else None  # read before any output
     if args.size:
         rep = extform.size_report(inst)
         print(f"family: {rep.family_size} (bound {rep.family_bound})")
@@ -121,26 +124,16 @@ def _cmd_extform(args) -> int:
             f"envelopes: vars <= {rep.var_envelope}, "
             f"constraints <= {rep.constraint_envelope}"
         )
-        did = True
     if args.emit is not None:
         system = extform.build_extended_formulation(inst)
         with open(args.emit, "w", encoding="utf-8") as fh:
             linsys.emit_lp(system, fh)
         print(f"wrote {args.emit}")
-        did = True
     if args.check:
-        if args.alloc is None:
-            raise FormatError("--check requires --alloc")
-        p = _load_allocation(args.alloc, inst)
-        if extform.check_membership(inst, p):
-            print("IN_CORE")
-        else:
-            print("NOT_IN_CORE")
-            code = EXIT_VIOLATED
-        did = True
-    if not did:
-        raise FormatError("extform needs one of --size, --emit FILE, --check")
-    return code
+        in_core = extform.check_membership(inst, p)
+        print("IN_CORE" if in_core else "NOT_IN_CORE")
+        return EXIT_OK if in_core else EXIT_VIOLATED
+    return EXIT_OK
 
 
 def _cmd_flaw(args) -> int:

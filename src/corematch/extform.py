@@ -3,7 +3,9 @@
 The graph family is separation's: G2, the capacity-2 subgraph, plus every
 st-variant, built by `separation.variant_structures` and
 `separation.realize_variant` from `separation.integer_costs` divided back by
-their scale, the exact costs. Every member edge u-v costs (p_u + p_v)/2
+their scale, the exact costs, less the variant of a pair joined by a G2 edge,
+whose block G2's implies (`separation.g2_joined`, the rule by which the path
+stage skips that pair). Every member edge u-v costs (p_u + p_v)/2
 plus its cost at p = 0, so the family costed at p = 0 gives the constant
 parts of the formulation. For each graph in the family, the
 no-negative-cycle condition is expressed through the dual of a compact
@@ -62,7 +64,9 @@ def enumerate_family(inst: Instance, p: Optional[Allocation] = None) -> GraphFam
     family-size bound. An endpoint keeps such an edge in every variant of
     its pair or in none, as it has a capacity-2 neighbour besides the far
     endpoint (`Instance.nbrs2`) or not, so the test is made once per pair,
-    before any variant is built.
+    before any variant is built. A pair joined by a G2 edge is dropped too:
+    its one variant holds no negative cycle where G2 holds none
+    (`separation.g2_joined`), so G2's block implies its block.
     """
     if p is None:
         p = Allocation((Fraction(0),) * inst.n)
@@ -71,7 +75,8 @@ def enumerate_family(inst: Instance, p: Optional[Allocation] = None) -> GraphFam
     labels = ["g2"]
     for s in range(inst.n):
         for t in range(s + 1, inst.n):
-            if not (_excess(inst, s, t) and _excess(inst, t, s)):
+            if (not (_excess(inst, s, t) and _excess(inst, t, s))
+                    or separation.g2_joined(inst, s, t)):
                 continue
             for struct in separation.variant_structures(inst, s, t):
                 members.append(separation.realize_variant(costs, struct))

@@ -2,9 +2,11 @@
 
 Everything here is definitionally exhaustive — a search of all
 degree-feasible edge subsets, coalition scans, cycle/path enumeration — and
-never calls the solver modules, so the rest of the library can be tested
-against it without circularity. Hard size guards keep property harnesses
-from silently running exponential scans.
+calls nothing in separation, extform, matching or negcycle, so the rest of
+the library can be tested against it without circularity. The one LP oracle,
+`core_lp_bruteforce`, solves its all-coalitions LP with linsys's simplex.
+Hard size guards keep property harnesses from silently running exponential
+scans.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
+from . import linsys
 from .model import (
     Allocation,
     GraphError,
@@ -86,6 +89,39 @@ def core_check_bruteforce(inst: Instance, p: Allocation) -> Optional[Violation]:
         return None
     _, S, ps, value = worst
     return Violation(ViolationKind.COALITION, S, ps, value)
+
+
+def core_lp_bruteforce(inst: Instance, c: Sequence) -> tuple[str, Optional[Fraction]]:
+    """min c·p over the core, by its dual on n rows over every coalition:
+    max Σ ν(S)·y_S + ν(N)·z subject to Σ_{S∋v} y_S + z = c_v and y >= 0,
+    S running over the proper coalitions with ν(S) > 0 and the singletons.
+    The dual is always feasible (y on the singletons, z = min c), so this
+    returns ("optimal", the optimum) or, where the core is empty,
+    ("unbounded", None)."""
+    if inst.n > 12:
+        raise SizeGuardError(f"core_lp_bruteforce guard: n={inst.n} > 12")
+    if len(c) != inst.n:
+        raise ValueError("c must give one coefficient per vertex")
+    coalitions = {}
+    for mask in range(1, (1 << inst.n) - 1):
+        S = tuple(v for v in range(inst.n) if mask >> v & 1)
+        value = nu_bruteforce(inst, S)
+        if value > 0 or len(S) == 1:
+            coalitions["y_" + "_".join(map(str, S))] = (S, value)
+    # minimize the negated objective; z is free, every y_S a sign row
+    system = linsys.ConstraintSystem("core-lp", ["z", *coalitions], objective={
+        "z": -nu_bruteforce(inst, range(inst.n)),
+        **{y: -value for y, (_, value) in coalitions.items()}})
+    for v in range(inst.n):
+        system.add_constraint(f"c_{v}", {"z": 1, **{y: 1 for y, (S, _) in coalitions.items()
+                                                    if v in S}}, "=", c[v])
+    for y in coalitions:
+        system.add_constraint(f"nn_{y}", {y: 1}, ">=", 0)
+    result = linsys.simplex_solve(system)
+    if result.status == "unbounded":
+        return "unbounded", None
+    # where every ν is 0 the objective is zero, which is solved as a feasibility check
+    return "optimal", -Fraction(result.objective or 0)
 
 
 class ConstraintFamily(NamedTuple):

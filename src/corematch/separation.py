@@ -8,9 +8,7 @@ artificial st edge). The first violated constraint is returned as an exact,
 re-verifiable certificate. Past the cycle stage, G2's distances flag the
 variants that hold a violated path (`_path_filter`), and only those are
 built and searched, in the scan order of the full search. A pair joined by
-a G2 edge st is never flagged: a path P from s to t closes the G2 cycle
-P + st, so P plus the st marker, of cost c(st) + W_st, costs at least
-c(P) + c(st) >= 0.
+a G2 edge holds no violated path there (`g2_joined`) and is never flagged.
 
 The stages work on integer costs. With D = 2·lcm of all denominators of p
 and w, P_v = p_v·D/2 and W_e = w_e·D, an instance edge uv costs
@@ -197,6 +195,17 @@ def realize_variant(costs: TransferCosts, struct: VariantStructure) -> CostedGra
     return CostedGraph(vertices, tuple(edges), marker=len(edges) - 1)
 
 
+def g2_joined(inst: Instance, s: int, t: int) -> bool:
+    """Whether s < t are joined by a G2 edge. Such a pair holds no violated
+    path wherever G2 has no negative cycle, so the path stage skips it and
+    the extended formulation leaves its variant out, whose block G2's
+    implies. Its one variant is G2 less st plus the marker, of cost
+    half[s] + half[t]; a path P from s to t in it closes the G2 cycle
+    P + st, so c(P) + half[s] + half[t] >= c(P) + c(st) >= 0, as
+    c(st) = half[s] + half[t] − W_st and W_st >= 0, violated st or not."""
+    return inst.b[s] == 2 == inst.b[t] and (s, t) in inst.edge_index
+
+
 def _path_filter(costs: TransferCosts) -> Optional[list[VariantStructure]]:
     """The variants, over every pair s < t in scan order, that hold a
     violated path, or None where G2 has a negative cycle.
@@ -206,14 +215,11 @@ def _path_filter(costs: TransferCosts) -> Optional[list[VariantStructure]]:
     so a variant reaching G2 at x and y holds a violated path iff
     c(s,x) + d(x,y) + c(y,t) + half[s] + half[t] < 0, with c(v,v) = 0.
     Where st is a G2 edge, d may use st, which the variant drops; but such
-    a pair holds no violated path, and is skipped. Its one variant is G2
-    less st plus the marker, of cost half[s] + half[t]; a path P from s to
-    t in it closes the G2 cycle P + st, so c(P) + half[s] + half[t] >=
-    c(P) + c(st) >= 0, as c(st) = half[s] + half[t] − W_st and W_st >= 0,
-    violated st or not. A choice x is tested variant by variant only where
-    its least sum over every y, found for all x at once, is negative.
+    a pair holds no violated path (`g2_joined`), and is skipped. A choice x
+    is tested variant by variant only where its least sum over every y,
+    found for all x at once, is negative.
     """
-    inst, half, cost = costs.inst, costs.half, costs.cost
+    inst, half, cost, index = costs.inst, costs.half, costs.cost, costs.inst.edge_index
     d = negcycle.join_distances(costs.g2)  # by position in G2's vertices
     if d is None:
         return None
@@ -235,11 +241,11 @@ def _path_filter(costs: TransferCosts) -> Optional[list[VariantStructure]]:
     for (s, x, ks), hj in zip(attach, h):
         if low[x] + hj < 0:
             row = dist[x]
-            # an edge i = st is no kept edge (`_ends` leaves out the far endpoint),
-            # and with ks == kt == None it is a G2 edge, whose pair is skipped
+            # an edge i = st is no kept edge (`_ends` leaves out the far endpoint)
             flagged += [VariantStructure(s, t, ks, kt) for (t, y, kt), hl in zip(attach, h)
                         if t > s and hj + row[y] + hl < 0 and (
-                            (i := inst.find_edge(s, t)) is None or i not in (ks, kt) and ks != kt)]
+                            (i := index.get((s, t))) is None
+                            or i not in (ks, kt) and not g2_joined(inst, s, t))]
     flagged.sort(key=attrgetter("s", "t"))  # stable: a pair's variants keep scan order
     return flagged
 

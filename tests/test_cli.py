@@ -169,7 +169,7 @@ def contract_commands() -> list[str]:
         "value -i {tmp}/random40.game",
         *(f"{cmd} -i {{tmp}}/random40.game -a {{tmp}}/{alloc}40.alloc"
           for alloc in ("zero", "egal") for cmd in ("check", "separate")),
-        # a formulation of 16 561 rows, past the data/ games
+        # a formulation of 16 480 rows, past the data/ games
         "extform -i {tmp}/random10.game --emit {tmp}/core.lp",
     ]
     for game in sorted(DATA.glob("*.game")):
@@ -201,7 +201,7 @@ GOLDEN = {
     "extform -i {data}/counterexample.game --size": (
         0, "ef69be1bc3925cb2a99b8322160c5b6ba7d78b6a6978d44754aa126bb3cb79ed"),
     "extform -i {data}/square.game --size": (
-        0, "a667b1916b84deda859f65df357385371ea471aaec98d0b209f28c3dc419dd97"),
+        0, "10ef7e599b984e01f4c9ba915db42a4e78601c2c4fbec56a95e772ffd8f428c1"),
     "check -i {data}/path.game -a {data}/path-core.alloc": (
         0, "c09c1ef51bad88d17e91d48ed3f2c1082fe894085aa08f8460c1bd342dcb3307"),
     # a Path certificate whose witness holds the kept edges at both
@@ -214,7 +214,7 @@ GOLDEN = {
     "check -i {data}/path.game -a {data}/path-low.alloc": (
         10, "50a04870cd39404e868fb68bb45a552a623b625fe8f4b450852d3c4597763357"),
     "extform -i {data}/path.game --size": (
-        0, "16018bf58c3ea216b8998be0ca3c4cc098161ee2bfbd867cf1725cedf9aa3df3"),
+        0, "671cb0841e08dea3451da8760d6cd67b1f467e689cc22f3f3b9771da0af0fc41"),
     # IN_CORE: one edge, and p pays it in full
     "check -i {data}/one-edge.game -a {data}/one-edge.alloc": (
         0, "c09c1ef51bad88d17e91d48ed3f2c1082fe894085aa08f8460c1bd342dcb3307"),
@@ -225,11 +225,11 @@ GOLDEN = {
     "extform -i {data}/counterexample.game --emit {tmp}/core.lp": (
         0, "0f9a035e64d0095fcd60589370b92502ad803e737f20f7f352e6198d88e857d6"),
     "extform -i {data}/path.game --emit {tmp}/core.lp": (
-        0, "89ded308219126c7c028a6f79b5099226170b753df779875173e715434f33c30"),
+        0, "1ee6731e6f060440c122e2718eb5b5ee67160d04762af3703be01c38ba9aa662"),
     "extform -i {data}/square.game --emit {tmp}/core.lp": (
-        0, "685697f0136b382c6a3fb3e56cccfa37b30b02b9ffe7d9d98c19f73004daa844"),
+        0, "e6ea292e605fb10a46c0038007243b4a90241ea1af589afd1341c7bed04f6648"),
     "extform -i {tmp}/random10.game --emit {tmp}/core.lp": (
-        0, "7b3f8b96696d6d0f5e7a6ab95fcb6b23c5b46e271f8a692a72035f9bf48e1fee"),
+        0, "18b51c19dfee276f5cd56f5fd6b05fdad8ed8ecc24bf12fc58d9ee824c4ff4e1"),
     "oracle negcycle -c {tmp}/neg.costs": (
         10, "478791910552db9f5298fa82405edaf9357531e5675ec9caa18aff7c418504ba"),
 }
@@ -467,13 +467,22 @@ def test_missing_required_combo(files, capsys):
      "wrote {tmp}/r.game (6 vertices, 10 edges)\n", False),
     (["oracle", "constraints", "-i", "{data}/square.game"], 0, "cycles: 1\n  C 0-1-2-3\n",
      False),
+    # extform rejects its flags and reads --alloc before it prints or writes
+    (["extform", "-i", "{data}/square.game", "--size", "--check"], 3,
+     "error: --check requires --alloc", False),
+    (["extform", "-i", "{data}/square.game", "--emit", "{tmp}/out.lp", "--check"], 3,
+     "error: --check requires --alloc", False),
+    (["extform", "-i", "{data}/square.game", "--size", "--check", "-a", "{tmp}/bad.alloc"], 3,
+     "error: line 1: expected '<id> <rational>'", False),
 ], ids=["n-0", "density-2", "wmax-negative", "invariant", "coalition-9", "extform-no-mode",
         "flaw-no-alloc", "flaw-alloc-no-instance", "nu-no-coalition", "x-too-short",
         "no-negative-path", "no-negative-cycle", "cut-violated", "random-to-file",
-        "constraints-square"])
+        "constraints-square", "extform-size-check-no-alloc", "extform-emit-check-no-alloc",
+        "extform-size-check-bad-alloc"])
 def test_exit_code_contract(capsys, tmp_path, monkeypatch, argv, code, text, broken):
-    # an error prints nothing on stdout and one "error:" (or "internal
-    # error:") line on stderr; a result prints on stdout only
+    # an error prints nothing on stdout, writes no LP file and prints one
+    # "error:" (or "internal error:") line on stderr; a result prints on
+    # stdout only
     from corematch import separation
     from corematch.model import InvariantError
 
@@ -481,6 +490,7 @@ def test_exit_code_contract(capsys, tmp_path, monkeypatch, argv, code, text, bro
     (tmp_path / "pos.costs").write_text(COSTS.replace("-3", "3"))
     (tmp_path / "x2.vec").write_text("1\n1\n")
     (tmp_path / "x511.vec").write_text("5\n1\n1\n")
+    (tmp_path / "bad.alloc").write_text("0 0 1\n")
     if broken:
         def failing(*args, **kwargs):
             raise InvariantError("stage failed")
@@ -491,6 +501,7 @@ def test_exit_code_contract(capsys, tmp_path, monkeypatch, argv, code, text, bro
     assert got == code
     if code in (cli.EXIT_USAGE, cli.EXIT_FILE, cli.EXIT_INVARIANT):
         assert out == "" and err.startswith(text) and err.count("\n") == 1
+        assert not list(tmp_path.glob("*.lp"))
     else:
         assert out.startswith(text) and err == ""
 

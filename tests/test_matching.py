@@ -572,7 +572,7 @@ def test_blossom_pairs_pinned():
 
 
 def test_blossom_matches_networkx():
-    nx = pytest.importorskip("networkx")
+    nx = pytest.importorskip("networkx", exc_type=ImportError)
     for edges, weights, maxcard in blossom_corpus(77, 600):
         g = nx.Graph()
         for (u, v), w in zip(edges, weights):

@@ -1,10 +1,11 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from corematch import oracle
+from corematch import extform, flawed, linsys, oracle, separation
 from corematch.model import Allocation, ViolationKind, parse_instance, random_instance
 from corematch.negcycle import CostEdge, CostedGraph, parse_cost_graph
 from corematch.oracle import (
@@ -12,6 +13,7 @@ from corematch.oracle import (
     check_cut_system,
     constraint_check_bruteforce,
     core_check_bruteforce,
+    core_lp_bruteforce,
     enumerate_constraints,
     negative_cycle_bruteforce,
     nu_bruteforce,
@@ -73,6 +75,7 @@ def test_core_check_guard():
         (core_check_bruteforce, (inst, p)),
         (constraint_check_bruteforce, (inst, p)),
         (enumerate_constraints, (inst,)),
+        (core_lp_bruteforce, (inst, [0] * 13)),
     ]:
         with pytest.raises(SizeGuardError, match=f"{check.__name__} guard: n=13 > 12"):
             check(*args)
@@ -221,3 +224,63 @@ def test_bruteforce_checks_reject_an_allocation_of_the_wrong_length(counterexamp
     # both reported a violation where every separation stage raises
     with pytest.raises(ValueError, match="allocation length differs"):
         check(counterexample, alloc(*[1] * n))
+
+
+# -- the core LP, against the extended formulation --------------------------
+
+
+@functools.lru_cache(maxsize=1)
+def formulation_optima():
+    """Per seed 0..47: the game `random_instance(seed, 5, 1/2, 10)`, c drawn
+    from -5..5 by `random.Random(seed)`, the oracle's (status, optimum) and
+    the formulation's `simplex_solve` result under the objective c·p."""
+    cases = []
+    for seed in range(48):
+        inst = random_instance(seed, 5, Fraction(1, 2), 10)
+        rng = random.Random(seed)
+        c = [rng.randint(-5, 5) for _ in range(inst.n)]
+        system = extform.build_extended_formulation(inst)
+        system.objective = {f"p_{v}": c[v] for v in range(inst.n)}
+        cases.append((inst, core_lp_bruteforce(inst, c), linsys.simplex_solve(system)))
+    return cases
+
+
+def test_formulation_optimum_matches_the_core_lp():
+    # the formulation's projection onto p is the core: the same optimum of
+    # every c, and no point exactly where the core LP's dual is unbounded
+    empty = []
+    for seed, (inst, (status, optimum), result) in enumerate(formulation_optima()):
+        if status == "unbounded":
+            assert result.status == "infeasible", inst
+            empty.append(seed)
+        else:
+            assert (result.status, result.objective) == ("optimal", optimum), inst
+    assert empty == [34, 36]  # and 46 optimal
+
+
+def test_formulation_optima_are_core_points_the_flawed_scan_may_reject():
+    # every optimal witness p is in the core for separation, the membership
+    # LPs and the coalition scan; the paper's flawed layered scan rejects
+    # some of them, each time by a walk that revisits a vertex
+    rejected = 0
+    for inst, _, result in formulation_optima():
+        if result.status != "optimal":
+            continue
+        p = Allocation(tuple(result.witness[f"p_{v}"] for v in range(inst.n)))
+        assert separation.separate(inst, p).in_core
+        assert extform.check_membership(inst, p)
+        assert core_check_bruteforce(inst, p) is None
+        walk = flawed.flawed_separate_paths(inst, p)
+        if walk is not None:
+            assert len(set(walk.vertices)) < len(walk.vertices), (inst, p, walk)
+            rejected += 1
+    assert rejected > 0
+
+
+def test_core_lp_edge_cases():
+    edgeless = parse_instance("game 3 0\nvertex 0 1\nvertex 1 2\nvertex 2 1\n")
+    assert core_lp_bruteforce(edgeless, [1, -2, 3]) == ("optimal", 0)
+    one_edge = parse_instance("game 2 1\nvertex 0 1\nvertex 1 1\nedge 0 1 4\n")
+    assert core_lp_bruteforce(one_edge, [1, 3]) == ("optimal", 4)  # p = (4, 0)
+    with pytest.raises(ValueError, match="one coefficient per vertex"):
+        core_lp_bruteforce(one_edge, [1])

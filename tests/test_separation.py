@@ -24,6 +24,7 @@ from corematch.separation import (
 )
 
 from conftest import normalized, random_allocation
+from test_stage_sharing import repaired
 
 
 def alloc(*xs):
@@ -754,9 +755,9 @@ def test_path_filter_is_exact_past_a_violated_g2_edge(n):
 
 
 def test_a_pair_joined_by_a_g2_edge_holds_no_violated_path():
-    # the lemma behind `_path_filter`'s skip: where G2 has no negative cycle,
-    # a path P from s to t closes the G2 cycle P + st, so P plus the marker
-    # costs at least c(P) + c(st) >= 0, also where st itself is violated
+    # the lemma of `g2_joined`: where G2 has no negative cycle, a path P from
+    # s to t closes the G2 cycle P + st, so P plus the marker costs at least
+    # c(P) + c(st) >= 0, also where st itself is violated
     rng = random.Random(4201)
     checked = violated = 0
     for _ in range(1200):
@@ -766,11 +767,39 @@ def test_a_pair_joined_by_a_g2_edge_holds_no_violated_path():
         if negcycle.find_negative_cycle(costs.g2) is not None:
             continue
         for e in costs.g2.edges:
+            assert separation.g2_joined(inst, e.u, e.v)
             g = separation.realize_variant(costs, separation.VariantStructure(e.u, e.v, None, None))
             assert negcycle.find_negative_cycle(g) is None, (inst, costs.p, e)
             checked += 1
             violated += e.cost + costs.half[e.u] + costs.half[e.v] < 0
     assert checked >= 500 and violated >= 200, (checked, violated)
+
+
+def _family_variants(inst):
+    """The variants of `extform.enumerate_family(inst)`, read off its labels."""
+    return {separation.VariantStructure(*(None if v == "None" else int(v)
+                                          for v in re.findall(r"=(\w+)", label)))
+            for label in extform.enumerate_family(inst).labels[1:]}
+
+
+def test_path_stage_and_formulation_share_one_variant_family():
+    # `g2_joined` is the one rule for the pairs that may hold a violated
+    # path: every variant the path stage flags is a member of the extended
+    # formulation's family, and the family holds no pair joined by a G2 edge
+    rng = random.Random(4702)
+    allocations = flagged = 0
+    for _ in range(150):
+        inst = random_instance(rng.randrange(10**6), rng.randint(3, 10),
+                               Fraction(rng.choice((1, 2, 3)), 4), 10)
+        family = _family_variants(inst)
+        assert not any(separation.g2_joined(inst, v.s, v.t) for v in family)
+        for _ in range(6):
+            structs = separation._path_filter(integer_costs(inst, repaired(rng, inst)))
+            if structs is not None:
+                assert set(structs) <= family, inst
+                allocations += 1
+                flagged += len(structs)
+    assert allocations >= 800 and flagged >= 4000, (allocations, flagged)
 
 
 def test_verify_violation_rejects_a_repeated_witness_edge():
