@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -229,33 +230,45 @@ def test_bruteforce_checks_reject_an_allocation_of_the_wrong_length(counterexamp
 # -- the core LP, against the extended formulation --------------------------
 
 
-@functools.lru_cache(maxsize=1)
-def formulation_optima():
-    """Per seed 0..47: the game `random_instance(seed, 5, 1/2, 10)`, c drawn
-    from -5..5 by `random.Random(seed)`, the oracle's (status, optimum) and
-    the formulation's `simplex_solve` result under the objective c·p."""
+@functools.lru_cache(maxsize=None)
+def formulation_optima(n, seeds, max_rows):
+    """Per seed in range(seeds) whose formulation has at most `max_rows`
+    rows: the seed, the game `random_instance(seed, n, 1/2, 10)`, the
+    oracle's (status, optimum) for c drawn from -5..5 by
+    `random.Random(seed)`, and the formulation's `simplex_solve` result under
+    the objective c·p."""
     cases = []
-    for seed in range(48):
-        inst = random_instance(seed, 5, Fraction(1, 2), 10)
+    for seed in range(seeds):
+        inst = random_instance(seed, n, Fraction(1, 2), 10)
         rng = random.Random(seed)
         c = [rng.randint(-5, 5) for _ in range(inst.n)]
         system = extform.build_extended_formulation(inst)
+        if len(system.constraints) > max_rows:
+            continue
         system.objective = {f"p_{v}": c[v] for v in range(inst.n)}
-        cases.append((inst, core_lp_bruteforce(inst, c), linsys.simplex_solve(system)))
+        cases.append((seed, inst, core_lp_bruteforce(inst, c), linsys.simplex_solve(system)))
     return cases
 
 
 def test_formulation_optimum_matches_the_core_lp():
     # the formulation's projection onto p is the core: the same optimum of
-    # every c, and no point exactly where the core LP's dual is unbounded
-    empty = []
-    for seed, (inst, (status, optimum), result) in enumerate(formulation_optima()):
-        if status == "unbounded":
-            assert result.status == "infeasible", inst
-            empty.append(seed)
-        else:
-            assert (result.status, result.objective) == ("optimal", optimum), inst
-    assert empty == [34, 36]  # and 46 optimal
+    # every c, an optimal witness in the core, and no point exactly where the
+    # core LP's dual is unbounded; at n = 6 a 1 500-row cap keeps 47 of the
+    # 60 games, leaving out the slowest solves
+    for n, seeds, max_rows, kept, empty_cores in ((5, 48, math.inf, 48, [34, 36]),
+                                                  (6, 60, 1500, 47, [55, 58])):
+        cases = formulation_optima(n, seeds, max_rows)
+        assert len(cases) == kept
+        empty = []
+        for seed, inst, (status, optimum), result in cases:
+            if status == "unbounded":
+                assert result.status == "infeasible", inst
+                empty.append(seed)
+            else:
+                assert (result.status, result.objective) == ("optimal", optimum), inst
+                p = Allocation(tuple(result.witness[f"p_{v}"] for v in range(inst.n)))
+                assert separation.separate(inst, p).in_core, (inst, p)
+        assert empty == empty_cores
 
 
 def test_formulation_optima_are_core_points_the_flawed_scan_may_reject():
@@ -263,7 +276,7 @@ def test_formulation_optima_are_core_points_the_flawed_scan_may_reject():
     # LPs and the coalition scan; the paper's flawed layered scan rejects
     # some of them, each time by a walk that revisits a vertex
     rejected = 0
-    for inst, _, result in formulation_optima():
+    for _, inst, _, result in formulation_optima(5, 48, math.inf):
         if result.status != "optimal":
             continue
         p = Allocation(tuple(result.witness[f"p_{v}"] for v in range(inst.n)))
