@@ -108,6 +108,10 @@ def _cmd_extform(args) -> int:
     if args.check and args.alloc is None:
         raise FormatError("--check requires --alloc")
     p = _load_allocation(args.alloc, inst) if args.check else None  # read before any output
+    if args.emit is not None:  # written before any output, so a FILE that fails prints nothing
+        system = extform.build_extended_formulation(inst)
+        with open(args.emit, "w", encoding="utf-8") as fh:
+            linsys.emit_lp(system, fh)
     if args.size:
         rep = extform.size_report(inst)
         print(f"family: {rep.family_size} (bound {rep.family_bound})")
@@ -125,9 +129,6 @@ def _cmd_extform(args) -> int:
             f"constraints <= {rep.constraint_envelope}"
         )
     if args.emit is not None:
-        system = extform.build_extended_formulation(inst)
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            linsys.emit_lp(system, fh)
         print(f"wrote {args.emit}")
     if args.check:
         in_core = extform.check_membership(inst, p)

@@ -17,10 +17,11 @@ The tableau set-up, `_holds` and `emit_lp` walk a store's columns and values
 with one iterator, each row taking its length in turn, so they slice no row.
 Every row enters through `_extend` and `_Store.extend`, a block at a time:
 extform hands over whole blocks as flat lists, and `_append` translates
-names to columns once per row for the constructor and `parse_lp`, which each
-hand over all their rows as one block, and for `add_constraint`, whose block
-is its one row. `constraints` is a read-only sequence that builds a frozen
-`Constraint` view of a row only when the row is read.
+names to columns once per row for `parse_lp`, which hands over all its rows
+as one block, and for `add_constraint`, whose block is its one row; the
+constructor declares only the variables. `constraints` is a read-only
+sequence that builds a frozen `Constraint` view of a row only when the row
+is read.
 
 A system holds no name string per column or row of a block after it is
 built. A name sequence, `_Names`, is read-only and equal to the tuple of its
@@ -347,7 +348,7 @@ class ConstraintSystem:
     """Named rational variables, linear constraints stored by column (see
     module notes) and an optional minimization objective."""
 
-    def __init__(self, name: str = "", variables=(), constraints=(),
+    def __init__(self, name: str = "", variables=(),
                  objective: Optional[dict[str, Fraction]] = None):
         self.name = name
         self.variables = _Names(variables)  # fixed: a row's columns index it
@@ -355,7 +356,6 @@ class ConstraintSystem:
         self._cols: Optional[dict[str, int]] = _columns(self.variables)
         self._rows = _Store()
         self._names = _Names()  # row k's name
-        self._append(Constraint(c.name, c.coeffs, c.rel, c.rhs) for c in constraints)
 
     @property
     def constraints(self) -> _Rows:
@@ -976,11 +976,10 @@ def _read_row(text: str, objective: bool) -> tuple:
 _SECTIONS = ("Minimize", "Subject To", "Bounds", "End")
 
 
-def parse_lp(source) -> ConstraintSystem:
+def parse_lp(text: str) -> ConstraintSystem:
     """Read LP text in the grammar `emit_lp` writes (see module notes) into a
     ConstraintSystem; raises ValueError naming the first line outside the
     grammar, or a row or objective term over an undeclared variable."""
-    text = source.read() if hasattr(source, "read") else source
     name = ""
     objectives: dict[bool, dict[str, int | Fraction]] = {}  # keyed by "is a \\X row"
     rows: list[tuple] = []

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ._edmonds import matched_edges, warm_matched_edges
-from .model import (Instance, InvariantError, _is_exact, _is_index, check_coalition,
+from .model import (Instance, InvariantError, _is_exact, check_coalition,
                     check_simple_graph)
 
 
@@ -170,28 +170,15 @@ def min_weight_perfect_matching(vertices, edges, weights) -> MatchingResult:
 # ---------------------------------------------------------------------------
 
 
-def build_gadget(inst: Instance, allowed: Optional[Iterable[int]] = None,
-                 caps: Optional[Sequence[int]] = None):
-    """Gadget graph for max-weight b-matching restricted to `allowed` edges,
-    indices in 0..m-1, and per-vertex capacities `caps` in {0, 1, 2}, n of
-    them (defaults: all edges, caps = b; ValueError otherwise).
+def build_gadget(inst: Instance):
+    """Gadget graph for max-weight b-matching over all edges at capacities b.
 
     Returns (vertices, edges, weights) on dense int nodes: vertex v's copies
-    are offset_v .. offset_v + caps_v - 1 with offset_v = caps_0 + ... +
-    caps_(v-1), and the k-th gadgeted edge in index order has the nodes
-    e_u = sum(caps) + 2k and e_v = e_u + 1.
+    are offset_v .. offset_v + b_v - 1 with offset_v = b_0 + ... + b_(v-1),
+    and the k-th gadgeted edge in index order has the nodes e_u = sum(b) + 2k
+    and e_v = e_u + 1.
     """
-    caps = inst.b if caps is None else caps
-    if len(caps) != inst.n:
-        raise ValueError(f"caps has {len(caps)} entries for {inst.n} vertices")
-    for v, c in enumerate(caps):
-        if not _is_index(c, (0, 1, 2)):
-            raise ValueError(f"capacity {c!r} at vertex {v} is not 0, 1 or 2")
-    ids = range(inst.m) if allowed is None else tuple(allowed)
-    for idx in ids:
-        if not _is_index(idx, range(inst.m)):
-            raise ValueError(f"edge index {idx!r} is not in 0..{inst.m - 1}")
-    return _gadget(inst, sorted(ids), caps, [e.w for e in inst.edges])
+    return _gadget(inst, range(inst.m), inst.b, [e.w for e in inst.edges])
 
 
 def _gadget(inst: Instance, ids: Iterable[int], caps: Sequence[int], weights: Sequence):

@@ -99,8 +99,8 @@ def _is_int(x) -> bool:
 
 def _is_index(x, valid) -> bool:
     """The index rule: x is an int (a bool is not) in `valid`, a range, a
-    tuple of allowed values or a vertex set; every public function that
-    takes a vertex id, an edge index, a capacity or a marker reads it."""
+    list of allowed values or a vertex set; every public function that
+    takes a vertex id or an edge index reads it."""
     return _is_int(x) and x in valid
 
 

@@ -46,27 +46,20 @@ class CostEdge(NamedTuple):
 
 class CostedGraph(_Frozen):
     """Simple undirected graph with signed exact edge costs (ints or
-    Fractions).
+    Fractions). An edge's `orig` is its instance edge index, or None for a
+    synthetic edge (separation's variants end with one, the st edge)."""
 
-    `marker` optionally names one distinguished edge (separation tags the
-    artificial st edge this way).
-    """
+    __slots__ = _fields = ("vertices", "edges")
 
-    __slots__ = _fields = ("vertices", "edges", "marker")
-
-    def __init__(self, vertices: tuple[int, ...], edges: tuple[CostEdge, ...],
-                 marker: Optional[int] = None):
+    def __init__(self, vertices: tuple[int, ...], edges: tuple[CostEdge, ...]):
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "marker", marker)
         check_simple_graph(self.vertices, self.edges)
         for e in self.edges:
             if not _is_exact(e.cost):
                 raise ValueError(
                     f"cost on edge {e.u}-{e.v} is not an int or a Fraction: {e.cost!r}"
                 )
-        if self.marker is not None and not _is_index(self.marker, range(len(self.edges))):
-            raise ValueError("marker out of range")
 
     @classmethod
     def _trusted(cls, vertices: tuple[int, ...], edges: tuple[CostEdge, ...]) -> CostedGraph:
@@ -75,7 +68,6 @@ class CostedGraph(_Frozen):
         g = object.__new__(cls)
         object.__setattr__(g, "vertices", vertices)
         object.__setattr__(g, "edges", edges)
-        object.__setattr__(g, "marker", None)
         return g
 
 

@@ -110,15 +110,16 @@ def separate_vertices_edges(costs: TransferCosts) -> Optional[Violation]:
 
 def _cycle_violation(costs: TransferCosts, g: CostedGraph, cyc: Cycle) -> Violation:
     """Build a violation from a negative cycle of g: a Path violation when the
-    cycle runs through g's marker edge (which is dropped), else a Cycle."""
-    if g.marker not in cyc.edges:
+    cycle runs through a synthetic edge (orig None: a variant's st marker,
+    which is dropped), else a Cycle."""
+    q = next((q for q, i in enumerate(cyc.edges) if g.edges[i].orig is None), None)
+    if q is None:
         kind = ViolationKind.CYCLE
         eids = list(cyc.edges)
     else:
         kind = ViolationKind.PATH
         # rotate so the marker edge is last, leaving path order; orient the
         # walk from its smaller endpoint
-        q = cyc.edges.index(g.marker)
         k = len(cyc.edges)
         eids = [cyc.edges[(q + 1 + r) % k] for r in range(k - 1)]
         first = cyc.vertices[(q + 1) % k]
@@ -177,7 +178,8 @@ def realize_variant(costs: TransferCosts, struct: VariantStructure) -> CostedGra
     """A variant as a graph: G2's vertices plus s and t; G2's edges less st
     with the kept edges merged in by instance index (a kept edge has a
     capacity-1 end, so it is no G2 edge); last, as the marker, the st edge,
-    of weight 0 and so of cost half[s] + half[t]. ValueError unless s < t
+    the one edge with no instance index (orig None), of weight 0 and so of
+    cost half[s] + half[t]. ValueError unless s < t
     are vertex ids and each kept edge is one of its endpoint's `_ends`."""
     inst, s, t, g2 = costs.inst, struct.s, struct.t, costs.g2
     if not (_is_index(s, range(inst.n)) and _is_index(t, range(s + 1, inst.n))):
@@ -192,7 +194,7 @@ def realize_variant(costs: TransferCosts, struct: VariantStructure) -> CostedGra
             insort(edges, CostEdge(e.u, e.v, costs.cost[i], i), key=attrgetter("orig"))
     edges.append(CostEdge(s, t, costs.half[s] + costs.half[t]))
     vertices = tuple(sorted({*g2.vertices, s, t}))
-    return CostedGraph(vertices, tuple(edges), marker=len(edges) - 1)
+    return CostedGraph(vertices, tuple(edges))
 
 
 def g2_joined(inst: Instance, s: int, t: int) -> bool:

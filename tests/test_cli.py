@@ -474,11 +474,16 @@ def test_missing_required_combo(files, capsys):
      "error: --check requires --alloc", False),
     (["extform", "-i", "{data}/square.game", "--size", "--check", "-a", "{tmp}/bad.alloc"], 3,
      "error: line 1: expected '<id> <rational>'", False),
+    (["extform", "-i", "{data}/square.game", "--size", "--emit", "{tmp}/missing/out.lp"], 3,
+     "error: [Errno 2] No such file or directory", False),
+    (["extform", "-i", "{data}/square.game", "--size", "--emit", "{tmp}"], 3,
+     "error: [Errno 21] Is a directory", False),
 ], ids=["n-0", "density-2", "wmax-negative", "invariant", "coalition-9", "extform-no-mode",
         "flaw-no-alloc", "flaw-alloc-no-instance", "nu-no-coalition", "x-too-short",
         "no-negative-path", "no-negative-cycle", "cut-violated", "random-to-file",
         "constraints-square", "extform-size-check-no-alloc", "extform-emit-check-no-alloc",
-        "extform-size-check-bad-alloc"])
+        "extform-size-check-bad-alloc", "extform-size-emit-missing-dir",
+        "extform-size-emit-directory"])
 def test_exit_code_contract(capsys, tmp_path, monkeypatch, argv, code, text, broken):
     # an error prints nothing on stdout, writes no LP file and prints one
     # "error:" (or "internal error:") line on stderr; a result prints on

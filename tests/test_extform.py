@@ -96,7 +96,6 @@ def shifted_family(inst, p):
             edges=tuple(
                 e._replace(cost=e.cost + (p[e.u] + p[e.v]) / 2) for e in g.edges
             ),
-            marker=g.marker,
         )
         for g in fam.members
     )

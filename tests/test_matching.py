@@ -214,33 +214,6 @@ def test_b_matching_value_rejects_unknown_vertices(S):
     assert b_matching_value(inst) == nu(inst, range(5)) == 12
 
 
-@pytest.mark.parametrize("caps, error", [
-    ((1, 1, 2), "caps has 3 entries for 5 vertices"),
-    ((3,) * 5, "capacity 3 at vertex 0 is not 0, 1 or 2"),
-    ((1, 1, 2, -1, 1), "capacity -1 at vertex 3 is not 0, 1 or 2"),
-])
-def test_gadget_rejects_capacities_outside_0_1_2(caps, error):
-    # (1, 1, 2) raised a bare IndexError, (3,) * 5 gave _b_value 30, the
-    # value of a 3-matching, and a -1 gave node ids from -1; _b_value reads
-    # only caps that are checked already, so the public builder checks them
-    inst = model.parse_instance((ROOT / "data" / "counterexample.game").read_text())
-    with pytest.raises(ValueError, match=re.escape(error)):
-        build_gadget(inst, None, caps)
-
-
-@pytest.mark.parametrize("allowed, error", [
-    ([-1], "edge index -1 is not in 0..3"),
-    ([0, 9], "edge index 9 is not in 0..3"),
-])
-def test_gadget_rejects_edge_indices_out_of_range(allowed, error):
-    # [-1] built the gadget of the last edge, so _b_value read 1, and [9]
-    # raised a bare IndexError; _b_value reads only edge ids that are checked
-    # already, so the public builder checks them
-    inst = model.parse_instance((ROOT / "data" / "counterexample.game").read_text())
-    with pytest.raises(ValueError, match=re.escape(error)):
-        build_gadget(inst, allowed)
-
-
 def gadgeted_weight(inst):
     """w(E22): the weight of the edges joining two capacity-2 vertices, the
     only edges the gadget expands."""
@@ -269,7 +242,7 @@ def test_gadget_expands_only_capacity_two_edges():
                      (2, 7), (3, 7), (7, 8), (8, 4), (8, 5), (4, 6), (5, 6)]
     assert weights == [1] * 4 + [10] * 5 + [1] * 2
     # capacity 0 drops a vertex's edges; capacity 1 leaves one copy
-    _, edges, _ = build_gadget(inst, {0, 1, 2}, [1, 0, 1, 2, 1])
+    _, edges, _ = matching._gadget(inst, [0, 1, 2], [1, 0, 1, 2, 1], weights)
     assert edges == [(0, 1), (1, 2), (1, 3)]
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from corematch import flawed, model, separation
 from corematch.matching import (
     NoPerfectMatchingError,
-    build_gadget,
     max_weight_matching,
     min_weight_perfect_matching,
     nu,
@@ -333,38 +332,33 @@ def test_ints_and_fractions_are_exact():
 
 MATCHINGS = ("max_weight_matching", "min_weight_perfect_matching")
 GRAPHS = MATCHINGS + ("CostedGraph",)
-EVERY = GRAPHS + ("Instance",)  # Instance needs vertices 0..n-1 and no marker
+EVERY = GRAPHS + ("Instance",)  # Instance needs vertices 0..n-1
 
-# case -> (vertices, (u, v) edges, weights, marker, the targets it is bad for)
+# case -> (vertices, (u, v) edges, weights, the targets it is bad for)
 BAD_GRAPHS = {
-    "duplicate vertex": ([0, 1, 2, 3, 3], [(0, 1), (2, 3)], [1, 1], None, GRAPHS),
-    "loop": ([0, 1, 2, 3], [(0, 1), (2, 3), (2, 2)], [1, 1, 1], None, EVERY),
-    "unknown endpoint": ([0, 1, 2, 3], [(0, 1), (2, 3), (1, 4)], [1, 1, 1], None, EVERY),
-    "duplicate edge": ([0, 1, 2, 3], [(0, 1), (2, 3), (0, 1)], [1, 1, 1], None, EVERY),
-    "reversed duplicate edge": ([0, 1, 2, 3], [(0, 1), (2, 3), (1, 0)], [1, 1, 1], None, EVERY),
-    "weights too short": ([0, 1, 2, 3], [(0, 1), (2, 3)], [1], None, MATCHINGS),
-    "weights too long": ([0, 1, 2, 3], [(0, 1), (2, 3)], [1, 1, 1], None, MATCHINGS),
-    "marker out of range": ([0, 1, 2, 3], [(0, 1), (2, 3)], [1, 1], 2, ("CostedGraph",)),
+    "duplicate vertex": ([0, 1, 2, 3, 3], [(0, 1), (2, 3)], [1, 1], GRAPHS),
+    "loop": ([0, 1, 2, 3], [(0, 1), (2, 3), (2, 2)], [1, 1, 1], EVERY),
+    "unknown endpoint": ([0, 1, 2, 3], [(0, 1), (2, 3), (1, 4)], [1, 1, 1], EVERY),
+    "duplicate edge": ([0, 1, 2, 3], [(0, 1), (2, 3), (0, 1)], [1, 1, 1], EVERY),
+    "reversed duplicate edge": ([0, 1, 2, 3], [(0, 1), (2, 3), (1, 0)], [1, 1, 1], EVERY),
+    "weights too short": ([0, 1, 2, 3], [(0, 1), (2, 3)], [1], MATCHINGS),
+    "weights too long": ([0, 1, 2, 3], [(0, 1), (2, 3)], [1, 1, 1], MATCHINGS),
 }
 
 
-def _costed_graph(vertices, edges, weights, marker):
+def _costed_graph(vertices, edges, weights):
     costs = [CostEdge(u, v, Fraction(w), k) for k, ((u, v), w) in enumerate(zip(edges, weights))]
-    return CostedGraph(tuple(vertices), tuple(costs), marker)
+    return CostedGraph(tuple(vertices), tuple(costs))
 
 
-def _instance(vertices, edges, weights, marker):
+def _instance(vertices, edges, weights):
     return Instance(len(vertices), (2,) * len(vertices),
                     tuple(Edge(u, v, Fraction(w)) for (u, v), w in zip(edges, weights)))
 
 
-def _raw(solve):
-    return lambda vertices, edges, weights, marker: solve(vertices, edges, weights)
-
-
 VALIDATED = {
-    "max_weight_matching": _raw(max_weight_matching),
-    "min_weight_perfect_matching": _raw(min_weight_perfect_matching),
+    "max_weight_matching": max_weight_matching,
+    "min_weight_perfect_matching": min_weight_perfect_matching,
     "CostedGraph": _costed_graph,
     "Instance": _instance,
 }
@@ -381,7 +375,7 @@ def test_validator_rejects_malformed_graphs(case, target):
 
 
 def test_graph_error_names_the_edge_position():
-    for vertices, edges, _, _, targets in BAD_GRAPHS.values():
+    for vertices, edges, _, targets in BAD_GRAPHS.values():
         if "Instance" in targets:
             with pytest.raises(model.GraphError) as exc:
                 model.check_simple_graph(vertices, edges)
@@ -431,7 +425,7 @@ def test_instance_rules_report_their_file_line(text, message):
 def test_validator_accepts_the_repaired_graph():
     vertices, edges, weights = [0, 1, 2, 3], [(0, 1), (2, 3)], [1, 1]
     for target, build in VALIDATED.items():
-        build(vertices, edges, weights, None)
+        build(vertices, edges, weights)
 
 
 # -- one index rule ------------------------------------------------------------
@@ -446,12 +440,6 @@ BAD_INDICES = {
                        "endpoints must lie in 0..4"),
     "bool endpoint": (lambda inst, p, g: separation.variant_structures(inst, 2, True),
                       "endpoints must lie in 0..4"),
-    "float edge id": (lambda inst, p, g: build_gadget(inst, [1.0]),
-                      "edge index 1.0 is not in 0..3"),
-    "bool edge id": (lambda inst, p, g: build_gadget(inst, [True]),
-                     "edge index True is not in 0..3"),
-    "bool caps": (lambda inst, p, g: build_gadget(inst, None, (True, True, 2, 2, True)),
-                  "capacity True at vertex 0 is not 0, 1 or 2"),
     "float length": (lambda inst, p, g: flawed.build_layered(inst, p, 0, 1, 2.0),
                      "length k must lie in 1..4"),
     "float layered end": (lambda inst, p, g: flawed.build_layered(inst, p, 0, 1.0, 3),
@@ -464,16 +452,10 @@ BAD_INDICES = {
                        "T-vertex 2.0 is not a vertex of the graph"),
     "bool T-vertex beside its int": (lambda inst, p, g: min_t_join(g, [1, True]),
                                      "T-vertex True is not a vertex of the graph"),
-    "str edge id": (lambda inst, p, g: build_gadget(inst, ["x", 0]),
-                    "edge index 'x' is not in 0..3"),
-    "str edge id reading as one": (lambda inst, p, g: build_gadget(inst, ["1"]),
-                                   "edge index '1' is not in 0..3"),
     "str cycle edge reading as one": (lambda inst, p, g: decompose_even_subgraph(g, ["1", 0, 2]),
                                       "edge index '1' is not in 0..2"),
     "str T-vertex reading as one": (lambda inst, p, g: min_t_join(g, [0, "1"]),
                                     "T-vertex '1' is not a vertex of the graph"),
-    "bool marker": (lambda inst, p, g: CostedGraph(g.vertices, g.edges, True),
-                    "marker out of range"),
     "negative incident vertex": (lambda inst, p, g: inst.incident(-1),
                                  "not a vertex of the game: -1"),
     "bool incident vertex": (lambda inst, p, g: inst.incident(True),
@@ -491,10 +473,9 @@ BAD_INDICES = {
 
 @pytest.mark.parametrize("case", BAD_INDICES)
 def test_every_index_is_an_int_in_range(case):
-    # each case was accepted (variant_structures(inst, 2, True),
-    # build_gadget(inst, [True]) built edge 1's gadget, decompose returned
-    # Cycle(edges=(0, True, 2), ...), CostedGraph read marker True as 1,
-    # incident(-1) listed vertex 4's edges, find_edge(True, 2) found edge 1)
+    # each case was accepted (variant_structures(inst, 2, True), decompose
+    # returned Cycle(edges=(0, True, 2), ...), incident(-1) listed vertex 4's
+    # edges, find_edge(True, 2) found edge 1)
     # or raised a bare TypeError or IndexError
     call, message = BAD_INDICES[case]
     inst = flawed.counterexample_instance()

@@ -107,8 +107,8 @@ def test_variants_counterexample(counterexample, counterexample_core_p):
     (struct,) = variant_structures(inst, 0, 1)
     assert struct.kept_s == 0 and struct.kept_t == 1
     (g,) = variants(inst, integer_costs(inst, p), 0, 1)
-    marker = g.edges[g.marker]
-    assert {marker.u, marker.v} == {0, 1} and marker.orig is None
+    (marker,) = [e for e in g.edges if e.orig is None]
+    assert {marker.u, marker.v} == {0, 1}
     assert marker.cost == 0  # (p_s + p_t)/2 with p_s = p_t = 0
     # {u,v}: both capacity 2 -> the single direct graph, no removals
     (struct_uv,) = variant_structures(inst, 2, 3)
@@ -361,6 +361,20 @@ def test_separate_paths_defensive_cycle_branch():
     assert verify_violation(inst, p, v)
 
 
+def test_cycle_violation_refuses_a_cycle_through_two_synthetic_edges():
+    # a variant holds one synthetic edge, its st marker, which the path
+    # certificate drops; a negative cycle through a second one would leave
+    # an edge with no instance index in the certificate
+    inst = parse_instance("game 3 1\nvertex 0 2\nvertex 1 2\nvertex 2 2\nedge 0 1 1\n")
+    g = negcycle.CostedGraph((0, 1, 2), (negcycle.CostEdge(0, 1, -1, 0),
+                                         negcycle.CostEdge(1, 2, -1),
+                                         negcycle.CostEdge(0, 2, -1)))
+    cyc = negcycle.find_negative_cycle(g)
+    assert cyc is not None and sorted(cyc.edges) == [0, 1, 2]
+    with pytest.raises(model.InvariantError, match="certificate holds a synthetic edge"):
+        separation._cycle_violation(integer_costs(inst, alloc(0, 0, 0)), g, cyc)
+
+
 def test_grand_value_computed_once_per_instance(monkeypatch):
     calls = []
     real = matching.b_matching_value
@@ -525,9 +539,7 @@ def _oracle_realize(inst, edge_cost, half, struct, vertices, edge_ids):
     edges.append(
         negcycle.CostEdge(struct.s, struct.t, half[struct.s] + half[struct.t], None)
     )
-    return negcycle.CostedGraph(
-        vertices=vertices, edges=tuple(edges), marker=len(edges) - 1
-    )
+    return negcycle.CostedGraph(vertices=vertices, edges=tuple(edges))
 
 
 def _shuffled_instance(rng):
