@@ -112,7 +112,7 @@ def _cycle_violation(costs: TransferCosts, g: CostedGraph, cyc: Cycle) -> Violat
     """Build a violation from a negative cycle of g: a Path violation when the
     cycle runs through a synthetic edge (orig None: a variant's st marker,
     which is dropped), else a Cycle."""
-    q = next((q for q, i in enumerate(cyc.edges) if g.edges[i].orig is None), None)
+    q = next((j for j, i in enumerate(cyc.edges) if g.edges[i].orig is None), None)
     if q is None:
         kind = ViolationKind.CYCLE
         eids = list(cyc.edges)
@@ -179,8 +179,8 @@ def realize_variant(costs: TransferCosts, struct: VariantStructure) -> CostedGra
     with the kept edges merged in by instance index (a kept edge has a
     capacity-1 end, so it is no G2 edge); last, as the marker, the st edge,
     the one edge with no instance index (orig None), of weight 0 and so of
-    cost half[s] + half[t]. ValueError unless s < t
-    are vertex ids and each kept edge is one of its endpoint's `_ends`."""
+    cost half[s] + half[t]. ValueError unless s < t are vertex ids and each
+    kept edge is one of its endpoint's `_ends`."""
     inst, s, t, g2 = costs.inst, struct.s, struct.t, costs.g2
     if not (_is_index(s, range(inst.n)) and _is_index(t, range(s + 1, inst.n))):
         raise ValueError(f"endpoints must satisfy s < t in 0..{inst.n - 1}")

@@ -39,10 +39,11 @@ def test_src_imports_only_names_it_uses():
     for path in sorted((SRC / "corematch").rglob("*.py")):
         if path.name == "__init__.py":
             continue  # the package imports its modules to export them
-        tree = ast.parse(path.read_text(), str(path))
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+        nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+        used = {node.id for node in nodes if isinstance(node, ast.Name)}
+        for node in nodes:
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
                 for alias in node.names:
                     name = alias.asname or alias.name.partition(".")[0]
                     if name not in used:

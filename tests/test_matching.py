@@ -3,7 +3,6 @@ import itertools
 import json
 import pathlib
 import random
-import re
 from fractions import Fraction
 
 import pytest
