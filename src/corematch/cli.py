@@ -4,6 +4,11 @@ Output is deterministic and script-friendly: membership verdicts start with
 exactly "IN_CORE" or "VIOLATED kind=<K> S={ids} p(S)=<r> bound=<r>". Exit
 codes: 0 success / in core, 10 violated, 2 usage, 3 file or format error,
 4 size-guard refusal, 5 internal invariant failure (a bug).
+
+`value`, `check`, `separate` and `random` run on the separation core alone.
+`extform` imports the extended formulation and linsys, `flaw` the flawed
+replication and `oracle` the brute-force oracles, each in its own command,
+so a one-shot call loads only the code it runs.
 """
 
 from __future__ import annotations
@@ -11,8 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import extform, flawed, linsys, model, negcycle, oracle, separation
-from .model import FormatError, InvariantError
+from . import model, negcycle, separation
+from .model import FormatError, InvariantError, SizeGuardError
 
 EXIT_OK = 0
 EXIT_VIOLATED = 10
@@ -102,6 +107,8 @@ def _cmd_separate(args) -> int:
 
 
 def _cmd_extform(args) -> int:
+    from . import extform, linsys
+
     inst = _load_instance(args.instance)
     if not (args.size or args.emit is not None or args.check):
         raise FormatError("extform needs one of --size, --emit FILE, --check")
@@ -138,6 +145,8 @@ def _cmd_extform(args) -> int:
 
 
 def _cmd_flaw(args) -> int:
+    from . import flawed
+
     if args.instance is None:
         if args.alloc is not None:
             raise FormatError("flaw --alloc requires --instance")
@@ -170,6 +179,8 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
+
     op = args.op
     needs = {
         "nu": ("instance", "coalition"),
@@ -317,7 +328,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
-    except oracle.SizeGuardError as exc:
+    except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except InvariantError as exc:

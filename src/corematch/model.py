@@ -36,6 +36,10 @@ class InvariantError(RuntimeError):
     explicitly rather than asserted, so `python -O` keeps the check."""
 
 
+class SizeGuardError(RuntimeError):
+    """A brute-force oracle refused an input past its size guard."""
+
+
 # the most digits an integer in an input file may have (Python's default
 # limit on converting a str to an int); the parsers hold input to it
 # themselves, so the CLI can lift the interpreter's limit to print values

@@ -19,6 +19,7 @@ from .model import (
     Allocation,
     GraphError,
     Instance,
+    SizeGuardError,
     Violation,
     ViolationKind,
     check_allocation_length,
@@ -26,10 +27,6 @@ from .model import (
     coalition,
 )
 from .negcycle import CostedGraph, Cycle
-
-
-class SizeGuardError(RuntimeError):
-    pass
 
 
 def nu_bruteforce(inst: Instance, S) -> Fraction:
@@ -277,9 +274,9 @@ def check_cut_system(g: CostedGraph, x: Sequence[Fraction]) -> Optional[CutViola
     n = len(g.vertices)
     if n > 10:
         raise SizeGuardError(f"check_cut_system guard: n={n} > 10")
-    verts = sorted(g.vertices)
-    anchor = verts[0]
-    rest = verts[1:]
+    if not n:
+        return None  # no vertex, no cut
+    anchor, *rest = sorted(g.vertices)
     for mask in range(1 << len(rest)):
         side = {anchor} | {rest[i] for i in range(len(rest)) if mask >> i & 1}
         if len(side) == n:

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from corematch import extform, flawed, matching, oracle, separation
 from corematch.linsys import simplex_feasible
-from corematch.model import Allocation, ViolationKind, parse_instance, random_instance
+from corematch.model import Allocation, ViolationKind, random_instance
 from corematch.negcycle import CostEdge, CostedGraph, find_negative_cycle
 
 from conftest import normalized, random_allocation, random_cost_graph

@@ -463,6 +463,8 @@ def test_missing_required_combo(files, capsys):
     (["oracle", "negcycle", "-c", "{tmp}/pos.costs"], 0, "NO_NEGATIVE_CYCLE\n", False),
     (["oracle", "cut-check", "-c", "{tmp}/neg.costs", "-x", "{tmp}/x511.vec"], 10,
      "VIOLATED cut X={{0}} edge 0-1\n", False),
+    (["oracle", "cut-check", "-c", "{tmp}/none.costs", "-x", "{tmp}/x0.vec"], 0, "HOLDS\n",
+     False),
     (["random", "--seed", "7", "--n", "6", "-o", "{tmp}/r.game"], 0,
      "wrote {tmp}/r.game (6 vertices, 10 edges)\n", False),
     (["oracle", "constraints", "-i", "{data}/square.game"], 0, "cycles: 1\n  C 0-1-2-3\n",
@@ -480,7 +482,8 @@ def test_missing_required_combo(files, capsys):
      "error: [Errno 21] Is a directory", False),
 ], ids=["n-0", "density-2", "wmax-negative", "invariant", "coalition-9", "extform-no-mode",
         "flaw-no-alloc", "flaw-alloc-no-instance", "nu-no-coalition", "x-too-short",
-        "no-negative-path", "no-negative-cycle", "cut-violated", "random-to-file",
+        "no-negative-path", "no-negative-cycle", "cut-violated", "cut-no-vertices",
+        "random-to-file",
         "constraints-square", "extform-size-check-no-alloc", "extform-emit-check-no-alloc",
         "extform-size-check-bad-alloc", "extform-size-emit-missing-dir",
         "extform-size-emit-directory"])
@@ -495,6 +498,8 @@ def test_exit_code_contract(capsys, tmp_path, monkeypatch, argv, code, text, bro
     (tmp_path / "pos.costs").write_text(COSTS.replace("-3", "3"))
     (tmp_path / "x2.vec").write_text("1\n1\n")
     (tmp_path / "x511.vec").write_text("5\n1\n1\n")
+    (tmp_path / "none.costs").write_text("costs 0 0\n")
+    (tmp_path / "x0.vec").write_text("")
     (tmp_path / "bad.alloc").write_text("0 0 1\n")
     if broken:
         def failing(*args, **kwargs):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from corematch import matching, model, oracle, separation
+from corematch import matching, oracle, separation
 from corematch.flawed import (
     build_layered,
     counterexample_allocation,

@@ -1,6 +1,5 @@
 import collections
 import hashlib
-import itertools
 import math
 import random
 from fractions import Fraction

@@ -1,12 +1,11 @@
 import functools
-import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from corematch import extform, flawed, linsys, oracle, separation
+from corematch import extform, flawed, linsys, separation
 from corematch.model import Allocation, ViolationKind, parse_instance, random_instance
 from corematch.negcycle import CostEdge, CostedGraph, parse_cost_graph
 from corematch.oracle import (
@@ -204,6 +203,13 @@ def test_cut_system_checks_the_length_before_the_entries(x):
     g = parse_cost_graph("costs 3 3\nedge 0 1 -3\nedge 1 2 1\nedge 0 2 1\n")
     with pytest.raises(ValueError, match="x must assign a value to every edge"):
         check_cut_system(g, [Fraction(v) for v in x])
+
+
+def test_cut_system_holds_on_a_graph_with_no_vertices():
+    # no vertex, no cut: the system holds, as on one vertex
+    assert check_cut_system(CostedGraph((), ()), []) is None
+    assert check_cut_system(parse_cost_graph("costs 0 0\n"), []) is None
+    assert check_cut_system(CostedGraph((0,), ()), []) is None
 
 
 def test_cut_system_guard():
